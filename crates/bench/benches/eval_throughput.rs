@@ -26,9 +26,9 @@ use std::time::{Duration, Instant};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use pimsyn_arch::{CrossbarConfig, DacConfig, HardwareParams, MacroMode, Watts};
 use pimsyn_dse::{
-    BackendKind, CandidateEvaluator, ChunkPolicy, DesignPoint, EvalBackend, EvalBackendConfig,
-    EvalCacheConfig, EvalCore, EvalJob, ExploreContext, MacAllocGene, Objective, RemoteBackend,
-    RemotePool,
+    BackendKind, CandidateEvaluator, ChunkPolicy, DeltaSession, DesignPoint, EvalBackend,
+    EvalBackendConfig, EvalCacheConfig, EvalCore, EvalJob, ExploreContext, MacAllocGene, Objective,
+    RemoteBackend, RemotePool,
 };
 use pimsyn_ir::Dataflow;
 use pimsyn_model::{zoo, Model};
@@ -193,10 +193,11 @@ fn mutation_chain(w: &Workload, steps: usize) -> Vec<MacAllocGene> {
     chain
 }
 
-/// Scores the chain in EA-generation-sized batches (the evaluator's actual
-/// hot path: one delta session per batch), each candidate against its
-/// predecessor when `delta` is on (the first is self-parented, seeding
-/// retention); candidates/second. The memo cache stays off in both arms.
+/// Scores the chain in EA-generation-sized batches through one delta
+/// session (the evaluator's actual hot path: one session per EA run), each
+/// candidate against its predecessor when `delta` is on (the first is
+/// self-parented, seeding retention); candidates/second. The memo cache
+/// stays off in both arms.
 fn chain_throughput(w: &Workload, chain: &[MacAllocGene], delta: bool) -> (f64, f64) {
     const GENERATION: usize = 32;
     let config = if delta {
@@ -206,6 +207,7 @@ fn chain_throughput(w: &Workload, chain: &[MacAllocGene], delta: bool) -> (f64, 
     };
     let eval = evaluator(w, config);
     let ctx = ExploreContext::unobserved();
+    let mut session = DeltaSession::new(&w.df, w.point);
     let start = Instant::now();
     let mut done = 0usize;
     while done < chain.len() {
@@ -214,7 +216,7 @@ fn chain_throughput(w: &Workload, chain: &[MacAllocGene], delta: bool) -> (f64, 
             let parents: Vec<Option<&MacAllocGene>> = (0..batch.len())
                 .map(|i| Some(&chain[(done + i).saturating_sub(1)]))
                 .collect();
-            black_box(eval.score_batch_with_parents(&w.df, w.point, batch, &parents, &ctx));
+            black_box(eval.score_batch_with_parents(&mut session, batch, &parents, &ctx));
         } else {
             black_box(eval.score_batch(&w.df, w.point, batch, &ctx));
         }

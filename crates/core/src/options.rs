@@ -56,7 +56,11 @@ pub struct SynthesisOptions {
     pub macro_mode: MacroMode,
     /// Explore inter-layer macro sharing (Fig. 9).
     pub allow_macro_sharing: bool,
-    /// Parallelize outer design points.
+    /// Parallelize outer design points. With
+    /// [`max_evaluations`](Self::max_evaluations) or
+    /// [`max_unique_evaluations`](Self::max_unique_evaluations) set, points
+    /// run in order instead, so the budget buys the same candidates in
+    /// every run.
     pub parallel: bool,
     /// Base RNG seed (the whole flow is deterministic given the seed).
     pub seed: u64,

@@ -1,13 +1,13 @@
-//! Delta (incremental) candidate rescoring for the SA/EA hot loop.
+//! Delta (incremental) candidate rescoring for the EA hot loop.
 //!
 //! An EA child differs from its tournament parent in at most two gene
 //! entries (`mutate_num` + `mutate_share`), yet the full scoring pipeline
 //! recomputes every layer's allocation and stage occupancies from scratch.
-//! This module keeps, per scored candidate, the per-layer breakdown the
-//! analytic model is assembled from — component counts, base stage costs,
-//! NoC-coupled terms, realized power — and rescores a child by diffing its
-//! gene against the parent's, recomputing only what the touched entries can
-//! influence:
+//! A [`DeltaSession`] keeps, per scored candidate, the per-layer breakdown
+//! the analytic model is assembled from — component counts, base stage
+//! costs, NoC-coupled terms, realized power — and rescores a child by
+//! diffing its gene against the parent's, recomputing only what the touched
+//! entries can influence:
 //!
 //! - The Eq. (6) water-filling solution depends on the gene only through the
 //!   physical macro count ([`AllocPlan::solve`]), so solved component counts
@@ -23,22 +23,25 @@
 //! Every reused value was produced by *the same function* the full pipeline
 //! calls ([`AllocPlan::solve`], [`compute_layer_base_with`],
 //! [`compute_layer_dynamic_with`], [`power_breakdown_from`],
-//! [`solve_pipeline`], [`summarize_pipeline`]), so the delta path replays
-//! the exact float sequence of [`EvalCore::compute`] and is bit-identical
-//! to it by construction. Whenever that cannot be guaranteed — no retained
-//! parent breakdown, a gene diff wider than one mutation round, identical
-//! macro mode (whose homogenize pass is not replicated here) — the engine
-//! falls back to a full spec-path recomputation (still through the shared
-//! functions, and still retaining the result so the next generation can
-//! delta against it).
+//! [`solve_pipeline`], [`summarize_pipeline`]), and every reuse compares
+//! the exact inputs of that function, so the delta path replays the exact
+//! float sequence of [`EvalCore::compute`] and is bit-identical to it by
+//! construction — however wide the gene diff. The only fallback is a parent
+//! with no retained breakdown, which costs a full spec-path recomputation
+//! (still through the shared functions, and still retaining the result so
+//! the next generation can delta against it). Identical macro mode, whose
+//! homogenize pass is not replicated here, never reaches a session.
+//!
+//! A session lives for one EA run — one dataflow at one design point — and
+//! its retained breakdowns and memos are freed when the run returns: each
+//! `(RatioRram, crossbar, DAC, WtDup)` combination is explored by exactly
+//! one EA run, so nothing a run retains could serve another.
 
 use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-use pimsyn_arch::{
-    power_breakdown_from, ComponentCounts, CrossbarConfig, MacroGroup, NocConfig, Watts,
-};
+use pimsyn_arch::{power_breakdown_from, ComponentCounts, MacroGroup, NocConfig, Watts};
 use pimsyn_ir::Dataflow;
 use pimsyn_sim::{
     assemble_stages, compute_layer_base_with, compute_layer_dynamic_with, solve_pipeline_into,
@@ -50,16 +53,12 @@ use crate::ea::MacAllocGene;
 use crate::eval::{CandidateScore, EvalCore};
 use crate::space::DesignPoint;
 
-/// Widest gene diff the delta path accepts: one `mutate_num` plus one
-/// `mutate_share` per child. Anything wider (crossover-style edits, seeded
-/// genes) falls back to the full recomputation.
-const MAX_DELTA_DIFF: usize = 2;
-
-/// Retained breakdowns kept per plan (FIFO eviction). Sized for several EA
-/// generations of every design point sharing a dataflow.
+/// Retained breakdowns kept per session (FIFO eviction). A paper-effort EA
+/// run retains at most 336 (24 generations of 14 children), so the cap only
+/// bounds callers that drive one session far longer.
 const RETAIN_CAP: usize = 4096;
 
-/// Entry bound of the per-plan base-cost memo; once full, further base
+/// Entry bound of the per-session base-cost memo; once full, further base
 /// costs are computed without being stored (no eviction, bounded memory).
 const BASE_MEMO_CAP: usize = 1 << 16;
 
@@ -117,8 +116,8 @@ impl Hasher for FxHasher {
 
 type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
-/// Memo key of one layer's base costs within one plan. Given the plan, the
-/// component counts are a pure function of `n_macros` (the memoized
+/// Memo key of one layer's base costs within one session. Given the plan,
+/// the component counts are a pure function of `n_macros` (the memoized
 /// [`AllocPlan::solve`]), and the layer's ADC configuration is plan-
 /// constant — so `(layer, n_macros, macros, eff_adcs)` pins every input of
 /// [`compute_layer_base_with`] exactly.
@@ -128,18 +127,6 @@ struct BaseKey {
     n_macros: usize,
     macros: usize,
     eff_adcs: usize,
-}
-
-/// Identity of the gene-independent half of the scoring pipeline: one entry
-/// per `(RatioRram, crossbar, DAC, weight duplication)` combination — the
-/// same inputs that fix a [`Dataflow`] and an [`AllocPlan`] within one
-/// evaluator's run.
-#[derive(Debug, Hash, PartialEq, Eq, Clone)]
-struct PlanKey {
-    ratio_bits: u64,
-    crossbar: CrossbarConfig,
-    dac_bits: u32,
-    wt_dup: Arc<Vec<usize>>,
 }
 
 /// One layer's slice of a retained breakdown, packed so the whole candidate
@@ -178,7 +165,7 @@ struct Scratch {
     solution: PipelineSolution,
 }
 
-/// Everything memoized for one [`PlanKey`].
+/// Everything one session memoizes for its dataflow and design point.
 struct PlanState {
     plan: AllocPlan,
     /// `sum_i WtDup_i x set_i` — matches `Architecture::crossbar_count`.
@@ -288,126 +275,87 @@ fn rebuild_groups(groups: &mut Vec<MacroGroup>, macros: &[usize], shares: &[Opti
     groups.truncate(used);
 }
 
-/// What one engine scoring produced, and how.
+/// What one session scoring produced, and how.
 pub(crate) struct DeltaOutcome {
     /// The slim score, bit-identical to [`EvalCore::score`].
     pub score: CandidateScore,
     /// Layers whose base costs were recomputed (0 for a pure reuse, the
     /// full layer count for a fallback).
     pub layers_recomputed: usize,
-    /// The candidate was rescored from the parent's retained breakdown.
+    /// The candidate was rescored from the parent's retained breakdown;
+    /// otherwise the session recomputed everything (a fallback).
     pub used_delta: bool,
-    /// A parent was offered but the engine had to recompute everything
-    /// (missing retained breakdown or a too-wide gene diff).
-    pub fallback: bool,
 }
 
-/// The shared delta-rescoring state of one [`CandidateEvaluator`]
-/// (one map entry per design point / dataflow combination).
+/// The delta-rescoring state of one EA run: one dataflow at one design
+/// point. Create one per run, pass it to every
+/// [`score_batch_with_parents`] call of the run and drop it when the run
+/// returns, which frees every breakdown and memo it holds. The state is
+/// built on the first parent-aware memo miss, so a session that never
+/// rescores costs nothing.
 ///
-/// [`CandidateEvaluator`]: crate::CandidateEvaluator
-pub(crate) struct DeltaEngine {
-    plans: Mutex<FastMap<PlanKey, PlanState>>,
-}
-
-impl DeltaEngine {
-    pub(crate) fn new() -> Self {
-        Self {
-            plans: Mutex::new(FastMap::default()),
-        }
-    }
-
-    /// Checks out the plan state for one `(dataflow, design point)` so a
-    /// whole batch of candidates can be scored with a single map lookup.
-    /// The state is returned to the engine when the session drops.
-    pub(crate) fn session<'e, 'c, 'm>(
-        &'e self,
-        core: &'c EvalCore<'m>,
-        df: &'c Dataflow,
-        point: DesignPoint,
-        wt_dup: &Arc<Vec<usize>>,
-    ) -> DeltaSession<'e, 'c, 'm> {
-        let key = PlanKey {
-            ratio_bits: point.ratio_rram.to_bits(),
-            crossbar: point.crossbar,
-            dac_bits: df.dac().bits(),
-            wt_dup: Arc::clone(wt_dup),
-        };
-        let state = self
-            .plans
-            .lock()
-            .expect("delta engine")
-            .remove(&key)
-            .unwrap_or_else(|| PlanState::new(core, df, point));
-        DeltaSession {
-            engine: self,
-            core,
-            df,
-            point,
-            key,
-            state: Some(state),
-        }
-    }
-}
-
-impl std::fmt::Debug for DeltaEngine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let plans = self.plans.lock().expect("delta engine").len();
-        f.debug_struct("DeltaEngine")
-            .field("plans", &plans)
-            .finish()
-    }
-}
-
-/// A checked-out [`PlanState`]: scores candidates against their parents'
-/// retained breakdowns until dropped (which returns the state to the
-/// engine).
-pub(crate) struct DeltaSession<'e, 'c, 'm> {
-    engine: &'e DeltaEngine,
-    core: &'c EvalCore<'m>,
-    df: &'c Dataflow,
+/// [`score_batch_with_parents`]: crate::CandidateEvaluator::score_batch_with_parents
+pub struct DeltaSession<'d> {
+    df: &'d Dataflow,
     point: DesignPoint,
-    key: PlanKey,
     state: Option<PlanState>,
 }
 
-impl Drop for DeltaSession<'_, '_, '_> {
-    fn drop(&mut self) {
-        if let Some(state) = self.state.take() {
-            self.engine
-                .plans
-                .lock()
-                .expect("delta engine")
-                .insert(self.key.clone(), state);
-        }
+impl std::fmt::Debug for DeltaSession<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let retained = self.state.as_ref().map_or(0, |ps| ps.retained.len());
+        f.debug_struct("DeltaSession")
+            .field("point", &self.point)
+            .field("retained", &retained)
+            .finish_non_exhaustive()
     }
 }
 
-impl DeltaSession<'_, '_, '_> {
-    /// Scores one candidate, incrementally when `parent` has a retained
-    /// breakdown and the gene diff is narrow, with a full (but still
-    /// plan-memoized) recomputation otherwise. Bit-identical to
-    /// [`EvalCore::score`] in every case.
-    pub(crate) fn score(&mut self, gene: &MacAllocGene, parent: Option<&[u32]>) -> DeltaOutcome {
-        let raw = gene.as_slice();
-        let ps = self.state.as_mut().expect("plan state checked out");
-        let hw = self.core.hw();
-        let l = self.df.programs().len();
+impl<'d> DeltaSession<'d> {
+    /// An empty session for the candidates of `df` at `point`.
+    pub fn new(df: &'d Dataflow, point: DesignPoint) -> Self {
+        Self {
+            df,
+            point,
+            state: None,
+        }
+    }
 
-        let parent_entry = parent.and_then(|p| ps.retained.get(p).map(Arc::clone));
-        let fallback_requested = parent.is_some();
-        let use_delta = match (&parent_entry, parent) {
-            (Some(_), Some(p)) => {
-                p.len() == raw.len()
-                    && raw.iter().zip(p).filter(|(a, b)| a != b).count() <= MAX_DELTA_DIFF
-            }
-            _ => false,
-        };
-        let outcome = |score, layers_recomputed, used_delta: bool| DeltaOutcome {
+    /// The dataflow every candidate of this session is scored under.
+    pub(crate) fn dataflow(&self) -> &'d Dataflow {
+        self.df
+    }
+
+    /// The design point every candidate of this session is scored at.
+    pub(crate) fn point(&self) -> DesignPoint {
+        self.point
+    }
+
+    /// Scores one candidate, incrementally when `parent` has a retained
+    /// breakdown, with a full (but still session-memoized) recomputation
+    /// otherwise. Bit-identical to [`EvalCore::score`] in every case.
+    pub(crate) fn score(
+        &mut self,
+        core: &EvalCore<'_>,
+        gene: &MacAllocGene,
+        parent: &[u32],
+    ) -> DeltaOutcome {
+        let (df, point) = (self.df, self.point);
+        let ps = self
+            .state
+            .get_or_insert_with(|| PlanState::new(core, df, point));
+        let raw = gene.as_slice();
+        let hw = core.hw();
+        let l = df.programs().len();
+
+        // Cloned out of the map so `ps` stays mutably borrowable below.
+        let parent_entry = ps.retained.get(parent).map(Arc::clone);
+        let parent_ref = parent_entry.as_deref();
+        let use_delta = parent_ref.is_some();
+        let outcome = |score, layers_recomputed| DeltaOutcome {
             score,
             layers_recomputed,
-            used_delta,
-            fallback: fallback_requested && !used_delta,
+            used_delta: use_delta,
         };
 
         gene.decode_into(&mut ps.scratch.macros, &mut ps.scratch.shares);
@@ -425,7 +373,7 @@ impl DeltaSession<'_, '_, '_> {
         };
         let Some(counts) = counts else {
             // Allocation failure: the full pipeline returns INFEASIBLE too.
-            return outcome(CandidateScore::INFEASIBLE, 0, use_delta);
+            return outcome(CandidateScore::INFEASIBLE, 0);
         };
         let no_sharing = shares.iter().all(Option::is_none);
 
@@ -457,11 +405,6 @@ impl DeltaSession<'_, '_, '_> {
         }
         let eff_adcs: &[usize] = &ps.scratch.eff_adcs;
 
-        let parent_ref = if use_delta {
-            parent_entry.as_deref()
-        } else {
-            None
-        };
         let same_counts = parent_ref.is_some_and(|p| Arc::ptr_eq(&counts, &p.counts));
 
         // Base (NoC-independent) stage costs: reuse every layer whose
@@ -499,7 +442,7 @@ impl DeltaSession<'_, '_, '_> {
                 activation: counts[i].activation,
                 eltwise: counts[i].eltwise,
             };
-            match compute_layer_base_with(self.df, hw, i, &inputs) {
+            match compute_layer_base_with(df, hw, i, &inputs) {
                 Ok(b) => {
                     ps.scratch.base.push(b);
                     recomputed += 1;
@@ -508,7 +451,7 @@ impl DeltaSession<'_, '_, '_> {
                     }
                 }
                 // The full pipeline fails this candidate identically.
-                Err(_) => return outcome(CandidateScore::INFEASIBLE, recomputed, use_delta),
+                Err(_) => return outcome(CandidateScore::INFEASIBLE, recomputed),
             }
         }
 
@@ -536,7 +479,7 @@ impl DeltaSession<'_, '_, '_> {
                     ps.scratch.dynamic.push(d);
                     continue;
                 }
-                let d = compute_layer_dynamic_with(self.df, hw, i, m, root_of, &noc);
+                let d = compute_layer_dynamic_with(df, hw, i, m, root_of, &noc);
                 if ps.dyn_memo.len() < BASE_MEMO_CAP {
                     ps.dyn_memo.insert(key, d);
                 }
@@ -544,7 +487,7 @@ impl DeltaSession<'_, '_, '_> {
             } else {
                 ps.scratch
                     .dynamic
-                    .push(compute_layer_dynamic_with(self.df, hw, i, m, root_of, &noc));
+                    .push(compute_layer_dynamic_with(df, hw, i, m, root_of, &noc));
             }
         }
 
@@ -557,7 +500,7 @@ impl DeltaSession<'_, '_, '_> {
             ));
         }
         solve_pipeline_into(
-            self.df,
+            df,
             &ps.scratch.stages,
             &ps.scratch.groups,
             &mut ps.scratch.solution,
@@ -580,8 +523,8 @@ impl DeltaSession<'_, '_, '_> {
                         let plan_adcs = ps.plan.adcs();
                         let w = power_breakdown_from(
                             hw,
-                            self.point.crossbar,
-                            self.df.dac(),
+                            point.crossbar,
+                            df.dac(),
                             ps.crossbar_count,
                             &ps.scratch.groups,
                             macro_count,
@@ -597,8 +540,8 @@ impl DeltaSession<'_, '_, '_> {
             }
         };
 
-        let summary = summarize_pipeline(self.df, &ps.scratch.solution, power, ps.total_macs);
-        let fitness = self.core.objective().fitness_of_summary(&summary);
+        let summary = summarize_pipeline(df, &ps.scratch.solution, power, ps.total_macs);
+        let fitness = core.objective().fitness_of_summary(&summary);
         let score = CandidateScore {
             fitness,
             feasible: true,
@@ -627,7 +570,7 @@ impl DeltaSession<'_, '_, '_> {
                 },
             );
         }
-        outcome(score, recomputed, use_delta)
+        outcome(score, recomputed)
     }
 }
 
@@ -636,7 +579,7 @@ mod profile {
     use super::*;
     use crate::ea::Objective;
     use crate::eval::EvalCacheConfig;
-    use pimsyn_arch::{DacConfig, HardwareParams, MacroMode};
+    use pimsyn_arch::{CrossbarConfig, DacConfig, HardwareParams, MacroMode};
     use pimsyn_model::zoo;
     use std::time::Instant;
 
@@ -677,13 +620,11 @@ mod profile {
             macros_w[i] = 1 + (macros_w[i] + k * 13) % caps[i];
             chain.push(MacAllocGene::encode(&macros_w, &vec![None; l]));
         }
-        let engine = DeltaEngine::new();
-        let wt_dup = Arc::new(dup);
-        let mut session = engine.session(&core, &df, point, &wt_dup);
+        let mut session = DeltaSession::new(&df, point);
         // Warm up memos and retention.
         let mut prev: Option<&MacAllocGene> = None;
         for g in &chain {
-            session.score(g, Some(prev.unwrap_or(g).as_slice()));
+            session.score(&core, g, prev.unwrap_or(g).as_slice());
             prev = Some(g);
         }
         let rounds = 400;
@@ -692,7 +633,7 @@ mod profile {
             let mut prev: Option<&MacAllocGene> = None;
             for g in &chain {
                 let parent = prev.unwrap_or(g).as_slice();
-                let out = session.score(g, Some(parent));
+                let out = session.score(&core, g, parent);
                 std::hint::black_box(out.score.fitness);
                 prev = Some(g);
             }

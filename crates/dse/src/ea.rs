@@ -16,6 +16,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::ctx::ExploreContext;
+use crate::delta::DeltaSession;
 use crate::error::DseError;
 use crate::eval::{CandidateEvaluator, CandidateScore, EvalCacheConfig};
 use crate::space::DesignPoint;
@@ -323,6 +324,8 @@ pub fn explore_macro_partitioning_observed(
 /// `evaluator` (whose objective must match `cfg.objective`); generations are
 /// scored as batches with deterministic reduction, parallelized by whichever
 /// [`EvalBackend`](crate::backend::EvalBackend) the evaluator composes.
+/// Children are rescored in one [`DeltaSession`] owned by the run, so
+/// everything it retains is freed when the run returns.
 pub(crate) fn run_ea_counted(
     df: &Dataflow,
     point: DesignPoint,
@@ -358,6 +361,7 @@ pub(crate) fn run_ea_counted(
     }
     let (scores, charged) = evaluator.score_batch(df, point, &genes, ctx);
     evaluations += charged;
+    let mut session = DeltaSession::new(df, point);
     let mut population: Vec<Individual> = genes.into_iter().zip(scores).collect();
     sort_population(&mut population);
 
@@ -392,12 +396,12 @@ pub(crate) fn run_ea_counted(
             parent_idx.push(best_idx);
         }
         // Each child differs from its tournament parent by at most one
-        // mutate_num and one mutate_share — exactly what the evaluator's
-        // delta path rescores incrementally.
+        // mutate_num and one mutate_share, so the session rescores it from
+        // the parent's retained breakdown, touching only those layers.
         let parents: Vec<Option<&MacAllocGene>> =
             parent_idx.iter().map(|&i| Some(&population[i].0)).collect();
         let (child_scores, charged) =
-            evaluator.score_batch_with_parents(df, point, &child_genes, &parents, ctx);
+            evaluator.score_batch_with_parents(&mut session, &child_genes, &parents, ctx);
         evaluations += charged;
         population.truncate(elite);
         population.extend(child_genes.into_iter().zip(child_scores));
@@ -581,6 +585,49 @@ mod tests {
             &EaConfig::fast(),
         );
         assert!(matches!(r, Err(DseError::NoFeasibleSolution)));
+    }
+
+    /// Delta state lives for one EA run: runs that share an evaluator (two
+    /// dataflows, then the first again) each match the same run on a fresh
+    /// evaluator — outcome and that run's delta counters. The memo is off,
+    /// so delta state is the only thing a run could inherit.
+    #[test]
+    fn no_delta_state_crosses_ea_runs() {
+        let (model, df_a, point, power, hw) = setup();
+        let dup_b = vec![2; model.weight_layer_count()];
+        let df_b = Dataflow::compile(&model, point.crossbar, df_a.dac(), &dup_b).unwrap();
+        let cfg = EaConfig::fast();
+        let ctx = ExploreContext::unobserved();
+        let new_evaluator = || {
+            CandidateEvaluator::new(
+                &model,
+                power,
+                &hw,
+                MacroMode::Specialized,
+                cfg.objective,
+                EvalCacheConfig::disabled().with_delta(true),
+            )
+        };
+        let counters = |e: &CandidateEvaluator<'_>| {
+            let s = e.stats();
+            [s.delta_hits, s.delta_fallbacks, s.layers_recomputed]
+        };
+        let shared = new_evaluator();
+        for (run, df) in [&df_a, &df_b, &df_a].into_iter().enumerate() {
+            let before = counters(&shared);
+            let got = explore_macro_partitioning_evaluated(df, point, &cfg, &ctx, &shared).unwrap();
+            let after = counters(&shared);
+            let fresh = new_evaluator();
+            let want = explore_macro_partitioning_evaluated(df, point, &cfg, &ctx, &fresh).unwrap();
+            assert_eq!(got.gene, want.gene, "run {run}");
+            assert_eq!(got.architecture, want.architecture, "run {run}");
+            assert_eq!(got.report, want.report, "run {run}");
+            assert_eq!(got.fitness.to_bits(), want.fitness.to_bits(), "run {run}");
+            assert_eq!(got.evaluations, want.evaluations, "run {run}");
+            let increments = [0, 1, 2].map(|k| after[k] - before[k]);
+            assert_eq!(increments, counters(&fresh), "run {run}");
+            assert!(increments[0] > 0, "run {run} never used the delta path");
+        }
     }
 
     #[test]

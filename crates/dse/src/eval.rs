@@ -44,7 +44,7 @@ use crate::backend::{
     SharedEvalResources,
 };
 use crate::ctx::ExploreContext;
-use crate::delta::{DeltaEngine, DeltaOutcome};
+use crate::delta::DeltaSession;
 use crate::ea::{MacAllocGene, Objective};
 use crate::sa::SaTable;
 use crate::space::DesignPoint;
@@ -60,8 +60,9 @@ pub struct EvalCacheConfig {
     /// resident entries keep hitting).
     pub capacity: usize,
     /// Delta (incremental) rescoring: memo misses whose EA parent has a
-    /// retained per-layer breakdown recompute only the layers the gene diff
-    /// touches (see [`crate::CandidateEvaluator::score_batch_with_parents`]).
+    /// per-layer breakdown retained in the run's [`DeltaSession`] recompute
+    /// only the layers the gene diff touches (see
+    /// [`CandidateEvaluator::score_batch_with_parents`]).
     /// Bit-identical to full scoring; independent of the memo switch so
     /// ablations can isolate either mechanism. Only effective under
     /// [`MacroMode::Specialized`] (the identical-macro homogenize pass is
@@ -143,10 +144,10 @@ pub struct EvaluatorStats {
     /// per-layer breakdown (delta path).
     pub delta_hits: usize,
     /// Parent-offered candidates that fell back to a full recomputation
-    /// (no retained parent breakdown, or a gene diff wider than one
-    /// mutation round).
+    /// because their parent's breakdown was not retained in the run's
+    /// session.
     pub delta_fallbacks: usize,
-    /// Per-layer base-cost recomputations performed by the delta engine
+    /// Per-layer base-cost recomputations performed by delta sessions
     /// (fallbacks recompute every layer; pure delta hits only the touched
     /// ones).
     pub layers_recomputed: usize,
@@ -377,8 +378,6 @@ pub struct CandidateEvaluator<'a> {
     /// Per-layer static Eq. (4) terms, so SA energy misses skip the model
     /// walk.
     sa_table: SaTable,
-    /// Retained per-layer breakdowns for incremental rescoring.
-    delta: DeltaEngine,
     scored: AtomicUsize,
     unique: AtomicUsize,
     hits: AtomicUsize,
@@ -447,7 +446,6 @@ impl<'a> CandidateEvaluator<'a> {
             candidates: Mutex::new(CandidateMemo::default()),
             energies: Mutex::new(HashMap::new()),
             sa_table: SaTable::new(model),
-            delta: DeltaEngine::new(),
             scored: AtomicUsize::new(0),
             unique: AtomicUsize::new(0),
             hits: AtomicUsize::new(0),
@@ -589,35 +587,12 @@ impl<'a> CandidateEvaluator<'a> {
         gene: &MacAllocGene,
         ctx: &ExploreContext<'_>,
     ) -> CandidateScore {
-        self.score_with_parent(df, point, gene, None, ctx)
-    }
-
-    /// [`score`](Self::score) with parent identity: when delta rescoring is
-    /// active and the parent's per-layer breakdown is retained, a memo miss
-    /// recomputes only the layers the gene diff touches instead of running
-    /// the full allocation + analytic pipeline. Bit-identical to a plain
-    /// [`score`](Self::score) call; budgets, memo accounting and statistics
-    /// are charged exactly as before, with the delta counters reported on
-    /// top.
-    pub fn score_with_parent(
-        &self,
-        df: &Dataflow,
-        point: DesignPoint,
-        gene: &MacAllocGene,
-        parent: Option<&MacAllocGene>,
-        ctx: &ExploreContext<'_>,
-    ) -> CandidateScore {
         ctx.count_evaluations(1);
         self.scored.fetch_add(1, Ordering::Relaxed);
-        let parent = if self.delta_active() { parent } else { None };
+        let job = EvalJob { df, point, gene };
         if !self.config.enabled {
             self.unique.fetch_add(1, Ordering::Relaxed);
             ctx.count_unique_evaluations(1);
-            if let Some(p) = parent {
-                let wt_dup = Arc::new(df.programs().iter().map(|p| p.wt_dup).collect::<Vec<_>>());
-                return self.delta_score_one(df, point, gene, p, &wt_dup);
-            }
-            let job = EvalJob { df, point, gene };
             return self.backend.score(&self.core, &job);
         }
         let wt_dup = Arc::new(df.programs().iter().map(|p| p.wt_dup).collect::<Vec<_>>());
@@ -628,48 +603,37 @@ impl<'a> CandidateEvaluator<'a> {
         }
         self.unique.fetch_add(1, Ordering::Relaxed);
         ctx.count_unique_evaluations(1);
-        let score = if let Some(p) = parent {
-            self.delta_score_one(df, point, gene, p, &wt_dup)
-        } else {
-            let job = EvalJob { df, point, gene };
-            self.backend.score(&self.core, &job)
-        };
+        let score = self.backend.score(&self.core, &job);
         self.store(key, score);
         score
     }
 
-    /// Whether parent-aware calls route misses through the delta engine.
+    /// Whether parent-aware calls route misses through the delta session.
     /// Identical macro mode homogenizes component counts across layers —
-    /// a global coupling the engine does not replicate — so delta stays
+    /// a global coupling the session does not replicate — so delta stays
     /// specialized-only.
     fn delta_active(&self) -> bool {
         self.config.delta && self.core.macro_mode() == MacroMode::Specialized
     }
 
-    fn record_delta(&self, out: &DeltaOutcome) {
+    /// Scores one delta-eligible memo miss in `session` and records the
+    /// delta counters.
+    fn delta_score(
+        &self,
+        session: &mut DeltaSession<'_>,
+        gene: &MacAllocGene,
+        parent: &MacAllocGene,
+    ) -> CandidateScore {
+        let out = session.score(&self.core, gene, parent.as_slice());
         if out.used_delta {
             self.delta_hits.fetch_add(1, Ordering::Relaxed);
-        }
-        if out.fallback {
+        } else {
             self.delta_fallbacks.fetch_add(1, Ordering::Relaxed);
         }
         if out.layers_recomputed > 0 {
             self.layers_recomputed
                 .fetch_add(out.layers_recomputed, Ordering::Relaxed);
         }
-    }
-
-    fn delta_score_one(
-        &self,
-        df: &Dataflow,
-        point: DesignPoint,
-        gene: &MacAllocGene,
-        parent: &MacAllocGene,
-        wt_dup: &Arc<Vec<usize>>,
-    ) -> CandidateScore {
-        let mut session = self.delta.session(&self.core, df, point, wt_dup);
-        let out = session.score(gene, Some(parent.as_slice()));
-        self.record_delta(&out);
         out.score
     }
 
@@ -702,27 +666,31 @@ impl<'a> CandidateEvaluator<'a> {
         genes: &[MacAllocGene],
         ctx: &ExploreContext<'_>,
     ) -> (Vec<CandidateScore>, usize) {
-        self.score_batch_with_parents(df, point, genes, &[], ctx)
+        self.score_batch_with_parents(&mut DeltaSession::new(df, point), genes, &[], ctx)
     }
 
-    /// [`score_batch`](Self::score_batch) with per-candidate parent
-    /// identity: `parents[i]` names the gene candidate `i` was mutated from
-    /// (missing or `None` entries score through the backend as before).
-    /// When delta rescoring is active, memo misses with a usable parent are
-    /// rescored incrementally during the accounting pass — the result lands
-    /// in the memo immediately, so in-batch duplicates hit it exactly where
-    /// the plain path would have counted a pending-duplicate hit. Scores,
-    /// budget charges, `evaluations` and memo contents are bit-identical to
+    /// [`score_batch`](Self::score_batch) of the candidates of `session`'s
+    /// dataflow and design point, with per-candidate parent identity:
+    /// `parents[i]` names the gene candidate `i` was mutated from (missing
+    /// or `None` entries score through the backend as before). When delta
+    /// rescoring is active, memo misses with a parent are rescored in
+    /// `session` during the accounting pass, incrementally when the session
+    /// retained the parent's breakdown — the result lands in the memo
+    /// immediately, so in-batch duplicates hit it exactly where the plain
+    /// path would have counted a pending-duplicate hit. Scores, budget
+    /// charges, `evaluations` and memo contents are bit-identical to
     /// [`score_batch`](Self::score_batch); only wall-clock (and the delta
-    /// counters in [`EvaluatorStats`]) differ.
+    /// counters in [`EvaluatorStats`]) differ. One EA run passes one session
+    /// to every generation's call and drops it when the run ends.
     pub fn score_batch_with_parents(
         &self,
-        df: &Dataflow,
-        point: DesignPoint,
+        session: &mut DeltaSession<'_>,
         genes: &[MacAllocGene],
         parents: &[Option<&MacAllocGene>],
         ctx: &ExploreContext<'_>,
     ) -> (Vec<CandidateScore>, usize) {
+        let (df, point) = (session.dataflow(), session.point());
+        let delta = self.delta_active();
         let n = genes.len();
         let wt_dup = Arc::new(df.programs().iter().map(|p| p.wt_dup).collect::<Vec<_>>());
         let mut out = vec![CandidateScore::INFEASIBLE; n];
@@ -731,12 +699,6 @@ impl<'a> CandidateEvaluator<'a> {
         // disabled) and every input index it resolves.
         let mut pending: Vec<(Option<CandidateKey>, Vec<usize>)> = Vec::new();
         let mut pending_index: HashMap<CandidateKey, usize> = HashMap::new();
-        // One engine session serves the whole batch (single plan lookup).
-        let mut session = if self.delta_active() && parents.iter().any(|p| p.is_some()) {
-            Some(self.delta.session(&self.core, df, point, &wt_dup))
-        } else {
-            None
-        };
 
         for (i, gene) in genes.iter().enumerate() {
             if ctx.should_stop() {
@@ -745,14 +707,12 @@ impl<'a> CandidateEvaluator<'a> {
             ctx.count_evaluations(1);
             self.scored.fetch_add(1, Ordering::Relaxed);
             charged += 1;
-            let parent = parents.get(i).copied().flatten();
+            let parent = parents.get(i).copied().flatten().filter(|_| delta);
             if !self.config.enabled {
                 self.unique.fetch_add(1, Ordering::Relaxed);
                 ctx.count_unique_evaluations(1);
-                if let (Some(session), Some(p)) = (session.as_mut(), parent) {
-                    let o = session.score(gene, Some(p.as_slice()));
-                    self.record_delta(&o);
-                    out[i] = o.score;
+                if let Some(p) = parent {
+                    out[i] = self.delta_score(session, gene, p);
                 } else {
                     pending.push((None, vec![i]));
                 }
@@ -774,20 +734,17 @@ impl<'a> CandidateEvaluator<'a> {
             }
             self.unique.fetch_add(1, Ordering::Relaxed);
             ctx.count_unique_evaluations(1);
-            if let (Some(session), Some(p)) = (session.as_mut(), parent) {
+            if let Some(p) = parent {
                 // Delta-eligible miss: computed inline and stored at once,
                 // so a later in-batch duplicate becomes a memo hit — the
                 // same accounting the pending-duplicate path records.
-                let o = session.score(gene, Some(p.as_slice()));
-                self.record_delta(&o);
-                out[i] = o.score;
-                self.store(key, o.score);
+                out[i] = self.delta_score(session, gene, p);
+                self.store(key, out[i]);
                 continue;
             }
             pending_index.insert(key.clone(), pending.len());
             pending.push((Some(key), vec![i]));
         }
-        drop(session);
 
         if !pending.is_empty() {
             let jobs: Vec<EvalJob<'_>> = pending
@@ -1329,7 +1286,7 @@ mod tests {
     }
 
     /// Parent-aware scoring must be bit-identical to plain scoring, route
-    /// through the engine exactly when a parent is usable, and fall back
+    /// through the session exactly when a parent is usable, and fall back
     /// (with full retention) when the parent has no retained breakdown.
     #[test]
     fn delta_rescoring_matches_plain_scoring_bit_for_bit() {
@@ -1339,6 +1296,7 @@ mod tests {
         let delta = evaluator(&model, &hw, EvalCacheConfig::default());
         let plain = evaluator(&model, &hw, EvalCacheConfig::default().with_delta(false));
         let ctx = ExploreContext::unobserved();
+        let mut session = DeltaSession::new(&df, point);
 
         let parent = gene(l, 1);
         let mut m = vec![1usize; l];
@@ -1349,10 +1307,10 @@ mod tests {
 
         // Parent scores through the backend (no parent offered); the child
         // miss is parented but the parent is not retained yet, so the
-        // engine recomputes fully (a fallback) and retains both.
+        // session recomputes fully (a fallback) and retains the child.
         let genes = [parent.clone(), child.clone()];
         let parents = [None, Some(&parent)];
-        let (a, _) = delta.score_batch_with_parents(&df, point, &genes, &parents, &ctx);
+        let (a, _) = delta.score_batch_with_parents(&mut session, &genes, &parents, &ctx);
         let (b, _) = plain.score_batch(&df, point, &genes, &ctx);
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.fitness.to_bits(), y.fitness.to_bits());
@@ -1364,8 +1322,7 @@ mod tests {
         // The grandchild differs from the (now retained) child by one gene:
         // a genuine delta hit, still bit-identical.
         let (c, _) = delta.score_batch_with_parents(
-            &df,
-            point,
+            &mut session,
             std::slice::from_ref(&grandchild),
             &[Some(&child)],
             &ctx,
@@ -1389,19 +1346,27 @@ mod tests {
         assert_eq!(delta.stats().cache_hits, plain.stats().cache_hits);
     }
 
-    /// A gene diff wider than one mutation round (more than two entries)
-    /// must not delta even when the parent is retained.
+    /// Every reuse compares exact inputs, so a child whose gene differs
+    /// from its retained parent in more entries than one mutation round
+    /// writes (three here) is still a delta hit — and still bit-identical
+    /// to the delta-free evaluator.
     #[test]
-    fn delta_wide_diff_falls_back() {
+    fn delta_wide_diff_is_a_delta_hit() {
         let (model, df, point) = setup();
         let l = model.weight_layer_count();
         let hw = HardwareParams::date24();
         let eval = evaluator(&model, &hw, EvalCacheConfig::default());
         let ctx = ExploreContext::unobserved();
+        let mut session = DeltaSession::new(&df, point);
+        let mut score_child = |child: &MacAllocGene, parent: &MacAllocGene| {
+            let batch = std::slice::from_ref(child);
+            eval.score_batch_with_parents(&mut session, batch, &[Some(parent)], &ctx)
+                .0[0]
+        };
 
         let parent = gene(l, 1);
         // Retain the parent's breakdown (self-parented fallback).
-        eval.score_with_parent(&df, point, &parent, Some(&parent), &ctx);
+        score_child(&parent, &parent);
         assert_eq!(eval.stats().delta_fallbacks, 1);
 
         let mut m = vec![1usize; l];
@@ -1409,10 +1374,10 @@ mod tests {
         m[1] = 2;
         m[2] = 2;
         let wide = MacAllocGene::encode(&m, &vec![None; l]);
-        let via_delta = eval.score_with_parent(&df, point, &wide, Some(&parent), &ctx);
+        let via_delta = score_child(&wide, &parent);
         let stats = eval.stats();
-        assert_eq!(stats.delta_fallbacks, 2, "3-gene diff must fall back");
-        assert_eq!(stats.delta_hits, 0);
+        assert_eq!(stats.delta_hits, 1, "3-entry diff must be a delta hit");
+        assert_eq!(stats.delta_fallbacks, 1);
 
         let plain = evaluator(&model, &hw, EvalCacheConfig::default().with_delta(false));
         let reference = plain.score(&df, point, &wide, &ctx);
@@ -1440,8 +1405,12 @@ mod tests {
         let mut m = vec![1usize; l];
         m[0] = 2;
         let child = MacAllocGene::encode(&m, &vec![None; l]);
-        eval.score_with_parent(&df, point, &parent, Some(&parent), &ctx);
-        eval.score_with_parent(&df, point, &child, Some(&parent), &ctx);
+        eval.score_batch_with_parents(
+            &mut DeltaSession::new(&df, point),
+            &[parent.clone(), child],
+            &[Some(&parent), Some(&parent)],
+            &ctx,
+        );
         let stats = eval.stats();
         assert_eq!(stats.delta_hits, 0);
         assert_eq!(stats.delta_fallbacks, 0);

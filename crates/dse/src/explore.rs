@@ -61,7 +61,9 @@ pub struct DseConfig {
     pub ea: EaConfig,
     /// Identical vs specialized macros (Fig. 8 ablates this).
     pub macro_mode: MacroMode,
-    /// Run outer design points on worker threads.
+    /// Run outer design points on worker threads. Ignored (points run in
+    /// order) when the context sets a count budget: every point draws on
+    /// that one count, so thread timing would decide which points spend it.
     pub parallel: bool,
     /// Memoization of candidate scoring (the [`CandidateEvaluator`]'s
     /// caches). Enabled by default; caching is transparent — cached and
@@ -355,8 +357,13 @@ pub fn run_dse_observed(
     );
     let results: Mutex<Vec<(usize, PointResult, Option<PointBest>)>> =
         Mutex::new(Vec::with_capacity(points.len()));
+    // Parallel points race for a shared evaluation count, so a count-
+    // budgeted run explores them in order to stay deterministic.
+    let budget = ctx.budget();
+    let count_budgeted =
+        budget.max_evaluations.is_some() || budget.max_unique_evaluations.is_some();
 
-    if cfg.parallel && points.len() > 1 {
+    if cfg.parallel && !count_budgeted && points.len() > 1 {
         let workers = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(4);

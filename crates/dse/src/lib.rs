@@ -62,6 +62,7 @@ pub use ctx::{
     CancelToken, ExploreBudget, ExploreContext, ExploreEvent, ExploreObserver, NullObserver,
     StopReason, SynthesisStage,
 };
+pub use delta::DeltaSession;
 pub use ea::{
     explore_macro_partitioning, explore_macro_partitioning_evaluated,
     explore_macro_partitioning_observed, EaConfig, EaOutcome, MacAllocGene, Objective, GENE_BASE,

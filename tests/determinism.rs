@@ -260,14 +260,17 @@ fn persistent_cache_warm_start_is_transparent() {
 
 /// Seeded randomized mutation walks: starting from a baseline gene, each
 /// step applies one EA-style mutation (one `mutate_num`, sometimes plus one
-/// `mutate_share`) and scores the child against its parent through the
-/// delta engine. Every step must be bit-identical to a delta-free
-/// evaluator's full scoring, and the walk must actually exercise the delta
-/// path (not just fall back throughout).
+/// `mutate_share`; every 8th step 3–5 `mutate_num` edits at once) and
+/// scores the child against its parent in one delta session. Every step
+/// must be bit-identical to a delta-free evaluator's full scoring, and
+/// every child of a feasible (hence retained) parent must be a delta hit,
+/// however many entries its gene changed.
 #[test]
 fn delta_rescoring_is_bit_identical_on_mutation_walks() {
     use pimsyn_arch::{CrossbarConfig, DacConfig, HardwareParams, MacroMode};
-    use pimsyn_dse::{CandidateEvaluator, DesignPoint, ExploreContext, MacAllocGene, Objective};
+    use pimsyn_dse::{
+        CandidateEvaluator, DeltaSession, DesignPoint, ExploreContext, MacAllocGene, Objective,
+    };
     use pimsyn_ir::Dataflow;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -315,20 +318,37 @@ fn delta_rescoring_is_bit_identical_on_mutation_walks() {
                 EvalCacheConfig::disabled(),
             );
             let ctx = ExploreContext::unobserved();
+            let mut session = DeltaSession::new(&df, point);
+            let mut score_child = |child: &MacAllocGene, parent: &MacAllocGene| {
+                let batch = std::slice::from_ref(child);
+                delta
+                    .score_batch_with_parents(&mut session, batch, &[Some(parent)], &ctx)
+                    .0[0]
+            };
             let mut rng = StdRng::seed_from_u64(seed);
             let mut macros = vec![1usize; l];
             let mut shares: Vec<Option<usize>> = vec![None; l];
             let mut parent = MacAllocGene::encode(&macros, &shares);
             // Self-parented first score: a fallback that seeds retention.
-            let a = delta.score_with_parent(&df, point, &parent, Some(&parent), &ctx);
+            let a = score_child(&parent, &parent);
             let b = full.score(&df, point, &parent, &ctx);
             assert_eq!(a.fitness.to_bits(), b.fitness.to_bits());
+            let mut parent_feasible = a.feasible;
             for step in 0..40 {
-                // One mutate_num, sometimes plus one mutate_share — the
-                // exact per-child diff the EA hot loop produces.
-                let i = rng.gen_range(0..l);
-                macros[i] = rng.gen_range(1..=caps[i]);
-                if rng.gen_bool(0.3) {
+                if step % 8 == 7 {
+                    // Several mutate_num edits at once: wider than one
+                    // mutation round, which the session rescores the same.
+                    for _ in 0..rng.gen_range(3usize..=5) {
+                        let i = rng.gen_range(0..l);
+                        macros[i] = rng.gen_range(1..=caps[i]);
+                    }
+                } else {
+                    // One mutate_num, sometimes plus one mutate_share — the
+                    // exact per-child diff the EA hot loop produces.
+                    let i = rng.gen_range(0..l);
+                    macros[i] = rng.gen_range(1..=caps[i]);
+                }
+                if step % 8 != 7 && rng.gen_bool(0.3) {
                     let i = rng.gen_range(1..l);
                     if shares[i].is_some() {
                         shares[i] = None;
@@ -343,7 +363,8 @@ fn delta_rescoring_is_bit_identical_on_mutation_walks() {
                     }
                 }
                 let child = MacAllocGene::encode(&macros, &shares);
-                let d = delta.score_with_parent(&df, point, &child, Some(&parent), &ctx);
+                let hits_before = delta.stats().delta_hits;
+                let d = score_child(&child, &parent);
                 let f = full.score(&df, point, &child, &ctx);
                 assert_eq!(
                     d.fitness.to_bits(),
@@ -351,6 +372,12 @@ fn delta_rescoring_is_bit_identical_on_mutation_walks() {
                     "{model} seed {seed} step {step}"
                 );
                 assert_eq!(d.feasible, f.feasible, "{model} seed {seed} step {step}");
+                assert_eq!(
+                    delta.stats().delta_hits - hits_before,
+                    usize::from(parent_feasible),
+                    "{model} seed {seed} step {step}: a retained parent must give a delta hit"
+                );
+                parent_feasible = d.feasible;
                 parent = child;
             }
             let stats = delta.stats();
@@ -367,6 +394,41 @@ fn delta_rescoring_is_bit_identical_on_mutation_walks() {
             );
             assert_eq!(full.stats().delta_hits, 0);
             assert_eq!(full.stats().delta_fallbacks, 0);
+        }
+    }
+}
+
+/// A count budget is shared by every design point, so a budgeted run
+/// explores the points in order even with `parallel = true`: five repeated
+/// parallel runs each equal the serial run on every result field.
+#[test]
+fn count_budgeted_parallel_runs_equal_serial() {
+    let model = zoo::transformer_tiny();
+    let base = SynthesisOptions::fast(Watts(9.0)).with_seed(3);
+    for budgeted in [
+        base.clone().with_max_evaluations(150),
+        base.with_max_unique_evaluations(100),
+    ] {
+        let mut serial = budgeted;
+        serial.parallel = false;
+        let mut parallel = serial.clone();
+        parallel.parallel = true;
+        let want = Synthesizer::new(serial)
+            .synthesize(&model)
+            .expect("serial synthesis");
+        for run in 0..5 {
+            let got = Synthesizer::new(parallel.clone())
+                .synthesize(&model)
+                .expect("parallel synthesis");
+            assert_eq!(got.model, want.model, "run {run}");
+            assert_eq!(got.architecture, want.architecture, "run {run}");
+            assert_eq!(got.dataflow, want.dataflow, "run {run}");
+            assert_eq!(got.wt_dup, want.wt_dup, "run {run}");
+            assert_eq!(got.analytic, want.analytic, "run {run}");
+            assert_eq!(got.cycle, want.cycle, "run {run}");
+            assert_eq!(got.evaluations, want.evaluations, "run {run}");
+            assert_eq!(got.history, want.history, "run {run}");
+            assert_eq!(got.stop_reason, want.stop_reason, "run {run}");
         }
     }
 }
