@@ -91,14 +91,15 @@ struct AllocItem {
 /// The gene-independent half of components allocation for one `(model,
 /// dataflow, design point, power budget)` combination.
 ///
-/// Under [`MacroMode::Specialized`] the water-filling solution of Eq. (6)
-/// depends on the `MacAlloc` gene only through the physical macro count
-/// (which scales the fixed infrastructure power): everything else — ADC
-/// resolutions, workloads, unit powers/rates, the Eq. (6) denominator — is
-/// shared across every candidate of an EA generation. Preparing a plan once
-/// and calling [`AllocPlan::solve`] per candidate is therefore equivalent to
-/// (and bit-identical with) running [`allocate_components`] from scratch,
-/// which is exactly how the delta evaluator amortizes allocation cost.
+/// The water-filling solution of Eq. (6) depends on the `MacAlloc` gene
+/// only through the physical macro count (which scales the fixed
+/// infrastructure power): everything else — ADC resolutions, workloads,
+/// unit powers/rates, the Eq. (6) denominator — is shared across every
+/// candidate of an EA generation. Preparing a plan once and calling
+/// [`AllocPlan::solve`] per candidate (plus `homogenize` under
+/// [`MacroMode::Identical`]) is therefore equivalent to (and bit-identical
+/// with) running [`allocate_components`] from scratch, which is exactly how
+/// the delta evaluator amortizes allocation cost.
 #[derive(Debug, Clone)]
 pub struct AllocPlan {
     /// Layer count.
@@ -326,7 +327,8 @@ pub fn allocate_components(req: &AllocRequest<'_>) -> Result<Architecture, DseEr
 /// Identical-macro post-pass: every macro carries the same component counts,
 /// so per-macro counts are the ceiling of the most demanding layer, and the
 /// whole chip is scaled down uniformly if that exceeds the power budget.
-fn homogenize(
+/// Delta sessions run it on their own copy of the solved counts.
+pub(crate) fn homogenize(
     counts: &mut [ComponentCounts],
     macros: &[usize],
     n_macros: usize,

@@ -6,49 +6,51 @@
 //! A [`DeltaSession`] keeps, per scored candidate, the per-layer breakdown
 //! the analytic model is assembled from — component counts, base stage
 //! costs, NoC-coupled terms, realized power — and rescores a child by
-//! diffing its gene against the parent's, recomputing only what the touched
-//! entries can influence:
+//! diffing its inputs against the parent's, recomputing only what changed:
 //!
 //! - The Eq. (6) water-filling solution depends on the gene only through the
 //!   physical macro count ([`AllocPlan::solve`]), so solved component counts
-//!   are memoized per `n_macros`.
+//!   are memoized per `n_macros`. Under [`MacroMode::Identical`] the
+//!   allocator's own `homogenize` pass then runs on a per-candidate copy.
 //! - A layer's base stage costs ([`pimsyn_sim::compute_layer_base_with`])
-//!   are reused whenever its `(macros, effective ADCs, counts)` inputs are
-//!   unchanged from the parent.
+//!   are reused whenever its `(macros, effective ADCs, counts)` inputs equal
+//!   the parent's, and recomputed otherwise.
 //! - The NoC-coupled `merge`/`transfer` terms are reused when the physical
 //!   macro count and sharing assignment are unchanged; otherwise all layers'
 //!   dynamics are recomputed (cheap relative to the base costs).
 //! - Realized power is reused when counts, sharing and macro count match.
 //!
 //! Every reused value was produced by *the same function* the full pipeline
-//! calls ([`AllocPlan::solve`], [`compute_layer_base_with`],
+//! calls ([`AllocPlan::solve`], `homogenize`, [`compute_layer_base_with`],
 //! [`compute_layer_dynamic_with`], [`power_breakdown_from`],
 //! [`solve_pipeline`], [`summarize_pipeline`]), and every reuse compares
 //! the exact inputs of that function, so the delta path replays the exact
 //! float sequence of [`EvalCore::compute`] and is bit-identical to it by
-//! construction — however wide the gene diff. The only fallback is a parent
-//! with no retained breakdown, which costs a full spec-path recomputation
-//! (still through the shared functions, and still retaining the result so
-//! the next generation can delta against it). Identical macro mode, whose
-//! homogenize pass is not replicated here, never reaches a session.
+//! construction — however wide the gene diff, in either macro mode. The only
+//! fallback is a parent with no retained breakdown, which costs a full
+//! recomputation through the same functions (still retaining the result so
+//! the next generation can delta against it).
 //!
 //! A session lives for one EA run — one dataflow at one design point — and
 //! its retained breakdowns and memos are freed when the run returns: each
 //! `(RatioRram, crossbar, DAC, WtDup)` combination is explored by exactly
 //! one EA run, so nothing a run retains could serve another.
+//!
+//! [`MacroMode::Identical`]: pimsyn_arch::MacroMode::Identical
+//! [`solve_pipeline`]: pimsyn_sim::solve_pipeline
 
 use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
-use pimsyn_arch::{power_breakdown_from, ComponentCounts, MacroGroup, NocConfig, Watts};
+use pimsyn_arch::{power_breakdown_from, ComponentCounts, MacroGroup, MacroMode, NocConfig, Watts};
 use pimsyn_ir::Dataflow;
 use pimsyn_sim::{
     assemble_stages, compute_layer_base_with, compute_layer_dynamic_with, solve_pipeline_into,
     summarize_pipeline, LayerBaseCosts, LayerCostInputs, LayerStages, PipelineSolution,
 };
 
-use crate::alloc::{physical_macros, AllocPlan};
+use crate::alloc::{homogenize, physical_macros, AllocPlan};
 use crate::ea::MacAllocGene;
 use crate::eval::{CandidateScore, EvalCore};
 use crate::space::DesignPoint;
@@ -58,17 +60,18 @@ use crate::space::DesignPoint;
 /// bounds callers that drive one session far longer.
 const RETAIN_CAP: usize = 4096;
 
-/// Entry bound of the per-session base-cost memo; once full, further base
-/// costs are computed without being stored (no eviction, bounded memory).
-const BASE_MEMO_CAP: usize = 1 << 16;
+/// Entry bound of each per-session memo; once full, further values are
+/// computed without being stored (no eviction, bounded memory).
+const MEMO_CAP: usize = 1 << 16;
 
 /// Multiplicative word hasher (the rustc/FxHash scheme) for the hot-loop
-/// memo maps. Their keys are a few machine words or a short `u32` gene
-/// slice, and at several lookups per candidate the default SipHash costs
-/// more than some of the arithmetic being memoized. Not DoS-resistant —
-/// fine here, the keys come from the EA itself, not from untrusted input.
+/// maps: the session memos and the evaluator's in-batch duplicate index.
+/// Their keys are a few machine words or a short `u32` gene slice, and at
+/// several lookups per candidate the default SipHash costs more than some
+/// of the arithmetic being memoized. Not DoS-resistant — fine here, the
+/// keys come from the EA itself, not from untrusted input.
 #[derive(Default)]
-struct FxHasher {
+pub(crate) struct FxHasher {
     hash: u64,
 }
 
@@ -114,20 +117,7 @@ impl Hasher for FxHasher {
     }
 }
 
-type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
-
-/// Memo key of one layer's base costs within one session. Given the plan,
-/// the component counts are a pure function of `n_macros` (the memoized
-/// [`AllocPlan::solve`]), and the layer's ADC configuration is plan-
-/// constant — so `(layer, n_macros, macros, eff_adcs)` pins every input of
-/// [`compute_layer_base_with`] exactly.
-#[derive(Debug, Hash, PartialEq, Eq, Clone, Copy)]
-struct BaseKey {
-    layer: usize,
-    n_macros: usize,
-    macros: usize,
-    eff_adcs: usize,
-}
+pub(crate) type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
 /// One layer's slice of a retained breakdown, packed so the whole candidate
 /// retains as a single allocation.
@@ -168,6 +158,9 @@ struct Scratch {
 /// Everything one session memoizes for its dataflow and design point.
 struct PlanState {
     plan: AllocPlan,
+    /// Identical macros: solved counts go through `homogenize`, so they
+    /// depend on the whole macro vector, not on `n_macros` alone.
+    identical: bool,
     /// `sum_i WtDup_i x set_i` — matches `Architecture::crossbar_count`.
     crossbar_count: usize,
     /// The model's MAC count (constant per run, cached to avoid re-deriving
@@ -176,19 +169,15 @@ struct PlanState {
     /// Eq. (6) solutions per physical macro count; `None` memoizes an
     /// infeasible solve.
     solves: FastMap<usize, Option<Arc<Vec<ComponentCounts>>>>,
-    /// Per-layer base costs keyed by their exact inputs (see [`BaseKey`]):
-    /// a mutated macro count changes the water-filling delay and with it
-    /// every layer's counts, but EA walks revisit the same few `n_macros`
-    /// values constantly, so the touched layers usually hit here too.
-    base_memo: FastMap<BaseKey, LayerBaseCosts>,
     /// NoC-coupled `(merge, transfer)` terms keyed by `(layer, macros,
     /// macro_count)` — exact only without sharing (the key then pins every
     /// input of [`compute_layer_dynamic_with`]); sharing candidates always
     /// recompute.
     dyn_memo: FastMap<(usize, usize, usize), (f64, f64)>,
-    /// Realized power per physical macro count — exact only without sharing
-    /// (groups are then all singleton, counts fix the group terms, and
-    /// `macro_count == n_macros`); sharing candidates always recompute.
+    /// Realized power per physical macro count — exact only for specialized
+    /// macros without sharing (counts are then a function of `n_macros`,
+    /// groups are all singleton and `macro_count == n_macros`); every other
+    /// candidate recomputes.
     power_memo: FastMap<usize, Watts>,
     retained: FastMap<Vec<u32>, Arc<Retained>>,
     order: VecDeque<Vec<u32>>,
@@ -206,6 +195,7 @@ impl PlanState {
                 core.hw(),
                 core.macro_mode(),
             ),
+            identical: core.macro_mode() == MacroMode::Identical,
             crossbar_count: df
                 .programs()
                 .iter()
@@ -213,7 +203,6 @@ impl PlanState {
                 .sum(),
             total_macs: core.model().stats().total_macs,
             solves: FastMap::default(),
-            base_memo: FastMap::default(),
             dyn_memo: FastMap::default(),
             power_memo: FastMap::default(),
             retained: FastMap::default(),
@@ -375,6 +364,16 @@ impl<'d> DeltaSession<'d> {
             // Allocation failure: the full pipeline returns INFEASIBLE too.
             return outcome(CandidateScore::INFEASIBLE, 0);
         };
+        // Identical macros: the allocator's post-pass over this candidate's
+        // own copy, since it reads the whole macro vector.
+        let counts = if ps.identical {
+            let mut own = counts.to_vec();
+            let budget = ps.plan.periph_budget(n_macros);
+            homogenize(&mut own, macros, n_macros, ps.plan.adcs(), hw, budget, df);
+            Arc::new(own)
+        } else {
+            counts
+        };
         let no_sharing = shares.iter().all(Option::is_none);
 
         // Macro groups and the quantities the full pipeline derives from the
@@ -405,11 +404,12 @@ impl<'d> DeltaSession<'d> {
         }
         let eff_adcs: &[usize] = &ps.scratch.eff_adcs;
 
-        let same_counts = parent_ref.is_some_and(|p| Arc::ptr_eq(&counts, &p.counts));
+        // By value: homogenized counts are a fresh copy per candidate (the
+        // `Arc` comparison still short-circuits on a shared solve).
+        let same_counts = parent_ref.is_some_and(|p| counts == p.counts);
 
         // Base (NoC-independent) stage costs: reuse every layer whose
-        // inputs are unchanged from the parent, then try the exact-input
-        // memo, and only then recompute.
+        // inputs are unchanged from the parent, recompute the rest.
         let mut recomputed = 0usize;
         ps.scratch.base.clear();
         for i in 0..l {
@@ -422,16 +422,6 @@ impl<'d> DeltaSession<'d> {
                     ps.scratch.base.push(pl.base);
                     continue;
                 }
-            }
-            let key = BaseKey {
-                layer: i,
-                n_macros,
-                macros: macros[i],
-                eff_adcs: eff_adcs[i],
-            };
-            if let Some(&b) = ps.base_memo.get(&key) {
-                ps.scratch.base.push(b);
-                continue;
             }
             let inputs = LayerCostInputs {
                 macros: macros[i],
@@ -446,9 +436,6 @@ impl<'d> DeltaSession<'d> {
                 Ok(b) => {
                     ps.scratch.base.push(b);
                     recomputed += 1;
-                    if ps.base_memo.len() < BASE_MEMO_CAP {
-                        ps.base_memo.insert(key, b);
-                    }
                 }
                 // The full pipeline fails this candidate identically.
                 Err(_) => return outcome(CandidateScore::INFEASIBLE, recomputed),
@@ -480,7 +467,7 @@ impl<'d> DeltaSession<'d> {
                     continue;
                 }
                 let d = compute_layer_dynamic_with(df, hw, i, m, root_of, &noc);
-                if ps.dyn_memo.len() < BASE_MEMO_CAP {
+                if ps.dyn_memo.len() < MEMO_CAP {
                     ps.dyn_memo.insert(key, d);
                 }
                 ps.scratch.dynamic.push(d);
@@ -507,37 +494,31 @@ impl<'d> DeltaSession<'d> {
         );
 
         // Realized power: counts, sharing and macro count fix it exactly —
-        // reuse the parent's, else (without sharing) the per-`n_macros`
-        // memo, else recompute.
+        // reuse the parent's, else the per-`n_macros` memo (exact for
+        // specialized macros without sharing), else recompute.
+        let memo_power = no_sharing && !ps.identical;
         let power = match parent_ref {
             Some(p) if same_counts && noc_same => p.power,
-            _ => {
-                let memoized = if no_sharing {
-                    ps.power_memo.get(&n_macros).copied()
-                } else {
-                    None
-                };
-                match memoized {
-                    Some(w) => w,
-                    None => {
-                        let plan_adcs = ps.plan.adcs();
-                        let w = power_breakdown_from(
-                            hw,
-                            point.crossbar,
-                            df.dac(),
-                            ps.crossbar_count,
-                            &ps.scratch.groups,
-                            macro_count,
-                            |m| (counts[m], plan_adcs[m].bits()),
-                        )
-                        .total();
-                        if no_sharing && ps.power_memo.len() < BASE_MEMO_CAP {
-                            ps.power_memo.insert(n_macros, w);
-                        }
-                        w
+            _ => match ps.power_memo.get(&n_macros).copied().filter(|_| memo_power) {
+                Some(w) => w,
+                None => {
+                    let plan_adcs = ps.plan.adcs();
+                    let w = power_breakdown_from(
+                        hw,
+                        point.crossbar,
+                        df.dac(),
+                        ps.crossbar_count,
+                        &ps.scratch.groups,
+                        macro_count,
+                        |m| (counts[m], plan_adcs[m].bits()),
+                    )
+                    .total();
+                    if memo_power && ps.power_memo.len() < MEMO_CAP {
+                        ps.power_memo.insert(n_macros, w);
                     }
+                    w
                 }
-            }
+            },
         };
 
         let summary = summarize_pipeline(df, &ps.scratch.solution, power, ps.total_macs);

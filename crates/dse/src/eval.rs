@@ -44,7 +44,7 @@ use crate::backend::{
     SharedEvalResources,
 };
 use crate::ctx::ExploreContext;
-use crate::delta::DeltaSession;
+use crate::delta::{DeltaSession, FastMap};
 use crate::ea::{MacAllocGene, Objective};
 use crate::sa::SaTable;
 use crate::space::DesignPoint;
@@ -63,10 +63,8 @@ pub struct EvalCacheConfig {
     /// per-layer breakdown retained in the run's [`DeltaSession`] recompute
     /// only the layers the gene diff touches (see
     /// [`CandidateEvaluator::score_batch_with_parents`]).
-    /// Bit-identical to full scoring; independent of the memo switch so
-    /// ablations can isolate either mechanism. Only effective under
-    /// [`MacroMode::Specialized`] (the identical-macro homogenize pass is
-    /// not replicated incrementally).
+    /// Bit-identical to full scoring in both macro modes; independent of
+    /// the memo switch so ablations can isolate either mechanism.
     pub delta: bool,
 }
 
@@ -329,6 +327,18 @@ impl<'a> EvalCore<'a> {
             feasible: completed.is_some(),
         }
     }
+}
+
+/// Where an earlier memo miss of the same [`score_batch_with_parents`]
+/// call stands.
+///
+/// [`score_batch_with_parents`]: CandidateEvaluator::score_batch_with_parents
+#[derive(Clone, Copy)]
+enum InBatch {
+    /// Scored in the delta session during the accounting pass.
+    Scored(CandidateScore),
+    /// Awaiting the backend batch, at this index of the pending list.
+    Pending(usize),
 }
 
 /// The candidate memo: scores keyed by canonical candidate, stamped with a
@@ -608,14 +618,6 @@ impl<'a> CandidateEvaluator<'a> {
         score
     }
 
-    /// Whether parent-aware calls route misses through the delta session.
-    /// Identical macro mode homogenizes component counts across layers —
-    /// a global coupling the session does not replicate — so delta stays
-    /// specialized-only.
-    fn delta_active(&self) -> bool {
-        self.config.delta && self.core.macro_mode() == MacroMode::Specialized
-    }
-
     /// Scores one delta-eligible memo miss in `session` and records the
     /// delta counters.
     fn delta_score(
@@ -673,15 +675,15 @@ impl<'a> CandidateEvaluator<'a> {
     /// dataflow and design point, with per-candidate parent identity:
     /// `parents[i]` names the gene candidate `i` was mutated from (missing
     /// or `None` entries score through the backend as before). When delta
-    /// rescoring is active, memo misses with a parent are rescored in
-    /// `session` during the accounting pass, incrementally when the session
-    /// retained the parent's breakdown — the result lands in the memo
-    /// immediately, so in-batch duplicates hit it exactly where the plain
-    /// path would have counted a pending-duplicate hit. Scores, budget
-    /// charges, `evaluations` and memo contents are bit-identical to
-    /// [`score_batch`](Self::score_batch); only wall-clock (and the delta
-    /// counters in [`EvaluatorStats`]) differ. One EA run passes one session
-    /// to every generation's call and drops it when the run ends.
+    /// rescoring is on, memo misses with a parent are rescored in `session`
+    /// during the accounting pass, incrementally when the session retained
+    /// the parent's breakdown; a later in-batch duplicate counts as a hit
+    /// exactly where the plain path counts a pending-duplicate hit, full
+    /// memo or not. Scores, budget charges, `evaluations` and memo contents
+    /// are bit-identical to [`score_batch`](Self::score_batch); only
+    /// wall-clock (and the delta counters in [`EvaluatorStats`]) differ. One
+    /// EA run passes one session to every generation's call and drops it
+    /// when the run ends.
     pub fn score_batch_with_parents(
         &self,
         session: &mut DeltaSession<'_>,
@@ -690,7 +692,8 @@ impl<'a> CandidateEvaluator<'a> {
         ctx: &ExploreContext<'_>,
     ) -> (Vec<CandidateScore>, usize) {
         let (df, point) = (session.dataflow(), session.point());
-        let delta = self.delta_active();
+        // The session replays the full pipeline in both macro modes.
+        let delta = self.config.delta;
         let n = genes.len();
         let wt_dup = Arc::new(df.programs().iter().map(|p| p.wt_dup).collect::<Vec<_>>());
         let mut out = vec![CandidateScore::INFEASIBLE; n];
@@ -698,7 +701,10 @@ impl<'a> CandidateEvaluator<'a> {
         // Misses pending backend scoring: the unique key (None with caching
         // disabled) and every input index it resolves.
         let mut pending: Vec<(Option<CandidateKey>, Vec<usize>)> = Vec::new();
-        let mut pending_index: HashMap<CandidateKey, usize> = HashMap::new();
+        // This batch's misses, so a later duplicate is a hit even when the
+        // memo is full and stores nothing. Keyed by gene alone: every key
+        // of one call shares the session's dataflow and design point.
+        let mut in_batch: FastMap<&[u32], InBatch> = FastMap::default();
 
         for (i, gene) in genes.iter().enumerate() {
             if ctx.should_stop() {
@@ -724,25 +730,27 @@ impl<'a> CandidateEvaluator<'a> {
                 out[i] = hit;
                 continue;
             }
-            if let Some(&p) = pending_index.get(&key) {
-                // Duplicate of an in-flight miss: one computation serves
+            if let Some(&earlier) = in_batch.get(gene.as_slice()) {
+                // Duplicate of an earlier miss: one computation serves
                 // both, and the duplicate counts as the hit the serial
                 // path would have recorded.
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                pending[p].1.push(i);
+                match earlier {
+                    InBatch::Scored(score) => out[i] = score,
+                    InBatch::Pending(p) => pending[p].1.push(i),
+                }
                 continue;
             }
             self.unique.fetch_add(1, Ordering::Relaxed);
             ctx.count_unique_evaluations(1);
             if let Some(p) = parent {
-                // Delta-eligible miss: computed inline and stored at once,
-                // so a later in-batch duplicate becomes a memo hit — the
-                // same accounting the pending-duplicate path records.
+                // Delta-eligible miss: computed inline and stored at once.
                 out[i] = self.delta_score(session, gene, p);
                 self.store(key, out[i]);
+                in_batch.insert(gene.as_slice(), InBatch::Scored(out[i]));
                 continue;
             }
-            pending_index.insert(key.clone(), pending.len());
+            in_batch.insert(gene.as_slice(), InBatch::Pending(pending.len()));
             pending.push((Some(key), vec![i]));
         }
 
@@ -885,11 +893,20 @@ mod tests {
         hw: &'a HardwareParams,
         config: EvalCacheConfig,
     ) -> CandidateEvaluator<'a> {
+        evaluator_in(model, hw, MacroMode::Specialized, config)
+    }
+
+    fn evaluator_in<'a>(
+        model: &'a Model,
+        hw: &'a HardwareParams,
+        mode: MacroMode,
+        config: EvalCacheConfig,
+    ) -> CandidateEvaluator<'a> {
         CandidateEvaluator::new(
             model,
             Watts(9.0),
             hw,
-            MacroMode::Specialized,
+            mode,
             Objective::PowerEfficiency,
             config,
         )
@@ -1385,36 +1402,84 @@ mod tests {
         assert_eq!(via_delta.feasible, reference.feasible);
     }
 
-    /// Identical macro mode homogenizes counts across layers — delta must
-    /// stay inactive there even when parents are offered.
+    /// Identical macro mode homogenizes counts across layers; the session
+    /// replays that pass, so parented children are delta hits there too,
+    /// bit-identical to a delta-free evaluator.
     #[test]
-    fn delta_is_inactive_for_identical_macro_mode() {
+    fn identical_mode_children_are_delta_hits_and_bit_identical() {
         let (model, df, point) = setup();
         let l = model.weight_layer_count();
         let hw = HardwareParams::date24();
-        let eval = CandidateEvaluator::new(
-            &model,
-            Watts(9.0),
-            &hw,
-            MacroMode::Identical,
-            Objective::PowerEfficiency,
-            EvalCacheConfig::default(),
-        );
+        let identical = |config| evaluator_in(&model, &hw, MacroMode::Identical, config);
+        let delta = identical(EvalCacheConfig::default());
+        let plain = identical(EvalCacheConfig::default().with_delta(false));
         let ctx = ExploreContext::unobserved();
+        let mut session = DeltaSession::new(&df, point);
+
         let parent = gene(l, 1);
         let mut m = vec![1usize; l];
         m[0] = 2;
-        let child = MacAllocGene::encode(&m, &vec![None; l]);
-        eval.score_batch_with_parents(
-            &mut DeltaSession::new(&df, point),
-            &[parent.clone(), child],
-            &[Some(&parent), Some(&parent)],
-            &ctx,
-        );
-        let stats = eval.stats();
-        assert_eq!(stats.delta_hits, 0);
-        assert_eq!(stats.delta_fallbacks, 0);
-        assert_eq!(stats.unique_evaluations, 2);
+        let one = MacAllocGene::encode(&m, &vec![None; l]);
+        m[1] = 3;
+        m[2] = 2;
+        let wide = MacAllocGene::encode(&m, &vec![None; l]);
+        let mut shares = vec![None; l];
+        shares[l - 1] = Some(0);
+        let shared = MacAllocGene::encode(&vec![1usize; l], &shares);
+
+        // Self-parented first score: a fallback that retains the parent.
+        let mut score_child = |child: &MacAllocGene| {
+            let batch = std::slice::from_ref(child);
+            delta
+                .score_batch_with_parents(&mut session, batch, &[Some(&parent)], &ctx)
+                .0[0]
+        };
+        for child in [&parent, &one, &wide, &shared] {
+            let via_session = score_child(child);
+            let reference = plain.score(&df, point, child, &ctx);
+            assert!(reference.feasible);
+            assert_eq!(via_session.fitness.to_bits(), reference.fitness.to_bits());
+            assert_eq!(via_session.feasible, reference.feasible);
+        }
+        let stats = delta.stats();
+        assert_eq!(stats.delta_fallbacks, 1);
+        assert_eq!(stats.delta_hits, 3);
+        assert_eq!(plain.stats().delta_hits + plain.stats().delta_fallbacks, 0);
+    }
+
+    /// A delta-scored miss serves later duplicates in its batch as hits
+    /// even when the memo is full, so a capacity-0 evaluator charges the
+    /// same with delta on as with delta off.
+    #[test]
+    fn in_batch_duplicates_hit_with_a_full_memo_with_or_without_delta() {
+        let (model, df, point) = setup();
+        let l = model.weight_layer_count();
+        let hw = HardwareParams::date24();
+        let parent = gene(l, 1);
+        let mut m = vec![1usize; l];
+        m[0] = 2;
+        let genes = vec![MacAllocGene::encode(&m, &vec![None; l]); 3];
+        let parents = [Some(&parent); 3];
+        let run = |delta: bool| {
+            let config = EvalCacheConfig::default()
+                .with_capacity(0)
+                .with_delta(delta);
+            let eval = evaluator(&model, &hw, config);
+            let ctx = ExploreContext::unobserved();
+            let mut session = DeltaSession::new(&df, point);
+            let (scores, _) = eval.score_batch_with_parents(&mut session, &genes, &parents, &ctx);
+            (scores, eval.stats(), ctx.unique_evaluations())
+        };
+        let (on, on_stats, on_unique) = run(true);
+        let (off, off_stats, off_unique) = run(false);
+        for (a, b) in on.iter().zip(&off) {
+            assert_eq!(a.fitness.to_bits(), b.fitness.to_bits());
+        }
+        assert_eq!(on_stats.unique_evaluations, off_stats.unique_evaluations);
+        assert_eq!(on_stats.cache_hits, off_stats.cache_hits);
+        assert_eq!(on_unique, off_unique);
+        assert_eq!(on_stats.unique_evaluations, 1);
+        assert_eq!(on_stats.delta_fallbacks, 1, "the miss took the session");
     }
 
     #[test]

@@ -40,6 +40,14 @@ pub enum ModelError {
         /// Description of what went wrong.
         detail: String,
     },
+    /// A JSON document nests arrays and objects deeper than the parser's
+    /// bound ([`crate::json::MAX_DEPTH`]).
+    NestingTooDeep {
+        /// Byte offset of the first array or object past the bound.
+        offset: usize,
+        /// The deepest nesting accepted.
+        limit: usize,
+    },
     /// The ONNX-style graph is structurally valid JSON but semantically
     /// malformed (missing field, unsupported op, bad attribute, ...).
     Ingest {
@@ -72,6 +80,10 @@ impl fmt::Display for ModelError {
             ModelError::Parse { offset, detail } => {
                 write!(f, "JSON parse error at byte {offset}: {detail}")
             }
+            ModelError::NestingTooDeep { offset, limit } => write!(
+                f,
+                "JSON nesting deeper than {limit} levels at byte {offset}"
+            ),
             ModelError::Ingest { detail } => write!(f, "model ingestion error: {detail}"),
             ModelError::InvalidPrecision { bits } => {
                 write!(

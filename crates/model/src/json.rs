@@ -21,6 +21,11 @@ use std::fmt;
 
 use crate::ModelError;
 
+/// Deepest array/object nesting [`JsonValue::parse`] accepts. Every document
+/// the workspace reads nests a handful of levels; the bound keeps a body of
+/// `[[[[…` from exhausting the stack of the recursive-descent parser.
+pub const MAX_DEPTH: usize = 128;
+
 /// A parsed JSON document node.
 ///
 /// Objects preserve key order (stored as a vector of pairs), which keeps
@@ -47,14 +52,16 @@ impl JsonValue {
     /// # Errors
     ///
     /// Returns [`ModelError::Parse`] with a byte offset on any syntax error,
-    /// including trailing garbage after the top-level value.
+    /// including trailing garbage after the top-level value, and
+    /// [`ModelError::NestingTooDeep`] when arrays and objects nest deeper
+    /// than [`MAX_DEPTH`].
     pub fn parse(text: &str) -> Result<Self, ModelError> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
         };
         p.skip_ws();
-        let v = p.value()?;
+        let v = p.value(0)?;
         p.skip_ws();
         if p.pos != p.bytes.len() {
             return Err(p.error("trailing characters after JSON value"));
@@ -225,10 +232,15 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn value(&mut self) -> Result<JsonValue, ModelError> {
+    /// Parses one value inside `depth` enclosing arrays/objects.
+    fn value(&mut self, depth: usize) -> Result<JsonValue, ModelError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if depth >= MAX_DEPTH => Err(ModelError::NestingTooDeep {
+                offset: self.pos,
+                limit: MAX_DEPTH,
+            }),
+            Some(b'{') => self.object(depth + 1),
+            Some(b'[') => self.array(depth + 1),
             Some(b'"') => Ok(JsonValue::String(self.string()?)),
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
@@ -239,7 +251,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn object(&mut self) -> Result<JsonValue, ModelError> {
+    fn object(&mut self, depth: usize) -> Result<JsonValue, ModelError> {
         self.expect(b'{')?;
         let mut pairs = Vec::new();
         self.skip_ws();
@@ -253,7 +265,7 @@ impl<'a> Parser<'a> {
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
-            let value = self.value()?;
+            let value = self.value(depth)?;
             pairs.push((key, value));
             self.skip_ws();
             match self.bump() {
@@ -264,7 +276,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn array(&mut self) -> Result<JsonValue, ModelError> {
+    fn array(&mut self, depth: usize) -> Result<JsonValue, ModelError> {
         self.expect(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
@@ -274,7 +286,7 @@ impl<'a> Parser<'a> {
         }
         loop {
             self.skip_ws();
-            items.push(self.value()?);
+            items.push(self.value(depth)?);
             self.skip_ws();
             match self.bump() {
                 Some(b',') => continue,
@@ -488,6 +500,31 @@ mod tests {
         match JsonValue::parse("[1, x]") {
             Err(ModelError::Parse { offset, .. }) => assert_eq!(offset, 4),
             other => panic!("expected parse error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn deep_nesting_is_a_typed_error() {
+        let arrays = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        let objects = |n: usize| "{\"a\":".repeat(n) + "0" + &"}".repeat(n);
+        assert!(JsonValue::parse(&arrays(MAX_DEPTH)).is_ok());
+        assert!(JsonValue::parse(&objects(MAX_DEPTH)).is_ok());
+        for text in [
+            arrays(MAX_DEPTH + 1),
+            objects(MAX_DEPTH + 1),
+            "[".repeat(300_000),
+        ] {
+            match JsonValue::parse(&text) {
+                Err(ModelError::NestingTooDeep { limit, .. }) => assert_eq!(limit, MAX_DEPTH),
+                other => panic!("expected a nesting error, got {other:?}"),
+            }
+        }
+        // The offset names the first container past the limit.
+        match JsonValue::parse(&format!("{{\"k\": {}", "[".repeat(MAX_DEPTH))) {
+            Err(ModelError::NestingTooDeep { offset, .. }) => {
+                assert_eq!(offset, 6 + MAX_DEPTH - 1);
+            }
+            other => panic!("expected a nesting error, got {other:?}"),
         }
     }
 

@@ -58,8 +58,9 @@ use crate::{LayerId, Model, ModelBuilder, ModelError, Precision, TensorShape};
 ///
 /// # Errors
 ///
-/// Returns [`ModelError::Parse`] for malformed JSON and
-/// [`ModelError::Ingest`] for structurally invalid graphs (missing fields,
+/// Returns [`ModelError::Parse`] for malformed JSON,
+/// [`ModelError::NestingTooDeep`] for JSON nested past the parser's bound,
+/// and [`ModelError::Ingest`] for structurally invalid graphs (missing fields,
 /// unsupported ops, dangling references), plus any validation error from
 /// [`ModelBuilder::build`].
 pub fn parse_model(text: &str) -> Result<Model, ModelError> {
@@ -434,15 +435,7 @@ mod tests {
 
     #[test]
     fn zoo_models_round_trip_through_json() {
-        for model in [
-            zoo::alexnet(),
-            zoo::vgg16(),
-            zoo::resnet18(),
-            zoo::alexnet_cifar(10),
-            zoo::mobilenet(),
-            zoo::resnet18_se(),
-            zoo::transformer_tiny(),
-        ] {
+        for model in zoo::entries().iter().map(|entry| (entry.build)()) {
             let text = to_json(&model);
             let back = parse_model(&text).unwrap();
             assert_eq!(back.name(), model.name());

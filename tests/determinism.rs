@@ -5,7 +5,7 @@
 //! which have access to the built CLI binary).
 
 use pimsyn::{BackendKind, EvalCacheConfig, SynthesisOptions, Synthesizer};
-use pimsyn_arch::Watts;
+use pimsyn_arch::{MacroMode, Watts};
 use pimsyn_model::zoo;
 
 #[test]
@@ -35,10 +35,10 @@ fn different_seeds_may_differ_but_stay_feasible() {
     }
 }
 
-/// The evaluator's memo caches are transparent: for several models and
-/// seeds, a cached run's complete outcome — architecture, analytic report,
-/// evaluation counts and per-point history — is bit-identical to an
-/// uncached run's.
+/// The evaluator's memo caches are transparent: for several models, seeds
+/// and both macro modes, a cached run's complete outcome — architecture,
+/// analytic report, evaluation counts and per-point history — is
+/// bit-identical to an uncached run's.
 #[test]
 fn eval_cache_runs_are_bit_identical_to_uncached() {
     let cases = [
@@ -52,26 +52,26 @@ fn eval_cache_runs_are_bit_identical_to_uncached() {
         (zoo::resnet18_se(), Watts(30.0)),
         (zoo::mobilenet(), Watts(120.0)),
     ];
+    let runs = [MacroMode::Specialized, MacroMode::Identical]
+        .into_iter()
+        .flat_map(|mode| [3u64, 17].map(|seed| (mode, seed)));
     for (model, power) in &cases {
-        for seed in [3u64, 17] {
-            let base = SynthesisOptions::fast(*power).with_seed(seed);
+        for (mode, seed) in runs.clone() {
+            let base = SynthesisOptions::fast(*power)
+                .with_seed(seed)
+                .with_macro_mode(mode);
             let cached = Synthesizer::new(base.clone())
                 .synthesize(model)
                 .expect("cached synthesis");
             let uncached = Synthesizer::new(base.with_eval_cache(EvalCacheConfig::disabled()))
                 .synthesize(model)
                 .expect("uncached synthesis");
-            assert_eq!(cached.wt_dup, uncached.wt_dup, "{model} seed {seed}");
-            assert_eq!(
-                cached.architecture, uncached.architecture,
-                "{model} seed {seed}"
-            );
-            assert_eq!(cached.analytic, uncached.analytic, "{model} seed {seed}");
-            assert_eq!(
-                cached.evaluations, uncached.evaluations,
-                "{model} seed {seed}"
-            );
-            assert_eq!(cached.history, uncached.history, "{model} seed {seed}");
+            let case = format!("{model} {mode} seed {seed}");
+            assert_eq!(cached.wt_dup, uncached.wt_dup, "{case}");
+            assert_eq!(cached.architecture, uncached.architecture, "{case}");
+            assert_eq!(cached.analytic, uncached.analytic, "{case}");
+            assert_eq!(cached.evaluations, uncached.evaluations, "{case}");
+            assert_eq!(cached.history, uncached.history, "{case}");
         }
     }
 }
@@ -264,10 +264,10 @@ fn persistent_cache_warm_start_is_transparent() {
 /// scores the child against its parent in one delta session. Every step
 /// must be bit-identical to a delta-free evaluator's full scoring, and
 /// every child of a feasible (hence retained) parent must be a delta hit,
-/// however many entries its gene changed.
+/// however many entries its gene changed — under both macro modes.
 #[test]
 fn delta_rescoring_is_bit_identical_on_mutation_walks() {
-    use pimsyn_arch::{CrossbarConfig, DacConfig, HardwareParams, MacroMode};
+    use pimsyn_arch::{CrossbarConfig, DacConfig, HardwareParams};
     use pimsyn_dse::{
         CandidateEvaluator, DeltaSession, DesignPoint, ExploreContext, MacAllocGene, Objective,
     };
@@ -300,12 +300,15 @@ fn delta_rescoring_is_bit_identical_on_mutation_walks() {
             .iter()
             .map(|p| (p.wt_dup * p.row_groups).clamp(1, 64))
             .collect();
-        for seed in [7u64, 21] {
+        let walks = [MacroMode::Specialized, MacroMode::Identical]
+            .into_iter()
+            .flat_map(|mode| [7u64, 21].map(|seed| (mode, seed)));
+        for (mode, seed) in walks {
             let delta = CandidateEvaluator::new(
                 model,
                 *power,
                 &hw,
-                MacroMode::Specialized,
+                mode,
                 Objective::PowerEfficiency,
                 EvalCacheConfig::disabled().with_delta(true),
             );
@@ -313,7 +316,7 @@ fn delta_rescoring_is_bit_identical_on_mutation_walks() {
                 model,
                 *power,
                 &hw,
-                MacroMode::Specialized,
+                mode,
                 Objective::PowerEfficiency,
                 EvalCacheConfig::disabled(),
             );
@@ -369,13 +372,16 @@ fn delta_rescoring_is_bit_identical_on_mutation_walks() {
                 assert_eq!(
                     d.fitness.to_bits(),
                     f.fitness.to_bits(),
-                    "{model} seed {seed} step {step}"
+                    "{model} {mode} seed {seed} step {step}"
                 );
-                assert_eq!(d.feasible, f.feasible, "{model} seed {seed} step {step}");
+                assert_eq!(
+                    d.feasible, f.feasible,
+                    "{model} {mode} seed {seed} step {step}"
+                );
                 assert_eq!(
                     delta.stats().delta_hits - hits_before,
                     usize::from(parent_feasible),
-                    "{model} seed {seed} step {step}: a retained parent must give a delta hit"
+                    "{model} {mode} seed {seed} step {step}: a retained parent must give a delta hit"
                 );
                 parent_feasible = d.feasible;
                 parent = child;
@@ -383,14 +389,14 @@ fn delta_rescoring_is_bit_identical_on_mutation_walks() {
             let stats = delta.stats();
             assert!(
                 stats.delta_hits > 0,
-                "{model} seed {seed}: walk never exercised the delta path \
+                "{model} {mode} seed {seed}: walk never exercised the delta path \
                  ({} fallbacks)",
                 stats.delta_fallbacks
             );
             assert_eq!(
                 stats.delta_hits + stats.delta_fallbacks,
                 41,
-                "{model} seed {seed}: every parented score is a hit or a fallback"
+                "{model} {mode} seed {seed}: every parented score is a hit or a fallback"
             );
             assert_eq!(full.stats().delta_hits, 0);
             assert_eq!(full.stats().delta_fallbacks, 0);
