@@ -370,7 +370,6 @@ fn straggler_seconds_per_batch(
         &w.hw,
         MacroMode::Specialized,
         Objective::PowerEfficiency,
-        EvalCacheConfig::disabled(),
     );
     let jobs: Vec<EvalJob<'_>> = w.genes[..batch.min(w.genes.len())]
         .iter()

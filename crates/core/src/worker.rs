@@ -44,7 +44,7 @@ use pimsyn_dse::backend::protocol::{
     write_frame, ScoreResponse, TcpHandshake, WorkerInit, WorkerRequest, FRAME_ERROR,
     FRAME_SCORE_BATCH, FRAME_SCORE_REPLY, NO_FREE_SLOTS, PROTOCOL_VERSION, PROTOCOL_VERSION_MAX,
 };
-use pimsyn_dse::{CandidateScore, DesignPoint, EvalCacheConfig, EvalCore, MacAllocGene};
+use pimsyn_dse::{CandidateScore, DesignPoint, EvalCore, MacAllocGene};
 use pimsyn_ir::Dataflow;
 use pimsyn_model::onnx;
 
@@ -189,7 +189,6 @@ fn run_worker_session(
             &hw,
             macro_mode,
             objective,
-            EvalCacheConfig::default(),
         );
         // A v1 peer (or a v1-capped build) gets the plain v1 ready; a v2
         // session acknowledges with the negotiated version.
@@ -990,7 +989,6 @@ mod tests {
             &hw,
             MacroMode::Specialized,
             Objective::PowerEfficiency,
-            EvalCacheConfig::default(),
         );
         for (id, gene) in genes.iter().enumerate() {
             let response = ScoreResponse::parse(lines.next().expect("score line")).unwrap();
@@ -1037,7 +1035,6 @@ mod tests {
                 &hw,
                 MacroMode::Specialized,
                 Objective::PowerEfficiency,
-                EvalCacheConfig::default(),
             );
             let expect = core.score(&df, point, &gene);
             assert_eq!(response.score.fitness.to_bits(), expect.fitness.to_bits());

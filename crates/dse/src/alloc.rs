@@ -53,23 +53,23 @@ fn workload(df: &Dataflow, layer: usize, kind: ComponentKind) -> f64 {
 }
 
 /// Physical macro count implied by a sharing assignment (shared sets counted
-/// once, at the larger of the partners' sizes).
+/// once, at the larger of the partners' sizes). Only root layers (no
+/// `shares` entry) open a group, so a layer sharing with a non-root adds
+/// nothing.
 pub fn physical_macros(macros: &[usize], shares: &[Option<usize>]) -> usize {
-    let mut total = 0usize;
-    for (i, &m) in macros.iter().enumerate() {
-        if shares[i].is_none() {
-            // Group size is the max over this root and its sharers.
-            let group_max = shares.iter().enumerate().fold(m, |acc, (k, &s)| {
-                if s == Some(i) {
-                    acc.max(macros[k])
-                } else {
-                    acc
-                }
-            });
-            total += group_max;
+    // Each root's group size: the max over the root and its sharers.
+    let mut group = macros.to_vec();
+    for (&m, share) in macros.iter().zip(shares) {
+        if let Some(g) = share.and_then(|j| group.get_mut(j)) {
+            *g = (*g).max(m);
         }
     }
-    total
+    group
+        .iter()
+        .zip(shares)
+        .filter(|(_, share)| share.is_none())
+        .map(|(&g, _)| g)
+        .sum()
 }
 
 /// One allocatable `(layer, component family)` with workload, with its
@@ -224,11 +224,16 @@ impl AllocPlan {
         let delay = self.denom / periph_budget.value();
 
         let mut counts = vec![ComponentCounts::default(); self.l];
+        // Per-image delay of each item at its current count; only a boosted
+        // item's delay changes, so the remainder loop recomputes just that.
+        let item_delay = |it: &AllocItem, n: usize| it.w / (it.f * n as f64);
+        let mut delays = Vec::with_capacity(self.items.len());
         let mut spent = 0.0f64;
         for it in &self.items {
             let ideal = it.w / (it.f * delay);
             let n = (ideal.floor() as usize).max(1);
             *counts[it.layer].count_mut(it.kind) = n;
+            delays.push(item_delay(it, n));
             spent += it.p * n as f64;
         }
 
@@ -237,15 +242,13 @@ impl AllocPlan {
         for _ in 0..(4 * self.l * ComponentKind::ALL.len()) {
             // Find the (layer, kind) with the largest per-image delay.
             let mut worst: Option<(usize, f64)> = None;
-            for (idx, it) in self.items.iter().enumerate() {
-                let n = counts[it.layer].count(it.kind) as f64;
-                let d = it.w / (it.f * n);
+            for (idx, &d) in delays.iter().enumerate() {
                 if worst.is_none_or(|(_, wd)| d > wd) {
                     worst = Some((idx, d));
                 }
             }
             let Some((idx, _)) = worst else { break };
-            let it = self.items[idx];
+            let it = &self.items[idx];
             if it.p > remaining {
                 break;
             }
@@ -255,6 +258,7 @@ impl AllocPlan {
             let affordable = (remaining / it.p).floor() as usize;
             let boost = (n / 4).clamp(1, affordable.max(1));
             *counts[it.layer].count_mut(it.kind) = n + boost;
+            delays[idx] = item_delay(it, n + boost);
             remaining -= it.p * boost as f64;
         }
 
@@ -513,6 +517,130 @@ mod tests {
         assert_eq!(physical_macros(&macros, &[None, None, None]), 9);
         // Layer 2 shares layer 0's macros: group size max(2,4)=4, plus 3.
         assert_eq!(physical_macros(&macros, &[None, None, Some(0)]), 7);
+    }
+
+    /// The quadratic `physical_macros` the linear version replaced.
+    fn physical_macros_reference(macros: &[usize], shares: &[Option<usize>]) -> usize {
+        let mut total = 0usize;
+        for (i, &m) in macros.iter().enumerate() {
+            if shares[i].is_none() {
+                let group_max = shares.iter().enumerate().fold(m, |acc, (k, &s)| {
+                    if s == Some(i) {
+                        acc.max(macros[k])
+                    } else {
+                        acc
+                    }
+                });
+                total += group_max;
+            }
+        }
+        total
+    }
+
+    #[test]
+    fn physical_macros_matches_the_quadratic_scan_on_every_gene_shape() {
+        use crate::ea::MacAllocGene;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let check = |raw: Vec<u32>| {
+            let (macros, shares) = MacAllocGene::from_raw(raw).unwrap().decode();
+            assert_eq!(
+                physical_macros(&macros, &shares),
+                physical_macros_reference(&macros, &shares),
+                "macros {macros:?} shares {shares:?}"
+            );
+        };
+        // Multi-sharer group (1 and 2 on 0) and a chain (3 on 2, a sharer).
+        check(vec![5, 9, 3, 2007]);
+        check(vec![2, 7, 4, 2009, 3001]);
+        let mut rng = StdRng::seed_from_u64(15);
+        for _ in 0..5000 {
+            let l = rng.gen_range(1..=12usize);
+            // Any owner at or before the layer: from_raw accepts chains,
+            // multi-sharer groups and self-owned roots alike.
+            let raw = (0..l)
+                .map(|i| rng.gen_range(0..=i as u32) * 1000 + rng.gen_range(1..=64u32))
+                .collect();
+            check(raw);
+        }
+    }
+
+    /// The Eq. (6) remainder loop before delays were kept in a buffer: it
+    /// recomputed every item's delay on each step.
+    fn solve_reference(plan: &AllocPlan, n_macros: usize) -> Option<Vec<ComponentCounts>> {
+        let periph_budget = plan.periph_budget(n_macros);
+        if periph_budget.value() <= 0.0 || plan.denom <= 0.0 {
+            return None;
+        }
+        let delay = plan.denom / periph_budget.value();
+        let mut counts = vec![ComponentCounts::default(); plan.l];
+        let mut spent = 0.0f64;
+        for it in &plan.items {
+            let ideal = it.w / (it.f * delay);
+            let n = (ideal.floor() as usize).max(1);
+            *counts[it.layer].count_mut(it.kind) = n;
+            spent += it.p * n as f64;
+        }
+        let mut remaining = periph_budget.value() - spent;
+        for _ in 0..(4 * plan.l * ComponentKind::ALL.len()) {
+            let mut worst: Option<(usize, f64)> = None;
+            for (idx, it) in plan.items.iter().enumerate() {
+                let n = counts[it.layer].count(it.kind) as f64;
+                let d = it.w / (it.f * n);
+                if worst.is_none_or(|(_, wd)| d > wd) {
+                    worst = Some((idx, d));
+                }
+            }
+            let Some((idx, _)) = worst else { break };
+            let it = plan.items[idx];
+            if it.p > remaining {
+                break;
+            }
+            let n = counts[it.layer].count(it.kind);
+            let affordable = (remaining / it.p).floor() as usize;
+            let boost = (n / 4).clamp(1, affordable.max(1));
+            *counts[it.layer].count_mut(it.kind) = n + boost;
+            remaining -= it.p * boost as f64;
+        }
+        Some(counts)
+    }
+
+    #[test]
+    fn solve_matches_the_rescanning_remainder_loop_on_every_zoo_model() {
+        let hw = HardwareParams::date24();
+        // (crossbar size, cell bits, DAC bits, RatioRram, power W, mode)
+        let points = [
+            (128, 2, 1, 0.3, 9.0, MacroMode::Specialized),
+            (256, 1, 2, 0.5, 65.0, MacroMode::Specialized),
+            (512, 4, 1, 0.2, 150.0, MacroMode::Identical),
+        ];
+        for entry in zoo::entries() {
+            let model = (entry.build)();
+            let l = model.weight_layer_count();
+            let mut solved = 0;
+            for (k, &(size, cell, dac, ratio, power, mode)) in points.iter().enumerate() {
+                let xb = CrossbarConfig::new(size, cell).unwrap();
+                let dup: Vec<usize> = (0..l).map(|i| 1 + (i + k) % 3).collect();
+                let df = Dataflow::compile(&model, xb, DacConfig::new(dac).unwrap(), &dup).unwrap();
+                let point = DesignPoint {
+                    ratio_rram: ratio,
+                    crossbar: xb,
+                };
+                let plan = AllocPlan::prepare(&model, &df, point, Watts(power), &hw, mode);
+                let cap: usize = crate::ea::max_macros(&df).iter().sum();
+                for n_macros in 1..=cap {
+                    let got = plan.solve(n_macros).ok();
+                    assert_eq!(
+                        got,
+                        solve_reference(&plan, n_macros),
+                        "{} n={n_macros}",
+                        entry.name
+                    );
+                    solved += usize::from(got.is_some());
+                }
+            }
+            assert!(solved > 0, "{}: no feasible solve was compared", entry.name);
+        }
     }
 
     #[test]

@@ -2,18 +2,19 @@
 //!
 //! The [`CandidateEvaluator`](crate::CandidateEvaluator)'s memo lives for
 //! one synthesis run; sweeps and repeated CLI invocations re-score the same
-//! candidates from scratch. This module serializes the two memo maps that
-//! matter — the candidate-key → score map and the per-layer base-cost map —
-//! to a JSON cache file keyed by a **fingerprint** of everything scoring
-//! depends on: the model, the hardware parameters (bit-exact), the power
-//! budget, the macro mode, the objective, and the cache-schema version. A
-//! later run with the same fingerprint warm-starts from the file; any
-//! mismatch (different hardware, different power, newer schema) silently
-//! invalidates it, as does a corrupt or unreadable file — a cache can speed
-//! a run up, never fail it.
+//! candidates from scratch. This module serializes its candidate-key →
+//! score map to a JSON cache file keyed by a **fingerprint** of everything
+//! scoring depends on: the model, the hardware parameters (bit-exact), the
+//! power budget, the macro mode, the objective, and the cache-schema
+//! version. A later run with the same fingerprint warm-starts from the
+//! file; any mismatch (different hardware, different power, newer schema)
+//! silently invalidates it, as does a corrupt or unreadable file — a cache
+//! can speed a run up, never fail it.
 //!
 //! Floats are stored as `f64::to_bits` hex strings, so warm-started runs
-//! remain bit-identical to cold ones.
+//! remain bit-identical to cold ones. Run sections of older files may also
+//! carry a `layers` array of per-layer base costs; loads ignore it and saves
+//! drop it.
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
@@ -22,7 +23,6 @@ use std::path::{Path, PathBuf};
 use pimsyn_arch::{HardwareParams, MacroMode, Watts};
 use pimsyn_model::json::JsonValue;
 use pimsyn_model::Model;
-use pimsyn_sim::{LayerBaseCosts, LayerCostKey};
 
 use crate::ea::Objective;
 use crate::eval::{CandidateKey, CandidateScore};
@@ -33,14 +33,11 @@ use super::protocol::{macro_mode_tag, objective_tag};
 /// invalidates every existing cache file.
 pub const EVAL_CACHE_SCHEMA: u32 = 1;
 
-/// The serializable state of one evaluator: candidate scores plus per-layer
-/// base costs.
+/// The serializable state of one evaluator: its candidate scores.
 #[derive(Debug, Clone, Default)]
 pub struct CacheSnapshot {
     /// Candidate-key → score entries.
     pub scores: Vec<(CandidateKey, CandidateScore)>,
-    /// Per-layer base-cost entries (see [`pimsyn_sim::LayerCostCache`]).
-    pub layer_costs: Vec<(LayerCostKey, LayerBaseCosts)>,
 }
 
 /// Fingerprint of everything candidate scoring depends on. Equal
@@ -146,13 +143,6 @@ impl PersistentEvalCache {
                 snapshot.scores.push(pair);
             }
         }
-        if let Some(layers) = run.get("layers").and_then(JsonValue::as_array) {
-            for entry in layers {
-                if let Some(pair) = decode_layer(entry) {
-                    snapshot.layer_costs.push(pair);
-                }
-            }
-        }
         Some(snapshot)
     }
 
@@ -181,6 +171,13 @@ impl PersistentEvalCache {
             .filter(|run| {
                 run.get("fingerprint").and_then(JsonValue::as_str) != Some(&self.fingerprint)
             })
+            .map(|mut run| {
+                // Nothing reads the per-layer sections of older files.
+                if let JsonValue::Object(fields) = &mut run {
+                    fields.retain(|(key, _)| key != "layers");
+                }
+                run
+            })
             .collect();
         runs.push(JsonValue::Object(vec![
             (
@@ -190,10 +187,6 @@ impl PersistentEvalCache {
             (
                 "scores".into(),
                 JsonValue::Array(snapshot.scores.iter().map(encode_score).collect()),
-            ),
-            (
-                "layers".into(),
-                JsonValue::Array(snapshot.layer_costs.iter().map(encode_layer).collect()),
             ),
         ]));
         // Most recent last; evict from the front.
@@ -254,53 +247,6 @@ fn decode_score(v: &JsonValue) -> Option<(CandidateKey, CandidateScore)> {
     Some((key, score))
 }
 
-fn encode_layer((key, base): &(LayerCostKey, LayerBaseCosts)) -> JsonValue {
-    let bits = |v: f64| hex64(v.to_bits());
-    JsonValue::Object(vec![
-        ("fp".into(), hex64(key.fingerprint)),
-        ("l".into(), num(key.layer)),
-        ("m".into(), num(key.macros)),
-        ("ea".into(), num(key.effective_adcs)),
-        ("ar".into(), hex64(key.adc_rate_bits)),
-        ("sa".into(), num(key.shift_add)),
-        ("po".into(), num(key.pool)),
-        ("ac".into(), num(key.activation)),
-        ("el".into(), num(key.eltwise)),
-        ("bits".into(), num(base.bits)),
-        ("load".into(), bits(base.load)),
-        ("mvm".into(), bits(base.mvm_bit)),
-        ("adc".into(), bits(base.adc_bit)),
-        ("sab".into(), bits(base.sa_bit)),
-        ("post".into(), bits(base.post)),
-        ("store".into(), bits(base.store)),
-    ])
-}
-
-fn decode_layer(v: &JsonValue) -> Option<(LayerCostKey, LayerBaseCosts)> {
-    let float = |key: &str| parse_hex64(v.get(key)).map(f64::from_bits);
-    let key = LayerCostKey {
-        fingerprint: parse_hex64(v.get("fp"))?,
-        layer: v.get("l")?.as_usize()?,
-        macros: v.get("m")?.as_usize()?,
-        effective_adcs: v.get("ea")?.as_usize()?,
-        adc_rate_bits: parse_hex64(v.get("ar"))?,
-        shift_add: v.get("sa")?.as_usize()?,
-        pool: v.get("po")?.as_usize()?,
-        activation: v.get("ac")?.as_usize()?,
-        eltwise: v.get("el")?.as_usize()?,
-    };
-    let base = LayerBaseCosts {
-        bits: v.get("bits")?.as_usize()?,
-        load: float("load")?,
-        mvm_bit: float("mvm")?,
-        adc_bit: float("adc")?,
-        sa_bit: float("sab")?,
-        post: float("post")?,
-        store: float("store")?,
-    };
-    Some((key, base))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -325,28 +271,6 @@ mod tests {
                 CandidateScore {
                     fitness: 0.1 + 0.2, // a bit pattern JSON numbers mangle
                     feasible: true,
-                },
-            )],
-            layer_costs: vec![(
-                LayerCostKey {
-                    fingerprint: 0xDEAD_BEEF,
-                    layer: 0,
-                    macros: 1,
-                    effective_adcs: 2,
-                    adc_rate_bits: 1.28e9f64.to_bits(),
-                    shift_add: 4,
-                    pool: 1,
-                    activation: 1,
-                    eltwise: 0,
-                },
-                LayerBaseCosts {
-                    bits: 16,
-                    load: 1e-9,
-                    mvm_bit: 1.0000000000000002e-7,
-                    adc_bit: 2e-9,
-                    sa_bit: 3e-10,
-                    post: 0.0,
-                    store: 4e-9,
                 },
             )],
         }
@@ -376,12 +300,6 @@ mod tests {
         assert_eq!(
             back.scores[0].1.fitness.to_bits(),
             snapshot.scores[0].1.fitness.to_bits()
-        );
-        assert_eq!(back.layer_costs.len(), 1);
-        assert_eq!(back.layer_costs[0].0, snapshot.layer_costs[0].0);
-        assert_eq!(
-            back.layer_costs[0].1.mvm_bit.to_bits(),
-            snapshot.layer_costs[0].1.mvm_bit.to_bits()
         );
         let _ = std::fs::remove_file(&path);
     }

@@ -559,7 +559,6 @@ impl<'d> DeltaSession<'d> {
 mod profile {
     use super::*;
     use crate::ea::Objective;
-    use crate::eval::EvalCacheConfig;
     use pimsyn_arch::{CrossbarConfig, DacConfig, HardwareParams, MacroMode};
     use pimsyn_model::zoo;
     use std::time::Instant;
@@ -585,7 +584,6 @@ mod profile {
             &hw,
             MacroMode::Specialized,
             Objective::PowerEfficiency,
-            EvalCacheConfig::disabled(),
         );
         let l = model.weight_layer_count();
         let caps: Vec<usize> = df

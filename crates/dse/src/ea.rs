@@ -236,7 +236,7 @@ pub struct EaOutcome {
 
 /// Rule (c) upper bound on macros for each layer: `WtDup_i x
 /// ceil(WK²CI/XbSize)`, further clamped to [`MAX_MACROS_PER_LAYER`].
-fn max_macros(df: &Dataflow) -> Vec<usize> {
+pub(crate) fn max_macros(df: &Dataflow) -> Vec<usize> {
     df.programs()
         .iter()
         .map(|p| (p.wt_dup * p.row_groups).clamp(1, MAX_MACROS_PER_LAYER))

@@ -7,9 +7,8 @@
 //! the analytic performance model. Evaluation is layered:
 //!
 //! - [`EvalCore`] is the *pure scoring pipeline* — components allocation
-//!   plus the analytic model (with per-layer base-cost memoization via
-//!   [`pimsyn_sim::LayerCostCache`]) for one run's fixed model, power,
-//!   hardware, macro mode and objective. It holds no policy: scoring a
+//!   plus the analytic model for one run's fixed model, power, hardware,
+//!   macro mode and objective. It holds no state and no policy: scoring a
 //!   candidate through it is a pure function.
 //! - An [`EvalBackend`](crate::backend::EvalBackend) decides *where* core
 //!   scoring runs: inline on the calling thread, across a scoped thread
@@ -36,7 +35,7 @@ use std::sync::{Arc, Mutex};
 use pimsyn_arch::{Architecture, CrossbarConfig, HardwareParams, MacroMode, Watts};
 use pimsyn_ir::Dataflow;
 use pimsyn_model::Model;
-use pimsyn_sim::{evaluate_analytic, evaluate_analytic_cached, LayerCostCache, SimReport};
+use pimsyn_sim::{evaluate_analytic, SimReport};
 
 use crate::alloc::{allocate_components, AllocRequest};
 use crate::backend::{
@@ -50,7 +49,7 @@ use crate::sa::SaTable;
 use crate::space::DesignPoint;
 
 /// Configuration of the evaluator's memo caches (candidate memo, SA energy
-/// memo, per-layer analytic costs).
+/// memo) and of delta rescoring.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EvalCacheConfig {
     /// Master switch; disabled, every candidate is computed from scratch.
@@ -132,9 +131,11 @@ pub struct EvaluatorStats {
     pub sa_probes: usize,
     /// SA probes served from the energy memo.
     pub sa_cache_hits: usize,
-    /// Per-layer base-cost lookups served from the layer memo.
+    /// Always 0: the per-layer base-cost memo these counted was removed
+    /// (recomputing a layer is cheaper than the lookup). Kept so consumers
+    /// of the counter set keep working.
     pub layer_hits: usize,
-    /// Per-layer base costs computed from scratch.
+    /// Always 0, like [`layer_hits`](Self::layer_hits).
     pub layer_misses: usize,
     /// Memo entries warm-started from a persistent cache file.
     pub preloaded: usize,
@@ -188,7 +189,7 @@ pub struct CandidateKey {
 /// Deliberately slim (two words): the memo cache holds one of these per
 /// unique candidate, so it stores no architecture or report —
 /// [`CandidateEvaluator::realize`] recomputes a winner's full implementation
-/// on demand (cheap, since it hits the per-layer cost memo).
+/// on demand (one full scoring).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CandidateScore {
     /// Objective fitness (0 for infeasible candidates).
@@ -207,21 +208,19 @@ impl CandidateScore {
 }
 
 /// The pure scoring pipeline for one synthesis run: fixed model, power
-/// budget, hardware constants, macro mode and objective, plus the per-layer
-/// base-cost memo. Backends receive a reference to this when they score.
+/// budget, hardware constants, macro mode and objective. Backends receive a
+/// reference to this when they score.
 ///
 /// [`compute`](Self::compute) and [`score`](Self::score) are pure functions
-/// of the candidate (the layer memo is transparent), which is what makes
-/// memoization, thread pools, worker processes and persistent caches all
-/// bit-identical to plain inline evaluation.
+/// of the candidate, which is what makes memoization, thread pools, worker
+/// processes and persistent caches all bit-identical to plain inline
+/// evaluation.
 pub struct EvalCore<'a> {
     model: &'a Model,
     total_power: Watts,
     hw: &'a HardwareParams,
     macro_mode: MacroMode,
     objective: Objective,
-    layer_cache_enabled: bool,
-    layer_costs: LayerCostCache,
 }
 
 impl std::fmt::Debug for EvalCore<'_> {
@@ -242,17 +241,13 @@ impl<'a> EvalCore<'a> {
         hw: &'a HardwareParams,
         macro_mode: MacroMode,
         objective: Objective,
-        cache: EvalCacheConfig,
     ) -> Self {
-        let layer_capacity = if cache.enabled { cache.capacity } else { 0 };
         Self {
             model,
             total_power,
             hw,
             macro_mode,
             objective,
-            layer_cache_enabled: cache.enabled,
-            layer_costs: LayerCostCache::with_capacity(layer_capacity),
         }
     }
 
@@ -281,11 +276,6 @@ impl<'a> EvalCore<'a> {
         self.objective
     }
 
-    /// The per-layer base-cost memo.
-    pub fn layer_costs(&self) -> &LayerCostCache {
-        &self.layer_costs
-    }
-
     /// The full scoring pipeline for one candidate (allocation + analytic
     /// model); pure, so memoization is transparent.
     pub fn compute(
@@ -308,12 +298,7 @@ impl<'a> EvalCore<'a> {
         let Ok(arch) = allocate_components(&req) else {
             return (0.0, None);
         };
-        let evaluated = if self.layer_cache_enabled {
-            evaluate_analytic_cached(self.model, df, &arch, &self.layer_costs)
-        } else {
-            evaluate_analytic(self.model, df, &arch)
-        };
-        match evaluated {
+        match evaluate_analytic(self.model, df, &arch) {
             Ok(report) => (self.objective.fitness(&report), Some((arch, report))),
             Err(_) => (0.0, None),
         }
@@ -364,8 +349,8 @@ impl CandidateMemo {
 
 /// The shared evaluation layer: scores macro-partitioning candidates
 /// (components allocation + analytic model) and SA duplication probes, with
-/// memoization, per-layer incremental costs, batch parallelism through a
-/// pluggable [`EvalBackend`] and optional cross-run persistence.
+/// memoization, delta rescoring, batch parallelism through a pluggable
+/// [`EvalBackend`] and optional cross-run persistence.
 ///
 /// One evaluator spans one synthesis run (fixed model, power budget,
 /// hardware constants, macro mode and objective); worker threads share it by
@@ -444,7 +429,7 @@ impl<'a> CandidateEvaluator<'a> {
         config: EvalCacheConfig,
         backend_cfg: &EvalBackendConfig,
     ) -> Self {
-        let core = EvalCore::new(model, total_power, hw, macro_mode, objective, config);
+        let core = EvalCore::new(model, total_power, hw, macro_mode, objective);
         let backend = backend_cfg.build();
         let mut evaluator = Self {
             core,
@@ -495,10 +480,10 @@ impl<'a> CandidateEvaluator<'a> {
         evaluator
     }
 
-    /// Seeds the memo maps from a loaded snapshot, respecting the capacity
-    /// bound; returns how many candidate scores were installed. Snapshot
-    /// order is preserved as insertion order, so a preloaded entry counts
-    /// as older than anything scored in this run.
+    /// Seeds the candidate memo from a loaded snapshot, respecting the
+    /// capacity bound; returns how many candidate scores were installed.
+    /// Snapshot order is preserved as insertion order, so a preloaded entry
+    /// counts as older than anything scored in this run.
     fn preload(&self, snapshot: CacheSnapshot) -> usize {
         let mut memo = self.candidates.lock().expect("candidate memo");
         let mut inserted = 0;
@@ -509,8 +494,6 @@ impl<'a> CandidateEvaluator<'a> {
             memo.insert(key, score);
             inserted += 1;
         }
-        drop(memo);
-        self.core.layer_costs.preload(snapshot.layer_costs);
         inserted
     }
 
@@ -801,8 +784,8 @@ impl<'a> CandidateEvaluator<'a> {
     /// previously scored, feasible candidate (typically the winner). Not
     /// charged to the exploration budget and not counted as a scored
     /// candidate: the memo stores only slim scores, so realization
-    /// re-derives what an unmemoized pipeline would have kept — per-layer
-    /// memo hits keep it cheap. Always computed in-process (the full
+    /// re-derives what an unmemoized pipeline would have kept, at the cost
+    /// of one full scoring. Always computed in-process (the full
     /// architecture never crosses a backend boundary). Returns `None` for
     /// infeasible candidates.
     pub fn realize(
@@ -816,15 +799,14 @@ impl<'a> CandidateEvaluator<'a> {
 
     /// Snapshot of the cumulative throughput counters.
     pub fn stats(&self) -> EvaluatorStats {
-        let layer = self.core.layer_costs.stats();
         EvaluatorStats {
             scored: self.scored.load(Ordering::Relaxed),
             unique_evaluations: self.unique.load(Ordering::Relaxed),
             cache_hits: self.hits.load(Ordering::Relaxed),
             sa_probes: self.sa_probes.load(Ordering::Relaxed),
             sa_cache_hits: self.sa_hits.load(Ordering::Relaxed),
-            layer_hits: layer.hits,
-            layer_misses: layer.misses,
+            layer_hits: 0,
+            layer_misses: 0,
             preloaded: self.preloaded,
             delta_hits: self.delta_hits.load(Ordering::Relaxed),
             delta_fallbacks: self.delta_fallbacks.load(Ordering::Relaxed),
@@ -834,7 +816,7 @@ impl<'a> CandidateEvaluator<'a> {
 
     /// Finishes the run: releases backend resources (worker processes
     /// return to their pool) and, when a persistent cache file is
-    /// configured, writes the memo maps back to it (best-effort; IO
+    /// configured, writes the candidate memo back to it (best-effort; IO
     /// failures never fail a synthesis run) — insertion-ordered, trimmed
     /// oldest-first to `cache_max_entries` when a cap is configured, and
     /// published to the shared snapshot store so sibling runs warm-start
@@ -858,7 +840,6 @@ impl<'a> CandidateEvaluator<'a> {
         }
         let snapshot = CacheSnapshot {
             scores: scores.into_iter().map(|(k, score, _)| (k, score)).collect(),
-            layer_costs: self.core.layer_costs.entries(),
         };
         if let Some(shared) = &self.shared {
             shared.publish(persist.fingerprint(), snapshot.clone());
@@ -949,7 +930,7 @@ mod tests {
         let b = plain.score(&df, point, &g, &ctx);
         assert_eq!(a, b);
         // Realized implementations (full architecture + report) also agree
-        // bit-for-bit between the layer-memoized and plain pipelines.
+        // bit-for-bit between the memoized and plain evaluators.
         match (
             cached.realize(&df, point, &g),
             plain.realize(&df, point, &g),
@@ -1072,7 +1053,6 @@ mod tests {
             &hw,
             MacroMode::Specialized,
             Objective::PowerEfficiency,
-            EvalCacheConfig::default(),
         );
         let genes: Vec<MacAllocGene> = (1..=4).map(|m| gene(l, m)).collect();
         let jobs: Vec<EvalJob<'_>> = genes
@@ -1202,6 +1182,96 @@ mod tests {
             &cfg,
         );
         assert_eq!(mismatched.preloaded_entries(), 0);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// Cache files written while the per-layer cost memo existed carry a
+    /// `layers` array in every run section. Such a file still warm-starts
+    /// with the same preloaded count and bit-identical scores, and the next
+    /// flush rewrites it without any `layers` section.
+    #[test]
+    fn cache_file_with_a_layers_section_still_warm_starts() {
+        use pimsyn_model::json::JsonValue;
+        let (model, df, point) = setup();
+        let l = model.weight_layer_count();
+        let hw = HardwareParams::date24();
+        let path =
+            std::env::temp_dir().join(format!("pimsyn-eval-layers-{}.json", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let cfg = EvalBackendConfig::inline().with_cache_file(&path);
+        let build = || {
+            CandidateEvaluator::with_backend(
+                &model,
+                Watts(9.0),
+                &hw,
+                MacroMode::Specialized,
+                Objective::PowerEfficiency,
+                EvalCacheConfig::default(),
+                &cfg,
+            )
+        };
+        let read = || JsonValue::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
+        let has_layers = |doc: &JsonValue| {
+            let runs = doc.get("runs").and_then(JsonValue::as_array).unwrap();
+            runs.iter().any(|run| run.get("layers").is_some())
+        };
+
+        let cold = build();
+        let ctx = ExploreContext::unobserved();
+        let genes: Vec<MacAllocGene> = (1..=3).map(|m| gene(l, m)).collect();
+        let (cold_scores, _) = cold.score_batch(&df, point, &genes, &ctx);
+        assert!(cold.flush());
+        let JsonValue::Object(mut doc) = read() else {
+            panic!("cache file is an object")
+        };
+        assert!(!has_layers(&JsonValue::Object(doc.clone())));
+
+        // Rewrite it in the older format: every run section gains a
+        // `layers` array of per-layer base-cost entries, and a second run
+        // section (another fingerprint) rides along.
+        let layer_entry = JsonValue::parse(
+            r#"{"fp":"00000000deadbeef","l":0,"m":1,"ea":2,"ar":"41d312d000000000",
+                "sa":4,"po":1,"ac":1,"el":0,"bits":16,"load":"3e112e0be826d695",
+                "mvm":"3e7ad7f29abcaf4a","adc":"3e212e0be826d695","sab":"3df49c6f9f4c7b8a",
+                "post":"0000000000000000","store":"3e312e0be826d695"}"#,
+        )
+        .unwrap();
+        let (_, JsonValue::Array(runs)) = doc.iter_mut().find(|(k, _)| k == "runs").unwrap() else {
+            panic!("runs is an array")
+        };
+        let mut other = runs[0].clone();
+        if let JsonValue::Object(fields) = &mut other {
+            fields[0].1 = JsonValue::String("0123456789abcdef".into());
+        }
+        runs.push(other);
+        for run in runs.iter_mut() {
+            if let JsonValue::Object(fields) = run {
+                fields.push(("layers".into(), JsonValue::Array(vec![layer_entry.clone()])));
+            }
+        }
+        std::fs::write(&path, format!("{}\n", JsonValue::Object(doc))).unwrap();
+        assert!(has_layers(&read()));
+
+        let warm = build();
+        assert_eq!(warm.preloaded_entries(), 3);
+        let ctx2 = ExploreContext::unobserved();
+        let (warm_scores, _) = warm.score_batch(&df, point, &genes, &ctx2);
+        for (a, b) in cold_scores.iter().zip(&warm_scores) {
+            assert_eq!(a.fitness.to_bits(), b.fitness.to_bits());
+            assert_eq!(a.feasible, b.feasible);
+        }
+        assert_eq!(warm.stats().cache_hits, 3);
+        assert!(warm.flush());
+        let rewritten = read();
+        assert!(!has_layers(&rewritten), "saves drop every layers section");
+        assert_eq!(
+            rewritten
+                .get("runs")
+                .and_then(JsonValue::as_array)
+                .unwrap()
+                .len(),
+            2
+        );
         let _ = std::fs::remove_file(&path);
     }
 

@@ -624,7 +624,10 @@ mod tests {
             stats.sa_probes > 0,
             "SA probes must route through the evaluator"
         );
-        assert!(stats.layer_misses > 0);
+        // No per-layer memo exists, so its counters stay at 0; EA children
+        // score in the delta session.
+        assert_eq!((stats.layer_hits, stats.layer_misses), (0, 0));
+        assert!(stats.delta_hits > 0, "{stats:?}");
     }
 
     #[test]

@@ -33,6 +33,28 @@ use pimsyn_arch::Watts;
 use pimsyn_model::json::JsonValue;
 use pimsyn_model::{onnx, zoo, Model};
 
+/// `println!` for the report on stdout, through [`write_stdout`].
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// Writes one line to stdout. A reader that closed the pipe early
+/// (`pimsyn zoo | head -1`) wants no more output, so a broken pipe ends
+/// the process quietly with exit 0; any other write error exits 1.
+fn write_stdout(line: std::fmt::Arguments<'_>) {
+    use std::io::Write;
+    let mut stdout = std::io::stdout().lock();
+    if let Err(e) = writeln!(stdout, "{line}").and_then(|()| stdout.flush()) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("error: cannot write to stdout: {e}");
+        std::process::exit(1);
+    }
+}
+
 #[derive(Debug, Clone, PartialEq)]
 enum OutputFormat {
     Text,
@@ -733,8 +755,8 @@ fn event_job(event: &SynthesisEvent) -> usize {
 
 fn emit_single(result: &SynthesisResult, output: &OutputFormat) {
     match output {
-        OutputFormat::Text => println!("{}", result.report_text()),
-        OutputFormat::Json => println!("{}", SynthesisSummary::from_result(result).to_json()),
+        OutputFormat::Text => outln!("{}", result.report_text()),
+        OutputFormat::Json => outln!("{}", SynthesisSummary::from_result(result).to_json()),
     }
 }
 
@@ -746,10 +768,10 @@ fn emit_batch(
     match output {
         OutputFormat::Text => {
             for (request, result) in requests.iter().zip(results) {
-                println!("=== job: {} ===", request.display_label());
+                outln!("=== job: {} ===", request.display_label());
                 match result {
-                    Ok(r) => println!("{}", r.report_text()),
-                    Err(e) => println!("failed: {e}\n"),
+                    Ok(r) => outln!("{}", r.report_text()),
+                    Err(e) => outln!("failed: {e}\n"),
                 }
             }
         }
@@ -770,7 +792,7 @@ fn emit_batch(
                     JsonValue::Object(fields)
                 })
                 .collect();
-            println!("{}", JsonValue::Array(jobs));
+            outln!("{}", JsonValue::Array(jobs));
         }
     }
 }
@@ -1407,7 +1429,7 @@ fn run_worker_stop(argv: &[String]) -> ExitCode {
     };
     match pimsyn::stop_worker_server(&connect, token.as_deref()) {
         Ok(()) => {
-            println!("worker daemon at {connect} is stopping");
+            outln!("worker daemon at {connect} is stopping");
             ExitCode::SUCCESS
         }
         Err(e) => {
@@ -1465,7 +1487,7 @@ fn split_client_args(argv: &[String], with_id: bool) -> Result<ClientArgs, Strin
 fn finish_client(reply: Result<JsonValue, String>) -> ExitCode {
     match reply {
         Ok(doc) => {
-            println!("{doc}");
+            outln!("{doc}");
             if doc.get("ok").and_then(JsonValue::as_bool) == Some(true) {
                 ExitCode::SUCCESS
             } else {
@@ -1551,7 +1573,7 @@ fn run_client(command: &str, argv: &[String]) -> ExitCode {
                 Ok(doc) if doc.get("ok").and_then(JsonValue::as_bool) == Some(true) => {
                     match doc.get("summary") {
                         Some(summary) => {
-                            println!("{summary}");
+                            outln!("{summary}");
                             ExitCode::SUCCESS
                         }
                         None => {
@@ -1687,7 +1709,7 @@ fn run_zoo(argv: &[String]) -> ExitCode {
         }
     };
     if args.help {
-        println!("{USAGE}");
+        outln!("{USAGE}");
         return ExitCode::SUCCESS;
     }
 
@@ -1705,24 +1727,28 @@ fn run_zoo(argv: &[String]) -> ExitCode {
             .iter()
             .find(|e| e.name == name.as_str())
             .expect("load_named_model succeeded");
-        println!("{}: {}", entry.name, entry.description);
-        println!(
+        outln!("{}: {}", entry.name, entry.description);
+        outln!(
             "  input {}x{}x{}, {} layers ({} weight layers)",
-            shape.channels, shape.height, shape.width, stats.layer_count, stats.weight_layer_count
+            shape.channels,
+            shape.height,
+            shape.width,
+            stats.layer_count,
+            stats.weight_layer_count
         );
-        println!(
+        outln!(
             "  {:.3} GMACs, {:.2} M weights, peak activation {} elems",
             stats.total_macs as f64 / 1e9,
             stats.total_weights as f64 / 1e6,
             stats.peak_activation
         );
-        println!("  weight layers:");
+        outln!("  weight layers:");
         for wl in model.weight_layers() {
             let pool = wl
                 .pool
                 .map(|(kind, size)| format!(" pool {kind}{size}"))
                 .unwrap_or_default();
-            println!(
+            outln!(
                 "    {:>3} {:<14} {}x{} k{} s{} g{} -> {}x{}x{}{}{}{}",
                 wl.index,
                 wl.name,
@@ -1773,15 +1799,15 @@ fn run_zoo(argv: &[String]) -> ExitCode {
             );
             return ExitCode::FAILURE;
         }
-        println!("all {} zoo models validate", entries.len());
+        outln!("all {} zoo models validate", entries.len());
         return ExitCode::SUCCESS;
     }
 
     if args.json {
-        println!("{}", zoo_listing_json());
+        outln!("{}", zoo_listing_json());
     } else {
         for entry in zoo::entries() {
-            println!("{:<18} {}", entry.name, entry.description);
+            outln!("{:<18} {}", entry.name, entry.description);
         }
     }
     ExitCode::SUCCESS
@@ -1828,7 +1854,7 @@ fn run_export(argv: &[String]) -> ExitCode {
         Err(e) => return fail(e),
     };
     if args.help {
-        println!("{USAGE}");
+        outln!("{USAGE}");
         return ExitCode::SUCCESS;
     }
     if args.batch_file.is_some() {
@@ -1874,7 +1900,7 @@ fn run_export(argv: &[String]) -> ExitCode {
             }
             eprintln!("wrote {path}");
         }
-        None => println!("{text}"),
+        None => outln!("{text}"),
     }
     ExitCode::SUCCESS
 }
@@ -1906,7 +1932,7 @@ fn main() -> ExitCode {
         }
     };
     if args.help {
-        println!("{USAGE}");
+        outln!("{USAGE}");
         return ExitCode::SUCCESS;
     }
     if args.batch_file.is_some() {

@@ -119,6 +119,11 @@ impl Dataflow {
                 kernel: wl.kernel,
                 stride: wl.stride,
                 producers: wl.producers.clone(),
+                producer_fill: wl
+                    .producers
+                    .iter()
+                    .map(|&p| pipeline::fill_blocks(wl, dup, model.weight_layer(p), wt_dup[p]))
+                    .collect(),
                 consumers: wl.consumers.clone(),
             });
             geometry.push(wl.clone());
@@ -188,12 +193,6 @@ impl Dataflow {
             &self.geometry[producer],
             self.programs[producer].wt_dup,
         )
-    }
-
-    /// Pipeline fill offset between a producer/consumer pair (blocks of the
-    /// producer needed before the consumer's first block).
-    pub fn fill_blocks(&self, consumer: usize, producer: usize) -> usize {
-        self.producer_blocks_needed(consumer, 0, producer)
     }
 
     /// Materializes the explicit IR DAG (for analysis, visualization and
@@ -319,7 +318,27 @@ mod tests {
         // First block of c2 needs 3 input rows -> 6 producer rows (2x pool)
         // -> 48 positions -> 6 blocks at dup 8.
         assert_eq!(df.producer_blocks_needed(1, 0, 0), 6);
-        assert_eq!(df.fill_blocks(1, 0), 6);
+        assert_eq!(df.program(1).producer_fill, [6]);
+    }
+
+    #[test]
+    fn precomputed_fill_offsets_match_block_zero_demand() {
+        for entry in zoo::entries() {
+            let m = (entry.build)();
+            let l = m.weight_layer_count();
+            for dup in [vec![1; l], (0..l).map(|i| 1 + i % 5).collect()] {
+                let df = Dataflow::compile(&m, xb(), dac(), &dup).unwrap();
+                let mut edges = 0;
+                for (i, prog) in df.programs().iter().enumerate() {
+                    assert_eq!(prog.producer_fill.len(), prog.producers.len());
+                    for (&p, &fill) in prog.producers.iter().zip(&prog.producer_fill) {
+                        assert_eq!(fill, df.producer_blocks_needed(i, 0, p), "{}", entry.name);
+                        edges += 1;
+                    }
+                }
+                assert!(edges > 0, "{} has producer edges", entry.name);
+            }
+        }
     }
 
     #[test]

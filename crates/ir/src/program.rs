@@ -64,6 +64,10 @@ pub struct LayerProgram {
     pub stride: usize,
     /// Producer weight-layer indices.
     pub producers: Vec<usize>,
+    /// Pipeline fill offset per producer, aligned with `producers`: the
+    /// producer blocks that must finish before this layer's first block
+    /// (Fig. 4), fixed at compile time.
+    pub producer_fill: Vec<usize>,
     /// Consumer weight-layer indices.
     pub consumers: Vec<usize>,
 }
@@ -119,6 +123,7 @@ mod tests {
             kernel: 3,
             stride: 1,
             producers: vec![],
+            producer_fill: vec![],
             consumers: vec![1],
         }
     }

@@ -10,249 +10,13 @@
 //! (Fig. 5a). The cycle-accurate engine ([`crate::simulate`]) refines these
 //! numbers for final reporting.
 
-use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
-use std::sync::Mutex;
-
 use pimsyn_arch::{Architecture, Joules, MacroGroup, Seconds, Watts};
 use pimsyn_ir::Dataflow;
 use pimsyn_model::Model;
 
 use crate::error::SimError;
 use crate::metrics::{LayerPerf, SimReport, StageKind, Utilization};
-use crate::stages::{
-    assemble_stages, compute_layer_base, compute_layer_dynamic, compute_stages, LayerBaseCosts,
-    LayerStages,
-};
-
-/// Hit/miss counters of a [`LayerCostCache`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct LayerCacheStats {
-    /// Per-layer base-cost lookups served from the cache.
-    pub hits: usize,
-    /// Per-layer base costs computed from scratch.
-    pub misses: usize,
-}
-
-/// Memo key for one layer's NoC-independent base costs: the dataflow
-/// fingerprint plus every layer-local hardware input of
-/// [`compute_layer_base`].
-///
-/// Public (with public fields) so evaluation layers can serialize cache
-/// entries — see [`LayerCostCache::entries`] / [`LayerCostCache::preload`];
-/// the fields are opaque cache-key material, not a stable API for deriving
-/// hardware meaning.
-#[derive(Debug, Hash, PartialEq, Eq, Clone)]
-pub struct LayerCostKey {
-    /// Dataflow + hardware-constant fingerprint (see
-    /// [`LayerCostCache::stages`]).
-    pub fingerprint: u64,
-    /// Layer index within the dataflow.
-    pub layer: usize,
-    /// Macro count assigned to the layer.
-    pub macros: usize,
-    /// Effective ADC units serving the layer.
-    pub effective_adcs: usize,
-    /// Bit pattern of the layer ADC's sample rate.
-    pub adc_rate_bits: u64,
-    /// Shift-and-add units.
-    pub shift_add: usize,
-    /// Pooling units.
-    pub pool: usize,
-    /// Activation units.
-    pub activation: usize,
-    /// Elementwise-add units.
-    pub eltwise: usize,
-}
-
-struct LayerCostState {
-    map: HashMap<LayerCostKey, LayerBaseCosts>,
-    stats: LayerCacheStats,
-}
-
-/// Per-layer incremental cost memo for [`evaluate_analytic_cached`].
-///
-/// The analytic model decomposes into per-layer stage occupancies that are
-/// recombined by the pipeline schedule. The expensive half of each layer's
-/// occupancies depends only on that layer's hardware assignment (macro
-/// count, ADC bank, component counts) — so a candidate that changes one
-/// layer's allocation only recomputes that layer's contribution; every other
-/// layer's base costs come from this cache. The NoC-coupled `merge` /
-/// `transfer` terms and the schedule itself are recomputed per candidate,
-/// keeping cached evaluations bit-identical to uncached ones.
-///
-/// The cache is `Sync` (interior mutex) so batch evaluators can share it
-/// across worker threads. Entries are keyed by a dataflow + hardware-params
-/// fingerprint, so one cache serves many dataflows of one synthesis run; do
-/// not reuse a cache across *models* (the intended scope is one model per
-/// cache). The fingerprint is a 64-bit hash of the inputs, not the inputs
-/// themselves: two distinct dataflows colliding would silently reuse wrong
-/// base costs. At ~10^4 dataflows per run the collision probability is
-/// ~10^-12 — accepted and documented rather than paid for with per-entry
-/// input storage.
-pub struct LayerCostCache {
-    inner: Mutex<LayerCostState>,
-    capacity: usize,
-}
-
-impl std::fmt::Debug for LayerCostCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let stats = self.stats();
-        f.debug_struct("LayerCostCache")
-            .field("capacity", &self.capacity)
-            .field("stats", &stats)
-            .finish()
-    }
-}
-
-impl Default for LayerCostCache {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl LayerCostCache {
-    /// Default entry bound: generous for one synthesis run while keeping the
-    /// worst case bounded (entries are a handful of `f64`s each).
-    pub const DEFAULT_CAPACITY: usize = 1 << 17;
-
-    /// An empty cache with the default capacity.
-    pub fn new() -> Self {
-        Self::with_capacity(Self::DEFAULT_CAPACITY)
-    }
-
-    /// An empty cache holding at most `capacity` entries; once full, further
-    /// base costs are computed without being stored.
-    pub fn with_capacity(capacity: usize) -> Self {
-        Self {
-            inner: Mutex::new(LayerCostState {
-                map: HashMap::new(),
-                stats: LayerCacheStats::default(),
-            }),
-            capacity,
-        }
-    }
-
-    /// Snapshot of the hit/miss counters.
-    pub fn stats(&self) -> LayerCacheStats {
-        self.inner.lock().expect("layer-cost cache").stats
-    }
-
-    /// Snapshot of every resident entry, for cross-run persistence.
-    pub fn entries(&self) -> Vec<(LayerCostKey, LayerBaseCosts)> {
-        let inner = self.inner.lock().expect("layer-cost cache");
-        inner.map.iter().map(|(k, v)| (k.clone(), *v)).collect()
-    }
-
-    /// Seeds the cache with previously exported entries (up to the capacity
-    /// bound), returning how many were inserted. Preloads are not counted as
-    /// hits or misses — the stats keep describing this run's lookups only.
-    pub fn preload(
-        &self,
-        entries: impl IntoIterator<Item = (LayerCostKey, LayerBaseCosts)>,
-    ) -> usize {
-        let mut inner = self.inner.lock().expect("layer-cost cache");
-        let mut inserted = 0;
-        for (key, base) in entries {
-            if inner.map.len() >= self.capacity {
-                break;
-            }
-            inner.map.insert(key, base);
-            inserted += 1;
-        }
-        inserted
-    }
-
-    /// Fingerprint covering every dataflow-side and hardware-constant input
-    /// of [`compute_layer_base`]; two (dataflow, hardware) pairs with equal
-    /// fingerprints produce identical base costs for identical layer
-    /// hardware.
-    fn fingerprint(df: &Dataflow, arch: &Architecture) -> u64 {
-        let mut h = DefaultHasher::new();
-        df.crossbar().hash(&mut h);
-        df.dac().bits().hash(&mut h);
-        df.activation_bits().hash(&mut h);
-        for p in df.programs() {
-            p.wt_dup.hash(&mut h);
-            p.bits.hash(&mut h);
-            p.load_elems.hash(&mut h);
-            p.store_elems.hash(&mut h);
-            p.adc_samples.hash(&mut h);
-            p.shift_add_ops.hash(&mut h);
-            p.act_ops.hash(&mut h);
-            p.pool_ops.hash(&mut h);
-            p.eltwise_ops.hash(&mut h);
-        }
-        let hw = &arch.hw;
-        hw.clock.value().to_bits().hash(&mut h);
-        hw.mvm_latency.value().to_bits().hash(&mut h);
-        let spm = pimsyn_arch::ScratchpadSpec::from_params(hw);
-        spm.bandwidth().to_bits().hash(&mut h);
-        spm.read_latency(0).value().to_bits().hash(&mut h);
-        h.finish()
-    }
-
-    /// Every layer's stage occupancies, base parts served from the memo.
-    /// Bit-identical to [`compute_stages`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`compute_stages`].
-    pub fn stages(&self, df: &Dataflow, arch: &Architecture) -> Result<Vec<LayerStages>, SimError> {
-        if arch.layers.len() != df.programs().len() {
-            return Err(SimError::LayerCountMismatch {
-                arch: arch.layers.len(),
-                dataflow: df.programs().len(),
-            });
-        }
-        let fingerprint = Self::fingerprint(df, arch);
-        let noc = arch.noc();
-        let mut out = Vec::with_capacity(df.programs().len());
-        for layer in 0..df.programs().len() {
-            let lh = &arch.layers[layer];
-            let key = LayerCostKey {
-                fingerprint,
-                layer,
-                macros: lh.macros,
-                effective_adcs: arch.effective_adcs(layer),
-                adc_rate_bits: lh.adc.sample_rate(&arch.hw).value().to_bits(),
-                shift_add: lh.components.shift_add,
-                pool: lh.components.pool,
-                activation: lh.components.activation,
-                eltwise: lh.components.eltwise,
-            };
-            let cached = {
-                let mut inner = self.inner.lock().expect("layer-cost cache");
-                let found = inner.map.get(&key).copied();
-                match found {
-                    Some(base) => {
-                        inner.stats.hits += 1;
-                        Some(base)
-                    }
-                    None => {
-                        inner.stats.misses += 1;
-                        None
-                    }
-                }
-            };
-            let base = match cached {
-                Some(base) => base,
-                None => {
-                    let base = compute_layer_base(df, arch, layer)?;
-                    let mut inner = self.inner.lock().expect("layer-cost cache");
-                    if inner.map.len() < self.capacity {
-                        inner.map.insert(key, base);
-                    }
-                    base
-                }
-            };
-            let (merge, transfer) = compute_layer_dynamic(df, arch, layer, &noc);
-            out.push(assemble_stages(base, merge, transfer));
-        }
-        Ok(out)
-    }
-}
+use crate::stages::{compute_stages, LayerStages};
 
 /// Evaluates `arch` running `df` (compiled from `model`) analytically.
 ///
@@ -271,25 +35,46 @@ pub fn evaluate_analytic(
     arch: &Architecture,
 ) -> Result<SimReport, SimError> {
     let stages = compute_stages(df, arch)?;
-    evaluate_from_stages(model, df, arch, &stages)
-}
+    let n = stages.len();
+    let groups = arch.macro_groups();
+    let solution = solve_pipeline(df, &stages, &groups);
+    let power = arch.power_breakdown().total();
+    let summary = summarize_pipeline(df, &solution, power, model.stats().total_macs);
 
-/// [`evaluate_analytic`] with per-layer base costs memoized in `cache`:
-/// candidates that differ from previously evaluated ones in only a few
-/// layers' hardware recompute only those layers' base occupancies. Results
-/// are bit-identical to [`evaluate_analytic`].
-///
-/// # Errors
-///
-/// Same as [`evaluate_analytic`].
-pub fn evaluate_analytic_cached(
-    model: &Model,
-    df: &Dataflow,
-    arch: &Architecture,
-    cache: &LayerCostCache,
-) -> Result<SimReport, SimError> {
-    let stages = cache.stages(df, arch)?;
-    evaluate_from_stages(model, df, arch, &stages)
+    let per_layer: Vec<LayerPerf> = (0..n)
+        .map(|i| LayerPerf {
+            layer: i,
+            period: Seconds(solution.periods[i]),
+            busy: Seconds(df.program(i).blocks as f64 * solution.periods[i]),
+            start: Seconds(solution.starts[i]),
+            finish: Seconds(solution.finishes[i]),
+            bottleneck: solution.bottlenecks[i],
+        })
+        .collect();
+
+    // Estimated busy fractions: each class's occupancy per block over the
+    // layer's period, weighted by the layer's share of the makespan.
+    let span = summary.latency.value().max(1e-30);
+    let n_groups = groups.len().max(1) as f64;
+    let mut utilization = Utilization::default();
+    for (i, s) in stages.iter().enumerate() {
+        let blocks = df.program(i).blocks as f64;
+        utilization.crossbar += blocks * s.bits as f64 * s.mvm_bit / (n as f64 * span);
+        utilization.adc += blocks * s.bits as f64 * s.adc_bit / (n_groups * span);
+        utilization.shift_add += blocks * s.bits as f64 * s.sa_bit / (n as f64 * span);
+        utilization.post += blocks * (s.post + s.merge) / (n as f64 * span);
+    }
+
+    Ok(SimReport {
+        latency: summary.latency,
+        steady_period: summary.steady_period,
+        throughput_ops: summary.throughput_ops,
+        power: summary.power,
+        energy_per_image: summary.energy_per_image,
+        bottleneck_layer: summary.bottleneck_layer,
+        utilization,
+        per_layer,
+    })
 }
 
 /// The pipeline schedule of one candidate: per-layer issue periods (after
@@ -474,56 +259,6 @@ pub fn summarize_pipeline(
     }
 }
 
-/// The schedule / contention / report half of the analytic model, shared by
-/// the cached and uncached entry points so both produce identical floats.
-fn evaluate_from_stages(
-    model: &Model,
-    df: &Dataflow,
-    arch: &Architecture,
-    stages: &[LayerStages],
-) -> Result<SimReport, SimError> {
-    let n = stages.len();
-    let groups = arch.macro_groups();
-    let solution = solve_pipeline(df, stages, &groups);
-    let power = arch.power_breakdown().total();
-    let summary = summarize_pipeline(df, &solution, power, model.stats().total_macs);
-
-    let per_layer: Vec<LayerPerf> = (0..n)
-        .map(|i| LayerPerf {
-            layer: i,
-            period: Seconds(solution.periods[i]),
-            busy: Seconds(df.program(i).blocks as f64 * solution.periods[i]),
-            start: Seconds(solution.starts[i]),
-            finish: Seconds(solution.finishes[i]),
-            bottleneck: solution.bottlenecks[i],
-        })
-        .collect();
-
-    // Estimated busy fractions: each class's occupancy per block over the
-    // layer's period, weighted by the layer's share of the makespan.
-    let span = summary.latency.value().max(1e-30);
-    let n_groups = groups.len().max(1) as f64;
-    let mut utilization = Utilization::default();
-    for (i, s) in stages.iter().enumerate() {
-        let blocks = df.program(i).blocks as f64;
-        utilization.crossbar += blocks * s.bits as f64 * s.mvm_bit / (n as f64 * span);
-        utilization.adc += blocks * s.bits as f64 * s.adc_bit / (n_groups * span);
-        utilization.shift_add += blocks * s.bits as f64 * s.sa_bit / (n as f64 * span);
-        utilization.post += blocks * (s.post + s.merge) / (n as f64 * span);
-    }
-
-    Ok(SimReport {
-        latency: summary.latency,
-        steady_period: summary.steady_period,
-        throughput_ops: summary.throughput_ops,
-        power: summary.power,
-        energy_per_image: summary.energy_per_image,
-        bottleneck_layer: summary.bottleneck_layer,
-        utilization,
-        per_layer,
-    })
-}
-
 /// Computes pipeline start/finish per layer: a layer starts once each
 /// producer has emitted the blocks its first block needs, and finishes after
 /// all its blocks plus the serial latency of the last one.
@@ -542,9 +277,8 @@ fn schedule_into(
     for i in 0..n {
         let prog = df.program(i);
         let mut start: f64 = 0.0;
-        for &p in &prog.producers {
-            let fill = df.fill_blocks(i, p) as f64;
-            let t = starts[p] + fill * periods[p] + stages[p].block_latency();
+        for (&p, &fill) in prog.producers.iter().zip(&prog.producer_fill) {
+            let t = starts[p] + fill as f64 * periods[p] + stages[p].block_latency();
             start = start.max(t);
         }
         starts[i] = start;
@@ -676,67 +410,6 @@ mod tests {
         let (model, df, mut arch) = setup([2, 2], 2);
         arch.layers[0].components.adc = 0;
         assert_eq!(efficiency_or_zero(&model, &df, &arch), 0.0);
-    }
-
-    #[test]
-    fn cached_evaluation_is_bit_identical() {
-        let (model, df, arch) = setup([2, 2], 2);
-        let cache = LayerCostCache::new();
-        let plain = evaluate_analytic(&model, &df, &arch).unwrap();
-        let cold = evaluate_analytic_cached(&model, &df, &arch, &cache).unwrap();
-        assert_eq!(plain, cold);
-        // The warm pass serves both layers from the memo and still matches
-        // the uncached evaluation exactly.
-        let warm = evaluate_analytic_cached(&model, &df, &arch, &cache).unwrap();
-        assert_eq!(plain, warm);
-        let stats = cache.stats();
-        assert_eq!(stats.misses, 2);
-        assert_eq!(stats.hits, 2);
-    }
-
-    #[test]
-    fn layer_cache_recomputes_only_the_changed_layer() {
-        let (model, df, arch) = setup([2, 2], 2);
-        let cache = LayerCostCache::new();
-        evaluate_analytic_cached(&model, &df, &arch, &cache).unwrap();
-        let mut changed = arch.clone();
-        changed.layers[1].components.shift_add = 16;
-        let plain = evaluate_analytic(&model, &df, &changed).unwrap();
-        let cached = evaluate_analytic_cached(&model, &df, &changed, &cache).unwrap();
-        assert_eq!(plain, cached);
-        let stats = cache.stats();
-        // Layer 0 was reused; only layer 1's base costs were recomputed.
-        assert_eq!(stats.misses, 3);
-        assert_eq!(stats.hits, 1);
-    }
-
-    #[test]
-    fn layer_cache_capacity_zero_still_evaluates_correctly() {
-        let (model, df, arch) = setup([2, 2], 2);
-        let cache = LayerCostCache::with_capacity(0);
-        let a = evaluate_analytic_cached(&model, &df, &arch, &cache).unwrap();
-        let b = evaluate_analytic_cached(&model, &df, &arch, &cache).unwrap();
-        assert_eq!(a, b);
-        assert_eq!(cache.stats().hits, 0);
-        assert_eq!(cache.stats().misses, 4);
-    }
-
-    #[test]
-    fn entries_preload_round_trip_warm_starts() {
-        let (model, df, arch) = setup([2, 2], 2);
-        let cache = LayerCostCache::new();
-        let expect = evaluate_analytic_cached(&model, &df, &arch, &cache).unwrap();
-        let exported = cache.entries();
-        assert_eq!(exported.len(), 2);
-        let warm = LayerCostCache::new();
-        assert_eq!(warm.preload(exported), 2);
-        // Preloads are invisible in the stats; the first evaluation on the
-        // warmed cache is all hits and still bit-identical.
-        assert_eq!(warm.stats(), LayerCacheStats::default());
-        let r = evaluate_analytic_cached(&model, &df, &arch, &warm).unwrap();
-        assert_eq!(r, expect);
-        assert_eq!(warm.stats().hits, 2);
-        assert_eq!(warm.stats().misses, 0);
     }
 
     #[test]

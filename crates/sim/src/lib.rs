@@ -42,9 +42,8 @@ mod metrics;
 mod stages;
 
 pub use analytic::{
-    efficiency_or_zero, evaluate_analytic, evaluate_analytic_cached, solve_pipeline,
-    solve_pipeline_into, summarize_pipeline, AnalyticSummary, LayerCacheStats, LayerCostCache,
-    LayerCostKey, PipelineSolution,
+    efficiency_or_zero, evaluate_analytic, solve_pipeline, solve_pipeline_into, summarize_pipeline,
+    AnalyticSummary, PipelineSolution,
 };
 pub use engine::simulate;
 pub use error::SimError;

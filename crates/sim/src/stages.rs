@@ -78,9 +78,8 @@ impl LayerStages {
 ///
 /// These costs depend only on the layer's own hardware assignment (macro
 /// count, effective ADC bank, component counts) and its compiled program —
-/// not on the accelerator-wide NoC sizing — so candidate evaluators can
-/// memoize them per layer and recombine them across candidates that differ
-/// elsewhere (see [`crate::LayerCostCache`]).
+/// not on the accelerator-wide NoC sizing — so a delta evaluator can reuse a
+/// parent candidate's value for every layer whose assignment is unchanged.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LayerBaseCosts {
     /// Input-bit iterations per block.

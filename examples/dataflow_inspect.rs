@@ -37,12 +37,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     println!("\ninter-layer pipeline fill (Fig. 4 semantics):");
-    for consumer in 1..dataflow.programs().len() {
-        for &producer in &dataflow.program(consumer).producers.clone() {
-            println!(
-                "  layer {consumer} waits for {} block(s) of layer {producer}",
-                dataflow.fill_blocks(consumer, producer)
-            );
+    for (consumer, p) in dataflow.programs().iter().enumerate() {
+        for (&producer, &fill) in p.producers.iter().zip(&p.producer_fill) {
+            println!("  layer {consumer} waits for {fill} block(s) of layer {producer}");
         }
     }
 

@@ -183,19 +183,20 @@ fn evaluation_budget_is_honored() {
 fn time_budget_is_honored() {
     let engine = SynthesisEngine::new();
     let mut request = heavy_request();
-    request.options.time_budget = Some(Duration::from_millis(1500));
+    // The budget is a fraction of the full run (over a second even on a
+    // fast host), so the deadline always fires before the search ends.
+    request.options.time_budget = Some(Duration::from_millis(300));
     let started = Instant::now();
     let outcome = engine.run(&request, &NullSink, &CancelToken::new());
     let elapsed = started.elapsed();
-    // A full paper-effort vgg16-cifar run takes minutes; the deadline must
-    // cut that to roughly the budget (plus one cooperative-check interval).
+    // The deadline must cut the run to roughly the budget (plus one
+    // cooperative-check interval) and still return the best design so far.
     assert!(
         elapsed < Duration::from_secs(30),
         "deadline ignored: ran {elapsed:?}"
     );
-    if let Ok(result) = outcome {
-        assert_eq!(result.stop_reason, StopReason::DeadlineReached);
-    }
+    let result = outcome.expect("a deadline stop keeps the best design found");
+    assert_eq!(result.stop_reason, StopReason::DeadlineReached);
 }
 
 #[test]
