@@ -105,25 +105,20 @@ pub use events::{CallbackSink, ChannelSink, CollectingSink, EventSink, NullSink,
 pub use options::{Effort, SynthesisOptions};
 pub use request::SynthesisRequest;
 pub use service::{
-    encode_job_payload, event_to_json, parse_job_payload, serve, serve_in_background,
-    serve_registry, serve_registry_in_background, JobHandle, JobStatus, RegistrySnapshot,
-    RegistryWorker, SchedulingPolicy, ServeHandle, ServeOptions, ServiceClient, ServiceConfig,
-    ServiceError, ServiceSnapshot, SynthesisService, TenantCounts, TenantPolicy, WorkerRegistry,
-    DEFAULT_HEARTBEAT_INTERVAL, REGISTRY_PROTOCOL_VERSION, SERVICE_PROTOCOL_VERSION,
+    encode_job_payload, event_to_json, parse_job_payload, serve, serve_in_background, JobHandle,
+    JobStatus, SchedulingPolicy, ServeHandle, ServeOptions, ServiceClient, ServiceConfig,
+    ServiceError, ServiceSnapshot, SynthesisService, TenantCounts, TenantPolicy,
+    SERVICE_PROTOCOL_VERSION,
 };
 pub use summary::SynthesisSummary;
 pub use synthesis::{SynthesisResult, Synthesizer};
-pub use worker::{
-    run_worker, run_worker_stdio, run_worker_with, serve_workers, serve_workers_in_background,
-    stop_worker_server, FaultInjection, WorkerServeConfig, WorkerServeHandle,
-};
+pub use worker::{run_worker, run_worker_stdio};
 
 // Re-export the vocabulary types users need at the API boundary.
 pub use pimsyn_arch::{Architecture, MacroMode, Watts};
 pub use pimsyn_dse::{
-    parse_remote_roster, read_token_file, BackendKind, BackendStats, CancelToken, DesignPoint,
-    DesignSpace, EvalBackendConfig, EvalCacheConfig, EvaluatorStats, Objective,
-    RemoteEndpointStatus, RemoteFleetSnapshot, SharedEvalResources, StopReason, SynthesisStage,
-    WorkerDirectory, WtDupStrategy,
+    read_token_file, BackendKind, BackendStats, CancelToken, DesignPoint, DesignSpace,
+    EvalBackendConfig, EvalCacheConfig, EvaluatorStats, Objective, SharedEvalResources, StopReason,
+    SynthesisStage, WtDupStrategy,
 };
 pub use pimsyn_sim::SimReport;

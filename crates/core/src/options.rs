@@ -86,7 +86,7 @@ pub struct SynthesisOptions {
     /// [`SynthesisEvent::EvaluatorStats`](crate::SynthesisEvent::EvaluatorStats).
     pub eval_cache: EvalCacheConfig,
     /// Evaluation backend: where candidate scoring runs (inline by default,
-    /// a thread pool, or `pimsyn --worker` subprocesses) plus the optional
+    /// or `pimsyn --worker` subprocesses) plus the optional
     /// persistent cache file that warm-starts repeated runs. Every backend
     /// produces bit-identical results; only wall-clock differs.
     pub backend: EvalBackendConfig,
@@ -211,7 +211,7 @@ impl SynthesisOptions {
         self
     }
 
-    /// Selects the evaluation backend (inline, thread pool, subprocess).
+    /// Selects the evaluation backend (inline or subprocess).
     pub fn with_backend(mut self, kind: BackendKind) -> Self {
         self.backend.kind = kind;
         self
@@ -228,14 +228,6 @@ impl SynthesisOptions {
     /// the CLI defaults to its own binary).
     pub fn with_worker_command(mut self, path: impl Into<std::path::PathBuf>) -> Self {
         self.backend.worker_command = Some(path.into());
-        self
-    }
-
-    /// Sets the file holding the shared token
-    /// [`BackendKind::Remote`](pimsyn_dse::BackendKind::Remote) connections
-    /// authenticate with (`pimsyn worker-serve --auth-token-file`).
-    pub fn with_remote_token_file(mut self, path: impl Into<std::path::PathBuf>) -> Self {
-        self.backend.remote_token_file = Some(path.into());
         self
     }
 

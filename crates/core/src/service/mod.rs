@@ -49,16 +49,11 @@
 //! ```
 
 mod client;
-pub mod registry;
 mod sched;
 mod serve;
 mod wire;
 
 pub use client::ServiceClient;
-pub use registry::{
-    serve_registry, serve_registry_in_background, RegistrySnapshot, RegistryWorker, WorkerRegistry,
-    DEFAULT_HEARTBEAT_INTERVAL, REGISTRY_PROTOCOL_VERSION,
-};
 pub use sched::SchedulingPolicy;
 pub use serve::{serve, serve_in_background, ServeHandle, ServeOptions};
 pub use wire::{encode_job_payload, event_to_json, parse_job_payload, SERVICE_PROTOCOL_VERSION};

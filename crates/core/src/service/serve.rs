@@ -6,7 +6,7 @@
 //! `status` polls or new submits. A `shutdown` verb stops the loop (and the
 //! service) cleanly; a `drain` verb stops it *gracefully* — no new jobs,
 //! every accepted one finishes first. [`ServeOptions`] adds an optional
-//! shared-token authentication check (parity with `pimsyn worker-serve`).
+//! shared-token authentication check.
 //!
 //! Submitted jobs are tee'd into a per-job event log, so the `events` verb
 //! can replay a job's stream from the beginning at any time — including
@@ -192,6 +192,26 @@ where
     Ok(ServeHandle { addr, thread })
 }
 
+/// Self-connects to a listener to unblock its blocking accept loop after a
+/// stop flag was set. A wildcard bind address (`0.0.0.0` / `::`) is not
+/// connectable on every platform, so it is rewritten to the matching
+/// loopback address first.
+fn poke_listener(addr: SocketAddr) {
+    let mut target = addr;
+    if target.ip().is_unspecified() {
+        target.set_ip(match target {
+            SocketAddr::V4(_) => std::net::IpAddr::V4(std::net::Ipv4Addr::LOCALHOST),
+            SocketAddr::V6(_) => std::net::IpAddr::V6(std::net::Ipv6Addr::LOCALHOST),
+        });
+    }
+    if TcpStream::connect(target).is_err() {
+        eprintln!(
+            "pimsyn: cannot poke the listener on {addr} to finish shutdown; \
+             it will stop on its next accepted connection"
+        );
+    }
+}
+
 fn reply(stream: &mut TcpStream, line: &str) {
     let _ = writeln!(stream, "{line}");
     let _ = stream.flush();
@@ -242,9 +262,6 @@ fn handle_connection(shared: &Arc<ServerShared>, mut stream: TcpStream) {
                     logs.insert(id, log);
                     drop(logs);
                     shared.note(&format!("job {id} submitted"));
-                    if let Some(line) = fleet_summary(&shared.service) {
-                        shared.note(&line);
-                    }
                     reply(&mut stream, &wire::submit_reply(id));
                 }
                 Err(e @ ServiceError::QueueFull { .. }) => reply(
@@ -310,11 +327,8 @@ fn handle_connection(shared: &Arc<ServerShared>, mut stream: TcpStream) {
             // connections keep being served throughout the drain.
             shared.service.drain();
             shared.note("drained");
-            if let Some(line) = fleet_summary(&shared.service) {
-                shared.note(&line);
-            }
             shared.stop.store(true, Ordering::SeqCst);
-            crate::worker::poke_listener(shared.addr);
+            poke_listener(shared.addr);
         }
         wire::WireVerb::Shutdown => {
             shared.note("shutdown requested");
@@ -322,56 +336,9 @@ fn handle_connection(shared: &Arc<ServerShared>, mut stream: TcpStream) {
             shared.stop.store(true, Ordering::SeqCst);
             shared.service.shutdown();
             // Unblock the accept loop so `serve` can observe the stop flag.
-            crate::worker::poke_listener(shared.addr);
+            poke_listener(shared.addr);
         }
     }
-}
-
-/// One stderr line summarizing the daemon's remote worker fleet: endpoint
-/// count, live/idle persistent connections, lifetime dials, and the last
-/// negotiated protocol version per endpoint. `None` until a remote backend
-/// has materialized the shared pool (inline/threads/subprocess daemons stay
-/// silent — there is no fleet to summarize).
-fn fleet_summary(service: &SynthesisService) -> Option<String> {
-    let fleet = service.shared_resources().remote_fleet()?;
-    let mut line = format!(
-        "fleet: {} endpoints, {} live + {} idle connections, {} dials, {} requeued pieces",
-        fleet.endpoints.len(),
-        fleet.live_connections,
-        fleet.idle_connections,
-        fleet.connects,
-        fleet.requeued_pieces
-    );
-    for endpoint in &fleet.endpoints {
-        let proto = match endpoint.protocol {
-            0 => "v?".to_string(),
-            v => format!("v{v}"),
-        };
-        let origin = if endpoint.discovered {
-            "registry"
-        } else {
-            "static"
-        };
-        let timing = if endpoint.batches > 0 {
-            format!(
-                ", {} jobs in {} batches avg {:.1} ms",
-                endpoint.jobs,
-                endpoint.batches,
-                endpoint.batch_seconds / endpoint.batches as f64 * 1e3
-            )
-        } else {
-            String::new()
-        };
-        let rate = match endpoint.throughput {
-            Some(rate) => format!(", ~{rate:.0} cand/s"),
-            None => String::new(),
-        };
-        line.push_str(&format!(
-            "; {} [{origin} {proto}, {} live{timing}{rate}]",
-            endpoint.addr, endpoint.live
-        ));
-    }
-    Some(line)
 }
 
 /// Replays a job's event log from the start and follows it live until the

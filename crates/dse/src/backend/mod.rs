@@ -9,16 +9,10 @@
 //! scoring runs:
 //!
 //! - [`InlineBackend`] — on the calling thread (the default);
-//! - [`ThreadPoolBackend`] — across scoped worker threads with
-//!   deterministic input-order reduction;
 //! - [`SubprocessBackend`] — across a pool of `pimsyn --worker` child
 //!   processes speaking the versioned JSON-lines [`protocol`], with
 //!   per-worker failure isolation (a crashed worker is respawned and its
-//!   in-flight jobs recomputed inline);
-//! - [`RemoteBackend`] — across `pimsyn worker-serve` daemons on other
-//!   machines, speaking the same protocol over TCP with latency-aware
-//!   chunking and the same failure isolation (a dead daemon's chunks
-//!   recompute inline).
+//!   in-flight jobs recomputed inline).
 //!
 //! Scoring is a pure function of the candidate, so every backend produces
 //! bit-identical scores; only wall-clock and process placement differ. A
@@ -27,21 +21,15 @@
 
 mod inline;
 mod persist;
-mod planner;
 pub mod protocol;
-mod remote;
 mod session;
 mod shared;
 mod subprocess;
-mod threads;
 
 pub use inline::InlineBackend;
 pub use persist::{CacheSnapshot, PersistentEvalCache, EVAL_CACHE_SCHEMA};
-pub use planner::{ChunkPlanner, ChunkPolicy, MIN_JOBS_PER_CHUNK};
-pub use remote::{RemoteBackend, RemoteEndpointStatus, RemoteFleetSnapshot, RemotePool};
 pub use shared::SharedEvalResources;
 pub use subprocess::{SubprocessBackend, WorkerPool};
-pub use threads::ThreadPoolBackend;
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -71,13 +59,11 @@ pub struct BackendStats {
     pub batches: usize,
     /// Jobs scored (across all batches).
     pub jobs: usize,
-    /// Jobs scored by out-of-process workers (subprocess children or
-    /// remote daemons).
+    /// Jobs scored by out-of-process workers (subprocess children).
     pub remote_jobs: usize,
     /// Jobs recomputed inline after a worker failure.
     pub fallback_jobs: usize,
-    /// Worker processes spawned (subprocess) or connections opened
-    /// (remote).
+    /// Worker processes spawned.
     pub worker_spawns: usize,
 }
 
@@ -93,51 +79,6 @@ pub type StopCheck<'a> = &'a (dyn Fn() -> bool + Sync);
 /// context).
 pub const NEVER_STOP: StopCheck<'static> = &|| false;
 
-/// A dynamic source of remote worker endpoints (`host:port` each).
-///
-/// Implemented by the serve/gateway worker registry: `pimsyn worker-serve
-/// --announce` daemons register themselves and heartbeat liveness, and the
-/// registry's roster — queried by the [`RemotePool`] before every batch —
-/// reflects joins, drains and evictions. The roster is advisory: an
-/// endpoint listed here may still be unreachable (the usual remote failure
-/// isolation applies), and endpoints configured statically are used whether
-/// or not a directory lists them.
-pub trait WorkerDirectory: Send + Sync + std::fmt::Debug {
-    /// The endpoints currently believed alive, `host:port` each.
-    fn roster(&self) -> Vec<String>;
-
-    /// The roster with scheduling hints attached. The default adapts
-    /// [`roster`](Self::roster) for directories that predate hints: one
-    /// session per endpoint, and epoch `0` — "unknown", which the pool
-    /// treats as "never reset on epoch comparison".
-    fn entries(&self) -> Vec<DirectoryEntry> {
-        self.roster()
-            .into_iter()
-            .map(|addr| DirectoryEntry {
-                addr,
-                slots: 1,
-                epoch: 0,
-            })
-            .collect()
-    }
-}
-
-/// One [`WorkerDirectory`] roster row: where to dial, how many concurrent
-/// sessions the worker's registration advertised, and the registration
-/// *epoch* — a counter the registry bumps every time the address is
-/// freshly (re-)announced after leaving, so the pool can detect a worker
-/// restart that happened entirely between two roster refreshes and drop
-/// its stale throughput estimate.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DirectoryEntry {
-    /// Dialable `host:port`.
-    pub addr: String,
-    /// Advertised concurrent-session capacity (≥ 1 once sanitized).
-    pub slots: usize,
-    /// Registration generation; `0` means the directory doesn't track one.
-    pub epoch: u64,
-}
-
 /// Where candidate scoring runs.
 ///
 /// Implementations must be deterministic: scoring is a pure function of the
@@ -147,8 +88,7 @@ pub struct DirectoryEntry {
 /// between jobs (or at least between chunks) so cancellation stays prompt
 /// even inside a large batch.
 pub trait EvalBackend: Send + Sync + std::fmt::Debug {
-    /// Short identifier (`"inline"`, `"threads"`, `"subprocess"`,
-    /// `"remote"`).
+    /// Short identifier (`"inline"`, `"subprocess"`).
     fn name(&self) -> &'static str;
 
     /// Scores `jobs`, returning one score per job in input order; jobs
@@ -208,62 +148,19 @@ pub enum BackendKind {
     /// Score on the calling thread (the default).
     #[default]
     Inline,
-    /// Score batches across scoped threads; `workers == 0` means one per
-    /// available core.
-    ThreadPool {
-        /// Worker-thread count (0 = auto).
-        workers: usize,
-    },
     /// Score batches across `pimsyn --worker` child processes; `workers ==
     /// 0` means one per available core.
     Subprocess {
         /// Worker-process count (0 = auto).
         workers: usize,
     },
-    /// Score batches across `pimsyn worker-serve` daemons over TCP.
-    Remote {
-        /// The worker-daemon roster, `host:port` each (validated by
-        /// [`parse_remote_roster`]).
-        endpoints: Vec<String>,
-    },
-}
-
-/// Resolves `addr` and dials every resolved address in turn, each with a
-/// bounded connect timeout — like `TcpStream::connect` (a dual-stack host
-/// often lists `::1` before `127.0.0.1`), but never blocking for the OS
-/// default TCP timeout on a dead host. Shared by the remote backend and
-/// the `worker-stop` client.
-///
-/// # Errors
-///
-/// A human-readable message for resolution failures, an empty resolution,
-/// or the last connect failure.
-pub fn dial_bounded(
-    addr: &str,
-    timeout: std::time::Duration,
-) -> Result<std::net::TcpStream, String> {
-    use std::net::ToSocketAddrs;
-    let mut last_err: Option<std::io::Error> = None;
-    for sockaddr in addr
-        .to_socket_addrs()
-        .map_err(|e| format!("cannot resolve {addr}: {e}"))?
-    {
-        match std::net::TcpStream::connect_timeout(&sockaddr, timeout) {
-            Ok(stream) => return Ok(stream),
-            Err(e) => last_err = Some(e),
-        }
-    }
-    Err(match last_err {
-        Some(e) => format!("cannot connect to {addr}: {e}"),
-        None => format!("{addr} resolves to no address"),
-    })
 }
 
 /// Reads a shared-auth-token file, trimming surrounding whitespace (the
 /// trailing newline every editor appends would otherwise corrupt the
-/// JSON-lines handshake frame). The single reader for every surface that
-/// takes a token file — `RemoteBackend`, `worker-serve`, `worker-stop` —
-/// so token normalization can never diverge between them.
+/// JSON-lines request). The single reader for every surface that takes a
+/// token file — `pimsyn serve` and its clients — so token normalization
+/// can never diverge between them.
 ///
 /// # Errors
 ///
@@ -274,49 +171,12 @@ pub fn read_token_file(path: &std::path::Path) -> Result<String, String> {
         .map_err(|e| format!("cannot read token file {}: {e}", path.display()))
 }
 
-/// Validates a remote worker roster: a non-empty, duplicate-free,
-/// comma-separated list of `host:port` endpoints.
-///
-/// # Errors
-///
-/// A human-readable message naming the offending endpoint.
-pub fn parse_remote_roster(spec: &str) -> Result<Vec<String>, String> {
-    let mut endpoints: Vec<String> = Vec::new();
-    for raw in spec.split(',') {
-        let endpoint = raw.trim();
-        if endpoint.is_empty() {
-            return Err("remote roster contains an empty endpoint".to_string());
-        }
-        let (host, port) = endpoint
-            .rsplit_once(':')
-            .ok_or_else(|| format!("remote endpoint `{endpoint}` must be host:port"))?;
-        if host.is_empty() {
-            return Err(format!("remote endpoint `{endpoint}` lacks a host"));
-        }
-        match port.parse::<u16>() {
-            Ok(p) if p > 0 => {}
-            _ => {
-                return Err(format!(
-                    "remote endpoint `{endpoint}` has an invalid port `{port}`"
-                ))
-            }
-        }
-        if endpoints.iter().any(|e| e == endpoint) {
-            return Err(format!("duplicate remote endpoint `{endpoint}`"));
-        }
-        endpoints.push(endpoint.to_string());
-    }
-    Ok(endpoints)
-}
-
 impl BackendKind {
-    /// Parses the CLI spelling: `inline`, `threads[:N]`, `subprocess[:N]`,
-    /// or `remote:host:port[,host:port...]`.
+    /// Parses the CLI spelling: `inline` or `subprocess[:N]`.
     ///
     /// # Errors
     ///
-    /// A human-readable message for unknown names, malformed counts, or an
-    /// invalid remote roster.
+    /// A human-readable message for unknown names or malformed counts.
     pub fn parse(s: &str) -> Result<Self, String> {
         let (name, arg) = match s.split_once(':') {
             Some((n, a)) => (n, Some(a)),
@@ -336,24 +196,11 @@ impl BackendKind {
                 None => Ok(BackendKind::Inline),
                 Some(_) => Err("`inline` takes no worker count".to_string()),
             },
-            "threads" => Ok(BackendKind::ThreadPool {
-                workers: count(arg)?,
-            }),
             "subprocess" => Ok(BackendKind::Subprocess {
                 workers: count(arg)?,
             }),
-            "remote" => match arg {
-                Some(spec) => Ok(BackendKind::Remote {
-                    endpoints: parse_remote_roster(spec)?,
-                }),
-                None => Err(
-                    "`remote` requires a worker roster: remote:host:port[,host:port...]"
-                        .to_string(),
-                ),
-            },
             other => Err(format!(
-                "unknown backend `{other}` (expected inline, threads[:N], subprocess[:N] or \
-                 remote:host:port[,...])"
+                "unknown backend `{other}` (expected inline or subprocess[:N])"
             )),
         }
     }
@@ -363,11 +210,8 @@ impl std::fmt::Display for BackendKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             BackendKind::Inline => write!(f, "inline"),
-            BackendKind::ThreadPool { workers: 0 } => write!(f, "threads"),
-            BackendKind::ThreadPool { workers } => write!(f, "threads:{workers}"),
             BackendKind::Subprocess { workers: 0 } => write!(f, "subprocess"),
             BackendKind::Subprocess { workers } => write!(f, "subprocess:{workers}"),
-            BackendKind::Remote { endpoints } => write!(f, "remote:{}", endpoints.join(",")),
         }
     }
 }
@@ -392,13 +236,6 @@ pub struct EvalBackendConfig {
     /// (default: the current executable, which is the `pimsyn` CLI when
     /// launched from it). Tests point this at a built `pimsyn` binary.
     pub worker_command: Option<PathBuf>,
-    /// File holding the shared auth token [`BackendKind::Remote`] presents
-    /// to `pimsyn worker-serve` daemons started with `--auth-token-file`
-    /// (whitespace-trimmed; `None` connects unauthenticated). An
-    /// unreadable file degrades to an unauthenticated connection with one
-    /// stderr warning — like every other remote failure, scoring falls
-    /// back inline and results are unaffected.
-    pub remote_token_file: Option<PathBuf>,
     /// Resources shared across runs: one subprocess worker pool (leased and
     /// re-sessioned per run instead of spawned per run) and one in-memory
     /// evaluation-cache snapshot store. Sharing is transparent — outcomes
@@ -416,7 +253,6 @@ impl PartialEq for EvalBackendConfig {
             && self.cache_file == other.cache_file
             && self.cache_max_entries == other.cache_max_entries
             && self.worker_command == other.worker_command
-            && self.remote_token_file == other.remote_token_file
             && match (&self.shared, &other.shared) {
                 (None, None) => true,
                 (Some(a), Some(b)) => Arc::ptr_eq(a, b),
@@ -461,14 +297,6 @@ impl EvalBackendConfig {
         self
     }
 
-    /// Sets the file holding the shared token remote connections
-    /// authenticate with.
-    #[must_use]
-    pub fn with_remote_token_file(mut self, path: impl Into<PathBuf>) -> Self {
-        self.remote_token_file = Some(path.into());
-        self
-    }
-
     /// Attaches cross-run shared resources (worker pool, snapshot store).
     #[must_use]
     pub fn with_shared_resources(mut self, shared: Arc<SharedEvalResources>) -> Self {
@@ -482,7 +310,6 @@ impl EvalBackendConfig {
     pub fn build(&self) -> Box<dyn EvalBackend> {
         match &self.kind {
             BackendKind::Inline => Box::new(InlineBackend::default()),
-            BackendKind::ThreadPool { workers } => Box::new(ThreadPoolBackend::new(*workers)),
             BackendKind::Subprocess { workers } => match &self.shared {
                 Some(shared) => Box::new(SubprocessBackend::with_pool(
                     *workers,
@@ -493,24 +320,6 @@ impl EvalBackendConfig {
                     self.worker_command.clone(),
                 )),
             },
-            BackendKind::Remote { endpoints } => {
-                let token = self
-                    .remote_token_file
-                    .as_ref()
-                    .and_then(|path| match read_token_file(path) {
-                        Ok(token) => Some(token),
-                        Err(e) => {
-                            eprintln!("pimsyn: {e}; connecting without a token");
-                            None
-                        }
-                    });
-                match &self.shared {
-                    Some(shared) => Box::new(RemoteBackend::with_pool(
-                        shared.remote_pool(endpoints, token),
-                    )),
-                    None => Box::new(RemoteBackend::new(endpoints.clone(), token)),
-                }
-            }
         }
     }
 }
@@ -523,12 +332,8 @@ mod tests {
     fn backend_kind_parses_cli_spellings() {
         assert_eq!(BackendKind::parse("inline").unwrap(), BackendKind::Inline);
         assert_eq!(
-            BackendKind::parse("threads").unwrap(),
-            BackendKind::ThreadPool { workers: 0 }
-        );
-        assert_eq!(
-            BackendKind::parse("threads:3").unwrap(),
-            BackendKind::ThreadPool { workers: 3 }
+            BackendKind::parse("subprocess").unwrap(),
+            BackendKind::Subprocess { workers: 0 }
         );
         assert_eq!(
             BackendKind::parse("subprocess:2").unwrap(),
@@ -538,62 +343,15 @@ mod tests {
         assert!(BackendKind::parse("subprocess:0").is_err());
         assert!(BackendKind::parse("subprocess:x").is_err());
         assert!(BackendKind::parse("gpu").is_err());
-    }
-
-    #[test]
-    fn remote_rosters_parse() {
-        assert_eq!(
-            BackendKind::parse("remote:127.0.0.1:7801").unwrap(),
-            BackendKind::Remote {
-                endpoints: vec!["127.0.0.1:7801".to_string()]
-            }
-        );
-        assert_eq!(
-            BackendKind::parse("remote:alpha:1,beta:2").unwrap(),
-            BackendKind::Remote {
-                endpoints: vec!["alpha:1".to_string(), "beta:2".to_string()]
-            }
-        );
-        // Whitespace around endpoints is tolerated.
-        assert_eq!(
-            parse_remote_roster("a:1, b:2").unwrap(),
-            vec!["a:1".to_string(), "b:2".to_string()]
-        );
-    }
-
-    #[test]
-    fn bad_remote_rosters_are_rejected() {
-        for (spec, needle) in [
-            ("remote", "roster"),                  // no roster at all
-            ("remote:", "empty endpoint"),         // empty roster
-            ("remote:a:1,,b:2", "empty endpoint"), // empty entry
-            ("remote:justahost", "host:port"),     // no port
-            ("remote::7801", "lacks a host"),      // no host
-            ("remote:h:0", "invalid port"),        // port 0 is not dialable
-            ("remote:h:x", "invalid port"),        // non-numeric port
-            ("remote:h:70000", "invalid port"),    // beyond u16
-            ("remote:h:1,h:1", "duplicate"),       // duplicate endpoint
-        ] {
-            let err = BackendKind::parse(spec).unwrap_err();
-            assert!(err.contains(needle), "`{spec}` -> `{err}`");
-        }
-    }
-
-    #[test]
-    fn remote_display_round_trips() {
-        for spec in ["remote:127.0.0.1:7801", "remote:a:1,b:2,c:3"] {
-            let kind = BackendKind::parse(spec).unwrap();
-            assert_eq!(kind.to_string(), spec);
-            assert_eq!(BackendKind::parse(&kind.to_string()).unwrap(), kind);
-        }
+        assert!(BackendKind::parse("threads:2").is_err());
+        assert!(BackendKind::parse("remote:127.0.0.1:7801").is_err());
     }
 
     #[test]
     fn backend_kind_displays_round_trip() {
         for kind in [
             BackendKind::Inline,
-            BackendKind::ThreadPool { workers: 0 },
-            BackendKind::ThreadPool { workers: 4 },
+            BackendKind::Subprocess { workers: 0 },
             BackendKind::Subprocess { workers: 2 },
         ] {
             assert_eq!(BackendKind::parse(&kind.to_string()).unwrap(), kind);
@@ -603,12 +361,6 @@ mod tests {
     #[test]
     fn config_builds_the_configured_backend() {
         assert_eq!(EvalBackendConfig::inline().build().name(), "inline");
-        assert_eq!(
-            EvalBackendConfig::new(BackendKind::ThreadPool { workers: 2 })
-                .build()
-                .name(),
-            "threads"
-        );
         assert_eq!(
             EvalBackendConfig::new(BackendKind::Subprocess { workers: 1 })
                 .build()

@@ -28,8 +28,7 @@
 //! two. Version 2 replaces the per-candidate JSON score lines with
 //! length-prefixed binary frames carrying whole batches — see
 //! [`write_frame`]/[`read_frame`] and the `encode_*`/`decode_*` codecs.
-//! Everything else (init/ready, the TCP hello/welcome handshake) stays
-//! JSON lines in every version.
+//! Everything else (init/ready) stays JSON lines in every version.
 //!
 //! [`SubprocessBackend`]: super::SubprocessBackend
 
@@ -368,7 +367,7 @@ pub fn parse_ready_version(line: &str) -> Result<u32, String> {
     Ok(peer_max.clamp(PROTOCOL_VERSION, PROTOCOL_VERSION_MAX))
 }
 
-/// The highest protocol version a received init/ready/hello line
+/// The highest protocol version a received init/ready line
 /// advertises: its `max` field, or [`PROTOCOL_VERSION`] when absent (a v1
 /// peer). Tolerant by design — never fails, so it can be read off any
 /// already-validated line.
@@ -630,189 +629,6 @@ pub fn decode_error_frame(payload: &[u8]) -> String {
     String::from_utf8_lossy(payload).into_owned()
 }
 
-/// The transport-handshake frames of the *TCP* flavor of this protocol.
-///
-/// Over stdio (the [`SubprocessBackend`](super::SubprocessBackend)) the two
-/// endpoints trust each other by construction — the parent spawned the
-/// child. Over TCP (`pimsyn worker-serve` ↔
-/// [`RemoteBackend`](super::RemoteBackend)) the dialing side must first
-/// prove it speaks the same protocol version and, when the daemon was
-/// started with an auth token, that it knows the shared secret. One
-/// handshake exchange opens each connection, *before* the stock
-/// init/ready/score session:
-///
-/// ```text
-/// > {"type":"hello","pimsyn_worker":1}                  (or +"token":"…")
-/// < {"type":"welcome","pimsyn_worker":1,"slots":4}
-/// ... stock worker session (init / ready / score) ...
-/// ```
-///
-/// A rejected handshake — version mismatch, bad or missing token, all
-/// slots busy — is answered with an [`error_line`] and the connection is
-/// closed; the dialing backend degrades to inline scoring. A `stop` frame
-/// in place of `hello` asks the daemon to shut down (same token rule),
-/// acknowledged by a `bye` frame.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TcpHandshake {
-    /// Open a worker session on this connection.
-    Hello {
-        /// Shared secret; must match the daemon's token when it has one.
-        token: Option<String>,
-    },
-    /// Ask the daemon to stop accepting connections and exit.
-    Stop {
-        /// Shared secret; same rule as for `hello`.
-        token: Option<String>,
-    },
-}
-
-fn handshake_line(kind: &str, token: Option<&str>) -> String {
-    let mut fields = vec![
-        ("type".to_string(), JsonValue::String(kind.to_string())),
-        (
-            "pimsyn_worker".into(),
-            JsonValue::Number(PROTOCOL_VERSION as f64),
-        ),
-    ];
-    if let Some(token) = token {
-        fields.push(("token".into(), JsonValue::String(token.to_string())));
-    }
-    JsonValue::Object(fields).to_string()
-}
-
-/// The connection-opening `hello` frame of the TCP transport.
-pub fn hello_line(token: Option<&str>) -> String {
-    handshake_line("hello", token)
-}
-
-/// The daemon-shutdown `stop` frame of the TCP transport.
-pub fn stop_line(token: Option<&str>) -> String {
-    handshake_line("stop", token)
-}
-
-/// Parses the first line of a TCP worker connection, enforcing the
-/// protocol version.
-///
-/// # Errors
-///
-/// A human-readable message (suitable for an [`error_line`] reply) for
-/// malformed JSON, unknown frame types, or a version mismatch.
-pub fn parse_handshake(line: &str) -> Result<TcpHandshake, String> {
-    let doc = JsonValue::parse(line).map_err(|e| format!("malformed handshake: {e}"))?;
-    let kind = match doc.get("type").and_then(JsonValue::as_str) {
-        Some(kind @ ("hello" | "stop")) => kind,
-        Some(other) => return Err(format!("expected a hello or stop handshake, got `{other}`")),
-        None => return Err("missing handshake `type`".to_string()),
-    };
-    match doc.get("pimsyn_worker").and_then(JsonValue::as_usize) {
-        Some(v) if v == PROTOCOL_VERSION as usize => {}
-        Some(v) => {
-            return Err(format!(
-                "protocol version mismatch: peer speaks {v}, this build speaks {PROTOCOL_VERSION}"
-            ))
-        }
-        None => return Err("handshake lacks a `pimsyn_worker` version".to_string()),
-    }
-    let token = doc
-        .get("token")
-        .and_then(JsonValue::as_str)
-        .map(str::to_string);
-    Ok(match kind {
-        "hello" => TcpHandshake::Hello { token },
-        _ => TcpHandshake::Stop { token },
-    })
-}
-
-/// The daemon's `welcome` acknowledgment of an accepted `hello`,
-/// advertising how many sessions remain available to the dialing peer at
-/// handshake time (including the one just opened) — a shared daemon
-/// throttles each client to what actually remains.
-pub fn welcome_line(slots: usize) -> String {
-    JsonValue::Object(vec![
-        ("type".into(), JsonValue::String("welcome".into())),
-        (
-            "pimsyn_worker".into(),
-            JsonValue::Number(PROTOCOL_VERSION as f64),
-        ),
-        ("slots".into(), JsonValue::Number(slots as f64)),
-    ])
-    .to_string()
-}
-
-/// Checks a received `welcome` line and returns the advertised slot count.
-///
-/// # Errors
-///
-/// A human-readable message for malformed or mismatched lines; an `error`
-/// frame's detail (e.g. an authentication failure) is surfaced as the
-/// message.
-pub fn parse_welcome(line: &str) -> Result<usize, String> {
-    let doc = JsonValue::parse(line).map_err(|e| format!("malformed welcome line: {e}"))?;
-    match doc.get("type").and_then(JsonValue::as_str) {
-        Some("welcome") => {}
-        Some("error") => {
-            let detail = doc
-                .get("detail")
-                .and_then(JsonValue::as_str)
-                .unwrap_or("unspecified");
-            return Err(format!("worker daemon rejected the connection: {detail}"));
-        }
-        _ => return Err(format!("expected a welcome line, got: {line}")),
-    }
-    match doc.get("pimsyn_worker").and_then(JsonValue::as_usize) {
-        Some(v) if v == PROTOCOL_VERSION as usize => {}
-        Some(v) => {
-            return Err(format!(
-                "protocol version mismatch: daemon speaks {v}, this build speaks {PROTOCOL_VERSION}"
-            ))
-        }
-        None => return Err("welcome line lacks a version".to_string()),
-    }
-    Ok(field_usize(&doc, "slots")?.max(1))
-}
-
-/// The daemon's acknowledgment of a `stop` frame, sent just before it
-/// exits.
-pub fn bye_line() -> String {
-    JsonValue::Object(vec![
-        ("type".into(), JsonValue::String("bye".into())),
-        (
-            "pimsyn_worker".into(),
-            JsonValue::Number(PROTOCOL_VERSION as f64),
-        ),
-    ])
-    .to_string()
-}
-
-/// Checks a received `bye` acknowledgment.
-///
-/// # Errors
-///
-/// A human-readable message for anything that is not a `bye` frame (an
-/// `error` frame's detail is surfaced as the message).
-pub fn parse_bye(line: &str) -> Result<(), String> {
-    let doc = JsonValue::parse(line).map_err(|e| format!("malformed bye line: {e}"))?;
-    match doc.get("type").and_then(JsonValue::as_str) {
-        Some("bye") => Ok(()),
-        Some("error") => {
-            let detail = doc
-                .get("detail")
-                .and_then(JsonValue::as_str)
-                .unwrap_or("unspecified");
-            Err(format!("worker daemon refused to stop: {detail}"))
-        }
-        _ => Err(format!("expected a bye line, got: {line}")),
-    }
-}
-
-/// The normative prefix of the `error` detail a worker daemon answers a
-/// `hello` with when every session slot is taken. Dialing backends
-/// classify this as a *polite decline* — the daemon is healthy, just
-/// fully subscribed — and neither warn nor back off; any other `error` is
-/// a real failure. Shared between the daemon reply and the classifier so
-/// a rewording cannot silently break the classification.
-pub const NO_FREE_SLOTS: &str = "no free worker slots";
-
 /// An error report from the worker (also usable before exiting).
 pub fn error_line(detail: &str) -> String {
     JsonValue::Object(vec![
@@ -935,45 +751,6 @@ mod tests {
         assert!(err.contains("version mismatch"), "{err}");
         assert!(parse_ready(r#"{"type":"ready","pimsyn_worker":2}"#).is_err());
         assert!(parse_ready(&ready_line()).is_ok());
-    }
-
-    #[test]
-    fn tcp_handshake_frames_round_trip() {
-        assert_eq!(
-            parse_handshake(&hello_line(None)).unwrap(),
-            TcpHandshake::Hello { token: None }
-        );
-        assert_eq!(
-            parse_handshake(&hello_line(Some("s3cret"))).unwrap(),
-            TcpHandshake::Hello {
-                token: Some("s3cret".to_string())
-            }
-        );
-        assert_eq!(
-            parse_handshake(&stop_line(Some("s3cret"))).unwrap(),
-            TcpHandshake::Stop {
-                token: Some("s3cret".to_string())
-            }
-        );
-        assert_eq!(parse_welcome(&welcome_line(4)).unwrap(), 4);
-        assert_eq!(parse_welcome(&welcome_line(0)).unwrap(), 1, "slots >= 1");
-        assert!(parse_bye(&bye_line()).is_ok());
-    }
-
-    #[test]
-    fn tcp_handshake_rejects_mismatches_and_garbage() {
-        let err = parse_handshake(r#"{"type":"hello","pimsyn_worker":9}"#).unwrap_err();
-        assert!(err.contains("version mismatch"), "{err}");
-        assert!(parse_handshake(r#"{"type":"hello"}"#).is_err());
-        assert!(parse_handshake(r#"{"type":"init","pimsyn_worker":1}"#).is_err());
-        assert!(parse_handshake("not json").is_err());
-        let err = parse_welcome(r#"{"type":"welcome","pimsyn_worker":9,"slots":1}"#).unwrap_err();
-        assert!(err.contains("version mismatch"), "{err}");
-        // Error frames surface their detail through both reply parsers.
-        let err = parse_welcome(&error_line("authentication failed")).unwrap_err();
-        assert!(err.contains("authentication failed"), "{err}");
-        let err = parse_bye(&error_line("authentication failed")).unwrap_err();
-        assert!(err.contains("authentication failed"), "{err}");
     }
 
     #[test]

@@ -1,32 +1,26 @@
-//! Transport-agnostic worker-session machinery shared by the
-//! [`SubprocessBackend`](super::SubprocessBackend) (stdio pipes) and the
-//! [`RemoteBackend`](super::RemoteBackend) (TCP sockets).
+//! Worker-session machinery of the
+//! [`SubprocessBackend`](super::SubprocessBackend), above the stdio pipes.
 //!
-//! Both backends drive the same versioned JSON-lines
-//! [`protocol`](super::protocol) against the same server loop
-//! (`run_worker` in the `pimsyn` crate); only the byte transport differs.
-//! This module holds everything above the transport: building the
-//! session-opening init line from an [`EvalCore`], the init → `ready`
-//! exchange that (re-)opens a session, and the write-requests /
-//! read-responses loop that scores one chunk. Timeout handling stays with
-//! the caller — pipes need a helper thread, sockets use
-//! `set_read_timeout` — which is why these helpers take plain
-//! `Write`/`BufRead` endpoints.
+//! The backend drives the versioned JSON-lines
+//! [`protocol`](super::protocol) against the server loop (`run_worker` in
+//! the `pimsyn` crate). This module holds everything above the transport:
+//! building the session-opening init line from an [`EvalCore`] and the
+//! write-requests / read-responses loop that scores one chunk. Timeout
+//! handling stays with the caller (pipes need a helper thread), which is
+//! why these helpers take plain `Write`/`BufRead` endpoints.
 
 use std::io::{BufRead, Write};
 
 use crate::eval::{CandidateScore, EvalCore};
 
 use super::protocol::{
-    decode_error_frame, decode_score_reply, encode_score_batch, parse_ready_version, read_frame,
-    write_frame, BatchItem, ScoreRequest, ScoreResponse, WorkerInit, FRAME_ERROR,
-    FRAME_SCORE_BATCH, FRAME_SCORE_REPLY,
+    decode_error_frame, decode_score_reply, encode_score_batch, read_frame, write_frame, BatchItem,
+    ScoreRequest, ScoreResponse, WorkerInit, FRAME_ERROR, FRAME_SCORE_BATCH, FRAME_SCORE_REPLY,
 };
 use super::EvalJob;
 
 /// Which framing a negotiated session speaks for score exchanges.
-/// Init/ready (and the TCP hello/welcome handshake) are JSON lines in
-/// both.
+/// Init/ready are JSON lines in both.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum WireMode {
     /// Protocol v1: one JSON line per request and per response.
@@ -44,14 +38,6 @@ impl WireMode {
             WireMode::V1
         }
     }
-
-    /// The numeric protocol version of this mode.
-    pub(crate) fn version(self) -> u32 {
-        match self {
-            WireMode::V1 => 1,
-            WireMode::V2 => 2,
-        }
-    }
 }
 
 /// The session-opening init line fixing one run's model, hardware, power,
@@ -65,29 +51,6 @@ pub(crate) fn init_line_for(core: &EvalCore<'_>) -> String {
         objective: core.objective(),
     }
     .to_line()
-}
-
-/// Opens (or re-opens) a run session over an established transport: writes
-/// the init line and reads the matching `ready` acknowledgment, returning
-/// the [`WireMode`] the worker negotiated (v1 workers answer a plain ready
-/// and the session stays on JSON lines). The caller guards against a peer
-/// that never answers (helper thread for pipes, socket read timeout for
-/// TCP).
-pub(crate) fn open_session_io(
-    writer: &mut dyn Write,
-    reader: &mut dyn BufRead,
-    init_line: &str,
-) -> Result<WireMode, String> {
-    writeln!(writer, "{init_line}").map_err(|e| format!("session write failed: {e}"))?;
-    writer
-        .flush()
-        .map_err(|e| format!("session flush failed: {e}"))?;
-    let mut line = String::new();
-    match reader.read_line(&mut line) {
-        Ok(n) if n > 0 => parse_ready_version(line.trim()).map(WireMode::for_version),
-        Ok(_) => Err("worker closed the stream before acknowledging init".to_string()),
-        Err(e) => Err(format!("session read failed: {e}")),
-    }
 }
 
 /// Scores one chunk over an open session using whichever framing the

@@ -30,9 +30,7 @@
 use std::sync::{Arc, Mutex};
 
 use super::persist::CacheSnapshot;
-use super::remote::{RemoteFleetSnapshot, RemotePool};
 use super::subprocess::WorkerPool;
-use super::WorkerDirectory;
 
 /// In-memory snapshots retained per shared handle; mirrors the cache file's
 /// own bound so the two stay roughly in step.
@@ -46,19 +44,12 @@ const MAX_SNAPSHOTS: usize = super::persist::PersistentEvalCache::MAX_RUNS;
 /// attach it via
 /// [`EvalBackendConfig::with_shared_resources`](super::EvalBackendConfig::with_shared_resources);
 /// `sweep_power` and the `SynthesisService` do this automatically.
+#[derive(Default)]
 pub struct SharedEvalResources {
     /// Created on first use, with the first caller's worker count and
     /// command; later callers lease from the same pool regardless of their
     /// own configuration (the pool's cap governs globally).
     pool: Mutex<Option<Arc<WorkerPool>>>,
-    /// Created on first remote-backend use, with the first caller's auth
-    /// token; later callers *merge* their static endpoints into the shared
-    /// roster, so the fleet only ever widens. Holds worker TCP connections
-    /// open across jobs.
-    remote: Mutex<Option<Arc<RemotePool>>>,
-    /// The dynamic-roster hook (the serve/gateway worker registry),
-    /// attached to the remote pool at creation (either order works).
-    directory: Mutex<Option<Arc<dyn WorkerDirectory>>>,
     /// Most-recent evaluation-cache snapshot per run fingerprint,
     /// insertion-ordered so the oldest evicts first.
     snapshots: Mutex<Vec<(String, Arc<CacheSnapshot>)>>,
@@ -72,17 +63,6 @@ impl std::fmt::Debug for SharedEvalResources {
             .field("pool", &pool.as_deref())
             .field("snapshots", &snapshots.len())
             .finish()
-    }
-}
-
-impl Default for SharedEvalResources {
-    fn default() -> Self {
-        Self {
-            pool: Mutex::new(None),
-            remote: Mutex::new(None),
-            directory: Mutex::new(None),
-            snapshots: Mutex::new(Vec::new()),
-        }
     }
 }
 
@@ -122,53 +102,6 @@ impl SharedEvalResources {
             .expect("shared pool")
             .as_ref()
             .map_or(0, |p| p.live_workers())
-    }
-
-    /// The shared remote connection pool, created on first call (that
-    /// caller's auth `token` sticks for the pool's lifetime). Every
-    /// caller's static `endpoints` are merged into the roster, and any
-    /// worker directory attached via
-    /// [`set_worker_directory`](Self::set_worker_directory) — before or
-    /// after this call — feeds it dynamically.
-    pub(crate) fn remote_pool(
-        &self,
-        endpoints: &[String],
-        token: Option<String>,
-    ) -> Arc<RemotePool> {
-        let mut slot = self.remote.lock().expect("shared remote pool");
-        let pool = slot
-            .get_or_insert_with(|| {
-                let pool = RemotePool::new(Vec::new(), token);
-                if let Some(directory) = self.directory.lock().expect("shared directory").clone() {
-                    pool.set_directory(directory);
-                }
-                pool
-            })
-            .clone();
-        pool.add_static(endpoints);
-        pool
-    }
-
-    /// Attaches a dynamic endpoint source (the serve/gateway worker
-    /// registry) feeding the shared remote pool. Safe to call before any
-    /// remote-backend run (the hook is replayed onto the pool when it is
-    /// created) or after (the live pool picks it up immediately); calling
-    /// again replaces the hook.
-    pub fn set_worker_directory(&self, directory: Arc<dyn WorkerDirectory>) {
-        *self.directory.lock().expect("shared directory") = Some(Arc::clone(&directory));
-        if let Some(pool) = self.remote.lock().expect("shared remote pool").as_ref() {
-            pool.set_directory(directory);
-        }
-    }
-
-    /// A point-in-time view of the shared remote fleet: `None` before any
-    /// remote-backend run creates the pool.
-    pub fn remote_fleet(&self) -> Option<RemoteFleetSnapshot> {
-        self.remote
-            .lock()
-            .expect("shared remote pool")
-            .as_ref()
-            .map(|pool| pool.fleet_snapshot())
     }
 
     /// The most recent snapshot published for `fingerprint`, if any.
@@ -223,39 +156,6 @@ mod tests {
         assert!(shared
             .snapshot(&format!("fp{}", MAX_SNAPSHOTS - 1))
             .is_some());
-    }
-
-    #[test]
-    fn remote_pool_is_shared_and_directory_attaches_in_either_order() {
-        #[derive(Debug)]
-        struct OneWorker;
-        impl WorkerDirectory for OneWorker {
-            fn roster(&self) -> Vec<String> {
-                vec!["127.0.0.1:7002".to_string()]
-            }
-        }
-
-        // Directory attached *before* the pool exists is replayed onto it.
-        let shared = SharedEvalResources::new();
-        assert!(shared.remote_fleet().is_none(), "no pool before first use");
-        shared.set_worker_directory(Arc::new(OneWorker));
-        let a = shared.remote_pool(&["127.0.0.1:7001".to_string()], None);
-        let b = shared.remote_pool(&["127.0.0.1:7003".to_string()], Some("late".into()));
-        assert!(Arc::ptr_eq(&a, &b), "first caller's pool sticks");
-        a.refresh_roster();
-        let fleet = shared.remote_fleet().expect("pool exists now");
-        let addrs: Vec<&str> = fleet.endpoints.iter().map(|e| e.addr.as_str()).collect();
-        assert!(addrs.contains(&"127.0.0.1:7001"), "first caller's seed");
-        assert!(addrs.contains(&"127.0.0.1:7003"), "second caller merged");
-        assert!(addrs.contains(&"127.0.0.1:7002"), "directory discovered");
-        assert_eq!(fleet.live_connections, 0);
-
-        // Directory attached *after* the pool exists reaches it too.
-        let shared = SharedEvalResources::new();
-        let pool = shared.remote_pool(&[], None);
-        shared.set_worker_directory(Arc::new(OneWorker));
-        pool.refresh_roster();
-        assert_eq!(shared.remote_fleet().expect("pool").endpoints.len(), 1);
     }
 
     #[test]

@@ -212,9 +212,8 @@ impl CandidateScore {
 /// reference to this when they score.
 ///
 /// [`compute`](Self::compute) and [`score`](Self::score) are pure functions
-/// of the candidate, which is what makes memoization, thread pools, worker
-/// processes and persistent caches all bit-identical to plain inline
-/// evaluation.
+/// of the candidate, which is what makes memoization, worker processes and
+/// persistent caches all bit-identical to plain inline evaluation.
 pub struct EvalCore<'a> {
     model: &'a Model,
     total_power: Watts,
@@ -631,14 +630,14 @@ impl<'a> CandidateEvaluator<'a> {
     /// exhausted budget) is observed the remaining candidates come back as
     /// [`CandidateScore::INFEASIBLE`] placeholders without being computed
     /// or charged. The memo misses that survive the pass are then scored by
-    /// the backend as one batch — inline, thread pool and subprocess
-    /// backends all return bit-identical scores, so completed runs are
-    /// identical across backends; only wall-clock differs. Duplicates
+    /// the backend as one batch — inline and subprocess backends return
+    /// bit-identical scores, so completed runs are identical across
+    /// backends; only wall-clock differs. Duplicates
     /// *within* a batch are computed once and counted as cache hits (the
     /// serial path would have found them in the memo).
     ///
     /// Cancellation additionally short-circuits *inside* the backend batch
-    /// (per job for inline/threads, per chunk for subprocess), so
+    /// (per job for inline, per chunk for subprocess), so
     /// `CancelToken::cancel` stays prompt even mid-generation; the
     /// resulting placeholders are never stored in the memo (a cancelled
     /// run's results are discarded anyway). Budget and deadline stops are
@@ -851,7 +850,6 @@ impl<'a> CandidateEvaluator<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::BackendKind;
     use crate::sa::sa_energy;
     use pimsyn_arch::{DacConfig, HardwareParams};
     use pimsyn_model::zoo;
@@ -944,32 +942,6 @@ mod tests {
         }
         assert_eq!(plain.stats().cache_hits, 0);
         assert_eq!(plain.stats().unique_evaluations, 1);
-    }
-
-    #[test]
-    fn thread_pool_backend_matches_inline_in_order() {
-        let (model, df, point) = setup();
-        let l = model.weight_layer_count();
-        let genes: Vec<MacAllocGene> = (1..=4).map(|m| gene(l, m)).collect();
-        let ctx = ExploreContext::unobserved();
-        let hw = HardwareParams::date24();
-        let inline = evaluator(&model, &hw, EvalCacheConfig::default());
-        let threads = CandidateEvaluator::with_backend(
-            &model,
-            Watts(9.0),
-            &hw,
-            MacroMode::Specialized,
-            Objective::PowerEfficiency,
-            EvalCacheConfig::default(),
-            &EvalBackendConfig::new(BackendKind::ThreadPool { workers: 2 }),
-        );
-        let (a, a_charged) = inline.score_batch(&df, point, &genes, &ctx);
-        let (b, b_charged) = threads.score_batch(&df, point, &genes, &ctx);
-        assert_eq!(a, b);
-        assert_eq!(a_charged, genes.len());
-        assert_eq!(b_charged, genes.len());
-        assert_eq!(threads.backend_name(), "threads");
-        assert!(threads.backend_stats().jobs >= genes.len());
     }
 
     #[test]

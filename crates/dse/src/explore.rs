@@ -69,9 +69,9 @@ pub struct DseConfig {
     /// caches). Enabled by default; caching is transparent — cached and
     /// uncached runs produce bit-identical outcomes.
     pub eval_cache: EvalCacheConfig,
-    /// Where candidate scoring runs (inline, thread pool or subprocess
-    /// workers) and whether the evaluation memo persists across runs. Every
-    /// backend is bit-identical; only wall-clock differs.
+    /// Where candidate scoring runs (inline or subprocess workers) and
+    /// whether the evaluation memo persists across runs. Every backend is
+    /// bit-identical; only wall-clock differs.
     pub backend: EvalBackendConfig,
     /// Base seed; every stochastic stage derives its own deterministic seed
     /// from it, so results are reproducible even with `parallel = true`.
@@ -531,24 +531,6 @@ mod tests {
         assert_eq!(a.evaluations, b.evaluations);
         assert_eq!(a.history, b.history);
         assert_eq!(a.stop_reason, b.stop_reason);
-    }
-
-    #[test]
-    fn thread_pool_backend_matches_inline() {
-        use crate::backend::{BackendKind, EvalBackendConfig};
-        let model = zoo::alexnet_cifar(10);
-        let mut inline = tiny_cfg();
-        inline.space = DesignSpace::reduced();
-        inline.parallel = false;
-        let mut threads = inline.clone();
-        threads.backend = EvalBackendConfig::new(BackendKind::ThreadPool { workers: 2 });
-        let a = run_dse(&model, &inline).unwrap();
-        let b = run_dse(&model, &threads).unwrap();
-        assert_eq!(a.wt_dup, b.wt_dup);
-        assert_eq!(a.architecture, b.architecture);
-        assert_eq!(a.report, b.report);
-        assert_eq!(a.evaluations, b.evaluations);
-        assert_eq!(a.history, b.history);
     }
 
     #[test]

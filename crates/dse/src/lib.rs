@@ -52,11 +52,8 @@ mod sweep;
 
 pub use alloc::{allocate_components, physical_macros, AllocPlan, AllocRequest};
 pub use backend::{
-    dial_bounded, parse_remote_roster, read_token_file, BackendKind, BackendStats, ChunkPlanner,
-    ChunkPolicy, DirectoryEntry, EvalBackend, EvalBackendConfig, EvalJob, InlineBackend,
-    PersistentEvalCache, RemoteBackend, RemoteEndpointStatus, RemoteFleetSnapshot, RemotePool,
-    SharedEvalResources, SubprocessBackend, ThreadPoolBackend, WorkerDirectory, WorkerPool,
-    MIN_JOBS_PER_CHUNK,
+    read_token_file, BackendKind, BackendStats, EvalBackend, EvalBackendConfig, EvalJob,
+    InlineBackend, PersistentEvalCache, SharedEvalResources, SubprocessBackend, WorkerPool,
 };
 pub use ctx::{
     CancelToken, ExploreBudget, ExploreContext, ExploreEvent, ExploreObserver, NullObserver,

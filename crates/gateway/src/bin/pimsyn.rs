@@ -30,6 +30,7 @@ use pimsyn::{
     SynthesisOptions, SynthesisRequest, SynthesisResult, SynthesisService, SynthesisSummary,
 };
 use pimsyn_arch::Watts;
+use pimsyn_gateway::timeout_duration;
 use pimsyn_model::json::JsonValue;
 use pimsyn_model::{onnx, zoo, Model};
 
@@ -83,7 +84,6 @@ struct Args {
     eval_cache_file: Option<String>,
     eval_cache_max_entries: Option<usize>,
     backend: BackendKind,
-    remote_token_file: Option<String>,
     output: OutputFormat,
     quiet: bool,
     help: bool,
@@ -119,23 +119,17 @@ USAGE:
   pimsyn export pimsim (--model <name> | --model-file <path>) --power <watts>
                 [--pretty] [--out <path>] [synthesis options]
   pimsyn serve --listen <host:port> [--job-slots N] [--queue-depth N]
-               [--backend <spec>] [--worker-registry <host:port>]
-               [--remote-token-file <path>]
+               [--backend <spec>]
                [--eval-cache-file <path>] [--eval-cache-max-entries <n>]
                [--auth-token-file <path>] [--quiet]
   pimsyn gateway --listen <host:port> [--keys <tenants.json>]
                  [--scheduler <fifo|fair>] [--job-slots N] [--queue-depth N]
-                 [--backend <spec>] [--worker-registry <host:port>]
-                 [--remote-token-file <path>]
+                 [--backend <spec>]
                  [--eval-cache-file <path>] [--eval-cache-max-entries <n>]
                  [--quiet]
   pimsyn submit --connect <host:port> --model <name> --power <watts> [options]
   pimsyn status|result|cancel --connect <host:port> --id <job-id>
   pimsyn shutdown|drain --connect <host:port>
-  pimsyn worker-serve --listen <host:port> [--slots N]
-                      [--announce <host:port>] [--protocol-max <n>]
-                      [--auth-token-file <path>] [--quiet]
-  pimsyn worker-stop --connect <host:port> [--auth-token-file <path>]
 
 OPTIONS:
   --model <name>        bundled zoo model; `pimsyn zoo` lists every name
@@ -171,14 +165,9 @@ OPTIONS:
   --eval-cache-max-entries <n>  cap candidate-score entries written per run
                         section of the cache file (oldest trimmed first), so
                         long sweeps stop growing the file without bound
-  --backend <spec>      where candidate scoring runs: inline (default),
-                        threads[:N] (scoped thread pool), subprocess[:N]
-                        (pimsyn --worker child processes), or
-                        remote:host:port[,host:port...] (pimsyn worker-serve
-                        daemons over TCP); results are bit-identical across
-                        backends
-  --remote-token-file <path>  shared auth token presented to the remote
-                        worker daemons (requires --backend remote:...)
+  --backend <spec>      where candidate scoring runs: inline (default) or
+                        subprocess[:N] (pimsyn --worker child processes);
+                        results are bit-identical across backends
   --output <text|json>  report format on stdout (default: text)
   --quiet               suppress live progress on stderr
   --help                print this message
@@ -202,28 +191,6 @@ round-robin across tenants instead of global FIFO (--scheduler overrides
 either way; results are bit-identical under both policies). The keys file
 is re-read whenever it changes on disk, so keys rotate on a live gateway:
 added keys authenticate the very next request, removed keys get 401.
-
-Both daemons accept --worker-registry <host:port>: a second listener where
-`pimsyn worker-serve --announce` daemons register, heartbeat and
-deregister. Registered workers join the remote scoring fleet dynamically
-(connections persist across jobs); workers that miss heartbeats are
-evicted and their in-flight chunks recomputed inline, never changing
-results. Registry messages authenticate with the --remote-token-file
-shared secret — the same token file the workers' --auth-token-file names.
-
-`pimsyn worker-serve` runs a long-lived evaluation-worker daemon: each
-accepted TCP connection (version-checked, optionally token-authenticated,
-up to --slots concurrently) serves one worker session for a `--backend
-remote:...` run on another machine. The actually-bound address — including
-the resolved port for --listen HOST:0 — prints to stderr on startup;
-`pimsyn worker-stop` asks the daemon to exit. With --announce the daemon
-registers itself with a `pimsyn serve`/`pimsyn gateway` started with
---worker-registry, heartbeats to stay listed, and deregisters on exit —
-the serving daemon then discovers workers dynamically instead of needing a
-static remote:host:port roster (with --worker-registry and no explicit
---backend, the daemon's backend is the announced fleet). --protocol-max
-caps the negotiated worker-protocol version (for mixed-version fleets and
-downgrade testing); results are bit-identical across protocol versions.
 
 `pimsyn zoo` inspects the bundled model zoo: with no flags it lists every
 model with a one-line description; --describe prints one model's layer
@@ -265,7 +232,6 @@ fn parse_args_from<I: IntoIterator<Item = String>>(argv: I) -> Result<Args, Stri
         eval_cache_file: None,
         eval_cache_max_entries: None,
         backend: BackendKind::Inline,
-        remote_token_file: None,
         output: OutputFormat::Text,
         quiet: false,
         help: false,
@@ -336,7 +302,6 @@ fn parse_args_from<I: IntoIterator<Item = String>>(argv: I) -> Result<Args, Stri
                 args.backend = BackendKind::parse(&value("--backend")?)
                     .map_err(|e| format!("bad --backend: {e}"))?
             }
-            "--remote-token-file" => args.remote_token_file = Some(value("--remote-token-file")?),
             "--eval-cache" => {
                 args.eval_cache = match value("--eval-cache")?.as_str() {
                     "on" => true,
@@ -380,16 +345,6 @@ fn parse_args_from<I: IntoIterator<Item = String>>(argv: I) -> Result<Args, Stri
     if args.eval_cache_max_entries.is_some() && args.eval_cache_file.is_none() {
         return Err("--eval-cache-max-entries requires --eval-cache-file".to_string());
     }
-    // The token authenticates remote worker connections; without a remote
-    // roster there is nothing to authenticate. In batch mode individual
-    // jobs may select a remote backend through their `backend` field, so
-    // the flag is accepted there regardless of the top-level backend.
-    if args.remote_token_file.is_some()
-        && args.batch_file.is_none()
-        && !matches!(args.backend, BackendKind::Remote { .. })
-    {
-        return Err("--remote-token-file requires --backend remote:host:port[,...]".to_string());
-    }
     if args.batch_file.is_some() {
         if args.model.is_some() || args.model_file.is_some() {
             return Err("--batch cannot be combined with --model / --model-file".to_string());
@@ -413,20 +368,6 @@ fn parse_args_from<I: IntoIterator<Item = String>>(argv: I) -> Result<Args, Stri
 /// Strictly positive and comparable — rejects NaN alongside zero/negatives.
 fn positive(x: f64) -> bool {
     x.partial_cmp(&0.0) == Some(std::cmp::Ordering::Greater)
-}
-
-/// Validates a timeout in seconds into a `Duration`, rejecting NaN, zero,
-/// negatives, and values `Duration::from_secs_f64` would panic on
-/// (infinity / overflow). A year bounds any meaningful synthesis run.
-fn timeout_duration(secs: f64) -> Result<Duration, String> {
-    const MAX_TIMEOUT_SECS: f64 = 365.0 * 24.0 * 3600.0;
-    if !positive(secs) {
-        return Err("must be positive".to_string());
-    }
-    if !secs.is_finite() || secs > MAX_TIMEOUT_SECS {
-        return Err(format!("must be at most {MAX_TIMEOUT_SECS} seconds"));
-    }
-    Ok(Duration::from_secs_f64(secs))
 }
 
 fn parse_effort(s: &str) -> Result<Effort, String> {
@@ -509,9 +450,6 @@ fn options_from_args(args: &Args, power: f64) -> Result<SynthesisOptions, String
     }
     options = options.with_eval_cache(cache);
     options = options.with_backend(args.backend.clone());
-    if let Some(path) = &args.remote_token_file {
-        options = options.with_remote_token_file(path);
-    }
     if let Some(path) = &args.eval_cache_file {
         options = options.with_eval_cache_file(path);
     }
@@ -908,8 +846,6 @@ struct ServeArgs {
     job_slots: Option<usize>,
     queue_depth: Option<usize>,
     backend: BackendKind,
-    worker_registry: Option<String>,
-    remote_token_file: Option<String>,
     eval_cache_file: Option<String>,
     eval_cache_max_entries: Option<usize>,
     auth_token_file: Option<String>,
@@ -922,14 +858,11 @@ fn parse_serve_args<I: IntoIterator<Item = String>>(argv: I) -> Result<ServeArgs
         job_slots: None,
         queue_depth: None,
         backend: BackendKind::Inline,
-        worker_registry: None,
-        remote_token_file: None,
         eval_cache_file: None,
         eval_cache_max_entries: None,
         auth_token_file: None,
         quiet: false,
     };
-    let mut backend_set = false;
     let mut it = argv.into_iter();
     while let Some(flag) = it.next() {
         let mut value = |name: &str| it.next().ok_or_else(|| format!("missing value for {name}"));
@@ -947,11 +880,8 @@ fn parse_serve_args<I: IntoIterator<Item = String>>(argv: I) -> Result<ServeArgs
             }
             "--backend" => {
                 args.backend = BackendKind::parse(&value("--backend")?)
-                    .map_err(|e| format!("bad --backend: {e}"))?;
-                backend_set = true;
+                    .map_err(|e| format!("bad --backend: {e}"))?
             }
-            "--worker-registry" => args.worker_registry = Some(value("--worker-registry")?),
-            "--remote-token-file" => args.remote_token_file = Some(value("--remote-token-file")?),
             "--eval-cache-file" => args.eval_cache_file = Some(value("--eval-cache-file")?),
             "--eval-cache-max-entries" => {
                 args.eval_cache_max_entries = Some(positive(
@@ -970,71 +900,7 @@ fn parse_serve_args<I: IntoIterator<Item = String>>(argv: I) -> Result<ServeArgs
     if args.eval_cache_max_entries.is_some() && args.eval_cache_file.is_none() {
         return Err("--eval-cache-max-entries requires --eval-cache-file".to_string());
     }
-    resolve_registry_backend(
-        &mut args.backend,
-        backend_set,
-        args.worker_registry.as_deref(),
-    )?;
-    if args.remote_token_file.is_some() && !matches!(args.backend, BackendKind::Remote { .. }) {
-        return Err("--remote-token-file requires --backend remote:host:port[,...]".to_string());
-    }
     Ok(args)
-}
-
-/// Folds `--worker-registry` into the backend choice: a registry implies
-/// scoring on the announced fleet, so an unset backend becomes a remote
-/// backend with an (initially) empty roster, an explicit remote backend
-/// keeps its static seed endpoints, and an explicitly non-remote backend
-/// is a contradiction worth rejecting loudly.
-fn resolve_registry_backend(
-    backend: &mut BackendKind,
-    backend_set: bool,
-    worker_registry: Option<&str>,
-) -> Result<(), String> {
-    let Some(registry) = worker_registry else {
-        return Ok(());
-    };
-    if !registry.contains(':') {
-        return Err("--worker-registry must be a HOST:PORT listen address".to_string());
-    }
-    match backend {
-        _ if !backend_set => {
-            *backend = BackendKind::Remote {
-                endpoints: Vec::new(),
-            }
-        }
-        BackendKind::Remote { .. } => {}
-        other => {
-            return Err(format!(
-                "--worker-registry feeds a remote backend; it cannot be combined \
-                 with --backend {other}"
-            ))
-        }
-    }
-    Ok(())
-}
-
-/// Binds and starts the worker-registry listener a `--worker-registry`
-/// daemon exposes, returning the registry handle to attach as the shared
-/// evaluation resources' worker directory (and, for the gateway, to render
-/// in `/metrics`). Registry messages authenticate with the same fleet-wide
-/// shared secret the remote backend presents to workers
-/// (`--remote-token-file`), so one token file covers the whole fleet.
-fn start_worker_registry(
-    listen: &str,
-    remote_token_file: Option<&str>,
-    quiet: bool,
-) -> Result<std::sync::Arc<pimsyn::WorkerRegistry>, String> {
-    let token = match remote_token_file {
-        Some(path) => Some(read_token_file(path)?),
-        None => None,
-    };
-    let listener = std::net::TcpListener::bind(listen)
-        .map_err(|e| format!("cannot listen on {listen} for worker registry: {e}"))?;
-    let registry = pimsyn::WorkerRegistry::new(pimsyn::DEFAULT_HEARTBEAT_INTERVAL, token, quiet);
-    pimsyn::serve_registry_in_background(listener, registry.clone())
-        .map_err(|e| format!("worker registry failed to start: {e}"))?;
-    Ok(registry)
 }
 
 fn run_serve(argv: &[String]) -> ExitCode {
@@ -1060,19 +926,6 @@ fn run_serve(argv: &[String]) -> ExitCode {
         config = config.with_queue_depth(depth);
     }
     let service = std::sync::Arc::new(SynthesisService::new(config));
-    if let Some(registry_listen) = &args.worker_registry {
-        match start_worker_registry(
-            registry_listen,
-            args.remote_token_file.as_deref(),
-            args.quiet,
-        ) {
-            Ok(registry) => service.shared_resources().set_worker_directory(registry),
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
     let overlay_args = args.clone();
     // Server-side policy: the daemon decides where scoring runs and which
     // cache file (if any) persists it; clients describe only the job. The
@@ -1081,8 +934,6 @@ fn run_serve(argv: &[String]) -> ExitCode {
     // would reject an otherwise valid submission.
     let overlay = move |request: &mut SynthesisRequest| {
         request.options.backend.kind = overlay_args.backend.clone();
-        request.options.backend.remote_token_file =
-            overlay_args.remote_token_file.as_ref().map(Into::into);
         if request.options.eval_cache.enabled {
             if let Some(path) = &overlay_args.eval_cache_file {
                 request.options.backend.cache_file = Some(path.into());
@@ -1119,8 +970,6 @@ struct GatewayArgs {
     job_slots: Option<usize>,
     queue_depth: Option<usize>,
     backend: BackendKind,
-    worker_registry: Option<String>,
-    remote_token_file: Option<String>,
     eval_cache_file: Option<String>,
     eval_cache_max_entries: Option<usize>,
     quiet: bool,
@@ -1134,13 +983,10 @@ fn parse_gateway_args<I: IntoIterator<Item = String>>(argv: I) -> Result<Gateway
         job_slots: None,
         queue_depth: None,
         backend: BackendKind::Inline,
-        worker_registry: None,
-        remote_token_file: None,
         eval_cache_file: None,
         eval_cache_max_entries: None,
         quiet: false,
     };
-    let mut backend_set = false;
     let mut it = argv.into_iter();
     while let Some(flag) = it.next() {
         let mut value = |name: &str| it.next().ok_or_else(|| format!("missing value for {name}"));
@@ -1166,11 +1012,8 @@ fn parse_gateway_args<I: IntoIterator<Item = String>>(argv: I) -> Result<Gateway
             }
             "--backend" => {
                 args.backend = BackendKind::parse(&value("--backend")?)
-                    .map_err(|e| format!("bad --backend: {e}"))?;
-                backend_set = true;
+                    .map_err(|e| format!("bad --backend: {e}"))?
             }
-            "--worker-registry" => args.worker_registry = Some(value("--worker-registry")?),
-            "--remote-token-file" => args.remote_token_file = Some(value("--remote-token-file")?),
             "--eval-cache-file" => args.eval_cache_file = Some(value("--eval-cache-file")?),
             "--eval-cache-max-entries" => {
                 args.eval_cache_max_entries = Some(positive(
@@ -1187,14 +1030,6 @@ fn parse_gateway_args<I: IntoIterator<Item = String>>(argv: I) -> Result<Gateway
     }
     if args.eval_cache_max_entries.is_some() && args.eval_cache_file.is_none() {
         return Err("--eval-cache-max-entries requires --eval-cache-file".to_string());
-    }
-    resolve_registry_backend(
-        &mut args.backend,
-        backend_set,
-        args.worker_registry.as_deref(),
-    )?;
-    if args.remote_token_file.is_some() && !matches!(args.backend, BackendKind::Remote { .. }) {
-        return Err("--remote-token-file requires --backend remote:host:port[,...]".to_string());
     }
     Ok(args)
 }
@@ -1239,30 +1074,11 @@ fn run_gateway(argv: &[String]) -> ExitCode {
         config = config.with_queue_depth(depth);
     }
     let service = std::sync::Arc::new(SynthesisService::new(config));
-    let mut registry = None;
-    if let Some(registry_listen) = &args.worker_registry {
-        match start_worker_registry(
-            registry_listen,
-            args.remote_token_file.as_deref(),
-            args.quiet,
-        ) {
-            Ok(r) => {
-                service.shared_resources().set_worker_directory(r.clone());
-                registry = Some(r);
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
     let overlay_args = args.clone();
     // The same server-side policy overlay as `pimsyn serve`: the daemon
     // decides where scoring runs and which cache file persists it.
     let overlay = move |request: &mut SynthesisRequest| {
         request.options.backend.kind = overlay_args.backend.clone();
-        request.options.backend.remote_token_file =
-            overlay_args.remote_token_file.as_ref().map(Into::into);
         if request.options.eval_cache.enabled {
             if let Some(path) = &overlay_args.eval_cache_file {
                 request.options.backend.cache_file = Some(path.into());
@@ -1276,9 +1092,6 @@ fn run_gateway(argv: &[String]) -> ExitCode {
     if let Some(path) = &args.keys {
         gateway_config = gateway_config.with_keys_file(path);
     }
-    if let Some(registry) = registry {
-        gateway_config = gateway_config.with_worker_registry(registry);
-    }
     match pimsyn_gateway::serve_gateway(listener, service, overlay, gateway_config) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
@@ -1288,155 +1101,10 @@ fn run_gateway(argv: &[String]) -> ExitCode {
     }
 }
 
-/// Flags of the `worker-serve` subcommand: where to listen, how many
-/// concurrent worker sessions to serve, the optional shared auth token,
-/// the registry to announce to, and the protocol-version cap.
-#[derive(Debug, Clone)]
-struct WorkerServeArgs {
-    listen: String,
-    slots: usize,
-    announce: Option<String>,
-    protocol_max: Option<u32>,
-    auth_token_file: Option<String>,
-    quiet: bool,
-}
-
-fn parse_worker_serve_args<I: IntoIterator<Item = String>>(
-    argv: I,
-) -> Result<WorkerServeArgs, String> {
-    let mut args = WorkerServeArgs {
-        listen: String::new(),
-        slots: 0,
-        announce: None,
-        protocol_max: None,
-        auth_token_file: None,
-        quiet: false,
-    };
-    let mut it = argv.into_iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| it.next().ok_or_else(|| format!("missing value for {name}"));
-        match flag.as_str() {
-            "--listen" => args.listen = value("--listen")?,
-            "--slots" => {
-                args.slots = match value("--slots")?.parse::<usize>() {
-                    Ok(n) if n >= 1 => n,
-                    _ => return Err("--slots must be a positive integer".to_string()),
-                }
-            }
-            "--announce" => args.announce = Some(value("--announce")?),
-            "--protocol-max" => {
-                args.protocol_max = match value("--protocol-max")?.parse::<u32>() {
-                    Ok(n) if n >= 1 => Some(n),
-                    _ => return Err("--protocol-max must be a positive integer".to_string()),
-                }
-            }
-            "--auth-token-file" => args.auth_token_file = Some(value("--auth-token-file")?),
-            "--quiet" | "-q" => args.quiet = true,
-            other => return Err(format!("unknown worker-serve flag `{other}`")),
-        }
-    }
-    if args.listen.is_empty() {
-        return Err("worker-serve requires --listen <host:port>".to_string());
-    }
-    if let Some(announce) = &args.announce {
-        if !announce.contains(':') {
-            return Err("--announce must be a HOST:PORT registry address".to_string());
-        }
-    }
-    Ok(args)
-}
-
 /// Reads a shared-token file through the library's single normalizing
 /// reader, so the daemon and every client trim tokens identically.
 fn read_token_file(path: &str) -> Result<String, String> {
     pimsyn::read_token_file(std::path::Path::new(path))
-}
-
-fn run_worker_serve(argv: &[String]) -> ExitCode {
-    let args = match parse_worker_serve_args(argv.iter().cloned()) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}\n\n{USAGE}");
-            return ExitCode::from(2);
-        }
-    };
-    let token = match &args.auth_token_file {
-        Some(path) => match read_token_file(path) {
-            Ok(token) => Some(token),
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => None,
-    };
-    let listener = match std::net::TcpListener::bind(&args.listen) {
-        Ok(l) => l,
-        Err(e) => {
-            eprintln!("error: cannot listen on {}: {e}", args.listen);
-            return ExitCode::FAILURE;
-        }
-    };
-    let config = pimsyn::WorkerServeConfig {
-        slots: args.slots,
-        token,
-        quiet: args.quiet,
-        protocol_max: args.protocol_max,
-        announce: args.announce.clone(),
-        // Test-harness hook: chaos suites and CI smokes misconfigure a
-        // stock binary through PIMSYN_FAULT_* without extra flags. All
-        // unset (the overwhelmingly common case) injects nothing.
-        faults: pimsyn::FaultInjection::from_env(),
-    };
-    match pimsyn::serve_workers(listener, config) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: worker-serve failed: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-fn run_worker_stop(argv: &[String]) -> ExitCode {
-    let mut connect = None;
-    let mut token_file = None;
-    let mut it = argv.iter().cloned();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| it.next().ok_or_else(|| format!("missing value for {name}"));
-        let parsed = match flag.as_str() {
-            "--connect" => value("--connect").map(|v| connect = Some(v)),
-            "--auth-token-file" => value("--auth-token-file").map(|v| token_file = Some(v)),
-            other => Err(format!("unknown worker-stop flag `{other}`")),
-        };
-        if let Err(e) = parsed {
-            eprintln!("error: {e}\n\n{USAGE}");
-            return ExitCode::from(2);
-        }
-    }
-    let Some(connect) = connect else {
-        eprintln!("error: worker-stop requires --connect <host:port>\n\n{USAGE}");
-        return ExitCode::from(2);
-    };
-    let token = match &token_file {
-        Some(path) => match read_token_file(path) {
-            Ok(token) => Some(token),
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => None,
-    };
-    match pimsyn::stop_worker_server(&connect, token.as_deref()) {
-        Ok(()) => {
-            outln!("worker daemon at {connect} is stopping");
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
-    }
 }
 
 /// What `split_client_args` extracts: the `--connect` address, the `--id`
@@ -1915,8 +1583,6 @@ fn main() -> ExitCode {
     match argv.first().map(String::as_str) {
         Some("serve") => return run_serve(&argv[1..]),
         Some("gateway") => return run_gateway(&argv[1..]),
-        Some("worker-serve") => return run_worker_serve(&argv[1..]),
-        Some("worker-stop") => return run_worker_stop(&argv[1..]),
         Some("zoo") => return run_zoo(&argv[1..]),
         Some("export") => return run_export(&argv[1..]),
         Some(cmd @ ("submit" | "status" | "result" | "cancel" | "shutdown" | "drain")) => {
@@ -1969,6 +1635,23 @@ mod tests {
     fn unknown_flag_is_rejected() {
         let err = parse(&["--model", "vgg16", "--power", "9", "--frobnicate"]).unwrap_err();
         assert!(err.contains("unknown flag"), "{err}");
+        // Names outside the CLI fall through to the same error, which
+        // `main` answers with the usage text and exit code 2.
+        for removed in [
+            &[
+                "--model",
+                "vgg16",
+                "--power",
+                "9",
+                "--remote-token-file",
+                "f",
+            ][..],
+            &["worker-serve", "--listen", "127.0.0.1:0"],
+            &["worker-stop", "--connect", "127.0.0.1:1"],
+        ] {
+            let err = parse(removed).unwrap_err();
+            assert!(err.contains("unknown flag"), "{removed:?}: {err}");
+        }
     }
 
     #[test]
@@ -2206,64 +1889,6 @@ mod tests {
         assert!(err.contains("at least 1"), "{err}");
     }
 
-    #[test]
-    fn remote_token_file_needs_a_remote_roster_except_in_batch_mode() {
-        // Single-job mode: pointless without a remote backend.
-        let err = parse(&[
-            "--model",
-            "vgg16",
-            "--power",
-            "9",
-            "--remote-token-file",
-            "/tmp/tok",
-        ])
-        .unwrap_err();
-        assert!(err.contains("--remote-token-file"), "{err}");
-        // With a roster it parses and reaches the options.
-        let args = parse(&[
-            "--model",
-            "vgg16",
-            "--power",
-            "9",
-            "--backend",
-            "remote:h:1",
-            "--remote-token-file",
-            "/tmp/tok",
-        ])
-        .unwrap();
-        let options = options_from_args(&args, args.power).unwrap();
-        assert_eq!(
-            options.backend.remote_token_file.as_deref(),
-            Some(std::path::Path::new("/tmp/tok"))
-        );
-        // Batch mode: individual jobs may select remote via their
-        // `backend` field, so the flag is accepted up front...
-        let cli = parse(&["--batch", "jobs.json", "--remote-token-file", "/tmp/tok"]).unwrap();
-        // ... and flows into a job that does.
-        let job =
-            JsonValue::parse(r#"{"model": "alexnet-cifar", "power": 9, "backend": "remote:h:1"}"#)
-                .unwrap();
-        let request = batch_job_request(&job, &cli, 0).unwrap();
-        assert_eq!(
-            request.options.backend.kind,
-            BackendKind::Remote {
-                endpoints: vec!["h:1".to_string()]
-            }
-        );
-        assert_eq!(
-            request.options.backend.remote_token_file.as_deref(),
-            Some(std::path::Path::new("/tmp/tok"))
-        );
-        // A malformed per-job backend is named in the error.
-        let bad = JsonValue::parse(r#"{"model": "alexnet-cifar", "power": 9, "backend": "gpu"}"#)
-            .unwrap();
-        let err = batch_job_request(&bad, &cli, 2).unwrap_err();
-        assert!(
-            err.contains("batch job 2") && err.contains("backend"),
-            "{err}"
-        );
-    }
-
     fn parse_serve(args: &[&str]) -> Result<ServeArgs, String> {
         parse_serve_args(args.iter().map(|s| s.to_string()))
     }
@@ -2298,61 +1923,10 @@ mod tests {
         assert!(err.contains("--eval-cache-file"), "{err}");
         let args = parse_serve(&["--listen", "x", "--auth-token-file", "tok.txt"]).unwrap();
         assert_eq!(args.auth_token_file.as_deref(), Some("tok.txt"));
-    }
-
-    #[test]
-    fn serve_worker_registry_implies_a_remote_backend() {
-        // No explicit backend: the registry fleet is the backend, with an
-        // initially empty roster that announcing workers will grow.
-        let args = parse_serve(&["--listen", "x", "--worker-registry", "127.0.0.1:0"]).unwrap();
-        assert_eq!(args.worker_registry.as_deref(), Some("127.0.0.1:0"));
-        assert_eq!(
-            args.backend,
-            BackendKind::Remote {
-                endpoints: Vec::new()
-            }
-        );
-        // An explicit remote backend keeps its static seed endpoints.
-        let args = parse_serve(&[
-            "--listen",
-            "x",
-            "--worker-registry",
-            "127.0.0.1:0",
-            "--backend",
-            "remote:h:1",
-        ])
-        .unwrap();
-        assert_eq!(
-            args.backend,
-            BackendKind::Remote {
-                endpoints: vec!["h:1".to_string()]
-            }
-        );
-        // The auto-remote backend makes --remote-token-file coherent too.
-        let args = parse_serve(&[
-            "--listen",
-            "x",
-            "--worker-registry",
-            "127.0.0.1:0",
-            "--remote-token-file",
-            "/tmp/tok",
-        ])
-        .unwrap();
-        assert_eq!(args.remote_token_file.as_deref(), Some("/tmp/tok"));
-        // An explicitly non-remote backend contradicts the registry.
-        let err = parse_serve(&[
-            "--listen",
-            "x",
-            "--worker-registry",
-            "127.0.0.1:0",
-            "--backend",
-            "subprocess:2",
-        ])
-        .unwrap_err();
-        assert!(err.contains("--worker-registry"), "{err}");
-        // The registry address must look dialable.
-        let err = parse_serve(&["--listen", "x", "--worker-registry", "noport"]).unwrap_err();
-        assert!(err.contains("HOST:PORT"), "{err}");
+        for removed in ["--worker-registry", "--remote-token-file"] {
+            let err = parse_serve(&["--listen", "x", removed, "h:1"]).unwrap_err();
+            assert!(err.contains("unknown serve flag"), "{err}");
+        }
     }
 
     fn parse_gateway(args: &[&str]) -> Result<GatewayArgs, String> {
@@ -2393,59 +1967,10 @@ mod tests {
         let err = parse_gateway(&["--listen", "x", "--eval-cache-max-entries", "5"]).unwrap_err();
         assert!(err.contains("--eval-cache-file"), "{err}");
 
-        // --worker-registry works exactly like on `serve`.
-        let args = parse_gateway(&["--listen", "x", "--worker-registry", "127.0.0.1:0"]).unwrap();
-        assert_eq!(args.worker_registry.as_deref(), Some("127.0.0.1:0"));
-        assert_eq!(
-            args.backend,
-            BackendKind::Remote {
-                endpoints: Vec::new()
-            }
-        );
-        let err = parse_gateway(&[
-            "--listen",
-            "x",
-            "--worker-registry",
-            "127.0.0.1:0",
-            "--backend",
-            "inline",
-        ])
-        .unwrap_err();
-        assert!(err.contains("--worker-registry"), "{err}");
-    }
-
-    fn parse_worker_serve(args: &[&str]) -> Result<WorkerServeArgs, String> {
-        parse_worker_serve_args(args.iter().map(|s| s.to_string()))
-    }
-
-    #[test]
-    fn worker_serve_args_parse_and_validate() {
-        let args = parse_worker_serve(&["--listen", "127.0.0.1:0", "--slots", "2"]).unwrap();
-        assert_eq!(args.listen, "127.0.0.1:0");
-        assert_eq!(args.slots, 2);
-        assert_eq!(args.announce, None);
-        assert_eq!(args.protocol_max, None);
-
-        let args = parse_worker_serve(&[
-            "--listen",
-            "127.0.0.1:0",
-            "--announce",
-            "127.0.0.1:7742",
-            "--protocol-max",
-            "1",
-        ])
-        .unwrap();
-        assert_eq!(args.announce.as_deref(), Some("127.0.0.1:7742"));
-        assert_eq!(args.protocol_max, Some(1));
-
-        let err = parse_worker_serve(&[]).unwrap_err();
-        assert!(err.contains("--listen"), "{err}");
-        let err = parse_worker_serve(&["--listen", "x", "--protocol-max", "0"]).unwrap_err();
-        assert!(err.contains("positive"), "{err}");
-        let err = parse_worker_serve(&["--listen", "x", "--announce", "noport"]).unwrap_err();
-        assert!(err.contains("HOST:PORT"), "{err}");
-        let err = parse_worker_serve(&["--listen", "x", "--frobnicate"]).unwrap_err();
-        assert!(err.contains("unknown worker-serve flag"), "{err}");
+        for removed in ["--worker-registry", "--remote-token-file"] {
+            let err = parse_gateway(&["--listen", "x", removed, "h:1"]).unwrap_err();
+            assert!(err.contains("unknown gateway flag"), "{err}");
+        }
     }
 
     #[test]
@@ -2541,6 +2066,10 @@ mod tests {
                 "unknown field",
             ),
             (r#"[1, 2]"#, "expected a JSON object"),
+            (
+                r#"{"model": "alexnet-cifar", "power": 9, "backend": "gpu"}"#,
+                "field `backend`",
+            ),
         ] {
             let parsed = JsonValue::parse(job).unwrap();
             let err = batch_job_request(&parsed, &cli, 3).unwrap_err();

@@ -10,12 +10,9 @@
 //! - **histograms** observed at job completion (end-to-end job latency);
 //! - **gauges** sampled at scrape time from
 //!   [`SynthesisService::snapshot`](pimsyn::SynthesisService::snapshot)
-//!   (queue depth, per-tenant occupancy, drain state), the worker pool,
-//!   and the remote fleet's scheduling state (per-endpoint scored-job
-//!   counters and throughput-estimate gauges feeding the adaptive
-//!   chunker, plus the straggler requeued-pieces counter) — those live in
-//!   the server module, not here, because they are reads of service state
-//!   rather than gateway state.
+//!   (queue depth, per-tenant occupancy, drain state) and the worker pool
+//!   — those live in the server module, not here, because they are reads
+//!   of service state rather than gateway state.
 //!
 //! [text exposition format]:
 //!     https://prometheus.io/docs/instrumenting/exposition_formats/

@@ -72,6 +72,26 @@ fn parse_model(value: &JsonValue) -> Result<Model, String> {
     }
 }
 
+/// Validates a timeout in seconds into a `Duration`, rejecting NaN, zero,
+/// negatives, and values `Duration::from_secs_f64` would panic on
+/// (infinity / overflow). A year bounds any meaningful synthesis run. The
+/// one bound for the CLI's `--timeout`, its batch `timeout` field and the
+/// HTTP `timeout` field.
+///
+/// # Errors
+///
+/// A message completing "`timeout` ..." for out-of-range values.
+pub fn timeout_duration(secs: f64) -> Result<Duration, String> {
+    const MAX_TIMEOUT_SECS: f64 = 365.0 * 24.0 * 3600.0;
+    if secs.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
+        return Err("must be positive".to_string());
+    }
+    if !secs.is_finite() || secs > MAX_TIMEOUT_SECS {
+        return Err(format!("must be at most {MAX_TIMEOUT_SECS} seconds"));
+    }
+    Ok(Duration::from_secs_f64(secs))
+}
+
 /// A positive finite f64 from a JSON number or a 16-hex-digit bit pattern.
 fn parse_f64_or_bits(value: &JsonValue, field: &str) -> Result<f64, String> {
     let parsed = match value {
@@ -224,7 +244,8 @@ pub fn parse_http_job(body: &[u8]) -> Result<SynthesisRequest, String> {
     }
     if let Some(timeout) = doc.get("timeout") {
         let secs = parse_f64_or_bits(timeout, "timeout")?;
-        options = options.with_time_budget(Duration::from_secs_f64(secs));
+        let limit = timeout_duration(secs).map_err(|e| format!("`timeout` {e}"))?;
+        options = options.with_time_budget(limit);
     }
     if let Some(n) = doc.get("max_evals") {
         options = options.with_max_evaluations(parse_usize(n, "max_evals")?);
@@ -327,6 +348,14 @@ mod tests {
             (
                 br#"{"model": "alexnet-cifar", "power": 9, "Seed": 3}"#,
                 "unknown field `Seed`",
+            ),
+            (
+                br#"{"model": "alexnet-cifar", "power": 9, "timeout": 1e300}"#,
+                "`timeout` must be at most",
+            ),
+            (
+                br#"{"model": "alexnet-cifar", "power": 9, "timeout": "7fefffffffffffff"}"#,
+                "`timeout` must be at most",
             ),
         ] {
             let err = parse_http_job(body).unwrap_err();

@@ -60,10 +60,6 @@ pub struct GatewayConfig {
     /// back to [`DEFAULT_HEARTBEAT`]; `Some(Duration::ZERO)` disables
     /// heartbeats entirely.
     pub heartbeat: Option<Duration>,
-    /// The worker registry of a `--worker-registry` gateway. Only read at
-    /// `/metrics` scrape time (fleet gauges); announcing workers feed it
-    /// through its own TCP listener.
-    pub worker_registry: Option<Arc<pimsyn::WorkerRegistry>>,
 }
 
 /// Default keep-alive interval for idle event streams: short enough that
@@ -88,13 +84,6 @@ impl GatewayConfig {
     #[must_use]
     pub fn with_keys_file(mut self, path: impl Into<String>) -> Self {
         self.keys_file = Some(path.into());
-        self
-    }
-
-    /// Attaches the worker registry whose fleet state `/metrics` reports.
-    #[must_use]
-    pub fn with_worker_registry(mut self, registry: Arc<pimsyn::WorkerRegistry>) -> Self {
-        self.worker_registry = Some(registry);
         self
     }
 
@@ -205,7 +194,6 @@ struct GatewayShared {
     addr: SocketAddr,
     quiet: bool,
     heartbeat: Duration,
-    registry: Option<Arc<pimsyn::WorkerRegistry>>,
 }
 
 impl GatewayShared {
@@ -252,7 +240,6 @@ where
         addr,
         quiet: config.quiet,
         heartbeat,
-        registry: config.worker_registry,
     });
     // Unconditional: the script-facing bound-address line (see above).
     eprintln!("pimsyn gateway: listening on {addr}");
@@ -727,155 +714,6 @@ fn handle_metrics(shared: &GatewayShared) -> Outcome {
          pimsyn_gateway_worker_spawns_total {}",
         shared.service.worker_spawns()
     );
-    if let Some(registry) = &shared.registry {
-        let reg = registry.snapshot();
-        let _ = writeln!(
-            body,
-            "# HELP pimsyn_gateway_registry_workers Worker daemons currently \
-             registered (announced and not stale).\n\
-             # TYPE pimsyn_gateway_registry_workers gauge\n\
-             pimsyn_gateway_registry_workers {}",
-            reg.workers.len()
-        );
-        for (name, help, value) in [
-            (
-                "pimsyn_gateway_registry_announces_total",
-                "Worker announces accepted by the registry.",
-                reg.announces,
-            ),
-            (
-                "pimsyn_gateway_registry_heartbeats_total",
-                "Worker heartbeats received by the registry.",
-                reg.heartbeats,
-            ),
-            (
-                "pimsyn_gateway_registry_evictions_total",
-                "Workers evicted for missed heartbeats.",
-                reg.evictions,
-            ),
-            (
-                "pimsyn_gateway_registry_drains_total",
-                "Workers deregistered by graceful drain.",
-                reg.drains,
-            ),
-        ] {
-            let _ = writeln!(
-                body,
-                "# HELP {name} {help}\n# TYPE {name} counter\n{name} {value}"
-            );
-        }
-        body.push_str(
-            "# HELP pimsyn_gateway_registry_worker_slots Advertised session slots \
-             per registered worker, labeled with its protocol ceiling.\n\
-             # TYPE pimsyn_gateway_registry_worker_slots gauge\n",
-        );
-        for worker in &reg.workers {
-            let _ = writeln!(
-                body,
-                "pimsyn_gateway_registry_worker_slots{{addr=\"{}\",proto_max=\"{}\"}} {}",
-                http::escape_label(&worker.addr),
-                worker.proto_max,
-                worker.slots
-            );
-        }
-    }
-    if let Some(fleet) = shared.service.shared_resources().remote_fleet() {
-        for (name, help, value) in [
-            (
-                "pimsyn_gateway_fleet_live_connections",
-                "Remote worker connections currently leased to running jobs.",
-                fleet.live_connections,
-            ),
-            (
-                "pimsyn_gateway_fleet_idle_connections",
-                "Persistent remote worker connections held open between jobs.",
-                fleet.idle_connections,
-            ),
-        ] {
-            let _ = writeln!(
-                body,
-                "# HELP {name} {help}\n# TYPE {name} gauge\n{name} {value}"
-            );
-        }
-        let _ = writeln!(
-            body,
-            "# HELP pimsyn_gateway_fleet_connects_total Remote worker dials over \
-             the shared pool's lifetime.\n\
-             # TYPE pimsyn_gateway_fleet_connects_total counter\n\
-             pimsyn_gateway_fleet_connects_total {}",
-            fleet.connects
-        );
-        let _ = writeln!(
-            body,
-            "# HELP pimsyn_gateway_fleet_requeued_pieces_total Straggler chunk \
-             pieces stolen by an idle connection over the pool's lifetime.\n\
-             # TYPE pimsyn_gateway_fleet_requeued_pieces_total counter\n\
-             pimsyn_gateway_fleet_requeued_pieces_total {}",
-            fleet.requeued_pieces
-        );
-        body.push_str(
-            "# HELP pimsyn_gateway_fleet_endpoint_protocol Last negotiated worker-\
-             protocol version per endpoint (0 = never connected).\n\
-             # TYPE pimsyn_gateway_fleet_endpoint_protocol gauge\n",
-        );
-        for endpoint in &fleet.endpoints {
-            let _ = writeln!(
-                body,
-                "pimsyn_gateway_fleet_endpoint_protocol{{addr=\"{}\",discovered=\"{}\"}} {}",
-                http::escape_label(&endpoint.addr),
-                endpoint.discovered,
-                endpoint.protocol
-            );
-        }
-        body.push_str(
-            "# HELP pimsyn_gateway_fleet_endpoint_batch_seconds Wall-clock time \
-             spent in successful scoring round trips per endpoint (summary: \
-             _sum seconds, _count batches).\n\
-             # TYPE pimsyn_gateway_fleet_endpoint_batch_seconds summary\n",
-        );
-        for endpoint in &fleet.endpoints {
-            let addr = http::escape_label(&endpoint.addr);
-            let _ = writeln!(
-                body,
-                "pimsyn_gateway_fleet_endpoint_batch_seconds_sum{{addr=\"{addr}\"}} {}",
-                endpoint.batch_seconds
-            );
-            let _ = writeln!(
-                body,
-                "pimsyn_gateway_fleet_endpoint_batch_seconds_count{{addr=\"{addr}\"}} {}",
-                endpoint.batches
-            );
-        }
-        body.push_str(
-            "# HELP pimsyn_gateway_fleet_endpoint_jobs_total Candidates scored \
-             remotely per endpoint — the adaptive chunker's per-endpoint share \
-             of the work.\n\
-             # TYPE pimsyn_gateway_fleet_endpoint_jobs_total counter\n",
-        );
-        for endpoint in &fleet.endpoints {
-            let _ = writeln!(
-                body,
-                "pimsyn_gateway_fleet_endpoint_jobs_total{{addr=\"{}\"}} {}",
-                http::escape_label(&endpoint.addr),
-                endpoint.jobs
-            );
-        }
-        body.push_str(
-            "# HELP pimsyn_gateway_fleet_endpoint_throughput Current per-\
-             candidate throughput estimate (candidates/s; EWMA over observed \
-             exchanges, 0 = no estimate yet) weighting the endpoint's chunk \
-             share.\n\
-             # TYPE pimsyn_gateway_fleet_endpoint_throughput gauge\n",
-        );
-        for endpoint in &fleet.endpoints {
-            let _ = writeln!(
-                body,
-                "pimsyn_gateway_fleet_endpoint_throughput{{addr=\"{}\"}} {}",
-                http::escape_label(&endpoint.addr),
-                endpoint.throughput.unwrap_or(0.0)
-            );
-        }
-    }
     Outcome {
         status: 200,
         content_type: "text/plain; version=0.0.4",

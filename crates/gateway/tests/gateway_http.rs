@@ -241,6 +241,52 @@ fn http_round_trip_matches_direct_run_bit_identically() {
     let (status, _, _) = request(&addr, "PUT", &format!("/v1/jobs/{id}"), None, None);
     assert_eq!(status, 405);
 
+    // A timeout beyond the one-year bound is a 400 naming the field, in
+    // both spellings, and the connection thread survives it.
+    for timeout in ["1e300", r#""7fefffffffffffff""#] {
+        let body = format!(r#"{{"model": "alexnet-cifar", "power": 9, "timeout": {timeout}}}"#);
+        let (status, _, body) = request(&addr, "POST", "/v1/jobs", None, Some(&body));
+        assert_eq!(status, 400, "{}", String::from_utf8_lossy(&body));
+        let detail = json(&body);
+        assert_eq!(
+            detail.get("code").and_then(JsonValue::as_str),
+            Some("bad_job")
+        );
+        assert!(
+            detail
+                .get("error")
+                .and_then(JsonValue::as_str)
+                .is_some_and(|e| e.contains("`timeout`")),
+            "{detail}"
+        );
+        let (status, _, _) = get(&addr, "/healthz", None);
+        assert_eq!(status, 200);
+    }
+
+    // A cycle-image count past the simulator's block bound fails the job
+    // with the typed error instead of aborting the gateway process.
+    let huge_cycle = r#"{"model": "alexnet-cifar", "power": 9, "seed": 7, "max_evals": 200,
+                         "cycle": 100000000000000}"#;
+    let (status, _, body) = request(&addr, "POST", "/v1/jobs", None, Some(huge_cycle));
+    assert_eq!(status, 202);
+    let big = json(&body).get("id").and_then(JsonValue::as_usize).unwrap();
+    let (status, _, body) = get(&addr, &format!("/v1/jobs/{big}/result"), None);
+    assert_eq!(status, 500);
+    let detail = json(&body);
+    assert_eq!(
+        detail.get("code").and_then(JsonValue::as_str),
+        Some("job_failed")
+    );
+    assert!(
+        detail
+            .get("error")
+            .and_then(JsonValue::as_str)
+            .is_some_and(|e| e.contains("pipeline blocks")),
+        "{detail}"
+    );
+    let (status, _, _) = get(&addr, "/healthz", None);
+    assert_eq!(status, 200);
+
     // Drain: accepted immediately; the serve loop exits once idle.
     let (status, _, body) = request(&addr, "POST", "/v1/drain", None, None);
     assert_eq!(status, 202);
@@ -376,56 +422,6 @@ fn keys_file_rotation_applies_without_restart() {
     assert_eq!(status, 202);
     handle.join().expect("gateway exits cleanly after drain");
     let _ = std::fs::remove_file(&keys_path);
-}
-
-/// With a worker registry attached, `/metrics` exposes the fleet: the
-/// registered-worker gauge, churn counters, and per-worker slot gauges.
-#[test]
-fn metrics_expose_worker_registry_state() {
-    let registry = pimsyn::WorkerRegistry::new(pimsyn::DEFAULT_HEARTBEAT_INTERVAL, None, true);
-    registry.announce("10.0.0.7:9900", 4, 2);
-    registry.announce("10.0.0.8:9900", 2, 1);
-    registry.drain("10.0.0.8:9900");
-    let (handle, addr) = start_gateway(
-        GatewayConfig::new()
-            .with_worker_registry(registry)
-            .with_quiet(true),
-        1,
-    );
-
-    let (status, _, body) = get(&addr, "/metrics", None);
-    assert_eq!(status, 200);
-    let text = std::str::from_utf8(&body).expect("metrics text");
-    for family in [
-        "pimsyn_gateway_registry_workers",
-        "pimsyn_gateway_registry_announces_total",
-        "pimsyn_gateway_registry_heartbeats_total",
-        "pimsyn_gateway_registry_evictions_total",
-        "pimsyn_gateway_registry_drains_total",
-        "pimsyn_gateway_registry_worker_slots",
-    ] {
-        assert!(text.contains(&format!("# HELP {family} ")), "{family}");
-        assert!(text.contains(&format!("# TYPE {family} ")), "{family}");
-    }
-    assert!(text.contains("pimsyn_gateway_registry_workers 1"), "{text}");
-    assert!(
-        text.contains("pimsyn_gateway_registry_announces_total 2"),
-        "{text}"
-    );
-    assert!(
-        text.contains("pimsyn_gateway_registry_drains_total 1"),
-        "{text}"
-    );
-    assert!(
-        text.contains(
-            "pimsyn_gateway_registry_worker_slots{addr=\"10.0.0.7:9900\",proto_max=\"2\"} 4"
-        ),
-        "{text}"
-    );
-
-    let (status, _, _) = request(&addr, "POST", "/v1/drain", None, None);
-    assert_eq!(status, 202);
-    handle.join().expect("gateway exits cleanly after drain");
 }
 
 /// `/metrics` renders valid Prometheus text: every family has HELP/TYPE,

@@ -80,6 +80,13 @@ struct LayerRt {
     busy_post: f64,
 }
 
+/// The most pipeline blocks (summed over layers and images) one
+/// [`simulate`] call tracks. Each block keeps an 8-byte timestamp, so the
+/// bound caps that state at ~134 MB; vgg16 at 224×224 without duplication
+/// has ~138k blocks per image, so at least 121 images of any zoo model
+/// still simulate.
+pub const MAX_SIMULATED_BLOCKS: usize = 1 << 24;
+
 /// Simulates `images` back-to-back inferences of `model` on `arch`.
 ///
 /// Returns a [`SimReport`] whose `latency` is the first image's end-to-end
@@ -89,6 +96,8 @@ struct LayerRt {
 /// # Errors
 ///
 /// - [`SimError::ZeroImages`] if `images == 0`.
+/// - [`SimError::TooManyBlocks`] if the run would track more than
+///   [`MAX_SIMULATED_BLOCKS`] blocks.
 /// - Stage-model errors ([`SimError::MissingComponent`],
 ///   [`SimError::LayerCountMismatch`]).
 pub fn simulate(
@@ -102,6 +111,18 @@ pub fn simulate(
     }
     let stages = compute_stages(df, arch)?;
     let n = stages.len();
+    let total_blocks = (0..n).try_fold(0usize, |sum, i| {
+        df.program(i)
+            .blocks
+            .checked_mul(images)
+            .and_then(|blocks| sum.checked_add(blocks))
+    });
+    if total_blocks.is_none_or(|blocks| blocks > MAX_SIMULATED_BLOCKS) {
+        return Err(SimError::TooManyBlocks {
+            images,
+            limit: MAX_SIMULATED_BLOCKS,
+        });
+    }
 
     // Map each layer to its macro group's shared ADC bank.
     let groups = arch.macro_groups();
@@ -434,6 +455,20 @@ mod tests {
             simulate(&model, &df, &arch, 0),
             Err(SimError::ZeroImages)
         ));
+    }
+
+    #[test]
+    fn block_bound_rejects_huge_image_counts_before_allocating() {
+        let (model, df, arch) = setup([2, 2], 2);
+        for images in [100_000_000_000_000, usize::MAX] {
+            assert_eq!(
+                simulate(&model, &df, &arch, images).unwrap_err(),
+                SimError::TooManyBlocks {
+                    images,
+                    limit: MAX_SIMULATED_BLOCKS
+                }
+            );
+        }
     }
 
     #[test]

@@ -23,6 +23,14 @@ pub enum SimError {
     },
     /// The requested number of pipelined images must be at least one.
     ZeroImages,
+    /// Simulating this many images would track more pipeline blocks than
+    /// [`MAX_SIMULATED_BLOCKS`](crate::MAX_SIMULATED_BLOCKS).
+    TooManyBlocks {
+        /// The requested image count.
+        images: usize,
+        /// The block bound it exceeds.
+        limit: usize,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -41,6 +49,10 @@ impl fmt::Display for SimError {
                 )
             }
             SimError::ZeroImages => write!(f, "at least one image must be simulated"),
+            SimError::TooManyBlocks { images, limit } => write!(
+                f,
+                "simulating {images} images needs more than {limit} pipeline blocks"
+            ),
         }
     }
 }

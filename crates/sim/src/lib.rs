@@ -45,7 +45,7 @@ pub use analytic::{
     efficiency_or_zero, evaluate_analytic, solve_pipeline, solve_pipeline_into, summarize_pipeline,
     AnalyticSummary, PipelineSolution,
 };
-pub use engine::simulate;
+pub use engine::{simulate, MAX_SIMULATED_BLOCKS};
 pub use error::SimError;
 pub use metrics::{LayerPerf, SimReport, StageKind, Utilization};
 pub use stages::{

@@ -1,10 +1,10 @@
 //! Reproducibility: the whole flow is deterministic given a seed, including
 //! under parallel exploration, with candidate-evaluation memoization, and
-//! across evaluation backends (inline, thread pool; the subprocess backend
-//! is covered end-to-end in the `pimsyn` crate's `backend_worker` tests,
-//! which have access to the built CLI binary).
+//! across a persistent cache file (the subprocess backend is covered end
+//! to end in the `pimsyn-gateway` crate's `backend_worker` tests, which
+//! have access to the built CLI binary).
 
-use pimsyn::{BackendKind, EvalCacheConfig, SynthesisOptions, Synthesizer};
+use pimsyn::{EvalCacheConfig, SynthesisOptions, Synthesizer};
 use pimsyn_arch::{MacroMode, Watts};
 use pimsyn_model::zoo;
 
@@ -73,153 +73,6 @@ fn eval_cache_runs_are_bit_identical_to_uncached() {
             assert_eq!(cached.evaluations, uncached.evaluations, "{case}");
             assert_eq!(cached.history, uncached.history, "{case}");
         }
-    }
-}
-
-/// The evaluation backend decides only *where* scoring runs: inline and
-/// thread-pool backends must produce bit-identical outcomes — best design,
-/// evaluation counts and per-point history — for several models and seeds.
-#[test]
-fn thread_pool_backend_equals_inline_bit_identically() {
-    let cases = [
-        (zoo::alexnet_cifar(10), Watts(9.0)),
-        (zoo::vgg16_cifar(10), Watts(15.0)),
-        (zoo::transformer_tiny(), Watts(6.0)),
-    ];
-    for (model, power) in &cases {
-        for seed in [7u64, 23] {
-            let base = SynthesisOptions::fast(*power).with_seed(seed);
-            let inline = Synthesizer::new(base.clone())
-                .synthesize(model)
-                .expect("inline synthesis");
-            let threads = Synthesizer::new(
-                base.clone()
-                    .with_backend(BackendKind::ThreadPool { workers: 2 }),
-            )
-            .synthesize(model)
-            .expect("thread-pool synthesis");
-            assert_eq!(inline.wt_dup, threads.wt_dup, "{model} seed {seed}");
-            assert_eq!(
-                inline.architecture, threads.architecture,
-                "{model} seed {seed}"
-            );
-            assert_eq!(inline.analytic, threads.analytic, "{model} seed {seed}");
-            assert_eq!(
-                inline.evaluations, threads.evaluations,
-                "{model} seed {seed}"
-            );
-            assert_eq!(inline.history, threads.history, "{model} seed {seed}");
-            assert_eq!(
-                inline.stop_reason, threads.stop_reason,
-                "{model} seed {seed}"
-            );
-        }
-    }
-}
-
-/// The remote backend decides only *where* scoring runs, like every other
-/// backend: a run scored against a live in-process `worker-serve` daemon
-/// must produce a bit-identical outcome — best design, evaluation counts
-/// and per-point history — to an inline run, for several seeds over one
-/// daemon (sessions are re-opened per run on recycled connections).
-#[test]
-fn remote_backend_equals_inline_bit_identically() {
-    let model = zoo::alexnet_cifar(10);
-    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind port 0");
-    let daemon = pimsyn::serve_workers_in_background(
-        listener,
-        pimsyn::WorkerServeConfig {
-            slots: 2,
-            token: None,
-            quiet: true,
-            ..Default::default()
-        },
-    )
-    .expect("start worker daemon");
-    let addr = daemon.addr().to_string();
-    for seed in [7u64, 23] {
-        let base = SynthesisOptions::fast(Watts(9.0)).with_seed(seed);
-        let inline = Synthesizer::new(base.clone())
-            .synthesize(&model)
-            .expect("inline synthesis");
-        let remote = Synthesizer::new(base.with_backend(BackendKind::Remote {
-            endpoints: vec![addr.clone()],
-        }))
-        .synthesize(&model)
-        .expect("remote synthesis");
-        assert_eq!(inline.wt_dup, remote.wt_dup, "seed {seed}");
-        assert_eq!(inline.architecture, remote.architecture, "seed {seed}");
-        assert_eq!(inline.analytic, remote.analytic, "seed {seed}");
-        assert_eq!(inline.evaluations, remote.evaluations, "seed {seed}");
-        assert_eq!(inline.history, remote.history, "seed {seed}");
-        assert_eq!(inline.stop_reason, remote.stop_reason, "seed {seed}");
-    }
-    pimsyn::stop_worker_server(&addr, None).expect("daemon stops cleanly");
-    daemon.join().expect("daemon exits cleanly");
-}
-
-/// Chaos determinism: a fleet where one worker answers slowly (injected
-/// per-candidate delay), one stalls after its first exchanges, and one
-/// drops its connection every second exchange must still produce a
-/// bit-identical outcome. The adaptive chunker's throughput weighting and
-/// straggler requeue only move *where* pieces of a batch run — results are
-/// always reduced in input order, so what they score never changes.
-#[test]
-fn fault_injected_fleet_equals_inline_bit_identically() {
-    use pimsyn::FaultInjection;
-    use std::time::Duration;
-
-    let model = zoo::alexnet_cifar(10);
-    let daemon = |faults: FaultInjection| {
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind port 0");
-        pimsyn::serve_workers_in_background(
-            listener,
-            pimsyn::WorkerServeConfig {
-                slots: 2,
-                quiet: true,
-                faults,
-                ..Default::default()
-            },
-        )
-        .expect("start worker daemon")
-    };
-    let slow = daemon(FaultInjection {
-        job_delay: Some(Duration::from_micros(400)),
-        ..Default::default()
-    });
-    let stalling = daemon(FaultInjection {
-        stall_after: Some(2),
-        stall_delay: Duration::from_millis(40),
-        ..Default::default()
-    });
-    let flaky = daemon(FaultInjection {
-        drop_every: Some(2),
-        ..Default::default()
-    });
-    let endpoints = vec![
-        slow.addr().to_string(),
-        stalling.addr().to_string(),
-        flaky.addr().to_string(),
-    ];
-    let base = SynthesisOptions::fast(Watts(9.0)).with_seed(7);
-    let inline = Synthesizer::new(base.clone())
-        .synthesize(&model)
-        .expect("inline synthesis");
-    let remote = Synthesizer::new(base.with_backend(BackendKind::Remote {
-        endpoints: endpoints.clone(),
-    }))
-    .synthesize(&model)
-    .expect("remote synthesis");
-    assert_eq!(inline.wt_dup, remote.wt_dup);
-    assert_eq!(inline.architecture, remote.architecture);
-    assert_eq!(inline.analytic, remote.analytic);
-    assert_eq!(inline.evaluations, remote.evaluations);
-    assert_eq!(inline.history, remote.history);
-    assert_eq!(inline.stop_reason, remote.stop_reason);
-    for daemon in [slow, stalling, flaky] {
-        let addr = daemon.addr().to_string();
-        pimsyn::stop_worker_server(&addr, None).expect("daemon stops cleanly");
-        daemon.join().expect("daemon exits cleanly");
     }
 }
 
