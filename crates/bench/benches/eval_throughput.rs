@@ -1,19 +1,15 @@
 //! Evaluator-throughput benchmark: candidates scored per second with the
 //! memo cache on vs off, on a repeated-gene workload (the shape EA
 //! generations actually produce — tournament winners resurface unmutated,
-//! and mutations frequently recreate previously seen genes), plus a
-//! backend-comparison case scoring the same batches through the inline
-//! and (when `PIMSYN_WORKER_BIN` points at a built `pimsyn` binary)
-//! subprocess backends.
+//! and mutations frequently recreate previously seen genes).
 //!
 //! Besides the criterion timings, the bench computes each arm's throughput
-//! directly and prints `BENCH_eval` / `BENCH_backend` / `BENCH_delta` JSON
-//! summaries; set `PIMSYN_BENCH_SAVE=<path>` /
-//! `PIMSYN_BENCH_SAVE_BACKEND=<path>` / `PIMSYN_BENCH_SAVE_DELTA=<path>` to
-//! also write them to files (the committed `BENCH_eval.json` /
-//! `BENCH_backend.json` / `BENCH_delta.json` baselines were recorded this
-//! way). Pass `--quick` (the CI smoke mode) to run a single small round
-//! that merely proves the hot paths compile and execute.
+//! directly and prints `BENCH_eval` / `BENCH_delta` JSON summaries; set
+//! `PIMSYN_BENCH_SAVE=<path>` / `PIMSYN_BENCH_SAVE_DELTA=<path>` to also
+//! write them to files (the committed `BENCH_eval.json` /
+//! `BENCH_delta.json` baselines were recorded this way). Pass `--quick`
+//! (the CI smoke mode) to run a single small round that merely proves the
+//! hot paths compile and execute.
 //!
 //! The delta case scores a mutation *chain* — every gene differs from its
 //! predecessor in exactly one position, the per-child diff the EA hot loop
@@ -26,8 +22,8 @@ use std::time::Instant;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use pimsyn_arch::{CrossbarConfig, DacConfig, HardwareParams, MacroMode, Watts};
 use pimsyn_dse::{
-    BackendKind, CandidateEvaluator, DeltaSession, DesignPoint, EvalBackendConfig, EvalCacheConfig,
-    ExploreContext, MacAllocGene, Objective,
+    CandidateEvaluator, DeltaSession, DesignPoint, EvalCacheConfig, ExploreContext, MacAllocGene,
+    Objective,
 };
 use pimsyn_ir::Dataflow;
 use pimsyn_model::{zoo, Model};
@@ -252,81 +248,5 @@ fn bench_delta_rescoring(c: &mut Criterion) {
     }
 }
 
-/// Scores the workload in EA-generation-sized batches through the given
-/// backend with the candidate memo off (every request computes), measuring
-/// the raw scoring path each backend parallelizes; candidates/second.
-fn backend_throughput(w: &Workload, backend: &EvalBackendConfig) -> f64 {
-    let eval = CandidateEvaluator::with_backend(
-        &w.model,
-        POWER,
-        &w.hw,
-        MacroMode::Specialized,
-        Objective::PowerEfficiency,
-        EvalCacheConfig::disabled(),
-        backend,
-    );
-    let ctx = ExploreContext::unobserved();
-    let start = Instant::now();
-    for batch in w.genes.chunks(16) {
-        black_box(eval.score_batch(&w.df, w.point, batch, &ctx));
-    }
-    w.genes.len() as f64 / start.elapsed().as_secs_f64().max(1e-12)
-}
-
-fn bench_backend_comparison(c: &mut Criterion) {
-    let quick = quick_mode();
-    let (distinct, repeats, samples) = if quick { (4, 2, 1) } else { (16, 4, 10) };
-    let w = workload(distinct, repeats);
-    let inline_cfg = EvalBackendConfig::inline();
-    // The subprocess arm needs a real worker binary; benches have no
-    // CARGO_BIN_EXE, so it only runs when the caller points at one.
-    let subprocess_cfg = std::env::var("PIMSYN_WORKER_BIN").ok().map(|bin| {
-        EvalBackendConfig::new(BackendKind::Subprocess { workers: 2 }).with_worker_command(bin)
-    });
-
-    let mut group = c.benchmark_group("eval_backend");
-    group.sample_size(samples);
-    group.bench_function("inline", |b| b.iter(|| backend_throughput(&w, &inline_cfg)));
-    if let Some(cfg) = &subprocess_cfg {
-        group.bench_function("subprocess", |b| b.iter(|| backend_throughput(&w, cfg)));
-    }
-    group.finish();
-
-    let rounds = if quick { 1 } else { 3 };
-    let best = |cfg: &EvalBackendConfig| {
-        (0..rounds)
-            .map(|_| backend_throughput(&w, cfg))
-            .fold(0.0f64, f64::max)
-    };
-    let inline = best(&inline_cfg);
-    let subprocess = subprocess_cfg.as_ref().map(&best);
-    let subprocess_json = subprocess
-        .map(|t| format!("{t:.1}"))
-        .unwrap_or_else(|| "null".to_string());
-    // Parallel backends only pay off with cores to spread over; record the
-    // machine width so the baseline is interpretable (on a 1-core box the
-    // subprocess arm measures pure coordination overhead).
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let json = format!(
-        "{{\n  \"bench\": \"eval_backend\",\n  \"model\": \"alexnet-cifar\",\n  \
-         \"cores\": {cores},\n  \"batch_size\": 16,\n  \"candidates\": {},\n  \
-         \"inline_candidates_per_sec\": {inline:.1},\n  \
-         \"subprocess_candidates_per_sec\": {subprocess_json}\n}}",
-        w.genes.len(),
-    );
-    println!("{json}");
-    if let Ok(path) = std::env::var("PIMSYN_BENCH_SAVE_BACKEND") {
-        std::fs::write(&path, format!("{json}\n")).expect("write backend baseline");
-        println!("(baseline written to {path})");
-    }
-}
-
-criterion_group!(
-    benches,
-    bench_eval_throughput,
-    bench_delta_rescoring,
-    bench_backend_comparison
-);
+criterion_group!(benches, bench_eval_throughput, bench_delta_rescoring);
 criterion_main!(benches);

@@ -42,13 +42,9 @@ fn start_gateway() -> Gateway {
     let service = Arc::new(SynthesisService::new(
         ServiceConfig::default().with_job_slots(1),
     ));
-    let handle = serve_gateway_in_background(
-        listener,
-        service,
-        |_job| {},
-        GatewayConfig::new().with_quiet(true),
-    )
-    .expect("start gateway");
+    let handle =
+        serve_gateway_in_background(listener, service, GatewayConfig::new().with_quiet(true))
+            .expect("start gateway");
     let addr = handle.addr().to_string();
     Gateway { handle, addr }
 }

@@ -173,28 +173,6 @@ impl SynthesisEngine {
                 0,
             );
         }
-        // Persistence snapshots the memo; with the memo disabled there is
-        // nothing to load or save — reject instead of silently dropping the
-        // cache file (the CLI enforces the same rule at arg level).
-        if !options.eval_cache.enabled && options.backend.cache_file.is_some() {
-            return (
-                Err(SynthesisError::InvalidOptions {
-                    detail: "an eval-cache file requires the evaluation cache to be enabled"
-                        .to_string(),
-                }),
-                0,
-            );
-        }
-        // The entry cap trims what is written to the cache file; without a
-        // file it caps nothing — reject the mistake instead of ignoring it.
-        if options.backend.cache_max_entries.is_some() && options.backend.cache_file.is_none() {
-            return (
-                Err(SynthesisError::InvalidOptions {
-                    detail: "an eval-cache entry cap requires an eval-cache file".to_string(),
-                }),
-                0,
-            );
-        }
         let started = Instant::now();
         let cfg = options.to_dse_config();
         let adapter = SinkAdapter { sink, job };
@@ -264,9 +242,7 @@ impl SynthesisEngine {
     /// Internally the batch is a thin client of a private
     /// [`SynthesisService`](crate::SynthesisService): the requests are
     /// submitted in order to a queue drained by `batch_workers` job slots,
-    /// so they also share the service's worker pool and cache-snapshot
-    /// store (transparently — results are bit-identical to standalone
-    /// runs).
+    /// and every result is bit-identical to a standalone run.
     pub fn synthesize_batch_observed(
         &self,
         requests: &[SynthesisRequest],

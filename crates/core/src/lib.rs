@@ -69,15 +69,12 @@
 //! # Service mode
 //!
 //! For sweep-shaped workloads (power sweeps, model zoos, objective grids),
-//! [`SynthesisService`] runs as a long-lived daemon: a bounded FIFO job
-//! queue drained by concurrent job slots, whose jobs share one subprocess
-//! worker pool (leased and re-sessioned per job) and one warm
-//! evaluation-cache snapshot store. [`serve`] exposes it over a versioned
-//! JSON-lines TCP protocol (`pimsyn serve` / `pimsyn submit|status|result|
-//! cancel|shutdown` on the CLI); [`ServiceClient`] speaks that protocol.
+//! [`SynthesisService`] runs as a long-lived daemon: a bounded job queue
+//! drained by concurrent job slots, with FIFO or weighted-fair scheduling
+//! across tenants. The `pimsyn-gateway` crate exposes it over HTTP
+//! (`pimsyn gateway` on the CLI).
 //! [`SynthesisEngine::synthesize_batch`] is a thin client of a private
-//! service, so batches get the shared resources for free — transparently:
-//! results stay bit-identical to standalone runs.
+//! service; its results stay bit-identical to standalone runs.
 //!
 //! The companion crates expose the substrates: [`pimsyn_model`] (CNNs),
 //! [`pimsyn_arch`] (hardware), [`pimsyn_ir`] (dataflow IR), [`pimsyn_sim`]
@@ -97,7 +94,6 @@ mod request;
 mod service;
 mod summary;
 mod synthesis;
-mod worker;
 
 pub use engine::{SynthesisEngine, SynthesisJob};
 pub use error::SynthesisError;
@@ -105,20 +101,16 @@ pub use events::{CallbackSink, ChannelSink, CollectingSink, EventSink, NullSink,
 pub use options::{Effort, SynthesisOptions};
 pub use request::SynthesisRequest;
 pub use service::{
-    encode_job_payload, event_to_json, parse_job_payload, serve, serve_in_background, JobHandle,
-    JobStatus, SchedulingPolicy, ServeHandle, ServeOptions, ServiceClient, ServiceConfig,
-    ServiceError, ServiceSnapshot, SynthesisService, TenantCounts, TenantPolicy,
-    SERVICE_PROTOCOL_VERSION,
+    event_to_json, JobHandle, JobStatus, SchedulingPolicy, ServiceConfig, ServiceError,
+    ServiceSnapshot, SynthesisService, TenantCounts, TenantPolicy,
 };
 pub use summary::SynthesisSummary;
 pub use synthesis::{SynthesisResult, Synthesizer};
-pub use worker::{run_worker, run_worker_stdio};
 
 // Re-export the vocabulary types users need at the API boundary.
 pub use pimsyn_arch::{Architecture, MacroMode, Watts};
 pub use pimsyn_dse::{
-    read_token_file, BackendKind, BackendStats, CancelToken, DesignPoint, DesignSpace,
-    EvalBackendConfig, EvalCacheConfig, EvaluatorStats, Objective, SharedEvalResources, StopReason,
+    CancelToken, DesignPoint, DesignSpace, EvalCacheConfig, EvaluatorStats, Objective, StopReason,
     SynthesisStage, WtDupStrategy,
 };
 pub use pimsyn_sim::SimReport;

@@ -5,8 +5,8 @@ use std::time::Duration;
 
 use pimsyn_arch::{HardwareParams, MacroMode, Watts};
 use pimsyn_dse::{
-    BackendKind, DesignSpace, DseConfig, EaConfig, EvalBackendConfig, EvalCacheConfig,
-    ExploreBudget, Objective, SaConfig, WtDupStrategy,
+    DesignSpace, DseConfig, EaConfig, EvalCacheConfig, ExploreBudget, Objective, SaConfig,
+    WtDupStrategy,
 };
 
 /// How much search effort to spend.
@@ -85,11 +85,6 @@ pub struct SynthesisOptions {
     /// hit statistics stream as
     /// [`SynthesisEvent::EvaluatorStats`](crate::SynthesisEvent::EvaluatorStats).
     pub eval_cache: EvalCacheConfig,
-    /// Evaluation backend: where candidate scoring runs (inline by default,
-    /// or `pimsyn --worker` subprocesses) plus the optional
-    /// persistent cache file that warm-starts repeated runs. Every backend
-    /// produces bit-identical results; only wall-clock differs.
-    pub backend: EvalBackendConfig,
 }
 
 impl SynthesisOptions {
@@ -117,7 +112,6 @@ impl SynthesisOptions {
             max_evaluations: None,
             max_unique_evaluations: None,
             eval_cache: EvalCacheConfig::default(),
-            backend: EvalBackendConfig::default(),
         }
     }
 
@@ -211,26 +205,6 @@ impl SynthesisOptions {
         self
     }
 
-    /// Selects the evaluation backend (inline or subprocess).
-    pub fn with_backend(mut self, kind: BackendKind) -> Self {
-        self.backend.kind = kind;
-        self
-    }
-
-    /// Persists the evaluation memo to `path` across runs: loaded (when its
-    /// fingerprint matches the run) before the search, rewritten after it.
-    pub fn with_eval_cache_file(mut self, path: impl Into<std::path::PathBuf>) -> Self {
-        self.backend.cache_file = Some(path.into());
-        self
-    }
-
-    /// Overrides the subprocess worker executable (tests and embeddings;
-    /// the CLI defaults to its own binary).
-    pub fn with_worker_command(mut self, path: impl Into<std::path::PathBuf>) -> Self {
-        self.backend.worker_command = Some(path.into());
-        self
-    }
-
     /// Lowers the configured budgets to the DSE layer (deadline anchored at
     /// the moment of the call).
     pub(crate) fn to_explore_budget(&self) -> ExploreBudget {
@@ -272,7 +246,6 @@ impl SynthesisOptions {
             macro_mode: self.macro_mode,
             parallel: self.parallel,
             eval_cache: self.eval_cache,
-            backend: self.backend.clone(),
             seed: self.seed,
         }
     }
@@ -300,22 +273,15 @@ mod tests {
 
     #[test]
     fn backend_options_lower_to_dse_config_and_budget() {
-        let o = SynthesisOptions::fast(Watts(8.0))
-            .with_backend(BackendKind::Subprocess { workers: 2 })
-            .with_eval_cache_file("/tmp/pimsyn-cache.json")
-            .with_max_unique_evaluations(10);
-        let cfg = o.to_dse_config();
-        assert_eq!(cfg.backend.kind, BackendKind::Subprocess { workers: 2 });
-        assert_eq!(
-            cfg.backend.cache_file.as_deref(),
-            Some(std::path::Path::new("/tmp/pimsyn-cache.json"))
-        );
+        let o = SynthesisOptions::fast(Watts(8.0)).with_max_unique_evaluations(10);
         let budget = o.to_explore_budget();
         assert_eq!(budget.max_unique_evaluations, Some(10));
-        // Defaults stay inline with no persistence.
-        let d = SynthesisOptions::new(Watts(8.0));
-        assert_eq!(d.backend.kind, BackendKind::Inline);
-        assert!(d.backend.cache_file.is_none());
+        assert_eq!(
+            SynthesisOptions::new(Watts(8.0))
+                .to_explore_budget()
+                .max_unique_evaluations,
+            None
+        );
     }
 
     #[test]

@@ -1,33 +1,20 @@
-//! The long-lived [`SynthesisService`]: a multi-job queue over a shared
-//! worker pool.
+//! The long-lived [`SynthesisService`]: a multi-job queue drained by a
+//! fixed number of job slots.
 //!
 //! Where a [`SynthesisEngine`](crate::SynthesisEngine) models one ephemeral
 //! run (or one throwaway batch), the service models a *daemon*: clients
-//! [`submit`](SynthesisService::submit) requests into a bounded queue, a
-//! fixed number of job slots drain it under a pluggable
+//! [`submit`](SynthesisService::submit) requests into a bounded queue, and
+//! a fixed number of job slots drain it under a pluggable
 //! [`SchedulingPolicy`] (global FIFO by default; weighted deficit
 //! round-robin across [`TenantPolicy`] lanes for multi-tenant front ends
-//! such as the HTTP gateway), and every job shares the service's
-//! process-wide resources — one `pimsyn --worker` subprocess pool (leased
-//! and re-sessioned per job instead of spawned per run) and one in-memory
-//! evaluation-cache snapshot store (so jobs with the same fingerprint
-//! warm-start each other without touching the cache file). Sharing is
-//! transparent: results are bit-identical to standalone runs. (One caveat,
-//! inherited from the cache file itself: a job curtailed by a
-//! `max_unique_evaluations` budget stops by work actually done, so its
-//! stopping point depends on what warm-started its memo — see
-//! [`SharedEvalResources`] for the full statement.)
+//! such as the HTTP gateway). Every job runs exactly as a standalone run
+//! would, so results are bit-identical to standalone runs.
 //!
 //! Each submission returns a [`JobHandle`] exposing
 //! [`status`](JobHandle::status) / [`await_result`](JobHandle::await_result)
 //! / [`cancel`](JobHandle::cancel) / [`events`](JobHandle::events), built on
-//! the same [`CancelToken`] / [`EventSink`] machinery as the engine.
-//!
-//! The service is also reachable over a socket: [`serve`] runs it behind a
-//! versioned JSON-lines TCP protocol (`submit` / `status` / `events` /
-//! `cancel` / `result` / `shutdown`), and [`ServiceClient`] speaks that
-//! protocol — the `pimsyn serve` / `pimsyn submit|status|result|cancel|
-//! shutdown` CLI subcommands are thin wrappers over the two.
+//! the same [`CancelToken`] / [`EventSink`] machinery as the engine. The
+//! `pimsyn-gateway` crate serves a service over HTTP.
 //!
 //! # Example
 //!
@@ -48,15 +35,11 @@
 //! service.shutdown();
 //! ```
 
-mod client;
 mod sched;
-mod serve;
 mod wire;
 
-pub use client::ServiceClient;
 pub use sched::SchedulingPolicy;
-pub use serve::{serve, serve_in_background, ServeHandle, ServeOptions};
-pub use wire::{encode_job_payload, event_to_json, parse_job_payload, SERVICE_PROTOCOL_VERSION};
+pub use wire::event_to_json;
 
 use std::collections::{HashMap, VecDeque};
 use std::error::Error;
@@ -65,7 +48,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread;
 
-use pimsyn_dse::{CancelToken, SharedEvalResources};
+use pimsyn_dse::CancelToken;
 
 use crate::engine::SynthesisEngine;
 use crate::error::SynthesisError;
@@ -83,10 +66,10 @@ pub struct ServiceConfig {
     /// instead of blocking.
     pub queue_depth: usize,
     /// How many *finished* jobs stay addressable by id (their results
-    /// fetchable through [`SynthesisService::await_result_by_id`] and the
-    /// socket `result` verb). Beyond this, the oldest finished records are
-    /// dropped — a long-lived daemon must not grow without bound. Live
-    /// [`JobHandle`]s are unaffected by eviction.
+    /// fetchable through [`SynthesisService::await_result_by_id`]). Beyond
+    /// this, the oldest finished records are dropped — a long-lived daemon
+    /// must not grow without bound. Live [`JobHandle`]s are unaffected by
+    /// eviction.
     pub finished_retention: usize,
     /// Which policy orders waiting jobs: global FIFO (the default) or
     /// weighted deficit round-robin across tenants. With a single tenant —
@@ -333,7 +316,7 @@ struct JobWork {
 }
 
 /// Fans one event stream out to several sinks (the handle's channel plus an
-/// optional external sink such as a batch aggregator or a socket log).
+/// optional external sink such as a batch aggregator or a gateway log).
 struct TeeSink {
     sinks: Vec<Arc<dyn EventSink>>,
 }
@@ -418,7 +401,6 @@ struct QueueState {
 struct Inner {
     config: ServiceConfig,
     engine: SynthesisEngine,
-    shared: Arc<SharedEvalResources>,
     queue: Mutex<QueueState>,
     available: Condvar,
     jobs: Mutex<HashMap<u64, Arc<JobState>>>,
@@ -478,16 +460,9 @@ impl Inner {
                 // A job cancelled while still queued never runs (and emits
                 // no events) — the same contract the engine's batch path
                 // has always had for pre-cancelled jobs.
-                Some(work) if !job.cancel.is_cancelled() => {
-                    let JobWork { mut request, sink } = work;
-                    // Every job shares the service's worker pool and
-                    // snapshot store unless the request brought its own.
-                    if request.options.backend.shared.is_none() {
-                        request.options.backend.shared = Some(Arc::clone(&self.shared));
-                    }
-                    self.engine
-                        .run_job(job.event_tag, &request, &sink, &job.cancel)
-                }
+                Some(JobWork { request, sink }) if !job.cancel.is_cancelled() => self
+                    .engine
+                    .run_job(job.event_tag, &request, &sink, &job.cancel),
                 _ => Err(SynthesisError::Cancelled),
             };
             job.finish(result);
@@ -510,18 +485,13 @@ impl Inner {
     }
 }
 
-/// A long-lived, thread-safe synthesis daemon: a bounded FIFO job queue
-/// drained by a fixed number of slots, with process-wide shared evaluation
-/// resources.
+/// A long-lived, thread-safe synthesis daemon: a bounded job queue drained
+/// by a fixed number of slots.
 ///
 /// [`submit`](Self::submit) enqueues a [`SynthesisRequest`] and returns a
-/// [`JobHandle`] (or [`ServiceError::QueueFull`] — it never blocks); jobs
-/// share one subprocess worker pool and one in-memory evaluation-cache
-/// snapshot store through [`SharedEvalResources`], so N jobs spawn at most
-/// the pool width of workers and same-fingerprint jobs warm-start each
-/// other. Sharing is transparent: results are bit-identical to standalone
-/// runs. [`serve`] exposes a service over TCP; [`ServiceClient`] is the
-/// matching client (see `docs/PROTOCOLS.md` for the wire format).
+/// [`JobHandle`] (or [`ServiceError::QueueFull`] — it never blocks). Each
+/// job runs exactly like a standalone run, so its result is bit-identical
+/// to one.
 pub struct SynthesisService {
     inner: Arc<Inner>,
     slots: Mutex<Vec<thread::JoinHandle<()>>>,
@@ -552,7 +522,6 @@ impl SynthesisService {
     pub fn new(config: ServiceConfig) -> Self {
         let inner = Arc::new(Inner {
             engine: SynthesisEngine::new(),
-            shared: SharedEvalResources::new(),
             queue: Mutex::new(QueueState {
                 scheduler: sched::scheduler_for(config.scheduling),
                 running: HashMap::new(),
@@ -581,19 +550,6 @@ impl SynthesisService {
     /// The sizing policy this service runs under.
     pub fn config(&self) -> &ServiceConfig {
         &self.inner.config
-    }
-
-    /// The shared evaluation resources every job of this service leases
-    /// from (worker pool, snapshot store).
-    pub fn shared_resources(&self) -> Arc<SharedEvalResources> {
-        Arc::clone(&self.inner.shared)
-    }
-
-    /// Worker processes spawned by the service's shared pool so far. N jobs
-    /// through a service spawn at most the configured pool width of
-    /// workers, not N × width.
-    pub fn worker_spawns(&self) -> usize {
-        self.inner.shared.worker_spawns()
     }
 
     /// Jobs currently waiting in the queue (excluding running ones).
@@ -678,16 +634,6 @@ impl SynthesisService {
         cancel: CancelToken,
     ) -> Result<JobHandle, ServiceError> {
         self.submit_inner(request, Some(tag), None, Some(external), Some(cancel))
-    }
-
-    /// Socket-path submission: events are additionally tee'd into
-    /// `external` (the per-job event log the `events` verb replays).
-    pub(crate) fn submit_observed(
-        &self,
-        request: SynthesisRequest,
-        external: Arc<dyn EventSink>,
-    ) -> Result<JobHandle, ServiceError> {
-        self.submit_inner(request, None, None, Some(external), None)
     }
 
     fn submit_inner(
@@ -870,7 +816,8 @@ impl fmt::Debug for JobHandle {
 }
 
 impl JobHandle {
-    /// The service-wide job id (what the socket protocol's verbs address).
+    /// The service-wide job id (what the gateway's `/v1/jobs/{id}` routes
+    /// address).
     pub fn id(&self) -> u64 {
         self.state.id
     }

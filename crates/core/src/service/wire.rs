@@ -1,497 +1,10 @@
-//! The versioned JSON-lines TCP protocol between [`ServiceClient`] and a
-//! served [`SynthesisService`].
-//!
-//! Framing follows the PR-3 worker protocol: one JSON object per line,
-//! floats that must survive bit-exactly as `f64::to_bits` hex strings, and
-//! a strict version field — every request carries `"pimsyn_service":
-//! <version>`, and a mismatch is answered with an explicit
-//! `version_mismatch` error reply instead of being guessed at.
-//!
-//! One connection carries one request and its reply (the `events` verb
-//! streams many reply lines, then closes). Verbs:
-//!
-//! ```text
-//! > {"verb":"submit","pimsyn_service":2,"job":{...}}
-//! < {"ok":true,"pimsyn_service":2,"id":0}
-//! > {"verb":"status","pimsyn_service":2,"id":0}
-//! < {"ok":true,"id":0,"status":"running"}
-//! > {"verb":"events","pimsyn_service":2,"id":0}
-//! < {"ok":true,"event":{"type":"job_started",...}}   (one line per event)
-//! < {"ok":true,"done":true}
-//! > {"verb":"result","pimsyn_service":2,"id":0}      (blocks until finished)
-//! < {"ok":true,"id":0,"summary":{...}}
-//! > {"verb":"cancel","pimsyn_service":2,"id":0}
-//! < {"ok":true,"id":0}
-//! > {"verb":"drain","pimsyn_service":2}
-//! < {"ok":true,"draining":true}
-//! > {"verb":"shutdown","pimsyn_service":2}
-//! < {"ok":true,"shutting_down":true}
-//! ```
-//!
-//! A daemon started with a shared auth token additionally requires a
-//! `"token":"<secret>"` field on every request; a bad or missing token is
-//! answered with an `auth_failed` error reply. `drain` asks the daemon to
-//! stop accepting new jobs, finish every queued and running one, and then
-//! exit cleanly (the zero-downtime-restart verb; `shutdown` cancels
-//! instead).
-//!
-//! Error replies are `{"ok":false,"code":"<slug>","error":"<detail>"}` with
-//! codes `version_mismatch`, `bad_request`, `auth_failed`, `queue_full`,
-//! `quota_exceeded`, `draining`, `shut_down`, `unknown_job` and
-//! `job_failed`.
-//!
-//! The submit payload carries the *request*, not server policy: the model
-//! (ONNX-style JSON), bit-exact hardware parameters, the power budget as
-//! bits, and the search options. Which evaluation backend scores it, and
-//! which cache file (if any) persists it, are the serving process's own
-//! configuration — clients cannot point a daemon at arbitrary local paths.
-//!
-//! [`ServiceClient`]: super::ServiceClient
+//! The JSON wire form of service objects that front ends stream to their
+//! clients. The HTTP gateway's `GET /v1/jobs/{id}/events` sends one
+//! [`event_to_json`] object per event (see `docs/PROTOCOLS.md`).
 
-use std::time::Duration;
-
-use pimsyn_arch::{hardware_config, Watts};
-use pimsyn_dse::backend::protocol::{
-    macro_mode_tag, objective_tag, parse_macro_mode, parse_objective,
-};
-use pimsyn_dse::{EvalCacheConfig, WtDupStrategy};
 use pimsyn_model::json::JsonValue;
-use pimsyn_model::onnx;
 
 use crate::events::SynthesisEvent;
-use crate::options::{Effort, SynthesisOptions};
-use crate::request::SynthesisRequest;
-
-/// Wire-format version; bumped on any incompatible message change (v2
-/// added the `drain` verb and the optional per-request `token` field).
-pub const SERVICE_PROTOCOL_VERSION: u32 = 2;
-
-fn u64_hex(v: u64) -> String {
-    format!("{v:016x}")
-}
-
-fn parse_u64_hex(s: &str) -> Option<u64> {
-    u64::from_str_radix(s, 16).ok()
-}
-
-fn str_field(doc: &JsonValue, key: &str) -> Result<String, String> {
-    doc.get(key)
-        .and_then(JsonValue::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| format!("missing string field `{key}`"))
-}
-
-fn usize_field(doc: &JsonValue, key: &str) -> Result<usize, String> {
-    doc.get(key)
-        .and_then(JsonValue::as_usize)
-        .ok_or_else(|| format!("missing integer field `{key}`"))
-}
-
-fn bool_field(doc: &JsonValue, key: &str) -> Result<bool, String> {
-    doc.get(key)
-        .and_then(JsonValue::as_bool)
-        .ok_or_else(|| format!("missing boolean field `{key}`"))
-}
-
-fn effort_tag(effort: Effort) -> &'static str {
-    match effort {
-        Effort::Fast => "fast",
-        Effort::Paper => "paper",
-    }
-}
-
-fn parse_effort(s: &str) -> Result<Effort, String> {
-    match s {
-        "fast" => Ok(Effort::Fast),
-        "paper" => Ok(Effort::Paper),
-        other => Err(format!("unknown effort `{other}`")),
-    }
-}
-
-fn strategy_tag(strategy: &WtDupStrategy) -> Result<&'static str, String> {
-    match strategy {
-        WtDupStrategy::SimulatedAnnealing => Ok("sa"),
-        WtDupStrategy::WohoProportional => Ok("woho"),
-        WtDupStrategy::NoDuplication => Ok("none"),
-        WtDupStrategy::Fixed(_) => {
-            Err("fixed duplication vectors are not supported over the socket".to_string())
-        }
-    }
-}
-
-fn parse_strategy(s: &str) -> Result<WtDupStrategy, String> {
-    match s {
-        "sa" => Ok(WtDupStrategy::SimulatedAnnealing),
-        "woho" => Ok(WtDupStrategy::WohoProportional),
-        "none" => Ok(WtDupStrategy::NoDuplication),
-        other => Err(format!("unknown strategy `{other}`")),
-    }
-}
-
-/// Encodes one synthesis request as the submit verb's `job` payload (also
-/// the HTTP gateway's `POST /v1/jobs` body format — any front end speaking
-/// the job-payload schema of `docs/PROTOCOLS.md` can reuse this codec).
-///
-/// # Errors
-///
-/// A message for request features the wire format cannot carry (a pinned
-/// design-space override or fixed duplication vectors).
-pub fn encode_job_payload(request: &SynthesisRequest) -> Result<JsonValue, String> {
-    let options = &request.options;
-    if options.space.is_some() {
-        return Err("design-space overrides are not supported over the socket".to_string());
-    }
-    let mut fields: Vec<(String, JsonValue)> = vec![
-        (
-            "model".into(),
-            JsonValue::String(onnx::to_json(&request.model)),
-        ),
-        (
-            "hw".into(),
-            JsonValue::String(hardware_config::to_json_exact(&options.hw)),
-        ),
-        (
-            "power".into(),
-            JsonValue::String(u64_hex(options.power_budget.value().to_bits())),
-        ),
-        (
-            "effort".into(),
-            JsonValue::String(effort_tag(options.effort).into()),
-        ),
-        (
-            "strategy".into(),
-            JsonValue::String(strategy_tag(&options.strategy)?.into()),
-        ),
-        (
-            "objective".into(),
-            JsonValue::String(objective_tag(options.objective).into()),
-        ),
-        (
-            "macro_mode".into(),
-            JsonValue::String(macro_mode_tag(options.macro_mode).into()),
-        ),
-        (
-            "sharing".into(),
-            JsonValue::Bool(options.allow_macro_sharing),
-        ),
-        ("parallel".into(), JsonValue::Bool(options.parallel)),
-        // u64 seeds do not survive JSON's f64 numbers; send decimal text.
-        ("seed".into(), JsonValue::String(options.seed.to_string())),
-        (
-            "cycle".into(),
-            JsonValue::Number(if options.cycle_validation {
-                options.cycle_images as f64
-            } else {
-                0.0
-            }),
-        ),
-        (
-            "eval_cache".into(),
-            JsonValue::Bool(options.eval_cache.enabled),
-        ),
-        (
-            "eval_cache_capacity".into(),
-            JsonValue::Number(options.eval_cache.capacity as f64),
-        ),
-    ];
-    if let Some(limit) = options.time_budget {
-        fields.push((
-            "timeout".into(),
-            JsonValue::String(u64_hex(limit.as_secs_f64().to_bits())),
-        ));
-    }
-    if let Some(n) = options.max_evaluations {
-        fields.push(("max_evals".into(), JsonValue::Number(n as f64)));
-    }
-    if let Some(n) = options.max_unique_evaluations {
-        fields.push(("max_unique_evals".into(), JsonValue::Number(n as f64)));
-    }
-    if let Some(label) = &request.label {
-        fields.push(("label".into(), JsonValue::String(label.clone())));
-    }
-    Ok(JsonValue::Object(fields))
-}
-
-/// Decodes a submit verb's `job` payload back into a request. Backend and
-/// persistence settings are deliberately absent — the serving process
-/// overlays its own.
-///
-/// # Errors
-///
-/// A message naming the malformed or missing field.
-pub fn parse_job_payload(doc: &JsonValue) -> Result<SynthesisRequest, String> {
-    let model = onnx::parse_model(&str_field(doc, "model")?)
-        .map_err(|e| format!("cannot ingest model: {e}"))?;
-    let hw = hardware_config::from_json_exact(&str_field(doc, "hw")?)
-        .map_err(|e| format!("cannot ingest hardware params: {e}"))?;
-    let power_bits = parse_u64_hex(&str_field(doc, "power")?)
-        .ok_or_else(|| "`power` is not a hex bit pattern".to_string())?;
-    let mut options = SynthesisOptions::new(Watts(f64::from_bits(power_bits)));
-    options.hw = hw;
-    options.effort = parse_effort(&str_field(doc, "effort")?)?;
-    options.strategy = parse_strategy(&str_field(doc, "strategy")?)?;
-    options.objective = parse_objective(&str_field(doc, "objective")?)?;
-    options.macro_mode = parse_macro_mode(&str_field(doc, "macro_mode")?)?;
-    options.allow_macro_sharing = bool_field(doc, "sharing")?;
-    options.parallel = bool_field(doc, "parallel")?;
-    options.seed = str_field(doc, "seed")?
-        .parse::<u64>()
-        .map_err(|e| format!("bad seed: {e}"))?;
-    let cycle = usize_field(doc, "cycle")?;
-    options.cycle_validation = cycle > 0;
-    options.cycle_images = if cycle > 0 {
-        cycle
-    } else {
-        options.cycle_images
-    };
-    options.eval_cache = if bool_field(doc, "eval_cache")? {
-        EvalCacheConfig::enabled().with_capacity(usize_field(doc, "eval_cache_capacity")?)
-    } else {
-        EvalCacheConfig::disabled()
-    };
-    if let Some(timeout) = doc.get("timeout") {
-        let bits = timeout
-            .as_str()
-            .and_then(parse_u64_hex)
-            .ok_or_else(|| "`timeout` is not a hex bit pattern".to_string())?;
-        let secs = f64::from_bits(bits);
-        if !(secs.is_finite() && secs > 0.0) {
-            return Err("`timeout` must be a positive finite duration".to_string());
-        }
-        options.time_budget = Some(Duration::from_secs_f64(secs));
-    }
-    if doc.get("max_evals").is_some() {
-        options.max_evaluations = Some(usize_field(doc, "max_evals")?);
-    }
-    if doc.get("max_unique_evals").is_some() {
-        options.max_unique_evaluations = Some(usize_field(doc, "max_unique_evals")?);
-    }
-    let mut request = SynthesisRequest::new(model, options);
-    if let Some(label) = doc.get("label") {
-        request = request.with_label(
-            label
-                .as_str()
-                .ok_or_else(|| "`label` must be a string".to_string())?,
-        );
-    }
-    Ok(request)
-}
-
-/// One parsed client request.
-#[derive(Debug)]
-pub(crate) enum WireVerb {
-    /// Enqueue a job.
-    Submit(Box<SynthesisRequest>),
-    /// Poll a job's lifecycle phase.
-    Status {
-        /// The job id being polled.
-        id: u64,
-    },
-    /// Stream a job's events from the beginning until it finishes.
-    Events {
-        /// The job id being streamed.
-        id: u64,
-    },
-    /// Request cooperative cancellation.
-    Cancel {
-        /// The job id being cancelled.
-        id: u64,
-    },
-    /// Block until the job finishes, then fetch its summary.
-    Result {
-        /// The job id being fetched.
-        id: u64,
-    },
-    /// Gracefully drain the daemon: stop accepting, finish accepted jobs,
-    /// exit cleanly.
-    Drain,
-    /// Stop the daemon (cancels queued and running jobs).
-    Shutdown,
-}
-
-/// Why a request line could not be honored.
-#[derive(Debug)]
-pub(crate) enum WireParseError {
-    /// The peer speaks a different protocol version.
-    VersionMismatch {
-        /// What the peer claimed to speak (`None`: field absent).
-        peer: Option<usize>,
-    },
-    /// Malformed JSON, unknown verb, or missing/invalid fields.
-    Bad(String),
-}
-
-impl WireParseError {
-    /// The `(code, detail)` pair of the error reply this parse failure
-    /// deserves.
-    pub(crate) fn reply_parts(&self) -> (&'static str, String) {
-        match self {
-            WireParseError::VersionMismatch { peer } => (
-                "version_mismatch",
-                match peer {
-                    Some(v) => format!(
-                        "protocol version mismatch: peer speaks {v}, this build speaks \
-                         {SERVICE_PROTOCOL_VERSION}"
-                    ),
-                    None => format!(
-                        "missing `pimsyn_service` version (this build speaks \
-                         {SERVICE_PROTOCOL_VERSION})"
-                    ),
-                },
-            ),
-            WireParseError::Bad(detail) => ("bad_request", detail.clone()),
-        }
-    }
-}
-
-/// Parses one received request line, enforcing the protocol version.
-/// Returns the verb plus the request's optional auth `token` (the daemon
-/// compares it against its configured secret, if any).
-pub(crate) fn parse_verb(line: &str) -> Result<(WireVerb, Option<String>), WireParseError> {
-    let doc = JsonValue::parse(line)
-        .map_err(|e| WireParseError::Bad(format!("malformed request: {e}")))?;
-    match doc.get("pimsyn_service").and_then(JsonValue::as_usize) {
-        Some(v) if v == SERVICE_PROTOCOL_VERSION as usize => {}
-        peer => return Err(WireParseError::VersionMismatch { peer }),
-    }
-    let token = doc
-        .get("token")
-        .and_then(JsonValue::as_str)
-        .map(str::to_string);
-    let verb = doc
-        .get("verb")
-        .and_then(JsonValue::as_str)
-        .ok_or_else(|| WireParseError::Bad("missing request `verb`".to_string()))?;
-    let id = || {
-        usize_field(&doc, "id")
-            .map(|id| id as u64)
-            .map_err(WireParseError::Bad)
-    };
-    let verb = match verb {
-        "submit" => {
-            let job = doc
-                .get("job")
-                .ok_or_else(|| WireParseError::Bad("missing `job` payload".to_string()))?;
-            let request = parse_job_payload(job).map_err(WireParseError::Bad)?;
-            WireVerb::Submit(Box::new(request))
-        }
-        "status" => WireVerb::Status { id: id()? },
-        "events" => WireVerb::Events { id: id()? },
-        "cancel" => WireVerb::Cancel { id: id()? },
-        "result" => WireVerb::Result { id: id()? },
-        "drain" => WireVerb::Drain,
-        "shutdown" => WireVerb::Shutdown,
-        other => return Err(WireParseError::Bad(format!("unknown verb `{other}`"))),
-    };
-    Ok((verb, token))
-}
-
-/// Builds one request line for `verb` addressing `id` (version and, when
-/// given, the auth token included).
-pub(crate) fn request_line(verb: &str, id: Option<u64>, token: Option<&str>) -> String {
-    let mut fields: Vec<(String, JsonValue)> = vec![
-        ("verb".into(), JsonValue::String(verb.to_string())),
-        (
-            "pimsyn_service".into(),
-            JsonValue::Number(SERVICE_PROTOCOL_VERSION as f64),
-        ),
-    ];
-    if let Some(id) = id {
-        fields.push(("id".into(), JsonValue::Number(id as f64)));
-    }
-    if let Some(token) = token {
-        fields.push(("token".into(), JsonValue::String(token.to_string())));
-    }
-    JsonValue::Object(fields).to_string()
-}
-
-/// Builds the submit request line carrying an encoded job payload.
-pub(crate) fn submit_line(job: JsonValue, token: Option<&str>) -> String {
-    let mut fields = vec![
-        ("verb".into(), JsonValue::String("submit".into())),
-        (
-            "pimsyn_service".into(),
-            JsonValue::Number(SERVICE_PROTOCOL_VERSION as f64),
-        ),
-        ("job".into(), job),
-    ];
-    if let Some(token) = token {
-        fields.push(("token".into(), JsonValue::String(token.to_string())));
-    }
-    JsonValue::Object(fields).to_string()
-}
-
-fn ok_reply(mut fields: Vec<(String, JsonValue)>) -> String {
-    let mut all = vec![
-        ("ok".into(), JsonValue::Bool(true)),
-        (
-            "pimsyn_service".into(),
-            JsonValue::Number(SERVICE_PROTOCOL_VERSION as f64),
-        ),
-    ];
-    all.append(&mut fields);
-    JsonValue::Object(all).to_string()
-}
-
-/// An `{"ok":false,...}` reply with a stable machine-readable code.
-pub(crate) fn error_reply(code: &str, detail: &str) -> String {
-    JsonValue::Object(vec![
-        ("ok".into(), JsonValue::Bool(false)),
-        (
-            "pimsyn_service".into(),
-            JsonValue::Number(SERVICE_PROTOCOL_VERSION as f64),
-        ),
-        ("code".into(), JsonValue::String(code.to_string())),
-        ("error".into(), JsonValue::String(detail.to_string())),
-    ])
-    .to_string()
-}
-
-/// The reply to a successful submit.
-pub(crate) fn submit_reply(id: u64) -> String {
-    ok_reply(vec![("id".into(), JsonValue::Number(id as f64))])
-}
-
-/// The reply to a status poll.
-pub(crate) fn status_reply(id: u64, status: &str) -> String {
-    ok_reply(vec![
-        ("id".into(), JsonValue::Number(id as f64)),
-        ("status".into(), JsonValue::String(status.to_string())),
-    ])
-}
-
-/// The reply to a cancel.
-pub(crate) fn cancel_reply(id: u64) -> String {
-    ok_reply(vec![("id".into(), JsonValue::Number(id as f64))])
-}
-
-/// The reply to a result fetch for a job that succeeded.
-pub(crate) fn result_reply(id: u64, summary: JsonValue) -> String {
-    ok_reply(vec![
-        ("id".into(), JsonValue::Number(id as f64)),
-        ("summary".into(), summary),
-    ])
-}
-
-/// The acknowledgment sent before the daemon stops.
-pub(crate) fn shutdown_reply() -> String {
-    ok_reply(vec![("shutting_down".into(), JsonValue::Bool(true))])
-}
-
-/// The acknowledgment that a graceful drain has begun.
-pub(crate) fn drain_reply() -> String {
-    ok_reply(vec![("draining".into(), JsonValue::Bool(true))])
-}
-
-/// One streamed event line of the `events` verb.
-pub(crate) fn event_reply(event: &SynthesisEvent) -> String {
-    ok_reply(vec![("event".into(), event_to_json(event))])
-}
-
-/// The terminal line of an `events` stream.
-pub(crate) fn events_done_reply() -> String {
-    ok_reply(vec![("done".into(), JsonValue::Bool(true))])
-}
 
 /// Renders a synthesis progress event as a JSON object (informational:
 /// floats travel as plain JSON numbers, unlike the bit-exact result path).
@@ -591,144 +104,6 @@ pub fn event_to_json(event: &SynthesisEvent) -> JsonValue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pimsyn_model::zoo;
-
-    fn sample_request() -> SynthesisRequest {
-        let mut options = SynthesisOptions::fast(Watts(9.25)).with_seed(0xDEAD_BEEF_CAFE_F00D);
-        options = options
-            .with_max_evaluations(500)
-            .with_max_unique_evaluations(100)
-            .with_time_budget(Duration::from_secs_f64(1.5))
-            .with_cycle_validation(2);
-        SynthesisRequest::new(zoo::alexnet_cifar(10), options).with_label("wire-test")
-    }
-
-    #[test]
-    fn submit_payload_round_trips_the_request() {
-        let request = sample_request();
-        let encoded = encode_job_payload(&request).unwrap();
-        let back = parse_job_payload(&encoded).unwrap();
-        // Options (including the > 2^53 seed and the bit-exact power) and
-        // label survive; model structure survives the ONNX JSON round trip.
-        assert_eq!(back.options, request.options);
-        assert_eq!(back.label, request.label);
-        assert_eq!(back.model.name(), request.model.name());
-        assert_eq!(
-            back.model.weight_layer_count(),
-            request.model.weight_layer_count()
-        );
-    }
-
-    #[test]
-    fn submit_line_parses_as_a_verb() {
-        let request = sample_request();
-        let line = submit_line(encode_job_payload(&request).unwrap(), None);
-        match parse_verb(&line).unwrap() {
-            (WireVerb::Submit(back), None) => {
-                assert_eq!(back.options.seed, request.options.seed)
-            }
-            other => panic!("parsed as {other:?}"),
-        }
-    }
-
-    #[test]
-    fn tokens_travel_on_request_lines() {
-        let line = request_line("status", Some(3), Some("s3cret"));
-        let (_, token) = parse_verb(&line).unwrap();
-        assert_eq!(token.as_deref(), Some("s3cret"));
-        let request = sample_request();
-        let line = submit_line(encode_job_payload(&request).unwrap(), Some("s3cret"));
-        let (verb, token) = parse_verb(&line).unwrap();
-        assert!(matches!(verb, WireVerb::Submit(_)));
-        assert_eq!(token.as_deref(), Some("s3cret"));
-    }
-
-    #[test]
-    fn unsupported_requests_are_rejected_at_encode_time() {
-        let mut request = sample_request();
-        request.options.strategy = WtDupStrategy::Fixed(vec![vec![1]]);
-        assert!(encode_job_payload(&request).is_err());
-        let mut request = sample_request();
-        request.options.space = Some(pimsyn_dse::DesignSpace::reduced());
-        assert!(encode_job_payload(&request).is_err());
-    }
-
-    #[test]
-    fn version_mismatch_is_a_typed_error() {
-        let line = r#"{"verb":"status","pimsyn_service":99,"id":0}"#;
-        match parse_verb(line).unwrap_err() {
-            WireParseError::VersionMismatch { peer } => assert_eq!(peer, Some(99)),
-            other => panic!("got {other:?}"),
-        }
-        let line = r#"{"verb":"status","id":0}"#;
-        assert!(matches!(
-            parse_verb(line).unwrap_err(),
-            WireParseError::VersionMismatch { peer: None }
-        ));
-        let (code, detail) = WireParseError::VersionMismatch { peer: Some(99) }.reply_parts();
-        assert_eq!(code, "version_mismatch");
-        assert!(detail.contains("99"), "{detail}");
-    }
-
-    #[test]
-    fn id_verbs_and_garbage_parse_as_expected() {
-        for (verb, want) in [
-            ("status", 3u64),
-            ("events", 4),
-            ("cancel", 5),
-            ("result", 6),
-        ] {
-            match parse_verb(&request_line(verb, Some(want), None)).unwrap().0 {
-                WireVerb::Status { id }
-                | WireVerb::Events { id }
-                | WireVerb::Cancel { id }
-                | WireVerb::Result { id } => assert_eq!(id, want),
-                other => panic!("{verb} parsed as {other:?}"),
-            }
-        }
-        assert!(matches!(
-            parse_verb(&request_line("shutdown", None, None)).unwrap().0,
-            WireVerb::Shutdown
-        ));
-        assert!(matches!(
-            parse_verb(&request_line("drain", None, None)).unwrap().0,
-            WireVerb::Drain
-        ));
-        assert!(matches!(
-            parse_verb("not json"),
-            Err(WireParseError::Bad(_))
-        ));
-        assert!(matches!(
-            parse_verb(&request_line("dance", None, None)),
-            Err(WireParseError::Bad(_))
-        ));
-    }
-
-    #[test]
-    fn replies_are_parseable_json_with_ok_flags() {
-        for (line, ok) in [
-            (submit_reply(7), true),
-            (status_reply(7, "queued"), true),
-            (cancel_reply(7), true),
-            (result_reply(7, JsonValue::Object(vec![])), true),
-            (shutdown_reply(), true),
-            (drain_reply(), true),
-            (events_done_reply(), true),
-            (error_reply("queue_full", "full"), false),
-        ] {
-            let doc = JsonValue::parse(&line).expect("valid JSON");
-            assert_eq!(
-                doc.get("ok").and_then(JsonValue::as_bool),
-                Some(ok),
-                "{line}"
-            );
-        }
-        let doc = JsonValue::parse(&error_reply("queue_full", "full")).unwrap();
-        assert_eq!(
-            doc.get("code").and_then(JsonValue::as_str),
-            Some("queue_full")
-        );
-    }
 
     #[test]
     fn events_serialize_with_type_tags() {
@@ -743,8 +118,5 @@ mod tests {
             Some("improved_best")
         );
         assert_eq!(doc.get("fitness").and_then(JsonValue::as_f64), Some(3.5));
-        let line = event_reply(&event);
-        let doc = JsonValue::parse(&line).unwrap();
-        assert!(doc.get("event").is_some());
     }
 }

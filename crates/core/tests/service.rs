@@ -1,23 +1,16 @@
 //! End-to-end exercise of the [`SynthesisService`]: queue back-pressure,
-//! concurrent-job determinism, weighted-fair multi-tenant scheduling,
-//! graceful drain, and the socket serve/submit surface.
-//!
-//! (The subprocess worker-pool amortization test lives in
-//! `crates/gateway/tests/backend_pool.rs`, next to the `pimsyn` binary it
-//! spawns.)
+//! concurrent-job determinism, weighted-fair multi-tenant scheduling and
+//! graceful drain.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::{TcpListener, TcpStream};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use pimsyn::{
-    serve_in_background, CallbackSink, EventSink, JobStatus, SchedulingPolicy, ServeOptions,
-    ServiceClient, ServiceConfig, ServiceError, SynthesisError, SynthesisEvent, SynthesisOptions,
-    SynthesisRequest, SynthesisService, SynthesisSummary, Synthesizer, TenantPolicy,
+    CallbackSink, EventSink, JobStatus, SchedulingPolicy, ServiceConfig, ServiceError,
+    SynthesisError, SynthesisEvent, SynthesisOptions, SynthesisRequest, SynthesisService,
+    Synthesizer, TenantPolicy,
 };
 use pimsyn_arch::Watts;
-use pimsyn_model::json::JsonValue;
 use pimsyn_model::zoo;
 
 fn fast_request(seed: u64) -> SynthesisRequest {
@@ -324,194 +317,4 @@ fn drain_finishes_accepted_jobs_and_rejects_new_ones() {
         service.submit(tiny_request(100)).unwrap_err(),
         ServiceError::ShutDown
     );
-}
-
-/// Summary fields modulo the wall-clock one, keyed for comparison.
-fn summary_without_elapsed(doc: &JsonValue) -> Vec<(String, String)> {
-    doc.as_object()
-        .expect("summary is an object")
-        .iter()
-        .filter(|(k, _)| k != "elapsed_s")
-        .map(|(k, v)| (k.clone(), v.to_string()))
-        .collect()
-}
-
-/// The full socket round trip against an in-process daemon: submit a job,
-/// poll status, stream events, fetch the result, and compare it — modulo
-/// elapsed time — with a direct in-process run; then shut down cleanly.
-#[test]
-fn socket_round_trip_matches_direct_run_and_shuts_down() {
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-    let service = Arc::new(SynthesisService::new(
-        ServiceConfig::default().with_job_slots(1),
-    ));
-    let handle = serve_in_background(
-        listener,
-        service,
-        |_request| {},
-        ServeOptions::new().with_quiet(true),
-    )
-    .expect("serve");
-    let client = ServiceClient::new(handle.addr().to_string());
-
-    // Unknown ids are typed errors, not hangs.
-    let reply = client.status(999).expect("transport");
-    assert_eq!(reply.get("ok").and_then(JsonValue::as_bool), Some(false));
-    assert_eq!(
-        reply.get("code").and_then(JsonValue::as_str),
-        Some("unknown_job")
-    );
-
-    let request = fast_request(7);
-    let reply = client.submit(&request).expect("transport");
-    assert_eq!(
-        reply.get("ok").and_then(JsonValue::as_bool),
-        Some(true),
-        "{reply}"
-    );
-    let id = reply.get("id").and_then(JsonValue::as_usize).expect("id") as u64;
-
-    let status = client.status(id).expect("transport");
-    let phase = status.get("status").and_then(JsonValue::as_str).unwrap();
-    assert!(
-        ["queued", "running", "finished"].contains(&phase),
-        "{status}"
-    );
-
-    let result = client.result(id).expect("transport");
-    assert_eq!(
-        result.get("ok").and_then(JsonValue::as_bool),
-        Some(true),
-        "{result}"
-    );
-    let served_summary = result.get("summary").expect("summary").clone();
-    let direct = Synthesizer::new(request.options.clone())
-        .synthesize(&request.model)
-        .expect("direct synthesis");
-    let direct_summary = SynthesisSummary::from_result(&direct).to_json();
-    assert_eq!(
-        summary_without_elapsed(&served_summary),
-        summary_without_elapsed(&direct_summary),
-        "socket-submitted job must match the direct run modulo elapsed_s"
-    );
-
-    // The events verb replays the job's stream from the beginning even
-    // after it finished: job_started first, finished last.
-    let events = client.events(id).expect("transport");
-    assert!(!events.is_empty());
-    let event_type = |doc: &JsonValue| {
-        doc.get("event")
-            .and_then(|e| e.get("type"))
-            .and_then(JsonValue::as_str)
-            .map(str::to_string)
-    };
-    assert_eq!(
-        event_type(events.first().unwrap()).as_deref(),
-        Some("job_started")
-    );
-    assert_eq!(
-        event_type(events.last().unwrap()).as_deref(),
-        Some("finished")
-    );
-
-    let reply = client.shutdown().expect("transport");
-    assert_eq!(reply.get("ok").and_then(JsonValue::as_bool), Some(true));
-    handle.join().expect("serve loop exits cleanly");
-}
-
-/// A token-protected daemon rejects tokenless and wrong-token requests with
-/// the typed `auth_failed` error and serves authenticated ones; the `drain`
-/// verb then finishes accepted work and exits the serve loop cleanly.
-#[test]
-fn socket_auth_gates_requests_and_drain_exits_cleanly() {
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-    let service = Arc::new(SynthesisService::new(
-        ServiceConfig::default().with_job_slots(1),
-    ));
-    let handle = serve_in_background(
-        listener,
-        service,
-        |_request| {},
-        ServeOptions::new().with_quiet(true).with_token("sesame"),
-    )
-    .expect("serve");
-    let addr = handle.addr().to_string();
-
-    // No token -> typed auth failure.
-    let reply = ServiceClient::new(addr.clone())
-        .status(1)
-        .expect("transport");
-    assert_eq!(
-        reply.get("code").and_then(JsonValue::as_str),
-        Some("auth_failed"),
-        "{reply}"
-    );
-    // Wrong token -> same.
-    let reply = ServiceClient::new(addr.clone())
-        .with_token("password")
-        .status(1)
-        .expect("transport");
-    assert_eq!(
-        reply.get("code").and_then(JsonValue::as_str),
-        Some("auth_failed"),
-        "{reply}"
-    );
-
-    // The right token submits and drains.
-    let client = ServiceClient::new(addr).with_token("sesame");
-    let reply = client.submit(&tiny_request(41)).expect("transport");
-    assert_eq!(
-        reply.get("ok").and_then(JsonValue::as_bool),
-        Some(true),
-        "{reply}"
-    );
-    let id = reply.get("id").and_then(JsonValue::as_usize).expect("id") as u64;
-    let reply = client.drain().expect("transport");
-    assert_eq!(
-        reply.get("draining").and_then(JsonValue::as_bool),
-        Some(true),
-        "{reply}"
-    );
-    // Drain completion stops the serve loop; the accepted job finished.
-    handle.join().expect("serve loop exits cleanly after drain");
-    let result = client.result(id);
-    // The daemon is gone now — the job ran to completion *before* exit, as
-    // witnessed by join() returning only after drain; the socket itself is
-    // closed, so this call errs on transport.
-    assert!(result.is_err(), "daemon must be gone after drain");
-}
-
-/// A peer speaking the wrong protocol version gets an explicit
-/// `version_mismatch` error reply, never a guess.
-#[test]
-fn version_mismatch_is_answered_with_a_typed_error() {
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-    let service = Arc::new(SynthesisService::new(
-        ServiceConfig::default().with_job_slots(1),
-    ));
-    let handle = serve_in_background(
-        listener,
-        service,
-        |_request| {},
-        ServeOptions::new().with_quiet(true),
-    )
-    .expect("serve");
-
-    let mut stream = TcpStream::connect(handle.addr()).expect("connect");
-    writeln!(stream, r#"{{"verb":"status","pimsyn_service":99,"id":0}}"#).unwrap();
-    stream.flush().unwrap();
-    let mut reply = String::new();
-    BufReader::new(&stream).read_line(&mut reply).unwrap();
-    let doc = JsonValue::parse(reply.trim()).expect("valid JSON reply");
-    assert_eq!(doc.get("ok").and_then(JsonValue::as_bool), Some(false));
-    assert_eq!(
-        doc.get("code").and_then(JsonValue::as_str),
-        Some("version_mismatch")
-    );
-    drop(stream);
-
-    ServiceClient::new(handle.addr().to_string())
-        .shutdown()
-        .expect("transport");
-    handle.join().expect("serve loop exits cleanly");
 }

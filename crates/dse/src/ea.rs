@@ -193,9 +193,9 @@ impl MacAllocGene {
         &self.0
     }
 
-    /// Reconstructs a gene from its raw encoded vector (the wire and
-    /// persistence format), validating the encoding invariants instead of
-    /// panicking like [`encode`](Self::encode).
+    /// Reconstructs a gene from its raw encoded vector, validating the
+    /// encoding invariants instead of panicking like
+    /// [`encode`](Self::encode).
     ///
     /// # Errors
     ///
@@ -322,9 +322,7 @@ pub fn explore_macro_partitioning_observed(
 /// even when the run ends infeasible — so callers can keep their reported
 /// counts consistent with the budget counter. All scoring goes through
 /// `evaluator` (whose objective must match `cfg.objective`); generations are
-/// scored as batches with deterministic reduction, parallelized by whichever
-/// [`EvalBackend`](crate::backend::EvalBackend) the evaluator composes.
-/// Children are rescored in one [`DeltaSession`] owned by the run, so
+/// scored as batches with deterministic reduction. Children are rescored in one [`DeltaSession`] owned by the run, so
 /// everything it retains is freed when the run returns.
 pub(crate) fn run_ea_counted(
     df: &Dataflow,

@@ -10,23 +10,17 @@
 //!   plus the analytic model for one run's fixed model, power, hardware,
 //!   macro mode and objective. It holds no state and no policy: scoring a
 //!   candidate through it is a pure function.
-//! - An [`EvalBackend`](crate::backend::EvalBackend) decides *where* core
-//!   scoring runs: inline on the calling thread, across a scoped thread
-//!   pool, or on `pimsyn --worker` child processes. All backends are
-//!   bit-identical; only wall-clock differs.
-//! - The [`CandidateEvaluator`] composes a core and a backend with the
-//!   *caching and accounting* layers: a memo keyed by the canonicalized
-//!   candidate, an SA energy memo, budget charging, statistics, and an
-//!   optional [`PersistentEvalCache`](crate::backend::PersistentEvalCache)
-//!   that warm-starts the memo from a cache file and writes it back when
-//!   the run finishes.
+//! - The [`CandidateEvaluator`] wraps a core with the *caching and
+//!   accounting* layers: a memo keyed by the canonicalized candidate, delta
+//!   rescoring of EA children, an SA energy memo, budget charging and
+//!   statistics. Every memo miss is scored on the calling thread.
 //!
 //! Caching is *transparent*: evaluation is a pure function of the
-//! candidate, so cached and uncached (and warm- and cold-started) runs
-//! produce bit-identical outcomes, and every scored candidate — hit or miss
-//! — is charged to the [`ExploreContext`] budget exactly as before. Unique
-//! evaluations (memo misses) are charged to the separate
-//! `max_unique_evaluations` budget and reported through [`EvaluatorStats`].
+//! candidate, so cached and uncached runs produce bit-identical outcomes,
+//! and every scored candidate — hit or miss — is charged to the
+//! [`ExploreContext`] budget exactly as before. Unique evaluations (memo
+//! misses) are charged to the separate `max_unique_evaluations` budget and
+//! reported through [`EvaluatorStats`].
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -38,10 +32,6 @@ use pimsyn_model::Model;
 use pimsyn_sim::{evaluate_analytic, SimReport};
 
 use crate::alloc::{allocate_components, AllocRequest};
-use crate::backend::{
-    BackendStats, CacheSnapshot, EvalBackend, EvalBackendConfig, EvalJob, PersistentEvalCache,
-    SharedEvalResources,
-};
 use crate::ctx::ExploreContext;
 use crate::delta::{DeltaSession, FastMap};
 use crate::ea::{MacAllocGene, Objective};
@@ -137,7 +127,8 @@ pub struct EvaluatorStats {
     pub layer_hits: usize,
     /// Always 0, like [`layer_hits`](Self::layer_hits).
     pub layer_misses: usize,
-    /// Memo entries warm-started from a persistent cache file.
+    /// Always 0, like [`layer_hits`](Self::layer_hits): the cache file
+    /// that warm-started the memo was removed.
     pub preloaded: usize,
     /// Memo misses rescored incrementally from the parent's retained
     /// per-layer breakdown (delta path).
@@ -166,8 +157,6 @@ impl EvaluatorStats {
 /// Canonical identity of one candidate within a synthesis run. The model,
 /// power constraint, hardware constants, macro mode and objective are fixed
 /// per evaluator, so the key only carries what varies between candidates.
-/// This is also the serialized identity in persistent cache files (see
-/// [`CacheSnapshot`]).
 #[derive(Debug, Hash, PartialEq, Eq, Clone)]
 pub struct CandidateKey {
     /// `RatioRram` (bit pattern — the grid values are exact constants).
@@ -208,12 +197,11 @@ impl CandidateScore {
 }
 
 /// The pure scoring pipeline for one synthesis run: fixed model, power
-/// budget, hardware constants, macro mode and objective. Backends receive a
-/// reference to this when they score.
+/// budget, hardware constants, macro mode and objective.
 ///
 /// [`compute`](Self::compute) and [`score`](Self::score) are pure functions
-/// of the candidate, which is what makes memoization, worker processes and
-/// persistent caches all bit-identical to plain inline evaluation.
+/// of the candidate, which is what makes memoization and delta rescoring
+/// bit-identical to plain evaluation.
 pub struct EvalCore<'a> {
     model: &'a Model,
     total_power: Watts,
@@ -321,35 +309,17 @@ impl<'a> EvalCore<'a> {
 enum InBatch {
     /// Scored in the delta session during the accounting pass.
     Scored(CandidateScore),
-    /// Awaiting the backend batch, at this index of the pending list.
+    /// Awaiting the pending loop, at this index of the pending list.
     Pending(usize),
 }
 
-/// The candidate memo: scores keyed by canonical candidate, stamped with a
-/// monotonically increasing insertion sequence so flush-time trimming (and
-/// the serialized cache file) can order entries oldest-first.
-#[derive(Default)]
-struct CandidateMemo {
-    map: HashMap<CandidateKey, (CandidateScore, u64)>,
-    next_seq: u64,
-}
-
-impl CandidateMemo {
-    fn get(&self, key: &CandidateKey) -> Option<CandidateScore> {
-        self.map.get(key).map(|(score, _)| *score)
-    }
-
-    fn insert(&mut self, key: CandidateKey, score: CandidateScore) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.map.insert(key, (score, seq));
-    }
-}
+/// Memo misses awaiting scoring after the accounting pass: the unique key
+/// (`None` with caching disabled) and every input index it resolves.
+type Pending = Vec<(Option<CandidateKey>, Vec<usize>)>;
 
 /// The shared evaluation layer: scores macro-partitioning candidates
 /// (components allocation + analytic model) and SA duplication probes, with
-/// memoization, delta rescoring, batch parallelism through a pluggable
-/// [`EvalBackend`] and optional cross-run persistence.
+/// memoization and delta rescoring.
 ///
 /// One evaluator spans one synthesis run (fixed model, power budget,
 /// hardware constants, macro mode and objective); worker threads share it by
@@ -358,16 +328,8 @@ impl CandidateMemo {
 /// their own.
 pub struct CandidateEvaluator<'a> {
     core: EvalCore<'a>,
-    backend: Box<dyn EvalBackend>,
     config: EvalCacheConfig,
-    persist: Option<PersistentEvalCache>,
-    /// Flush-time cap on persisted candidate-score entries (oldest trimmed
-    /// first); `None` persists the whole memo.
-    persist_cap: Option<usize>,
-    /// Cross-run shared resources: consulted before the cache file on
-    /// preload, published to on flush.
-    shared: Option<Arc<SharedEvalResources>>,
-    candidates: Mutex<CandidateMemo>,
+    candidates: Mutex<HashMap<CandidateKey, CandidateScore>>,
     energies: Mutex<HashMap<(Vec<usize>, u64), f64>>,
     /// Per-layer static Eq. (4) terms, so SA energy misses skip the model
     /// walk.
@@ -380,14 +342,12 @@ pub struct CandidateEvaluator<'a> {
     delta_hits: AtomicUsize,
     delta_fallbacks: AtomicUsize,
     layers_recomputed: AtomicUsize,
-    preloaded: usize,
 }
 
 impl std::fmt::Debug for CandidateEvaluator<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CandidateEvaluator")
             .field("config", &self.config)
-            .field("backend", &self.backend.name())
             .field("objective", &self.core.objective())
             .field("stats", &self.stats())
             .finish_non_exhaustive()
@@ -395,8 +355,7 @@ impl std::fmt::Debug for CandidateEvaluator<'_> {
 }
 
 impl<'a> CandidateEvaluator<'a> {
-    /// An evaluator for one synthesis run, scoring inline with no cross-run
-    /// persistence (the historical default).
+    /// An evaluator for one synthesis run.
     pub fn new(
         model: &'a Model,
         total_power: Watts,
@@ -405,39 +364,10 @@ impl<'a> CandidateEvaluator<'a> {
         objective: Objective,
         config: EvalCacheConfig,
     ) -> Self {
-        Self::with_backend(
-            model,
-            total_power,
-            hw,
-            macro_mode,
-            objective,
+        Self {
+            core: EvalCore::new(model, total_power, hw, macro_mode, objective),
             config,
-            &EvalBackendConfig::inline(),
-        )
-    }
-
-    /// An evaluator scoring through the configured backend, warm-started
-    /// from the configured persistent cache file when its fingerprint
-    /// matches this run.
-    pub fn with_backend(
-        model: &'a Model,
-        total_power: Watts,
-        hw: &'a HardwareParams,
-        macro_mode: MacroMode,
-        objective: Objective,
-        config: EvalCacheConfig,
-        backend_cfg: &EvalBackendConfig,
-    ) -> Self {
-        let core = EvalCore::new(model, total_power, hw, macro_mode, objective);
-        let backend = backend_cfg.build();
-        let mut evaluator = Self {
-            core,
-            backend,
-            config,
-            persist: None,
-            persist_cap: backend_cfg.cache_max_entries,
-            shared: backend_cfg.shared.clone(),
-            candidates: Mutex::new(CandidateMemo::default()),
+            candidates: Mutex::new(HashMap::new()),
             energies: Mutex::new(HashMap::new()),
             sa_table: SaTable::new(model),
             scored: AtomicUsize::new(0),
@@ -448,78 +378,12 @@ impl<'a> CandidateEvaluator<'a> {
             delta_hits: AtomicUsize::new(0),
             delta_fallbacks: AtomicUsize::new(0),
             layers_recomputed: AtomicUsize::new(0),
-            preloaded: 0,
-        };
-        if let Some(path) = &backend_cfg.cache_file {
-            if config.enabled {
-                let persist = PersistentEvalCache::for_run(
-                    path,
-                    model,
-                    total_power,
-                    hw,
-                    macro_mode,
-                    objective,
-                );
-                // A snapshot published by an earlier (or concurrent) run
-                // sharing our resources beats re-reading the file: it is at
-                // least as fresh, and concurrent jobs warm-start each other
-                // before anything is flushed to disk.
-                let snapshot = evaluator
-                    .shared
-                    .as_ref()
-                    .and_then(|shared| shared.snapshot(persist.fingerprint()))
-                    .map(|snapshot| (*snapshot).clone())
-                    .or_else(|| persist.load());
-                if let Some(snapshot) = snapshot {
-                    evaluator.preloaded = evaluator.preload(snapshot);
-                }
-                evaluator.persist = Some(persist);
-            }
         }
-        evaluator
-    }
-
-    /// Seeds the candidate memo from a loaded snapshot, respecting the
-    /// capacity bound; returns how many candidate scores were installed.
-    /// Snapshot order is preserved as insertion order, so a preloaded entry
-    /// counts as older than anything scored in this run.
-    fn preload(&self, snapshot: CacheSnapshot) -> usize {
-        let mut memo = self.candidates.lock().expect("candidate memo");
-        let mut inserted = 0;
-        for (key, score) in snapshot.scores {
-            if memo.map.len() >= self.config.capacity {
-                break;
-            }
-            memo.insert(key, score);
-            inserted += 1;
-        }
-        inserted
     }
 
     /// The objective this evaluator's fitness values maximize.
     pub fn objective(&self) -> Objective {
         self.core.objective()
-    }
-
-    /// The pure scoring core (what backends execute).
-    pub fn core(&self) -> &EvalCore<'a> {
-        &self.core
-    }
-
-    /// The backend scoring runs on.
-    pub fn backend_name(&self) -> &'static str {
-        self.backend.name()
-    }
-
-    /// Snapshot of the backend's own counters (batches, remote/fallback
-    /// jobs, worker spawns).
-    pub fn backend_stats(&self) -> BackendStats {
-        self.backend.stats()
-    }
-
-    /// Memo entries warm-started from the persistent cache file.
-    pub fn preloaded_entries(&self) -> usize {
-        self.preloaded
     }
 
     /// The Eq. (4) SA energy of a duplication vector, memoized. Identical to
@@ -561,7 +425,7 @@ impl<'a> CandidateEvaluator<'a> {
 
     fn store(&self, key: CandidateKey, score: CandidateScore) {
         let mut memo = self.candidates.lock().expect("candidate memo");
-        if memo.map.len() < self.config.capacity {
+        if memo.len() < self.config.capacity {
             memo.insert(key, score);
         }
     }
@@ -581,21 +445,20 @@ impl<'a> CandidateEvaluator<'a> {
     ) -> CandidateScore {
         ctx.count_evaluations(1);
         self.scored.fetch_add(1, Ordering::Relaxed);
-        let job = EvalJob { df, point, gene };
         if !self.config.enabled {
             self.unique.fetch_add(1, Ordering::Relaxed);
             ctx.count_unique_evaluations(1);
-            return self.backend.score(&self.core, &job);
+            return self.core.score(df, point, gene);
         }
         let wt_dup = Arc::new(df.programs().iter().map(|p| p.wt_dup).collect::<Vec<_>>());
         let key = self.make_key(df, point, gene, &wt_dup);
-        if let Some(hit) = self.candidates.lock().expect("candidate memo").get(&key) {
+        if let Some(&hit) = self.candidates.lock().expect("candidate memo").get(&key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return hit;
         }
         self.unique.fetch_add(1, Ordering::Relaxed);
         ctx.count_unique_evaluations(1);
-        let score = self.backend.score(&self.core, &job);
+        let score = self.core.score(df, point, gene);
         self.store(key, score);
         score
     }
@@ -629,17 +492,14 @@ impl<'a> CandidateEvaluator<'a> {
     /// `ctx` before being charged, and once a stop (cancellation, deadline,
     /// exhausted budget) is observed the remaining candidates come back as
     /// [`CandidateScore::INFEASIBLE`] placeholders without being computed
-    /// or charged. The memo misses that survive the pass are then scored by
-    /// the backend as one batch — inline and subprocess backends return
-    /// bit-identical scores, so completed runs are identical across
-    /// backends; only wall-clock differs. Duplicates
-    /// *within* a batch are computed once and counted as cache hits (the
-    /// serial path would have found them in the memo).
+    /// or charged. The memo misses that survive the pass are then scored
+    /// and stored in the order they were charged. Duplicates *within* a
+    /// batch are computed once and counted as cache hits (the serial path
+    /// would have found them in the memo).
     ///
-    /// Cancellation additionally short-circuits *inside* the backend batch
-    /// (per job for inline, per chunk for subprocess), so
-    /// `CancelToken::cancel` stays prompt even mid-generation; the
-    /// resulting placeholders are never stored in the memo (a cancelled
+    /// Cancellation additionally short-circuits the scoring of those
+    /// misses, so `CancelToken::cancel` stays prompt even mid-generation;
+    /// the resulting placeholders are never stored in the memo (a cancelled
     /// run's results are discarded anyway). Budget and deadline stops are
     /// observed only by the accounting pass: once a candidate has been
     /// charged it is always genuinely computed.
@@ -656,16 +516,16 @@ impl<'a> CandidateEvaluator<'a> {
     /// [`score_batch`](Self::score_batch) of the candidates of `session`'s
     /// dataflow and design point, with per-candidate parent identity:
     /// `parents[i]` names the gene candidate `i` was mutated from (missing
-    /// or `None` entries score through the backend as before). When delta
-    /// rescoring is on, memo misses with a parent are rescored in `session`
-    /// during the accounting pass, incrementally when the session retained
-    /// the parent's breakdown; a later in-batch duplicate counts as a hit
-    /// exactly where the plain path counts a pending-duplicate hit, full
-    /// memo or not. Scores, budget charges, `evaluations` and memo contents
-    /// are bit-identical to [`score_batch`](Self::score_batch); only
-    /// wall-clock (and the delta counters in [`EvaluatorStats`]) differ. One
-    /// EA run passes one session to every generation's call and drops it
-    /// when the run ends.
+    /// or `None` entries are scored in full after the accounting pass).
+    /// When delta rescoring is on, memo misses with a parent are rescored in
+    /// `session` during the accounting pass, incrementally when the session
+    /// retained the parent's breakdown; a later in-batch duplicate counts as
+    /// a hit exactly where the plain path counts a pending-duplicate hit,
+    /// full memo or not. Scores, budget charges, `evaluations` and memo
+    /// contents are bit-identical to [`score_batch`](Self::score_batch);
+    /// only wall-clock (and the delta counters in [`EvaluatorStats`])
+    /// differ. One EA run passes one session to every generation's call and
+    /// drops it when the run ends.
     pub fn score_batch_with_parents(
         &self,
         session: &mut DeltaSession<'_>,
@@ -680,9 +540,7 @@ impl<'a> CandidateEvaluator<'a> {
         let wt_dup = Arc::new(df.programs().iter().map(|p| p.wt_dup).collect::<Vec<_>>());
         let mut out = vec![CandidateScore::INFEASIBLE; n];
         let mut charged = 0usize;
-        // Misses pending backend scoring: the unique key (None with caching
-        // disabled) and every input index it resolves.
-        let mut pending: Vec<(Option<CandidateKey>, Vec<usize>)> = Vec::new();
+        let mut pending: Pending = Vec::new();
         // This batch's misses, so a later duplicate is a hit even when the
         // memo is full and stores nothing. Keyed by gene alone: every key
         // of one call shares the session's dataflow and design point.
@@ -707,7 +565,7 @@ impl<'a> CandidateEvaluator<'a> {
                 continue;
             }
             let key = self.make_key(df, point, gene, &wt_dup);
-            if let Some(hit) = self.candidates.lock().expect("candidate memo").get(&key) {
+            if let Some(&hit) = self.candidates.lock().expect("candidate memo").get(&key) {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 out[i] = hit;
                 continue;
@@ -726,7 +584,7 @@ impl<'a> CandidateEvaluator<'a> {
             self.unique.fetch_add(1, Ordering::Relaxed);
             ctx.count_unique_evaluations(1);
             if let Some(p) = parent {
-                // Delta-eligible miss: computed inline and stored at once.
+                // Delta-eligible miss: computed now and stored at once.
                 out[i] = self.delta_score(session, gene, p);
                 self.store(key, out[i]);
                 in_batch.insert(gene.as_slice(), InBatch::Scored(out[i]));
@@ -736,47 +594,42 @@ impl<'a> CandidateEvaluator<'a> {
             pending.push((Some(key), vec![i]));
         }
 
-        if !pending.is_empty() {
-            let jobs: Vec<EvalJob<'_>> = pending
-                .iter()
-                .map(|(_, indices)| EvalJob {
-                    df,
-                    point,
-                    gene: &genes[indices[0]],
-                })
-                .collect();
-            // Only cancellation is routed into the backend: charged
-            // candidates must compute under budget/deadline stops, but a
-            // cancelled run's scores are discarded, so skipping is safe.
-            let cancel = ctx.cancel_token();
-            let scores = self
-                .backend
-                .score_batch(&self.core, &jobs, &|| cancel.is_cancelled());
-            // Enforce the batch contract even for misbehaving third-party
-            // backends: a short (or long) result vector is a backend
-            // failure, and the whole batch recomputes inline rather than
-            // silently discarding candidates.
-            let scores = if scores.len() == jobs.len() {
-                scores
-            } else {
-                jobs.iter()
-                    .map(|job| self.core.score(job.df, job.point, job.gene))
-                    .collect()
-            };
-            // A cancellation observed during the batch may have left
-            // INFEASIBLE placeholders in `scores`; storing those would
-            // poison the memo (and, via flush, the persistent cache file).
-            let poisoned = cancel.is_cancelled();
-            for ((key, indices), score) in pending.into_iter().zip(scores) {
-                for i in indices {
-                    out[i] = score;
-                }
-                if let (Some(key), false) = (key, poisoned) {
-                    self.store(key, score);
-                }
+        // Only cancellation stops this loop: charged candidates must compute
+        // under budget and deadline stops, but a cancelled run's scores are
+        // discarded, so skipping is safe.
+        let cancel = ctx.cancel_token();
+        self.score_pending(df, point, genes, pending, &mut out, || {
+            cancel.is_cancelled()
+        });
+        (out, charged)
+    }
+
+    /// Scores the misses the accounting pass left pending and stores them,
+    /// both in pending order: paper runs fill the memo, so the store order
+    /// decides which scores it keeps. `stop` is polled before each
+    /// candidate; once it turns `true`, the rest stay
+    /// [`CandidateScore::INFEASIBLE`] placeholders and are not stored.
+    fn score_pending(
+        &self,
+        df: &Dataflow,
+        point: DesignPoint,
+        genes: &[MacAllocGene],
+        pending: Pending,
+        out: &mut [CandidateScore],
+        stop: impl Fn() -> bool,
+    ) {
+        for (key, indices) in pending {
+            if stop() {
+                break;
+            }
+            let score = self.core.score(df, point, &genes[indices[0]]);
+            for i in indices {
+                out[i] = score;
+            }
+            if let Some(key) = key {
+                self.store(key, score);
             }
         }
-        (out, charged)
     }
 
     /// Recomputes the completed architecture and analytic report of a
@@ -784,9 +637,7 @@ impl<'a> CandidateEvaluator<'a> {
     /// charged to the exploration budget and not counted as a scored
     /// candidate: the memo stores only slim scores, so realization
     /// re-derives what an unmemoized pipeline would have kept, at the cost
-    /// of one full scoring. Always computed in-process (the full
-    /// architecture never crosses a backend boundary). Returns `None` for
-    /// infeasible candidates.
+    /// of one full scoring. Returns `None` for infeasible candidates.
     pub fn realize(
         &self,
         df: &Dataflow,
@@ -806,44 +657,11 @@ impl<'a> CandidateEvaluator<'a> {
             sa_cache_hits: self.sa_hits.load(Ordering::Relaxed),
             layer_hits: 0,
             layer_misses: 0,
-            preloaded: self.preloaded,
+            preloaded: 0,
             delta_hits: self.delta_hits.load(Ordering::Relaxed),
             delta_fallbacks: self.delta_fallbacks.load(Ordering::Relaxed),
             layers_recomputed: self.layers_recomputed.load(Ordering::Relaxed),
         }
-    }
-
-    /// Finishes the run: releases backend resources (worker processes
-    /// return to their pool) and, when a persistent cache file is
-    /// configured, writes the candidate memo back to it (best-effort; IO
-    /// failures never fail a synthesis run) — insertion-ordered, trimmed
-    /// oldest-first to `cache_max_entries` when a cap is configured, and
-    /// published to the shared snapshot store so sibling runs warm-start
-    /// from memory. Returns whether a cache file was written.
-    pub fn flush(&self) -> bool {
-        self.backend.flush();
-        let Some(persist) = &self.persist else {
-            return false;
-        };
-        let mut scores: Vec<(CandidateKey, CandidateScore, u64)> = {
-            let memo = self.candidates.lock().expect("candidate memo");
-            memo.map
-                .iter()
-                .map(|(k, (score, seq))| (k.clone(), *score, *seq))
-                .collect()
-        };
-        scores.sort_by_key(|(_, _, seq)| *seq);
-        if let Some(cap) = self.persist_cap {
-            let excess = scores.len().saturating_sub(cap);
-            scores.drain(..excess); // oldest first
-        }
-        let snapshot = CacheSnapshot {
-            scores: scores.into_iter().map(|(k, score, _)| (k, score)).collect(),
-        };
-        if let Some(shared) = &self.shared {
-            shared.publish(persist.fingerprint(), snapshot.clone());
-        }
-        persist.save(&snapshot)
     }
 }
 
@@ -1015,36 +833,39 @@ mod tests {
 
     #[test]
     fn cancellation_short_circuits_inside_a_backend_batch() {
-        use crate::backend::{EvalBackend, EvalJob, InlineBackend};
+        // The batch is the memo misses a `score_batch` call hands to its
+        // scoring back end, the private `score_pending` loop.
         let (model, df, point) = setup();
         let l = model.weight_layer_count();
         let hw = HardwareParams::date24();
-        let core = EvalCore::new(
-            &model,
-            Watts(9.0),
-            &hw,
-            MacroMode::Specialized,
-            Objective::PowerEfficiency,
-        );
+        let eval = evaluator(&model, &hw, EvalCacheConfig::default());
         let genes: Vec<MacAllocGene> = (1..=4).map(|m| gene(l, m)).collect();
-        let jobs: Vec<EvalJob<'_>> = genes
+        let wt_dup = Arc::new(df.programs().iter().map(|p| p.wt_dup).collect::<Vec<_>>());
+        let keys: Vec<CandidateKey> = genes
             .iter()
-            .map(|gene| EvalJob {
-                df: &df,
-                point,
-                gene,
-            })
+            .map(|g| eval.make_key(&df, point, g, &wt_dup))
             .collect();
-        // Stop flips true from the third poll on: the first two jobs
+        let pending: Pending = keys
+            .iter()
+            .enumerate()
+            .map(|(i, key)| (Some(key.clone()), vec![i]))
+            .collect();
+        let mut scores = vec![CandidateScore::INFEASIBLE; genes.len()];
+        // Stop flips true from the third poll on: the first two candidates
         // compute, the rest come back as skipped placeholders.
         let polls = AtomicUsize::new(0);
         let stop = || polls.fetch_add(1, Ordering::Relaxed) >= 2;
-        let scores = InlineBackend::default().score_batch(&core, &jobs, &stop);
-        assert_eq!(scores.len(), 4);
+        eval.score_pending(&df, point, &genes, pending, &mut scores, stop);
         assert_ne!(scores[0], CandidateScore::INFEASIBLE);
         assert_ne!(scores[1], CandidateScore::INFEASIBLE);
         assert_eq!(scores[2], CandidateScore::INFEASIBLE);
         assert_eq!(scores[3], CandidateScore::INFEASIBLE);
+        // Only the computed scores reach the memo.
+        let memo = eval.candidates.lock().unwrap();
+        assert_eq!(memo.len(), 2);
+        assert_eq!(memo.get(&keys[1]), Some(&scores[1]));
+        assert!(!memo.contains_key(&keys[2]));
+        assert!(!memo.contains_key(&keys[3]));
     }
 
     #[test]
@@ -1093,257 +914,6 @@ mod tests {
         assert_eq!(stats.unique_evaluations, 2);
     }
 
-    #[test]
-    fn persistent_cache_warm_starts_with_identical_scores() {
-        let (model, df, point) = setup();
-        let l = model.weight_layer_count();
-        let hw = HardwareParams::date24();
-        let path =
-            std::env::temp_dir().join(format!("pimsyn-eval-warm-{}.json", std::process::id()));
-        let _ = std::fs::remove_file(&path);
-        let cfg = EvalBackendConfig::inline().with_cache_file(&path);
-
-        // Cold run: score, then flush to disk.
-        let cold = CandidateEvaluator::with_backend(
-            &model,
-            Watts(9.0),
-            &hw,
-            MacroMode::Specialized,
-            Objective::PowerEfficiency,
-            EvalCacheConfig::default(),
-            &cfg,
-        );
-        let ctx = ExploreContext::unobserved();
-        let genes: Vec<MacAllocGene> = (1..=3).map(|m| gene(l, m)).collect();
-        let (cold_scores, _) = cold.score_batch(&df, point, &genes, &ctx);
-        assert_eq!(cold.preloaded_entries(), 0);
-        assert!(cold.flush(), "cache file must be written");
-
-        // Warm run: the memo preloads, every request is a hit, scores are
-        // bit-identical.
-        let warm = CandidateEvaluator::with_backend(
-            &model,
-            Watts(9.0),
-            &hw,
-            MacroMode::Specialized,
-            Objective::PowerEfficiency,
-            EvalCacheConfig::default(),
-            &cfg,
-        );
-        assert_eq!(warm.preloaded_entries(), 3);
-        let ctx2 = ExploreContext::unobserved();
-        let (warm_scores, charged) = warm.score_batch(&df, point, &genes, &ctx2);
-        assert_eq!(charged, 3, "hits still charge the scored budget");
-        for (a, b) in cold_scores.iter().zip(&warm_scores) {
-            assert_eq!(a.fitness.to_bits(), b.fitness.to_bits());
-            assert_eq!(a.feasible, b.feasible);
-        }
-        let stats = warm.stats();
-        assert_eq!(stats.cache_hits, 3);
-        assert_eq!(stats.unique_evaluations, 0);
-        assert!(stats.hit_rate() >= 0.5, "warm start must report >=50% hits");
-
-        // A different power budget must not reuse the file.
-        let mismatched = CandidateEvaluator::with_backend(
-            &model,
-            Watts(10.0),
-            &hw,
-            MacroMode::Specialized,
-            Objective::PowerEfficiency,
-            EvalCacheConfig::default(),
-            &cfg,
-        );
-        assert_eq!(mismatched.preloaded_entries(), 0);
-        let _ = std::fs::remove_file(&path);
-    }
-
-    /// Cache files written while the per-layer cost memo existed carry a
-    /// `layers` array in every run section. Such a file still warm-starts
-    /// with the same preloaded count and bit-identical scores, and the next
-    /// flush rewrites it without any `layers` section.
-    #[test]
-    fn cache_file_with_a_layers_section_still_warm_starts() {
-        use pimsyn_model::json::JsonValue;
-        let (model, df, point) = setup();
-        let l = model.weight_layer_count();
-        let hw = HardwareParams::date24();
-        let path =
-            std::env::temp_dir().join(format!("pimsyn-eval-layers-{}.json", std::process::id()));
-        let _ = std::fs::remove_file(&path);
-        let cfg = EvalBackendConfig::inline().with_cache_file(&path);
-        let build = || {
-            CandidateEvaluator::with_backend(
-                &model,
-                Watts(9.0),
-                &hw,
-                MacroMode::Specialized,
-                Objective::PowerEfficiency,
-                EvalCacheConfig::default(),
-                &cfg,
-            )
-        };
-        let read = || JsonValue::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
-        let has_layers = |doc: &JsonValue| {
-            let runs = doc.get("runs").and_then(JsonValue::as_array).unwrap();
-            runs.iter().any(|run| run.get("layers").is_some())
-        };
-
-        let cold = build();
-        let ctx = ExploreContext::unobserved();
-        let genes: Vec<MacAllocGene> = (1..=3).map(|m| gene(l, m)).collect();
-        let (cold_scores, _) = cold.score_batch(&df, point, &genes, &ctx);
-        assert!(cold.flush());
-        let JsonValue::Object(mut doc) = read() else {
-            panic!("cache file is an object")
-        };
-        assert!(!has_layers(&JsonValue::Object(doc.clone())));
-
-        // Rewrite it in the older format: every run section gains a
-        // `layers` array of per-layer base-cost entries, and a second run
-        // section (another fingerprint) rides along.
-        let layer_entry = JsonValue::parse(
-            r#"{"fp":"00000000deadbeef","l":0,"m":1,"ea":2,"ar":"41d312d000000000",
-                "sa":4,"po":1,"ac":1,"el":0,"bits":16,"load":"3e112e0be826d695",
-                "mvm":"3e7ad7f29abcaf4a","adc":"3e212e0be826d695","sab":"3df49c6f9f4c7b8a",
-                "post":"0000000000000000","store":"3e312e0be826d695"}"#,
-        )
-        .unwrap();
-        let (_, JsonValue::Array(runs)) = doc.iter_mut().find(|(k, _)| k == "runs").unwrap() else {
-            panic!("runs is an array")
-        };
-        let mut other = runs[0].clone();
-        if let JsonValue::Object(fields) = &mut other {
-            fields[0].1 = JsonValue::String("0123456789abcdef".into());
-        }
-        runs.push(other);
-        for run in runs.iter_mut() {
-            if let JsonValue::Object(fields) = run {
-                fields.push(("layers".into(), JsonValue::Array(vec![layer_entry.clone()])));
-            }
-        }
-        std::fs::write(&path, format!("{}\n", JsonValue::Object(doc))).unwrap();
-        assert!(has_layers(&read()));
-
-        let warm = build();
-        assert_eq!(warm.preloaded_entries(), 3);
-        let ctx2 = ExploreContext::unobserved();
-        let (warm_scores, _) = warm.score_batch(&df, point, &genes, &ctx2);
-        for (a, b) in cold_scores.iter().zip(&warm_scores) {
-            assert_eq!(a.fitness.to_bits(), b.fitness.to_bits());
-            assert_eq!(a.feasible, b.feasible);
-        }
-        assert_eq!(warm.stats().cache_hits, 3);
-        assert!(warm.flush());
-        let rewritten = read();
-        assert!(!has_layers(&rewritten), "saves drop every layers section");
-        assert_eq!(
-            rewritten
-                .get("runs")
-                .and_then(JsonValue::as_array)
-                .unwrap()
-                .len(),
-            2
-        );
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn flush_trims_oldest_score_entries_to_the_configured_cap() {
-        let (model, df, point) = setup();
-        let l = model.weight_layer_count();
-        let hw = HardwareParams::date24();
-        let path =
-            std::env::temp_dir().join(format!("pimsyn-eval-trim-{}.json", std::process::id()));
-        let _ = std::fs::remove_file(&path);
-        let cfg = EvalBackendConfig::inline()
-            .with_cache_file(&path)
-            .with_cache_max_entries(2);
-        let eval = CandidateEvaluator::with_backend(
-            &model,
-            Watts(9.0),
-            &hw,
-            MacroMode::Specialized,
-            Objective::PowerEfficiency,
-            EvalCacheConfig::default(),
-            &cfg,
-        );
-        let ctx = ExploreContext::unobserved();
-        // Four unique candidates in a known insertion order.
-        for m in 1..=4 {
-            eval.score(&df, point, &gene(l, m), &ctx);
-        }
-        assert!(eval.flush(), "cache file must be written");
-
-        // The file holds only the newest two entries (genes 3 and 4): the
-        // two oldest were trimmed first.
-        let warm = CandidateEvaluator::with_backend(
-            &model,
-            Watts(9.0),
-            &hw,
-            MacroMode::Specialized,
-            Objective::PowerEfficiency,
-            EvalCacheConfig::default(),
-            &cfg,
-        );
-        assert_eq!(warm.preloaded_entries(), 2);
-        let ctx2 = ExploreContext::unobserved();
-        warm.score(&df, point, &gene(l, 3), &ctx2);
-        warm.score(&df, point, &gene(l, 4), &ctx2);
-        assert_eq!(warm.stats().cache_hits, 2, "newest entries survive");
-        warm.score(&df, point, &gene(l, 1), &ctx2);
-        assert_eq!(
-            warm.stats().unique_evaluations,
-            1,
-            "oldest entry was trimmed, so gene 1 must recompute"
-        );
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn shared_snapshot_store_warm_starts_without_rereading_the_file() {
-        use crate::backend::SharedEvalResources;
-        let (model, df, point) = setup();
-        let l = model.weight_layer_count();
-        let hw = HardwareParams::date24();
-        // The cache path is never written: the file stays absent, so any
-        // warm start can only have come from the shared in-memory store.
-        let path =
-            std::env::temp_dir().join(format!("pimsyn-eval-shared-{}.json", std::process::id()));
-        let _ = std::fs::remove_file(&path);
-        let shared = SharedEvalResources::new();
-        let cfg = EvalBackendConfig::inline()
-            .with_cache_file(&path)
-            .with_shared_resources(Arc::clone(&shared));
-        let build = || {
-            CandidateEvaluator::with_backend(
-                &model,
-                Watts(9.0),
-                &hw,
-                MacroMode::Specialized,
-                Objective::PowerEfficiency,
-                EvalCacheConfig::default(),
-                &cfg,
-            )
-        };
-        let first = build();
-        let ctx = ExploreContext::unobserved();
-        let cold = first.score(&df, point, &gene(l, 2), &ctx);
-        assert!(first.flush());
-        std::fs::remove_file(&path).expect("flush wrote the file; remove it");
-
-        let second = build();
-        assert_eq!(
-            second.preloaded_entries(),
-            1,
-            "snapshot must come from the shared store, not the deleted file"
-        );
-        let ctx2 = ExploreContext::unobserved();
-        let warm = second.score(&df, point, &gene(l, 2), &ctx2);
-        assert_eq!(warm.fitness.to_bits(), cold.fitness.to_bits());
-        assert_eq!(second.stats().cache_hits, 1);
-        let _ = std::fs::remove_file(&path);
-    }
-
     /// Parent-aware scoring must be bit-identical to plain scoring, route
     /// through the session exactly when a parent is usable, and fall back
     /// (with full retention) when the parent has no retained breakdown.
@@ -1364,9 +934,9 @@ mod tests {
         m[1] = 2;
         let grandchild = MacAllocGene::encode(&m, &vec![None; l]);
 
-        // Parent scores through the backend (no parent offered); the child
-        // miss is parented but the parent is not retained yet, so the
-        // session recomputes fully (a fallback) and retains the child.
+        // Parent scores in full (no parent offered); the child miss is
+        // parented but the parent is not retained yet, so the session
+        // recomputes fully (a fallback) and retains the child.
         let genes = [parent.clone(), child.clone()];
         let parents = [None, Some(&parent)];
         let (a, _) = delta.score_batch_with_parents(&mut session, &genes, &parents, &ctx);

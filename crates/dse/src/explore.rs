@@ -18,7 +18,6 @@ use pimsyn_ir::Dataflow;
 use pimsyn_model::Model;
 use pimsyn_sim::SimReport;
 
-use crate::backend::EvalBackendConfig;
 use crate::ctx::{ExploreContext, ExploreEvent, StopReason, SynthesisStage};
 use crate::ea::{run_ea_counted, EaConfig};
 use crate::error::DseError;
@@ -69,10 +68,6 @@ pub struct DseConfig {
     /// caches). Enabled by default; caching is transparent — cached and
     /// uncached runs produce bit-identical outcomes.
     pub eval_cache: EvalCacheConfig,
-    /// Where candidate scoring runs (inline or subprocess workers) and
-    /// whether the evaluation memo persists across runs. Every backend is
-    /// bit-identical; only wall-clock differs.
-    pub backend: EvalBackendConfig,
     /// Base seed; every stochastic stage derives its own deterministic seed
     /// from it, so results are reproducible even with `parallel = true`.
     pub seed: u64,
@@ -91,7 +86,6 @@ impl DseConfig {
             macro_mode: MacroMode::Specialized,
             parallel: true,
             eval_cache: EvalCacheConfig::default(),
-            backend: EvalBackendConfig::default(),
             seed: 0x9127_51AE,
         }
     }
@@ -343,17 +337,14 @@ pub fn run_dse_observed(
 ) -> Result<DseOutcome, DseError> {
     let points = cfg.space.points();
     // One evaluator (and memo cache) spans every stage of every design
-    // point; worker threads share it by reference. The evaluator composes
-    // the configured scoring backend and, when a cache file is configured,
-    // warm-starts its memo from it.
-    let evaluator = CandidateEvaluator::with_backend(
+    // point; worker threads share it by reference.
+    let evaluator = CandidateEvaluator::new(
         model,
         cfg.total_power,
         &cfg.hw,
         cfg.macro_mode,
         cfg.ea.objective,
         cfg.eval_cache,
-        &cfg.backend,
     );
     let results: Mutex<Vec<(usize, PointResult, Option<PointBest>)>> =
         Mutex::new(Vec::with_capacity(points.len()));
@@ -399,12 +390,6 @@ pub fn run_dse_observed(
             results.lock().expect("result mutex").push((i, res, best));
         }
     }
-
-    // Finish the evaluation layer first: worker processes wind down and,
-    // when persistence is configured, the memo (including a cancelled or
-    // curtailed run's partial results) is written back to the cache file so
-    // the next invocation warm-starts.
-    evaluator.flush();
 
     // Cancellation always wins, even when it raced the natural finish: the
     // caller asked for no result. Budget exhaustion only counts when a
@@ -531,50 +516,6 @@ mod tests {
         assert_eq!(a.evaluations, b.evaluations);
         assert_eq!(a.history, b.history);
         assert_eq!(a.stop_reason, b.stop_reason);
-    }
-
-    #[test]
-    fn persistent_cache_warm_start_is_bit_identical_with_high_hit_rate() {
-        use crate::backend::EvalBackendConfig;
-        use std::sync::Mutex;
-        let model = zoo::alexnet_cifar(10);
-        let path =
-            std::env::temp_dir().join(format!("pimsyn-dse-warm-{}.json", std::process::id()));
-        let _ = std::fs::remove_file(&path);
-        let mut cfg = tiny_cfg();
-        cfg.backend = EvalBackendConfig::inline().with_cache_file(&path);
-
-        let run = |cfg: &DseConfig| {
-            let last: Mutex<Option<crate::EvaluatorStats>> = Mutex::new(None);
-            let observer = |ev: ExploreEvent| {
-                if let ExploreEvent::EvaluatorStats { stats, .. } = ev {
-                    *last.lock().unwrap() = Some(stats);
-                }
-            };
-            let ctx =
-                ExploreContext::new(&observer, CancelToken::new(), ExploreBudget::unlimited());
-            let out = run_dse_observed(&model, cfg, &ctx).unwrap();
-            (out, last.into_inner().unwrap().unwrap())
-        };
-        let (cold, cold_stats) = run(&cfg);
-        assert_eq!(cold_stats.preloaded, 0);
-        assert!(path.exists(), "flush must write the cache file");
-        let (warm, warm_stats) = run(&cfg);
-        // Bit-identical outcome, including evaluation counts and history.
-        assert_eq!(cold.wt_dup, warm.wt_dup);
-        assert_eq!(cold.architecture, warm.architecture);
-        assert_eq!(cold.report, warm.report);
-        assert_eq!(cold.evaluations, warm.evaluations);
-        assert_eq!(cold.history, warm.history);
-        assert_eq!(cold.stop_reason, warm.stop_reason);
-        // The warm run preloads the memo and serves most requests from it.
-        assert!(warm_stats.preloaded > 0);
-        assert!(
-            warm_stats.hit_rate() >= 0.5,
-            "warm start must report >=50% hits, got {warm_stats:?}"
-        );
-        assert!(warm_stats.unique_evaluations < cold_stats.unique_evaluations);
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -13,6 +13,9 @@
 //! - [`explore_macro_partitioning`]: the EA of Alg. 2 with the paper's
 //!   `i*1000 + n` gene encoding and `mutate_num` / `mutate_share` operators.
 //! - [`allocate_components`]: the Eq. (6) closed-form water-filling.
+//! - [`CandidateEvaluator`]: scores every candidate of every stage on the
+//!   calling thread, behind a memo, delta rescoring of EA children and
+//!   budget charging.
 //! - [`run_dse`]: the full Algorithm 1 nest, parallelized over outer design
 //!   points with deterministic per-point seeds.
 //!
@@ -39,7 +42,6 @@
 #![warn(missing_debug_implementations)]
 
 mod alloc;
-pub mod backend;
 mod ctx;
 mod delta;
 mod ea;
@@ -51,10 +53,6 @@ mod space;
 mod sweep;
 
 pub use alloc::{allocate_components, physical_macros, AllocPlan, AllocRequest};
-pub use backend::{
-    read_token_file, BackendKind, BackendStats, EvalBackend, EvalBackendConfig, EvalJob,
-    InlineBackend, PersistentEvalCache, SharedEvalResources, SubprocessBackend, WorkerPool,
-};
 pub use ctx::{
     CancelToken, ExploreBudget, ExploreContext, ExploreEvent, ExploreObserver, NullObserver,
     StopReason, SynthesisStage,

@@ -6,23 +6,8 @@
 use pimsyn_arch::Watts;
 use pimsyn_model::Model;
 
-use crate::backend::SharedEvalResources;
 use crate::error::DseError;
 use crate::explore::{run_dse, DseConfig};
-
-/// `base` with cross-level shared resources attached (the caller's handle
-/// when one is already set): every level of a sweep then leases the same
-/// subprocess worker pool (sessions re-opened per level) and warm-starts
-/// from the same in-memory cache-snapshot store, instead of each level
-/// spawning and loading its own. Transparent — per-level results are
-/// bit-identical either way.
-fn with_shared_resources(base: &DseConfig) -> DseConfig {
-    let mut base = base.clone();
-    if base.backend.shared.is_none() {
-        base.backend.shared = Some(SharedEvalResources::new());
-    }
-    base
-}
 
 /// One sweep sample.
 #[derive(Debug, Clone, PartialEq)]
@@ -48,15 +33,10 @@ pub struct SweepPoint {
 ///
 /// Candidate scoring at every level goes through the unified
 /// [`CandidateEvaluator`](crate::CandidateEvaluator) (configured by
-/// `base.eval_cache`). Each level builds its own evaluator — candidate memo
+/// `base.eval_cache`). Each level builds its own evaluator: candidate memo
 /// keys assume a fixed power constraint, so a memo must not span sweep
-/// levels — but all levels share one
-/// [`SharedEvalResources`](crate::SharedEvalResources) handle: a subprocess
-/// worker pool is spawned once and re-sessioned per level, and (with a
-/// cache file configured) each level's snapshot warm-starts later passes
-/// over the same level from memory.
+/// levels.
 pub fn sweep_power(model: &Model, base: &DseConfig, powers: &[Watts]) -> Vec<SweepPoint> {
-    let base = with_shared_resources(base);
     powers
         .iter()
         .map(|&power| {
@@ -97,7 +77,6 @@ pub fn minimum_feasible_power(
     hi: f64,
     resolution: f64,
 ) -> Result<Watts, DseError> {
-    let base = with_shared_resources(base);
     let feasible = |w: f64| {
         run_dse(
             model,

@@ -25,9 +25,9 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use pimsyn::{
-    BackendKind, CancelToken, ChannelSink, Effort, EvalCacheConfig, EvaluatorStats, MacroMode,
-    Objective, ServiceClient, ServiceConfig, SynthesisEngine, SynthesisError, SynthesisEvent,
-    SynthesisOptions, SynthesisRequest, SynthesisResult, SynthesisService, SynthesisSummary,
+    CancelToken, ChannelSink, Effort, EvalCacheConfig, EvaluatorStats, MacroMode, Objective,
+    ServiceConfig, SynthesisEngine, SynthesisError, SynthesisEvent, SynthesisOptions,
+    SynthesisRequest, SynthesisResult, SynthesisService, SynthesisSummary,
 };
 use pimsyn_arch::Watts;
 use pimsyn_gateway::timeout_duration;
@@ -81,9 +81,6 @@ struct Args {
     max_unique_evals: Option<usize>,
     eval_cache: bool,
     eval_cache_capacity: Option<usize>,
-    eval_cache_file: Option<String>,
-    eval_cache_max_entries: Option<usize>,
-    backend: BackendKind,
     output: OutputFormat,
     quiet: bool,
     help: bool,
@@ -118,18 +115,9 @@ USAGE:
   pimsyn zoo [--describe <name>] [--validate [<name>]] [--output <text|json>]
   pimsyn export pimsim (--model <name> | --model-file <path>) --power <watts>
                 [--pretty] [--out <path>] [synthesis options]
-  pimsyn serve --listen <host:port> [--job-slots N] [--queue-depth N]
-               [--backend <spec>]
-               [--eval-cache-file <path>] [--eval-cache-max-entries <n>]
-               [--auth-token-file <path>] [--quiet]
   pimsyn gateway --listen <host:port> [--keys <tenants.json>]
                  [--scheduler <fifo|fair>] [--job-slots N] [--queue-depth N]
-                 [--backend <spec>]
-                 [--eval-cache-file <path>] [--eval-cache-max-entries <n>]
                  [--quiet]
-  pimsyn submit --connect <host:port> --model <name> --power <watts> [options]
-  pimsyn status|result|cancel --connect <host:port> --id <job-id>
-  pimsyn shutdown|drain --connect <host:port>
 
 OPTIONS:
   --model <name>        bundled zoo model; `pimsyn zoo` lists every name
@@ -154,37 +142,21 @@ OPTIONS:
   --timeout <secs>      stop exploring after this long, keeping the best
                         implementation found so far
   --max-evals <n>       bound candidate-architecture evaluations
-  --max-unique-evals <n>  bound unique evaluations (memo misses; with a warm
-                        cache, far fewer than scored candidates)
+  --max-unique-evals <n>  bound unique evaluations (memo misses; with a high
+                        hit rate, far fewer than scored candidates)
   --eval-cache <on|off> memoize candidate evaluations (default: on; results
                         are bit-identical either way, off recomputes all)
   --eval-cache-capacity <n>  bound memo-cache entries (default: 65536)
-  --eval-cache-file <path>  persist the evaluation memo across runs: loaded
-                        before the search when its fingerprint (model, hw,
-                        power, objective) matches, rewritten afterwards
-  --eval-cache-max-entries <n>  cap candidate-score entries written per run
-                        section of the cache file (oldest trimmed first), so
-                        long sweeps stop growing the file without bound
-  --backend <spec>      where candidate scoring runs: inline (default) or
-                        subprocess[:N] (pimsyn --worker child processes);
-                        results are bit-identical across backends
   --output <text|json>  report format on stdout (default: text)
   --quiet               suppress live progress on stderr
   --help                print this message
 
-`pimsyn serve` runs a long-lived synthesis daemon: submitted jobs queue
-behind a bounded FIFO, share one subprocess worker pool and one warm
-evaluation cache, and are addressed by id through the submit/status/
-result/cancel/shutdown subcommands (a versioned JSON-lines TCP protocol).
-The daemon's --backend / --eval-cache-file flags decide where every
-submitted job's scoring runs; submit-side flags describe the job itself.
-With --auth-token-file, every request must carry the shared token (clients
-pass the same flag); `pimsyn drain` stops intake, finishes queued and
-running jobs, and exits the daemon cleanly.
-
-`pimsyn gateway` runs the same daemon behind a plain HTTP/1.1 REST API
-(POST /v1/jobs, GET /v1/jobs/<id>[/result|/events], DELETE /v1/jobs/<id>,
-GET /metrics for Prometheus, POST /v1/drain) — see docs/PROTOCOLS.md.
+`pimsyn gateway` runs a long-lived synthesis daemon behind a plain
+HTTP/1.1 REST API (POST /v1/jobs, GET /v1/jobs/<id>[/result|/events],
+DELETE /v1/jobs/<id>, GET /metrics for Prometheus, POST /v1/drain) — see
+docs/PROTOCOLS.md. Submitted jobs queue behind a bounded queue drained by
+--job-slots concurrent jobs; POST /v1/drain stops intake, finishes queued
+and running jobs, and exits the gateway cleanly.
 --keys installs per-tenant API keys (Authorization: Bearer), quotas and
 scheduling weights; the scheduler then defaults to weighted-fair
 round-robin across tenants instead of global FIFO (--scheduler overrides
@@ -204,11 +176,7 @@ bit-identical results) and then emits a PIMSIM-NN configuration document
 on stdout (or --out <path>) instead of a report: the workload, the
 synthesized per-layer mapping and PIMSYN's expected metrics, ready for
 cross-simulator validation. --pretty indents the JSON for humans; the
-field-by-field schema is documented in docs/ARCHITECTURE.md.
-
-`pimsyn --worker` (no other flags) runs the evaluation-worker protocol on
-stdin/stdout; it is spawned by `--backend subprocess` and not meant for
-interactive use.";
+field-by-field schema is documented in docs/ARCHITECTURE.md.";
 
 fn parse_args_from<I: IntoIterator<Item = String>>(argv: I) -> Result<Args, String> {
     let mut args = Args {
@@ -229,9 +197,6 @@ fn parse_args_from<I: IntoIterator<Item = String>>(argv: I) -> Result<Args, Stri
         max_unique_evals: None,
         eval_cache: true,
         eval_cache_capacity: None,
-        eval_cache_file: None,
-        eval_cache_max_entries: None,
-        backend: BackendKind::Inline,
         output: OutputFormat::Text,
         quiet: false,
         help: false,
@@ -288,20 +253,6 @@ fn parse_args_from<I: IntoIterator<Item = String>>(argv: I) -> Result<Args, Stri
                 }
                 args.max_unique_evals = Some(n);
             }
-            "--eval-cache-file" => args.eval_cache_file = Some(value("--eval-cache-file")?),
-            "--eval-cache-max-entries" => {
-                let n: usize = value("--eval-cache-max-entries")?
-                    .parse()
-                    .map_err(|e| format!("bad --eval-cache-max-entries: {e}"))?;
-                if n == 0 {
-                    return Err("--eval-cache-max-entries must be at least 1".to_string());
-                }
-                args.eval_cache_max_entries = Some(n);
-            }
-            "--backend" => {
-                args.backend = BackendKind::parse(&value("--backend")?)
-                    .map_err(|e| format!("bad --backend: {e}"))?
-            }
             "--eval-cache" => {
                 args.eval_cache = match value("--eval-cache")?.as_str() {
                     "on" => true,
@@ -332,18 +283,6 @@ fn parse_args_from<I: IntoIterator<Item = String>>(argv: I) -> Result<Args, Stri
             }
             other => return Err(format!("unknown flag `{other}`")),
         }
-    }
-    // Persistence serializes the memo; with the memo off there is nothing
-    // to load or save, so the combination is a mistake, not a no-op.
-    if !args.eval_cache && args.eval_cache_file.is_some() {
-        return Err(
-            "--eval-cache-file requires the evaluation cache (drop `--eval-cache off`)".to_string(),
-        );
-    }
-    // The entry cap trims what is written to the cache file; without a file
-    // it caps nothing.
-    if args.eval_cache_max_entries.is_some() && args.eval_cache_file.is_none() {
-        return Err("--eval-cache-max-entries requires --eval-cache-file".to_string());
     }
     if args.batch_file.is_some() {
         if args.model.is_some() || args.model_file.is_some() {
@@ -449,13 +388,6 @@ fn options_from_args(args: &Args, power: f64) -> Result<SynthesisOptions, String
         cache = cache.with_capacity(capacity);
     }
     options = options.with_eval_cache(cache);
-    options = options.with_backend(args.backend.clone());
-    if let Some(path) = &args.eval_cache_file {
-        options = options.with_eval_cache_file(path);
-    }
-    if let Some(cap) = args.eval_cache_max_entries {
-        options.backend.cache_max_entries = Some(cap);
-    }
     if let Some(path) = &args.hw_file {
         let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
         let hw =
@@ -480,7 +412,7 @@ fn batch_job_request(
         match key.as_str() {
             "model" | "model-file" | "power" | "effort" | "strategy" | "objective" | "macros"
             | "sharing" | "seed" | "cycle" | "timeout" | "max-evals" | "max-unique-evals"
-            | "backend" | "label" => {}
+            | "label" => {}
             other => return Err(at(format!("unknown field `{other}`"))),
         }
     }
@@ -579,10 +511,6 @@ fn batch_job_request(
         }
         job_args.max_unique_evals = Some(n as usize);
     }
-    if let Some(s) = get_str("backend")? {
-        job_args.backend =
-            BackendKind::parse(s).map_err(|e| at(format!("field `backend`: {e}")))?;
-    }
 
     let options = options_from_args(&job_args, power).map_err(at)?;
     let mut request = SynthesisRequest::new(model, options);
@@ -663,12 +591,6 @@ fn stats_line(stats: &EvaluatorStats) -> String {
         stats.cache_hits,
         stats.hit_rate() * 100.0
     );
-    if stats.preloaded > 0 {
-        line.push_str(&format!(
-            ", {} entries warm-started from the cache file",
-            stats.preloaded
-        ));
-    }
     if stats.delta_hits > 0 || stats.delta_fallbacks > 0 {
         line.push_str(&format!(
             "; delta rescoring: {} incremental, {} fallbacks, {} layers recomputed",
@@ -838,140 +760,15 @@ fn run_batch(args: &Args) -> ExitCode {
     }
 }
 
-/// Flags of the `serve` subcommand: where to listen, queue sizing, and the
-/// server-side evaluation policy overlaid onto every submitted job.
-#[derive(Debug, Clone)]
-struct ServeArgs {
-    listen: String,
-    job_slots: Option<usize>,
-    queue_depth: Option<usize>,
-    backend: BackendKind,
-    eval_cache_file: Option<String>,
-    eval_cache_max_entries: Option<usize>,
-    auth_token_file: Option<String>,
-    quiet: bool,
-}
-
-fn parse_serve_args<I: IntoIterator<Item = String>>(argv: I) -> Result<ServeArgs, String> {
-    let mut args = ServeArgs {
-        listen: String::new(),
-        job_slots: None,
-        queue_depth: None,
-        backend: BackendKind::Inline,
-        eval_cache_file: None,
-        eval_cache_max_entries: None,
-        auth_token_file: None,
-        quiet: false,
-    };
-    let mut it = argv.into_iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| it.next().ok_or_else(|| format!("missing value for {name}"));
-        let positive = |name: &str, raw: String| -> Result<usize, String> {
-            match raw.parse::<usize>() {
-                Ok(n) if n >= 1 => Ok(n),
-                _ => Err(format!("{name} must be a positive integer")),
-            }
-        };
-        match flag.as_str() {
-            "--listen" => args.listen = value("--listen")?,
-            "--job-slots" => args.job_slots = Some(positive("--job-slots", value("--job-slots")?)?),
-            "--queue-depth" => {
-                args.queue_depth = Some(positive("--queue-depth", value("--queue-depth")?)?)
-            }
-            "--backend" => {
-                args.backend = BackendKind::parse(&value("--backend")?)
-                    .map_err(|e| format!("bad --backend: {e}"))?
-            }
-            "--eval-cache-file" => args.eval_cache_file = Some(value("--eval-cache-file")?),
-            "--eval-cache-max-entries" => {
-                args.eval_cache_max_entries = Some(positive(
-                    "--eval-cache-max-entries",
-                    value("--eval-cache-max-entries")?,
-                )?)
-            }
-            "--auth-token-file" => args.auth_token_file = Some(value("--auth-token-file")?),
-            "--quiet" | "-q" => args.quiet = true,
-            other => return Err(format!("unknown serve flag `{other}`")),
-        }
-    }
-    if args.listen.is_empty() {
-        return Err("serve requires --listen <host:port>".to_string());
-    }
-    if args.eval_cache_max_entries.is_some() && args.eval_cache_file.is_none() {
-        return Err("--eval-cache-max-entries requires --eval-cache-file".to_string());
-    }
-    Ok(args)
-}
-
-fn run_serve(argv: &[String]) -> ExitCode {
-    let args = match parse_serve_args(argv.iter().cloned()) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}\n\n{USAGE}");
-            return ExitCode::from(2);
-        }
-    };
-    let listener = match std::net::TcpListener::bind(&args.listen) {
-        Ok(l) => l,
-        Err(e) => {
-            eprintln!("error: cannot listen on {}: {e}", args.listen);
-            return ExitCode::FAILURE;
-        }
-    };
-    let mut config = ServiceConfig::default();
-    if let Some(slots) = args.job_slots {
-        config = config.with_job_slots(slots);
-    }
-    if let Some(depth) = args.queue_depth {
-        config = config.with_queue_depth(depth);
-    }
-    let service = std::sync::Arc::new(SynthesisService::new(config));
-    let overlay_args = args.clone();
-    // Server-side policy: the daemon decides where scoring runs and which
-    // cache file (if any) persists it; clients describe only the job. The
-    // cache policy only applies to jobs that kept the eval cache on: a job
-    // that disabled it has nothing to persist, and forcing a file onto it
-    // would reject an otherwise valid submission.
-    let overlay = move |request: &mut SynthesisRequest| {
-        request.options.backend.kind = overlay_args.backend.clone();
-        if request.options.eval_cache.enabled {
-            if let Some(path) = &overlay_args.eval_cache_file {
-                request.options.backend.cache_file = Some(path.into());
-            }
-            request.options.backend.cache_max_entries = overlay_args.eval_cache_max_entries;
-        }
-    };
-    let mut options = pimsyn::ServeOptions::new().with_quiet(args.quiet);
-    if let Some(path) = &args.auth_token_file {
-        match read_token_file(path) {
-            Ok(token) => options = options.with_token(token),
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    match pimsyn::serve(listener, service, overlay, options) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: serve failed: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-/// Flags of the `gateway` subcommand: the serve-side policy flags plus the
+/// Flags of the `gateway` subcommand: where to listen, queue sizing, the
 /// tenant keys file and the scheduling policy.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct GatewayArgs {
     listen: String,
     keys: Option<String>,
     scheduler: Option<pimsyn::SchedulingPolicy>,
     job_slots: Option<usize>,
     queue_depth: Option<usize>,
-    backend: BackendKind,
-    eval_cache_file: Option<String>,
-    eval_cache_max_entries: Option<usize>,
     quiet: bool,
 }
 
@@ -982,9 +779,6 @@ fn parse_gateway_args<I: IntoIterator<Item = String>>(argv: I) -> Result<Gateway
         scheduler: None,
         job_slots: None,
         queue_depth: None,
-        backend: BackendKind::Inline,
-        eval_cache_file: None,
-        eval_cache_max_entries: None,
         quiet: false,
     };
     let mut it = argv.into_iter();
@@ -1010,26 +804,12 @@ fn parse_gateway_args<I: IntoIterator<Item = String>>(argv: I) -> Result<Gateway
             "--queue-depth" => {
                 args.queue_depth = Some(positive("--queue-depth", value("--queue-depth")?)?)
             }
-            "--backend" => {
-                args.backend = BackendKind::parse(&value("--backend")?)
-                    .map_err(|e| format!("bad --backend: {e}"))?
-            }
-            "--eval-cache-file" => args.eval_cache_file = Some(value("--eval-cache-file")?),
-            "--eval-cache-max-entries" => {
-                args.eval_cache_max_entries = Some(positive(
-                    "--eval-cache-max-entries",
-                    value("--eval-cache-max-entries")?,
-                )?)
-            }
             "--quiet" | "-q" => args.quiet = true,
             other => return Err(format!("unknown gateway flag `{other}`")),
         }
     }
     if args.listen.is_empty() {
         return Err("gateway requires --listen <host:port>".to_string());
-    }
-    if args.eval_cache_max_entries.is_some() && args.eval_cache_file.is_none() {
-        return Err("--eval-cache-max-entries requires --eval-cache-file".to_string());
     }
     Ok(args)
 }
@@ -1074,190 +854,17 @@ fn run_gateway(argv: &[String]) -> ExitCode {
         config = config.with_queue_depth(depth);
     }
     let service = std::sync::Arc::new(SynthesisService::new(config));
-    let overlay_args = args.clone();
-    // The same server-side policy overlay as `pimsyn serve`: the daemon
-    // decides where scoring runs and which cache file persists it.
-    let overlay = move |request: &mut SynthesisRequest| {
-        request.options.backend.kind = overlay_args.backend.clone();
-        if request.options.eval_cache.enabled {
-            if let Some(path) = &overlay_args.eval_cache_file {
-                request.options.backend.cache_file = Some(path.into());
-            }
-            request.options.backend.cache_max_entries = overlay_args.eval_cache_max_entries;
-        }
-    };
     let mut gateway_config = pimsyn_gateway::GatewayConfig::new()
         .with_tenants(tenants)
         .with_quiet(args.quiet);
     if let Some(path) = &args.keys {
         gateway_config = gateway_config.with_keys_file(path);
     }
-    match pimsyn_gateway::serve_gateway(listener, service, overlay, gateway_config) {
+    match pimsyn_gateway::serve_gateway(listener, service, gateway_config) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: gateway failed: {e}");
             ExitCode::FAILURE
-        }
-    }
-}
-
-/// Reads a shared-token file through the library's single normalizing
-/// reader, so the daemon and every client trim tokens identically.
-fn read_token_file(path: &str) -> Result<String, String> {
-    pimsyn::read_token_file(std::path::Path::new(path))
-}
-
-/// What `split_client_args` extracts: the `--connect` address, the `--id`
-/// value, the `--auth-token-file` path, and the untouched remaining flags.
-type ClientArgs = (String, Option<u64>, Option<String>, Vec<String>);
-
-/// Splits `--connect <addr>` (required) and `--id <n>` (when `with_id`) out
-/// of a client subcommand's argv, returning the remaining flags untouched.
-fn split_client_args(argv: &[String], with_id: bool) -> Result<ClientArgs, String> {
-    let mut connect = None;
-    let mut id = None;
-    let mut token_file = None;
-    let mut rest = Vec::new();
-    let mut it = argv.iter().cloned();
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--connect" => {
-                connect = Some(
-                    it.next()
-                        .ok_or_else(|| "missing value for --connect".to_string())?,
-                )
-            }
-            "--id" if with_id => {
-                let raw = it
-                    .next()
-                    .ok_or_else(|| "missing value for --id".to_string())?;
-                id = Some(raw.parse().map_err(|e| format!("bad --id: {e}"))?);
-            }
-            "--auth-token-file" => {
-                token_file = Some(
-                    it.next()
-                        .ok_or_else(|| "missing value for --auth-token-file".to_string())?,
-                )
-            }
-            _ => rest.push(flag),
-        }
-    }
-    let connect = connect.ok_or_else(|| "missing --connect <host:port>".to_string())?;
-    if with_id && id.is_none() {
-        return Err("missing --id <job-id>".to_string());
-    }
-    Ok((connect, id, token_file, rest))
-}
-
-/// Prints a protocol reply and maps it to an exit code (`ok: false` replies
-/// — queue full, unknown job, failed job — are structured JSON on stdout
-/// with a non-zero exit).
-fn finish_client(reply: Result<JsonValue, String>) -> ExitCode {
-    match reply {
-        Ok(doc) => {
-            outln!("{doc}");
-            if doc.get("ok").and_then(JsonValue::as_bool) == Some(true) {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::FAILURE
-            }
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-fn run_client(command: &str, argv: &[String]) -> ExitCode {
-    let with_id = matches!(command, "status" | "result" | "cancel");
-    let (connect, id, token_file, rest) = match split_client_args(argv, with_id) {
-        Ok(parts) => parts,
-        Err(e) => {
-            eprintln!("error: {e}\n\n{USAGE}");
-            return ExitCode::from(2);
-        }
-    };
-    let mut client = ServiceClient::new(connect);
-    if let Some(path) = &token_file {
-        match read_token_file(path) {
-            Ok(token) => client = client.with_token(token),
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    match command {
-        "submit" => {
-            let args = match parse_args_from(rest) {
-                Ok(a) if a.batch_file.is_none() => a,
-                Ok(_) => {
-                    eprintln!("error: submit sends one job; --batch is not supported\n\n{USAGE}");
-                    return ExitCode::from(2);
-                }
-                Err(e) => {
-                    eprintln!("error: {e}\n\n{USAGE}");
-                    return ExitCode::from(2);
-                }
-            };
-            // Where scoring runs and which cache file persists it are the
-            // daemon's policy (its own serve flags); rejecting these beats
-            // silently dropping them from the wire format.
-            if args.backend != BackendKind::Inline
-                || args.eval_cache_file.is_some()
-                || args.eval_cache_max_entries.is_some()
-            {
-                eprintln!(
-                    "error: --backend / --eval-cache-file / --eval-cache-max-entries are \
-                     daemon policy; set them on `pimsyn serve`, not `pimsyn submit`\n\n{USAGE}"
-                );
-                return ExitCode::from(2);
-            }
-            let model = match &args.model {
-                Some(name) => load_named_model(name),
-                None => load_model_file(args.model_file.as_ref().expect("validated")),
-            };
-            let request = model
-                .and_then(|model| {
-                    options_from_args(&args, args.power)
-                        .map(|options| SynthesisRequest::new(model, options))
-                })
-                .map_err(|e| e.to_string());
-            match request {
-                Ok(request) => finish_client(client.submit(&request)),
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        "status" => finish_client(client.status(id.expect("validated"))),
-        "cancel" => finish_client(client.cancel(id.expect("validated"))),
-        "result" => {
-            // On success print only the summary document, so a socket-fetched
-            // result diffs cleanly against a direct `pimsyn --output json` run.
-            match client.result(id.expect("validated")) {
-                Ok(doc) if doc.get("ok").and_then(JsonValue::as_bool) == Some(true) => {
-                    match doc.get("summary") {
-                        Some(summary) => {
-                            outln!("{summary}");
-                            ExitCode::SUCCESS
-                        }
-                        None => {
-                            eprintln!("error: reply lacks a summary: {doc}");
-                            ExitCode::FAILURE
-                        }
-                    }
-                }
-                other => finish_client(other),
-            }
-        }
-        "shutdown" => finish_client(client.shutdown()),
-        "drain" => finish_client(client.drain()),
-        other => {
-            eprintln!("error: unknown subcommand `{other}`\n\n{USAGE}");
-            ExitCode::from(2)
         }
     }
 }
@@ -1574,20 +1181,11 @@ fn run_export(argv: &[String]) -> ExitCode {
 }
 
 fn main() -> ExitCode {
-    // Worker mode short-circuits everything else: the process is a child of
-    // `--backend subprocess` speaking the JSON-lines protocol on stdio.
-    if std::env::args().nth(1).as_deref() == Some("--worker") {
-        return pimsyn::run_worker_stdio();
-    }
     let argv: Vec<String> = std::env::args().skip(1).collect();
     match argv.first().map(String::as_str) {
-        Some("serve") => return run_serve(&argv[1..]),
         Some("gateway") => return run_gateway(&argv[1..]),
         Some("zoo") => return run_zoo(&argv[1..]),
         Some("export") => return run_export(&argv[1..]),
-        Some(cmd @ ("submit" | "status" | "result" | "cancel" | "shutdown" | "drain")) => {
-            return run_client(cmd, &argv[1..]);
-        }
         _ => {}
     }
     let args = match parse_args_from(argv) {
@@ -1648,6 +1246,19 @@ mod tests {
             ][..],
             &["worker-serve", "--listen", "127.0.0.1:0"],
             &["worker-stop", "--connect", "127.0.0.1:1"],
+            &["--model", "vgg16", "--power", "9", "--backend", "inline"],
+            &["--model", "vgg16", "--power", "9", "--eval-cache-file", "f"],
+            &[
+                "--model",
+                "vgg16",
+                "--power",
+                "9",
+                "--eval-cache-max-entries",
+                "5",
+            ],
+            &["--worker"],
+            &["serve", "--listen", "127.0.0.1:0"],
+            &["submit", "--connect", "h:1"],
         ] {
             let err = parse(removed).unwrap_err();
             assert!(err.contains("unknown flag"), "{removed:?}: {err}");
@@ -1794,36 +1405,23 @@ mod tests {
 
     #[test]
     fn backend_flags_parse_and_reach_options() {
+        // `--max-unique-evals` budgets the scoring back end: it counts memo
+        // misses, the candidates that are actually computed.
         let args = parse(&["--model", "vgg16", "--power", "9"]).unwrap();
-        assert_eq!(args.backend, BackendKind::Inline);
-        assert!(args.eval_cache_file.is_none());
         assert!(args.max_unique_evals.is_none());
         let args = parse(&[
             "--model",
             "vgg16",
             "--power",
             "9",
-            "--backend",
-            "subprocess:2",
-            "--eval-cache-file",
-            "/tmp/c.json",
             "--max-unique-evals",
             "40",
         ])
         .unwrap();
-        assert_eq!(args.backend, BackendKind::Subprocess { workers: 2 });
-        assert_eq!(args.eval_cache_file.as_deref(), Some("/tmp/c.json"));
         assert_eq!(args.max_unique_evals, Some(40));
         let options = options_from_args(&args, args.power).unwrap();
-        assert_eq!(options.backend.kind, BackendKind::Subprocess { workers: 2 });
-        assert_eq!(
-            options.backend.cache_file.as_deref(),
-            Some(std::path::Path::new("/tmp/c.json"))
-        );
         assert_eq!(options.max_unique_evaluations, Some(40));
 
-        let err = parse(&["--model", "vgg16", "--power", "9", "--backend", "gpu"]).unwrap_err();
-        assert!(err.contains("--backend"), "{err}");
         let err = parse(&[
             "--model",
             "vgg16",
@@ -1834,99 +1432,6 @@ mod tests {
         ])
         .unwrap_err();
         assert!(err.contains("at least 1"), "{err}");
-        // Persistence without a memo to persist is rejected, not ignored.
-        let err = parse(&[
-            "--model",
-            "vgg16",
-            "--power",
-            "9",
-            "--eval-cache",
-            "off",
-            "--eval-cache-file",
-            "/tmp/c.json",
-        ])
-        .unwrap_err();
-        assert!(err.contains("--eval-cache-file"), "{err}");
-    }
-
-    #[test]
-    fn eval_cache_max_entries_parses_and_requires_a_file() {
-        let args = parse(&[
-            "--model",
-            "vgg16",
-            "--power",
-            "9",
-            "--eval-cache-file",
-            "/tmp/c.json",
-            "--eval-cache-max-entries",
-            "100",
-        ])
-        .unwrap();
-        assert_eq!(args.eval_cache_max_entries, Some(100));
-        let options = options_from_args(&args, args.power).unwrap();
-        assert_eq!(options.backend.cache_max_entries, Some(100));
-        let err = parse(&[
-            "--model",
-            "vgg16",
-            "--power",
-            "9",
-            "--eval-cache-max-entries",
-            "100",
-        ])
-        .unwrap_err();
-        assert!(err.contains("--eval-cache-file"), "{err}");
-        let err = parse(&[
-            "--model",
-            "vgg16",
-            "--power",
-            "9",
-            "--eval-cache-file",
-            "/tmp/c.json",
-            "--eval-cache-max-entries",
-            "0",
-        ])
-        .unwrap_err();
-        assert!(err.contains("at least 1"), "{err}");
-    }
-
-    fn parse_serve(args: &[&str]) -> Result<ServeArgs, String> {
-        parse_serve_args(args.iter().map(|s| s.to_string()))
-    }
-
-    #[test]
-    fn serve_args_parse_and_validate() {
-        let args = parse_serve(&[
-            "--listen",
-            "127.0.0.1:7741",
-            "--job-slots",
-            "2",
-            "--queue-depth",
-            "8",
-            "--backend",
-            "subprocess:2",
-            "--quiet",
-        ])
-        .unwrap();
-        assert_eq!(args.listen, "127.0.0.1:7741");
-        assert_eq!(args.job_slots, Some(2));
-        assert_eq!(args.queue_depth, Some(8));
-        assert_eq!(args.backend, BackendKind::Subprocess { workers: 2 });
-        assert!(args.quiet);
-
-        let err = parse_serve(&[]).unwrap_err();
-        assert!(err.contains("--listen"), "{err}");
-        let err = parse_serve(&["--listen", "x", "--job-slots", "0"]).unwrap_err();
-        assert!(err.contains("positive"), "{err}");
-        let err = parse_serve(&["--listen", "x", "--frobnicate"]).unwrap_err();
-        assert!(err.contains("unknown serve flag"), "{err}");
-        let err = parse_serve(&["--listen", "x", "--eval-cache-max-entries", "5"]).unwrap_err();
-        assert!(err.contains("--eval-cache-file"), "{err}");
-        let args = parse_serve(&["--listen", "x", "--auth-token-file", "tok.txt"]).unwrap();
-        assert_eq!(args.auth_token_file.as_deref(), Some("tok.txt"));
-        for removed in ["--worker-registry", "--remote-token-file"] {
-            let err = parse_serve(&["--listen", "x", removed, "h:1"]).unwrap_err();
-            assert!(err.contains("unknown serve flag"), "{err}");
-        }
     }
 
     fn parse_gateway(args: &[&str]) -> Result<GatewayArgs, String> {
@@ -1964,51 +1469,16 @@ mod tests {
         assert!(err.contains("fifo|fair"), "{err}");
         let err = parse_gateway(&["--listen", "x", "--frobnicate"]).unwrap_err();
         assert!(err.contains("unknown gateway flag"), "{err}");
-        let err = parse_gateway(&["--listen", "x", "--eval-cache-max-entries", "5"]).unwrap_err();
-        assert!(err.contains("--eval-cache-file"), "{err}");
 
-        for removed in ["--worker-registry", "--remote-token-file"] {
-            let err = parse_gateway(&["--listen", "x", removed, "h:1"]).unwrap_err();
+        for (removed, value) in [
+            ("--worker-registry", "h:1"),
+            ("--remote-token-file", "h:1"),
+            ("--backend", "inline"),
+            ("--eval-cache-file", "f"),
+        ] {
+            let err = parse_gateway(&["--listen", "x", removed, value]).unwrap_err();
             assert!(err.contains("unknown gateway flag"), "{err}");
         }
-    }
-
-    #[test]
-    fn client_args_split_connect_and_id() {
-        let argv: Vec<String> = ["--connect", "127.0.0.1:7741", "--id", "3"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let (connect, id, token_file, rest) = split_client_args(&argv, true).unwrap();
-        assert_eq!(connect, "127.0.0.1:7741");
-        assert_eq!(id, Some(3));
-        assert_eq!(token_file, None);
-        assert!(rest.is_empty());
-
-        let argv: Vec<String> = [
-            "--connect",
-            "h:1",
-            "--auth-token-file",
-            "tok.txt",
-            "--model",
-            "vgg16",
-            "--power",
-            "9",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-        let (connect, id, token_file, rest) = split_client_args(&argv, false).unwrap();
-        assert_eq!(connect, "h:1");
-        assert_eq!(id, None);
-        assert_eq!(token_file.as_deref(), Some("tok.txt"));
-        assert_eq!(rest, vec!["--model", "vgg16", "--power", "9"]);
-
-        let err = split_client_args(&[], true).unwrap_err();
-        assert!(err.contains("--connect"), "{err}");
-        let argv: Vec<String> = vec!["--connect".into(), "h:1".into()];
-        let err = split_client_args(&argv, true).unwrap_err();
-        assert!(err.contains("--id"), "{err}");
     }
 
     #[test]
@@ -2067,8 +1537,12 @@ mod tests {
             ),
             (r#"[1, 2]"#, "expected a JSON object"),
             (
-                r#"{"model": "alexnet-cifar", "power": 9, "backend": "gpu"}"#,
-                "field `backend`",
+                r#"{"model": "alexnet-cifar", "power": 9, "backend": "inline"}"#,
+                "unknown field `backend`",
+            ),
+            (
+                r#"{"model": "alexnet-cifar", "power": 9, "macro_mode": "identical"}"#,
+                "unknown field `macro_mode`",
             ),
         ] {
             let parsed = JsonValue::parse(job).unwrap();

@@ -5,9 +5,8 @@
 //! optional `Content-Length` body), write one response — either a buffered
 //! body or an unbounded stream (SSE/NDJSON) terminated by closing the
 //! connection. Each connection carries exactly one request; every response
-//! says `Connection: close`, which HTTP/1.1 clients must honor. That
-//! mirrors the service socket protocol's one-request-per-connection model
-//! and keeps the implementation auditable.
+//! says `Connection: close`, which HTTP/1.1 clients must honor. That keeps
+//! the implementation auditable.
 
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Read, Write};
@@ -16,8 +15,9 @@ use std::io::{self, BufRead, BufReader, Read, Write};
 /// hundred kilobytes of ONNX-style JSON; 8 MiB leaves generous headroom).
 pub const MAX_BODY_BYTES: usize = 8 * 1024 * 1024;
 
-/// Largest accepted request line or header line.
-const MAX_LINE_BYTES: usize = 64 * 1024;
+/// Largest accepted request head: the request line plus every header
+/// line, line terminators included. It bounds each line too.
+const MAX_HEAD_BYTES: usize = 64 * 1024;
 
 /// One parsed HTTP request.
 #[derive(Debug, Clone)]
@@ -68,7 +68,8 @@ impl HttpRequest {
 pub enum HttpParseError {
     /// The peer closed before sending a full request.
     ConnectionClosed,
-    /// Malformed request line, header, or body framing.
+    /// Malformed request line, header, or body framing, or a request head
+    /// longer than 64 KiB.
     Malformed(String),
     /// The declared body exceeds [`MAX_BODY_BYTES`].
     BodyTooLarge {
@@ -95,9 +96,17 @@ impl std::fmt::Display for HttpParseError {
     }
 }
 
-fn read_crlf_line(reader: &mut impl BufRead) -> Result<String, HttpParseError> {
+/// Reads one CRLF- (or LF-) terminated line, charging every byte to
+/// `budget`, the bytes the request head has left.
+fn read_crlf_line(reader: &mut impl BufRead, budget: &mut usize) -> Result<String, HttpParseError> {
     let mut line = Vec::new();
     loop {
+        if *budget == 0 {
+            return Err(HttpParseError::Malformed(format!(
+                "request head exceeds {MAX_HEAD_BYTES} bytes"
+            )));
+        }
+        *budget -= 1;
         let mut byte = [0u8; 1];
         match reader.read_exact(&mut byte) {
             Ok(()) => {}
@@ -114,9 +123,6 @@ fn read_crlf_line(reader: &mut impl BufRead) -> Result<String, HttpParseError> {
                 .map_err(|_| HttpParseError::Malformed("non-UTF-8 header line".into()));
         }
         line.push(byte[0]);
-        if line.len() > MAX_LINE_BYTES {
-            return Err(HttpParseError::Malformed("header line too long".into()));
-        }
     }
 }
 
@@ -163,7 +169,8 @@ fn parse_query(raw: &str) -> Vec<(String, String)> {
 /// when the peer sent nothing, otherwise the malformation or transport
 /// failure.
 pub fn read_request<R: Read>(reader: &mut BufReader<R>) -> Result<HttpRequest, HttpParseError> {
-    let request_line = read_crlf_line(reader)?;
+    let mut budget = MAX_HEAD_BYTES;
+    let request_line = read_crlf_line(reader, &mut budget)?;
     let mut parts = request_line.split(' ');
     let (method, target, version) = match (parts.next(), parts.next(), parts.next(), parts.next()) {
         (Some(m), Some(t), Some(v), None) if !m.is_empty() && !t.is_empty() => (m, t, v),
@@ -184,7 +191,7 @@ pub fn read_request<R: Read>(reader: &mut BufReader<R>) -> Result<HttpRequest, H
     };
     let mut headers = Vec::new();
     loop {
-        let line = read_crlf_line(reader)?;
+        let line = read_crlf_line(reader, &mut budget)?;
         if line.is_empty() {
             break;
         }
@@ -394,6 +401,15 @@ mod tests {
         assert!(matches!(
             parse(&huge),
             Err(HttpParseError::Malformed(_) | HttpParseError::BodyTooLarge { .. })
+        ));
+        // Many short header lines: each is small, but the head is ~100 KB.
+        let padded = format!(
+            "GET /healthz HTTP/1.1\r\n{}\r\n",
+            "X-Pad: 0123456789012345678901234567890123456789\r\n".repeat(2000)
+        );
+        assert!(matches!(
+            parse(&padded),
+            Err(HttpParseError::Malformed(detail)) if detail.contains("request head exceeds")
         ));
     }
 

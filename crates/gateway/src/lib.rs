@@ -1,11 +1,10 @@
 //! **pimsyn-gateway**: a multi-tenant HTTP/REST front end over
 //! [`pimsyn::SynthesisService`].
 //!
-//! Where `pimsyn serve` speaks a versioned JSON-lines socket protocol to
-//! trusted peers, the gateway speaks plain HTTP/1.1 to anything that can
-//! `curl`: REST job submission and lifecycle, Server-Sent-Events progress
-//! streaming, Prometheus `/metrics`, bearer-token tenancy with per-tenant
-//! quotas, and weighted-fair scheduling across tenants
+//! The gateway speaks plain HTTP/1.1 to anything that can `curl`: REST job
+//! submission and lifecycle, Server-Sent-Events progress streaming,
+//! Prometheus `/metrics`, bearer-token tenancy with per-tenant quotas, and
+//! weighted-fair scheduling across tenants
 //! ([`pimsyn::SchedulingPolicy::WeightedFair`]). The HTTP layer is
 //! hand-rolled on `std::net` — this workspace builds offline, and the
 //! endpoint surface is small enough that a dependency would cost more
@@ -22,7 +21,7 @@
 //! # fn main() -> std::io::Result<()> {
 //! let service = Arc::new(SynthesisService::new(ServiceConfig::default()));
 //! let listener = TcpListener::bind("127.0.0.1:8080")?;
-//! serve_gateway(listener, service, |_job| {}, GatewayConfig::new())
+//! serve_gateway(listener, service, GatewayConfig::new())
 //! # }
 //! ```
 //!

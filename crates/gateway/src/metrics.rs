@@ -10,9 +10,9 @@
 //! - **histograms** observed at job completion (end-to-end job latency);
 //! - **gauges** sampled at scrape time from
 //!   [`SynthesisService::snapshot`](pimsyn::SynthesisService::snapshot)
-//!   (queue depth, per-tenant occupancy, drain state) and the worker pool
-//!   — those live in the server module, not here, because they are reads
-//!   of service state rather than gateway state.
+//!   (queue depth, per-tenant occupancy, drain state) — those live in the
+//!   server module, not here, because they are reads of service state
+//!   rather than gateway state.
 //!
 //! [text exposition format]:
 //!     https://prometheus.io/docs/instrumenting/exposition_formats/

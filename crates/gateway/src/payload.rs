@@ -1,10 +1,7 @@
-//! The `POST /v1/jobs` body format: a human-friendly superset of the
-//! socket protocol's job payload.
+//! The `POST /v1/jobs` body format.
 //!
-//! The socket format (`pimsyn::encode_job_payload`) is built for
-//! bit-exactness between trusted peers: every field is mandatory, floats
-//! travel as hex bit patterns, the model is an inline ONNX-style document.
-//! An HTTP front end faces `curl`, so this parser accepts both spellings:
+//! An HTTP front end faces `curl`, so this parser accepts friendly
+//! spellings next to bit-exact ones:
 //!
 //! - `model` — a zoo name (`"alexnet-cifar"`) *or* an inline ONNX-style
 //!   JSON document (an object, or a string containing one);
@@ -29,7 +26,7 @@ use pimsyn_arch::{hardware_config, Watts};
 use pimsyn_model::json::JsonValue;
 use pimsyn_model::{onnx, zoo, Model};
 
-const KNOWN_FIELDS: [&str; 18] = [
+const KNOWN_FIELDS: [&str; 17] = [
     "model",
     "power",
     "hw",
@@ -37,7 +34,6 @@ const KNOWN_FIELDS: [&str; 18] = [
     "strategy",
     "objective",
     "macros",
-    "macro_mode",
     "sharing",
     "parallel",
     "seed",
@@ -212,9 +208,7 @@ pub fn parse_http_job(body: &[u8]) -> Result<SynthesisRequest, String> {
             )?,
             None => Objective::PowerEfficiency,
         })
-        // `macros` is the CLI spelling, `macro_mode` the socket codec's;
-        // both are accepted so captured socket payloads replay over HTTP.
-        .with_macro_mode(match doc.get("macros").or_else(|| doc.get("macro_mode")) {
+        .with_macro_mode(match doc.get("macros") {
             Some(v) => parse_tag(
                 v,
                 "macros",
@@ -350,6 +344,14 @@ mod tests {
                 "unknown field `Seed`",
             ),
             (
+                br#"{"model": "alexnet-cifar", "power": 9, "macro_mode": "identical"}"#,
+                "unknown field `macro_mode`",
+            ),
+            (
+                br#"{"model": "alexnet-cifar", "power": 9, "backend": "inline"}"#,
+                "unknown field `backend`",
+            ),
+            (
                 br#"{"model": "alexnet-cifar", "power": 9, "timeout": 1e300}"#,
                 "`timeout` must be at most",
             ),
@@ -364,23 +366,52 @@ mod tests {
     }
 
     #[test]
+    fn wire_encoded_payloads_also_parse() {
+        // The bit-exact spellings — an inline model document, exact `hw`
+        // text and f64 bit patterns — carry a request losslessly, so a
+        // client can replay a captured job without re-deriving any float.
+        let model = zoo::alexnet_cifar(10);
+        let mut hw = pimsyn_arch::HardwareParams::date24();
+        hw.crossbar_size_exponent = 0.1 + 0.2;
+        let power = 9.0_f64 / 7.0;
+        let timeout = 0.1_f64 + 0.2;
+        let body = JsonValue::Object(vec![
+            ("model".into(), JsonValue::String(onnx::to_json(&model))),
+            (
+                "hw".into(),
+                JsonValue::String(hardware_config::to_json_exact(&hw)),
+            ),
+            (
+                "power".into(),
+                JsonValue::String(format!("{:016x}", power.to_bits())),
+            ),
+            (
+                "timeout".into(),
+                JsonValue::String(format!("{:016x}", timeout.to_bits())),
+            ),
+            ("seed".into(), JsonValue::String("11".into())),
+        ])
+        .to_string();
+        let request = parse_http_job(body.as_bytes()).unwrap();
+        assert_eq!(request.model, model);
+        assert_eq!(request.options.hw, hw);
+        assert_eq!(
+            request.options.power_budget.value().to_bits(),
+            power.to_bits()
+        );
+        assert_eq!(
+            request.options.time_budget,
+            Some(Duration::from_secs_f64(timeout))
+        );
+        assert_eq!(request.options.seed, 11);
+        assert_eq!(request.options.effort, Effort::Fast);
+    }
+
+    #[test]
     fn unknown_model_error_lists_the_zoo() {
         let err = parse_http_job(br#"{"model": "noznet", "power": 9}"#).unwrap_err();
         for name in zoo::names() {
             assert!(err.contains(name), "`{err}` should list `{name}`");
         }
-    }
-
-    #[test]
-    fn wire_encoded_payloads_also_parse() {
-        // The strict socket codec's output is valid HTTP-body input, so a
-        // client can replay a captured socket job over HTTP unchanged.
-        let request =
-            parse_http_job(br#"{"model": "alexnet-cifar", "power": 9, "seed": 11}"#).unwrap();
-        let encoded = pimsyn::encode_job_payload(&request).unwrap().to_string();
-        let reparsed = parse_http_job(encoded.as_bytes()).unwrap();
-        assert_eq!(reparsed.options.seed, 11);
-        assert_eq!(reparsed.options.power_budget, Watts(9.0));
-        assert_eq!(reparsed.options.effort, Effort::Fast);
     }
 }

@@ -30,8 +30,8 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use pimsyn::{
-    event_to_json, EventSink, JobStatus, ServiceError, SynthesisEvent, SynthesisRequest,
-    SynthesisService, SynthesisSummary,
+    event_to_json, EventSink, JobStatus, ServiceError, SynthesisEvent, SynthesisService,
+    SynthesisSummary,
 };
 use pimsyn_model::json::JsonValue;
 
@@ -186,7 +186,6 @@ impl EventSink for JobSink {
 
 struct GatewayShared {
     service: Arc<SynthesisService>,
-    configure: Box<dyn Fn(&mut SynthesisRequest) + Send + Sync>,
     tenants: TenantSource,
     metrics: Arc<MetricsRegistry>,
     jobs: Mutex<HashMap<u64, Arc<JobRecord>>>,
@@ -205,9 +204,7 @@ impl GatewayShared {
 }
 
 /// Runs the gateway behind `listener` until a `POST /v1/drain` completes,
-/// blocking the calling thread. `configure` overlays server-side policy
-/// (evaluation backend, cache file) onto every submitted request, exactly
-/// like [`pimsyn::serve`]'s overlay.
+/// blocking the calling thread.
 ///
 /// On startup the actually-bound address — including the kernel-resolved
 /// port when the listener was bound to port 0 — prints to stderr as
@@ -219,20 +216,15 @@ impl GatewayShared {
 ///
 /// Propagates listener-level IO errors; per-connection errors only drop
 /// that connection.
-pub fn serve_gateway<F>(
+pub fn serve_gateway(
     listener: TcpListener,
     service: Arc<SynthesisService>,
-    configure: F,
     config: GatewayConfig,
-) -> std::io::Result<()>
-where
-    F: Fn(&mut SynthesisRequest) + Send + Sync + 'static,
-{
+) -> std::io::Result<()> {
     let addr = listener.local_addr()?;
     let heartbeat = config.heartbeat_interval();
     let shared = Arc::new(GatewayShared {
         service,
-        configure: Box::new(configure),
         tenants: TenantSource::new(config.tenants, config.keys_file),
         metrics: Arc::new(MetricsRegistry::new()),
         jobs: Mutex::new(HashMap::new()),
@@ -291,17 +283,13 @@ impl GatewayHandle {
 /// # Errors
 ///
 /// Propagates the listener's local-address lookup failure.
-pub fn serve_gateway_in_background<F>(
+pub fn serve_gateway_in_background(
     listener: TcpListener,
     service: Arc<SynthesisService>,
-    configure: F,
     config: GatewayConfig,
-) -> std::io::Result<GatewayHandle>
-where
-    F: Fn(&mut SynthesisRequest) + Send + Sync + 'static,
-{
+) -> std::io::Result<GatewayHandle> {
     let addr = listener.local_addr()?;
-    let thread = thread::spawn(move || serve_gateway(listener, service, configure, config));
+    let thread = thread::spawn(move || serve_gateway(listener, service, config));
     Ok(GatewayHandle { addr, thread })
 }
 
@@ -522,11 +510,10 @@ fn handle_submit(
     request: &HttpRequest,
     tenant: Option<&pimsyn::TenantPolicy>,
 ) -> Outcome {
-    let mut job = match payload::parse_http_job(&request.body) {
+    let job = match payload::parse_http_job(&request.body) {
         Ok(job) => job,
         Err(detail) => return Outcome::error(400, "bad_job", &detail),
     };
-    (shared.configure)(&mut job);
     let record = Arc::new(JobRecord {
         tenant: tenant.map_or(String::new(), |t| t.name.clone()),
         log: EventLog::new(),
@@ -706,14 +693,6 @@ fn handle_metrics(shared: &GatewayShared) -> Outcome {
             counts.running
         );
     }
-    let _ = writeln!(
-        body,
-        "# HELP pimsyn_gateway_worker_spawns_total Subprocess evaluation workers \
-         spawned by the shared pool.\n\
-         # TYPE pimsyn_gateway_worker_spawns_total counter\n\
-         pimsyn_gateway_worker_spawns_total {}",
-        shared.service.worker_spawns()
-    );
     Outcome {
         status: 200,
         content_type: "text/plain; version=0.0.4",

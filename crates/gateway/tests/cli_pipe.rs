@@ -1,6 +1,7 @@
-//! The CLI's stdout may be a pipe whose reader has already gone
-//! (`pimsyn zoo | head -1`). Writing the report must then end the process
-//! quietly with exit 0, not panic with "failed printing to stdout".
+//! The CLI's output streams: stdout may be a pipe whose reader has already
+//! gone (`pimsyn zoo | head -1`), and writing the report must then end the
+//! process quietly with exit 0, not panic with "failed printing to
+//! stdout"; `--quiet` must leave stderr empty.
 //!
 //! Lives in the `pimsyn-gateway` crate so `CARGO_BIN_EXE_pimsyn` points at
 //! the real CLI binary.
@@ -45,4 +46,30 @@ fn synthesis_report_into_a_closed_pipe_exits_zero_quietly() {
         "json",
         "--quiet",
     ]);
+}
+
+#[test]
+fn quiet_flag_silences_stderr_completely() {
+    // The full progress surface: live lines and the evaluator stats
+    // summary must all respect --quiet.
+    let output = Command::new(BIN)
+        .args([
+            "--model",
+            "alexnet-cifar",
+            "--power",
+            "9",
+            "--seed",
+            "7",
+            "--output",
+            "json",
+            "--quiet",
+        ])
+        .output()
+        .expect("spawn pimsyn");
+    assert!(output.status.success());
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(
+        stderr.is_empty(),
+        "--quiet must silence stderr, got: {stderr}"
+    );
 }

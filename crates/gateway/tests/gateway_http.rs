@@ -20,8 +20,7 @@ fn start_gateway(config: GatewayConfig, slots: usize) -> (GatewayHandle, String)
             .with_job_slots(slots)
             .with_scheduling(pimsyn::SchedulingPolicy::WeightedFair),
     ));
-    let handle =
-        serve_gateway_in_background(listener, service, |_job| {}, config).expect("gateway");
+    let handle = serve_gateway_in_background(listener, service, config).expect("gateway");
     let addr = handle.addr().to_string();
     (handle, addr)
 }
@@ -453,7 +452,6 @@ fn metrics_expose_counters_gauges_and_histograms() {
         "pimsyn_gateway_queue_depth",
         "pimsyn_gateway_running_jobs",
         "pimsyn_gateway_draining",
-        "pimsyn_gateway_worker_spawns_total",
     ] {
         assert!(text.contains(&format!("# HELP {family} ")), "{family}");
         assert!(text.contains(&format!("# TYPE {family} ")), "{family}");

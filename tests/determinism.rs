@@ -1,8 +1,6 @@
 //! Reproducibility: the whole flow is deterministic given a seed, including
-//! under parallel exploration, with candidate-evaluation memoization, and
-//! across a persistent cache file (the subprocess backend is covered end
-//! to end in the `pimsyn-gateway` crate's `backend_worker` tests, which
-//! have access to the built CLI binary).
+//! under parallel exploration and with candidate-evaluation memoization and
+//! delta rescoring.
 
 use pimsyn::{EvalCacheConfig, SynthesisOptions, Synthesizer};
 use pimsyn_arch::{MacroMode, Watts};
@@ -74,41 +72,6 @@ fn eval_cache_runs_are_bit_identical_to_uncached() {
             assert_eq!(cached.history, uncached.history, "{case}");
         }
     }
-}
-
-/// A second run warm-started from a persistent cache file is bit-identical
-/// to its cold predecessor, and a mismatched fingerprint (different power)
-/// falls back cleanly to cold scoring.
-#[test]
-fn persistent_cache_warm_start_is_transparent() {
-    let model = zoo::alexnet_cifar(10);
-    let path = std::env::temp_dir().join(format!(
-        "pimsyn-determinism-warm-{}.json",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_file(&path);
-    let base = SynthesisOptions::fast(Watts(9.0))
-        .with_seed(5)
-        .with_eval_cache_file(&path);
-    let cold = Synthesizer::new(base.clone()).synthesize(&model).unwrap();
-    assert!(path.exists(), "run must write the cache file");
-    let warm = Synthesizer::new(base.clone()).synthesize(&model).unwrap();
-    assert_eq!(cold.wt_dup, warm.wt_dup);
-    assert_eq!(cold.architecture, warm.architecture);
-    assert_eq!(cold.analytic, warm.analytic);
-    assert_eq!(cold.evaluations, warm.evaluations);
-    assert_eq!(cold.history, warm.history);
-    // A different power budget must not reuse the stale entries — and must
-    // still synthesize successfully (invalidation is silent).
-    let other = Synthesizer::new(
-        SynthesisOptions::fast(Watts(8.0))
-            .with_seed(5)
-            .with_eval_cache_file(&path),
-    )
-    .synthesize(&model)
-    .unwrap();
-    assert!(other.analytic.efficiency_tops_per_watt() > 0.0);
-    let _ = std::fs::remove_file(&path);
 }
 
 /// Seeded randomized mutation walks: starting from a baseline gene, each
