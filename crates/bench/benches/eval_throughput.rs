@@ -1,28 +1,25 @@
-//! Evaluator-throughput benchmark: candidates scored per second with the
-//! memo cache on vs off, on a repeated-gene workload (the shape EA
-//! generations actually produce — tournament winners resurface unmutated,
-//! and mutations frequently recreate previously seen genes).
+//! Evaluator-throughput benchmark: candidates scored per second through the
+//! memoized [`CandidateEvaluator`] vs a plain [`EvalCore::score`] loop, on
+//! a repeated-gene workload (the shape EA generations actually produce —
+//! tournament winners resurface unmutated, and mutations frequently
+//! recreate previously seen genes).
 //!
 //! Besides the criterion timings, the bench computes each arm's throughput
-//! directly and prints `BENCH_eval` / `BENCH_delta` JSON summaries; set
-//! `PIMSYN_BENCH_SAVE=<path>` / `PIMSYN_BENCH_SAVE_DELTA=<path>` to also
-//! write them to files (the committed `BENCH_eval.json` /
-//! `BENCH_delta.json` baselines were recorded this way). Pass `--quick`
-//! (the CI smoke mode) to run a single small round that merely proves the
-//! hot paths compile and execute.
+//! directly and prints one JSON summary per comparison on stdout. Pass
+//! `--quick` (the CI smoke mode) to run a single small round that merely
+//! proves the hot paths compile and execute.
 //!
 //! The delta case scores a mutation *chain* — every gene differs from its
 //! predecessor in exactly one position, the per-child diff the EA hot loop
-//! produces — once through plain full scoring and once through
-//! parent-aware delta rescoring, with the memo cache off in both arms so
-//! the comparison isolates the incremental-recomputation win.
+//! produces — once through a plain `EvalCore::score` loop and once through
+//! the evaluator's parent-aware delta rescoring.
 
 use std::time::Instant;
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use pimsyn_arch::{CrossbarConfig, DacConfig, HardwareParams, MacroMode, Watts};
 use pimsyn_dse::{
-    CandidateEvaluator, DeltaSession, DesignPoint, EvalCacheConfig, ExploreContext, MacAllocGene,
+    CandidateEvaluator, DeltaSession, DesignPoint, EvalCore, ExploreContext, MacAllocGene,
     Objective,
 };
 use pimsyn_ir::Dataflow;
@@ -86,24 +83,38 @@ fn workload_for(model: Model, distinct: usize, repeats: usize) -> Workload {
     }
 }
 
-fn evaluator<'a>(w: &'a Workload, config: EvalCacheConfig) -> CandidateEvaluator<'a> {
+fn evaluator(w: &Workload) -> CandidateEvaluator<'_> {
     CandidateEvaluator::new(
         &w.model,
         POWER,
         &w.hw,
         MacroMode::Specialized,
         Objective::PowerEfficiency,
-        config,
     )
 }
 
-/// Scores the whole workload once on a fresh evaluator; candidates/second.
-fn throughput(w: &Workload, config: EvalCacheConfig) -> f64 {
-    let eval = evaluator(w, config);
+fn core(w: &Workload) -> EvalCore<'_> {
+    EvalCore::new(
+        &w.model,
+        POWER,
+        &w.hw,
+        MacroMode::Specialized,
+        Objective::PowerEfficiency,
+    )
+}
+
+/// Scores the whole workload once, through a fresh memoized evaluator
+/// (`memo`) or a plain core loop; candidates/second.
+fn throughput(w: &Workload, memo: bool) -> f64 {
+    let (eval, core) = (evaluator(w), core(w));
     let ctx = ExploreContext::unobserved();
     let start = Instant::now();
     for gene in &w.genes {
-        black_box(eval.score(&w.df, w.point, gene, &ctx));
+        if memo {
+            black_box(eval.score(&w.df, w.point, gene, &ctx));
+        } else {
+            black_box(core.score(&w.df, w.point, gene));
+        }
     }
     w.genes.len() as f64 / start.elapsed().as_secs_f64().max(1e-12)
 }
@@ -115,41 +126,33 @@ fn bench_eval_throughput(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("eval_throughput");
     group.sample_size(samples);
-    group.bench_function("cache_on", |b| {
-        b.iter(|| throughput(&w, EvalCacheConfig::enabled()))
-    });
-    group.bench_function("cache_off", |b| {
-        b.iter(|| throughput(&w, EvalCacheConfig::disabled()))
-    });
+    group.bench_function("memo", |b| b.iter(|| throughput(&w, true)));
+    group.bench_function("core", |b| b.iter(|| throughput(&w, false)));
     group.finish();
 
     // Direct throughput comparison (best of a few rounds per arm, so the
-    // JSON baseline is stable against scheduler noise).
+    // summary is stable against scheduler noise).
     let rounds = if quick { 1 } else { 3 };
-    let best = |config: EvalCacheConfig| {
+    let best = |memo: bool| {
         (0..rounds)
-            .map(|_| throughput(&w, config))
+            .map(|_| throughput(&w, memo))
             .fold(0.0f64, f64::max)
     };
-    let on = best(EvalCacheConfig::enabled());
-    let off = best(EvalCacheConfig::disabled());
-    let speedup = on / off.max(1e-12);
-    let json = format!(
+    let memo = best(true);
+    let core = best(false);
+    let speedup = memo / core.max(1e-12);
+    println!(
         "{{\n  \"bench\": \"eval_throughput\",\n  \"model\": \"alexnet-cifar\",\n  \
          \"distinct_genes\": {distinct},\n  \"repeats\": {repeats},\n  \
-         \"cache_on_candidates_per_sec\": {on:.1},\n  \
-         \"cache_off_candidates_per_sec\": {off:.1},\n  \"speedup\": {speedup:.2}\n}}"
+         \"memo_candidates_per_sec\": {memo:.1},\n  \
+         \"core_candidates_per_sec\": {core:.1},\n  \"speedup\": {speedup:.2}\n}}"
     );
-    println!("{json}");
-    if let Ok(path) = std::env::var("PIMSYN_BENCH_SAVE") {
-        std::fs::write(&path, format!("{json}\n")).expect("write bench baseline");
-        println!("(baseline written to {path})");
-    }
 }
 
 /// A deterministic mutation chain: gene `k+1` differs from gene `k` in
-/// exactly one position (no RNG, so the workload is identical across runs
-/// and machines).
+/// exactly one position, and no gene repeats, so every candidate misses
+/// the memo and the delta arm measures incremental rescoring alone (no
+/// RNG, so the workload is identical across runs and machines).
 fn mutation_chain(w: &Workload, steps: usize) -> Vec<MacAllocGene> {
     let l = w.model.weight_layer_count();
     let caps: Vec<usize> =
@@ -158,44 +161,51 @@ fn mutation_chain(w: &Workload, steps: usize) -> Vec<MacAllocGene> {
             .map(|p| (p.wt_dup * p.row_groups).clamp(1, 4))
             .collect();
     let mut macros = vec![1usize; l];
+    let mut up = vec![true; l];
     let mut chain = Vec::with_capacity(steps + 1);
     chain.push(MacAllocGene::encode(&macros, &vec![None; l]));
-    for k in 0..steps {
-        let i = k % l;
-        macros[i] = 1 + (macros[i] + k * 13) % caps[i];
+    for _ in 0..steps {
+        // Reflected mixed-radix Gray code: step the lowest position that
+        // can still move in its direction, reversing every position below.
+        let mut i = 0;
+        loop {
+            assert!(i < l, "chain longer than the gene space");
+            let next = if up[i] { macros[i] + 1 } else { macros[i] - 1 };
+            if (1..=caps[i]).contains(&next) {
+                macros[i] = next;
+                break;
+            }
+            up[i] = !up[i];
+            i += 1;
+        }
         chain.push(MacAllocGene::encode(&macros, &vec![None; l]));
     }
     chain
 }
 
-/// Scores the chain in EA-generation-sized batches through one delta
-/// session (the evaluator's actual hot path: one session per EA run), each
-/// candidate against its predecessor when `delta` is on (the first is
-/// self-parented, seeding retention); candidates/second. The memo cache
-/// stays off in both arms.
+/// Scores the chain with `delta` on in EA-generation-sized batches through
+/// one delta session (the evaluator's actual hot path: one session per EA
+/// run), each candidate against its predecessor (the first is
+/// self-parented, seeding retention); with `delta` off, through a plain
+/// core loop. Candidates/second and the delta fallback rate.
 fn chain_throughput(w: &Workload, chain: &[MacAllocGene], delta: bool) -> (f64, f64) {
     const GENERATION: usize = 32;
-    let config = if delta {
-        EvalCacheConfig::disabled().with_delta(true)
-    } else {
-        EvalCacheConfig::disabled()
-    };
-    let eval = evaluator(w, config);
+    let (eval, core) = (evaluator(w), core(w));
     let ctx = ExploreContext::unobserved();
     let mut session = DeltaSession::new(&w.df, w.point);
     let start = Instant::now();
-    let mut done = 0usize;
-    while done < chain.len() {
-        let batch = &chain[done..chain.len().min(done + GENERATION)];
-        if delta {
+    if delta {
+        for (k, batch) in chain.chunks(GENERATION).enumerate() {
+            let done = k * GENERATION;
             let parents: Vec<Option<&MacAllocGene>> = (0..batch.len())
                 .map(|i| Some(&chain[(done + i).saturating_sub(1)]))
                 .collect();
             black_box(eval.score_batch_with_parents(&mut session, batch, &parents, &ctx));
-        } else {
-            black_box(eval.score_batch(&w.df, w.point, batch, &ctx));
         }
-        done += batch.len();
+    } else {
+        for gene in chain {
+            black_box(core.score(&w.df, w.point, gene));
+        }
     }
     let per_sec = chain.len() as f64 / start.elapsed().as_secs_f64().max(1e-12);
     let stats = eval.stats();
@@ -233,7 +243,7 @@ fn bench_delta_rescoring(c: &mut Criterion) {
     let (full, _) = best(false);
     let (delta, fallback_rate) = best(true);
     let speedup = delta / full.max(1e-12);
-    let json = format!(
+    println!(
         "{{\n  \"bench\": \"eval_delta\",\n  \"model\": \"alexnet-cifar\",\n  \
          \"chain_length\": {},\n  \
          \"full_candidates_per_sec\": {full:.1},\n  \
@@ -241,11 +251,6 @@ fn bench_delta_rescoring(c: &mut Criterion) {
          \"speedup\": {speedup:.2},\n  \"delta_fallback_rate\": {fallback_rate:.4}\n}}",
         chain.len()
     );
-    println!("{json}");
-    if let Ok(path) = std::env::var("PIMSYN_BENCH_SAVE_DELTA") {
-        std::fs::write(&path, format!("{json}\n")).expect("write delta baseline");
-        println!("(baseline written to {path})");
-    }
 }
 
 criterion_group!(benches, bench_eval_throughput, bench_delta_rescoring);

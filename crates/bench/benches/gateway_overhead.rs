@@ -7,11 +7,9 @@
 //! the tiniest synthesis run.
 //!
 //! Besides the criterion timings, the bench measures both arms directly
-//! and prints a `BENCH_gateway` JSON summary; set
-//! `PIMSYN_BENCH_SAVE_GATEWAY=<path>` to also write it to a file (the
-//! committed `BENCH_gateway.json` baseline was recorded this way). Pass
-//! `--quick` (the CI smoke mode) to run a single small round that merely
-//! proves the path compiles and executes.
+//! and prints a JSON summary on stdout. Pass `--quick` (the CI smoke mode)
+//! to run a single small round that merely proves the path compiles and
+//! executes.
 
 use std::net::TcpListener;
 use std::sync::Arc;
@@ -107,25 +105,20 @@ fn bench_gateway_overhead(c: &mut Criterion) {
     });
     group.finish();
 
-    // Direct comparison (best of a few rounds per arm, so the JSON baseline
-    // is stable against scheduler noise).
+    // Direct comparison (best of a few rounds per arm, so the summary is
+    // stable against scheduler noise).
     let rounds = if quick { 1 } else { 5 };
     let best = |f: &dyn Fn() -> f64| (0..rounds).map(|_| f()).fold(f64::INFINITY, f64::min);
     let http = best(&|| http_round(&gateway.addr));
     let direct = best(&|| direct_round(&service));
     let overhead_ms = (http - direct).max(0.0) * 1e3;
     let overhead_pct = 100.0 * (http - direct).max(0.0) / direct.max(1e-12);
-    let json = format!(
+    println!(
         "{{\n  \"bench\": \"gateway_overhead\",\n  \"model\": \"alexnet-cifar\",\n  \
          \"max_evals\": 60,\n  \"http_submit_to_result_s\": {http:.4},\n  \
          \"direct_submit_to_result_s\": {direct:.4},\n  \
          \"overhead_ms\": {overhead_ms:.2},\n  \"overhead_pct\": {overhead_pct:.1}\n}}"
     );
-    println!("{json}");
-    if let Ok(path) = std::env::var("PIMSYN_BENCH_SAVE_GATEWAY") {
-        std::fs::write(&path, format!("{json}\n")).expect("write bench baseline");
-        println!("(baseline written to {path})");
-    }
 
     service.shutdown();
     let (status, _) = post(&gateway.addr, "/v1/drain", "");

@@ -53,19 +53,10 @@ use crate::synthesis::SynthesisResult;
 
 /// Reusable, thread-safe synthesis entry point running jobs and batches.
 ///
-/// The engine itself holds only scheduling policy (batch worker width); all
-/// per-job state lives in the request and the per-call context, so one
-/// engine can serve many concurrent callers.
-#[derive(Debug, Clone)]
-pub struct SynthesisEngine {
-    batch_workers: Option<usize>,
-}
-
-impl Default for SynthesisEngine {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+/// The engine holds no state: all per-job state lives in the request and
+/// the per-call context, so one engine can serve many concurrent callers.
+#[derive(Debug, Clone, Default)]
+pub struct SynthesisEngine;
 
 /// Adapter delivering DSE-layer events into a synthesis-level sink,
 /// stamped with the job they belong to (so batch streams stay
@@ -82,19 +73,10 @@ impl ExploreObserver for SinkAdapter<'_> {
 }
 
 impl SynthesisEngine {
-    /// An engine with default batch parallelism (one worker per available
-    /// core, capped by the batch size).
+    /// An engine whose batches run one job per available core (capped by
+    /// the batch size).
     pub fn new() -> Self {
-        Self {
-            batch_workers: None,
-        }
-    }
-
-    /// Overrides how many batch jobs may run concurrently.
-    #[must_use]
-    pub fn with_batch_workers(mut self, workers: usize) -> Self {
-        self.batch_workers = Some(workers.max(1));
-        self
+        Self
     }
 
     /// Runs one job to completion on the calling thread, streaming progress
@@ -241,8 +223,9 @@ impl SynthesisEngine {
     ///
     /// Internally the batch is a thin client of a private
     /// [`SynthesisService`](crate::SynthesisService): the requests are
-    /// submitted in order to a queue drained by `batch_workers` job slots,
-    /// and every result is bit-identical to a standalone run.
+    /// submitted in order to a queue drained by one job slot per available
+    /// core (at most one per request), and every result is bit-identical
+    /// to a standalone run.
     pub fn synthesize_batch_observed(
         &self,
         requests: &[SynthesisRequest],
@@ -252,12 +235,9 @@ impl SynthesisEngine {
         if requests.is_empty() {
             return Vec::new();
         }
-        let default_workers = thread::available_parallelism()
+        let workers = thread::available_parallelism()
             .map(|n| n.get())
-            .unwrap_or(4);
-        let workers = self
-            .batch_workers
-            .unwrap_or(default_workers)
+            .unwrap_or(4)
             .min(requests.len());
         let service = crate::SynthesisService::new(
             crate::ServiceConfig::default()

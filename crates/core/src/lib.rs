@@ -70,8 +70,8 @@
 //!
 //! For sweep-shaped workloads (power sweeps, model zoos, objective grids),
 //! [`SynthesisService`] runs as a long-lived daemon: a bounded job queue
-//! drained by concurrent job slots, with FIFO or weighted-fair scheduling
-//! across tenants. The `pimsyn-gateway` crate exposes it over HTTP
+//! drained by concurrent job slots, with weighted-fair scheduling across
+//! tenants. The `pimsyn-gateway` crate exposes it over HTTP
 //! (`pimsyn gateway` on the CLI).
 //! [`SynthesisEngine::synthesize_batch`] is a thin client of a private
 //! service; its results stay bit-identical to standalone runs.
@@ -97,12 +97,14 @@ mod synthesis;
 
 pub use engine::{SynthesisEngine, SynthesisJob};
 pub use error::SynthesisError;
-pub use events::{CallbackSink, ChannelSink, CollectingSink, EventSink, NullSink, SynthesisEvent};
+pub use events::{
+    event_to_json, CallbackSink, ChannelSink, CollectingSink, EventSink, NullSink, SynthesisEvent,
+};
 pub use options::{Effort, SynthesisOptions};
 pub use request::SynthesisRequest;
 pub use service::{
-    event_to_json, JobHandle, JobStatus, SchedulingPolicy, ServiceConfig, ServiceError,
-    ServiceSnapshot, SynthesisService, TenantCounts, TenantPolicy,
+    JobHandle, JobStatus, ServiceConfig, ServiceError, ServiceSnapshot, SynthesisService,
+    TenantCounts, TenantPolicy,
 };
 pub use summary::SynthesisSummary;
 pub use synthesis::{SynthesisResult, Synthesizer};
@@ -110,7 +112,7 @@ pub use synthesis::{SynthesisResult, Synthesizer};
 // Re-export the vocabulary types users need at the API boundary.
 pub use pimsyn_arch::{Architecture, MacroMode, Watts};
 pub use pimsyn_dse::{
-    CancelToken, DesignPoint, DesignSpace, EvalCacheConfig, EvaluatorStats, Objective, StopReason,
-    SynthesisStage, WtDupStrategy,
+    CancelToken, DesignPoint, DesignSpace, EvaluatorStats, Objective, StopReason, SynthesisStage,
+    WtDupStrategy,
 };
 pub use pimsyn_sim::SimReport;

@@ -5,8 +5,7 @@ use std::time::Duration;
 
 use pimsyn_arch::{HardwareParams, MacroMode, Watts};
 use pimsyn_dse::{
-    DesignSpace, DseConfig, EaConfig, EvalCacheConfig, ExploreBudget, Objective, SaConfig,
-    WtDupStrategy,
+    DesignSpace, DseConfig, EaConfig, ExploreBudget, Objective, SaConfig, WtDupStrategy,
 };
 
 /// How much search effort to spend.
@@ -80,11 +79,6 @@ pub struct SynthesisOptions {
     /// scoring pipeline). With high cache-hit rates the scored-candidate
     /// budget and the work actually done diverge; this bounds the work.
     pub max_unique_evaluations: Option<usize>,
-    /// Candidate-evaluation memoization (on by default). Caching is
-    /// transparent: cached and uncached runs produce bit-identical results;
-    /// hit statistics stream as
-    /// [`SynthesisEvent::EvaluatorStats`](crate::SynthesisEvent::EvaluatorStats).
-    pub eval_cache: EvalCacheConfig,
 }
 
 impl SynthesisOptions {
@@ -111,7 +105,6 @@ impl SynthesisOptions {
             time_budget: None,
             max_evaluations: None,
             max_unique_evaluations: None,
-            eval_cache: EvalCacheConfig::default(),
         }
     }
 
@@ -199,12 +192,6 @@ impl SynthesisOptions {
         self
     }
 
-    /// Configures (or disables) the candidate-evaluation memo caches.
-    pub fn with_eval_cache(mut self, cache: EvalCacheConfig) -> Self {
-        self.eval_cache = cache;
-        self
-    }
-
     /// Lowers the configured budgets to the DSE layer (deadline anchored at
     /// the moment of the call).
     pub(crate) fn to_explore_budget(&self) -> ExploreBudget {
@@ -245,7 +232,6 @@ impl SynthesisOptions {
             },
             macro_mode: self.macro_mode,
             parallel: self.parallel,
-            eval_cache: self.eval_cache,
             seed: self.seed,
         }
     }

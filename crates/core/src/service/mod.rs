@@ -4,11 +4,11 @@
 //! Where a [`SynthesisEngine`](crate::SynthesisEngine) models one ephemeral
 //! run (or one throwaway batch), the service models a *daemon*: clients
 //! [`submit`](SynthesisService::submit) requests into a bounded queue, and
-//! a fixed number of job slots drain it under a pluggable
-//! [`SchedulingPolicy`] (global FIFO by default; weighted deficit
-//! round-robin across [`TenantPolicy`] lanes for multi-tenant front ends
-//! such as the HTTP gateway). Every job runs exactly as a standalone run
-//! would, so results are bit-identical to standalone runs.
+//! a fixed number of job slots drain it in weighted deficit round-robin
+//! across [`TenantPolicy`] lanes (submissions without a tenant share one
+//! anonymous lane, which dispatches in submission order). Every job runs
+//! exactly as a standalone run would, so results are bit-identical to
+//! standalone runs.
 //!
 //! Each submission returns a [`JobHandle`] exposing
 //! [`status`](JobHandle::status) / [`await_result`](JobHandle::await_result)
@@ -36,10 +36,6 @@
 //! ```
 
 mod sched;
-mod wire;
-
-pub use sched::SchedulingPolicy;
-pub use wire::event_to_json;
 
 use std::collections::{HashMap, VecDeque};
 use std::error::Error;
@@ -71,12 +67,6 @@ pub struct ServiceConfig {
     /// must not grow without bound. Live [`JobHandle`]s are unaffected by
     /// eviction.
     pub finished_retention: usize,
-    /// Which policy orders waiting jobs: global FIFO (the default) or
-    /// weighted deficit round-robin across tenants. With a single tenant —
-    /// or no tenants at all — both policies dispatch in submission order,
-    /// and every job's result is bit-identical under either (scheduling
-    /// reorders dispatch, never a job's own computation).
-    pub scheduling: SchedulingPolicy,
 }
 
 impl Default for ServiceConfig {
@@ -87,7 +77,6 @@ impl Default for ServiceConfig {
                 .unwrap_or(4),
             queue_depth: Self::DEFAULT_QUEUE_DEPTH,
             finished_retention: Self::DEFAULT_FINISHED_RETENTION,
-            scheduling: SchedulingPolicy::default(),
         }
     }
 }
@@ -120,13 +109,6 @@ impl ServiceConfig {
         self.finished_retention = retained.max(1);
         self
     }
-
-    /// Overrides the queue-scheduling policy.
-    #[must_use]
-    pub fn with_scheduling(mut self, policy: SchedulingPolicy) -> Self {
-        self.scheduling = policy;
-        self
-    }
 }
 
 /// Per-tenant scheduling identity and quotas, attached to submissions via
@@ -141,9 +123,9 @@ impl ServiceConfig {
 pub struct TenantPolicy {
     /// Tenant identity (lane key). Must be non-empty.
     pub name: String,
-    /// Scheduling weight under [`SchedulingPolicy::WeightedFair`]: per
-    /// round-robin visit a tenant dispatches up to `weight` jobs, so two
-    /// flooding tenants get slots in weight proportion. Clamped to ≥ 1.
+    /// Scheduling weight: per round-robin visit a tenant dispatches up to
+    /// `weight` jobs, so two flooding tenants get slots in weight
+    /// proportion. Clamped to ≥ 1.
     pub weight: u32,
     /// Maximum jobs this tenant may have *waiting*; a submit beyond it
     /// returns [`ServiceError::QuotaExceeded`] (the 429-style typed
@@ -282,7 +264,7 @@ impl Error for ServiceError {}
 /// Lifecycle phase of a submitted job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum JobStatus {
-    /// Waiting in the FIFO queue.
+    /// Waiting in the queue.
     Queued,
     /// Occupying a job slot.
     Running,
@@ -386,8 +368,8 @@ impl JobState {
 }
 
 struct QueueState {
-    /// Waiting jobs, ordered by the configured scheduling policy.
-    scheduler: Box<dyn sched::Scheduler>,
+    /// Waiting jobs, in deficit round-robin across tenant lanes.
+    scheduler: sched::DrrScheduler,
     /// Jobs currently occupying slots, per tenant key (`max_running` caps
     /// and introspection).
     running: HashMap<String, usize>,
@@ -523,7 +505,7 @@ impl SynthesisService {
         let inner = Arc::new(Inner {
             engine: SynthesisEngine::new(),
             queue: Mutex::new(QueueState {
-                scheduler: sched::scheduler_for(config.scheduling),
+                scheduler: sched::DrrScheduler::default(),
                 running: HashMap::new(),
                 running_total: 0,
                 draining: false,

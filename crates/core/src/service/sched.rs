@@ -1,23 +1,23 @@
-//! Pluggable queue-scheduling policies for the [`SynthesisService`].
+//! The [`SynthesisService`]'s wait queue: weighted deficit round-robin
+//! across tenants.
 //!
-//! The service historically drained one global FIFO. Multi-tenant front
-//! ends (the HTTP gateway) need *fairness*: one tenant flooding the queue
-//! must not starve everyone else. This module abstracts "which waiting job
-//! runs next" behind the [`Scheduler`] trait with two implementations:
-//!
-//! - [`SchedulingPolicy::Fifo`] — the original single global queue,
-//!   byte-for-byte the old behavior (and the default).
-//! - [`SchedulingPolicy::WeightedFair`] — deficit round-robin across
-//!   tenants: each tenant owns a FIFO of its jobs, the rotation grants each
-//!   tenant a credit quantum equal to its weight, and every dispatched job
-//!   costs one credit. Two tenants flooding the queue therefore get slots
-//!   in proportion to their weights; a single tenant degenerates to plain
-//!   FIFO, so single-tenant results stay bit-identical.
+//! Multi-tenant front ends (the HTTP gateway) need *fairness*: one tenant
+//! flooding the queue must not starve everyone else. Each tenant owns a
+//! FIFO of its jobs, the rotation grants each tenant a credit quantum equal
+//! to its [`TenantPolicy::weight`](super::TenantPolicy::weight), and every
+//! dispatched job costs one credit. Two tenants flooding the queue
+//! therefore get slots in proportion to their weights. Jobs submitted
+//! without a tenant share one anonymous weight-1 lane, so a single lane —
+//! the engine's batches, a gateway without keys — dispatches in
+//! submission order.
 //!
 //! Scheduling only reorders *dispatch*; each job's synthesis is
-//! deterministic in isolation, so policy never changes any job's result.
-//! Per-tenant `max_running` caps are enforced here too: a tenant at its cap
-//! is rotated past without consuming credit until a slot frees up.
+//! deterministic in isolation, so dispatch order never changes any job's
+//! result. Per-tenant `max_running` caps are enforced here too: a tenant at
+//! its cap is rotated past without consuming credit until a slot frees up.
+//!
+//! All methods are called under the service's queue mutex, so the queue
+//! needs no interior locking.
 //!
 //! [`SynthesisService`]: super::SynthesisService
 
@@ -25,45 +25,6 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 use super::JobState;
-
-/// Which policy orders waiting jobs (see
-/// [`ServiceConfig::scheduling`](super::ServiceConfig::scheduling)).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[non_exhaustive]
-pub enum SchedulingPolicy {
-    /// One global first-in-first-out queue (the default; the service's
-    /// original behavior).
-    #[default]
-    Fifo,
-    /// Weighted deficit round-robin across tenants: tenants with queued
-    /// jobs are served in rotation, each receiving a credit quantum equal
-    /// to its [`TenantPolicy::weight`](super::TenantPolicy::weight) per
-    /// visit, one credit per dispatched job. Jobs submitted without a
-    /// tenant share one anonymous weight-1 lane.
-    WeightedFair,
-}
-
-/// A queue of waiting jobs plus the policy choosing the next one.
-///
-/// All methods are called under the service's queue mutex, so
-/// implementations need no interior locking.
-pub(super) trait Scheduler: Send {
-    /// Adds a job to the wait queue.
-    fn enqueue(&mut self, job: Arc<JobState>);
-    /// Removes and returns the next dispatchable job. `running` maps tenant
-    /// key → jobs currently occupying slots; tenants at their `max_running`
-    /// cap are not dispatched. `None` when nothing can run right now.
-    fn dequeue(&mut self, running: &HashMap<String, usize>) -> Option<Arc<JobState>>;
-    /// Removes and returns every waiting job (shutdown path).
-    fn drain_all(&mut self) -> Vec<Arc<JobState>>;
-    /// Waiting jobs, total.
-    fn len(&self) -> usize;
-    /// Waiting jobs of one tenant (`max_queued` quota checks).
-    fn queued_for(&self, tenant: &str) -> usize;
-    /// `(tenant key, waiting jobs)` for every tenant with queued work
-    /// (introspection/metrics).
-    fn tenant_counts(&self) -> Vec<(String, usize)>;
-}
 
 /// Whether a job's tenant is under its `max_running` cap.
 fn dispatchable(job: &JobState, running: &HashMap<String, usize>) -> bool {
@@ -73,66 +34,10 @@ fn dispatchable(job: &JobState, running: &HashMap<String, usize>) -> bool {
     }
 }
 
-pub(super) fn scheduler_for(policy: SchedulingPolicy) -> Box<dyn Scheduler> {
-    match policy {
-        SchedulingPolicy::Fifo => Box::new(FifoScheduler::default()),
-        SchedulingPolicy::WeightedFair => Box::new(DrrScheduler::default()),
-    }
-}
-
-/// The original single global queue. Dispatch skips past head-of-line jobs
-/// whose tenant is at its running cap (order is otherwise untouched), so
-/// quotas hold even under FIFO.
-#[derive(Default)]
-struct FifoScheduler {
-    queue: VecDeque<Arc<JobState>>,
-}
-
-impl Scheduler for FifoScheduler {
-    fn enqueue(&mut self, job: Arc<JobState>) {
-        self.queue.push_back(job);
-    }
-
-    fn dequeue(&mut self, running: &HashMap<String, usize>) -> Option<Arc<JobState>> {
-        let pos = self
-            .queue
-            .iter()
-            .position(|job| dispatchable(job, running))?;
-        self.queue.remove(pos)
-    }
-
-    fn drain_all(&mut self) -> Vec<Arc<JobState>> {
-        self.queue.drain(..).collect()
-    }
-
-    fn len(&self) -> usize {
-        self.queue.len()
-    }
-
-    fn queued_for(&self, tenant: &str) -> usize {
-        self.queue
-            .iter()
-            .filter(|job| job.tenant_key() == tenant)
-            .count()
-    }
-
-    fn tenant_counts(&self) -> Vec<(String, usize)> {
-        let mut counts: Vec<(String, usize)> = Vec::new();
-        for job in &self.queue {
-            let key = job.tenant_key();
-            match counts.iter_mut().find(|(name, _)| name == key) {
-                Some((_, n)) => *n += 1,
-                None => counts.push((key.to_string(), 1)),
-            }
-        }
-        counts
-    }
-}
-
 /// Weighted deficit round-robin: one FIFO per tenant, tenants served in
 /// rotation, `weight` dispatches per visit.
 #[derive(Default)]
-struct DrrScheduler {
+pub(super) struct DrrScheduler {
     /// Per-tenant FIFO queues; entries are removed when they empty.
     queues: HashMap<String, VecDeque<Arc<JobState>>>,
     /// Rotation order over tenants with queued jobs (front = next served).
@@ -141,8 +46,9 @@ struct DrrScheduler {
     credit: HashMap<String, u64>,
 }
 
-impl Scheduler for DrrScheduler {
-    fn enqueue(&mut self, job: Arc<JobState>) {
+impl DrrScheduler {
+    /// Adds a job to the back of its tenant's lane.
+    pub(super) fn enqueue(&mut self, job: Arc<JobState>) {
         let tenant = job.tenant_key().to_string();
         let queue = self.queues.entry(tenant.clone()).or_default();
         if queue.is_empty() {
@@ -153,7 +59,10 @@ impl Scheduler for DrrScheduler {
         queue.push_back(job);
     }
 
-    fn dequeue(&mut self, running: &HashMap<String, usize>) -> Option<Arc<JobState>> {
+    /// Removes and returns the next dispatchable job. `running` maps tenant
+    /// key → jobs currently occupying slots; tenants at their `max_running`
+    /// cap are not dispatched. `None` when nothing can run right now.
+    pub(super) fn dequeue(&mut self, running: &HashMap<String, usize>) -> Option<Arc<JobState>> {
         // At most one full rotation: if every active tenant is at its
         // running cap, nothing can dispatch right now.
         let mut skipped = 0usize;
@@ -190,7 +99,8 @@ impl Scheduler for DrrScheduler {
         None
     }
 
-    fn drain_all(&mut self) -> Vec<Arc<JobState>> {
+    /// Removes and returns every waiting job (shutdown path).
+    pub(super) fn drain_all(&mut self) -> Vec<Arc<JobState>> {
         let mut all = Vec::new();
         for tenant in std::mem::take(&mut self.active) {
             if let Some(mut queue) = self.queues.remove(&tenant) {
@@ -201,15 +111,19 @@ impl Scheduler for DrrScheduler {
         all
     }
 
-    fn len(&self) -> usize {
+    /// Waiting jobs, total.
+    pub(super) fn len(&self) -> usize {
         self.queues.values().map(VecDeque::len).sum()
     }
 
-    fn queued_for(&self, tenant: &str) -> usize {
+    /// Waiting jobs of one tenant (`max_queued` quota checks).
+    pub(super) fn queued_for(&self, tenant: &str) -> usize {
         self.queues.get(tenant).map_or(0, VecDeque::len)
     }
 
-    fn tenant_counts(&self) -> Vec<(String, usize)> {
+    /// `(tenant key, waiting jobs)` for every tenant with queued work
+    /// (introspection/metrics).
+    pub(super) fn tenant_counts(&self) -> Vec<(String, usize)> {
         self.active
             .iter()
             .map(|tenant| (tenant.clone(), self.queues[tenant].len()))
@@ -236,7 +150,7 @@ mod tests {
         })
     }
 
-    fn drain_ids(sched: &mut dyn Scheduler, running: &HashMap<String, usize>) -> Vec<u64> {
+    fn drain_ids(sched: &mut DrrScheduler, running: &HashMap<String, usize>) -> Vec<u64> {
         let mut order = Vec::new();
         while let Some(job) = sched.dequeue(running) {
             order.push(job.id);
@@ -244,36 +158,35 @@ mod tests {
         order
     }
 
+    /// The anonymous lane (engine batches, a gateway without keys)
+    /// dispatches first in, first out.
     #[test]
     fn fifo_dispatches_in_submission_order() {
-        let mut sched = scheduler_for(SchedulingPolicy::Fifo);
+        let mut sched = DrrScheduler::default();
         for id in 0..5 {
             sched.enqueue(job(id, None));
         }
         assert_eq!(sched.len(), 5);
-        assert_eq!(
-            drain_ids(sched.as_mut(), &HashMap::new()),
-            vec![0, 1, 2, 3, 4]
-        );
+        assert_eq!(drain_ids(&mut sched, &HashMap::new()), vec![0, 1, 2, 3, 4]);
         assert_eq!(sched.len(), 0);
     }
 
     #[test]
     fn weighted_fair_single_tenant_degenerates_to_fifo() {
-        let mut sched = scheduler_for(SchedulingPolicy::WeightedFair);
+        let mut sched = DrrScheduler::default();
         let tenant = TenantPolicy::new("solo").with_weight(3);
         for id in 0..6 {
             sched.enqueue(job(id, Some(tenant.clone())));
         }
         assert_eq!(
-            drain_ids(sched.as_mut(), &HashMap::new()),
+            drain_ids(&mut sched, &HashMap::new()),
             vec![0, 1, 2, 3, 4, 5]
         );
     }
 
     #[test]
     fn weighted_fair_interleaves_tenants_in_weight_proportion() {
-        let mut sched = scheduler_for(SchedulingPolicy::WeightedFair);
+        let mut sched = DrrScheduler::default();
         let a = TenantPolicy::new("a").with_weight(3);
         let b = TenantPolicy::new("b").with_weight(1);
         // a gets even ids, b odd ids; both flood the queue.
@@ -284,14 +197,14 @@ mod tests {
         // Rotation: a serves 3, b serves 1, repeatedly — a 3:1 dispatch
         // ratio while both have work, then b drains its tail.
         assert_eq!(
-            drain_ids(sched.as_mut(), &HashMap::new()),
+            drain_ids(&mut sched, &HashMap::new()),
             vec![0, 2, 4, 1, 6, 8, 10, 3, 5, 7, 9, 11]
         );
     }
 
     #[test]
     fn max_running_caps_defer_dispatch_without_losing_jobs() {
-        let mut sched = scheduler_for(SchedulingPolicy::WeightedFair);
+        let mut sched = DrrScheduler::default();
         let capped = TenantPolicy::new("capped").with_max_running(1);
         sched.enqueue(job(0, Some(capped.clone())));
         sched.enqueue(job(1, Some(TenantPolicy::new("free"))));
@@ -308,9 +221,11 @@ mod tests {
         assert_eq!(sched.dequeue(&running).expect("now dispatchable").id, 0);
     }
 
+    /// A capped tenant's job at the head of the line does not hold back
+    /// the anonymous lane queued behind it.
     #[test]
     fn fifo_skips_capped_head_of_line() {
-        let mut sched = scheduler_for(SchedulingPolicy::Fifo);
+        let mut sched = DrrScheduler::default();
         let capped = TenantPolicy::new("capped").with_max_running(1);
         sched.enqueue(job(0, Some(capped)));
         sched.enqueue(job(1, None));
@@ -322,22 +237,20 @@ mod tests {
 
     #[test]
     fn drain_all_empties_every_lane() {
-        for policy in [SchedulingPolicy::Fifo, SchedulingPolicy::WeightedFair] {
-            let mut sched = scheduler_for(policy);
-            sched.enqueue(job(0, Some(TenantPolicy::new("a"))));
-            sched.enqueue(job(1, Some(TenantPolicy::new("b"))));
-            sched.enqueue(job(2, None));
-            let mut drained: Vec<u64> = sched.drain_all().iter().map(|j| j.id).collect();
-            drained.sort_unstable();
-            assert_eq!(drained, vec![0, 1, 2], "{policy:?}");
-            assert_eq!(sched.len(), 0, "{policy:?}");
-            assert!(sched.tenant_counts().is_empty(), "{policy:?}");
-        }
+        let mut sched = DrrScheduler::default();
+        sched.enqueue(job(0, Some(TenantPolicy::new("a"))));
+        sched.enqueue(job(1, Some(TenantPolicy::new("b"))));
+        sched.enqueue(job(2, None));
+        let mut drained: Vec<u64> = sched.drain_all().iter().map(|j| j.id).collect();
+        drained.sort_unstable();
+        assert_eq!(drained, vec![0, 1, 2]);
+        assert_eq!(sched.len(), 0);
+        assert!(sched.tenant_counts().is_empty());
     }
 
     #[test]
     fn tenant_counts_reflect_queued_work() {
-        let mut sched = scheduler_for(SchedulingPolicy::WeightedFair);
+        let mut sched = DrrScheduler::default();
         sched.enqueue(job(0, Some(TenantPolicy::new("a"))));
         sched.enqueue(job(1, Some(TenantPolicy::new("a"))));
         sched.enqueue(job(2, Some(TenantPolicy::new("b"))));

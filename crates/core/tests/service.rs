@@ -6,9 +6,9 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use pimsyn::{
-    CallbackSink, EventSink, JobStatus, SchedulingPolicy, ServiceConfig, ServiceError,
-    SynthesisError, SynthesisEvent, SynthesisOptions, SynthesisRequest, SynthesisService,
-    Synthesizer, TenantPolicy,
+    CallbackSink, EventSink, JobStatus, ServiceConfig, ServiceError, SynthesisError,
+    SynthesisEvent, SynthesisOptions, SynthesisRequest, SynthesisService, Synthesizer,
+    TenantPolicy,
 };
 use pimsyn_arch::Watts;
 use pimsyn_model::zoo;
@@ -114,16 +114,11 @@ fn concurrent_service_jobs_match_serial_runs_bit_identically() {
     service.shutdown();
 }
 
-/// Under [`SchedulingPolicy::WeightedFair`], two flooding tenants get job
-/// slots in weight proportion: with A at weight 2 and B at weight 1, the
+/// Two flooding tenants get job slots in weight proportion: with A at weight 2 and B at weight 1, the
 /// single slot drains the backlog as A A B A A B, not in arrival order.
 #[test]
 fn weighted_fair_scheduling_interleaves_tenants_by_weight() {
-    let service = SynthesisService::new(
-        ServiceConfig::default()
-            .with_job_slots(1)
-            .with_scheduling(SchedulingPolicy::WeightedFair),
-    );
+    let service = SynthesisService::new(ServiceConfig::default().with_job_slots(1));
     // Hold the slot so the whole backlog is enqueued before any dispatch.
     let blocker = service.submit(blocker_request()).unwrap();
     await_running(&blocker);
@@ -177,11 +172,7 @@ fn weighted_fair_scheduling_interleaves_tenants_by_weight() {
 /// [`ServiceError::QuotaExceeded`] — other tenants are unaffected.
 #[test]
 fn tenant_queued_quota_is_a_typed_rejection() {
-    let service = SynthesisService::new(
-        ServiceConfig::default()
-            .with_job_slots(1)
-            .with_scheduling(SchedulingPolicy::WeightedFair),
-    );
+    let service = SynthesisService::new(ServiceConfig::default().with_job_slots(1));
     let blocker = service.submit(blocker_request()).unwrap();
     await_running(&blocker);
 
@@ -213,11 +204,7 @@ fn tenant_queued_quota_is_a_typed_rejection() {
 /// queued while a slot sits free), never rejected.
 #[test]
 fn tenant_running_cap_defers_dispatch_while_slots_are_free() {
-    let service = SynthesisService::new(
-        ServiceConfig::default()
-            .with_job_slots(2)
-            .with_scheduling(SchedulingPolicy::WeightedFair),
-    );
+    let service = SynthesisService::new(ServiceConfig::default().with_job_slots(2));
     let solo = TenantPolicy::new("solo").with_max_running(1);
     let long = service
         .submit_with(blocker_request(), Some(solo.clone()), None)
@@ -245,25 +232,18 @@ fn tenant_running_cap_defers_dispatch_while_slots_are_free() {
     service.shutdown();
 }
 
-/// For a single tenant, weighted-fair scheduling is FIFO — same dispatch
-/// order, bit-identical results.
+/// A single weighted tenant's lane gives the same results as the anonymous
+/// lane, bit for bit (both dispatch in submission order; the scheduler's
+/// unit tests check the order).
 #[test]
 fn single_tenant_weighted_fair_matches_fifo_bit_identically() {
-    let mut by_policy = Vec::new();
-    for policy in [SchedulingPolicy::Fifo, SchedulingPolicy::WeightedFair] {
-        let service = SynthesisService::new(
-            ServiceConfig::default()
-                .with_job_slots(1)
-                .with_scheduling(policy),
-        );
+    let mut by_lane = Vec::new();
+    for tenant in [None, Some(TenantPolicy::new("only").with_weight(5))] {
+        let service = SynthesisService::new(ServiceConfig::default().with_job_slots(1));
         let handles: Vec<_> = (0..2)
             .map(|i| {
                 service
-                    .submit_with(
-                        tiny_request(17 + i),
-                        Some(TenantPolicy::new("only").with_weight(5)),
-                        None,
-                    )
+                    .submit_with(tiny_request(17 + i), tenant.clone(), None)
                     .expect("queue has room")
             })
             .collect();
@@ -272,9 +252,9 @@ fn single_tenant_weighted_fair_matches_fifo_bit_identically() {
             .map(|handle| handle.await_result().expect("feasible"))
             .collect();
         service.shutdown();
-        by_policy.push(results);
+        by_lane.push(results);
     }
-    let (fifo, fair) = (&by_policy[0], &by_policy[1]);
+    let (fifo, fair) = (&by_lane[0], &by_lane[1]);
     for (i, (f, w)) in fifo.iter().zip(fair.iter()).enumerate() {
         assert_eq!(f.wt_dup, w.wt_dup, "job {i}");
         assert_eq!(f.architecture, w.architecture, "job {i}");

@@ -18,7 +18,7 @@ use rand::{Rng, SeedableRng};
 use crate::ctx::ExploreContext;
 use crate::delta::DeltaSession;
 use crate::error::DseError;
-use crate::eval::{CandidateEvaluator, CandidateScore, EvalCacheConfig};
+use crate::eval::{CandidateEvaluator, CandidateScore};
 use crate::space::DesignPoint;
 
 /// The paper's gene encoding base: `MacAlloc_i = owner * 1000 + #macros`.
@@ -263,59 +263,8 @@ pub fn explore_macro_partitioning(
     macro_mode: MacroMode,
     cfg: &EaConfig,
 ) -> Result<EaOutcome, DseError> {
-    let ctx = ExploreContext::unobserved();
-    explore_macro_partitioning_observed(model, df, point, total_power, hw, macro_mode, cfg, &ctx)
-}
-
-/// [`explore_macro_partitioning_observed`] scoring through a caller-provided
-/// [`CandidateEvaluator`] — the form [`run_dse_observed`](crate::run_dse_observed)
-/// uses so one memo cache spans every EA invocation of a synthesis run. The
-/// evaluator's objective must match `cfg.objective` (its cached fitness
-/// values are what the EA ranks by).
-///
-/// # Errors
-///
-/// [`DseError::NoFeasibleSolution`] when no gene evaluated before the run
-/// ended produced a working accelerator.
-pub fn explore_macro_partitioning_evaluated(
-    df: &Dataflow,
-    point: DesignPoint,
-    cfg: &EaConfig,
-    ctx: &ExploreContext<'_>,
-    evaluator: &CandidateEvaluator<'_>,
-) -> Result<EaOutcome, DseError> {
-    run_ea_counted(df, point, cfg, ctx, evaluator).1
-}
-
-/// [`explore_macro_partitioning`] under an [`ExploreContext`]: every
-/// candidate evaluation is charged to the context's shared budget, and the
-/// generational loop stops early (returning the best gene so far) when the
-/// context says to stop.
-///
-/// # Errors
-///
-/// [`DseError::NoFeasibleSolution`] when no gene evaluated before the run
-/// ended produced a working accelerator.
-#[allow(clippy::too_many_arguments)]
-pub fn explore_macro_partitioning_observed(
-    model: &Model,
-    df: &Dataflow,
-    point: DesignPoint,
-    total_power: Watts,
-    hw: &pimsyn_arch::HardwareParams,
-    macro_mode: MacroMode,
-    cfg: &EaConfig,
-    ctx: &ExploreContext<'_>,
-) -> Result<EaOutcome, DseError> {
-    let evaluator = CandidateEvaluator::new(
-        model,
-        total_power,
-        hw,
-        macro_mode,
-        cfg.objective,
-        EvalCacheConfig::default(),
-    );
-    run_ea_counted(df, point, cfg, ctx, &evaluator).1
+    let evaluator = CandidateEvaluator::new(model, total_power, hw, macro_mode, cfg.objective);
+    run_ea_counted(df, point, cfg, &ExploreContext::unobserved(), &evaluator).1
 }
 
 /// The EA body, additionally returning the candidate evaluations performed
@@ -587,8 +536,9 @@ mod tests {
 
     /// Delta state lives for one EA run: runs that share an evaluator (two
     /// dataflows, then the first again) each match the same run on a fresh
-    /// evaluator — outcome and that run's delta counters. The memo is off,
-    /// so delta state is the only thing a run could inherit.
+    /// evaluator — outcome and that run's delta counters. The shared memo
+    /// is emptied before each run, so delta state is the only thing a run
+    /// could inherit.
     #[test]
     fn no_delta_state_crosses_ea_runs() {
         let (model, df_a, point, power, hw) = setup();
@@ -596,27 +546,20 @@ mod tests {
         let df_b = Dataflow::compile(&model, point.crossbar, df_a.dac(), &dup_b).unwrap();
         let cfg = EaConfig::fast();
         let ctx = ExploreContext::unobserved();
-        let new_evaluator = || {
-            CandidateEvaluator::new(
-                &model,
-                power,
-                &hw,
-                MacroMode::Specialized,
-                cfg.objective,
-                EvalCacheConfig::disabled().with_delta(true),
-            )
-        };
+        let new_evaluator =
+            || CandidateEvaluator::new(&model, power, &hw, MacroMode::Specialized, cfg.objective);
         let counters = |e: &CandidateEvaluator<'_>| {
             let s = e.stats();
             [s.delta_hits, s.delta_fallbacks, s.layers_recomputed]
         };
         let shared = new_evaluator();
         for (run, df) in [&df_a, &df_b, &df_a].into_iter().enumerate() {
+            shared.clear_memo();
             let before = counters(&shared);
-            let got = explore_macro_partitioning_evaluated(df, point, &cfg, &ctx, &shared).unwrap();
+            let got = run_ea_counted(df, point, &cfg, &ctx, &shared).1.unwrap();
             let after = counters(&shared);
             let fresh = new_evaluator();
-            let want = explore_macro_partitioning_evaluated(df, point, &cfg, &ctx, &fresh).unwrap();
+            let want = run_ea_counted(df, point, &cfg, &ctx, &fresh).1.unwrap();
             assert_eq!(got.gene, want.gene, "run {run}");
             assert_eq!(got.architecture, want.architecture, "run {run}");
             assert_eq!(got.report, want.report, "run {run}");

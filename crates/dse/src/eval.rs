@@ -16,11 +16,11 @@
 //!   statistics. Every memo miss is scored on the calling thread.
 //!
 //! Caching is *transparent*: evaluation is a pure function of the
-//! candidate, so cached and uncached runs produce bit-identical outcomes,
-//! and every scored candidate — hit or miss — is charged to the
-//! [`ExploreContext`] budget exactly as before. Unique evaluations (memo
-//! misses) are charged to the separate `max_unique_evaluations` budget and
-//! reported through [`EvaluatorStats`].
+//! candidate, so a memo hit or a delta rescore returns exactly what
+//! [`EvalCore::score`] computes for it, and every scored candidate — hit or
+//! miss — is charged to the [`ExploreContext`] budget. Unique evaluations
+//! (memo misses) are charged to the separate `max_unique_evaluations`
+//! budget and reported through [`EvaluatorStats`].
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -38,71 +38,12 @@ use crate::ea::{MacAllocGene, Objective};
 use crate::sa::SaTable;
 use crate::space::DesignPoint;
 
-/// Configuration of the evaluator's memo caches (candidate memo, SA energy
-/// memo) and of delta rescoring.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EvalCacheConfig {
-    /// Master switch; disabled, every candidate is computed from scratch.
-    pub enabled: bool,
-    /// Maximum entries per memo map; once full, new results are returned
-    /// without being stored (no eviction, so memory stays bounded and
-    /// resident entries keep hitting).
-    pub capacity: usize,
-    /// Delta (incremental) rescoring: memo misses whose EA parent has a
-    /// per-layer breakdown retained in the run's [`DeltaSession`] recompute
-    /// only the layers the gene diff touches (see
-    /// [`CandidateEvaluator::score_batch_with_parents`]).
-    /// Bit-identical to full scoring in both macro modes; independent of
-    /// the memo switch so ablations can isolate either mechanism.
-    pub delta: bool,
-}
-
-impl EvalCacheConfig {
-    /// Default capacity: roomy for a paper-scale run while bounding worst-
-    /// case memory (one entry holds a [`CandidateScore`], two words).
-    pub const DEFAULT_CAPACITY: usize = 1 << 16;
-
-    /// Caching on, default capacity (the default).
-    pub fn enabled() -> Self {
-        Self::default()
-    }
-
-    /// Caching off: every candidate recomputed (for ablations and the
-    /// throughput benchmark's baseline arm). Also turns delta rescoring off,
-    /// so this is the all-mechanisms-off reference configuration.
-    pub fn disabled() -> Self {
-        Self {
-            enabled: false,
-            capacity: 0,
-            delta: false,
-        }
-    }
-
-    /// Overrides the per-map entry bound.
-    #[must_use]
-    pub fn with_capacity(mut self, capacity: usize) -> Self {
-        self.capacity = capacity;
-        self
-    }
-
-    /// Overrides the delta-rescoring switch (independent of the memo switch:
-    /// the throughput benchmark's delta arm runs memo-off, delta-on).
-    #[must_use]
-    pub fn with_delta(mut self, delta: bool) -> Self {
-        self.delta = delta;
-        self
-    }
-}
-
-impl Default for EvalCacheConfig {
-    fn default() -> Self {
-        Self {
-            enabled: true,
-            capacity: Self::DEFAULT_CAPACITY,
-            delta: true,
-        }
-    }
-}
+/// Entry bound of each memo map (candidate scores, SA energies): roomy for
+/// a paper-scale run while bounding worst-case memory (a candidate entry
+/// holds a [`CandidateScore`], two words). Once a map is full, new results
+/// are returned without being stored (no eviction, so resident entries
+/// keep hitting).
+const MEMO_CAPACITY: usize = 1 << 16;
 
 /// Cumulative evaluator throughput counters, reported through
 /// [`ExploreEvent::EvaluatorStats`](crate::ExploreEvent::EvaluatorStats).
@@ -314,8 +255,8 @@ enum InBatch {
 }
 
 /// Memo misses awaiting scoring after the accounting pass: the unique key
-/// (`None` with caching disabled) and every input index it resolves.
-type Pending = Vec<(Option<CandidateKey>, Vec<usize>)>;
+/// and every input index it resolves.
+type Pending = Vec<(CandidateKey, Vec<usize>)>;
 
 /// The shared evaluation layer: scores macro-partitioning candidates
 /// (components allocation + analytic model) and SA duplication probes, with
@@ -328,7 +269,9 @@ type Pending = Vec<(Option<CandidateKey>, Vec<usize>)>;
 /// their own.
 pub struct CandidateEvaluator<'a> {
     core: EvalCore<'a>,
-    config: EvalCacheConfig,
+    /// Entry bound of each memo map: [`MEMO_CAPACITY`], lowered only by
+    /// tests.
+    capacity: usize,
     candidates: Mutex<HashMap<CandidateKey, CandidateScore>>,
     energies: Mutex<HashMap<(Vec<usize>, u64), f64>>,
     /// Per-layer static Eq. (4) terms, so SA energy misses skip the model
@@ -347,7 +290,6 @@ pub struct CandidateEvaluator<'a> {
 impl std::fmt::Debug for CandidateEvaluator<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CandidateEvaluator")
-            .field("config", &self.config)
             .field("objective", &self.core.objective())
             .field("stats", &self.stats())
             .finish_non_exhaustive()
@@ -362,11 +304,10 @@ impl<'a> CandidateEvaluator<'a> {
         hw: &'a HardwareParams,
         macro_mode: MacroMode,
         objective: Objective,
-        config: EvalCacheConfig,
     ) -> Self {
         Self {
             core: EvalCore::new(model, total_power, hw, macro_mode, objective),
-            config,
+            capacity: MEMO_CAPACITY,
             candidates: Mutex::new(HashMap::new()),
             energies: Mutex::new(HashMap::new()),
             sa_table: SaTable::new(model),
@@ -391,9 +332,6 @@ impl<'a> CandidateEvaluator<'a> {
     /// are both transparent).
     pub fn sa_energy(&self, dup: &[usize], alpha: f64) -> f64 {
         self.sa_probes.fetch_add(1, Ordering::Relaxed);
-        if !self.config.enabled {
-            return self.sa_table.energy(dup, alpha);
-        }
         let key = (dup.to_vec(), alpha.to_bits());
         if let Some(&e) = self.energies.lock().expect("energy memo").get(&key) {
             self.sa_hits.fetch_add(1, Ordering::Relaxed);
@@ -401,7 +339,7 @@ impl<'a> CandidateEvaluator<'a> {
         }
         let e = self.sa_table.energy(dup, alpha);
         let mut map = self.energies.lock().expect("energy memo");
-        if map.len() < self.config.capacity {
+        if map.len() < self.capacity {
             map.insert(key, e);
         }
         e
@@ -425,7 +363,7 @@ impl<'a> CandidateEvaluator<'a> {
 
     fn store(&self, key: CandidateKey, score: CandidateScore) {
         let mut memo = self.candidates.lock().expect("candidate memo");
-        if memo.len() < self.config.capacity {
+        if memo.len() < self.capacity {
             memo.insert(key, score);
         }
     }
@@ -434,8 +372,8 @@ impl<'a> CandidateEvaluator<'a> {
     /// the analytic model, memoized on the canonical candidate key.
     ///
     /// Every call — hit or miss — charges one evaluation to `ctx`'s budget
-    /// counter, so cached and uncached runs stop at identical points; only
-    /// misses charge the unique-evaluation budget.
+    /// counter, so a budget stops the search at the same candidate whatever
+    /// the memo holds; only misses charge the unique-evaluation budget.
     pub fn score(
         &self,
         df: &Dataflow,
@@ -445,11 +383,6 @@ impl<'a> CandidateEvaluator<'a> {
     ) -> CandidateScore {
         ctx.count_evaluations(1);
         self.scored.fetch_add(1, Ordering::Relaxed);
-        if !self.config.enabled {
-            self.unique.fetch_add(1, Ordering::Relaxed);
-            ctx.count_unique_evaluations(1);
-            return self.core.score(df, point, gene);
-        }
         let wt_dup = Arc::new(df.programs().iter().map(|p| p.wt_dup).collect::<Vec<_>>());
         let key = self.make_key(df, point, gene, &wt_dup);
         if let Some(&hit) = self.candidates.lock().expect("candidate memo").get(&key) {
@@ -517,15 +450,15 @@ impl<'a> CandidateEvaluator<'a> {
     /// dataflow and design point, with per-candidate parent identity:
     /// `parents[i]` names the gene candidate `i` was mutated from (missing
     /// or `None` entries are scored in full after the accounting pass).
-    /// When delta rescoring is on, memo misses with a parent are rescored in
-    /// `session` during the accounting pass, incrementally when the session
-    /// retained the parent's breakdown; a later in-batch duplicate counts as
-    /// a hit exactly where the plain path counts a pending-duplicate hit,
-    /// full memo or not. Scores, budget charges, `evaluations` and memo
-    /// contents are bit-identical to [`score_batch`](Self::score_batch);
-    /// only wall-clock (and the delta counters in [`EvaluatorStats`])
-    /// differ. One EA run passes one session to every generation's call and
-    /// drops it when the run ends.
+    /// Memo misses with a parent are rescored in `session` during the
+    /// accounting pass, incrementally when the session retained the
+    /// parent's breakdown; a later in-batch duplicate counts as a hit
+    /// exactly where the plain path counts a pending-duplicate hit, full
+    /// memo or not. Scores, budget charges, `evaluations` and memo contents
+    /// are bit-identical to [`score_batch`](Self::score_batch), which offers
+    /// no parents; only wall-clock (and the delta counters in
+    /// [`EvaluatorStats`]) differ. One EA run passes one session to every
+    /// generation's call and drops it when the run ends.
     pub fn score_batch_with_parents(
         &self,
         session: &mut DeltaSession<'_>,
@@ -534,8 +467,6 @@ impl<'a> CandidateEvaluator<'a> {
         ctx: &ExploreContext<'_>,
     ) -> (Vec<CandidateScore>, usize) {
         let (df, point) = (session.dataflow(), session.point());
-        // The session replays the full pipeline in both macro modes.
-        let delta = self.config.delta;
         let n = genes.len();
         let wt_dup = Arc::new(df.programs().iter().map(|p| p.wt_dup).collect::<Vec<_>>());
         let mut out = vec![CandidateScore::INFEASIBLE; n];
@@ -553,17 +484,6 @@ impl<'a> CandidateEvaluator<'a> {
             ctx.count_evaluations(1);
             self.scored.fetch_add(1, Ordering::Relaxed);
             charged += 1;
-            let parent = parents.get(i).copied().flatten().filter(|_| delta);
-            if !self.config.enabled {
-                self.unique.fetch_add(1, Ordering::Relaxed);
-                ctx.count_unique_evaluations(1);
-                if let Some(p) = parent {
-                    out[i] = self.delta_score(session, gene, p);
-                } else {
-                    pending.push((None, vec![i]));
-                }
-                continue;
-            }
             let key = self.make_key(df, point, gene, &wt_dup);
             if let Some(&hit) = self.candidates.lock().expect("candidate memo").get(&key) {
                 self.hits.fetch_add(1, Ordering::Relaxed);
@@ -583,15 +503,16 @@ impl<'a> CandidateEvaluator<'a> {
             }
             self.unique.fetch_add(1, Ordering::Relaxed);
             ctx.count_unique_evaluations(1);
-            if let Some(p) = parent {
-                // Delta-eligible miss: computed now and stored at once.
+            if let Some(p) = parents.get(i).copied().flatten() {
+                // Delta-eligible miss: the session replays the full
+                // pipeline in both macro modes; computed now, stored at once.
                 out[i] = self.delta_score(session, gene, p);
                 self.store(key, out[i]);
                 in_batch.insert(gene.as_slice(), InBatch::Scored(out[i]));
                 continue;
             }
             in_batch.insert(gene.as_slice(), InBatch::Pending(pending.len()));
-            pending.push((Some(key), vec![i]));
+            pending.push((key, vec![i]));
         }
 
         // Only cancellation stops this loop: charged candidates must compute
@@ -626,9 +547,7 @@ impl<'a> CandidateEvaluator<'a> {
             for i in indices {
                 out[i] = score;
             }
-            if let Some(key) = key {
-                self.store(key, score);
-            }
+            self.store(key, score);
         }
     }
 
@@ -663,11 +582,20 @@ impl<'a> CandidateEvaluator<'a> {
             layers_recomputed: self.layers_recomputed.load(Ordering::Relaxed),
         }
     }
+
+    /// Empties both memo maps (counters untouched), so a test can run a
+    /// search on this evaluator as if its memo were fresh.
+    #[cfg(test)]
+    pub(crate) fn clear_memo(&self) {
+        self.candidates.lock().expect("candidate memo").clear();
+        self.energies.lock().expect("energy memo").clear();
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::explore::{run_dse_evaluated, DseConfig};
     use crate::sa::sa_energy;
     use pimsyn_arch::{DacConfig, HardwareParams};
     use pimsyn_model::zoo;
@@ -685,28 +613,21 @@ mod tests {
         (model, df, point)
     }
 
-    fn evaluator<'a>(
-        model: &'a Model,
-        hw: &'a HardwareParams,
-        config: EvalCacheConfig,
-    ) -> CandidateEvaluator<'a> {
-        evaluator_in(model, hw, MacroMode::Specialized, config)
+    fn evaluator<'a>(model: &'a Model, hw: &'a HardwareParams) -> CandidateEvaluator<'a> {
+        evaluator_in(model, hw, MacroMode::Specialized)
     }
 
     fn evaluator_in<'a>(
         model: &'a Model,
         hw: &'a HardwareParams,
         mode: MacroMode,
-        config: EvalCacheConfig,
     ) -> CandidateEvaluator<'a> {
-        CandidateEvaluator::new(
-            model,
-            Watts(9.0),
-            hw,
-            mode,
-            Objective::PowerEfficiency,
-            config,
-        )
+        CandidateEvaluator::new(model, Watts(9.0), hw, mode, Objective::PowerEfficiency)
+    }
+
+    /// The reference every memo hit and delta rescore must equal.
+    fn core_in<'a>(model: &'a Model, hw: &'a HardwareParams, mode: MacroMode) -> EvalCore<'a> {
+        EvalCore::new(model, Watts(9.0), hw, mode, Objective::PowerEfficiency)
     }
 
     fn gene(l: usize, macros: usize) -> MacAllocGene {
@@ -718,7 +639,7 @@ mod tests {
         let (model, df, point) = setup();
         let l = model.weight_layer_count();
         let hw = HardwareParams::date24();
-        let eval = evaluator(&model, &hw, EvalCacheConfig::default());
+        let eval = evaluator(&model, &hw);
         let ctx = ExploreContext::unobserved();
         let a = eval.score(&df, point, &gene(l, 1), &ctx);
         let b = eval.score(&df, point, &gene(l, 1), &ctx);
@@ -731,35 +652,35 @@ mod tests {
         // miss alone was charged to the unique counter.
         assert_eq!(ctx.evaluations(), 2);
         assert_eq!(ctx.unique_evaluations(), 1);
+        // `score` offers no parent, so it never takes the delta path.
+        assert_eq!(stats.delta_hits + stats.delta_fallbacks, 0);
     }
 
     #[test]
-    fn disabled_cache_recomputes_but_matches() {
+    fn scores_and_realizations_match_the_core() {
         let (model, df, point) = setup();
         let l = model.weight_layer_count();
         let hw = HardwareParams::date24();
-        let cached = evaluator(&model, &hw, EvalCacheConfig::default());
-        let plain = evaluator(&model, &hw, EvalCacheConfig::disabled());
+        let eval = evaluator(&model, &hw);
+        let core = core_in(&model, &hw, MacroMode::Specialized);
         let ctx = ExploreContext::unobserved();
         let g = gene(l, 2);
-        let a = cached.score(&df, point, &g, &ctx);
-        let b = plain.score(&df, point, &g, &ctx);
-        assert_eq!(a, b);
+        let a = eval.score(&df, point, &g, &ctx);
+        let hit = eval.score(&df, point, &g, &ctx);
+        assert_eq!(a, core.score(&df, point, &g));
+        assert_eq!(hit, a);
         // Realized implementations (full architecture + report) also agree
-        // bit-for-bit between the memoized and plain evaluators.
-        match (
-            cached.realize(&df, point, &g),
-            plain.realize(&df, point, &g),
-        ) {
+        // bit-for-bit between the memoized evaluator and the core.
+        match (eval.realize(&df, point, &g), core.compute(&df, point, &g).1) {
             (Some((aa, ar)), Some((ba, br))) => {
                 assert_eq!(aa, ba);
                 assert_eq!(ar, br);
             }
             (None, None) => assert!(!a.feasible),
-            _ => panic!("cached and uncached disagree on feasibility"),
+            _ => panic!("the evaluator and the core disagree on feasibility"),
         }
-        assert_eq!(plain.stats().cache_hits, 0);
-        assert_eq!(plain.stats().unique_evaluations, 1);
+        assert_eq!(eval.stats().cache_hits, 1);
+        assert_eq!(eval.stats().unique_evaluations, 1);
     }
 
     #[test]
@@ -767,7 +688,7 @@ mod tests {
         let (model, df, point) = setup();
         let l = model.weight_layer_count();
         let hw = HardwareParams::date24();
-        let eval = evaluator(&model, &hw, EvalCacheConfig::default());
+        let eval = evaluator(&model, &hw);
         let ctx = ExploreContext::unobserved();
         let genes = vec![gene(l, 1), gene(l, 2), gene(l, 1), gene(l, 2), gene(l, 1)];
         let (scores, charged) = eval.score_batch(&df, point, &genes, &ctx);
@@ -788,7 +709,7 @@ mod tests {
         let (model, df, point) = setup();
         let l = model.weight_layer_count();
         let hw = HardwareParams::date24();
-        let eval = evaluator(&model, &hw, EvalCacheConfig::default());
+        let eval = evaluator(&model, &hw);
         let ctx = ExploreContext::new(
             &NullObserver,
             CancelToken::new(),
@@ -811,7 +732,7 @@ mod tests {
         let (model, df, point) = setup();
         let l = model.weight_layer_count();
         let hw = HardwareParams::date24();
-        let eval = evaluator(&model, &hw, EvalCacheConfig::default());
+        let eval = evaluator(&model, &hw);
         let ctx = ExploreContext::new(
             &NullObserver,
             CancelToken::new(),
@@ -838,7 +759,7 @@ mod tests {
         let (model, df, point) = setup();
         let l = model.weight_layer_count();
         let hw = HardwareParams::date24();
-        let eval = evaluator(&model, &hw, EvalCacheConfig::default());
+        let eval = evaluator(&model, &hw);
         let genes: Vec<MacAllocGene> = (1..=4).map(|m| gene(l, m)).collect();
         let wt_dup = Arc::new(df.programs().iter().map(|p| p.wt_dup).collect::<Vec<_>>());
         let keys: Vec<CandidateKey> = genes
@@ -848,7 +769,7 @@ mod tests {
         let pending: Pending = keys
             .iter()
             .enumerate()
-            .map(|(i, key)| (Some(key.clone()), vec![i]))
+            .map(|(i, key)| (key.clone(), vec![i]))
             .collect();
         let mut scores = vec![CandidateScore::INFEASIBLE; genes.len()];
         // Stop flips true from the third poll on: the first two candidates
@@ -873,7 +794,7 @@ mod tests {
         let (model, df, point) = setup();
         let l = model.weight_layer_count();
         let hw = HardwareParams::date24();
-        let eval = evaluator(&model, &hw, EvalCacheConfig::default());
+        let eval = evaluator(&model, &hw);
         let ctx = ExploreContext::unobserved();
         let g = gene(l, 1);
         let score = eval.score(&df, point, &g, &ctx);
@@ -890,7 +811,7 @@ mod tests {
     fn sa_energy_memo_is_transparent() {
         let (model, _, _) = setup();
         let hw = HardwareParams::date24();
-        let eval = evaluator(&model, &hw, EvalCacheConfig::default());
+        let eval = evaluator(&model, &hw);
         let dup = vec![2; model.weight_layer_count()];
         let direct = sa_energy(&model, &dup, 0.5);
         assert_eq!(eval.sa_energy(&dup, 0.5), direct);
@@ -905,7 +826,8 @@ mod tests {
         let (model, df, point) = setup();
         let l = model.weight_layer_count();
         let hw = HardwareParams::date24();
-        let eval = evaluator(&model, &hw, EvalCacheConfig::default().with_capacity(0));
+        let mut eval = evaluator(&model, &hw);
+        eval.capacity = 0;
         let ctx = ExploreContext::unobserved();
         eval.score(&df, point, &gene(l, 1), &ctx);
         eval.score(&df, point, &gene(l, 1), &ctx);
@@ -922,8 +844,9 @@ mod tests {
         let (model, df, point) = setup();
         let l = model.weight_layer_count();
         let hw = HardwareParams::date24();
-        let delta = evaluator(&model, &hw, EvalCacheConfig::default());
-        let plain = evaluator(&model, &hw, EvalCacheConfig::default().with_delta(false));
+        let delta = evaluator(&model, &hw);
+        let plain = evaluator(&model, &hw);
+        let core = core_in(&model, &hw, MacroMode::Specialized);
         let ctx = ExploreContext::unobserved();
         let mut session = DeltaSession::new(&df, point);
 
@@ -940,8 +863,10 @@ mod tests {
         let genes = [parent.clone(), child.clone()];
         let parents = [None, Some(&parent)];
         let (a, _) = delta.score_batch_with_parents(&mut session, &genes, &parents, &ctx);
-        let (b, _) = plain.score_batch(&df, point, &genes, &ctx);
-        for (x, y) in a.iter().zip(&b) {
+        // `score_batch` offers no parents: the delta-free path.
+        plain.score_batch(&df, point, &genes, &ctx);
+        for (x, g) in a.iter().zip(&genes) {
+            let y = core.score(&df, point, g);
             assert_eq!(x.fitness.to_bits(), y.fitness.to_bits());
             assert_eq!(x.feasible, y.feasible);
         }
@@ -956,9 +881,10 @@ mod tests {
             &[Some(&child)],
             &ctx,
         );
-        let (d, _) = plain.score_batch(&df, point, &[grandchild], &ctx);
-        assert_eq!(c[0].fitness.to_bits(), d[0].fitness.to_bits());
-        assert_eq!(c[0].feasible, d[0].feasible);
+        let d = core.score(&df, point, &grandchild);
+        plain.score_batch(&df, point, &[grandchild], &ctx);
+        assert_eq!(c[0].fitness.to_bits(), d.fitness.to_bits());
+        assert_eq!(c[0].feasible, d.feasible);
         let stats = delta.stats();
         assert_eq!(stats.delta_hits, 1);
         assert_eq!(stats.delta_fallbacks, 1);
@@ -978,13 +904,13 @@ mod tests {
     /// Every reuse compares exact inputs, so a child whose gene differs
     /// from its retained parent in more entries than one mutation round
     /// writes (three here) is still a delta hit — and still bit-identical
-    /// to the delta-free evaluator.
+    /// to the core.
     #[test]
     fn delta_wide_diff_is_a_delta_hit() {
         let (model, df, point) = setup();
         let l = model.weight_layer_count();
         let hw = HardwareParams::date24();
-        let eval = evaluator(&model, &hw, EvalCacheConfig::default());
+        let eval = evaluator(&model, &hw);
         let ctx = ExploreContext::unobserved();
         let mut session = DeltaSession::new(&df, point);
         let mut score_child = |child: &MacAllocGene, parent: &MacAllocGene| {
@@ -1008,23 +934,21 @@ mod tests {
         assert_eq!(stats.delta_hits, 1, "3-entry diff must be a delta hit");
         assert_eq!(stats.delta_fallbacks, 1);
 
-        let plain = evaluator(&model, &hw, EvalCacheConfig::default().with_delta(false));
-        let reference = plain.score(&df, point, &wide, &ctx);
+        let reference = core_in(&model, &hw, MacroMode::Specialized).score(&df, point, &wide);
         assert_eq!(via_delta.fitness.to_bits(), reference.fitness.to_bits());
         assert_eq!(via_delta.feasible, reference.feasible);
     }
 
     /// Identical macro mode homogenizes counts across layers; the session
     /// replays that pass, so parented children are delta hits there too,
-    /// bit-identical to a delta-free evaluator.
+    /// bit-identical to the core.
     #[test]
     fn identical_mode_children_are_delta_hits_and_bit_identical() {
         let (model, df, point) = setup();
         let l = model.weight_layer_count();
         let hw = HardwareParams::date24();
-        let identical = |config| evaluator_in(&model, &hw, MacroMode::Identical, config);
-        let delta = identical(EvalCacheConfig::default());
-        let plain = identical(EvalCacheConfig::default().with_delta(false));
+        let delta = evaluator_in(&model, &hw, MacroMode::Identical);
+        let core = core_in(&model, &hw, MacroMode::Identical);
         let ctx = ExploreContext::unobserved();
         let mut session = DeltaSession::new(&df, point);
 
@@ -1048,7 +972,7 @@ mod tests {
         };
         for child in [&parent, &one, &wide, &shared] {
             let via_session = score_child(child);
-            let reference = plain.score(&df, point, child, &ctx);
+            let reference = core.score(&df, point, child);
             assert!(reference.feasible);
             assert_eq!(via_session.fitness.to_bits(), reference.fitness.to_bits());
             assert_eq!(via_session.feasible, reference.feasible);
@@ -1056,12 +980,11 @@ mod tests {
         let stats = delta.stats();
         assert_eq!(stats.delta_fallbacks, 1);
         assert_eq!(stats.delta_hits, 3);
-        assert_eq!(plain.stats().delta_hits + plain.stats().delta_fallbacks, 0);
     }
 
     /// A delta-scored miss serves later duplicates in its batch as hits
     /// even when the memo is full, so a capacity-0 evaluator charges the
-    /// same with delta on as with delta off.
+    /// same with parents offered (delta) as without.
     #[test]
     fn in_batch_duplicates_hit_with_a_full_memo_with_or_without_delta() {
         let (model, df, point) = setup();
@@ -1073,25 +996,98 @@ mod tests {
         let genes = vec![MacAllocGene::encode(&m, &vec![None; l]); 3];
         let parents = [Some(&parent); 3];
         let run = |delta: bool| {
-            let config = EvalCacheConfig::default()
-                .with_capacity(0)
-                .with_delta(delta);
-            let eval = evaluator(&model, &hw, config);
+            let mut eval = evaluator(&model, &hw);
+            eval.capacity = 0;
             let ctx = ExploreContext::unobserved();
             let mut session = DeltaSession::new(&df, point);
-            let (scores, _) = eval.score_batch_with_parents(&mut session, &genes, &parents, &ctx);
+            let offered: &[Option<&MacAllocGene>] = if delta { &parents } else { &[] };
+            let (scores, _) = eval.score_batch_with_parents(&mut session, &genes, offered, &ctx);
             (scores, eval.stats(), ctx.unique_evaluations())
         };
         let (on, on_stats, on_unique) = run(true);
         let (off, off_stats, off_unique) = run(false);
+        let reference = core_in(&model, &hw, MacroMode::Specialized).score(&df, point, &genes[0]);
         for (a, b) in on.iter().zip(&off) {
-            assert_eq!(a.fitness.to_bits(), b.fitness.to_bits());
+            assert_eq!(a.fitness.to_bits(), reference.fitness.to_bits());
+            assert_eq!(b.fitness.to_bits(), reference.fitness.to_bits());
         }
         assert_eq!(on_stats.unique_evaluations, off_stats.unique_evaluations);
         assert_eq!(on_stats.cache_hits, off_stats.cache_hits);
         assert_eq!(on_unique, off_unique);
         assert_eq!(on_stats.unique_evaluations, 1);
         assert_eq!(on_stats.delta_fallbacks, 1, "the miss took the session");
+    }
+
+    /// A memo hit can only return the reference score: after each search
+    /// over five zoo models (both macro modes, seeds 3 and 17, fast effort),
+    /// every candidate-memo entry rescored from its key alone through
+    /// [`EvalCore::score`], and every SA-energy entry through [`sa_energy`],
+    /// matches bit for bit.
+    #[test]
+    fn every_memo_entry_rescores_bit_identically() {
+        let cases = [
+            (zoo::alexnet_cifar(10), Watts(9.0)),
+            (zoo::vgg16_cifar(10), Watts(15.0)),
+            // New-op coverage: attention MatMul/Softmax/Mul and residual Add
+            // (transformer-tiny), squeeze-excite gates over grouped residual
+            // blocks (resnet18-se). Depthwise layers map block-diagonally,
+            // so mobilenet needs the larger crossbar budget.
+            (zoo::transformer_tiny(), Watts(6.0)),
+            (zoo::resnet18_se(), Watts(30.0)),
+            (zoo::mobilenet(), Watts(120.0)),
+        ];
+        let (mut candidates, mut energies) = (0usize, 0usize);
+        for (model, power) in &cases {
+            for mode in [MacroMode::Specialized, MacroMode::Identical] {
+                for seed in [3u64, 17] {
+                    // What `SynthesisOptions::fast(power)` lowers to, with
+                    // this seed and macro mode.
+                    let mut cfg = DseConfig::fast(*power);
+                    cfg.macro_mode = mode;
+                    cfg.seed = seed;
+                    cfg.sa.seed = seed ^ 0x5A;
+                    cfg.ea.seed = seed ^ 0xEA;
+                    let case = format!("{model} {mode} seed {seed}");
+                    let objective = cfg.ea.objective;
+                    let eval = CandidateEvaluator::new(model, *power, &cfg.hw, mode, objective);
+                    let ctx = ExploreContext::unobserved();
+                    run_dse_evaluated(model, &cfg, &ctx, &eval).expect(&case);
+
+                    let core = EvalCore::new(model, *power, &cfg.hw, mode, objective);
+                    let mut dataflows = HashMap::new();
+                    let memo = eval.candidates.lock().unwrap();
+                    for (key, score) in memo.iter() {
+                        let df = dataflows
+                            .entry((key.crossbar, key.dac_bits, Arc::clone(&key.wt_dup)))
+                            .or_insert_with(|| {
+                                let dac = DacConfig::new(key.dac_bits).unwrap();
+                                Dataflow::compile(model, key.crossbar, dac, &key.wt_dup).unwrap()
+                            });
+                        let point = DesignPoint {
+                            ratio_rram: f64::from_bits(key.ratio_bits),
+                            crossbar: key.crossbar,
+                        };
+                        let gene = MacAllocGene::from_raw(key.gene.clone()).unwrap();
+                        let reference = core.score(df, point, &gene);
+                        assert_eq!(
+                            score.fitness.to_bits(),
+                            reference.fitness.to_bits(),
+                            "{case}: {key:?}"
+                        );
+                        assert_eq!(score.feasible, reference.feasible, "{case}: {key:?}");
+                    }
+                    candidates += memo.len();
+                    let memo = eval.energies.lock().unwrap();
+                    for ((dup, alpha), energy) in memo.iter() {
+                        let reference = sa_energy(model, dup, f64::from_bits(*alpha));
+                        assert_eq!(energy.to_bits(), reference.to_bits(), "{case}: {dup:?}");
+                    }
+                    energies += memo.len();
+                }
+            }
+        }
+        assert!(candidates > 0 && energies > 0, "{candidates} / {energies}");
+        eprintln!("rescored {candidates} candidate entries and {energies} SA energies");
     }
 
     #[test]

@@ -21,7 +21,7 @@ use pimsyn_sim::SimReport;
 use crate::ctx::{ExploreContext, ExploreEvent, StopReason, SynthesisStage};
 use crate::ea::{run_ea_counted, EaConfig};
 use crate::error::DseError;
-use crate::eval::{CandidateEvaluator, EvalCacheConfig};
+use crate::eval::CandidateEvaluator;
 use crate::sa::{no_duplication, woho_proportional, wt_dup_candidates_cached, SaConfig};
 use crate::space::{DesignPoint, DesignSpace};
 
@@ -64,10 +64,6 @@ pub struct DseConfig {
     /// order) when the context sets a count budget: every point draws on
     /// that one count, so thread timing would decide which points spend it.
     pub parallel: bool,
-    /// Memoization of candidate scoring (the [`CandidateEvaluator`]'s
-    /// caches). Enabled by default; caching is transparent — cached and
-    /// uncached runs produce bit-identical outcomes.
-    pub eval_cache: EvalCacheConfig,
     /// Base seed; every stochastic stage derives its own deterministic seed
     /// from it, so results are reproducible even with `parallel = true`.
     pub seed: u64,
@@ -85,7 +81,6 @@ impl DseConfig {
             ea: EaConfig::paper(),
             macro_mode: MacroMode::Specialized,
             parallel: true,
-            eval_cache: EvalCacheConfig::default(),
             seed: 0x9127_51AE,
         }
     }
@@ -335,7 +330,6 @@ pub fn run_dse_observed(
     cfg: &DseConfig,
     ctx: &ExploreContext<'_>,
 ) -> Result<DseOutcome, DseError> {
-    let points = cfg.space.points();
     // One evaluator (and memo cache) spans every stage of every design
     // point; worker threads share it by reference.
     let evaluator = CandidateEvaluator::new(
@@ -344,8 +338,19 @@ pub fn run_dse_observed(
         &cfg.hw,
         cfg.macro_mode,
         cfg.ea.objective,
-        cfg.eval_cache,
     );
+    run_dse_evaluated(model, cfg, ctx, &evaluator)
+}
+
+/// [`run_dse_observed`] scoring through `evaluator`, which must be built
+/// for `model` and `cfg` (power, hardware, macro mode, objective).
+pub(crate) fn run_dse_evaluated(
+    model: &Model,
+    cfg: &DseConfig,
+    ctx: &ExploreContext<'_>,
+    evaluator: &CandidateEvaluator<'_>,
+) -> Result<DseOutcome, DseError> {
+    let points = cfg.space.points();
     let results: Mutex<Vec<(usize, PointResult, Option<PointBest>)>> =
         Mutex::new(Vec::with_capacity(points.len()));
     // Parallel points race for a shared evaluation count, so a count-
@@ -370,7 +375,6 @@ pub fn run_dse_observed(
                 let results = &results;
                 let points = &points;
                 let next = &next;
-                let evaluator = &evaluator;
                 s.spawn(move || loop {
                     let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                     if i >= points.len() || ctx.should_stop() {
@@ -386,7 +390,7 @@ pub fn run_dse_observed(
             if ctx.should_stop() {
                 break;
             }
-            let (res, best) = explore_point(model, cfg, point, i, ctx, &evaluator);
+            let (res, best) = explore_point(model, cfg, point, i, ctx, evaluator);
             results.lock().expect("result mutex").push((i, res, best));
         }
     }
@@ -499,23 +503,6 @@ mod tests {
             a.report.efficiency_tops_per_watt(),
             b.report.efficiency_tops_per_watt()
         );
-    }
-
-    #[test]
-    fn eval_cache_is_transparent_bit_identical() {
-        let model = zoo::alexnet_cifar(10);
-        let cached = tiny_cfg();
-        assert!(cached.eval_cache.enabled, "cache must default on");
-        let mut plain = tiny_cfg();
-        plain.eval_cache = EvalCacheConfig::disabled();
-        let a = run_dse(&model, &cached).unwrap();
-        let b = run_dse(&model, &plain).unwrap();
-        assert_eq!(a.wt_dup, b.wt_dup);
-        assert_eq!(a.architecture, b.architecture);
-        assert_eq!(a.report, b.report);
-        assert_eq!(a.evaluations, b.evaluations);
-        assert_eq!(a.history, b.history);
-        assert_eq!(a.stop_reason, b.stop_reason);
     }
 
     #[test]

@@ -58,18 +58,12 @@ pub use ctx::{
     StopReason, SynthesisStage,
 };
 pub use delta::DeltaSession;
-pub use ea::{
-    explore_macro_partitioning, explore_macro_partitioning_evaluated,
-    explore_macro_partitioning_observed, EaConfig, EaOutcome, MacAllocGene, Objective, GENE_BASE,
-};
+pub use ea::{explore_macro_partitioning, EaConfig, EaOutcome, MacAllocGene, Objective, GENE_BASE};
 pub use error::DseError;
-pub use eval::{
-    CandidateEvaluator, CandidateKey, CandidateScore, EvalCacheConfig, EvalCore, EvaluatorStats,
-};
+pub use eval::{CandidateEvaluator, CandidateKey, CandidateScore, EvalCore, EvaluatorStats};
 pub use explore::{run_dse, run_dse_observed, DseConfig, DseOutcome, PointResult, WtDupStrategy};
 pub use sa::{
-    crossbars_used, no_duplication, sa_energy, woho_proportional, wt_dup_candidates,
-    wt_dup_candidates_observed, SaConfig,
+    crossbars_used, no_duplication, sa_energy, woho_proportional, wt_dup_candidates, SaConfig,
 };
 pub use space::{DesignPoint, DesignSpace, RATIO_RRAM_CHOICES};
 pub use sweep::{minimum_feasible_power, sweep_power, SweepPoint};

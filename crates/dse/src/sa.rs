@@ -224,35 +224,19 @@ pub fn wt_dup_candidates(
     budget: usize,
     cfg: &SaConfig,
 ) -> Result<Vec<Vec<usize>>, DseError> {
-    let ctx = ExploreContext::unobserved();
-    wt_dup_candidates_observed(model, crossbar, budget, cfg, &ctx)
-}
-
-/// [`wt_dup_candidates`] under an [`ExploreContext`]: the annealing loop
-/// checks for cancellation / exhausted budgets every few iterations and, if
-/// told to stop, returns the candidates collected so far instead of
-/// finishing the walk.
-///
-/// # Errors
-///
-/// [`DseError::BudgetTooSmall`] if the budget cannot hold one copy per layer.
-pub fn wt_dup_candidates_observed(
-    model: &Model,
-    crossbar: CrossbarConfig,
-    budget: usize,
-    cfg: &SaConfig,
-    ctx: &ExploreContext<'_>,
-) -> Result<Vec<Vec<usize>>, DseError> {
     let alpha = cfg.alpha;
-    anneal(model, crossbar, budget, cfg, ctx, &mut |s| {
+    let ctx = ExploreContext::unobserved();
+    anneal(model, crossbar, budget, cfg, &ctx, &mut |s| {
         sa_energy(model, s, alpha)
     })
 }
 
-/// [`wt_dup_candidates_observed`] with every Eq. (4) probe routed through
-/// the shared [`CandidateEvaluator`] (memoized energies, probe statistics).
-/// The memo is transparent, so candidates are identical to the unevaluated
-/// variant.
+/// [`wt_dup_candidates`] under an [`ExploreContext`] (the annealing loop
+/// checks for cancellation / exhausted budgets every few iterations and, if
+/// told to stop, returns the candidates collected so far), with every
+/// Eq. (4) probe routed through the shared [`CandidateEvaluator`] (memoized
+/// energies, probe statistics). The memo is transparent, so candidates are
+/// identical to the unevaluated variant.
 pub(crate) fn wt_dup_candidates_cached(
     model: &Model,
     crossbar: CrossbarConfig,

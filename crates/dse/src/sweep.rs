@@ -32,10 +32,9 @@ pub struct SweepPoint {
 /// feasibility cliff the paper's Eq. (2)/(3) interplay creates.
 ///
 /// Candidate scoring at every level goes through the unified
-/// [`CandidateEvaluator`](crate::CandidateEvaluator) (configured by
-/// `base.eval_cache`). Each level builds its own evaluator: candidate memo
-/// keys assume a fixed power constraint, so a memo must not span sweep
-/// levels.
+/// [`CandidateEvaluator`](crate::CandidateEvaluator). Each level builds its
+/// own evaluator: candidate memo keys assume a fixed power constraint, so a
+/// memo must not span sweep levels.
 pub fn sweep_power(model: &Model, base: &DseConfig, powers: &[Watts]) -> Vec<SweepPoint> {
     powers
         .iter()

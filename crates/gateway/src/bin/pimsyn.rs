@@ -25,9 +25,9 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use pimsyn::{
-    CancelToken, ChannelSink, Effort, EvalCacheConfig, EvaluatorStats, MacroMode, Objective,
-    ServiceConfig, SynthesisEngine, SynthesisError, SynthesisEvent, SynthesisOptions,
-    SynthesisRequest, SynthesisResult, SynthesisService, SynthesisSummary,
+    CancelToken, ChannelSink, Effort, EvaluatorStats, MacroMode, Objective, ServiceConfig,
+    SynthesisEngine, SynthesisError, SynthesisEvent, SynthesisOptions, SynthesisRequest,
+    SynthesisResult, SynthesisService, SynthesisSummary,
 };
 use pimsyn_arch::Watts;
 use pimsyn_gateway::timeout_duration;
@@ -79,8 +79,6 @@ struct Args {
     timeout: Option<Duration>,
     max_evals: Option<usize>,
     max_unique_evals: Option<usize>,
-    eval_cache: bool,
-    eval_cache_capacity: Option<usize>,
     output: OutputFormat,
     quiet: bool,
     help: bool,
@@ -116,8 +114,7 @@ USAGE:
   pimsyn export pimsim (--model <name> | --model-file <path>) --power <watts>
                 [--pretty] [--out <path>] [synthesis options]
   pimsyn gateway --listen <host:port> [--keys <tenants.json>]
-                 [--scheduler <fifo|fair>] [--job-slots N] [--queue-depth N]
-                 [--quiet]
+                 [--job-slots N] [--queue-depth N] [--quiet]
 
 OPTIONS:
   --model <name>        bundled zoo model; `pimsyn zoo` lists every name
@@ -144,9 +141,6 @@ OPTIONS:
   --max-evals <n>       bound candidate-architecture evaluations
   --max-unique-evals <n>  bound unique evaluations (memo misses; with a high
                         hit rate, far fewer than scored candidates)
-  --eval-cache <on|off> memoize candidate evaluations (default: on; results
-                        are bit-identical either way, off recomputes all)
-  --eval-cache-capacity <n>  bound memo-cache entries (default: 65536)
   --output <text|json>  report format on stdout (default: text)
   --quiet               suppress live progress on stderr
   --help                print this message
@@ -157,12 +151,12 @@ DELETE /v1/jobs/<id>, GET /metrics for Prometheus, POST /v1/drain) — see
 docs/PROTOCOLS.md. Submitted jobs queue behind a bounded queue drained by
 --job-slots concurrent jobs; POST /v1/drain stops intake, finishes queued
 and running jobs, and exits the gateway cleanly.
+Queued jobs dispatch in weighted round-robin across tenants; without
+--keys every job shares one lane and dispatches in submission order.
 --keys installs per-tenant API keys (Authorization: Bearer), quotas and
-scheduling weights; the scheduler then defaults to weighted-fair
-round-robin across tenants instead of global FIFO (--scheduler overrides
-either way; results are bit-identical under both policies). The keys file
-is re-read whenever it changes on disk, so keys rotate on a live gateway:
-added keys authenticate the very next request, removed keys get 401.
+scheduling weights. The keys file is re-read whenever it changes on disk,
+so keys rotate on a live gateway: added keys authenticate the very next
+request, removed keys get 401.
 
 `pimsyn zoo` inspects the bundled model zoo: with no flags it lists every
 model with a one-line description; --describe prints one model's layer
@@ -195,8 +189,6 @@ fn parse_args_from<I: IntoIterator<Item = String>>(argv: I) -> Result<Args, Stri
         timeout: None,
         max_evals: None,
         max_unique_evals: None,
-        eval_cache: true,
-        eval_cache_capacity: None,
         output: OutputFormat::Text,
         quiet: false,
         help: false,
@@ -252,22 +244,6 @@ fn parse_args_from<I: IntoIterator<Item = String>>(argv: I) -> Result<Args, Stri
                     return Err("--max-unique-evals must be at least 1".to_string());
                 }
                 args.max_unique_evals = Some(n);
-            }
-            "--eval-cache" => {
-                args.eval_cache = match value("--eval-cache")?.as_str() {
-                    "on" => true,
-                    "off" => false,
-                    other => return Err(format!("unknown --eval-cache value `{other}`")),
-                }
-            }
-            "--eval-cache-capacity" => {
-                let n: usize = value("--eval-cache-capacity")?
-                    .parse()
-                    .map_err(|e| format!("bad --eval-cache-capacity: {e}"))?;
-                if n == 0 {
-                    return Err("--eval-cache-capacity must be at least 1".to_string());
-                }
-                args.eval_cache_capacity = Some(n);
             }
             "--output" => {
                 args.output = match value("--output")?.as_str() {
@@ -379,15 +355,6 @@ fn options_from_args(args: &Args, power: f64) -> Result<SynthesisOptions, String
     if let Some(n) = args.max_unique_evals {
         options = options.with_max_unique_evaluations(n);
     }
-    let mut cache = if args.eval_cache {
-        EvalCacheConfig::enabled()
-    } else {
-        EvalCacheConfig::disabled()
-    };
-    if let Some(capacity) = args.eval_cache_capacity {
-        cache = cache.with_capacity(capacity);
-    }
-    options = options.with_eval_cache(cache);
     if let Some(path) = &args.hw_file {
         let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
         let hw =
@@ -760,13 +727,12 @@ fn run_batch(args: &Args) -> ExitCode {
     }
 }
 
-/// Flags of the `gateway` subcommand: where to listen, queue sizing, the
-/// tenant keys file and the scheduling policy.
+/// Flags of the `gateway` subcommand: where to listen, queue sizing and
+/// the tenant keys file.
 #[derive(Debug)]
 struct GatewayArgs {
     listen: String,
     keys: Option<String>,
-    scheduler: Option<pimsyn::SchedulingPolicy>,
     job_slots: Option<usize>,
     queue_depth: Option<usize>,
     quiet: bool,
@@ -776,7 +742,6 @@ fn parse_gateway_args<I: IntoIterator<Item = String>>(argv: I) -> Result<Gateway
     let mut args = GatewayArgs {
         listen: String::new(),
         keys: None,
-        scheduler: None,
         job_slots: None,
         queue_depth: None,
         quiet: false,
@@ -793,13 +758,6 @@ fn parse_gateway_args<I: IntoIterator<Item = String>>(argv: I) -> Result<Gateway
         match flag.as_str() {
             "--listen" => args.listen = value("--listen")?,
             "--keys" => args.keys = Some(value("--keys")?),
-            "--scheduler" => {
-                args.scheduler = Some(match value("--scheduler")?.as_str() {
-                    "fifo" => pimsyn::SchedulingPolicy::Fifo,
-                    "fair" => pimsyn::SchedulingPolicy::WeightedFair,
-                    other => return Err(format!("bad --scheduler `{other}` (fifo|fair)")),
-                })
-            }
             "--job-slots" => args.job_slots = Some(positive("--job-slots", value("--job-slots")?)?),
             "--queue-depth" => {
                 args.queue_depth = Some(positive("--queue-depth", value("--queue-depth")?)?)
@@ -839,14 +797,7 @@ fn run_gateway(argv: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    // Multi-tenant gateways default to fair scheduling; a keyless (single
-    // anonymous lane) gateway keeps service-identical FIFO order.
-    let scheduling = args.scheduler.unwrap_or(if tenants.requires_auth() {
-        pimsyn::SchedulingPolicy::WeightedFair
-    } else {
-        pimsyn::SchedulingPolicy::Fifo
-    });
-    let mut config = ServiceConfig::default().with_scheduling(scheduling);
+    let mut config = ServiceConfig::default();
     if let Some(slots) = args.job_slots {
         config = config.with_job_slots(slots);
     }
@@ -1248,6 +1199,15 @@ mod tests {
             &["worker-stop", "--connect", "127.0.0.1:1"],
             &["--model", "vgg16", "--power", "9", "--backend", "inline"],
             &["--model", "vgg16", "--power", "9", "--eval-cache-file", "f"],
+            &["--model", "vgg16", "--power", "9", "--eval-cache", "off"],
+            &[
+                "--model",
+                "vgg16",
+                "--power",
+                "9",
+                "--eval-cache-capacity",
+                "5",
+            ],
             &[
                 "--model",
                 "vgg16",
@@ -1353,57 +1313,6 @@ mod tests {
     }
 
     #[test]
-    fn eval_cache_flags_parse() {
-        let args = parse(&["--model", "vgg16", "--power", "9"]).unwrap();
-        assert!(args.eval_cache, "cache must default on");
-        assert_eq!(args.eval_cache_capacity, None);
-        let args = parse(&["--model", "vgg16", "--power", "9", "--eval-cache", "off"]).unwrap();
-        assert!(!args.eval_cache);
-        let args = parse(&[
-            "--model",
-            "vgg16",
-            "--power",
-            "9",
-            "--eval-cache-capacity",
-            "1024",
-        ])
-        .unwrap();
-        assert_eq!(args.eval_cache_capacity, Some(1024));
-        let err =
-            parse(&["--model", "vgg16", "--power", "9", "--eval-cache", "maybe"]).unwrap_err();
-        assert!(err.contains("--eval-cache"), "{err}");
-        let err = parse(&[
-            "--model",
-            "vgg16",
-            "--power",
-            "9",
-            "--eval-cache-capacity",
-            "0",
-        ])
-        .unwrap_err();
-        assert!(err.contains("at least 1"), "{err}");
-    }
-
-    #[test]
-    fn eval_cache_flags_reach_options() {
-        let args = parse(&["--model", "vgg16", "--power", "9", "--eval-cache", "off"]).unwrap();
-        let options = options_from_args(&args, args.power).unwrap();
-        assert!(!options.eval_cache.enabled);
-        let args = parse(&[
-            "--model",
-            "vgg16",
-            "--power",
-            "9",
-            "--eval-cache-capacity",
-            "77",
-        ])
-        .unwrap();
-        let options = options_from_args(&args, args.power).unwrap();
-        assert!(options.eval_cache.enabled);
-        assert_eq!(options.eval_cache.capacity, 77);
-    }
-
-    #[test]
     fn backend_flags_parse_and_reach_options() {
         // `--max-unique-evals` budgets the scoring back end: it counts memo
         // misses, the candidates that are actually computed.
@@ -1449,24 +1358,15 @@ mod tests {
             "2",
             "--queue-depth",
             "8",
-            "--scheduler",
-            "fair",
         ])
         .unwrap();
         assert_eq!(args.listen, "127.0.0.1:0");
         assert_eq!(args.keys.as_deref(), Some("tenants.json"));
         assert_eq!(args.job_slots, Some(2));
         assert_eq!(args.queue_depth, Some(8));
-        assert_eq!(args.scheduler, Some(pimsyn::SchedulingPolicy::WeightedFair));
-
-        // The scheduler default is decided later, from --keys presence.
-        let args = parse_gateway(&["--listen", "h:0"]).unwrap();
-        assert_eq!(args.scheduler, None);
 
         let err = parse_gateway(&[]).unwrap_err();
         assert!(err.contains("--listen"), "{err}");
-        let err = parse_gateway(&["--listen", "x", "--scheduler", "lifo"]).unwrap_err();
-        assert!(err.contains("fifo|fair"), "{err}");
         let err = parse_gateway(&["--listen", "x", "--frobnicate"]).unwrap_err();
         assert!(err.contains("unknown gateway flag"), "{err}");
 
@@ -1475,6 +1375,7 @@ mod tests {
             ("--remote-token-file", "h:1"),
             ("--backend", "inline"),
             ("--eval-cache-file", "f"),
+            ("--scheduler", "fair"),
         ] {
             let err = parse_gateway(&["--listen", "x", removed, value]).unwrap_err();
             assert!(err.contains("unknown gateway flag"), "{err}");

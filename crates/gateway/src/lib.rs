@@ -4,8 +4,7 @@
 //! The gateway speaks plain HTTP/1.1 to anything that can `curl`: REST job
 //! submission and lifecycle, Server-Sent-Events progress streaming,
 //! Prometheus `/metrics`, bearer-token tenancy with per-tenant quotas, and
-//! weighted-fair scheduling across tenants
-//! ([`pimsyn::SchedulingPolicy::WeightedFair`]). The HTTP layer is
+//! the service's weighted-fair scheduling across tenants. The HTTP layer is
 //! hand-rolled on `std::net` — this workspace builds offline, and the
 //! endpoint surface is small enough that a dependency would cost more
 //! than it saves.

@@ -9,7 +9,7 @@
 //!   pattern;
 //! - everything else optional, defaulting exactly like the `pimsyn` CLI
 //!   (effort `fast`, strategy `sa`, objective `eff`, macros
-//!   `specialized`, sharing on, library seed, eval cache on) so a minimal
+//!   `specialized`, sharing on, library seed) so a minimal
 //!   HTTP submission is bit-identical to the equivalent CLI run.
 //!
 //! Unknown fields are rejected — the repo-wide protocol stance (see
@@ -18,15 +18,12 @@
 
 use std::time::Duration;
 
-use pimsyn::{
-    Effort, EvalCacheConfig, MacroMode, Objective, SynthesisOptions, SynthesisRequest,
-    WtDupStrategy,
-};
+use pimsyn::{Effort, MacroMode, Objective, SynthesisOptions, SynthesisRequest, WtDupStrategy};
 use pimsyn_arch::{hardware_config, Watts};
 use pimsyn_model::json::JsonValue;
 use pimsyn_model::{onnx, zoo, Model};
 
-const KNOWN_FIELDS: [&str; 17] = [
+const KNOWN_FIELDS: [&str; 15] = [
     "model",
     "power",
     "hw",
@@ -41,8 +38,6 @@ const KNOWN_FIELDS: [&str; 17] = [
     "timeout",
     "max_evals",
     "max_unique_evals",
-    "eval_cache",
-    "eval_cache_capacity",
     "label",
 ];
 
@@ -126,6 +121,15 @@ fn parse_usize(value: &JsonValue, field: &str) -> Result<usize, String> {
     value
         .as_usize()
         .ok_or_else(|| format!("`{field}` must be a non-negative integer"))
+}
+
+/// An evaluation budget: like the CLI's `--max-evals`, zero is rejected,
+/// since a search that may score nothing can only fail.
+fn parse_budget(value: &JsonValue, field: &str) -> Result<usize, String> {
+    match parse_usize(value, field)? {
+        0 => Err(format!("`{field}` must be at least 1")),
+        n => Ok(n),
+    }
 }
 
 fn parse_bool(value: &JsonValue, field: &str) -> Result<bool, String> {
@@ -242,19 +246,11 @@ pub fn parse_http_job(body: &[u8]) -> Result<SynthesisRequest, String> {
         options = options.with_time_budget(limit);
     }
     if let Some(n) = doc.get("max_evals") {
-        options = options.with_max_evaluations(parse_usize(n, "max_evals")?);
+        options = options.with_max_evaluations(parse_budget(n, "max_evals")?);
     }
     if let Some(n) = doc.get("max_unique_evals") {
-        options = options.with_max_unique_evaluations(parse_usize(n, "max_unique_evals")?);
+        options = options.with_max_unique_evaluations(parse_budget(n, "max_unique_evals")?);
     }
-    let mut cache = match doc.get("eval_cache") {
-        Some(v) if !parse_bool(v, "eval_cache")? => EvalCacheConfig::disabled(),
-        _ => EvalCacheConfig::enabled(),
-    };
-    if let Some(capacity) = doc.get("eval_cache_capacity") {
-        cache = cache.with_capacity(parse_usize(capacity, "eval_cache_capacity")?);
-    }
-    options = options.with_eval_cache(cache);
     if let Some(hw) = doc.get("hw") {
         let parsed = match hw {
             JsonValue::String(text) => {
@@ -292,7 +288,6 @@ mod tests {
         assert!(request.options.allow_macro_sharing);
         assert!(request.options.parallel);
         assert_eq!(request.options.seed, SynthesisOptions::DEFAULT_SEED);
-        assert!(request.options.eval_cache.enabled);
         assert!(request.label.is_none());
     }
 
@@ -304,7 +299,7 @@ mod tests {
                  "macros": "identical", "sharing": false, "parallel": false,
                  "seed": "18446744073709551615", "cycle": 2, "timeout": 30,
                  "max_evals": 100, "max_unique_evals": 50,
-                 "eval_cache": false, "label": "sweep-3"}"#,
+                 "label": "sweep-3"}"#,
         )
         .unwrap();
         assert_eq!(request.options.power_budget, Watts(9.0)); // 0x4022... = 9.0
@@ -319,7 +314,6 @@ mod tests {
         assert_eq!(request.options.time_budget, Some(Duration::from_secs(30)));
         assert_eq!(request.options.max_evaluations, Some(100));
         assert_eq!(request.options.max_unique_evaluations, Some(50));
-        assert!(!request.options.eval_cache.enabled);
         assert_eq!(request.label.as_deref(), Some("sweep-3"));
     }
 
@@ -350,6 +344,18 @@ mod tests {
             (
                 br#"{"model": "alexnet-cifar", "power": 9, "backend": "inline"}"#,
                 "unknown field `backend`",
+            ),
+            (
+                br#"{"model": "alexnet-cifar", "power": 9, "eval_cache": false}"#,
+                "unknown field `eval_cache`",
+            ),
+            (
+                br#"{"model": "alexnet-cifar", "power": 9, "max_evals": 0}"#,
+                "`max_evals` must be at least 1",
+            ),
+            (
+                br#"{"model": "alexnet-cifar", "power": 9, "max_unique_evals": 0}"#,
+                "`max_unique_evals` must be at least 1",
             ),
             (
                 br#"{"model": "alexnet-cifar", "power": 9, "timeout": 1e300}"#,

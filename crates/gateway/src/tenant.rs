@@ -4,8 +4,8 @@
 //! file and maps each key to a [`TenantPolicy`] (scheduling weight plus
 //! queued/running quotas) that travels with every job it submits. Without
 //! a keys file the gateway runs *open*: no `Authorization` header is
-//! required and every job lands in one anonymous FIFO lane — exactly the
-//! single-tenant service behavior.
+//! required and every job lands in one anonymous lane, dispatched in
+//! submission order — exactly the single-tenant service behavior.
 //!
 //! Keys-file schema (see `docs/PROTOCOLS.md` for the normative version):
 //!

@@ -16,9 +16,7 @@ use pimsyn_model::json::JsonValue;
 fn start_gateway(config: GatewayConfig, slots: usize) -> (GatewayHandle, String) {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
     let service = Arc::new(SynthesisService::new(
-        ServiceConfig::default()
-            .with_job_slots(slots)
-            .with_scheduling(pimsyn::SchedulingPolicy::WeightedFair),
+        ServiceConfig::default().with_job_slots(slots),
     ));
     let handle = serve_gateway_in_background(listener, service, config).expect("gateway");
     let addr = handle.addr().to_string();

@@ -1,8 +1,9 @@
 //! Reproducibility: the whole flow is deterministic given a seed, including
-//! under parallel exploration and with candidate-evaluation memoization and
-//! delta rescoring.
+//! under parallel exploration, and delta rescoring is bit-identical to full
+//! scoring. (That every memo entry equals its full rescore is checked
+//! inside `pimsyn-dse`, where the memo is visible.)
 
-use pimsyn::{EvalCacheConfig, SynthesisOptions, Synthesizer};
+use pimsyn::{SynthesisOptions, Synthesizer};
 use pimsyn_arch::{MacroMode, Watts};
 use pimsyn_model::zoo;
 
@@ -33,59 +34,19 @@ fn different_seeds_may_differ_but_stay_feasible() {
     }
 }
 
-/// The evaluator's memo caches are transparent: for several models, seeds
-/// and both macro modes, a cached run's complete outcome — architecture,
-/// analytic report, evaluation counts and per-point history — is
-/// bit-identical to an uncached run's.
-#[test]
-fn eval_cache_runs_are_bit_identical_to_uncached() {
-    let cases = [
-        (zoo::alexnet_cifar(10), Watts(9.0)),
-        (zoo::vgg16_cifar(10), Watts(15.0)),
-        // New-op coverage: attention MatMul/Softmax/Mul and residual Add
-        // (transformer-tiny), squeeze-excite gates over grouped residual
-        // blocks (resnet18-se). Depthwise layers map block-diagonally, so
-        // mobilenet needs the larger crossbar budget.
-        (zoo::transformer_tiny(), Watts(6.0)),
-        (zoo::resnet18_se(), Watts(30.0)),
-        (zoo::mobilenet(), Watts(120.0)),
-    ];
-    let runs = [MacroMode::Specialized, MacroMode::Identical]
-        .into_iter()
-        .flat_map(|mode| [3u64, 17].map(|seed| (mode, seed)));
-    for (model, power) in &cases {
-        for (mode, seed) in runs.clone() {
-            let base = SynthesisOptions::fast(*power)
-                .with_seed(seed)
-                .with_macro_mode(mode);
-            let cached = Synthesizer::new(base.clone())
-                .synthesize(model)
-                .expect("cached synthesis");
-            let uncached = Synthesizer::new(base.with_eval_cache(EvalCacheConfig::disabled()))
-                .synthesize(model)
-                .expect("uncached synthesis");
-            let case = format!("{model} {mode} seed {seed}");
-            assert_eq!(cached.wt_dup, uncached.wt_dup, "{case}");
-            assert_eq!(cached.architecture, uncached.architecture, "{case}");
-            assert_eq!(cached.analytic, uncached.analytic, "{case}");
-            assert_eq!(cached.evaluations, uncached.evaluations, "{case}");
-            assert_eq!(cached.history, uncached.history, "{case}");
-        }
-    }
-}
-
 /// Seeded randomized mutation walks: starting from a baseline gene, each
 /// step applies one EA-style mutation (one `mutate_num`, sometimes plus one
 /// `mutate_share`; every 8th step 3–5 `mutate_num` edits at once) and
 /// scores the child against its parent in one delta session. Every step
-/// must be bit-identical to a delta-free evaluator's full scoring, and
+/// must be bit-identical to [`EvalCore::score`](pimsyn_dse::EvalCore), and
 /// every child of a feasible (hence retained) parent must be a delta hit,
 /// however many entries its gene changed — under both macro modes.
 #[test]
 fn delta_rescoring_is_bit_identical_on_mutation_walks() {
     use pimsyn_arch::{CrossbarConfig, DacConfig, HardwareParams};
     use pimsyn_dse::{
-        CandidateEvaluator, DeltaSession, DesignPoint, ExploreContext, MacAllocGene, Objective,
+        CandidateEvaluator, DeltaSession, DesignPoint, EvalCore, ExploreContext, MacAllocGene,
+        Objective,
     };
     use pimsyn_ir::Dataflow;
     use rand::rngs::StdRng;
@@ -120,37 +81,32 @@ fn delta_rescoring_is_bit_identical_on_mutation_walks() {
             .into_iter()
             .flat_map(|mode| [7u64, 21].map(|seed| (mode, seed)));
         for (mode, seed) in walks {
-            let delta = CandidateEvaluator::new(
-                model,
-                *power,
-                &hw,
-                mode,
-                Objective::PowerEfficiency,
-                EvalCacheConfig::disabled().with_delta(true),
-            );
-            let full = CandidateEvaluator::new(
-                model,
-                *power,
-                &hw,
-                mode,
-                Objective::PowerEfficiency,
-                EvalCacheConfig::disabled(),
-            );
+            let full = EvalCore::new(model, *power, &hw, mode, Objective::PowerEfficiency);
             let ctx = ExploreContext::unobserved();
             let mut session = DeltaSession::new(&df, point);
+            let (mut delta_hits, mut delta_fallbacks) = (0, 0);
+            // Each step scores on a fresh evaluator sharing the one session:
+            // its memo is empty, so even a gene the walk revisits is scored
+            // in the session instead of being served from the memo.
             let mut score_child = |child: &MacAllocGene, parent: &MacAllocGene| {
+                let eval =
+                    CandidateEvaluator::new(model, *power, &hw, mode, Objective::PowerEfficiency);
                 let batch = std::slice::from_ref(child);
-                delta
+                let score = eval
                     .score_batch_with_parents(&mut session, batch, &[Some(parent)], &ctx)
-                    .0[0]
+                    .0[0];
+                let stats = eval.stats();
+                delta_hits += stats.delta_hits;
+                delta_fallbacks += stats.delta_fallbacks;
+                (score, stats.delta_hits)
             };
             let mut rng = StdRng::seed_from_u64(seed);
             let mut macros = vec![1usize; l];
             let mut shares: Vec<Option<usize>> = vec![None; l];
             let mut parent = MacAllocGene::encode(&macros, &shares);
             // Self-parented first score: a fallback that seeds retention.
-            let a = score_child(&parent, &parent);
-            let b = full.score(&df, point, &parent, &ctx);
+            let (a, _) = score_child(&parent, &parent);
+            let b = full.score(&df, point, &parent);
             assert_eq!(a.fitness.to_bits(), b.fitness.to_bits());
             let mut parent_feasible = a.feasible;
             for step in 0..40 {
@@ -182,9 +138,8 @@ fn delta_rescoring_is_bit_identical_on_mutation_walks() {
                     }
                 }
                 let child = MacAllocGene::encode(&macros, &shares);
-                let hits_before = delta.stats().delta_hits;
-                let d = score_child(&child, &parent);
-                let f = full.score(&df, point, &child, &ctx);
+                let (d, hits) = score_child(&child, &parent);
+                let f = full.score(&df, point, &child);
                 assert_eq!(
                     d.fitness.to_bits(),
                     f.fitness.to_bits(),
@@ -195,27 +150,23 @@ fn delta_rescoring_is_bit_identical_on_mutation_walks() {
                     "{model} {mode} seed {seed} step {step}"
                 );
                 assert_eq!(
-                    delta.stats().delta_hits - hits_before,
+                    hits,
                     usize::from(parent_feasible),
                     "{model} {mode} seed {seed} step {step}: a retained parent must give a delta hit"
                 );
                 parent_feasible = d.feasible;
                 parent = child;
             }
-            let stats = delta.stats();
             assert!(
-                stats.delta_hits > 0,
+                delta_hits > 0,
                 "{model} {mode} seed {seed}: walk never exercised the delta path \
-                 ({} fallbacks)",
-                stats.delta_fallbacks
+                 ({delta_fallbacks} fallbacks)"
             );
             assert_eq!(
-                stats.delta_hits + stats.delta_fallbacks,
+                delta_hits + delta_fallbacks,
                 41,
                 "{model} {mode} seed {seed}: every parented score is a hit or a fallback"
             );
-            assert_eq!(full.stats().delta_hits, 0);
-            assert_eq!(full.stats().delta_fallbacks, 0);
         }
     }
 }

@@ -201,7 +201,7 @@ fn time_budget_is_honored() {
 
 #[test]
 fn batch_synthesis_isolates_per_job_failures() {
-    let engine = SynthesisEngine::new().with_batch_workers(2);
+    let engine = SynthesisEngine::new();
     let sink = CollectingSink::new();
     let requests = [
         fast_request().with_label("feasible-alexnet"),
