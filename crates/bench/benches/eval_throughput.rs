@@ -1,6 +1,7 @@
 //! Evaluator-throughput benchmark: candidates scored per second through the
-//! memoized [`CandidateEvaluator`] vs a plain [`EvalCore::score`] loop, on
-//! a repeated-gene workload (the shape EA generations actually produce —
+//! memoized [`CandidateEvaluator`] (every miss scored in full in a delta
+//! session, no parents offered) vs a plain [`EvalCore::score`] loop, on a
+//! repeated-gene workload (the shape EA generations actually produce —
 //! tournament winners resurface unmutated, and mutations frequently
 //! recreate previously seen genes).
 //!
@@ -12,7 +13,8 @@
 //! The delta case scores a mutation *chain* — every gene differs from its
 //! predecessor in exactly one position, the per-child diff the EA hot loop
 //! produces — once through a plain `EvalCore::score` loop and once through
-//! the evaluator's parent-aware delta rescoring.
+//! the evaluator's delta rescoring, each gene offered its predecessor as
+//! parent.
 
 use std::time::Instant;
 
@@ -103,16 +105,17 @@ fn core(w: &Workload) -> EvalCore<'_> {
     )
 }
 
-/// Scores the whole workload once, through a fresh memoized evaluator
-/// (`memo`) or a plain core loop; candidates/second.
+/// Scores the whole workload once, as one batch through a fresh memoized
+/// evaluator (`memo`) or a plain core loop; candidates/second.
 fn throughput(w: &Workload, memo: bool) -> f64 {
     let (eval, core) = (evaluator(w), core(w));
     let ctx = ExploreContext::unobserved();
     let start = Instant::now();
-    for gene in &w.genes {
-        if memo {
-            black_box(eval.score(&w.df, w.point, gene, &ctx));
-        } else {
+    if memo {
+        let mut session = DeltaSession::new(&w.df, w.point);
+        black_box(eval.score_batch(&mut session, &w.genes, &[], &ctx));
+    } else {
+        for gene in &w.genes {
             black_box(core.score(&w.df, w.point, gene));
         }
     }
@@ -185,22 +188,22 @@ fn mutation_chain(w: &Workload, steps: usize) -> Vec<MacAllocGene> {
 
 /// Scores the chain with `delta` on in EA-generation-sized batches through
 /// one delta session (the evaluator's actual hot path: one session per EA
-/// run), each candidate against its predecessor (the first is
-/// self-parented, seeding retention); with `delta` off, through a plain
-/// core loop. Candidates/second and the delta fallback rate.
+/// run), each candidate against its predecessor (the first has no parent
+/// and seeds retention); with `delta` off, through a plain core loop.
+/// Candidates/second and the delta fallback rate.
 fn chain_throughput(w: &Workload, chain: &[MacAllocGene], delta: bool) -> (f64, f64) {
     const GENERATION: usize = 32;
     let (eval, core) = (evaluator(w), core(w));
     let ctx = ExploreContext::unobserved();
-    let mut session = DeltaSession::new(&w.df, w.point);
     let start = Instant::now();
     if delta {
+        let mut session = DeltaSession::new(&w.df, w.point);
         for (k, batch) in chain.chunks(GENERATION).enumerate() {
             let done = k * GENERATION;
-            let parents: Vec<Option<&MacAllocGene>> = (0..batch.len())
-                .map(|i| Some(&chain[(done + i).saturating_sub(1)]))
+            let parents: Vec<Option<&MacAllocGene>> = (done..done + batch.len())
+                .map(|i| i.checked_sub(1).map(|p| &chain[p]))
                 .collect();
-            black_box(eval.score_batch_with_parents(&mut session, batch, &parents, &ctx));
+            black_box(eval.score_batch(&mut session, batch, &parents, &ctx));
         }
     } else {
         for gene in chain {

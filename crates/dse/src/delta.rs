@@ -26,10 +26,11 @@
 //! [`solve_pipeline`], [`summarize_pipeline`]), and every reuse compares
 //! the exact inputs of that function, so the delta path replays the exact
 //! float sequence of [`EvalCore::compute`] and is bit-identical to it by
-//! construction — however wide the gene diff, in either macro mode. The only
-//! fallback is a parent with no retained breakdown, which costs a full
-//! recomputation through the same functions (still retaining the result so
-//! the next generation can delta against it).
+//! construction — however wide the gene diff, in either macro mode. A
+//! candidate without a retained parent (a generation-0 gene, or the child
+//! of an infeasible parent) is a fallback: a full recomputation through the
+//! same functions, still retaining the result so the next generation can
+//! delta against it.
 //!
 //! A session lives for one EA run — one dataflow at one design point — and
 //! its retained breakdowns and memos are freed when the run returns: each
@@ -277,13 +278,12 @@ pub(crate) struct DeltaOutcome {
 }
 
 /// The delta-rescoring state of one EA run: one dataflow at one design
-/// point. Create one per run, pass it to every
-/// [`score_batch_with_parents`] call of the run and drop it when the run
-/// returns, which frees every breakdown and memo it holds. The state is
-/// built on the first parent-aware memo miss, so a session that never
-/// rescores costs nothing.
+/// point. Create one per run, pass it to every [`score_batch`] call of the
+/// run and drop it when the run returns, which frees every breakdown and
+/// memo it holds. The state is built on the first memo miss, so a session
+/// that never scores costs nothing.
 ///
-/// [`score_batch_with_parents`]: crate::CandidateEvaluator::score_batch_with_parents
+/// [`score_batch`]: crate::CandidateEvaluator::score_batch
 pub struct DeltaSession<'d> {
     df: &'d Dataflow,
     point: DesignPoint,
@@ -322,12 +322,13 @@ impl<'d> DeltaSession<'d> {
 
     /// Scores one candidate, incrementally when `parent` has a retained
     /// breakdown, with a full (but still session-memoized) recomputation
-    /// otherwise. Bit-identical to [`EvalCore::score`] in every case.
+    /// when it has none or is `None`. Bit-identical to [`EvalCore::score`]
+    /// in every case.
     pub(crate) fn score(
         &mut self,
         core: &EvalCore<'_>,
         gene: &MacAllocGene,
-        parent: &[u32],
+        parent: Option<&[u32]>,
     ) -> DeltaOutcome {
         let (df, point) = (self.df, self.point);
         let ps = self
@@ -338,7 +339,7 @@ impl<'d> DeltaSession<'d> {
         let l = df.programs().len();
 
         // Cloned out of the map so `ps` stays mutably borrowable below.
-        let parent_entry = ps.retained.get(parent).map(Arc::clone);
+        let parent_entry = parent.and_then(|p| ps.retained.get(p)).map(Arc::clone);
         let parent_ref = parent_entry.as_deref();
         let use_delta = parent_ref.is_some();
         let outcome = |score, layers_recomputed| DeltaOutcome {
@@ -601,20 +602,19 @@ mod profile {
         }
         let mut session = DeltaSession::new(&df, point);
         // Warm up memos and retention.
-        let mut prev: Option<&MacAllocGene> = None;
+        let mut prev: Option<&[u32]> = None;
         for g in &chain {
-            session.score(&core, g, prev.unwrap_or(g).as_slice());
-            prev = Some(g);
+            session.score(&core, g, prev);
+            prev = Some(g.as_slice());
         }
         let rounds = 400;
         let wall = Instant::now();
         for _ in 0..rounds {
-            let mut prev: Option<&MacAllocGene> = None;
+            let mut prev: Option<&[u32]> = None;
             for g in &chain {
-                let parent = prev.unwrap_or(g).as_slice();
-                let out = session.score(&core, g, parent);
+                let out = session.score(&core, g, prev);
                 std::hint::black_box(out.score.fitness);
-                prev = Some(g);
+                prev = Some(g.as_slice());
             }
         }
         let total = wall.elapsed().as_secs_f64();

@@ -271,8 +271,9 @@ pub fn explore_macro_partitioning(
 /// even when the run ends infeasible — so callers can keep their reported
 /// counts consistent with the budget counter. All scoring goes through
 /// `evaluator` (whose objective must match `cfg.objective`); generations are
-/// scored as batches with deterministic reduction. Children are rescored in one [`DeltaSession`] owned by the run, so
-/// everything it retains is freed when the run returns.
+/// scored as batches with deterministic reduction, every memo miss in one
+/// [`DeltaSession`] owned by the run, so everything it retains is freed when
+/// the run returns.
 pub(crate) fn run_ea_counted(
     df: &Dataflow,
     point: DesignPoint,
@@ -306,9 +307,11 @@ pub(crate) fn run_ea_counted(
         let macros: Vec<usize> = (0..l).map(|i| rng.gen_range(1..=caps[i])).collect();
         genes.push(MacAllocGene::encode(&macros, &vec![None; l]));
     }
-    let (scores, charged) = evaluator.score_batch(df, point, &genes, ctx);
-    evaluations += charged;
+    // Generation 0 has no parents: the session scores its misses in full
+    // and retains them, so their children can delta against them.
     let mut session = DeltaSession::new(df, point);
+    let (scores, charged) = evaluator.score_batch(&mut session, &genes, &[], ctx);
+    evaluations += charged;
     let mut population: Vec<Individual> = genes.into_iter().zip(scores).collect();
     sort_population(&mut population);
 
@@ -348,7 +351,7 @@ pub(crate) fn run_ea_counted(
         let parents: Vec<Option<&MacAllocGene>> =
             parent_idx.iter().map(|&i| Some(&population[i].0)).collect();
         let (child_scores, charged) =
-            evaluator.score_batch_with_parents(&mut session, &child_genes, &parents, ctx);
+            evaluator.score_batch(&mut session, &child_genes, &parents, ctx);
         evaluations += charged;
         population.truncate(elite);
         population.extend(child_genes.into_iter().zip(child_scores));

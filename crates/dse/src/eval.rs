@@ -11,12 +11,13 @@
 //!   macro mode and objective. It holds no state and no policy: scoring a
 //!   candidate through it is a pure function.
 //! - The [`CandidateEvaluator`] wraps a core with the *caching and
-//!   accounting* layers: a memo keyed by the canonicalized candidate, delta
-//!   rescoring of EA children, an SA energy memo, budget charging and
-//!   statistics. Every memo miss is scored on the calling thread.
+//!   accounting* layers: a memo keyed by the canonicalized candidate,
+//!   budget charging and statistics. Every memo miss is scored on the
+//!   calling thread in the EA run's [`DeltaSession`], incrementally when
+//!   its parent's breakdown is retained and in full otherwise.
 //!
 //! Caching is *transparent*: evaluation is a pure function of the
-//! candidate, so a memo hit or a delta rescore returns exactly what
+//! candidate, so a memo hit or a session score returns exactly what
 //! [`EvalCore::score`] computes for it, and every scored candidate — hit or
 //! miss — is charged to the [`ExploreContext`] budget. Unique evaluations
 //! (memo misses) are charged to the separate `max_unique_evaluations`
@@ -38,11 +39,10 @@ use crate::ea::{MacAllocGene, Objective};
 use crate::sa::SaTable;
 use crate::space::DesignPoint;
 
-/// Entry bound of each memo map (candidate scores, SA energies): roomy for
-/// a paper-scale run while bounding worst-case memory (a candidate entry
-/// holds a [`CandidateScore`], two words). Once a map is full, new results
-/// are returned without being stored (no eviction, so resident entries
-/// keep hitting).
+/// Entry bound of the candidate memo: roomy for a paper-scale run while
+/// bounding worst-case memory (an entry holds a [`CandidateScore`], two
+/// words). Once the memo is full, new results are returned without being
+/// stored (no eviction, so resident entries keep hitting).
 const MEMO_CAPACITY: usize = 1 << 16;
 
 /// Cumulative evaluator throughput counters, reported through
@@ -60,7 +60,9 @@ pub struct EvaluatorStats {
     pub cache_hits: usize,
     /// SA energy-function probes (weight-duplication stage).
     pub sa_probes: usize,
-    /// SA probes served from the energy memo.
+    /// Always 0, like [`layer_hits`](Self::layer_hits): the SA-energy memo
+    /// it counted was removed (Eq. (4) is a closed-form O(L) sum, cheaper
+    /// to recompute than to look up).
     pub sa_cache_hits: usize,
     /// Always 0: the per-layer base-cost memo these counted was removed
     /// (recomputing a layer is cheaper than the lookup). Kept so consumers
@@ -74,9 +76,10 @@ pub struct EvaluatorStats {
     /// Memo misses rescored incrementally from the parent's retained
     /// per-layer breakdown (delta path).
     pub delta_hits: usize,
-    /// Parent-offered candidates that fell back to a full recomputation
-    /// because their parent's breakdown was not retained in the run's
-    /// session.
+    /// Memo misses the run's session scored in full: no parent was offered
+    /// (generation 0) or the parent's breakdown is not retained (the parent
+    /// was infeasible or evicted). `delta_hits + delta_fallbacks ==
+    /// unique_evaluations`.
     pub delta_fallbacks: usize,
     /// Per-layer base-cost recomputations performed by delta sessions
     /// (fallbacks recompute every layer; pure delta hits only the touched
@@ -242,25 +245,9 @@ impl<'a> EvalCore<'a> {
     }
 }
 
-/// Where an earlier memo miss of the same [`score_batch_with_parents`]
-/// call stands.
-///
-/// [`score_batch_with_parents`]: CandidateEvaluator::score_batch_with_parents
-#[derive(Clone, Copy)]
-enum InBatch {
-    /// Scored in the delta session during the accounting pass.
-    Scored(CandidateScore),
-    /// Awaiting the pending loop, at this index of the pending list.
-    Pending(usize),
-}
-
-/// Memo misses awaiting scoring after the accounting pass: the unique key
-/// and every input index it resolves.
-type Pending = Vec<(CandidateKey, Vec<usize>)>;
-
 /// The shared evaluation layer: scores macro-partitioning candidates
-/// (components allocation + analytic model) and SA duplication probes, with
-/// memoization and delta rescoring.
+/// (components allocation + analytic model), memoized and rescored in delta
+/// sessions, and counts SA duplication probes.
 ///
 /// One evaluator spans one synthesis run (fixed model, power budget,
 /// hardware constants, macro mode and objective); worker threads share it by
@@ -269,19 +256,16 @@ type Pending = Vec<(CandidateKey, Vec<usize>)>;
 /// their own.
 pub struct CandidateEvaluator<'a> {
     core: EvalCore<'a>,
-    /// Entry bound of each memo map: [`MEMO_CAPACITY`], lowered only by
-    /// tests.
+    /// Entry bound of the candidate memo: [`MEMO_CAPACITY`], lowered only
+    /// by tests.
     capacity: usize,
     candidates: Mutex<HashMap<CandidateKey, CandidateScore>>,
-    energies: Mutex<HashMap<(Vec<usize>, u64), f64>>,
-    /// Per-layer static Eq. (4) terms, so SA energy misses skip the model
-    /// walk.
+    /// Per-layer static Eq. (4) terms, so SA probes skip the model walk.
     sa_table: SaTable,
     scored: AtomicUsize,
     unique: AtomicUsize,
     hits: AtomicUsize,
     sa_probes: AtomicUsize,
-    sa_hits: AtomicUsize,
     delta_hits: AtomicUsize,
     delta_fallbacks: AtomicUsize,
     layers_recomputed: AtomicUsize,
@@ -309,13 +293,11 @@ impl<'a> CandidateEvaluator<'a> {
             core: EvalCore::new(model, total_power, hw, macro_mode, objective),
             capacity: MEMO_CAPACITY,
             candidates: Mutex::new(HashMap::new()),
-            energies: Mutex::new(HashMap::new()),
             sa_table: SaTable::new(model),
             scored: AtomicUsize::new(0),
             unique: AtomicUsize::new(0),
             hits: AtomicUsize::new(0),
             sa_probes: AtomicUsize::new(0),
-            sa_hits: AtomicUsize::new(0),
             delta_hits: AtomicUsize::new(0),
             delta_fallbacks: AtomicUsize::new(0),
             layers_recomputed: AtomicUsize::new(0),
@@ -327,22 +309,12 @@ impl<'a> CandidateEvaluator<'a> {
         self.core.objective()
     }
 
-    /// The Eq. (4) SA energy of a duplication vector, memoized. Identical to
-    /// [`crate::sa_energy`] (the memo and the precomputed per-layer table
-    /// are both transparent).
+    /// The Eq. (4) SA energy of a duplication vector, counted as one SA
+    /// probe. Bit-identical to [`crate::sa_energy`] (the precomputed
+    /// per-layer table is transparent).
     pub fn sa_energy(&self, dup: &[usize], alpha: f64) -> f64 {
         self.sa_probes.fetch_add(1, Ordering::Relaxed);
-        let key = (dup.to_vec(), alpha.to_bits());
-        if let Some(&e) = self.energies.lock().expect("energy memo").get(&key) {
-            self.sa_hits.fetch_add(1, Ordering::Relaxed);
-            return e;
-        }
-        let e = self.sa_table.energy(dup, alpha);
-        let mut map = self.energies.lock().expect("energy memo");
-        if map.len() < self.capacity {
-            map.insert(key, e);
-        }
-        e
+        self.sa_table.energy(dup, alpha)
     }
 
     fn make_key(
@@ -368,98 +340,25 @@ impl<'a> CandidateEvaluator<'a> {
         }
     }
 
-    /// Scores one macro-partitioning candidate: components allocation plus
-    /// the analytic model, memoized on the canonical candidate key.
+    /// Scores a generation of candidates of `session`'s dataflow and design
+    /// point, returning `(scores, charged)`: scores in input order and the
+    /// number of candidates charged to the budget. `parents[i]` names the
+    /// gene candidate `i` was mutated from; missing or `None` entries (a
+    /// generation-0 population) have none.
     ///
-    /// Every call — hit or miss — charges one evaluation to `ctx`'s budget
-    /// counter, so a budget stops the search at the same candidate whatever
-    /// the memo holds; only misses charge the unique-evaluation budget.
-    pub fn score(
-        &self,
-        df: &Dataflow,
-        point: DesignPoint,
-        gene: &MacAllocGene,
-        ctx: &ExploreContext<'_>,
-    ) -> CandidateScore {
-        ctx.count_evaluations(1);
-        self.scored.fetch_add(1, Ordering::Relaxed);
-        let wt_dup = Arc::new(df.programs().iter().map(|p| p.wt_dup).collect::<Vec<_>>());
-        let key = self.make_key(df, point, gene, &wt_dup);
-        if let Some(&hit) = self.candidates.lock().expect("candidate memo").get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return hit;
-        }
-        self.unique.fetch_add(1, Ordering::Relaxed);
-        ctx.count_unique_evaluations(1);
-        let score = self.core.score(df, point, gene);
-        self.store(key, score);
-        score
-    }
-
-    /// Scores one delta-eligible memo miss in `session` and records the
-    /// delta counters.
-    fn delta_score(
-        &self,
-        session: &mut DeltaSession<'_>,
-        gene: &MacAllocGene,
-        parent: &MacAllocGene,
-    ) -> CandidateScore {
-        let out = session.score(&self.core, gene, parent.as_slice());
-        if out.used_delta {
-            self.delta_hits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.delta_fallbacks.fetch_add(1, Ordering::Relaxed);
-        }
-        if out.layers_recomputed > 0 {
-            self.layers_recomputed
-                .fetch_add(out.layers_recomputed, Ordering::Relaxed);
-        }
-        out.score
-    }
-
-    /// Scores a whole generation of candidates, returning `(scores,
-    /// charged)`: scores in input order (deterministic reduction) and the
-    /// number of candidates actually scored and charged to the budget.
-    ///
-    /// The accounting pass is serial and cooperative: each candidate checks
-    /// `ctx` before being charged, and once a stop (cancellation, deadline,
-    /// exhausted budget) is observed the remaining candidates come back as
-    /// [`CandidateScore::INFEASIBLE`] placeholders without being computed
-    /// or charged. The memo misses that survive the pass are then scored
-    /// and stored in the order they were charged. Duplicates *within* a
-    /// batch are computed once and counted as cache hits (the serial path
-    /// would have found them in the memo).
-    ///
-    /// Cancellation additionally short-circuits the scoring of those
-    /// misses, so `CancelToken::cancel` stays prompt even mid-generation;
-    /// the resulting placeholders are never stored in the memo (a cancelled
-    /// run's results are discarded anyway). Budget and deadline stops are
-    /// observed only by the accounting pass: once a candidate has been
-    /// charged it is always genuinely computed.
+    /// One serial pass in input order. Each candidate first checks `ctx`:
+    /// once a stop (cancellation, deadline, exhausted budget) is observed,
+    /// the rest come back as [`CandidateScore::INFEASIBLE`] placeholders,
+    /// neither charged nor stored. Otherwise it is charged, then served
+    /// from the memo, or from an earlier miss of this call (counted as the
+    /// hit the memo would have given, full or not), or scored in `session`
+    /// and stored at once. The session rescores a miss incrementally when
+    /// it retained the parent's breakdown and in full otherwise, retaining
+    /// every feasible result so the next generation can delta against it;
+    /// either way the score is bit-identical to [`EvalCore::score`]. One EA
+    /// run passes one session to every generation's call and drops it when
+    /// the run ends.
     pub fn score_batch(
-        &self,
-        df: &Dataflow,
-        point: DesignPoint,
-        genes: &[MacAllocGene],
-        ctx: &ExploreContext<'_>,
-    ) -> (Vec<CandidateScore>, usize) {
-        self.score_batch_with_parents(&mut DeltaSession::new(df, point), genes, &[], ctx)
-    }
-
-    /// [`score_batch`](Self::score_batch) of the candidates of `session`'s
-    /// dataflow and design point, with per-candidate parent identity:
-    /// `parents[i]` names the gene candidate `i` was mutated from (missing
-    /// or `None` entries are scored in full after the accounting pass).
-    /// Memo misses with a parent are rescored in `session` during the
-    /// accounting pass, incrementally when the session retained the
-    /// parent's breakdown; a later in-batch duplicate counts as a hit
-    /// exactly where the plain path counts a pending-duplicate hit, full
-    /// memo or not. Scores, budget charges, `evaluations` and memo contents
-    /// are bit-identical to [`score_batch`](Self::score_batch), which offers
-    /// no parents; only wall-clock (and the delta counters in
-    /// [`EvaluatorStats`]) differ. One EA run passes one session to every
-    /// generation's call and drops it when the run ends.
-    pub fn score_batch_with_parents(
         &self,
         session: &mut DeltaSession<'_>,
         genes: &[MacAllocGene],
@@ -467,15 +366,13 @@ impl<'a> CandidateEvaluator<'a> {
         ctx: &ExploreContext<'_>,
     ) -> (Vec<CandidateScore>, usize) {
         let (df, point) = (session.dataflow(), session.point());
-        let n = genes.len();
         let wt_dup = Arc::new(df.programs().iter().map(|p| p.wt_dup).collect::<Vec<_>>());
-        let mut out = vec![CandidateScore::INFEASIBLE; n];
+        let mut out = vec![CandidateScore::INFEASIBLE; genes.len()];
         let mut charged = 0usize;
-        let mut pending: Pending = Vec::new();
-        // This batch's misses, so a later duplicate is a hit even when the
+        // This call's misses, so a later duplicate is a hit even when the
         // memo is full and stores nothing. Keyed by gene alone: every key
         // of one call shares the session's dataflow and design point.
-        let mut in_batch: FastMap<&[u32], InBatch> = FastMap::default();
+        let mut in_batch: FastMap<&[u32], CandidateScore> = FastMap::default();
 
         for (i, gene) in genes.iter().enumerate() {
             if ctx.should_stop() {
@@ -485,70 +382,34 @@ impl<'a> CandidateEvaluator<'a> {
             self.scored.fetch_add(1, Ordering::Relaxed);
             charged += 1;
             let key = self.make_key(df, point, gene, &wt_dup);
-            if let Some(&hit) = self.candidates.lock().expect("candidate memo").get(&key) {
+            let hit = {
+                let memo = self.candidates.lock().expect("candidate memo");
+                memo.get(&key)
+                    .or_else(|| in_batch.get(gene.as_slice()))
+                    .copied()
+            };
+            if let Some(hit) = hit {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 out[i] = hit;
                 continue;
             }
-            if let Some(&earlier) = in_batch.get(gene.as_slice()) {
-                // Duplicate of an earlier miss: one computation serves
-                // both, and the duplicate counts as the hit the serial
-                // path would have recorded.
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                match earlier {
-                    InBatch::Scored(score) => out[i] = score,
-                    InBatch::Pending(p) => pending[p].1.push(i),
-                }
-                continue;
-            }
             self.unique.fetch_add(1, Ordering::Relaxed);
             ctx.count_unique_evaluations(1);
-            if let Some(p) = parents.get(i).copied().flatten() {
-                // Delta-eligible miss: the session replays the full
-                // pipeline in both macro modes; computed now, stored at once.
-                out[i] = self.delta_score(session, gene, p);
-                self.store(key, out[i]);
-                in_batch.insert(gene.as_slice(), InBatch::Scored(out[i]));
-                continue;
-            }
-            in_batch.insert(gene.as_slice(), InBatch::Pending(pending.len()));
-            pending.push((key, vec![i]));
+            let parent = parents.get(i).copied().flatten();
+            let scored = session.score(&self.core, gene, parent.map(MacAllocGene::as_slice));
+            let counter = if scored.used_delta {
+                &self.delta_hits
+            } else {
+                &self.delta_fallbacks
+            };
+            counter.fetch_add(1, Ordering::Relaxed);
+            self.layers_recomputed
+                .fetch_add(scored.layers_recomputed, Ordering::Relaxed);
+            out[i] = scored.score;
+            self.store(key, out[i]);
+            in_batch.insert(gene.as_slice(), out[i]);
         }
-
-        // Only cancellation stops this loop: charged candidates must compute
-        // under budget and deadline stops, but a cancelled run's scores are
-        // discarded, so skipping is safe.
-        let cancel = ctx.cancel_token();
-        self.score_pending(df, point, genes, pending, &mut out, || {
-            cancel.is_cancelled()
-        });
         (out, charged)
-    }
-
-    /// Scores the misses the accounting pass left pending and stores them,
-    /// both in pending order: paper runs fill the memo, so the store order
-    /// decides which scores it keeps. `stop` is polled before each
-    /// candidate; once it turns `true`, the rest stay
-    /// [`CandidateScore::INFEASIBLE`] placeholders and are not stored.
-    fn score_pending(
-        &self,
-        df: &Dataflow,
-        point: DesignPoint,
-        genes: &[MacAllocGene],
-        pending: Pending,
-        out: &mut [CandidateScore],
-        stop: impl Fn() -> bool,
-    ) {
-        for (key, indices) in pending {
-            if stop() {
-                break;
-            }
-            let score = self.core.score(df, point, &genes[indices[0]]);
-            for i in indices {
-                out[i] = score;
-            }
-            self.store(key, score);
-        }
     }
 
     /// Recomputes the completed architecture and analytic report of a
@@ -573,7 +434,7 @@ impl<'a> CandidateEvaluator<'a> {
             unique_evaluations: self.unique.load(Ordering::Relaxed),
             cache_hits: self.hits.load(Ordering::Relaxed),
             sa_probes: self.sa_probes.load(Ordering::Relaxed),
-            sa_cache_hits: self.sa_hits.load(Ordering::Relaxed),
+            sa_cache_hits: 0,
             layer_hits: 0,
             layer_misses: 0,
             preloaded: 0,
@@ -583,12 +444,11 @@ impl<'a> CandidateEvaluator<'a> {
         }
     }
 
-    /// Empties both memo maps (counters untouched), so a test can run a
-    /// search on this evaluator as if its memo were fresh.
+    /// Empties the candidate memo (counters untouched), so a test can run
+    /// a search on this evaluator as if its memo were fresh.
     #[cfg(test)]
     pub(crate) fn clear_memo(&self) {
         self.candidates.lock().expect("candidate memo").clear();
-        self.energies.lock().expect("energy memo").clear();
     }
 }
 
@@ -634,6 +494,18 @@ mod tests {
         MacAllocGene::encode(&vec![macros; l], &vec![None; l])
     }
 
+    /// Scores `genes` without parents in a fresh session; the scores.
+    fn score_all(
+        eval: &CandidateEvaluator<'_>,
+        df: &Dataflow,
+        point: DesignPoint,
+        genes: &[MacAllocGene],
+        ctx: &ExploreContext<'_>,
+    ) -> Vec<CandidateScore> {
+        eval.score_batch(&mut DeltaSession::new(df, point), genes, &[], ctx)
+            .0
+    }
+
     #[test]
     fn repeated_scores_hit_the_memo_and_match() {
         let (model, df, point) = setup();
@@ -641,8 +513,8 @@ mod tests {
         let hw = HardwareParams::date24();
         let eval = evaluator(&model, &hw);
         let ctx = ExploreContext::unobserved();
-        let a = eval.score(&df, point, &gene(l, 1), &ctx);
-        let b = eval.score(&df, point, &gene(l, 1), &ctx);
+        let a = score_all(&eval, &df, point, &[gene(l, 1)], &ctx);
+        let b = score_all(&eval, &df, point, &[gene(l, 1)], &ctx);
         assert_eq!(a, b, "hit must return the stored score verbatim");
         let stats = eval.stats();
         assert_eq!(stats.scored, 2);
@@ -652,12 +524,12 @@ mod tests {
         // miss alone was charged to the unique counter.
         assert_eq!(ctx.evaluations(), 2);
         assert_eq!(ctx.unique_evaluations(), 1);
-        // `score` offers no parent, so it never takes the delta path.
-        assert_eq!(stats.delta_hits + stats.delta_fallbacks, 0);
+        // The parentless miss was scored in full in the session.
+        assert_eq!((stats.delta_hits, stats.delta_fallbacks), (0, 1));
     }
 
     #[test]
-    fn scores_and_realizations_match_the_core() {
+    fn scores_and_memo_hits_match_the_core() {
         let (model, df, point) = setup();
         let l = model.weight_layer_count();
         let hw = HardwareParams::date24();
@@ -665,20 +537,12 @@ mod tests {
         let core = core_in(&model, &hw, MacroMode::Specialized);
         let ctx = ExploreContext::unobserved();
         let g = gene(l, 2);
-        let a = eval.score(&df, point, &g, &ctx);
-        let hit = eval.score(&df, point, &g, &ctx);
-        assert_eq!(a, core.score(&df, point, &g));
+        let a = score_all(&eval, &df, point, std::slice::from_ref(&g), &ctx)[0];
+        let hit = score_all(&eval, &df, point, std::slice::from_ref(&g), &ctx)[0];
+        let reference = core.score(&df, point, &g);
+        assert_eq!(a.fitness.to_bits(), reference.fitness.to_bits());
+        assert_eq!(a.feasible, reference.feasible);
         assert_eq!(hit, a);
-        // Realized implementations (full architecture + report) also agree
-        // bit-for-bit between the memoized evaluator and the core.
-        match (eval.realize(&df, point, &g), core.compute(&df, point, &g).1) {
-            (Some((aa, ar)), Some((ba, br))) => {
-                assert_eq!(aa, ba);
-                assert_eq!(ar, br);
-            }
-            (None, None) => assert!(!a.feasible),
-            _ => panic!("the evaluator and the core disagree on feasibility"),
-        }
         assert_eq!(eval.stats().cache_hits, 1);
         assert_eq!(eval.stats().unique_evaluations, 1);
     }
@@ -691,7 +555,8 @@ mod tests {
         let eval = evaluator(&model, &hw);
         let ctx = ExploreContext::unobserved();
         let genes = vec![gene(l, 1), gene(l, 2), gene(l, 1), gene(l, 2), gene(l, 1)];
-        let (scores, charged) = eval.score_batch(&df, point, &genes, &ctx);
+        let mut session = DeltaSession::new(&df, point);
+        let (scores, charged) = eval.score_batch(&mut session, &genes, &[], &ctx);
         assert_eq!(charged, 5);
         assert_eq!(scores[0], scores[2]);
         assert_eq!(scores[0], scores[4]);
@@ -716,7 +581,8 @@ mod tests {
             ExploreBudget::unlimited().with_max_evaluations(2),
         );
         let genes: Vec<MacAllocGene> = (1..=5).map(|m| gene(l, m)).collect();
-        let (scores, charged) = eval.score_batch(&df, point, &genes, &ctx);
+        let mut session = DeltaSession::new(&df, point);
+        let (scores, charged) = eval.score_batch(&mut session, &genes, &[], &ctx);
         // The budget trips after two candidates; the rest are skipped
         // placeholders and nothing further is charged.
         assert_eq!(scores.len(), genes.len());
@@ -741,7 +607,8 @@ mod tests {
         // Two distinct genes exhaust the unique budget; the rest of the
         // batch comes back as skipped placeholders, uncharged.
         let genes = vec![gene(l, 1), gene(l, 2), gene(l, 3), gene(l, 1)];
-        let (scores, charged) = eval.score_batch(&df, point, &genes, &ctx);
+        let mut session = DeltaSession::new(&df, point);
+        let (scores, charged) = eval.score_batch(&mut session, &genes, &[], &ctx);
         assert_eq!(charged, 2);
         assert_eq!(ctx.unique_evaluations(), 2);
         assert_eq!(scores[2], CandidateScore::INFEASIBLE);
@@ -752,41 +619,30 @@ mod tests {
         );
     }
 
+    /// Cancellation is one of the stops the single pass checks before each
+    /// candidate: a batch under a cancelled context charges, scores and
+    /// stores nothing, memo hits included.
     #[test]
-    fn cancellation_short_circuits_inside_a_backend_batch() {
-        // The batch is the memo misses a `score_batch` call hands to its
-        // scoring back end, the private `score_pending` loop.
+    fn cancelled_score_batch_charges_scores_and_stores_nothing() {
+        use crate::ctx::{CancelToken, ExploreBudget, NullObserver, StopReason};
         let (model, df, point) = setup();
         let l = model.weight_layer_count();
         let hw = HardwareParams::date24();
         let eval = evaluator(&model, &hw);
+        let cancel = CancelToken::new();
+        let ctx = ExploreContext::new(&NullObserver, cancel.clone(), ExploreBudget::unlimited());
         let genes: Vec<MacAllocGene> = (1..=4).map(|m| gene(l, m)).collect();
-        let wt_dup = Arc::new(df.programs().iter().map(|p| p.wt_dup).collect::<Vec<_>>());
-        let keys: Vec<CandidateKey> = genes
-            .iter()
-            .map(|g| eval.make_key(&df, point, g, &wt_dup))
-            .collect();
-        let pending: Pending = keys
-            .iter()
-            .enumerate()
-            .map(|(i, key)| (key.clone(), vec![i]))
-            .collect();
-        let mut scores = vec![CandidateScore::INFEASIBLE; genes.len()];
-        // Stop flips true from the third poll on: the first two candidates
-        // compute, the rest come back as skipped placeholders.
-        let polls = AtomicUsize::new(0);
-        let stop = || polls.fetch_add(1, Ordering::Relaxed) >= 2;
-        eval.score_pending(&df, point, &genes, pending, &mut scores, stop);
-        assert_ne!(scores[0], CandidateScore::INFEASIBLE);
-        assert_ne!(scores[1], CandidateScore::INFEASIBLE);
-        assert_eq!(scores[2], CandidateScore::INFEASIBLE);
-        assert_eq!(scores[3], CandidateScore::INFEASIBLE);
-        // Only the computed scores reach the memo.
-        let memo = eval.candidates.lock().unwrap();
-        assert_eq!(memo.len(), 2);
-        assert_eq!(memo.get(&keys[1]), Some(&scores[1]));
-        assert!(!memo.contains_key(&keys[2]));
-        assert!(!memo.contains_key(&keys[3]));
+        let mut session = DeltaSession::new(&df, point);
+        let (first, _) = eval.score_batch(&mut session, &genes[..2], &[], &ctx);
+        cancel.cancel();
+        let (scores, charged) = eval.score_batch(&mut session, &genes, &[], &ctx);
+        assert_eq!(charged, 0);
+        assert!(scores.iter().all(|s| *s == CandidateScore::INFEASIBLE));
+        assert_ne!(first[1], CandidateScore::INFEASIBLE);
+        assert_eq!(ctx.observed_stop(), Some(StopReason::Cancelled));
+        let stats = eval.stats();
+        assert_eq!((stats.scored, stats.unique_evaluations), (2, 2));
+        assert_eq!(eval.candidates.lock().unwrap().len(), 2);
     }
 
     #[test]
@@ -797,28 +653,32 @@ mod tests {
         let eval = evaluator(&model, &hw);
         let ctx = ExploreContext::unobserved();
         let g = gene(l, 1);
-        let score = eval.score(&df, point, &g, &ctx);
+        let score = score_all(&eval, &df, point, std::slice::from_ref(&g), &ctx)[0];
         assert!(score.feasible);
         let (arch, report) = eval.realize(&df, point, &g).expect("feasible");
         arch.validate(&model).expect("realized winner validates");
-        assert_eq!(eval.objective().fitness(&report), score.fitness);
+        // The realized report reproduces the memoized score bit for bit.
+        assert_eq!(
+            eval.objective().fitness(&report).to_bits(),
+            score.fitness.to_bits()
+        );
         // Realization is free: neither scored nor budget-charged.
         assert_eq!(eval.stats().scored, 1);
         assert_eq!(ctx.evaluations(), 1);
     }
 
     #[test]
-    fn sa_energy_memo_is_transparent() {
+    fn sa_energy_matches_the_model_walk_and_counts_probes() {
         let (model, _, _) = setup();
         let hw = HardwareParams::date24();
         let eval = evaluator(&model, &hw);
         let dup = vec![2; model.weight_layer_count()];
         let direct = sa_energy(&model, &dup, 0.5);
-        assert_eq!(eval.sa_energy(&dup, 0.5), direct);
-        assert_eq!(eval.sa_energy(&dup, 0.5), direct);
+        assert_eq!(eval.sa_energy(&dup, 0.5).to_bits(), direct.to_bits());
+        assert_eq!(eval.sa_energy(&dup, 0.5).to_bits(), direct.to_bits());
         let stats = eval.stats();
         assert_eq!(stats.sa_probes, 2);
-        assert_eq!(stats.sa_cache_hits, 1);
+        assert_eq!(stats.sa_cache_hits, 0);
     }
 
     #[test]
@@ -829,23 +689,23 @@ mod tests {
         let mut eval = evaluator(&model, &hw);
         eval.capacity = 0;
         let ctx = ExploreContext::unobserved();
-        eval.score(&df, point, &gene(l, 1), &ctx);
-        eval.score(&df, point, &gene(l, 1), &ctx);
+        score_all(&eval, &df, point, &[gene(l, 1)], &ctx);
+        score_all(&eval, &df, point, &[gene(l, 1)], &ctx);
         let stats = eval.stats();
         assert_eq!(stats.cache_hits, 0);
         assert_eq!(stats.unique_evaluations, 2);
     }
 
-    /// Parent-aware scoring must be bit-identical to plain scoring, route
-    /// through the session exactly when a parent is usable, and fall back
-    /// (with full retention) when the parent has no retained breakdown.
+    /// Every miss is scored in the session and is bit-identical to the
+    /// core: incrementally when its parent's breakdown is retained (a
+    /// parentless miss of the same batch retains it at once), in full as a
+    /// fallback when there is no parent or no retained one.
     #[test]
     fn delta_rescoring_matches_plain_scoring_bit_for_bit() {
         let (model, df, point) = setup();
         let l = model.weight_layer_count();
         let hw = HardwareParams::date24();
-        let delta = evaluator(&model, &hw);
-        let plain = evaluator(&model, &hw);
+        let eval = evaluator(&model, &hw);
         let core = core_in(&model, &hw, MacroMode::Specialized);
         let ctx = ExploreContext::unobserved();
         let mut session = DeltaSession::new(&df, point);
@@ -856,49 +716,39 @@ mod tests {
         let child = MacAllocGene::encode(&m, &vec![None; l]);
         m[1] = 2;
         let grandchild = MacAllocGene::encode(&m, &vec![None; l]);
+        // Never scored, so never retained.
+        let stranger = gene(l, 3);
+        let mut m = vec![3usize; l];
+        m[0] = 1;
+        let orphan = MacAllocGene::encode(&m, &vec![None; l]);
 
-        // Parent scores in full (no parent offered); the child miss is
-        // parented but the parent is not retained yet, so the session
-        // recomputes fully (a fallback) and retains the child.
+        // The parentless parent is a fallback that retains its breakdown,
+        // so its child in the same batch is already a delta hit.
         let genes = [parent.clone(), child.clone()];
-        let parents = [None, Some(&parent)];
-        let (a, _) = delta.score_batch_with_parents(&mut session, &genes, &parents, &ctx);
-        // `score_batch` offers no parents: the delta-free path.
-        plain.score_batch(&df, point, &genes, &ctx);
-        for (x, g) in a.iter().zip(&genes) {
+        let (a, _) = eval.score_batch(&mut session, &genes, &[None, Some(&parent)], &ctx);
+        // A grandchild of a retained child: a delta hit. A child of a gene
+        // the session never scored: a fallback.
+        let genes = [grandchild.clone(), orphan.clone()];
+        let parents = [Some(&child), Some(&stranger)];
+        let (b, _) = eval.score_batch(&mut session, &genes, &parents, &ctx);
+        let all = [&parent, &child, &grandchild, &orphan];
+        for (x, g) in a.iter().chain(&b).zip(all) {
             let y = core.score(&df, point, g);
+            assert!(y.feasible);
             assert_eq!(x.fitness.to_bits(), y.fitness.to_bits());
             assert_eq!(x.feasible, y.feasible);
         }
-        assert_eq!(delta.stats().delta_fallbacks, 1);
-        assert_eq!(delta.stats().delta_hits, 0);
-
-        // The grandchild differs from the (now retained) child by one gene:
-        // a genuine delta hit, still bit-identical.
-        let (c, _) = delta.score_batch_with_parents(
-            &mut session,
-            std::slice::from_ref(&grandchild),
-            &[Some(&child)],
-            &ctx,
-        );
-        let d = core.score(&df, point, &grandchild);
-        plain.score_batch(&df, point, &[grandchild], &ctx);
-        assert_eq!(c[0].fitness.to_bits(), d.fitness.to_bits());
-        assert_eq!(c[0].feasible, d.feasible);
-        let stats = delta.stats();
-        assert_eq!(stats.delta_hits, 1);
-        assert_eq!(stats.delta_fallbacks, 1);
-        // The fallback recomputed every layer; the delta hit only touched
-        // ones (the changed layer, plus any whose water-filled counts moved
-        // and missed the base memo).
-        assert!(stats.layers_recomputed > l);
-        assert!(stats.layers_recomputed < 3 * l);
-        // Both evaluators charged and memoized identically.
+        let stats = eval.stats();
+        assert_eq!((stats.delta_hits, stats.delta_fallbacks), (2, 2));
         assert_eq!(
-            delta.stats().unique_evaluations,
-            plain.stats().unique_evaluations
+            stats.delta_hits + stats.delta_fallbacks,
+            stats.unique_evaluations
         );
-        assert_eq!(delta.stats().cache_hits, plain.stats().cache_hits);
+        // The two fallbacks recomputed every layer; the two delta hits only
+        // touched ones (the changed layers, plus any whose water-filled
+        // counts moved).
+        assert!(stats.layers_recomputed > 2 * l);
+        assert!(stats.layers_recomputed < 4 * l);
     }
 
     /// Every reuse compares exact inputs, so a child whose gene differs
@@ -915,7 +765,7 @@ mod tests {
         let mut session = DeltaSession::new(&df, point);
         let mut score_child = |child: &MacAllocGene, parent: &MacAllocGene| {
             let batch = std::slice::from_ref(child);
-            eval.score_batch_with_parents(&mut session, batch, &[Some(parent)], &ctx)
+            eval.score_batch(&mut session, batch, &[Some(parent)], &ctx)
                 .0[0]
         };
 
@@ -967,7 +817,7 @@ mod tests {
         let mut score_child = |child: &MacAllocGene| {
             let batch = std::slice::from_ref(child);
             delta
-                .score_batch_with_parents(&mut session, batch, &[Some(&parent)], &ctx)
+                .score_batch(&mut session, batch, &[Some(&parent)], &ctx)
                 .0[0]
         };
         for child in [&parent, &one, &wide, &shared] {
@@ -982,9 +832,9 @@ mod tests {
         assert_eq!(stats.delta_hits, 3);
     }
 
-    /// A delta-scored miss serves later duplicates in its batch as hits
-    /// even when the memo is full, so a capacity-0 evaluator charges the
-    /// same with parents offered (delta) as without.
+    /// A miss serves later duplicates in its batch as hits even when the
+    /// memo is full, so a capacity-0 evaluator charges the same whether
+    /// the batch offers parents (delta hits) or not (fallbacks).
     #[test]
     fn in_batch_duplicates_hit_with_a_full_memo_with_or_without_delta() {
         let (model, df, point) = setup();
@@ -1000,29 +850,40 @@ mod tests {
             eval.capacity = 0;
             let ctx = ExploreContext::unobserved();
             let mut session = DeltaSession::new(&df, point);
+            if delta {
+                // Retain the parent, so the offered parents are usable.
+                eval.score_batch(&mut session, std::slice::from_ref(&parent), &[], &ctx);
+            }
             let offered: &[Option<&MacAllocGene>] = if delta { &parents } else { &[] };
-            let (scores, _) = eval.score_batch_with_parents(&mut session, &genes, offered, &ctx);
-            (scores, eval.stats(), ctx.unique_evaluations())
+            let before = (eval.stats(), ctx.unique_evaluations());
+            let (scores, _) = eval.score_batch(&mut session, &genes, offered, &ctx);
+            let after = eval.stats();
+            let counts = [
+                after.unique_evaluations - before.0.unique_evaluations,
+                after.cache_hits - before.0.cache_hits,
+                ctx.unique_evaluations() - before.1,
+                after.delta_hits - before.0.delta_hits,
+            ];
+            (scores, counts)
         };
-        let (on, on_stats, on_unique) = run(true);
-        let (off, off_stats, off_unique) = run(false);
+        let (on, on_counts) = run(true);
+        let (off, off_counts) = run(false);
         let reference = core_in(&model, &hw, MacroMode::Specialized).score(&df, point, &genes[0]);
         for (a, b) in on.iter().zip(&off) {
             assert_eq!(a.fitness.to_bits(), reference.fitness.to_bits());
             assert_eq!(b.fitness.to_bits(), reference.fitness.to_bits());
         }
-        assert_eq!(on_stats.unique_evaluations, off_stats.unique_evaluations);
-        assert_eq!(on_stats.cache_hits, off_stats.cache_hits);
-        assert_eq!(on_unique, off_unique);
-        assert_eq!(on_stats.unique_evaluations, 1);
-        assert_eq!(on_stats.delta_fallbacks, 1, "the miss took the session");
+        // One unique evaluation and two hits either way; with parents the
+        // miss was a delta hit.
+        assert_eq!(on_counts, [1, 2, 1, 1]);
+        assert_eq!(off_counts, [1, 2, 1, 0]);
     }
 
     /// A memo hit can only return the reference score: after each search
     /// over five zoo models (both macro modes, seeds 3 and 17, fast effort),
     /// every candidate-memo entry rescored from its key alone through
-    /// [`EvalCore::score`], and every SA-energy entry through [`sa_energy`],
-    /// matches bit for bit.
+    /// [`EvalCore::score`] matches bit for bit, and every memo miss of the
+    /// search was scored in a session (a delta hit or a fallback).
     #[test]
     fn every_memo_entry_rescores_bit_identically() {
         let cases = [
@@ -1036,7 +897,7 @@ mod tests {
             (zoo::resnet18_se(), Watts(30.0)),
             (zoo::mobilenet(), Watts(120.0)),
         ];
-        let (mut candidates, mut energies) = (0usize, 0usize);
+        let mut candidates = 0usize;
         for (model, power) in &cases {
             for mode in [MacroMode::Specialized, MacroMode::Identical] {
                 for seed in [3u64, 17] {
@@ -1052,6 +913,12 @@ mod tests {
                     let eval = CandidateEvaluator::new(model, *power, &cfg.hw, mode, objective);
                     let ctx = ExploreContext::unobserved();
                     run_dse_evaluated(model, &cfg, &ctx, &eval).expect(&case);
+                    let stats = eval.stats();
+                    assert_eq!(
+                        stats.delta_hits + stats.delta_fallbacks,
+                        stats.unique_evaluations,
+                        "{case}: every memo miss is scored in a session"
+                    );
 
                     let core = EvalCore::new(model, *power, &cfg.hw, mode, objective);
                     let mut dataflows = HashMap::new();
@@ -1077,17 +944,11 @@ mod tests {
                         assert_eq!(score.feasible, reference.feasible, "{case}: {key:?}");
                     }
                     candidates += memo.len();
-                    let memo = eval.energies.lock().unwrap();
-                    for ((dup, alpha), energy) in memo.iter() {
-                        let reference = sa_energy(model, dup, f64::from_bits(*alpha));
-                        assert_eq!(energy.to_bits(), reference.to_bits(), "{case}: {dup:?}");
-                    }
-                    energies += memo.len();
                 }
             }
         }
-        assert!(candidates > 0 && energies > 0, "{candidates} / {energies}");
-        eprintln!("rescored {candidates} candidate entries and {energies} SA energies");
+        assert!(candidates > 0);
+        eprintln!("rescored {candidates} candidate entries");
     }
 
     #[test]

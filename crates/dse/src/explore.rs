@@ -22,7 +22,7 @@ use crate::ctx::{ExploreContext, ExploreEvent, StopReason, SynthesisStage};
 use crate::ea::{run_ea_counted, EaConfig};
 use crate::error::DseError;
 use crate::eval::CandidateEvaluator;
-use crate::sa::{no_duplication, woho_proportional, wt_dup_candidates_cached, SaConfig};
+use crate::sa::{no_duplication, woho_proportional, wt_dup_candidates_counted, SaConfig};
 use crate::space::{DesignPoint, DesignSpace};
 
 /// How weight-duplication factors are chosen (stage 1 of the synthesis).
@@ -194,7 +194,7 @@ fn explore_point(
                 seed: cfg.seed ^ (point_idx as u64) << 8,
                 ..cfg.sa.clone()
             };
-            wt_dup_candidates_cached(model, point.crossbar, budget, &sa_cfg, ctx, evaluator).ok()
+            wt_dup_candidates_counted(model, point.crossbar, budget, &sa_cfg, ctx, evaluator).ok()
         }
         WtDupStrategy::WohoProportional => woho_proportional(model, point.crossbar, budget)
             .ok()
@@ -534,10 +534,15 @@ mod tests {
             stats.sa_probes > 0,
             "SA probes must route through the evaluator"
         );
-        // No per-layer memo exists, so its counters stay at 0; EA children
-        // score in the delta session.
+        // No per-layer or SA-energy memo exists, so their counters stay at
+        // 0; every memo miss scores in a delta session.
         assert_eq!((stats.layer_hits, stats.layer_misses), (0, 0));
+        assert_eq!(stats.sa_cache_hits, 0);
         assert!(stats.delta_hits > 0, "{stats:?}");
+        assert_eq!(
+            stats.delta_hits + stats.delta_fallbacks,
+            stats.unique_evaluations
+        );
     }
 
     #[test]

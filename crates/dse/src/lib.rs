@@ -14,8 +14,8 @@
 //!   `i*1000 + n` gene encoding and `mutate_num` / `mutate_share` operators.
 //! - [`allocate_components`]: the Eq. (6) closed-form water-filling.
 //! - [`CandidateEvaluator`]: scores every candidate of every stage on the
-//!   calling thread, behind a memo, delta rescoring of EA children and
-//!   budget charging.
+//!   calling thread, behind a memo and budget charging; every memo miss is
+//!   scored in the EA run's delta session.
 //! - [`run_dse`]: the full Algorithm 1 nest, parallelized over outer design
 //!   points with deterministic per-point seeds.
 //!

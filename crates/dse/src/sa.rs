@@ -97,7 +97,7 @@ pub fn sa_energy(model: &Model, dup: &[usize], alpha: f64) -> f64 {
 }
 
 /// Per-layer static factors of [`sa_energy`], precomputed once per model so
-/// the memoized-probe miss path skips the weight-layer walk: `WO*HO` and the
+/// each evaluator-routed probe skips the weight-layer walk: `WO*HO` and the
 /// unit access volume `WK²CI + CO`. [`SaTable::energy`] performs the exact
 /// integer and float operations of [`sa_energy`], so the two are
 /// bit-identical.
@@ -234,10 +234,10 @@ pub fn wt_dup_candidates(
 /// [`wt_dup_candidates`] under an [`ExploreContext`] (the annealing loop
 /// checks for cancellation / exhausted budgets every few iterations and, if
 /// told to stop, returns the candidates collected so far), with every
-/// Eq. (4) probe routed through the shared [`CandidateEvaluator`] (memoized
-/// energies, probe statistics). The memo is transparent, so candidates are
-/// identical to the unevaluated variant.
-pub(crate) fn wt_dup_candidates_cached(
+/// Eq. (4) probe computed by the shared [`CandidateEvaluator`] from its
+/// per-layer table and counted in its statistics. The table is
+/// transparent, so candidates are identical to the unevaluated variant.
+pub(crate) fn wt_dup_candidates_counted(
     model: &Model,
     crossbar: CrossbarConfig,
     budget: usize,

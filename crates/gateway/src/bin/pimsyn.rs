@@ -30,7 +30,7 @@ use pimsyn::{
     SynthesisResult, SynthesisService, SynthesisSummary,
 };
 use pimsyn_arch::Watts;
-use pimsyn_gateway::timeout_duration;
+use pimsyn_gateway::{parse_budget, parse_u64, timeout_duration};
 use pimsyn_model::json::JsonValue;
 use pimsyn_model::{onnx, zoo, Model};
 
@@ -443,40 +443,26 @@ fn batch_job_request(
             .as_bool()
             .ok_or_else(|| at("field `sharing` must be a boolean".to_string()))?;
     }
-    if let Some(n) = get_num("seed")? {
-        if n < 0.0 || n.fract() != 0.0 {
-            return Err(at("field `seed` must be a non-negative integer".to_string()));
-        }
-        job_args.seed = n as u64;
+    // Integer fields follow the HTTP payload's rules, so an out-of-range
+    // value is an error instead of saturating.
+    let field = |e: String| at(format!("field {e}"));
+    if let Some(v) = job.get("seed") {
+        job_args.seed = parse_u64(v, "seed").map_err(field)?;
     }
-    if let Some(n) = get_num("cycle")? {
-        if n < 0.0 || n.fract() != 0.0 {
-            return Err(at(
-                "field `cycle` must be a non-negative integer".to_string()
-            ));
-        }
-        job_args.cycle_images = n as usize;
+    if let Some(v) = job.get("cycle") {
+        job_args.cycle_images = v.as_usize().ok_or_else(|| {
+            at("field `cycle` must be a non-negative integer up to 2^53".to_string())
+        })?;
     }
     if let Some(n) = get_num("timeout")? {
         job_args.timeout =
             Some(timeout_duration(n).map_err(|e| at(format!("field `timeout` {e}")))?);
     }
-    if let Some(n) = get_num("max-evals")? {
-        // Same rule as the --max-evals flag: a positive integer.
-        if n < 1.0 || n.fract() != 0.0 {
-            return Err(at(
-                "field `max-evals` must be a positive integer".to_string()
-            ));
-        }
-        job_args.max_evals = Some(n as usize);
+    if let Some(v) = job.get("max-evals") {
+        job_args.max_evals = Some(parse_budget(v, "max-evals").map_err(field)?);
     }
-    if let Some(n) = get_num("max-unique-evals")? {
-        if n < 1.0 || n.fract() != 0.0 {
-            return Err(at(
-                "field `max-unique-evals` must be a positive integer".to_string()
-            ));
-        }
-        job_args.max_unique_evals = Some(n as usize);
+    if let Some(v) = job.get("max-unique-evals") {
+        job_args.max_unique_evals = Some(parse_budget(v, "max-unique-evals").map_err(field)?);
     }
 
     let options = options_from_args(&job_args, power).map_err(at)?;
@@ -1450,6 +1436,23 @@ mod tests {
             let err = batch_job_request(&parsed, &cli, 3).unwrap_err();
             assert!(err.contains("batch job 3"), "{err}");
             assert!(err.contains(needle), "`{err}` should mention `{needle}`");
+        }
+        // Integer fields past 2^53, negative, fractional or (budgets) zero
+        // are rejected instead of saturating.
+        for (field, value) in [
+            ("seed", "1e20"),
+            ("seed", "-1"),
+            ("seed", "1.5"),
+            ("cycle", "1e300"),
+            ("cycle", "-2"),
+            ("max-evals", "1e20"),
+            ("max-evals", "0"),
+            ("max-unique-evals", "1e300"),
+            ("max-unique-evals", "0.5"),
+        ] {
+            let job = format!(r#"{{"model": "alexnet-cifar", "power": 9, "{field}": {value}}}"#);
+            let err = batch_job_request(&JsonValue::parse(&job).unwrap(), &cli, 3).unwrap_err();
+            assert!(err.contains(&format!("field `{field}`")), "{job}: {err}");
         }
     }
 

@@ -75,8 +75,8 @@ pub struct MetricsRegistry {
     /// Candidates rescored incrementally by the delta engine, same
     /// provenance.
     eval_delta_hits: AtomicU64,
-    /// Delta attempts that fell back to a full recomputation, same
-    /// provenance.
+    /// Memo misses the delta session scored in full (no retained parent),
+    /// same provenance.
     eval_delta_fallbacks: AtomicU64,
     /// Per-layer stage recomputations performed by the delta engine (hits
     /// and fallbacks combined), same provenance.
@@ -233,7 +233,7 @@ impl MetricsRegistry {
             ),
             (
                 "pimsyn_gateway_eval_delta_fallbacks_total",
-                "Delta attempts that fell back to full rescoring in finished jobs.",
+                "Memo misses scored in full (no retained parent) by finished jobs.",
                 self.eval_delta_fallbacks.load(Ordering::Relaxed),
             ),
             (

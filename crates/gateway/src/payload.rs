@@ -102,8 +102,14 @@ fn parse_f64_or_bits(value: &JsonValue, field: &str) -> Result<f64, String> {
 }
 
 /// A u64 from a JSON number (when integral and exactly representable) or
-/// decimal text (the lossless spelling for large seeds).
-fn parse_u64(value: &JsonValue, field: &str) -> Result<u64, String> {
+/// decimal text (the lossless spelling for large seeds). The one rule for
+/// the HTTP `seed` field and the CLI's batch `seed` field.
+///
+/// # Errors
+///
+/// A message naming `field` for anything else (negative, fractional,
+/// beyond 2^53 as a number, or not a number or decimal text).
+pub fn parse_u64(value: &JsonValue, field: &str) -> Result<u64, String> {
     match value {
         JsonValue::Number(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= 9_007_199_254_740_992.0 => {
             Ok(*n as u64)
@@ -124,8 +130,15 @@ fn parse_usize(value: &JsonValue, field: &str) -> Result<usize, String> {
 }
 
 /// An evaluation budget: like the CLI's `--max-evals`, zero is rejected,
-/// since a search that may score nothing can only fail.
-fn parse_budget(value: &JsonValue, field: &str) -> Result<usize, String> {
+/// since a search that may score nothing can only fail. The one rule for
+/// the HTTP `max_evals`/`max_unique_evals` fields and the CLI's batch
+/// `max-evals`/`max-unique-evals` fields.
+///
+/// # Errors
+///
+/// A message naming `field` for zero and for anything that is not an
+/// integer up to 2^53.
+pub fn parse_budget(value: &JsonValue, field: &str) -> Result<usize, String> {
     match parse_usize(value, field)? {
         0 => Err(format!("`{field}` must be at least 1")),
         n => Ok(n),

@@ -40,7 +40,10 @@ fn different_seeds_may_differ_but_stay_feasible() {
 /// scores the child against its parent in one delta session. Every step
 /// must be bit-identical to [`EvalCore::score`](pimsyn_dse::EvalCore), and
 /// every child of a feasible (hence retained) parent must be a delta hit,
-/// however many entries its gene changed — under both macro modes.
+/// however many entries its gene changed — under both macro modes. Each
+/// case has a floor on the delta hits of every walk: the roomy budgets
+/// keep most parents feasible, the tight ones (alexnet-cifar at 9 W,
+/// vgg16-cifar at 15 W) are there for their infeasible steps.
 #[test]
 fn delta_rescoring_is_bit_identical_on_mutation_walks() {
     use pimsyn_arch::{CrossbarConfig, DacConfig, HardwareParams};
@@ -52,17 +55,20 @@ fn delta_rescoring_is_bit_identical_on_mutation_walks() {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
+    // (model, power, minimum delta hits per 41-score walk)
     let cases = [
-        (zoo::alexnet_cifar(10), Watts(9.0)),
-        (zoo::vgg16_cifar(10), Watts(15.0)),
+        (zoo::alexnet_cifar(10), Watts(9.0), 1),
+        (zoo::vgg16_cifar(10), Watts(15.0), 1),
+        (zoo::alexnet_cifar(10), Watts(20.0), 30),
+        (zoo::vgg16_cifar(10), Watts(40.0), 30),
         // Delta rescoring must stay exact over the new op kinds too:
         // depthwise/grouped convolutions (mobilenet) and attention
         // MatMul/Softmax chains (transformer-tiny).
-        (zoo::mobilenet(), Watts(120.0)),
-        (zoo::transformer_tiny(), Watts(6.0)),
+        (zoo::mobilenet(), Watts(120.0), 30),
+        (zoo::transformer_tiny(), Watts(6.0), 30),
     ];
     let hw = HardwareParams::date24();
-    for (model, power) in &cases {
+    for (model, power, min_hits) in &cases {
         let l = model.weight_layer_count();
         let xb = CrossbarConfig::new(128, 2).unwrap();
         let dac = DacConfig::new(1).unwrap();
@@ -88,13 +94,11 @@ fn delta_rescoring_is_bit_identical_on_mutation_walks() {
             // Each step scores on a fresh evaluator sharing the one session:
             // its memo is empty, so even a gene the walk revisits is scored
             // in the session instead of being served from the memo.
-            let mut score_child = |child: &MacAllocGene, parent: &MacAllocGene| {
+            let mut score_child = |child: &MacAllocGene, parent: Option<&MacAllocGene>| {
                 let eval =
                     CandidateEvaluator::new(model, *power, &hw, mode, Objective::PowerEfficiency);
                 let batch = std::slice::from_ref(child);
-                let score = eval
-                    .score_batch_with_parents(&mut session, batch, &[Some(parent)], &ctx)
-                    .0[0];
+                let score = eval.score_batch(&mut session, batch, &[parent], &ctx).0[0];
                 let stats = eval.stats();
                 delta_hits += stats.delta_hits;
                 delta_fallbacks += stats.delta_fallbacks;
@@ -104,8 +108,8 @@ fn delta_rescoring_is_bit_identical_on_mutation_walks() {
             let mut macros = vec![1usize; l];
             let mut shares: Vec<Option<usize>> = vec![None; l];
             let mut parent = MacAllocGene::encode(&macros, &shares);
-            // Self-parented first score: a fallback that seeds retention.
-            let (a, _) = score_child(&parent, &parent);
+            // Parentless first score: a fallback that seeds retention.
+            let (a, _) = score_child(&parent, None);
             let b = full.score(&df, point, &parent);
             assert_eq!(a.fitness.to_bits(), b.fitness.to_bits());
             let mut parent_feasible = a.feasible;
@@ -138,7 +142,7 @@ fn delta_rescoring_is_bit_identical_on_mutation_walks() {
                     }
                 }
                 let child = MacAllocGene::encode(&macros, &shares);
-                let (d, hits) = score_child(&child, &parent);
+                let (d, hits) = score_child(&child, Some(&parent));
                 let f = full.score(&df, point, &child);
                 assert_eq!(
                     d.fitness.to_bits(),
@@ -158,14 +162,14 @@ fn delta_rescoring_is_bit_identical_on_mutation_walks() {
                 parent = child;
             }
             assert!(
-                delta_hits > 0,
-                "{model} {mode} seed {seed}: walk never exercised the delta path \
+                delta_hits >= *min_hits,
+                "{model} {power} {mode} seed {seed}: {delta_hits} delta hits, below {min_hits} \
                  ({delta_fallbacks} fallbacks)"
             );
             assert_eq!(
                 delta_hits + delta_fallbacks,
                 41,
-                "{model} {mode} seed {seed}: every parented score is a hit or a fallback"
+                "{model} {mode} seed {seed}: every score is a hit or a fallback"
             );
         }
     }
