@@ -35,7 +35,12 @@
 //! A session lives for one EA run — one dataflow at one design point — and
 //! its retained breakdowns and memos are freed when the run returns: each
 //! `(RatioRram, crossbar, DAC, WtDup)` combination is explored by exactly
-//! one EA run, so nothing a run retains could serve another.
+//! one EA run, so nothing a run retains could serve another. That holds for
+//! the run's candidate memo too, which the session carries: the session
+//! pins the dataflow and design point, so the memo is keyed by the gene
+//! alone, and a run scores at most `population + generations x
+//! (population - 2)` candidates (352 at paper effort), so it needs no lock
+//! and no capacity.
 //!
 //! [`MacroMode::Identical`]: pimsyn_arch::MacroMode::Identical
 //! [`solve_pipeline`]: pimsyn_sim::solve_pipeline
@@ -57,8 +62,9 @@ use crate::eval::{CandidateScore, EvalCore};
 use crate::space::DesignPoint;
 
 /// Retained breakdowns kept per session (FIFO eviction). A paper-effort EA
-/// run retains at most 336 (24 generations of 14 children), so the cap only
-/// bounds callers that drive one session far longer.
+/// run retains at most 352 (16 generation-0 genes plus 24 generations of 14
+/// children), so the cap only bounds callers that drive one session far
+/// longer.
 const RETAIN_CAP: usize = 4096;
 
 /// Entry bound of each per-session memo; once full, further values are
@@ -66,7 +72,7 @@ const RETAIN_CAP: usize = 4096;
 const MEMO_CAP: usize = 1 << 16;
 
 /// Multiplicative word hasher (the rustc/FxHash scheme) for the hot-loop
-/// maps: the session memos and the evaluator's in-batch duplicate index.
+/// maps: the session's candidate memo and its solve, NoC and power memos.
 /// Their keys are a few machine words or a short `u32` gene slice, and at
 /// several lookups per candidate the default SipHash costs more than some
 /// of the arithmetic being memoized. Not DoS-resistant — fine here, the
@@ -266,7 +272,8 @@ fn rebuild_groups(groups: &mut Vec<MacroGroup>, macros: &[usize], shares: &[Opti
 }
 
 /// What one session scoring produced, and how.
-pub(crate) struct DeltaOutcome {
+#[derive(Debug)]
+pub struct DeltaOutcome {
     /// The slim score, bit-identical to [`EvalCore::score`].
     pub score: CandidateScore,
     /// Layers whose base costs were recomputed (0 for a pure reuse, the
@@ -277,16 +284,20 @@ pub(crate) struct DeltaOutcome {
     pub used_delta: bool,
 }
 
-/// The delta-rescoring state of one EA run: one dataflow at one design
-/// point. Create one per run, pass it to every [`score_batch`] call of the
-/// run and drop it when the run returns, which frees every breakdown and
-/// memo it holds. The state is built on the first memo miss, so a session
-/// that never scores costs nothing.
+/// The candidate memo and delta-rescoring state of one EA run: one dataflow
+/// at one design point. Create one per run, pass it to every [`score_batch`]
+/// call of the run and drop it when the run returns, which frees every
+/// score, breakdown and memo it holds. The rescoring state is built on the
+/// first memo miss, so a session that never scores costs nothing.
 ///
 /// [`score_batch`]: crate::CandidateEvaluator::score_batch
 pub struct DeltaSession<'d> {
     df: &'d Dataflow,
     point: DesignPoint,
+    /// The run's candidate memo: the score of every gene
+    /// [`score_batch`](crate::CandidateEvaluator::score_batch) scored in
+    /// this session.
+    pub(crate) memo: FastMap<Vec<u32>, CandidateScore>,
     state: Option<PlanState>,
 }
 
@@ -295,6 +306,7 @@ impl std::fmt::Debug for DeltaSession<'_> {
         let retained = self.state.as_ref().map_or(0, |ps| ps.retained.len());
         f.debug_struct("DeltaSession")
             .field("point", &self.point)
+            .field("memo", &self.memo.len())
             .field("retained", &retained)
             .finish_non_exhaustive()
     }
@@ -306,16 +318,19 @@ impl<'d> DeltaSession<'d> {
         Self {
             df,
             point,
+            memo: FastMap::default(),
             state: None,
         }
     }
 
     /// The dataflow every candidate of this session is scored under.
+    #[cfg(test)]
     pub(crate) fn dataflow(&self) -> &'d Dataflow {
         self.df
     }
 
     /// The design point every candidate of this session is scored at.
+    #[cfg(test)]
     pub(crate) fn point(&self) -> DesignPoint {
         self.point
     }
@@ -323,8 +338,11 @@ impl<'d> DeltaSession<'d> {
     /// Scores one candidate, incrementally when `parent` has a retained
     /// breakdown, with a full (but still session-memoized) recomputation
     /// when it has none or is `None`. Bit-identical to [`EvalCore::score`]
-    /// in every case.
-    pub(crate) fn score(
+    /// in every case. `core` must be built for the run this session serves.
+    /// The candidate memo is neither consulted nor filled: that is
+    /// [`score_batch`](crate::CandidateEvaluator::score_batch)'s job, so a
+    /// revisited gene scores here again.
+    pub fn score(
         &mut self,
         core: &EvalCore<'_>,
         gene: &MacAllocGene,

@@ -271,9 +271,9 @@ pub fn explore_macro_partitioning(
 /// even when the run ends infeasible — so callers can keep their reported
 /// counts consistent with the budget counter. All scoring goes through
 /// `evaluator` (whose objective must match `cfg.objective`); generations are
-/// scored as batches with deterministic reduction, every memo miss in one
-/// [`DeltaSession`] owned by the run, so everything it retains is freed when
-/// the run returns.
+/// scored as batches with deterministic reduction in one [`DeltaSession`]
+/// owned by the run, which holds the run's memo, so every score and
+/// breakdown it keeps is freed when the run returns.
 pub(crate) fn run_ea_counted(
     df: &Dataflow,
     point: DesignPoint,
@@ -357,6 +357,8 @@ pub(crate) fn run_ea_counted(
         population.extend(child_genes.into_iter().zip(child_scores));
         sort_population(&mut population);
     }
+    #[cfg(test)]
+    evaluator.finish_session(&session);
 
     let best = population
         .into_iter()
@@ -537,11 +539,10 @@ mod tests {
         assert!(matches!(r, Err(DseError::NoFeasibleSolution)));
     }
 
-    /// Delta state lives for one EA run: runs that share an evaluator (two
-    /// dataflows, then the first again) each match the same run on a fresh
-    /// evaluator — outcome and that run's delta counters. The shared memo
-    /// is emptied before each run, so delta state is the only thing a run
-    /// could inherit.
+    /// Memo and delta state live for one EA run: runs that share an
+    /// evaluator (two dataflows, then the first again) each match the same
+    /// run on a fresh evaluator — outcome and that run's memo and delta
+    /// counters, so the third run hits nothing the first one stored.
     #[test]
     fn no_delta_state_crosses_ea_runs() {
         let (model, df_a, point, power, hw) = setup();
@@ -553,11 +554,16 @@ mod tests {
             || CandidateEvaluator::new(&model, power, &hw, MacroMode::Specialized, cfg.objective);
         let counters = |e: &CandidateEvaluator<'_>| {
             let s = e.stats();
-            [s.delta_hits, s.delta_fallbacks, s.layers_recomputed]
+            [
+                s.delta_hits,
+                s.delta_fallbacks,
+                s.layers_recomputed,
+                s.unique_evaluations,
+                s.cache_hits,
+            ]
         };
         let shared = new_evaluator();
         for (run, df) in [&df_a, &df_b, &df_a].into_iter().enumerate() {
-            shared.clear_memo();
             let before = counters(&shared);
             let got = run_ea_counted(df, point, &cfg, &ctx, &shared).1.unwrap();
             let after = counters(&shared);
@@ -568,7 +574,7 @@ mod tests {
             assert_eq!(got.report, want.report, "run {run}");
             assert_eq!(got.fitness.to_bits(), want.fitness.to_bits(), "run {run}");
             assert_eq!(got.evaluations, want.evaluations, "run {run}");
-            let increments = [0, 1, 2].map(|k| after[k] - before[k]);
+            let increments = [0, 1, 2, 3, 4].map(|k| after[k] - before[k]);
             assert_eq!(increments, counters(&fresh), "run {run}");
             assert!(increments[0] > 0, "run {run} never used the delta path");
         }

@@ -10,40 +10,33 @@
 //!   plus the analytic model for one run's fixed model, power, hardware,
 //!   macro mode and objective. It holds no state and no policy: scoring a
 //!   candidate through it is a pure function.
-//! - The [`CandidateEvaluator`] wraps a core with the *caching and
-//!   accounting* layers: a memo keyed by the canonicalized candidate,
-//!   budget charging and statistics. Every memo miss is scored on the
-//!   calling thread in the EA run's [`DeltaSession`], incrementally when
-//!   its parent's breakdown is retained and in full otherwise.
+//! - The [`CandidateEvaluator`] wraps a core with the *accounting* layer:
+//!   budget charging and statistics. It scores each EA run's candidates in
+//!   that run's [`DeltaSession`], which memoizes them by gene and scores
+//!   every miss on the calling thread, incrementally when its parent's
+//!   breakdown is retained and in full otherwise.
 //!
 //! Caching is *transparent*: evaluation is a pure function of the
 //! candidate, so a memo hit or a session score returns exactly what
 //! [`EvalCore::score`] computes for it, and every scored candidate — hit or
 //! miss — is charged to the [`ExploreContext`] budget. Unique evaluations
 //! (memo misses) are charged to the separate `max_unique_evaluations`
-//! budget and reported through [`EvaluatorStats`].
+//! budget and reported through [`EvaluatorStats`]. Each EA run has its own
+//! memo, so the counters do not depend on which thread ran which run.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
 
-use pimsyn_arch::{Architecture, CrossbarConfig, HardwareParams, MacroMode, Watts};
+use pimsyn_arch::{Architecture, HardwareParams, MacroMode, Watts};
 use pimsyn_ir::Dataflow;
 use pimsyn_model::Model;
 use pimsyn_sim::{evaluate_analytic, SimReport};
 
 use crate::alloc::{allocate_components, AllocRequest};
 use crate::ctx::ExploreContext;
-use crate::delta::{DeltaSession, FastMap};
+use crate::delta::DeltaSession;
 use crate::ea::{MacAllocGene, Objective};
 use crate::sa::SaTable;
 use crate::space::DesignPoint;
-
-/// Entry bound of the candidate memo: roomy for a paper-scale run while
-/// bounding worst-case memory (an entry holds a [`CandidateScore`], two
-/// words). Once the memo is full, new results are returned without being
-/// stored (no eviction, so resident entries keep hitting).
-const MEMO_CAPACITY: usize = 1 << 16;
 
 /// Cumulative evaluator throughput counters, reported through
 /// [`ExploreEvent::EvaluatorStats`](crate::ExploreEvent::EvaluatorStats).
@@ -54,9 +47,10 @@ const MEMO_CAPACITY: usize = 1 << 16;
 pub struct EvaluatorStats {
     /// Candidate scoring requests (cache hits included).
     pub scored: usize,
-    /// Full compile → allocate → analytic-model evaluations actually run.
+    /// Memo misses: candidates the EA run's delta session scored,
+    /// incrementally or in full (`delta_hits + delta_fallbacks`).
     pub unique_evaluations: usize,
-    /// Requests served from the candidate memo.
+    /// Requests served from the EA run's candidate memo.
     pub cache_hits: usize,
     /// SA energy-function probes (weight-duplication stage).
     pub sa_probes: usize,
@@ -98,28 +92,9 @@ impl EvaluatorStats {
     }
 }
 
-/// Canonical identity of one candidate within a synthesis run. The model,
-/// power constraint, hardware constants, macro mode and objective are fixed
-/// per evaluator, so the key only carries what varies between candidates.
-#[derive(Debug, Hash, PartialEq, Eq, Clone)]
-pub struct CandidateKey {
-    /// `RatioRram` (bit pattern — the grid values are exact constants).
-    pub ratio_bits: u64,
-    /// Crossbar size and cell resolution.
-    pub crossbar: CrossbarConfig,
-    /// DAC resolution in bits.
-    pub dac_bits: u32,
-    /// Per-layer weight duplication; shared across every key of a batch
-    /// (hash/eq see through the `Arc`).
-    pub wt_dup: Arc<Vec<usize>>,
-    /// The `MacAlloc` gene in the paper's canonical `owner*1000 + n`
-    /// encoding (macro counts and sharing in one vector).
-    pub gene: Vec<u32>,
-}
-
 /// Fitness and feasibility of one scored candidate.
 ///
-/// Deliberately slim (two words): the memo cache holds one of these per
+/// Deliberately slim (two words): an EA run's memo holds one of these per
 /// unique candidate, so it stores no architecture or report —
 /// [`CandidateEvaluator::realize`] recomputes a winner's full implementation
 /// on demand (one full scoring).
@@ -246,8 +221,8 @@ impl<'a> EvalCore<'a> {
 }
 
 /// The shared evaluation layer: scores macro-partitioning candidates
-/// (components allocation + analytic model), memoized and rescored in delta
-/// sessions, and counts SA duplication probes.
+/// (components allocation + analytic model), memoized and rescored in each
+/// EA run's delta session, and counts SA duplication probes.
 ///
 /// One evaluator spans one synthesis run (fixed model, power budget,
 /// hardware constants, macro mode and objective); worker threads share it by
@@ -256,10 +231,6 @@ impl<'a> EvalCore<'a> {
 /// their own.
 pub struct CandidateEvaluator<'a> {
     core: EvalCore<'a>,
-    /// Entry bound of the candidate memo: [`MEMO_CAPACITY`], lowered only
-    /// by tests.
-    capacity: usize,
-    candidates: Mutex<HashMap<CandidateKey, CandidateScore>>,
     /// Per-layer static Eq. (4) terms, so SA probes skip the model walk.
     sa_table: SaTable,
     scored: AtomicUsize,
@@ -269,6 +240,10 @@ pub struct CandidateEvaluator<'a> {
     delta_hits: AtomicUsize,
     delta_fallbacks: AtomicUsize,
     layers_recomputed: AtomicUsize,
+    /// Receives each EA run's session before it drops, so a test can
+    /// inspect the run's memo.
+    #[cfg(test)]
+    pub(crate) session_hook: Option<&'a (dyn Fn(&DeltaSession<'_>) + Sync)>,
 }
 
 impl std::fmt::Debug for CandidateEvaluator<'_> {
@@ -291,8 +266,6 @@ impl<'a> CandidateEvaluator<'a> {
     ) -> Self {
         Self {
             core: EvalCore::new(model, total_power, hw, macro_mode, objective),
-            capacity: MEMO_CAPACITY,
-            candidates: Mutex::new(HashMap::new()),
             sa_table: SaTable::new(model),
             scored: AtomicUsize::new(0),
             unique: AtomicUsize::new(0),
@@ -301,6 +274,8 @@ impl<'a> CandidateEvaluator<'a> {
             delta_hits: AtomicUsize::new(0),
             delta_fallbacks: AtomicUsize::new(0),
             layers_recomputed: AtomicUsize::new(0),
+            #[cfg(test)]
+            session_hook: None,
         }
     }
 
@@ -317,29 +292,6 @@ impl<'a> CandidateEvaluator<'a> {
         self.sa_table.energy(dup, alpha)
     }
 
-    fn make_key(
-        &self,
-        df: &Dataflow,
-        point: DesignPoint,
-        gene: &MacAllocGene,
-        wt_dup: &Arc<Vec<usize>>,
-    ) -> CandidateKey {
-        CandidateKey {
-            ratio_bits: point.ratio_rram.to_bits(),
-            crossbar: point.crossbar,
-            dac_bits: df.dac().bits(),
-            wt_dup: Arc::clone(wt_dup),
-            gene: gene.as_slice().to_vec(),
-        }
-    }
-
-    fn store(&self, key: CandidateKey, score: CandidateScore) {
-        let mut memo = self.candidates.lock().expect("candidate memo");
-        if memo.len() < self.capacity {
-            memo.insert(key, score);
-        }
-    }
-
     /// Scores a generation of candidates of `session`'s dataflow and design
     /// point, returning `(scores, charged)`: scores in input order and the
     /// number of candidates charged to the budget. `parents[i]` names the
@@ -350,14 +302,13 @@ impl<'a> CandidateEvaluator<'a> {
     /// once a stop (cancellation, deadline, exhausted budget) is observed,
     /// the rest come back as [`CandidateScore::INFEASIBLE`] placeholders,
     /// neither charged nor stored. Otherwise it is charged, then served
-    /// from the memo, or from an earlier miss of this call (counted as the
-    /// hit the memo would have given, full or not), or scored in `session`
-    /// and stored at once. The session rescores a miss incrementally when
-    /// it retained the parent's breakdown and in full otherwise, retaining
-    /// every feasible result so the next generation can delta against it;
-    /// either way the score is bit-identical to [`EvalCore::score`]. One EA
-    /// run passes one session to every generation's call and drops it when
-    /// the run ends.
+    /// from the session's memo, or scored in `session` and stored in its
+    /// memo at once, so a later duplicate in the same call is a hit too.
+    /// The session rescores a miss incrementally when it retained the
+    /// parent's breakdown and in full otherwise, retaining every feasible
+    /// result so the next generation can delta against it; either way the
+    /// score is bit-identical to [`EvalCore::score`]. One EA run passes one
+    /// session to every generation's call and drops it when the run ends.
     pub fn score_batch(
         &self,
         session: &mut DeltaSession<'_>,
@@ -365,15 +316,8 @@ impl<'a> CandidateEvaluator<'a> {
         parents: &[Option<&MacAllocGene>],
         ctx: &ExploreContext<'_>,
     ) -> (Vec<CandidateScore>, usize) {
-        let (df, point) = (session.dataflow(), session.point());
-        let wt_dup = Arc::new(df.programs().iter().map(|p| p.wt_dup).collect::<Vec<_>>());
         let mut out = vec![CandidateScore::INFEASIBLE; genes.len()];
         let mut charged = 0usize;
-        // This call's misses, so a later duplicate is a hit even when the
-        // memo is full and stores nothing. Keyed by gene alone: every key
-        // of one call shares the session's dataflow and design point.
-        let mut in_batch: FastMap<&[u32], CandidateScore> = FastMap::default();
-
         for (i, gene) in genes.iter().enumerate() {
             if ctx.should_stop() {
                 break;
@@ -381,14 +325,7 @@ impl<'a> CandidateEvaluator<'a> {
             ctx.count_evaluations(1);
             self.scored.fetch_add(1, Ordering::Relaxed);
             charged += 1;
-            let key = self.make_key(df, point, gene, &wt_dup);
-            let hit = {
-                let memo = self.candidates.lock().expect("candidate memo");
-                memo.get(&key)
-                    .or_else(|| in_batch.get(gene.as_slice()))
-                    .copied()
-            };
-            if let Some(hit) = hit {
+            if let Some(&hit) = session.memo.get(gene.as_slice()) {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 out[i] = hit;
                 continue;
@@ -406,8 +343,7 @@ impl<'a> CandidateEvaluator<'a> {
             self.layers_recomputed
                 .fetch_add(scored.layers_recomputed, Ordering::Relaxed);
             out[i] = scored.score;
-            self.store(key, out[i]);
-            in_batch.insert(gene.as_slice(), out[i]);
+            session.memo.insert(gene.as_slice().to_vec(), scored.score);
         }
         (out, charged)
     }
@@ -444,11 +380,13 @@ impl<'a> CandidateEvaluator<'a> {
         }
     }
 
-    /// Empties the candidate memo (counters untouched), so a test can run
-    /// a search on this evaluator as if its memo were fresh.
+    /// Hands an EA run's session to the test hook, if one is set, before
+    /// the run drops it.
     #[cfg(test)]
-    pub(crate) fn clear_memo(&self) {
-        self.candidates.lock().expect("candidate memo").clear();
+    pub(crate) fn finish_session(&self, session: &DeltaSession<'_>) {
+        if let Some(hook) = self.session_hook {
+            hook(session);
+        }
     }
 }
 
@@ -457,7 +395,7 @@ mod tests {
     use super::*;
     use crate::explore::{run_dse_evaluated, DseConfig};
     use crate::sa::sa_energy;
-    use pimsyn_arch::{DacConfig, HardwareParams};
+    use pimsyn_arch::{CrossbarConfig, DacConfig, HardwareParams};
     use pimsyn_model::zoo;
 
     fn setup() -> (Model, Dataflow, DesignPoint) {
@@ -494,16 +432,14 @@ mod tests {
         MacAllocGene::encode(&vec![macros; l], &vec![None; l])
     }
 
-    /// Scores `genes` without parents in a fresh session; the scores.
+    /// Scores `genes` without parents in `session`; the scores.
     fn score_all(
         eval: &CandidateEvaluator<'_>,
-        df: &Dataflow,
-        point: DesignPoint,
+        session: &mut DeltaSession<'_>,
         genes: &[MacAllocGene],
         ctx: &ExploreContext<'_>,
     ) -> Vec<CandidateScore> {
-        eval.score_batch(&mut DeltaSession::new(df, point), genes, &[], ctx)
-            .0
+        eval.score_batch(session, genes, &[], ctx).0
     }
 
     #[test]
@@ -513,8 +449,9 @@ mod tests {
         let hw = HardwareParams::date24();
         let eval = evaluator(&model, &hw);
         let ctx = ExploreContext::unobserved();
-        let a = score_all(&eval, &df, point, &[gene(l, 1)], &ctx);
-        let b = score_all(&eval, &df, point, &[gene(l, 1)], &ctx);
+        let mut session = DeltaSession::new(&df, point);
+        let a = score_all(&eval, &mut session, &[gene(l, 1)], &ctx);
+        let b = score_all(&eval, &mut session, &[gene(l, 1)], &ctx);
         assert_eq!(a, b, "hit must return the stored score verbatim");
         let stats = eval.stats();
         assert_eq!(stats.scored, 2);
@@ -537,8 +474,9 @@ mod tests {
         let core = core_in(&model, &hw, MacroMode::Specialized);
         let ctx = ExploreContext::unobserved();
         let g = gene(l, 2);
-        let a = score_all(&eval, &df, point, std::slice::from_ref(&g), &ctx)[0];
-        let hit = score_all(&eval, &df, point, std::slice::from_ref(&g), &ctx)[0];
+        let mut session = DeltaSession::new(&df, point);
+        let a = score_all(&eval, &mut session, std::slice::from_ref(&g), &ctx)[0];
+        let hit = score_all(&eval, &mut session, std::slice::from_ref(&g), &ctx)[0];
         let reference = core.score(&df, point, &g);
         assert_eq!(a.fitness.to_bits(), reference.fitness.to_bits());
         assert_eq!(a.feasible, reference.feasible);
@@ -642,7 +580,7 @@ mod tests {
         assert_eq!(ctx.observed_stop(), Some(StopReason::Cancelled));
         let stats = eval.stats();
         assert_eq!((stats.scored, stats.unique_evaluations), (2, 2));
-        assert_eq!(eval.candidates.lock().unwrap().len(), 2);
+        assert_eq!(session.memo.len(), 2);
     }
 
     #[test]
@@ -653,7 +591,8 @@ mod tests {
         let eval = evaluator(&model, &hw);
         let ctx = ExploreContext::unobserved();
         let g = gene(l, 1);
-        let score = score_all(&eval, &df, point, std::slice::from_ref(&g), &ctx)[0];
+        let mut session = DeltaSession::new(&df, point);
+        let score = score_all(&eval, &mut session, std::slice::from_ref(&g), &ctx)[0];
         assert!(score.feasible);
         let (arch, report) = eval.realize(&df, point, &g).expect("feasible");
         arch.validate(&model).expect("realized winner validates");
@@ -679,21 +618,6 @@ mod tests {
         let stats = eval.stats();
         assert_eq!(stats.sa_probes, 2);
         assert_eq!(stats.sa_cache_hits, 0);
-    }
-
-    #[test]
-    fn zero_capacity_never_stores() {
-        let (model, df, point) = setup();
-        let l = model.weight_layer_count();
-        let hw = HardwareParams::date24();
-        let mut eval = evaluator(&model, &hw);
-        eval.capacity = 0;
-        let ctx = ExploreContext::unobserved();
-        score_all(&eval, &df, point, &[gene(l, 1)], &ctx);
-        score_all(&eval, &df, point, &[gene(l, 1)], &ctx);
-        let stats = eval.stats();
-        assert_eq!(stats.cache_hits, 0);
-        assert_eq!(stats.unique_evaluations, 2);
     }
 
     /// Every miss is scored in the session and is bit-identical to the
@@ -832,11 +756,11 @@ mod tests {
         assert_eq!(stats.delta_hits, 3);
     }
 
-    /// A miss serves later duplicates in its batch as hits even when the
-    /// memo is full, so a capacity-0 evaluator charges the same whether
-    /// the batch offers parents (delta hits) or not (fallbacks).
+    /// A miss reaches the session's memo at once and serves later
+    /// duplicates in its batch as hits, so a batch charges the same whether
+    /// it offers parents (delta hits) or not (fallbacks).
     #[test]
-    fn in_batch_duplicates_hit_with_a_full_memo_with_or_without_delta() {
+    fn in_batch_duplicates_hit_with_or_without_delta() {
         let (model, df, point) = setup();
         let l = model.weight_layer_count();
         let hw = HardwareParams::date24();
@@ -846,8 +770,7 @@ mod tests {
         let genes = vec![MacAllocGene::encode(&m, &vec![None; l]); 3];
         let parents = [Some(&parent); 3];
         let run = |delta: bool| {
-            let mut eval = evaluator(&model, &hw);
-            eval.capacity = 0;
+            let eval = evaluator(&model, &hw);
             let ctx = ExploreContext::unobserved();
             let mut session = DeltaSession::new(&df, point);
             if delta {
@@ -879,11 +802,12 @@ mod tests {
         assert_eq!(off_counts, [1, 2, 1, 0]);
     }
 
-    /// A memo hit can only return the reference score: after each search
-    /// over five zoo models (both macro modes, seeds 3 and 17, fast effort),
-    /// every candidate-memo entry rescored from its key alone through
-    /// [`EvalCore::score`] matches bit for bit, and every memo miss of the
-    /// search was scored in a session (a delta hit or a fallback).
+    /// A memo hit can only return the reference score: in each of 20 fast
+    /// searches (five zoo models, both macro modes, seeds 3 and 17), every
+    /// EA run's memo entry, rescored through [`EvalCore::score`] under the
+    /// run's dataflow and design point before the run drops its session,
+    /// matches bit for bit. Every memo miss of a search reached its run's
+    /// memo and was scored in the session (a delta hit or a fallback).
     #[test]
     fn every_memo_entry_rescores_bit_identically() {
         let cases = [
@@ -897,7 +821,7 @@ mod tests {
             (zoo::resnet18_se(), Watts(30.0)),
             (zoo::mobilenet(), Watts(120.0)),
         ];
-        let mut candidates = 0usize;
+        let rescored = AtomicUsize::new(0);
         for (model, power) in &cases {
             for mode in [MacroMode::Specialized, MacroMode::Identical] {
                 for seed in [3u64, 17] {
@@ -910,45 +834,44 @@ mod tests {
                     cfg.ea.seed = seed ^ 0xEA;
                     let case = format!("{model} {mode} seed {seed}");
                     let objective = cfg.ea.objective;
-                    let eval = CandidateEvaluator::new(model, *power, &cfg.hw, mode, objective);
+                    let core = EvalCore::new(model, *power, &cfg.hw, mode, objective);
+                    let check = |session: &DeltaSession<'_>| {
+                        let (df, point) = (session.dataflow(), session.point());
+                        for (raw, score) in &session.memo {
+                            let gene = MacAllocGene::from_raw(raw.clone()).unwrap();
+                            let reference = core.score(df, point, &gene);
+                            let at = format!("{case}: {point:?} {raw:?}");
+                            assert_eq!(
+                                score.fitness.to_bits(),
+                                reference.fitness.to_bits(),
+                                "{at}"
+                            );
+                            assert_eq!(score.feasible, reference.feasible, "{at}");
+                        }
+                        rescored.fetch_add(session.memo.len(), Ordering::Relaxed);
+                    };
+                    let mut eval = CandidateEvaluator::new(model, *power, &cfg.hw, mode, objective);
+                    eval.session_hook = Some(&check);
+                    let before = rescored.load(Ordering::Relaxed);
                     let ctx = ExploreContext::unobserved();
                     run_dse_evaluated(model, &cfg, &ctx, &eval).expect(&case);
                     let stats = eval.stats();
+                    assert_eq!(
+                        rescored.load(Ordering::Relaxed) - before,
+                        stats.unique_evaluations,
+                        "{case}: every memo miss is stored in its run's memo"
+                    );
                     assert_eq!(
                         stats.delta_hits + stats.delta_fallbacks,
                         stats.unique_evaluations,
                         "{case}: every memo miss is scored in a session"
                     );
-
-                    let core = EvalCore::new(model, *power, &cfg.hw, mode, objective);
-                    let mut dataflows = HashMap::new();
-                    let memo = eval.candidates.lock().unwrap();
-                    for (key, score) in memo.iter() {
-                        let df = dataflows
-                            .entry((key.crossbar, key.dac_bits, Arc::clone(&key.wt_dup)))
-                            .or_insert_with(|| {
-                                let dac = DacConfig::new(key.dac_bits).unwrap();
-                                Dataflow::compile(model, key.crossbar, dac, &key.wt_dup).unwrap()
-                            });
-                        let point = DesignPoint {
-                            ratio_rram: f64::from_bits(key.ratio_bits),
-                            crossbar: key.crossbar,
-                        };
-                        let gene = MacAllocGene::from_raw(key.gene.clone()).unwrap();
-                        let reference = core.score(df, point, &gene);
-                        assert_eq!(
-                            score.fitness.to_bits(),
-                            reference.fitness.to_bits(),
-                            "{case}: {key:?}"
-                        );
-                        assert_eq!(score.feasible, reference.feasible, "{case}: {key:?}");
-                    }
-                    candidates += memo.len();
                 }
             }
         }
-        assert!(candidates > 0);
-        eprintln!("rescored {candidates} candidate entries");
+        let rescored = rescored.into_inner();
+        assert!(rescored > 0);
+        eprintln!("rescored {rescored} candidate entries");
     }
 
     #[test]

@@ -330,8 +330,9 @@ pub fn run_dse_observed(
     cfg: &DseConfig,
     ctx: &ExploreContext<'_>,
 ) -> Result<DseOutcome, DseError> {
-    // One evaluator (and memo cache) spans every stage of every design
-    // point; worker threads share it by reference.
+    // One evaluator spans every stage of every design point, so its
+    // counters are the job's; worker threads share it by reference. Each EA
+    // run memoizes its candidates in its own session.
     let evaluator = CandidateEvaluator::new(
         model,
         cfg.total_power,
@@ -496,13 +497,27 @@ mod tests {
         serial.parallel = false;
         let mut parallel = serial.clone();
         parallel.parallel = true;
-        let a = run_dse(&model, &serial).unwrap();
-        let b = run_dse(&model, &parallel).unwrap();
+        let run = |cfg: &DseConfig| {
+            let eval = CandidateEvaluator::new(
+                &model,
+                cfg.total_power,
+                &cfg.hw,
+                cfg.macro_mode,
+                cfg.ea.objective,
+            );
+            let out = run_dse_evaluated(&model, cfg, &ExploreContext::unobserved(), &eval);
+            (out.unwrap(), eval.stats())
+        };
+        let (a, a_stats) = run(&serial);
+        let (b, b_stats) = run(&parallel);
         assert_eq!(a.wt_dup, b.wt_dup);
         assert_eq!(
             a.report.efficiency_tops_per_watt(),
             b.report.efficiency_tops_per_watt()
         );
+        // Each EA run has its own memo, so which worker ran which point
+        // cannot move a counter.
+        assert_eq!(a_stats, b_stats);
     }
 
     #[test]

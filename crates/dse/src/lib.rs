@@ -14,8 +14,9 @@
 //!   `i*1000 + n` gene encoding and `mutate_num` / `mutate_share` operators.
 //! - [`allocate_components`]: the Eq. (6) closed-form water-filling.
 //! - [`CandidateEvaluator`]: scores every candidate of every stage on the
-//!   calling thread, behind a memo and budget charging; every memo miss is
-//!   scored in the EA run's delta session.
+//!   calling thread, behind budget charging and the EA run's memo; every
+//!   memo miss is scored in that run's [`DeltaSession`], which holds the
+//!   memo.
 //! - [`run_dse`]: the full Algorithm 1 nest, parallelized over outer design
 //!   points with deterministic per-point seeds.
 //!
@@ -57,10 +58,10 @@ pub use ctx::{
     CancelToken, ExploreBudget, ExploreContext, ExploreEvent, ExploreObserver, NullObserver,
     StopReason, SynthesisStage,
 };
-pub use delta::DeltaSession;
+pub use delta::{DeltaOutcome, DeltaSession};
 pub use ea::{explore_macro_partitioning, EaConfig, EaOutcome, MacAllocGene, Objective, GENE_BASE};
 pub use error::DseError;
-pub use eval::{CandidateEvaluator, CandidateKey, CandidateScore, EvalCore, EvaluatorStats};
+pub use eval::{CandidateEvaluator, CandidateScore, EvalCore, EvaluatorStats};
 pub use explore::{run_dse, run_dse_observed, DseConfig, DseOutcome, PointResult, WtDupStrategy};
 pub use sa::{
     crossbars_used, no_duplication, sa_energy, woho_proportional, wt_dup_candidates, SaConfig,

@@ -33,8 +33,7 @@ pub struct SweepPoint {
 ///
 /// Candidate scoring at every level goes through the unified
 /// [`CandidateEvaluator`](crate::CandidateEvaluator). Each level builds its
-/// own evaluator: candidate memo keys assume a fixed power constraint, so a
-/// memo must not span sweep levels.
+/// own evaluator: an evaluator scores under one fixed power constraint.
 pub fn sweep_power(model: &Model, base: &DseConfig, powers: &[Watts]) -> Vec<SweepPoint> {
     powers
         .iter()

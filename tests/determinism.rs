@@ -37,7 +37,9 @@ fn different_seeds_may_differ_but_stay_feasible() {
 /// Seeded randomized mutation walks: starting from a baseline gene, each
 /// step applies one EA-style mutation (one `mutate_num`, sometimes plus one
 /// `mutate_share`; every 8th step 3–5 `mutate_num` edits at once) and
-/// scores the child against its parent in one delta session. Every step
+/// scores the child against its parent in one delta session, through
+/// `DeltaSession::score` itself, so a gene the walk revisits is scored
+/// again instead of being served from the memo. Every step
 /// must be bit-identical to [`EvalCore::score`](pimsyn_dse::EvalCore), and
 /// every child of a feasible (hence retained) parent must be a delta hit,
 /// however many entries its gene changed — under both macro modes. Each
@@ -47,10 +49,7 @@ fn different_seeds_may_differ_but_stay_feasible() {
 #[test]
 fn delta_rescoring_is_bit_identical_on_mutation_walks() {
     use pimsyn_arch::{CrossbarConfig, DacConfig, HardwareParams};
-    use pimsyn_dse::{
-        CandidateEvaluator, DeltaSession, DesignPoint, EvalCore, ExploreContext, MacAllocGene,
-        Objective,
-    };
+    use pimsyn_dse::{DeltaSession, DesignPoint, EvalCore, MacAllocGene, Objective};
     use pimsyn_ir::Dataflow;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -88,21 +87,14 @@ fn delta_rescoring_is_bit_identical_on_mutation_walks() {
             .flat_map(|mode| [7u64, 21].map(|seed| (mode, seed)));
         for (mode, seed) in walks {
             let full = EvalCore::new(model, *power, &hw, mode, Objective::PowerEfficiency);
-            let ctx = ExploreContext::unobserved();
             let mut session = DeltaSession::new(&df, point);
             let (mut delta_hits, mut delta_fallbacks) = (0, 0);
-            // Each step scores on a fresh evaluator sharing the one session:
-            // its memo is empty, so even a gene the walk revisits is scored
-            // in the session instead of being served from the memo.
             let mut score_child = |child: &MacAllocGene, parent: Option<&MacAllocGene>| {
-                let eval =
-                    CandidateEvaluator::new(model, *power, &hw, mode, Objective::PowerEfficiency);
-                let batch = std::slice::from_ref(child);
-                let score = eval.score_batch(&mut session, batch, &[parent], &ctx).0[0];
-                let stats = eval.stats();
-                delta_hits += stats.delta_hits;
-                delta_fallbacks += stats.delta_fallbacks;
-                (score, stats.delta_hits)
+                let out = session.score(&full, child, parent.map(MacAllocGene::as_slice));
+                let hits = usize::from(out.used_delta);
+                delta_hits += hits;
+                delta_fallbacks += 1 - hits;
+                (out.score, hits)
             };
             let mut rng = StdRng::seed_from_u64(seed);
             let mut macros = vec![1usize; l];
