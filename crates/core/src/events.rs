@@ -60,10 +60,12 @@ pub enum SynthesisEvent {
         /// Outer design-point index.
         point_index: usize,
         /// Best objective fitness found there (TOPS/W by default, 1/EDP
-        /// under [`Objective::EnergyDelayProduct`](crate::Objective)); 0
-        /// when infeasible.
+        /// under [`Objective::EnergyDelayProduct`](crate::Objective)) by
+        /// the EA runs that ran; 0 when infeasible, or when every run was
+        /// skipped as unable to beat a fitness already found.
         best_efficiency: f64,
-        /// Candidate architectures evaluated at this point.
+        /// Candidate architectures evaluated at this point (skipped EA
+        /// runs evaluate none).
         evaluations: usize,
     },
     /// The job improved on its best fitness so far. "Best" is per job:

@@ -55,11 +55,13 @@ pub struct SynthesisOptions {
     pub macro_mode: MacroMode,
     /// Explore inter-layer macro sharing (Fig. 9).
     pub allow_macro_sharing: bool,
-    /// Parallelize outer design points. With
+    /// Run the search on worker threads: stages 1–2 of every outer design
+    /// point in parallel, then Alg. 1's EA runs in list order. With
     /// [`max_evaluations`](Self::max_evaluations) or
     /// [`max_unique_evaluations`](Self::max_unique_evaluations) set, points
-    /// run in order instead, so the budget buys the same candidates in
-    /// every run.
+    /// and runs go in order on one thread instead, so the budget buys the
+    /// same candidates in every run. Results and counters are the same
+    /// either way.
     pub parallel: bool,
     /// Base RNG seed (the whole flow is deterministic given the seed).
     pub seed: u64,

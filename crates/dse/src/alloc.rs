@@ -14,6 +14,7 @@ use pimsyn_arch::{
 };
 use pimsyn_ir::Dataflow;
 use pimsyn_model::Model;
+use pimsyn_sim::{compute_layer_base_with, LayerCostInputs};
 
 use crate::error::DseError;
 use crate::space::DesignPoint;
@@ -116,6 +117,8 @@ pub struct AllocPlan {
     per_macro: Watts,
     /// Eq. (6) denominator `sum_ic (P_c W_ic / F_c)`.
     denom: f64,
+    /// Identical macros: `homogenize` rewrites the solved counts.
+    identical: bool,
 }
 
 impl AllocPlan {
@@ -185,6 +188,7 @@ impl AllocPlan {
             dac_power,
             per_macro,
             denom,
+            identical: macro_mode == MacroMode::Identical,
         }
     }
 
@@ -263,6 +267,132 @@ impl AllocPlan {
         }
 
         Ok(counts)
+    }
+
+    /// An upper bound on the power efficiency (TOPS/W) of every gene an EA
+    /// run over `df` at `point` can score, gene-independent and
+    /// O(layers + items). `total_macs` is the model's MAC count, `caps` the
+    /// run's per-layer macro caps (rule (c), which no gene exceeds) and
+    /// `sharing` whether the run may share macros. Returns `+inf` for
+    /// identical macros, whose `homogenize` pass rewrites the counts this
+    /// bound reasons about, and `0` when no gene can allocate. Alg. 1 skips
+    /// an EA run whose bound is below a fitness it already found.
+    ///
+    /// Efficiency is `2 MACs / (steady period x realized power x 1e12)`;
+    /// the bound divides by a lower bound on each. Write `B(n)` for
+    /// [`periph_budget(n)`](Self::periph_budget) at a gene's `n >= 1`
+    /// [`physical_macros`], so `B(n) <= B(1)`; `D` for the Eq. (6)
+    /// denominator, `D_alu` for its ALU part and `s_x = D_x / D` for layer
+    /// `x`'s share; `SP` for the sum of every item's unit power. A gene that
+    /// allocates has `B(n) > 0` (else [`solve`](Self::solve) fails, for
+    /// every gene once `B(1) <= 0`). `solve` starts item `ic` at
+    /// `max(1, floor(t_ic))` units, `t_ic = W_ic B(n) / (F_c D)`, so
+    /// `sum P_c t_ic = B(n)`; its remainder loop only adds units, each paid
+    /// for out of what the start left of `B(n)`.
+    ///
+    /// - **Starting floors.** `t - 1 <= max(1, floor(t)) <= t + 1`. So the
+    ///   start costs at least `B(n) - SP` (layer `x`'s items at least
+    ///   `s_x B(n) - SP_x`), which leaves the remainder loop at most `SP`,
+    ///   and the ALU items start at no more than `B(n) D_alu / D + SP`.
+    /// - **Steady period >= S_alu.** The ALU items therefore end with at
+    ///   most `A = B(1) D_alu / D + 2 SP` watts of units. ALU stages use the
+    ///   layer's own units in [`compute_layer_base_with`] (sharing widens
+    ///   only ADC banks), so an ALU item's delay `W / (F n)` is at most its
+    ///   layer's `blocks x period`: `blocks x bits x sa_bit` for shift-add,
+    ///   one term of `blocks x post` for the others. The largest such delay
+    ///   `T` has `A >= sum P W / (F T) = D_alu / T`, so
+    ///   `steady >= S_alu = D_alu / A`.
+    /// - **Steady period >= S_floor.** A layer's period is at least its
+    ///   `bits x mvm_latency`, load and store occupancies. Only load and
+    ///   store depend on the gene, through the layer's own macro count, and
+    ///   both fall as it grows, so they are least at the cap:
+    ///   `S_floor = max_x blocks_x max(bits_x mvm, load_x, store_x)`. The
+    ///   pipeline's ADC-contention pass only stretches periods.
+    /// - **Realized power >= P_min.** Power is ReRAM + DAC + the per-kind
+    ///   maximum of every macro group's peripherals + per-macro
+    ///   infrastructure of every group's macros. `mutate_share` pairs a
+    ///   layer only with an unshared root nobody shares yet, so a group
+    ///   holds at most two layers, and it costs at least either member
+    ///   (per-kind maxima, priced at the larger ADC resolution, and ADC
+    ///   power rises with bits). Peripherals thus cost at least
+    ///   `sum_g max_(x in g) (s_x B(n) - SP_x) >= (1 - rho) B(n) - SP`,
+    ///   where `rho`, the sum of the 2nd, 4th, ... largest shares, is the
+    ///   most any pairing can hide in its smaller members (`rho = 0`
+    ///   without sharing). The groups hold at least the `n >= 1` macros the
+    ///   allocator paid for, and `B(n) = budget_base - DAC - per_macro x n`,
+    ///   so `P_min = ReRAM + DAC + (1 - rho)(budget_base - DAC) + rho
+    ///   per_macro - SP`; without sharing, `ReRAM + budget_base - SP`.
+    ///
+    /// The bound carries a relative `1e-9` margin for float rounding.
+    ///
+    /// [`compute_layer_base_with`]: pimsyn_sim::compute_layer_base_with
+    pub fn efficiency_bound(
+        &self,
+        df: &Dataflow,
+        point: DesignPoint,
+        hw: &HardwareParams,
+        total_macs: u64,
+        caps: &[usize],
+        sharing: bool,
+    ) -> f64 {
+        if self.identical {
+            return f64::INFINITY;
+        }
+        let b1 = self.periph_budget(1).value();
+        if b1 <= 0.0 || self.denom <= 0.0 {
+            return 0.0;
+        }
+        let sum_p: f64 = self.items.iter().map(|it| it.p).sum();
+
+        let d_alu: f64 = self
+            .items
+            .iter()
+            .filter(|it| it.kind != ComponentKind::Adc)
+            .map(|it| it.p * it.w / it.f)
+            .sum();
+        let s_alu = d_alu / (b1 * d_alu / self.denom + 2.0 * sum_p);
+        let mut s_floor = 0.0f64;
+        for (layer, &cap) in caps.iter().enumerate() {
+            // Unit counts do not enter load, store or the MVM stage.
+            let inputs = LayerCostInputs {
+                macros: cap,
+                effective_adcs: 1,
+                adc: self.adcs[layer],
+                shift_add: 1,
+                pool: 1,
+                activation: 1,
+                eltwise: 1,
+            };
+            if let Ok(base) = compute_layer_base_with(df, hw, layer, &inputs) {
+                let busiest = (base.bits as f64 * base.mvm_bit)
+                    .max(base.load)
+                    .max(base.store);
+                s_floor = s_floor.max(df.program(layer).blocks as f64 * busiest);
+            }
+        }
+        let steady = s_alu.max(s_floor);
+
+        let rho = if sharing {
+            let mut shares = vec![0.0f64; self.l];
+            for it in &self.items {
+                shares[it.layer] += it.p * it.w / it.f / self.denom;
+            }
+            shares.sort_by(|a, b| b.total_cmp(a));
+            shares.iter().skip(1).step_by(2).sum()
+        } else {
+            0.0
+        };
+        let rram = point.crossbar.power(hw).value() * df.total_crossbars() as f64;
+        let dac = self.dac_power.value();
+        let power = rram
+            + dac
+            + (1.0 - rho) * (self.budget_base.value() - dac)
+            + rho * self.per_macro.value()
+            - sum_p;
+        if steady <= 0.0 || power <= 0.0 {
+            return f64::INFINITY;
+        }
+        2.0 * total_macs as f64 / (steady * power * 1e12) * (1.0 + 1e-9)
     }
 }
 

@@ -26,9 +26,13 @@ pub enum SynthesisStage {
     /// Stage 2: dataflow compilation of every candidate x DAC resolution.
     DataflowCompilation,
     /// Stage 3: EA-based macro partitioning (components allocation and
-    /// analytic evaluation run per candidate inside the EA loop).
+    /// analytic evaluation run per candidate inside the EA loop). It starts
+    /// when the point's first EA run is taken and finishes when its last
+    /// run ends.
     MacroPartitioning,
-    /// Stage 4: components allocation of the point winner, re-validated.
+    /// Stage 4: components allocation of the point winner: each EA run's
+    /// winner is re-validated as the run ends, and the point keeps its best
+    /// valid run.
     ComponentAllocation,
 }
 
@@ -185,12 +189,14 @@ pub enum ExploreEvent {
         point: DesignPoint,
         /// Outer design-point index.
         point_index: usize,
-        /// Best objective fitness found there (TOPS/W under the default
-        /// power-efficiency objective, 1/EDP under
-        /// [`Objective::EnergyDelayProduct`](crate::Objective)); 0 when
-        /// infeasible.
+        /// Best objective fitness found there by the EA runs that ran
+        /// (TOPS/W under the default power-efficiency objective, 1/EDP
+        /// under [`Objective::EnergyDelayProduct`](crate::Objective)); 0
+        /// when infeasible, or when every run was skipped as unable to beat
+        /// a fitness already found.
         best_efficiency: f64,
-        /// Candidate architectures evaluated at this point.
+        /// Candidate architectures evaluated at this point (skipped EA
+        /// runs evaluate none).
         evaluations: usize,
     },
     /// A design point improved on the best fitness seen so far in this run.

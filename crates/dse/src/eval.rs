@@ -244,6 +244,10 @@ pub struct CandidateEvaluator<'a> {
     /// inspect the run's memo.
     #[cfg(test)]
     pub(crate) session_hook: Option<&'a (dyn Fn(&DeltaSession<'_>) + Sync)>,
+    /// Whether Alg. 1 skips the EA runs that provably cannot win; a test
+    /// turns it off to compare a search with one that runs every run.
+    #[cfg(test)]
+    pub(crate) skipping: bool,
 }
 
 impl std::fmt::Debug for CandidateEvaluator<'_> {
@@ -276,6 +280,8 @@ impl<'a> CandidateEvaluator<'a> {
             layers_recomputed: AtomicUsize::new(0),
             #[cfg(test)]
             session_hook: None,
+            #[cfg(test)]
+            skipping: true,
         }
     }
 

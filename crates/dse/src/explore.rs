@@ -2,8 +2,21 @@
 //! (`RatioRram x ResRram x XbSize`), filter weight-duplication candidates
 //! with SA, and for each candidate and DAC resolution run the EA-based macro
 //! partitioning (which itself invokes components allocation and performance
-//! evaluation). Outer design points are independent, so they run on scoped
-//! worker threads with per-point deterministic seeds.
+//! evaluation).
+//!
+//! The EA runs form one list in Alg. 1's order: design points by index,
+//! then each point's (WtDup candidate, DAC) pairs in stage 2's order. A run
+//! that provably cannot win is skipped: run `i` is skipped when
+//! [`AllocPlan::efficiency_bound`], an upper bound on the fitness of every
+//! gene the run can score, is strictly below the best fitness among the
+//! validated runs `0 ..= i - 33`. A skipped run can only lose to a run that
+//! was kept, so the winner (the first run in list order to reach the top
+//! fitness) is never skipped, and the search returns exactly what running
+//! every run returns. The 32-run look-behind lets the runs just before a
+//! run still be in flight when it is decided, and because it is a
+//! constant, which runs are skipped, and so every counter, is the same for
+//! any worker count. Every stochastic stage seeds from its point and pair,
+//! so results are reproducible with `parallel = true` too.
 //!
 //! Exploration is observable and controllable: [`run_dse_observed`] threads
 //! an [`ExploreContext`] through every stage, emitting typed
@@ -11,19 +24,25 @@
 //! wall-clock / evaluation budgets. [`run_dse`] is the blocking, unobserved
 //! wrapper.
 
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex, MutexGuard};
 
 use pimsyn_arch::{Architecture, DacConfig, HardwareParams, MacroMode, Watts};
 use pimsyn_ir::Dataflow;
 use pimsyn_model::Model;
 use pimsyn_sim::SimReport;
 
+use crate::alloc::AllocPlan;
 use crate::ctx::{ExploreContext, ExploreEvent, StopReason, SynthesisStage};
-use crate::ea::{run_ea_counted, EaConfig};
+use crate::ea::{max_macros, run_ea_counted, EaConfig, Objective};
 use crate::error::DseError;
 use crate::eval::CandidateEvaluator;
 use crate::sa::{no_duplication, woho_proportional, wt_dup_candidates_counted, SaConfig};
 use crate::space::{DesignPoint, DesignSpace};
+
+/// Run `i` is checked against the runs more than this many places before
+/// it, so the runs in between may still be in flight.
+const LOOKBEHIND: usize = 32;
 
 /// How weight-duplication factors are chosen (stage 1 of the synthesis).
 ///
@@ -60,9 +79,13 @@ pub struct DseConfig {
     pub ea: EaConfig,
     /// Identical vs specialized macros (Fig. 8 ablates this).
     pub macro_mode: MacroMode,
-    /// Run outer design points on worker threads. Ignored (points run in
-    /// order) when the context sets a count budget: every point draws on
-    /// that one count, so thread timing would decide which points spend it.
+    /// Run on worker threads: stages 1–2 at every design point first, in
+    /// parallel over points, then the EA runs, taken in list order. Ignored
+    /// (each point's stages 1–2 run when the list reaches it, and every run
+    /// in order on the calling thread) when the context sets a count
+    /// budget: every run draws on that one count, so thread timing would
+    /// decide which runs spend it. Results and counters are the same either
+    /// way.
     pub parallel: bool,
     /// Base seed; every stochastic stage derives its own deterministic seed
     /// from it, so results are reproducible even with `parallel = true`.
@@ -97,12 +120,15 @@ impl DseConfig {
     }
 }
 
-/// Outcome at one outer design point (for exploration reports).
+/// Outcome at one outer design point (for exploration reports). Both
+/// numbers count only the EA runs that ran: a skipped run adds nothing, so
+/// a 0 can also mean that every run of the point was skipped.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PointResult {
     /// The design point.
     pub point: DesignPoint,
-    /// Best efficiency found there (TOPS/W), 0 when infeasible.
+    /// Best fitness among the point's EA runs that ran and whose winner
+    /// validated (TOPS/W under the default objective), 0 when none did.
     pub best_efficiency: f64,
     /// Candidate architectures evaluated at this point.
     pub evaluations: usize,
@@ -119,10 +145,12 @@ pub struct DseOutcome {
     pub wt_dup: Vec<usize>,
     /// Analytic evaluation of the winner.
     pub report: SimReport,
-    /// Total candidate evaluations across the whole flow.
+    /// Total candidate evaluations across the whole flow (skipped EA runs
+    /// evaluate nothing).
     pub evaluations: usize,
-    /// Per-design-point summary (exploration history). With an exhausted
-    /// budget, only the points actually explored appear here.
+    /// Per-design-point summary (exploration history), one entry for every
+    /// point whose stages 1–2 ran. With an exhausted budget, only the
+    /// points the search reached appear here.
     pub history: Vec<PointResult>,
     /// Whether the search ran to completion or stopped on a budget.
     pub stop_reason: StopReason,
@@ -135,32 +163,25 @@ struct PointBest {
     report: SimReport,
 }
 
-/// Explores one outer design point (lines 6-12 of Alg. 1), emitting stage
-/// events for the four-phase flow of Fig. 3.
-fn explore_point(
+/// Stages 1–2 at one design point (lines 6–9 of Alg. 1).
+struct Prepared {
+    index: usize,
+    point: DesignPoint,
+    /// Stage 1's WtDup candidates; `None` when it found none.
+    candidates: Option<Vec<Vec<usize>>>,
+    /// The compilable (candidate, DAC) pairs, one EA run each.
+    pairs: Vec<(usize, DacConfig)>,
+}
+
+/// Runs stages 1–2 at one design point, emitting their stage events.
+fn prepare_point(
     model: &Model,
     cfg: &DseConfig,
     point: DesignPoint,
     point_idx: usize,
     ctx: &ExploreContext<'_>,
     evaluator: &CandidateEvaluator<'_>,
-) -> (PointResult, Option<PointBest>) {
-    let mut result = PointResult {
-        point,
-        best_efficiency: 0.0,
-        evaluations: 0,
-    };
-    let finish_point = |result: &PointResult, ctx: &ExploreContext<'_>| {
-        ctx.record_fitness(point_idx, result.best_efficiency);
-        ctx.emit_evaluator_stats(point_idx, &|| evaluator.stats());
-        ctx.emit(ExploreEvent::DesignPointEvaluated {
-            point,
-            point_index: point_idx,
-            best_efficiency: result.best_efficiency,
-            evaluations: result.evaluations,
-        });
-    };
-
+) -> Prepared {
     // Eq. (3) bounds crossbars by ReRAM power alone, but every crossbar row
     // carries a DAC whose power must come out of the (1 - RatioRram) share.
     // Cap the crossbar count so DACs consume at most half that share,
@@ -208,28 +229,32 @@ fn explore_point(
         point_index: point_idx,
         stage: SynthesisStage::WeightDuplication,
     });
+    let mut prepared = Prepared {
+        index: point_idx,
+        point,
+        candidates: None,
+        pairs: Vec::new(),
+    };
     let Some(candidates) = candidates else {
-        finish_point(&result, ctx);
-        return (result, None);
+        return prepared;
     };
 
     // Stage 2 — dataflow compilation (every candidate x DAC resolution).
     // Only the compilable combinations are kept, not the compiled IR: a
     // paper-effort point has up to 30 x 3 of them, and retaining every
-    // Dataflow until stage 3 would multiply peak memory for nothing —
+    // Dataflow until its EA run would multiply peak memory for nothing —
     // recompiling one on demand costs microseconds.
     ctx.emit(ExploreEvent::StageStarted {
         point_index: point_idx,
         stage: SynthesisStage::DataflowCompilation,
     });
-    let mut compilable: Vec<(usize, &Vec<usize>, DacConfig)> = Vec::new();
     'compile: for (ci, dup) in candidates.iter().enumerate() {
         for dac in cfg.space.dacs() {
             if ctx.should_stop() {
                 break 'compile;
             }
             if Dataflow::compile(model, point.crossbar, dac, dup).is_ok() {
-                compilable.push((ci, dup, dac));
+                prepared.pairs.push((ci, dac));
             }
         }
     }
@@ -237,69 +262,307 @@ fn explore_point(
         point_index: point_idx,
         stage: SynthesisStage::DataflowCompilation,
     });
+    prepared.candidates = Some(candidates);
+    prepared
+}
 
-    // Stage 3 — EA-based macro partitioning (components allocation and
-    // analytic evaluation run per candidate inside the EA loop).
-    ctx.emit(ExploreEvent::StageStarted {
-        point_index: point_idx,
-        stage: SynthesisStage::MacroPartitioning,
-    });
-    let mut best: Option<(f64, PointBest)> = None;
-    for (ci, dup, dac) in compilable {
-        if ctx.should_stop() {
-            break;
+/// The fitness bound run `df` at `point` is checked against: no gene the
+/// run can score is fitter. `+inf`, so the run is never skipped, under the
+/// EDP objective and for identical macros, which have no bound yet.
+pub(crate) fn fitness_bound(
+    model: &Model,
+    cfg: &DseConfig,
+    df: &Dataflow,
+    point: DesignPoint,
+    total_macs: u64,
+) -> f64 {
+    if cfg.ea.objective != Objective::PowerEfficiency || cfg.macro_mode == MacroMode::Identical {
+        return f64::INFINITY;
+    }
+    let plan = AllocPlan::prepare(model, df, point, cfg.total_power, &cfg.hw, cfg.macro_mode);
+    let caps = max_macros(df);
+    plan.efficiency_bound(df, point, &cfg.hw, total_macs, &caps, cfg.ea.allow_sharing)
+}
+
+/// A design point of the run list and the tally of its runs.
+struct PointTally {
+    prepared: Prepared,
+    /// Its runs are `first_run..first_run + prepared.pairs.len()`.
+    first_run: usize,
+    /// Runs not yet ended; the point finishes when none is left.
+    open: usize,
+    result: PointResult,
+    /// The best validated run so far, whose fitness is
+    /// `result.best_efficiency`: (run, implementation).
+    best: Option<(usize, PointBest)>,
+}
+
+/// Alg. 1's run list: every prepared point's runs in order, and what the
+/// runs that ended found.
+struct RunList {
+    points: Vec<PointTally>,
+    /// Per run: its point (index into `points`).
+    runs: Vec<usize>,
+    /// The next run to take.
+    next: usize,
+    /// Per run, once it ended (ran, was skipped, or was abandoned after a
+    /// stop): its validated fitness, 0 when it found none.
+    fitness: Vec<Option<f64>>,
+    /// `best_before[k]`: the best `fitness` among runs `0..k`, known for
+    /// every `k` up to the first run that has not ended.
+    best_before: Vec<f64>,
+}
+
+/// One Alg. 1 search: the run list, shared by the worker threads.
+struct Search<'s> {
+    model: &'s Model,
+    cfg: &'s DseConfig,
+    ctx: &'s ExploreContext<'s>,
+    evaluator: &'s CandidateEvaluator<'s>,
+    total_macs: u64,
+    list: Mutex<RunList>,
+    /// Signalled whenever a run ends.
+    run_ended: Condvar,
+}
+
+impl<'s> Search<'s> {
+    fn new(
+        model: &'s Model,
+        cfg: &'s DseConfig,
+        ctx: &'s ExploreContext<'s>,
+        evaluator: &'s CandidateEvaluator<'s>,
+    ) -> Self {
+        Self {
+            model,
+            cfg,
+            ctx,
+            evaluator,
+            total_macs: model.stats().total_macs,
+            list: Mutex::new(RunList {
+                points: Vec::new(),
+                runs: Vec::new(),
+                next: 0,
+                fitness: Vec::new(),
+                best_before: vec![0.0],
+            }),
+            run_ended: Condvar::new(),
         }
-        let Ok(df) = Dataflow::compile(model, point.crossbar, dac, dup) else {
-            continue; // compiled in stage 2; deterministic, so unreachable
+    }
+
+    fn lock(&self) -> MutexGuard<'_, RunList> {
+        self.list.lock().expect("run-list mutex")
+    }
+
+    /// Appends a prepared point's runs to the list. A point without runs
+    /// finishes at once.
+    fn add_point(&self, prepared: Prepared) {
+        let mut list = self.lock();
+        let tally = list.points.len();
+        let first_run = list.runs.len();
+        let runs = prepared.pairs.len();
+        list.runs.extend(std::iter::repeat_n(tally, runs));
+        list.fitness.extend(std::iter::repeat_n(None, runs));
+        let point = PointTally {
+            result: PointResult {
+                point: prepared.point,
+                best_efficiency: 0.0,
+                evaluations: 0,
+            },
+            prepared,
+            first_run,
+            open: runs,
+            best: None,
         };
-        let ea_cfg = EaConfig {
-            seed: cfg.seed ^ ((point_idx as u64) << 20) ^ ((ci as u64) << 4) ^ dac.bits() as u64,
-            ..cfg.ea.clone()
-        };
-        let (evaluations, outcome) = run_ea_counted(&df, point, &ea_cfg, ctx, evaluator);
-        // Count what actually ran, feasible or not, so the reported totals
-        // agree with the budget counter.
-        result.evaluations += evaluations;
-        if let Ok(out) = outcome {
-            if best.as_ref().is_none_or(|(f, _)| out.fitness > *f) {
-                result.best_efficiency = out.fitness;
-                best = Some((
-                    out.fitness,
-                    PointBest {
+        if runs == 0 {
+            self.close(&point, false);
+        }
+        list.points.push(point);
+    }
+
+    /// Takes runs in list order and runs or skips each, until the list is
+    /// exhausted or the search must stop.
+    fn work(&self) {
+        loop {
+            let (i, index, point, dup, dac, ci, first) = {
+                let mut list = self.lock();
+                let i = list.next;
+                let Some(&tally) = list.runs.get(i) else {
+                    return;
+                };
+                list.next += 1;
+                let p = &list.points[tally];
+                let (ci, dac) = p.prepared.pairs[i - p.first_run];
+                let dup = p
+                    .prepared
+                    .candidates
+                    .as_ref()
+                    .expect("runs have candidates")[ci]
+                    .clone();
+                let (index, point) = (p.prepared.index, p.prepared.point);
+                (i, index, point, dup, dac, ci, i == p.first_run)
+            };
+            // Stage 3 — EA-based macro partitioning (components allocation
+            // and analytic evaluation run per candidate inside the EA loop).
+            if first {
+                self.ctx.emit(ExploreEvent::StageStarted {
+                    point_index: index,
+                    stage: SynthesisStage::MacroPartitioning,
+                });
+            }
+            if self.ctx.should_stop() {
+                self.end_run(i, 0, None);
+                return;
+            }
+            let Ok(df) = Dataflow::compile(self.model, point.crossbar, dac, &dup) else {
+                // Compiled in stage 2; deterministic, so unreachable.
+                self.end_run(i, 0, None);
+                continue;
+            };
+            if self.skips(i, &df, point) {
+                self.end_run(i, 0, None);
+                continue;
+            }
+            let ea_cfg = EaConfig {
+                seed: self.cfg.seed
+                    ^ ((index as u64) << 20)
+                    ^ ((ci as u64) << 4)
+                    ^ dac.bits() as u64,
+                ..self.cfg.ea.clone()
+            };
+            let (evaluations, outcome) =
+                run_ea_counted(&df, point, &ea_cfg, self.ctx, self.evaluator);
+            // Stage 4 — components allocation ran per EA candidate; the
+            // run's winner is re-validated against the architecture
+            // template's structural rules, and a run whose winner fails
+            // found nothing.
+            let found = outcome
+                .ok()
+                .filter(|out| out.architecture.validate(self.model).is_ok())
+                .map(|out| {
+                    let best = PointBest {
                         architecture: out.architecture,
                         dataflow: df,
-                        wt_dup: dup.clone(),
+                        wt_dup: dup,
                         report: out.report,
-                    },
-                ));
+                    };
+                    (out.fitness, best)
+                });
+            // Count what actually ran, feasible or not, so the reported
+            // totals agree with the budget counter.
+            self.end_run(i, evaluations, found);
+        }
+    }
+
+    /// Whether run `i` over `df` at `point` provably cannot win: its
+    /// fitness bound is strictly below the best validated fitness of runs
+    /// `0 ..= i - LOOKBEHIND - 1`, which it waits for.
+    fn skips(&self, i: usize, df: &Dataflow, point: DesignPoint) -> bool {
+        #[cfg(test)]
+        if !self.evaluator.skipping {
+            return false;
+        }
+        if i <= LOOKBEHIND {
+            return false;
+        }
+        let bound = fitness_bound(self.model, self.cfg, df, point, self.total_macs);
+        if bound == f64::INFINITY {
+            return false;
+        }
+        let k = i - LOOKBEHIND;
+        let mut list = self.lock();
+        while list.best_before.len() <= k {
+            list = self.run_ended.wait(list).expect("run-list mutex");
+        }
+        bound < list.best_before[k]
+    }
+
+    /// Records that run `i` ended after `evaluations` candidate evaluations
+    /// with `found`, its validated winner, if any; the run's point
+    /// finishes with its last run.
+    fn end_run(&self, i: usize, evaluations: usize, found: Option<(f64, PointBest)>) {
+        {
+            let mut list = self.lock();
+            list.fitness[i] = Some(found.as_ref().map_or(0.0, |(f, _)| *f));
+            let list = &mut *list;
+            while let Some(&Some(f)) = list.fitness.get(list.best_before.len() - 1) {
+                let best = list.best_before[list.best_before.len() - 1].max(f);
+                list.best_before.push(best);
+            }
+            let p = &mut list.points[list.runs[i]];
+            p.result.evaluations += evaluations;
+            if let Some((f, best)) = found {
+                // On a tie the earlier run wins, as in list order.
+                let bf = p.result.best_efficiency;
+                if p.best
+                    .as_ref()
+                    .is_none_or(|(run, _)| f > bf || (f == bf && i < *run))
+                {
+                    p.result.best_efficiency = f;
+                    p.best = Some((i, best));
+                }
+            }
+            p.open -= 1;
+            if p.open == 0 {
+                self.close(p, true);
             }
         }
+        self.run_ended.notify_all();
     }
-    ctx.emit(ExploreEvent::StageFinished {
-        point_index: point_idx,
-        stage: SynthesisStage::MacroPartitioning,
-    });
 
-    // Stage 4 — components allocation of the point winner (allocation ran
-    // per EA candidate; here the winning implementation is re-validated
-    // against the architecture template's structural rules).
-    ctx.emit(ExploreEvent::StageStarted {
-        point_index: point_idx,
-        stage: SynthesisStage::ComponentAllocation,
-    });
-    if let Some((_, b)) = &best {
-        if b.architecture.validate(model).is_err() {
-            best = None;
-            result.best_efficiency = 0.0;
+    /// Reports a finished point, with the run list locked: stage 3 ends
+    /// with its last run, and stage 4, which validated each run's winner,
+    /// chose the point's best. `stage3_started`: its first run was taken,
+    /// which emitted stage 3's start.
+    fn close(&self, p: &PointTally, stage3_started: bool) {
+        let ctx = self.ctx;
+        let point_index = p.prepared.index;
+        // Stage 1 found candidates, so stages 3–4 ran, perhaps with no run.
+        if p.prepared.candidates.is_some() {
+            if !stage3_started {
+                ctx.emit(ExploreEvent::StageStarted {
+                    point_index,
+                    stage: SynthesisStage::MacroPartitioning,
+                });
+            }
+            for event in [
+                ExploreEvent::StageFinished {
+                    point_index,
+                    stage: SynthesisStage::MacroPartitioning,
+                },
+                ExploreEvent::StageStarted {
+                    point_index,
+                    stage: SynthesisStage::ComponentAllocation,
+                },
+                ExploreEvent::StageFinished {
+                    point_index,
+                    stage: SynthesisStage::ComponentAllocation,
+                },
+            ] {
+                ctx.emit(event);
+            }
         }
+        ctx.record_fitness(point_index, p.result.best_efficiency);
+        ctx.emit_evaluator_stats(point_index, &|| self.evaluator.stats());
+        ctx.emit(ExploreEvent::DesignPointEvaluated {
+            point: p.result.point,
+            point_index,
+            best_efficiency: p.result.best_efficiency,
+            evaluations: p.result.evaluations,
+        });
     }
-    ctx.emit(ExploreEvent::StageFinished {
-        point_index: point_idx,
-        stage: SynthesisStage::ComponentAllocation,
-    });
 
-    finish_point(&result, ctx);
-    (result, best.map(|(_, b)| b))
+    /// Finishes every point a stop left open, then returns each point's
+    /// result and best implementation, in point order.
+    fn finish(&self) -> Vec<(PointResult, Option<PointBest>)> {
+        let mut list = self.lock();
+        for p in list.points.iter().filter(|p| p.open > 0) {
+            self.close(p, p.first_run < list.next);
+        }
+        std::mem::take(&mut list.points)
+            .into_iter()
+            .map(|p| (p.result, p.best.map(|(_, best)| best)))
+            .collect()
+    }
 }
 
 /// Runs the complete Algorithm 1 flow for `model` under `cfg`, blocking
@@ -319,6 +582,10 @@ pub fn run_dse(model: &Model, cfg: &DseConfig) -> Result<DseOutcome, DseError> {
 /// inside the metaheuristic loops, and budgets stop the search gracefully
 /// (the best architecture found before exhaustion is still returned, with
 /// [`DseOutcome::stop_reason`] recording why the run ended).
+///
+/// A design point's stage 3 starts when its first EA run is taken from the
+/// run list and finishes when its last run ends; its
+/// [`DesignPointEvaluated`](ExploreEvent::DesignPointEvaluated) follows.
 ///
 /// # Errors
 ///
@@ -352,10 +619,9 @@ pub(crate) fn run_dse_evaluated(
     evaluator: &CandidateEvaluator<'_>,
 ) -> Result<DseOutcome, DseError> {
     let points = cfg.space.points();
-    let results: Mutex<Vec<(usize, PointResult, Option<PointBest>)>> =
-        Mutex::new(Vec::with_capacity(points.len()));
-    // Parallel points race for a shared evaluation count, so a count-
-    // budgeted run explores them in order to stay deterministic.
+    let search = Search::new(model, cfg, ctx, evaluator);
+    // Parallel runs race for a shared evaluation count, so a count-budgeted
+    // search takes its runs in order to stay deterministic.
     let budget = ctx.budget();
     let count_budgeted =
         budget.max_evaluations.is_some() || budget.max_unique_evaluations.is_some();
@@ -364,26 +630,34 @@ pub(crate) fn run_dse_evaluated(
         let workers = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(4);
-        let workers = workers.min(points.len());
-        // Dynamic work queue rather than static striping: points differ
-        // wildly in cost (budget-infeasible ones die in the SA stage), so a
-        // fixed assignment would leave workers idle behind one slow point.
-        // Per-point seeds derive from the point index, so which worker runs
-        // a point never affects the result.
-        let next = std::sync::atomic::AtomicUsize::new(0);
+        // Stages 1–2 at every point first, from a dynamic work queue:
+        // points differ wildly in cost (budget-infeasible ones die in the SA
+        // stage). Seeds derive from the point index, so which worker
+        // prepares a point never affects the result.
+        let prepared = Mutex::new(Vec::with_capacity(points.len()));
+        let next = AtomicUsize::new(0);
         std::thread::scope(|s| {
-            for _ in 0..workers {
-                let results = &results;
-                let points = &points;
-                let next = &next;
-                s.spawn(move || loop {
-                    let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            for _ in 0..workers.min(points.len()) {
+                s.spawn(|| loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
                     if i >= points.len() || ctx.should_stop() {
                         break;
                     }
-                    let (res, best) = explore_point(model, cfg, points[i], i, ctx, evaluator);
-                    results.lock().expect("result mutex").push((i, res, best));
+                    let p = prepare_point(model, cfg, points[i], i, ctx, evaluator);
+                    prepared.lock().expect("prepared mutex").push(p);
                 });
+            }
+        });
+        let mut prepared = prepared.into_inner().expect("prepared mutex");
+        prepared.sort_by_key(|p| p.index);
+        for p in prepared {
+            search.add_point(p);
+        }
+        // Then the EA runs, taken in list order.
+        let runs = search.lock().runs.len();
+        std::thread::scope(|s| {
+            for _ in 0..workers.min(runs) {
+                s.spawn(|| search.work());
             }
         });
     } else {
@@ -391,10 +665,11 @@ pub(crate) fn run_dse_evaluated(
             if ctx.should_stop() {
                 break;
             }
-            let (res, best) = explore_point(model, cfg, point, i, ctx, evaluator);
-            results.lock().expect("result mutex").push((i, res, best));
+            search.add_point(prepare_point(model, cfg, point, i, ctx, evaluator));
+            search.work();
         }
     }
+    let points = search.finish();
 
     // Cancellation always wins, even when it raced the natural finish: the
     // caller asked for no result. Budget exhaustion only counts when a
@@ -409,30 +684,23 @@ pub(crate) fn run_dse_evaluated(
         None => StopReason::Completed,
     };
 
-    let mut results = results.into_inner().expect("result mutex");
-    results.sort_by_key(|(i, _, _)| *i);
-
-    let mut history = Vec::with_capacity(results.len());
+    let mut history = Vec::with_capacity(points.len());
     let mut evaluations = 0usize;
-    let mut winner: Option<(f64, usize, PointBest)> = None;
-    for (i, res, best) in results {
+    let mut winner: Option<(f64, PointBest)> = None;
+    for (res, best) in points {
         evaluations += res.evaluations;
         if let Some(b) = best {
             let f = cfg.ea.objective.fitness(&b.report);
-            // Deterministic tie-break on point index.
-            let better = match &winner {
-                None => true,
-                Some((wf, wi, _)) => f > *wf || (f == *wf && i < *wi),
-            };
-            if better {
-                winner = Some((f, i, b));
+            // Points come in index order, so a tie keeps the earlier one.
+            if winner.as_ref().is_none_or(|(wf, _)| f > *wf) {
+                winner = Some((f, b));
             }
         }
         history.push(res);
     }
 
     match winner {
-        Some((_, _, b)) => Ok(DseOutcome {
+        Some((_, b)) => Ok(DseOutcome {
             architecture: b.architecture,
             dataflow: b.dataflow,
             wt_dup: b.wt_dup,
@@ -449,6 +717,8 @@ pub(crate) fn run_dse_evaluated(
 mod tests {
     use super::*;
     use crate::ctx::{CancelToken, ExploreBudget};
+    use crate::delta::DeltaSession;
+    use crate::eval::EvaluatorStats;
     use pimsyn_arch::CrossbarConfig;
     use pimsyn_model::zoo;
 
@@ -489,35 +759,245 @@ mod tests {
         );
     }
 
+    /// Runs `cfg`'s search with run skipping on or off, returning the
+    /// outcome, the evaluator's counters and how many EA runs ran.
+    fn search(
+        model: &Model,
+        cfg: &DseConfig,
+        ctx: &ExploreContext<'_>,
+        skipping: bool,
+    ) -> (Result<DseOutcome, DseError>, EvaluatorStats, usize) {
+        let ran = AtomicUsize::new(0);
+        let count = |_: &DeltaSession<'_>| {
+            ran.fetch_add(1, Ordering::Relaxed);
+        };
+        let mut eval = CandidateEvaluator::new(
+            model,
+            cfg.total_power,
+            &cfg.hw,
+            cfg.macro_mode,
+            cfg.ea.objective,
+        );
+        eval.session_hook = Some(&count);
+        eval.skipping = skipping;
+        let out = run_dse_evaluated(model, cfg, ctx, &eval);
+        (out, eval.stats(), ran.load(Ordering::Relaxed))
+    }
+
+    /// The stage and point events of each point, in emission order.
+    fn point_events(events: &[ExploreEvent], point: usize) -> Vec<String> {
+        events
+            .iter()
+            .filter_map(|ev| match ev {
+                ExploreEvent::StageStarted { point_index, stage } if *point_index == point => {
+                    Some(format!("started:{stage}"))
+                }
+                ExploreEvent::StageFinished { point_index, stage } if *point_index == point => {
+                    Some(format!("finished:{stage}"))
+                }
+                ExploreEvent::DesignPointEvaluated { point_index, .. } if *point_index == point => {
+                    Some("evaluated".to_string())
+                }
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// Which runs are skipped depends only on runs more than the
+    /// look-behind back, so a parallel search skips exactly what the serial
+    /// one skips: 4 points x 10 candidates x 2 DACs give runs past the
+    /// look-behind, and some are skipped.
     #[test]
     fn parallel_matches_serial() {
         let model = zoo::alexnet_cifar(10);
         let mut serial = tiny_cfg();
         serial.space = DesignSpace::reduced();
+        serial.sa.candidates = 10;
         serial.parallel = false;
         let mut parallel = serial.clone();
         parallel.parallel = true;
-        let run = |cfg: &DseConfig| {
-            let eval = CandidateEvaluator::new(
-                &model,
-                cfg.total_power,
-                &cfg.hw,
-                cfg.macro_mode,
-                cfg.ea.objective,
-            );
-            let out = run_dse_evaluated(&model, cfg, &ExploreContext::unobserved(), &eval);
-            (out.unwrap(), eval.stats())
-        };
-        let (a, a_stats) = run(&serial);
-        let (b, b_stats) = run(&parallel);
+        let events: Mutex<Vec<ExploreEvent>> = Mutex::new(Vec::new());
+        let observer = |ev: ExploreEvent| events.lock().unwrap().push(ev);
+        let observed =
+            ExploreContext::new(&observer, CancelToken::new(), ExploreBudget::unlimited());
+        let (a, a_stats, a_ran) = search(&model, &serial, &ExploreContext::unobserved(), true);
+        let (b, b_stats, b_ran) = search(&model, &parallel, &observed, true);
+        let (_, _, every) = search(&model, &serial, &ExploreContext::unobserved(), false);
+        let (a, b) = (a.unwrap(), b.unwrap());
         assert_eq!(a.wt_dup, b.wt_dup);
+        assert_eq!(a.architecture, b.architecture);
         assert_eq!(
-            a.report.efficiency_tops_per_watt(),
-            b.report.efficiency_tops_per_watt()
+            a.report.efficiency_tops_per_watt().to_bits(),
+            b.report.efficiency_tops_per_watt().to_bits()
         );
-        // Each EA run has its own memo, so which worker ran which point
+        assert_eq!(a.evaluations, b.evaluations);
+        assert_eq!(a.history, b.history);
+        // Each EA run has its own memo, so which worker ran which run
         // cannot move a counter.
         assert_eq!(a_stats, b_stats);
+        assert_eq!(a_ran, b_ran);
+        assert!(every > 2 * LOOKBEHIND, "only {every} runs");
+        assert!(a_ran < every, "no run was skipped: {a_ran} of {every} ran");
+        // Per point, the parallel stage events still come in paper order.
+        let events = events.into_inner().unwrap();
+        let mut expected: Vec<String> = SynthesisStage::ALL
+            .iter()
+            .flat_map(|s| [format!("started:{s}"), format!("finished:{s}")])
+            .collect();
+        expected.push("evaluated".to_string());
+        for point in 0..serial.space.outer_len() {
+            assert_eq!(point_events(&events, point), expected, "point {point}");
+        }
+    }
+
+    /// Skipping returns exactly the winner of the search that runs every EA
+    /// run, with fewer evaluations. Under a count budget it reaches further
+    /// down the run list, so its fitness is never lower, and it is equal
+    /// while the budget ends inside the first runs, which are never
+    /// skipped.
+    #[test]
+    fn skipping_keeps_the_winner_and_saves_evaluations() {
+        use crate::ctx::NullObserver;
+        let cases = [
+            (zoo::alexnet_cifar(10), 9.0),
+            (zoo::vgg16_cifar(10), 15.0),
+            (zoo::transformer_tiny(), 9.0),
+        ];
+        for (model, power) in &cases {
+            let mut cfg = DseConfig::fast(Watts(*power));
+            cfg.sa.candidates = 10;
+            let (skip, _, _) = search(model, &cfg, &ExploreContext::unobserved(), true);
+            let (every, _, _) = search(model, &cfg, &ExploreContext::unobserved(), false);
+            let (skip, every) = (skip.unwrap(), every.unwrap());
+            assert_eq!(skip.wt_dup, every.wt_dup, "{model}");
+            assert_eq!(skip.architecture, every.architecture, "{model}");
+            assert_eq!(skip.dataflow, every.dataflow, "{model}");
+            let bits = |r: &SimReport| {
+                [
+                    r.efficiency_tops_per_watt(),
+                    r.throughput_ops,
+                    r.latency.value(),
+                    r.power.value(),
+                    r.energy_per_image.value(),
+                ]
+                .map(f64::to_bits)
+            };
+            assert_eq!(bits(&skip.report), bits(&every.report), "{model}");
+            assert_eq!(skip.report, every.report, "{model}");
+            assert!(
+                skip.evaluations < every.evaluations,
+                "{model}: {} evaluations with skipping, {} without",
+                skip.evaluations,
+                every.evaluations
+            );
+
+            let per_run = cfg.ea.population + cfg.ea.generations * (cfg.ea.population - 2);
+            for k in [
+                3 * per_run + 5,
+                LOOKBEHIND * per_run,
+                40 * per_run,
+                60 * per_run,
+            ] {
+                let fitness = |skipping: bool| {
+                    let budget = ExploreBudget::unlimited().with_max_evaluations(k);
+                    let ctx = ExploreContext::new(&NullObserver, CancelToken::new(), budget);
+                    let out = search(model, &cfg, &ctx, skipping).0;
+                    out.map_or(0.0, |o| o.report.efficiency_tops_per_watt())
+                };
+                let (with, without) = (fitness(true), fitness(false));
+                if k <= LOOKBEHIND * per_run {
+                    assert_eq!(with.to_bits(), without.to_bits(), "{model} k={k}");
+                } else {
+                    assert!(with >= without, "{model} k={k}: {with} < {without}");
+                }
+            }
+        }
+    }
+
+    /// The fitness bound is sound: in fast searches of five zoo models x
+    /// seeds {1, 7, 11} x sharing on and off, run with skipping off, no
+    /// gene an EA run scores, so neither the run's fitness (its best
+    /// gene's), is above the run's bound. It is `+inf` for identical
+    /// macros and under the EDP objective.
+    #[test]
+    fn fitness_bound_holds_on_every_scored_gene() {
+        let cases = [
+            (zoo::alexnet_cifar(10), 9.0),
+            (zoo::vgg16_cifar(10), 15.0),
+            (zoo::resnet18_cifar(10), 15.0),
+            (zoo::transformer_tiny(), 9.0),
+            (zoo::resnet18(), 65.0),
+        ];
+        let (mut runs, mut tight) = (0, 0);
+        for (model, power) in &cases {
+            let total_macs = model.stats().total_macs;
+            for seed in [1u64, 7, 11] {
+                for sharing in [true, false] {
+                    let mut cfg = DseConfig::fast(Watts(*power));
+                    cfg.seed = seed;
+                    cfg.sa.seed = seed ^ 0x5A;
+                    cfg.ea.seed = seed ^ 0xEA;
+                    cfg.ea.allow_sharing = sharing;
+                    let case = format!("{model} seed {seed} sharing {sharing}");
+                    let bounds = Mutex::new(Vec::new());
+                    let check = |session: &DeltaSession<'_>| {
+                        let (df, point) = (session.dataflow(), session.point());
+                        let bound = fitness_bound(model, &cfg, df, point, total_macs);
+                        assert!(bound.is_finite(), "{case}: {point:?}");
+                        for (raw, score) in &session.memo {
+                            assert!(
+                                score.fitness <= bound,
+                                "{case}: {point:?} {raw:?} scores {} above its bound {bound}",
+                                score.fitness
+                            );
+                        }
+                        bounds.lock().unwrap().push(bound);
+
+                        let mut identical = cfg.clone();
+                        identical.macro_mode = MacroMode::Identical;
+                        let mut edp = cfg.clone();
+                        edp.ea.objective = Objective::EnergyDelayProduct;
+                        for other in [&identical, &edp] {
+                            let b = fitness_bound(model, other, df, point, total_macs);
+                            assert_eq!(b, f64::INFINITY, "{case}");
+                        }
+                        let plan = AllocPlan::prepare(
+                            model,
+                            df,
+                            point,
+                            cfg.total_power,
+                            &cfg.hw,
+                            MacroMode::Identical,
+                        );
+                        let caps = max_macros(df);
+                        let b =
+                            plan.efficiency_bound(df, point, &cfg.hw, total_macs, &caps, sharing);
+                        assert_eq!(b, f64::INFINITY, "{case}");
+                    };
+                    let mut eval = CandidateEvaluator::new(
+                        model,
+                        cfg.total_power,
+                        &cfg.hw,
+                        cfg.macro_mode,
+                        cfg.ea.objective,
+                    );
+                    eval.session_hook = Some(&check);
+                    eval.skipping = false;
+                    let out = run_dse_evaluated(model, &cfg, &ExploreContext::unobserved(), &eval)
+                        .expect(&case);
+                    let winner = out.report.efficiency_tops_per_watt();
+                    let bounds = bounds.into_inner().unwrap();
+                    runs += bounds.len();
+                    tight += bounds.iter().filter(|&&b| b < winner).count();
+                }
+            }
+        }
+        // The bound is not vacuous: some runs could not have won.
+        assert!(
+            tight > 0,
+            "no bound below its search's winner in {runs} runs"
+        );
+        eprintln!("{tight} of {runs} EA runs bounded below their search's winner");
     }
 
     #[test]
