@@ -46,12 +46,39 @@ fn bad(detail: String) -> ArchError {
     }
 }
 
+/// The validity check both parsers share. The ADC range must be non-empty
+/// and start at 1 bit or more ([`AdcConfig::new`](crate::AdcConfig::new)
+/// clamps into it, which panics on an empty range), and the scratchpad bus
+/// must carry at least one byte per beat
+/// ([`ScratchpadSpec::read_latency`](crate::ScratchpadSpec::read_latency)
+/// divides by its width in bytes).
+fn checked(hw: HardwareParams) -> Result<HardwareParams, ArchError> {
+    let out_of_range = |value| ArchError::InvalidDesignVariable {
+        variable: "hardware config",
+        value,
+        expected: "1 <= adc_min_bits <= adc_max_bits and scratchpad_bus_bits >= 8",
+    };
+    if hw.adc_min_bits == 0 || hw.adc_min_bits > hw.adc_max_bits {
+        return Err(out_of_range(format!(
+            "adc bit range {}..{}",
+            hw.adc_min_bits, hw.adc_max_bits
+        )));
+    }
+    if hw.scratchpad_bus_bits < 8 {
+        return Err(out_of_range(format!(
+            "scratchpad_bus_bits {}",
+            hw.scratchpad_bus_bits
+        )));
+    }
+    Ok(hw)
+}
+
 /// Parses a hardware-parameter file, starting from Table III defaults.
 ///
 /// # Errors
 ///
 /// [`ArchError::InvalidDesignVariable`] for malformed JSON, unknown keys,
-/// or non-numeric values.
+/// non-numeric values, or values the shared validity check rejects.
 pub fn from_json(text: &str) -> Result<HardwareParams, ArchError> {
     let doc = JsonValue::parse(text).map_err(|e| bad(e.to_string()))?;
     let Some(pairs) = doc.as_object() else {
@@ -94,13 +121,7 @@ pub fn from_json(text: &str) -> Result<HardwareParams, ArchError> {
             other => return Err(bad(format!("unknown key `{other}`"))),
         }
     }
-    if hw.adc_min_bits == 0 || hw.adc_min_bits > hw.adc_max_bits {
-        return Err(bad(format!(
-            "adc bit range {}..{} is invalid",
-            hw.adc_min_bits, hw.adc_max_bits
-        )));
-    }
-    Ok(hw)
+    checked(hw)
 }
 
 /// Serializes the tunable subset of [`HardwareParams`] back to the JSON
@@ -143,10 +164,10 @@ pub fn to_json(hw: &HardwareParams) -> String {
 }
 
 /// Serializes *every* field of [`HardwareParams`] with floats as
-/// `f64::to_bits` hex strings: the exact transport used by the evaluation
-/// worker protocol, where the reconstructed parameters must be bit-identical
-/// to the originals (the human-editable [`to_json`] format converts units
-/// and may lose an ulp).
+/// `f64::to_bits` hex strings: the bit-exact spelling of the HTTP gateway's
+/// `hw` field, which a client uses to replay a job with parameters
+/// bit-identical to the originals (the human-editable [`to_json`] format
+/// converts units and may lose an ulp).
 pub fn to_json_exact(hw: &HardwareParams) -> String {
     let f = |v: f64| JsonValue::String(format!("{:016x}", v.to_bits()));
     let n = |v: f64| JsonValue::Number(v);
@@ -197,8 +218,8 @@ pub fn to_json_exact(hw: &HardwareParams) -> String {
 ///
 /// # Errors
 ///
-/// [`ArchError::InvalidDesignVariable`] for malformed JSON or missing /
-/// malformed keys.
+/// [`ArchError::InvalidDesignVariable`] for malformed JSON, missing /
+/// malformed keys, or values the shared validity check rejects.
 pub fn from_json_exact(text: &str) -> Result<HardwareParams, ArchError> {
     use crate::units::SquareMm;
     let doc = JsonValue::parse(text).map_err(|e| bad(e.to_string()))?;
@@ -238,7 +259,7 @@ pub fn from_json_exact(text: &str) -> Result<HardwareParams, ArchError> {
                 .map_err(|_| bad("`dac_power_lut` entry is not a bit pattern".to_string()))?,
         );
     }
-    Ok(HardwareParams {
+    checked(HardwareParams {
         clock: Hertz(float("clock")?),
         mvm_latency: Seconds(float("mvm_latency")?),
         crossbar_base_power: Watts(float("crossbar_base_power")?),
@@ -309,6 +330,32 @@ mod tests {
     #[test]
     fn bad_adc_range_rejected() {
         assert!(from_json(r#"{"adc_min_bits": 12, "adc_max_bits": 8}"#).is_err());
+    }
+
+    #[test]
+    fn values_the_models_cannot_evaluate_are_rejected_in_both_spellings() {
+        let with = |set: fn(&mut HardwareParams)| {
+            let mut hw = HardwareParams::date24();
+            set(&mut hw);
+            hw
+        };
+        for (hw, needle) in [
+            (
+                with(|hw| hw.scratchpad_bus_bits = 7),
+                "scratchpad_bus_bits 7",
+            ),
+            (with(|hw| hw.adc_max_bits = 0), "adc bit range 7..0"),
+            (with(|hw| hw.adc_min_bits = 0), "adc bit range 0..14"),
+        ] {
+            let readable = from_json(&to_json(&hw)).unwrap_err().to_string();
+            let exact = from_json_exact(&to_json_exact(&hw))
+                .unwrap_err()
+                .to_string();
+            assert!(readable.contains(needle), "`{readable}` lacks `{needle}`");
+            assert!(exact.contains(needle), "`{exact}` lacks `{needle}`");
+        }
+        let hw = with(|hw| hw.scratchpad_bus_bits = 8);
+        assert_eq!(from_json_exact(&to_json_exact(&hw)).unwrap(), hw);
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! cargo run -p pimsyn-bench --release --bin repro -- table4 fig6
 //! ```
 //!
-//! Targets: `table1 table3 table4 table5 fig5 fig6 fig7 fig8 fig9 all`.
+//! Targets: `table1 table3 table4 table5 fig5 fig6 fig6-quick fig7 fig8 fig9
+//! sensitivity all`. `all` runs every target but `fig6-quick`.
 
 use pimsyn_baselines::published::{
     FIG7_SA_VS_HEURISTIC, FIG8_SPECIALIZED_VS_IDENTICAL, FIG9_SHARING_VS_NOT,
@@ -52,17 +53,17 @@ fn run(target: &str) {
                 FIG9_SHARING_VS_NOT,
             )
         ),
+        "sensitivity" => println!("{}", bench::dse_sensitivity()),
         "all" => {
-            for t in [
-                "table1", "table3", "table4", "fig5", "fig6", "table5", "fig7", "fig8", "fig9",
-            ] {
+            for t in "table1 table3 table4 fig5 fig6 table5 fig7 fig8 fig9 sensitivity".split(' ') {
                 run(t);
             }
         }
         other => {
             eprintln!("unknown target `{other}`");
             eprintln!(
-                "targets: table1 table3 table4 table5 fig5 fig6 fig6-quick fig7 fig8 fig9 all"
+                "targets: table1 table3 table4 table5 fig5 fig6 fig6-quick fig7 fig8 fig9 \
+                 sensitivity all"
             );
             std::process::exit(2);
         }

@@ -1,10 +1,10 @@
 //! Harness regenerating every table and figure of the PIMSYN paper.
 //!
 //! Each `tableN_*` / `figN_*` function computes the data behind one exhibit
-//! of the evaluation section and returns a printable struct; the `repro`
-//! binary renders them to stdout, and the criterion benches time the
-//! underlying synthesis machinery. `EXPERIMENTS.md` records the
-//! paper-reported values next to what this harness measures.
+//! of the evaluation section and returns a printable struct, and
+//! [`dse_sensitivity`] adds the search-budget ablation; the `repro` binary
+//! renders them to stdout. Synthesis time is measured end to end by
+//! `e2ebench/`, not here.
 //!
 //! Absolute numbers depend on the power envelope the authors used (not
 //! stated in the paper); the harness therefore reports *shape* — who wins
@@ -18,12 +18,13 @@ use pimsyn::{
     CancelToken, DesignSpace, NullSink, Objective, SynthesisEngine, SynthesisOptions,
     SynthesisRequest, SynthesisResult, WtDupStrategy,
 };
-use pimsyn_arch::{HardwareParams, MacroMode, Watts};
+use pimsyn_arch::{CrossbarConfig, HardwareParams, MacroMode, Watts};
 use pimsyn_baselines::published::{
-    Table5Row, FIG6_EFFICIENCY_GAIN_RANGE, FIG6_THROUGHPUT_GAIN_RANGE, TABLE4_BASELINES,
-    TABLE4_PIMSYN_TOPS_PER_WATT, TABLE5,
+    Table5Row, FIG6_EFFICIENCY_GAIN_RANGE, FIG6_THROUGHPUT_GAIN_RANGE, TABLE4_PIMSYN_TOPS_PER_WATT,
+    TABLE5,
 };
 use pimsyn_baselines::{gibbon, inventory, isaac};
+use pimsyn_dse::{run_dse, DseConfig, EaConfig, SaConfig};
 use pimsyn_model::{zoo, Model};
 
 /// Default power envelope for ImageNet-scale experiments (ISAAC-class chips
@@ -579,8 +580,39 @@ pub fn render_ablation(title: &str, arms: &[AblationArm], paper_ratio: (f64, f64
     out
 }
 
-/// Number of Table IV baselines (sanity constant for benches).
-pub const TABLE4_BASELINE_COUNT: usize = TABLE4_BASELINES.len();
+/// Design-choice ablation: synthesis quality and search cost against the
+/// metaheuristic budgets (SA candidate count, EA population/generations),
+/// the knobs Table I's scale argument forces the paper to introduce. One
+/// design point of CIFAR-AlexNet at 9 W, five budgets from tiny to large.
+pub fn dse_sensitivity() -> String {
+    let model = zoo::alexnet_cifar(10);
+    let mut out = String::from(
+        "DSE sensitivity (CIFAR-AlexNet @ 9 W, single design point)\n\
+         sa_cands  ea_pop  ea_gens   TOPS/W  evaluations\n",
+    );
+    for (cands, pop, gens) in [(1, 4, 2), (2, 6, 3), (4, 8, 6), (8, 12, 10), (16, 16, 16)] {
+        let mut cfg = DseConfig::fast(Watts(9.0));
+        cfg.space = DesignSpace::single(0.3, CrossbarConfig::new(128, 2).expect("legal"), 1);
+        cfg.sa = SaConfig {
+            candidates: cands,
+            ..SaConfig::fast()
+        };
+        cfg.ea = EaConfig {
+            population: pop,
+            generations: gens,
+            ..EaConfig::fast()
+        };
+        out.push_str(&match run_dse(&model, &cfg) {
+            Ok(o) => format!(
+                "{cands:>8} {pop:>7} {gens:>8} {:>8.3} {:>12}\n",
+                o.report.efficiency_tops_per_watt(),
+                o.evaluations
+            ),
+            Err(e) => format!("{cands:>8} {pop:>7} {gens:>8}  failed: {e}\n"),
+        });
+    }
+    out
+}
 
 #[cfg(test)]
 mod tests {
@@ -602,6 +634,17 @@ mod tests {
                 "sharing must not add ADCs: {p:?}"
             );
             assert!(p.delay_ratio > 0.0);
+        }
+    }
+
+    #[test]
+    fn sensitivity_renders_five_budget_rows_with_positive_efficiency() {
+        let table = dse_sensitivity();
+        let rows: Vec<&str> = table.lines().skip(2).collect();
+        assert_eq!(rows.len(), 5, "{table}");
+        for row in rows {
+            let tops_per_watt: f64 = row.split_whitespace().nth(3).unwrap().parse().unwrap();
+            assert!(tops_per_watt > 0.0, "{row}");
         }
     }
 

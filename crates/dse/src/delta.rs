@@ -573,74 +573,3 @@ impl<'d> DeltaSession<'d> {
         outcome(score, recomputed)
     }
 }
-
-#[cfg(test)]
-mod profile {
-    use super::*;
-    use crate::ea::Objective;
-    use pimsyn_arch::{CrossbarConfig, DacConfig, HardwareParams, MacroMode};
-    use pimsyn_model::zoo;
-    use std::time::Instant;
-
-    /// Rough single-threaded throughput check for the delta session; run with
-    /// `cargo test -p pimsyn-dse --release delta_throughput -- --ignored --nocapture`.
-    #[test]
-    #[ignore]
-    fn delta_throughput() {
-        let model = zoo::alexnet_cifar(10);
-        let hw = HardwareParams::date24();
-        let xb = CrossbarConfig::new(128, 2).unwrap();
-        let dac = DacConfig::new(1).unwrap();
-        let dup = vec![1usize; model.weight_layer_count()];
-        let df = Dataflow::compile(&model, xb, dac, &dup).unwrap();
-        let point = DesignPoint {
-            ratio_rram: 0.3,
-            crossbar: xb,
-        };
-        let core = EvalCore::new(
-            &model,
-            Watts(9.0),
-            &hw,
-            MacroMode::Specialized,
-            Objective::PowerEfficiency,
-        );
-        let l = model.weight_layer_count();
-        let caps: Vec<usize> = df
-            .programs()
-            .iter()
-            .map(|p| (p.wt_dup * p.row_groups).clamp(1, 4))
-            .collect();
-        let mut macros_w = vec![1usize; l];
-        let mut chain = Vec::new();
-        chain.push(MacAllocGene::encode(&macros_w, &vec![None; l]));
-        for k in 0..256 {
-            let i = k % l;
-            macros_w[i] = 1 + (macros_w[i] + k * 13) % caps[i];
-            chain.push(MacAllocGene::encode(&macros_w, &vec![None; l]));
-        }
-        let mut session = DeltaSession::new(&df, point);
-        // Warm up memos and retention.
-        let mut prev: Option<&[u32]> = None;
-        for g in &chain {
-            session.score(&core, g, prev);
-            prev = Some(g.as_slice());
-        }
-        let rounds = 400;
-        let wall = Instant::now();
-        for _ in 0..rounds {
-            let mut prev: Option<&[u32]> = None;
-            for g in &chain {
-                let out = session.score(&core, g, prev);
-                std::hint::black_box(out.score.fitness);
-                prev = Some(g.as_slice());
-            }
-        }
-        let total = wall.elapsed().as_secs_f64();
-        let n = (rounds * chain.len()) as f64;
-        eprintln!(
-            "candidates: {n}, {:.0} cand/s, {:.3} us/cand",
-            n / total,
-            total / n * 1e6
-        );
-    }
-}

@@ -267,12 +267,12 @@ fn parse_args_from<I: IntoIterator<Item = String>>(argv: I) -> Result<Args, Stri
         // In batch mode --power is optional; when given it becomes the
         // default for jobs without their own `power` field.
         if args.power != 0.0 && !positive(args.power) {
-            return Err("--power must be positive".to_string());
+            return Err("--power must be positive and finite".to_string());
         }
         return Ok(args);
     }
     if !positive(args.power) {
-        return Err("--power <watts> is required and must be positive".to_string());
+        return Err("--power <watts> is required and must be positive and finite".to_string());
     }
     if args.model.is_some() == args.model_file.is_some() {
         return Err("exactly one of --model / --model-file is required".to_string());
@@ -280,9 +280,10 @@ fn parse_args_from<I: IntoIterator<Item = String>>(argv: I) -> Result<Args, Stri
     Ok(args)
 }
 
-/// Strictly positive and comparable — rejects NaN alongside zero/negatives.
+/// Strictly positive and finite — the HTTP `power` field's rule; rejects
+/// NaN and infinity alongside zero/negatives.
 fn positive(x: f64) -> bool {
-    x.partial_cmp(&0.0) == Some(std::cmp::Ordering::Greater)
+    x.is_finite() && x > 0.0
 }
 
 fn parse_effort(s: &str) -> Result<Effort, String> {
@@ -422,7 +423,7 @@ fn batch_job_request(
         }
     };
     if !positive(power) {
-        return Err(at("field `power` must be positive".to_string()));
+        return Err(at("field `power` must be positive and finite".to_string()));
     }
 
     let mut job_args = args.clone();
@@ -1215,8 +1216,10 @@ mod tests {
     fn missing_power_is_rejected() {
         let err = parse(&["--model", "vgg16"]).unwrap_err();
         assert!(err.contains("--power"), "{err}");
-        let err = parse(&["--model", "vgg16", "--power", "-3"]).unwrap_err();
-        assert!(err.contains("positive"), "{err}");
+        for bad in ["-3", "inf", "1e400", "NaN"] {
+            let err = parse(&["--model", "vgg16", "--power", bad]).unwrap_err();
+            assert!(err.contains("positive"), "{bad}: {err}");
+        }
     }
 
     #[test]
@@ -1277,8 +1280,10 @@ mod tests {
         let args = parse(&["--batch", "jobs.json"]).unwrap();
         assert_eq!(args.batch_file.as_deref(), Some("jobs.json"));
         // ... but an explicit --power must still be sane.
-        let err = parse(&["--batch", "jobs.json", "--power", "-1"]).unwrap_err();
-        assert!(err.contains("positive"), "{err}");
+        for bad in ["-1", "inf", "1e400"] {
+            let err = parse(&["--batch", "jobs.json", "--power", bad]).unwrap_err();
+            assert!(err.contains("positive"), "{bad}: {err}");
+        }
     }
 
     #[test]
@@ -1430,6 +1435,14 @@ mod tests {
             (
                 r#"{"model": "alexnet-cifar", "power": 9, "macro_mode": "identical"}"#,
                 "unknown field `macro_mode`",
+            ),
+            (
+                r#"{"model": "alexnet-cifar", "power": -2}"#,
+                "field `power` must be positive",
+            ),
+            (
+                r#"{"model": "alexnet-cifar", "power": 1e400}"#,
+                "field `power` must be positive",
             ),
         ] {
             let parsed = JsonValue::parse(job).unwrap();

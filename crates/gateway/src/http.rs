@@ -313,7 +313,7 @@ pub type RoundtripResponse = (u16, HashMap<String, String>, Vec<u8>);
 
 /// A tiny client-side helper: sends `request` (already HTTP-framed) to a
 /// freshly-connected stream and returns `(status, headers, body)`. Used by
-/// the gateway's own tests and benches; not a general HTTP client.
+/// the gateway's own tests; not a general HTTP client.
 ///
 /// # Errors
 ///

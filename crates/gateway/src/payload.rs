@@ -266,10 +266,15 @@ pub fn parse_http_job(body: &[u8]) -> Result<SynthesisRequest, String> {
     }
     if let Some(hw) = doc.get("hw") {
         let parsed = match hw {
-            JsonValue::String(text) => {
-                hardware_config::from_json_exact(text).or_else(|_| hardware_config::from_json(text))
+            // Either spelling; when neither reads, both errors are named, so
+            // a bit-exact document with an invalid value says which.
+            JsonValue::String(text) => hardware_config::from_json_exact(text).or_else(|exact| {
+                hardware_config::from_json(text)
+                    .map_err(|e| format!("{e}; as the bit-exact spelling: {exact}"))
+            }),
+            JsonValue::Object(_) => {
+                hardware_config::from_json(&hw.to_string()).map_err(|e| e.to_string())
             }
-            JsonValue::Object(_) => hardware_config::from_json(&hw.to_string()),
             _ => return Err("`hw` must be a hardware-params document".to_string()),
         };
         options = options.with_hardware(parsed.map_err(|e| format!("bad `hw`: {e}"))?);
@@ -378,8 +383,35 @@ mod tests {
                 br#"{"model": "alexnet-cifar", "power": 9, "timeout": "7fefffffffffffff"}"#,
                 "`timeout` must be at most",
             ),
+            (
+                br#"{"model": "alexnet-cifar", "power": 9, "hw": {"scratchpad_bus_bits": 0}}"#,
+                "scratchpad_bus_bits 0",
+            ),
+            (
+                br#"{"model": "alexnet-cifar", "power": 9, "hw": "{\"adc_max_bits\": 0}"}"#,
+                "adc bit range 7..0",
+            ),
         ] {
             let err = parse_http_job(body).unwrap_err();
+            assert!(err.contains(needle), "`{err}` should mention `{needle}`");
+        }
+        // The bit-exact `hw` spelling passes the same validity check.
+        let with = |set: fn(&mut pimsyn_arch::HardwareParams)| {
+            let mut hw = pimsyn_arch::HardwareParams::date24();
+            set(&mut hw);
+            hw
+        };
+        for (hw, needle) in [
+            (
+                with(|hw| hw.scratchpad_bus_bits = 0),
+                "scratchpad_bus_bits 0",
+            ),
+            (with(|hw| hw.adc_max_bits = 0), "adc bit range 7..0"),
+        ] {
+            let hw = JsonValue::String(hardware_config::to_json_exact(&hw));
+            let body = format!(r#"{{"model": "alexnet-cifar", "power": 9, "hw": {hw}}}"#);
+            let err = parse_http_job(body.as_bytes()).unwrap_err();
+            assert!(err.contains("bit-exact spelling"), "{err}");
             assert!(err.contains(needle), "`{err}` should mention `{needle}`");
         }
     }

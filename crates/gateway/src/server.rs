@@ -318,8 +318,7 @@ fn error_body(code: &str, detail: &str) -> Vec<u8> {
 }
 
 /// The response of one routed request: status, content type, extra
-/// headers, body. Streaming routes write the stream themselves and return
-/// `None`.
+/// headers, body. The event stream writes its response itself.
 struct Outcome {
     status: u16,
     content_type: &'static str,
@@ -406,21 +405,21 @@ fn route(shared: &Arc<GatewayShared>, stream: &mut TcpStream, request: &HttpRequ
     };
 
     let (pattern, outcome) = match (request.method.as_str(), request.path.as_str()) {
-        ("GET", "/healthz") => ("/healthz", Some(handle_health(shared))),
-        ("GET", "/metrics") => ("/metrics", Some(handle_metrics(shared))),
+        ("GET", "/healthz") => ("/healthz", handle_health(shared)),
+        ("GET", "/metrics") => ("/metrics", handle_metrics(shared)),
         ("POST", "/v1/jobs") => (
             "/v1/jobs",
-            Some(match auth {
+            match auth {
                 Ok(tenant) => handle_submit(shared, request, tenant),
                 Err(()) => unauthorized(),
-            }),
+            },
         ),
         ("POST", "/v1/drain") => (
             "/v1/drain",
-            Some(match auth {
+            match auth {
                 Ok(_) => handle_drain(shared),
                 Err(()) => unauthorized(),
-            }),
+            },
         ),
         (method, path) => match job_path(path) {
             Some((id, leaf)) => {
@@ -461,17 +460,15 @@ fn route(shared: &Arc<GatewayShared>, stream: &mut TcpStream, request: &HttpRequ
                     }
                     _ => Outcome::error(405, "method_not_allowed", "unsupported method"),
                 };
-                (pattern, Some(outcome))
+                (pattern, outcome)
             }
             None => (
                 "(unknown)",
-                Some(Outcome::error(404, "not_found", "no such route")),
+                Outcome::error(404, "not_found", "no such route"),
             ),
         },
     };
-    if let Some(outcome) = outcome {
-        respond(shared, stream, pattern, outcome);
-    }
+    respond(shared, stream, pattern, outcome);
 }
 
 fn respond(shared: &GatewayShared, stream: &mut TcpStream, pattern: &str, outcome: Outcome) {

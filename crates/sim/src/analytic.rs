@@ -290,15 +290,6 @@ fn overlap_len(a0: f64, a1: f64, b0: f64, b1: f64) -> f64 {
     (a1.min(b1) - a0.max(b0)).max(0.0)
 }
 
-/// Convenience: the power-efficiency objective the DSE maximizes
-/// (TOPS/W under the realized power), or 0 when infeasible.
-pub fn efficiency_or_zero(model: &Model, df: &Dataflow, arch: &Architecture) -> f64 {
-    match evaluate_analytic(model, df, arch) {
-        Ok(r) => r.efficiency_tops_per_watt(),
-        Err(_) => 0.0,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -403,13 +394,6 @@ mod tests {
         let base_adc_busy = base.per_layer[0].period.value();
         let shared_adc_busy = r.per_layer[0].period.value();
         assert!(shared_adc_busy >= base_adc_busy * 0.999);
-    }
-
-    #[test]
-    fn efficiency_or_zero_on_broken_arch() {
-        let (model, df, mut arch) = setup([2, 2], 2);
-        arch.layers[0].components.adc = 0;
-        assert_eq!(efficiency_or_zero(&model, &df, &arch), 0.0);
     }
 
     #[test]

@@ -42,8 +42,8 @@ mod metrics;
 mod stages;
 
 pub use analytic::{
-    efficiency_or_zero, evaluate_analytic, solve_pipeline, solve_pipeline_into, summarize_pipeline,
-    AnalyticSummary, PipelineSolution,
+    evaluate_analytic, solve_pipeline, solve_pipeline_into, summarize_pipeline, AnalyticSummary,
+    PipelineSolution,
 };
 pub use engine::{simulate, MAX_SIMULATED_BLOCKS};
 pub use error::SimError;
