@@ -46,18 +46,35 @@ fn bad(detail: String) -> ArchError {
     }
 }
 
-/// The validity check both parsers share. The ADC range must be non-empty
-/// and start at 1 bit or more ([`AdcConfig::new`](crate::AdcConfig::new)
-/// clamps into it, which panics on an empty range), and the scratchpad bus
-/// must carry at least one byte per beat
+/// The validity check both parsers share. Each parser rejects a
+/// non-finite number as it reads it; here the rates, the MVM latency and
+/// the flit width, which the models divide by, must be finite and positive
+/// after unit conversion (`"clock_ghz": 1e300` overflows to an infinite
+/// clock). The ADC range must be non-empty and start at 1 bit or more
+/// ([`AdcConfig::new`](crate::AdcConfig::new) clamps into it, which panics
+/// on an empty range), and the scratchpad bus must carry at least one byte
+/// per beat
 /// ([`ScratchpadSpec::read_latency`](crate::ScratchpadSpec::read_latency)
 /// divides by its width in bytes).
 fn checked(hw: HardwareParams) -> Result<HardwareParams, ArchError> {
     let out_of_range = |value| ArchError::InvalidDesignVariable {
         variable: "hardware config",
         value,
-        expected: "1 <= adc_min_bits <= adc_max_bits and scratchpad_bus_bits >= 8",
+        expected: "positive finite rates, MVM latency and flit width, \
+                   1 <= adc_min_bits <= adc_max_bits and scratchpad_bus_bits >= 8",
     };
+    for (name, value) in [
+        ("clock", hw.clock.value()),
+        ("mvm_latency", hw.mvm_latency.value()),
+        ("dac_rate", hw.dac_rate.value()),
+        ("adc_base_rate", hw.adc_base_rate.value()),
+        ("noc_link_rate", hw.noc_link_rate.value()),
+        ("noc_flit_bits", f64::from(hw.noc_flit_bits)),
+    ] {
+        if !(value.is_finite() && value > 0.0) {
+            return Err(out_of_range(format!("{name} {value}")));
+        }
+    }
     if hw.adc_min_bits == 0 || hw.adc_min_bits > hw.adc_max_bits {
         return Err(out_of_range(format!(
             "adc bit range {}..{}",
@@ -80,7 +97,18 @@ fn checked(hw: HardwareParams) -> Result<HardwareParams, ArchError> {
 /// [`ArchError::InvalidDesignVariable`] for malformed JSON, unknown keys,
 /// non-numeric values, or values the shared validity check rejects.
 pub fn from_json(text: &str) -> Result<HardwareParams, ArchError> {
-    let doc = JsonValue::parse(text).map_err(|e| bad(e.to_string()))?;
+    from_value(&JsonValue::parse(text).map_err(|e| bad(e.to_string()))?)
+}
+
+/// [`from_json`] for a document that is already parsed, such as the
+/// inline `hw` object of a job. A number too large for an `f64` reaches it
+/// as infinity, which JSON text cannot spell, so it is checked here rather
+/// than after a round trip through text.
+///
+/// # Errors
+///
+/// As [`from_json`], less malformed JSON.
+pub fn from_value(doc: &JsonValue) -> Result<HardwareParams, ArchError> {
     let Some(pairs) = doc.as_object() else {
         return Err(bad("top level must be an object".to_string()));
     };
@@ -89,8 +117,8 @@ pub fn from_json(text: &str) -> Result<HardwareParams, ArchError> {
         let num = value
             .as_f64()
             .ok_or_else(|| bad(format!("`{key}` must be a number")))?;
-        if num < 0.0 {
-            return Err(bad(format!("`{key}` must be non-negative")));
+        if !(num.is_finite() && num >= 0.0) {
+            return Err(bad(format!("`{key}` must be finite and non-negative")));
         }
         match key.as_str() {
             "clock_ghz" => hw.clock = Hertz::from_giga(num),
@@ -104,7 +132,11 @@ pub fn from_json(text: &str) -> Result<HardwareParams, ArchError> {
             "adc_base_rate_gsps" => hw.adc_base_rate = Hertz::from_giga(num),
             "adc_min_bits" => hw.adc_min_bits = num as u32,
             "adc_max_bits" => hw.adc_max_bits = num as u32,
-            "scratchpad_kb" => hw.scratchpad_bytes = (num as usize) * 1024,
+            "scratchpad_kb" => {
+                hw.scratchpad_bytes = (num as usize)
+                    .checked_mul(1024)
+                    .ok_or_else(|| bad("`scratchpad_kb` is too large".to_string()))?;
+            }
             "scratchpad_bus_bits" => hw.scratchpad_bus_bits = num as u32,
             "scratchpad_power_mw" => hw.scratchpad_power = Watts::from_milli(num),
             "scratchpad_latency_ns" => hw.scratchpad_latency = Seconds::from_nanos(num),
@@ -230,13 +262,18 @@ pub fn from_json_exact(text: &str) -> Result<HardwareParams, ArchError> {
             .ok_or_else(|| bad(format!("missing float key `{key}`")))?;
         u64::from_str_radix(s, 16)
             .map(f64::from_bits)
-            .map_err(|_| bad(format!("`{key}` is not a hex float-bit pattern")))
+            .ok()
+            .filter(|x| x.is_finite())
+            .ok_or_else(|| bad(format!("`{key}` is not a finite hex float-bit pattern")))
     };
     let int = |key: &str| -> Result<u64, ArchError> {
-        doc.get(key)
-            .and_then(JsonValue::as_usize)
+        let value = doc
+            .get(key)
+            .ok_or_else(|| bad(format!("missing integer key `{key}`")))?;
+        value
+            .as_usize()
             .map(|v| v as u64)
-            .ok_or_else(|| bad(format!("missing integer key `{key}`")))
+            .ok_or_else(|| bad(format!("`{key}` must be an integer up to 2^53")))
     };
     let lut = doc
         .get("dac_power_lut")
@@ -256,7 +293,9 @@ pub fn from_json_exact(text: &str) -> Result<HardwareParams, ArchError> {
         dac_power_lut[i] = Watts(
             u64::from_str_radix(s, 16)
                 .map(f64::from_bits)
-                .map_err(|_| bad("`dac_power_lut` entry is not a bit pattern".to_string()))?,
+                .ok()
+                .filter(|x| x.is_finite())
+                .ok_or_else(|| bad("`dac_power_lut` entry is not a finite bit pattern".into()))?,
         );
     }
     checked(HardwareParams {
@@ -356,6 +395,45 @@ mod tests {
         }
         let hw = with(|hw| hw.scratchpad_bus_bits = 8);
         assert_eq!(from_json_exact(&to_json_exact(&hw)).unwrap(), hw);
+
+        // The rates, latency and width the models divide by, non-finite
+        // values and a scratchpad past `usize`, each in a readable document
+        // (as text and parsed) and in the bit-exact defaults with the
+        // matching key replaced: the error names the key.
+        const ZERO: &str = r#""0000000000000000""#;
+        const INF: &str = r#""7ff0000000000000""#;
+        let defaults = JsonValue::parse(&to_json_exact(&HardwareParams::date24())).unwrap();
+        for (key, value, exact_key, exact_value) in [
+            ("mvm_latency_ns", "0", "mvm_latency", ZERO),
+            ("clock_ghz", "0", "clock", ZERO),
+            ("clock_ghz", "1e400", "clock", INF),
+            ("clock_ghz", "1e300", "clock", INF),
+            ("dac_rate_ghz", "0", "dac_rate", ZERO),
+            ("adc_base_rate_gsps", "0", "adc_base_rate", ZERO),
+            ("noc_link_rate_ghz", "0", "noc_link_rate", ZERO),
+            ("noc_flit_bits", "0", "noc_flit_bits", "0"),
+            ("adc_power_growth", "1e400", "adc_power_growth", INF),
+            ("scratchpad_kb", "1e300", "scratchpad_bytes", "1e300"),
+        ] {
+            let exact = defaults
+                .as_object()
+                .unwrap()
+                .iter()
+                .map(|(k, v)| match k == exact_key {
+                    true => (k.clone(), JsonValue::parse(exact_value).unwrap()),
+                    false => (k.clone(), v.clone()),
+                });
+            let exact = JsonValue::Object(exact.collect()).to_string();
+            let readable = format!(r#"{{"{key}": {value}}}"#);
+            for err in [
+                from_json(&readable).unwrap_err(),
+                from_value(&JsonValue::parse(&readable).unwrap()).unwrap_err(),
+                from_json_exact(&exact).unwrap_err(),
+            ] {
+                let err = err.to_string();
+                assert!(err.contains(exact_key) || err.contains(key), "{key}: {err}");
+            }
+        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! concurrent-job determinism, weighted-fair multi-tenant scheduling and
 //! graceful drain.
 
-use std::sync::{Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use pimsyn::{
@@ -31,12 +31,31 @@ fn tiny_request(seed: u64) -> SynthesisRequest {
     )
 }
 
-/// A slot-occupying long job (paper effort), cancelled by the test when the
+/// A slot-occupying job (paper effort), cancelled by the test when the
 /// queue behind it is staged the way the test needs.
 fn blocker_request() -> SynthesisRequest {
     let mut options = SynthesisOptions::new(Watts(15.0)).with_seed(3);
     options.effort = pimsyn::Effort::Paper;
     SynthesisRequest::new(zoo::vgg16_cifar(10), options)
+}
+
+/// Submits `request` with an event sink that holds the job at its first
+/// event until the returned sender is dropped, so the job occupies its
+/// slot for exactly as long as the test needs, however fast it would run.
+fn submit_held(
+    service: &SynthesisService,
+    request: SynthesisRequest,
+    tenant: Option<TenantPolicy>,
+) -> (pimsyn::JobHandle, mpsc::Sender<()>) {
+    let (release, held) = mpsc::channel::<()>();
+    let held = Mutex::new(held);
+    let sink: Arc<dyn EventSink> = Arc::new(CallbackSink(move |_: SynthesisEvent| {
+        let _ = held.lock().unwrap().recv();
+    }));
+    let handle = service
+        .submit_with(request, tenant, Some(sink))
+        .expect("queue has room");
+    (handle, release)
 }
 
 fn await_running(handle: &pimsyn::JobHandle) {
@@ -57,7 +76,7 @@ fn submit_beyond_queue_depth_returns_queue_full() {
             .with_queue_depth(1),
     );
     // Occupy the single slot with a long job, then fill the one queue slot.
-    let blocker = service.submit(blocker_request()).unwrap();
+    let (blocker, release) = submit_held(&service, blocker_request(), None);
     // Wait until the blocker actually occupies the slot, so the next submit
     // is deterministically the only queued job.
     await_running(&blocker);
@@ -75,6 +94,7 @@ fn submit_beyond_queue_depth_returns_queue_full() {
     );
     blocker.cancel();
     queued.cancel();
+    drop(release);
     assert!(matches!(
         blocker.await_result(),
         Err(SynthesisError::Cancelled)
@@ -120,7 +140,7 @@ fn concurrent_service_jobs_match_serial_runs_bit_identically() {
 fn weighted_fair_scheduling_interleaves_tenants_by_weight() {
     let service = SynthesisService::new(ServiceConfig::default().with_job_slots(1));
     // Hold the slot so the whole backlog is enqueued before any dispatch.
-    let blocker = service.submit(blocker_request()).unwrap();
+    let (blocker, release) = submit_held(&service, blocker_request(), None);
     await_running(&blocker);
 
     let a = TenantPolicy::new("tenant-a").with_weight(2);
@@ -153,6 +173,7 @@ fn weighted_fair_scheduling_interleaves_tenants_by_weight() {
         handles.push(handle);
     }
     blocker.cancel();
+    drop(release);
     let _ = blocker.await_result();
     for handle in &handles {
         let _ = handle.await_result();
@@ -173,7 +194,7 @@ fn weighted_fair_scheduling_interleaves_tenants_by_weight() {
 #[test]
 fn tenant_queued_quota_is_a_typed_rejection() {
     let service = SynthesisService::new(ServiceConfig::default().with_job_slots(1));
-    let blocker = service.submit(blocker_request()).unwrap();
+    let (blocker, release) = submit_held(&service, blocker_request(), None);
     await_running(&blocker);
 
     let capped = TenantPolicy::new("capped").with_max_queued(1);
@@ -194,6 +215,7 @@ fn tenant_queued_quota_is_a_typed_rejection() {
         .expect("other tenants unaffected");
 
     blocker.cancel();
+    drop(release);
     let _ = blocker.await_result();
     first.cancel();
     other.cancel();
@@ -206,9 +228,7 @@ fn tenant_queued_quota_is_a_typed_rejection() {
 fn tenant_running_cap_defers_dispatch_while_slots_are_free() {
     let service = SynthesisService::new(ServiceConfig::default().with_job_slots(2));
     let solo = TenantPolicy::new("solo").with_max_running(1);
-    let long = service
-        .submit_with(blocker_request(), Some(solo.clone()), None)
-        .expect("queue has room");
+    let (long, release) = submit_held(&service, blocker_request(), Some(solo.clone()));
     await_running(&long);
     let deferred = service
         .submit_with(tiny_request(1), Some(solo.clone()), None)
@@ -225,6 +245,7 @@ fn tenant_running_cap_defers_dispatch_while_slots_are_free() {
         std::thread::sleep(Duration::from_millis(20));
     }
     long.cancel();
+    drop(release);
     let _ = long.await_result();
     // The cap releases with the slot: the deferred job now runs to the end.
     let _ = deferred.await_result();

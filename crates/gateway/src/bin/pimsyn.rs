@@ -22,17 +22,15 @@
 //! formats pipe cleanly.
 
 use std::process::ExitCode;
-use std::time::Duration;
 
 use pimsyn::{
-    CancelToken, ChannelSink, Effort, EvaluatorStats, MacroMode, Objective, ServiceConfig,
-    SynthesisEngine, SynthesisError, SynthesisEvent, SynthesisOptions, SynthesisRequest,
-    SynthesisResult, SynthesisService, SynthesisSummary,
+    CancelToken, ChannelSink, EvaluatorStats, Objective, ServiceConfig, SynthesisEngine,
+    SynthesisError, SynthesisEvent, SynthesisRequest, SynthesisResult, SynthesisService,
+    SynthesisSummary,
 };
-use pimsyn_arch::Watts;
-use pimsyn_gateway::{parse_budget, parse_u64, timeout_duration};
+use pimsyn_gateway::parse_job;
 use pimsyn_model::json::JsonValue;
-use pimsyn_model::{onnx, zoo, Model};
+use pimsyn_model::{onnx, zoo};
 
 /// `println!` for the report on stdout, through [`write_stdout`].
 macro_rules! outln {
@@ -64,42 +62,18 @@ enum OutputFormat {
 
 #[derive(Debug, Clone)]
 struct Args {
-    model: Option<String>,
-    model_file: Option<String>,
-    hw_file: Option<String>,
+    /// The job keys the synthesis flags set: the defaults of every job
+    /// (`pimsyn_gateway::parse_job`), and the whole job outside `--batch`.
+    defaults: Vec<(String, JsonValue)>,
     batch_file: Option<String>,
-    power: f64,
-    effort: Effort,
-    strategy: WtDupStrategyArg,
-    objective: Objective,
-    macro_mode: MacroMode,
-    sharing: bool,
-    seed: u64,
-    cycle_images: usize,
-    timeout: Option<Duration>,
-    max_evals: Option<usize>,
-    max_unique_evals: Option<usize>,
     output: OutputFormat,
     quiet: bool,
     help: bool,
 }
 
-/// CLI-level strategy selector (the library type carries vectors for the
-/// `Fixed` variant, which the CLI does not expose).
-#[derive(Debug, Clone, PartialEq)]
-enum WtDupStrategyArg {
-    Sa,
-    Woho,
-    None,
-}
-
-impl WtDupStrategyArg {
-    fn to_strategy(&self) -> pimsyn::WtDupStrategy {
-        match self {
-            WtDupStrategyArg::Sa => pimsyn::WtDupStrategy::SimulatedAnnealing,
-            WtDupStrategyArg::Woho => pimsyn::WtDupStrategy::WohoProportional,
-            WtDupStrategyArg::None => pimsyn::WtDupStrategy::NoDuplication,
-        }
+impl Args {
+    fn sets(&self, key: &str) -> bool {
+        self.defaults.iter().any(|(k, _)| k == key)
     }
 }
 
@@ -121,10 +95,11 @@ OPTIONS:
                         (classic CNNs plus mobilenet, resnet18-se,
                         transformer-tiny)
   --model-file <path>   ONNX-style JSON model description
-  --batch <path>        JSON array of jobs, e.g.
+  --batch <path>        JSON array of jobs in the `POST /v1/jobs` format
+                        (docs/PROTOCOLS.md), e.g.
                         [{\"model\": \"alexnet-cifar\", \"power\": 9}, ...];
-                        each job may override effort/seed/strategy/objective/
-                        macros/sharing/cycle/timeout/max-evals and carry a label
+                        a job may name `model_file` instead of `model`, and
+                        the flags below are every job's defaults
   --hw-file <path>      hardware setup parameters (JSON; Table III defaults)
   --power <watts>       total power constraint (required outside --batch;
                         with --batch, the default for jobs without `power`)
@@ -174,310 +149,141 @@ field-by-field schema is documented in docs/ARCHITECTURE.md.";
 
 fn parse_args_from<I: IntoIterator<Item = String>>(argv: I) -> Result<Args, String> {
     let mut args = Args {
-        model: None,
-        model_file: None,
-        hw_file: None,
+        defaults: Vec::new(),
         batch_file: None,
-        power: 0.0,
-        effort: Effort::Fast,
-        strategy: WtDupStrategyArg::Sa,
-        objective: Objective::PowerEfficiency,
-        macro_mode: MacroMode::Specialized,
-        sharing: true,
-        seed: SynthesisOptions::DEFAULT_SEED,
-        cycle_images: 0,
-        timeout: None,
-        max_evals: None,
-        max_unique_evals: None,
         output: OutputFormat::Text,
         quiet: false,
         help: false,
     };
     let mut it = argv.into_iter();
     while let Some(flag) = it.next() {
-        let mut value = |name: &str| it.next().ok_or_else(|| format!("missing value for {name}"));
-        match flag.as_str() {
-            "--model" => args.model = Some(value("--model")?),
-            "--model-file" => args.model_file = Some(value("--model-file")?),
-            "--hw-file" => args.hw_file = Some(value("--hw-file")?),
-            "--batch" => args.batch_file = Some(value("--batch")?),
-            "--power" => {
-                args.power = value("--power")?
-                    .parse()
-                    .map_err(|e| format!("bad --power: {e}"))?
-            }
-            "--effort" => args.effort = parse_effort(&value("--effort")?)?,
-            "--strategy" => args.strategy = parse_strategy(&value("--strategy")?)?,
-            "--objective" => args.objective = parse_objective(&value("--objective")?)?,
-            "--macros" => args.macro_mode = parse_macro_mode(&value("--macros")?)?,
-            "--no-sharing" => args.sharing = false,
-            "--seed" => {
-                args.seed = value("--seed")?
-                    .parse()
-                    .map_err(|e| format!("bad --seed: {e}"))?
-            }
-            "--cycle" => {
-                args.cycle_images = value("--cycle")?
-                    .parse()
-                    .map_err(|e| format!("bad --cycle: {e}"))?
-            }
-            "--timeout" => {
-                let secs: f64 = value("--timeout")?
-                    .parse()
-                    .map_err(|e| format!("bad --timeout: {e}"))?;
-                args.timeout = Some(timeout_duration(secs).map_err(|e| format!("--timeout {e}"))?);
-            }
-            "--max-evals" => {
-                let n: usize = value("--max-evals")?
-                    .parse()
-                    .map_err(|e| format!("bad --max-evals: {e}"))?;
-                if n == 0 {
-                    return Err("--max-evals must be at least 1".to_string());
-                }
-                args.max_evals = Some(n);
-            }
-            "--max-unique-evals" => {
-                let n: usize = value("--max-unique-evals")?
-                    .parse()
-                    .map_err(|e| format!("bad --max-unique-evals: {e}"))?;
-                if n == 0 {
-                    return Err("--max-unique-evals must be at least 1".to_string());
-                }
-                args.max_unique_evals = Some(n);
+        let mut value = || it.next().ok_or_else(|| format!("missing value for {flag}"));
+        // A synthesis flag sets the job key it spells with underscores.
+        let json = match flag.as_str() {
+            "--batch" => {
+                args.batch_file = Some(value()?);
+                continue;
             }
             "--output" => {
-                args.output = match value("--output")?.as_str() {
+                args.output = match value()?.as_str() {
                     "text" => OutputFormat::Text,
                     "json" => OutputFormat::Json,
                     other => return Err(format!("unknown output format `{other}`")),
-                }
+                };
+                continue;
             }
-            "--quiet" | "-q" => args.quiet = true,
+            "--quiet" | "-q" => {
+                args.quiet = true;
+                continue;
+            }
             "--help" | "-h" => {
                 args.help = true;
                 return Ok(args);
             }
+            "--model" | "--model-file" | "--effort" | "--strategy" | "--objective" | "--macros"
+            | "--seed" => JsonValue::String(value()?),
+            "--power" | "--cycle" | "--timeout" | "--max-evals" | "--max-unique-evals" => {
+                let text = value()?;
+                JsonValue::Number(text.parse().map_err(|e| format!("bad {flag}: {e}"))?)
+            }
+            "--no-sharing" => JsonValue::Bool(false),
+            "--hw-file" => JsonValue::String(read(&value()?)?),
             other => return Err(format!("unknown flag `{other}`")),
-        }
+        };
+        let key = match flag.as_str() {
+            "--no-sharing" => "sharing".to_string(),
+            "--hw-file" => "hw".to_string(),
+            _ => flag[2..].replace('-', "_"),
+        };
+        check_flag(&flag, &key, &json)?;
+        // A repeated flag keeps its last value.
+        args.defaults.retain(|(k, _)| *k != key);
+        args.defaults.push((key, json));
     }
     if args.batch_file.is_some() {
-        if args.model.is_some() || args.model_file.is_some() {
+        if args.sets("model") || args.sets("model_file") {
             return Err("--batch cannot be combined with --model / --model-file".to_string());
-        }
-        // In batch mode --power is optional; when given it becomes the
-        // default for jobs without their own `power` field.
-        if args.power != 0.0 && !positive(args.power) {
-            return Err("--power must be positive and finite".to_string());
         }
         return Ok(args);
     }
-    if !positive(args.power) {
+    if !args.sets("power") {
         return Err("--power <watts> is required and must be positive and finite".to_string());
     }
-    if args.model.is_some() == args.model_file.is_some() {
+    if args.sets("model") == args.sets("model_file") {
         return Err("exactly one of --model / --model-file is required".to_string());
     }
     Ok(args)
 }
 
-/// Strictly positive and finite — the HTTP `power` field's rule; rejects
-/// NaN and infinity alongside zero/negatives.
-fn positive(x: f64) -> bool {
-    x.is_finite() && x > 0.0
+/// Checks one flag's value with the job rules, so a bad value is a usage
+/// error (exit 2) naming the flag. The value is parsed as the one key of a
+/// job whose defaults supply a zoo stand-in for the required `model` and
+/// `power`; the model flags themselves are read when the job runs.
+fn check_flag(flag: &str, key: &str, value: &JsonValue) -> Result<(), String> {
+    if key == "model" || key == "model_file" {
+        return Ok(());
+    }
+    let stand_in = JsonValue::Object(vec![
+        ("model".into(), JsonValue::String("alexnet-cifar".into())),
+        ("power".into(), JsonValue::Number(1.0)),
+    ]);
+    let job = JsonValue::Object(vec![(key.to_string(), value.clone())]);
+    parse_job(&job, &stand_in)
+        .map(drop)
+        .map_err(|e| format!("bad {flag}: {e}"))
 }
 
-fn parse_effort(s: &str) -> Result<Effort, String> {
-    match s {
-        "fast" => Ok(Effort::Fast),
-        "paper" => Ok(Effort::Paper),
-        other => Err(format!("unknown effort `{other}`")),
-    }
+fn zoo_entry(name: &str) -> Result<&'static zoo::ZooEntry, String> {
+    zoo::entries()
+        .iter()
+        .find(|entry| entry.name == name)
+        .ok_or_else(|| {
+            format!(
+                "unknown zoo model `{name}` (available: {})",
+                zoo::names().join(", ")
+            )
+        })
 }
 
-fn parse_strategy(s: &str) -> Result<WtDupStrategyArg, String> {
-    match s {
-        "sa" => Ok(WtDupStrategyArg::Sa),
-        "woho" => Ok(WtDupStrategyArg::Woho),
-        "none" => Ok(WtDupStrategyArg::None),
-        other => Err(format!("unknown strategy `{other}`")),
-    }
+fn read(path: &str) -> Result<String, String> {
+    std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))
 }
 
-fn parse_objective(s: &str) -> Result<Objective, String> {
-    match s {
-        "eff" => Ok(Objective::PowerEfficiency),
-        "edp" => Ok(Objective::EnergyDelayProduct),
-        other => Err(format!("unknown objective `{other}`")),
-    }
-}
-
-fn parse_macro_mode(s: &str) -> Result<MacroMode, String> {
-    match s {
-        "specialized" => Ok(MacroMode::Specialized),
-        "identical" => Ok(MacroMode::Identical),
-        other => Err(format!("unknown macro mode `{other}`")),
-    }
-}
-
-fn load_named_model(name: &str) -> Result<Model, String> {
-    zoo::by_name(name).ok_or_else(|| {
-        format!(
-            "unknown zoo model `{name}` (available: {})",
-            zoo::names().join(", ")
-        )
-    })
-}
-
-fn load_model_file(path: &str) -> Result<Model, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    onnx::parse_model(&text).map_err(|e| format!("cannot parse {path}: {e}"))
-}
-
-/// Builds the synthesis options a set of CLI-level args describes.
-fn options_from_args(args: &Args, power: f64) -> Result<SynthesisOptions, String> {
-    let mut options = SynthesisOptions::new(Watts(power))
-        .with_effort(args.effort)
-        .with_strategy(args.strategy.to_strategy())
-        .with_objective(args.objective)
-        .with_macro_mode(args.macro_mode)
-        .with_seed(args.seed);
-    if !args.sharing {
-        options = options.without_macro_sharing();
-    }
-    if args.cycle_images > 0 {
-        options = options.with_cycle_validation(args.cycle_images);
-    }
-    if let Some(limit) = args.timeout {
-        options = options.with_time_budget(limit);
-    }
-    if let Some(n) = args.max_evals {
-        options = options.with_max_evaluations(n);
-    }
-    if let Some(n) = args.max_unique_evals {
-        options = options.with_max_unique_evaluations(n);
-    }
-    if let Some(path) = &args.hw_file {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        let hw =
-            pimsyn_arch::hardware_config::from_json(&text).map_err(|e| format!("{path}: {e}"))?;
-        options = options.with_hardware(hw);
-    }
-    Ok(options)
-}
-
-/// Parses one job object of a `--batch` file into a request, with the
-/// CLI-level args as defaults.
-fn batch_job_request(
-    job: &JsonValue,
-    args: &Args,
-    index: usize,
-) -> Result<SynthesisRequest, String> {
-    let at = |detail: String| format!("batch job {index}: {detail}");
-    let obj = job
-        .as_object()
-        .ok_or_else(|| at("expected a JSON object".to_string()))?;
-    for (key, _) in obj {
-        match key.as_str() {
-            "model" | "model-file" | "power" | "effort" | "strategy" | "objective" | "macros"
-            | "sharing" | "seed" | "cycle" | "timeout" | "max-evals" | "max-unique-evals"
-            | "label" => {}
-            other => return Err(at(format!("unknown field `{other}`"))),
-        }
-    }
-    let get_str = |key: &str| -> Result<Option<&str>, String> {
-        match job.get(key) {
-            None => Ok(None),
-            Some(v) => v
-                .as_str()
-                .map(Some)
-                .ok_or_else(|| at(format!("field `{key}` must be a string"))),
-        }
+/// Swaps a job's CLI-only `model_file` for the document in that file as
+/// an inline `model`, so `parse_job` never reads a path.
+fn inline_model_file(job: &JsonValue) -> Result<JsonValue, String> {
+    let (Some(fields), Some(path)) = (job.as_object(), job.get("model_file")) else {
+        return Ok(job.clone());
     };
-    let get_num = |key: &str| -> Result<Option<f64>, String> {
-        match job.get(key) {
-            None => Ok(None),
-            Some(v) => v
-                .as_f64()
-                .map(Some)
-                .ok_or_else(|| at(format!("field `{key}` must be a number"))),
-        }
-    };
-
-    let model = match (get_str("model")?, get_str("model-file")?) {
-        (Some(name), None) => load_named_model(name).map_err(at)?,
-        (None, Some(path)) => load_model_file(path).map_err(at)?,
-        _ => {
-            return Err(at(
-                "exactly one of `model` / `model-file` is required".to_string()
-            ))
-        }
-    };
-    let power = match get_num("power")? {
-        Some(p) => p,
-        // Fall back to the CLI-level --power, like every other flag.
-        None if positive(args.power) => args.power,
-        None => {
-            return Err(at(
-                "field `power` is required (or pass a default via --power)".to_string(),
-            ))
-        }
-    };
-    if !positive(power) {
-        return Err(at("field `power` must be positive and finite".to_string()));
+    if job.get("model").is_some() {
+        return Err("exactly one of `model` / `model_file` is allowed".to_string());
     }
-
-    let mut job_args = args.clone();
-    if let Some(s) = get_str("effort")? {
-        job_args.effort = parse_effort(s).map_err(at)?;
-    }
-    if let Some(s) = get_str("strategy")? {
-        job_args.strategy = parse_strategy(s).map_err(at)?;
-    }
-    if let Some(s) = get_str("objective")? {
-        job_args.objective = parse_objective(s).map_err(at)?;
-    }
-    if let Some(s) = get_str("macros")? {
-        job_args.macro_mode = parse_macro_mode(s).map_err(at)?;
-    }
-    if let Some(v) = job.get("sharing") {
-        job_args.sharing = v
-            .as_bool()
-            .ok_or_else(|| at("field `sharing` must be a boolean".to_string()))?;
-    }
-    // Integer fields follow the HTTP payload's rules, so an out-of-range
-    // value is an error instead of saturating.
-    let field = |e: String| at(format!("field {e}"));
-    if let Some(v) = job.get("seed") {
-        job_args.seed = parse_u64(v, "seed").map_err(field)?;
-    }
-    if let Some(v) = job.get("cycle") {
-        job_args.cycle_images = v.as_usize().ok_or_else(|| {
-            at("field `cycle` must be a non-negative integer up to 2^53".to_string())
-        })?;
-    }
-    if let Some(n) = get_num("timeout")? {
-        job_args.timeout =
-            Some(timeout_duration(n).map_err(|e| at(format!("field `timeout` {e}")))?);
-    }
-    if let Some(v) = job.get("max-evals") {
-        job_args.max_evals = Some(parse_budget(v, "max-evals").map_err(field)?);
-    }
-    if let Some(v) = job.get("max-unique-evals") {
-        job_args.max_unique_evals = Some(parse_budget(v, "max-unique-evals").map_err(field)?);
-    }
-
-    let options = options_from_args(&job_args, power).map_err(at)?;
-    let mut request = SynthesisRequest::new(model, options);
-    if let Some(label) = get_str("label")? {
-        request = request.with_label(label);
-    }
-    Ok(request)
+    let path = path.as_str().ok_or("`model_file` must be a path")?;
+    let model = JsonValue::parse(&read(path)?).map_err(|e| format!("cannot parse {path}: {e}"))?;
+    Ok(JsonValue::Object(
+        fields
+            .iter()
+            .map(|(key, value)| match key.as_str() {
+                "model_file" => ("model".to_string(), model.clone()),
+                _ => (key.clone(), value.clone()),
+            })
+            .collect(),
+    ))
 }
 
-fn load_batch(args: &Args) -> Result<Vec<SynthesisRequest>, String> {
-    let path = args.batch_file.as_ref().expect("validated by parse_args");
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let doc = JsonValue::parse(&text).map_err(|e| format!("cannot parse {path}: {e}"))?;
+/// Parses one job with the flags as its defaults.
+fn job_request(job: &JsonValue, args: &Args) -> Result<SynthesisRequest, String> {
+    let defaults = inline_model_file(&JsonValue::Object(args.defaults.clone()))?;
+    parse_job(&inline_model_file(job)?, &defaults)
+}
+
+/// The jobs the command line names: every job of the `--batch` file, or
+/// the one job the flags describe.
+fn load_jobs(args: &Args) -> Result<Vec<SynthesisRequest>, String> {
+    let Some(path) = &args.batch_file else {
+        return Ok(vec![job_request(&JsonValue::Object(Vec::new()), args)?]);
+    };
+    let doc = JsonValue::parse(&read(path)?).map_err(|e| format!("cannot parse {path}: {e}"))?;
     let jobs = doc
         .as_array()
         .ok_or_else(|| format!("{path}: expected a JSON array of jobs"))?;
@@ -486,7 +292,7 @@ fn load_batch(args: &Args) -> Result<Vec<SynthesisRequest>, String> {
     }
     jobs.iter()
         .enumerate()
-        .map(|(i, job)| batch_job_request(job, args, i))
+        .map(|(i, job)| job_request(job, args).map_err(|e| format!("batch job {i}: {e}")))
         .collect()
 }
 
@@ -494,12 +300,12 @@ fn load_batch(args: &Args) -> Result<Vec<SynthesisRequest>, String> {
 /// for events that stay silent at CLI verbosity (per-stage ticks).
 ///
 /// Point/best values are the *objective fitness*, so their unit follows
-/// what is optimized (TOPS/W by default, reciprocal EDP under `--objective
-/// edp`); the `done:` line always reports TOPS/W.
-fn progress_line(event: &SynthesisEvent, objective: Objective) -> Option<String> {
-    let unit = match objective {
-        Objective::PowerEfficiency => "TOPS/W",
-        Objective::EnergyDelayProduct => "1/(ms*mJ)",
+/// what the event's job optimizes (TOPS/W by default, reciprocal EDP under
+/// `--objective edp`); the `done:` line always reports TOPS/W.
+fn progress_line(event: &SynthesisEvent, requests: &[SynthesisRequest]) -> Option<String> {
+    let unit = |job: &usize| match requests.get(*job).map(|r| r.options.objective) {
+        Some(Objective::EnergyDelayProduct) => "1/(ms*mJ)",
+        _ => "TOPS/W",
     };
     match event {
         SynthesisEvent::JobStarted { job, label } => {
@@ -508,11 +314,13 @@ fn progress_line(event: &SynthesisEvent, objective: Objective) -> Option<String>
         SynthesisEvent::DesignPointEvaluated {
             job, point, point_index, best_efficiency, evaluations,
         } => Some(format!(
-            "  [job {job}] point {point_index} ({point}): {best_efficiency:.3} {unit} after {evaluations} evaluations"
+            "  [job {job}] point {point_index} ({point}): {best_efficiency:.3} {} after {evaluations} evaluations",
+            unit(job)
         )),
-        SynthesisEvent::ImprovedBest { job, point_index, fitness } => {
-            Some(format!("  [job {job}] new best {fitness:.3} {unit} (point {point_index})"))
-        }
+        SynthesisEvent::ImprovedBest { job, point_index, fitness } => Some(format!(
+            "  [job {job}] new best {fitness:.3} {} (point {point_index})",
+            unit(job)
+        )),
         SynthesisEvent::Finished { job, efficiency, evaluations, stop_reason, elapsed, error } => {
             Some(match (efficiency, error) {
                 (Some(eff), _) => {
@@ -554,26 +362,6 @@ fn stats_line(stats: &EvaluatorStats) -> String {
     line
 }
 
-/// The job index an event belongs to.
-fn event_job(event: &SynthesisEvent) -> usize {
-    match event {
-        SynthesisEvent::JobStarted { job, .. }
-        | SynthesisEvent::StageStarted { job, .. }
-        | SynthesisEvent::StageFinished { job, .. }
-        | SynthesisEvent::DesignPointEvaluated { job, .. }
-        | SynthesisEvent::ImprovedBest { job, .. }
-        | SynthesisEvent::EvaluatorStats { job, .. }
-        | SynthesisEvent::Finished { job, .. } => *job,
-    }
-}
-
-fn emit_single(result: &SynthesisResult, output: &OutputFormat) {
-    match output {
-        OutputFormat::Text => outln!("{}", result.report_text()),
-        OutputFormat::Json => outln!("{}", SynthesisSummary::from_result(result).to_json()),
-    }
-}
-
 fn emit_batch(
     requests: &[SynthesisRequest],
     results: &[Result<SynthesisResult, SynthesisError>],
@@ -611,50 +399,63 @@ fn emit_batch(
     }
 }
 
-fn run_single(args: &Args) -> ExitCode {
-    let model = match &args.model {
-        Some(name) => load_named_model(name),
-        None => load_model_file(args.model_file.as_ref().expect("validated by parse_args")),
-    };
-    let model = match model {
-        Ok(m) => m,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let options = match options_from_args(args, args.power) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+/// Runs the jobs and prints their reports: the one job the flags describe,
+/// or every job of the `--batch` file.
+fn run(args: &Args, requests: &[SynthesisRequest]) -> ExitCode {
+    let single = args.batch_file.is_none();
     if !args.quiet {
-        eprintln!("synthesizing {model} under {} W ...", args.power);
+        match requests {
+            [request] if single => eprintln!(
+                "synthesizing {} under {} W ...",
+                request.model,
+                request.options.power_budget.value()
+            ),
+            _ => eprintln!("synthesizing batch of {} jobs ...", requests.len()),
+        }
     }
 
     let engine = SynthesisEngine::new();
-    let job = engine.spawn(SynthesisRequest::new(model, options));
+    let (sink, events) = ChannelSink::pair();
     let mut last_stats: Option<EvaluatorStats> = None;
-    for event in job.events() {
-        if let SynthesisEvent::EvaluatorStats { stats, .. } = &event {
-            last_stats = Some(*stats);
-        }
-        if !args.quiet {
-            if let Some(line) = progress_line(&event, args.objective) {
-                eprintln!("{line}");
+    let mut results = Vec::new();
+    std::thread::scope(|s| {
+        let worker = s.spawn(|| {
+            let out = engine.synthesize_batch_observed(requests, &sink, &CancelToken::new());
+            drop(sink); // close the event stream so the printer loop ends
+            out
+        });
+        for event in events {
+            if let SynthesisEvent::EvaluatorStats { stats, .. } = &event {
+                last_stats = Some(*stats);
+            }
+            if !args.quiet {
+                if let Some(line) = progress_line(&event, requests) {
+                    eprintln!("{line}");
+                }
             }
         }
+        results = worker.join().expect("batch worker panicked");
+    });
+
+    if !single {
+        emit_batch(requests, &results, &args.output);
+        return if results.iter().all(Result::is_ok) {
+            ExitCode::SUCCESS
+        } else {
+            ExitCode::FAILURE
+        };
     }
-    if !args.quiet {
-        if let Some(stats) = &last_stats {
-            eprintln!("{}", stats_line(stats));
-        }
+    if let (false, Some(stats)) = (args.quiet, &last_stats) {
+        eprintln!("{}", stats_line(stats));
     }
-    match job.join() {
+    match results.remove(0) {
         Ok(result) => {
-            emit_single(&result, &args.output);
+            match args.output {
+                OutputFormat::Text => outln!("{}", result.report_text()),
+                OutputFormat::Json => {
+                    outln!("{}", SynthesisSummary::from_result(&result).to_json())
+                }
+            }
             ExitCode::SUCCESS
         }
         Err(e) => {
@@ -665,52 +466,6 @@ fn run_single(args: &Args) -> ExitCode {
             }
             ExitCode::FAILURE
         }
-    }
-}
-
-fn run_batch(args: &Args) -> ExitCode {
-    let requests = match load_batch(args) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if !args.quiet {
-        eprintln!("synthesizing batch of {} jobs ...", requests.len());
-    }
-
-    let engine = SynthesisEngine::new();
-    let cancel = CancelToken::new();
-    let (sink, events) = ChannelSink::pair();
-    let mut results = Vec::new();
-    std::thread::scope(|s| {
-        let worker = s.spawn(|| {
-            let out = engine.synthesize_batch_observed(&requests, &sink, &cancel);
-            drop(sink); // close the event stream so the printer loop ends
-            out
-        });
-        for event in events {
-            if !args.quiet {
-                // Jobs can override the objective, so label each line with
-                // the objective of the job it belongs to.
-                let objective = requests
-                    .get(event_job(&event))
-                    .map(|r| r.options.objective)
-                    .unwrap_or(args.objective);
-                if let Some(line) = progress_line(&event, objective) {
-                    eprintln!("{line}");
-                }
-            }
-        }
-        results = worker.join().expect("batch worker panicked");
-    });
-
-    emit_batch(&requests, &results, &args.output);
-    if results.iter().all(Result::is_ok) {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
     }
 }
 
@@ -927,19 +682,16 @@ fn run_zoo(argv: &[String]) -> ExitCode {
     }
 
     if let Some(name) = &args.describe {
-        let model = match load_named_model(name) {
-            Ok(m) => m,
+        let entry = match zoo_entry(name) {
+            Ok(entry) => entry,
             Err(e) => {
                 eprintln!("error: {e}");
                 return ExitCode::FAILURE;
             }
         };
+        let model = (entry.build)();
         let stats = model.stats();
         let shape = model.input_shape();
-        let entry = zoo::entries()
-            .iter()
-            .find(|e| e.name == name.as_str())
-            .expect("load_named_model succeeded");
         outln!("{}: {}", entry.name, entry.description);
         outln!(
             "  input {}x{}x{}, {} layers ({} weight layers)",
@@ -982,17 +734,12 @@ fn run_zoo(argv: &[String]) -> ExitCode {
     }
 
     if args.validate {
-        let entries: Vec<&zoo::ZooEntry> = match &args.validate_model {
-            Some(name) => match zoo::entries().iter().find(|e| e.name == name.as_str()) {
-                Some(entry) => vec![entry],
-                None => {
-                    eprintln!(
-                        "error: unknown zoo model `{name}` (available: {})",
-                        zoo::names().join(", ")
-                    );
-                    return ExitCode::FAILURE;
-                }
-            },
+        let entries: Vec<&zoo::ZooEntry> = match args.validate_model.as_deref().map(zoo_entry) {
+            Some(Ok(entry)) => vec![entry],
+            Some(Err(e)) => {
+                eprintln!("error: {e}");
+                return ExitCode::FAILURE;
+            }
             None => zoo::entries().iter().collect(),
         };
         let mut failures = 0usize;
@@ -1074,16 +821,12 @@ fn run_export(argv: &[String]) -> ExitCode {
         return fail("`pimsyn export` synthesizes a single model; --batch is not supported".into());
     }
 
-    let result = (|| -> Result<SynthesisResult, String> {
-        let model = match &args.model {
-            Some(name) => load_named_model(name)?,
-            None => load_model_file(args.model_file.as_ref().expect("validated"))?,
-        };
-        let options = options_from_args(&args, args.power)?;
-        pimsyn::Synthesizer::new(options)
-            .synthesize(&model)
+    let result = load_jobs(&args).and_then(|mut requests| {
+        let request = requests.remove(0);
+        pimsyn::Synthesizer::new(request.options)
+            .synthesize(&request.model)
             .map_err(|e| e.to_string())
-    })();
+    });
     let result = match result {
         Ok(r) => r,
         Err(e) => {
@@ -1137,75 +880,98 @@ fn main() -> ExitCode {
         outln!("{USAGE}");
         return ExitCode::SUCCESS;
     }
-    if args.batch_file.is_some() {
-        run_batch(&args)
-    } else {
-        run_single(&args)
+    match load_jobs(&args) {
+        Ok(requests) => run(&args, &requests),
+        Err(e) => {
+            eprintln!("error: {e}");
+            ExitCode::FAILURE
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::time::Duration;
+
+    use pimsyn::{Effort, SynthesisOptions};
+    use pimsyn_arch::Watts;
+
     use super::*;
 
-    fn parse(args: &[&str]) -> Result<Args, String> {
-        parse_args_from(args.iter().map(|s| s.to_string()))
+    /// Splits a command line at whitespace.
+    fn argv(line: &str) -> Vec<String> {
+        line.split_whitespace().map(String::from).collect()
+    }
+
+    fn parse(line: &str) -> Result<Args, String> {
+        parse_args_from(argv(line))
+    }
+
+    /// The one job a non-batch command line describes.
+    fn request(line: &str) -> SynthesisRequest {
+        load_jobs(&parse(line).unwrap()).unwrap().remove(0)
+    }
+
+    fn job(text: &str) -> JsonValue {
+        JsonValue::parse(text).unwrap()
     }
 
     #[test]
     fn minimal_invocation_parses_with_library_defaults() {
-        let args = parse(&["--model", "alexnet-cifar", "--power", "9"]).unwrap();
-        assert_eq!(args.model.as_deref(), Some("alexnet-cifar"));
-        assert_eq!(args.power, 9.0);
+        let args = parse("--model alexnet-cifar --power 9").unwrap();
+        assert_eq!(args.output, OutputFormat::Text);
+        assert!(!args.quiet);
+        let request = request("--model alexnet-cifar --power 9");
+        assert_eq!(request.model.name(), "alexnet-cifar");
+        assert_eq!(request.options.power_budget, Watts(9.0));
         // The CLI seed default is the library default (the flow is
         // deterministic given the seed, so CLI and API runs agree).
-        assert_eq!(args.seed, SynthesisOptions::DEFAULT_SEED);
-        assert_eq!(args.effort, Effort::Fast);
-        assert_eq!(args.output, OutputFormat::Text);
-        assert!(args.timeout.is_none());
-        assert!(args.max_evals.is_none());
-        assert!(!args.quiet);
+        assert_eq!(request.options.seed, SynthesisOptions::DEFAULT_SEED);
+        assert_eq!(request.options.effort, Effort::Fast);
+        assert!(request.options.time_budget.is_none());
+        assert!(request.options.max_evaluations.is_none());
+    }
+
+    #[test]
+    fn flags_fill_the_job_keys_they_spell() {
+        let flags = request(
+            "--model alexnet-cifar --power 9 --effort paper --strategy woho --objective edp \
+             --macros identical --no-sharing --seed 18446744073709551615 --cycle 2 \
+             --timeout 30 --max-evals 100 --max-unique-evals 50",
+        );
+        let body = job(
+            r#"{"model": "alexnet-cifar", "power": 9, "effort": "paper", "strategy": "woho",
+                "objective": "edp", "macros": "identical", "sharing": false,
+                "seed": "18446744073709551615", "cycle": 2, "timeout": 30,
+                "max_evals": 100, "max_unique_evals": 50}"#,
+        );
+        let body = parse_job(&body, &JsonValue::Null).unwrap();
+        assert_eq!(flags.model, body.model);
+        assert_eq!(flags.options, body.options);
+        assert_eq!(flags.options.seed, u64::MAX);
+        // A repeated flag keeps its last value.
+        let request = request("--model vgg16 --power 9 --seed 3 --seed 4");
+        assert_eq!(request.options.seed, 4);
     }
 
     #[test]
     fn unknown_flag_is_rejected() {
-        let err = parse(&["--model", "vgg16", "--power", "9", "--frobnicate"]).unwrap_err();
+        let err = parse("--model vgg16 --power 9 --frobnicate").unwrap_err();
         assert!(err.contains("unknown flag"), "{err}");
         // Names outside the CLI fall through to the same error, which
         // `main` answers with the usage text and exit code 2.
         for removed in [
-            &[
-                "--model",
-                "vgg16",
-                "--power",
-                "9",
-                "--remote-token-file",
-                "f",
-            ][..],
-            &["worker-serve", "--listen", "127.0.0.1:0"],
-            &["worker-stop", "--connect", "127.0.0.1:1"],
-            &["--model", "vgg16", "--power", "9", "--backend", "inline"],
-            &["--model", "vgg16", "--power", "9", "--eval-cache-file", "f"],
-            &["--model", "vgg16", "--power", "9", "--eval-cache", "off"],
-            &[
-                "--model",
-                "vgg16",
-                "--power",
-                "9",
-                "--eval-cache-capacity",
-                "5",
-            ],
-            &[
-                "--model",
-                "vgg16",
-                "--power",
-                "9",
-                "--eval-cache-max-entries",
-                "5",
-            ],
-            &["--worker"],
-            &["serve", "--listen", "127.0.0.1:0"],
-            &["submit", "--connect", "h:1"],
+            "--model vgg16 --power 9 --remote-token-file f",
+            "worker-serve --listen 127.0.0.1:0",
+            "worker-stop --connect 127.0.0.1:1",
+            "--model vgg16 --power 9 --backend inline",
+            "--model vgg16 --power 9 --eval-cache-file f",
+            "--model vgg16 --power 9 --eval-cache off",
+            "--model vgg16 --power 9 --eval-cache-capacity 5",
+            "--model vgg16 --power 9 --eval-cache-max-entries 5",
+            "--worker",
+            "serve --listen 127.0.0.1:0",
+            "submit --connect h:1",
         ] {
             let err = parse(removed).unwrap_err();
             assert!(err.contains("unknown flag"), "{removed:?}: {err}");
@@ -1214,161 +980,116 @@ mod tests {
 
     #[test]
     fn missing_power_is_rejected() {
-        let err = parse(&["--model", "vgg16"]).unwrap_err();
+        let err = parse("--model vgg16").unwrap_err();
         assert!(err.contains("--power"), "{err}");
         for bad in ["-3", "inf", "1e400", "NaN"] {
-            let err = parse(&["--model", "vgg16", "--power", bad]).unwrap_err();
+            let err = parse(&format!("--model vgg16 --power {bad}")).unwrap_err();
             assert!(err.contains("positive"), "{bad}: {err}");
         }
     }
 
     #[test]
     fn model_and_model_file_are_mutually_exclusive() {
-        let err = parse(&[
-            "--model",
-            "vgg16",
-            "--model-file",
-            "net.json",
-            "--power",
-            "9",
-        ])
-        .unwrap_err();
+        let err = parse("--model vgg16 --model-file net.json --power 9").unwrap_err();
         assert!(err.contains("exactly one"), "{err}");
-        let err = parse(&["--power", "9"]).unwrap_err();
+        let err = parse("--power 9").unwrap_err();
         assert!(err.contains("exactly one"), "{err}");
     }
 
     #[test]
     fn bad_timeout_is_rejected() {
-        let err = parse(&["--model", "vgg16", "--power", "9", "--timeout", "soon"]).unwrap_err();
+        let err = parse("--model vgg16 --power 9 --timeout soon").unwrap_err();
         assert!(err.contains("bad --timeout"), "{err}");
-        let err = parse(&["--model", "vgg16", "--power", "9", "--timeout", "0"]).unwrap_err();
+        let err = parse("--model vgg16 --power 9 --timeout 0").unwrap_err();
         assert!(err.contains("positive"), "{err}");
-        let err = parse(&["--model", "vgg16", "--power", "9", "--timeout"]).unwrap_err();
+        let err = parse("--model vgg16 --power 9 --timeout").unwrap_err();
         assert!(err.contains("missing value"), "{err}");
         // Values Duration::from_secs_f64 would panic on must error cleanly.
         for huge in ["inf", "1e300", "nan"] {
-            let err = parse(&["--model", "vgg16", "--power", "9", "--timeout", huge]).unwrap_err();
+            let err = parse(&format!("--model vgg16 --power 9 --timeout {huge}")).unwrap_err();
             assert!(err.contains("--timeout"), "{err}");
         }
     }
 
     #[test]
     fn budget_flags_parse() {
-        let args = parse(&[
-            "--model",
-            "vgg16",
-            "--power",
-            "9",
-            "--timeout",
-            "1.5",
-            "--max-evals",
-            "100",
-        ])
-        .unwrap();
-        assert_eq!(args.timeout, Some(Duration::from_secs_f64(1.5)));
-        assert_eq!(args.max_evals, Some(100));
-        let err = parse(&["--model", "vgg16", "--power", "9", "--max-evals", "0"]).unwrap_err();
+        let request = request("--model vgg16 --power 9 --timeout 1.5 --max-evals 100");
+        let limit = Duration::from_secs_f64(1.5);
+        assert_eq!(request.options.time_budget, Some(limit));
+        assert_eq!(request.options.max_evaluations, Some(100));
+        let err = parse("--model vgg16 --power 9 --max-evals 0").unwrap_err();
         assert!(err.contains("at least 1"), "{err}");
     }
 
     #[test]
     fn batch_conflicts_with_model_flags() {
-        let err = parse(&["--batch", "jobs.json", "--model", "vgg16"]).unwrap_err();
+        let err = parse("--batch jobs.json --model vgg16").unwrap_err();
         assert!(err.contains("--batch"), "{err}");
         // Batch mode needs neither --power nor --model.
-        let args = parse(&["--batch", "jobs.json"]).unwrap();
+        let args = parse("--batch jobs.json").unwrap();
         assert_eq!(args.batch_file.as_deref(), Some("jobs.json"));
         // ... but an explicit --power must still be sane.
         for bad in ["-1", "inf", "1e400"] {
-            let err = parse(&["--batch", "jobs.json", "--power", bad]).unwrap_err();
+            let err = parse(&format!("--batch jobs.json --power {bad}")).unwrap_err();
             assert!(err.contains("positive"), "{bad}: {err}");
         }
     }
 
     #[test]
     fn batch_power_flag_is_the_job_default() {
-        let cli = parse(&["--batch", "jobs.json", "--power", "9"]).unwrap();
-        let job = JsonValue::parse(r#"{"model": "alexnet-cifar"}"#).unwrap();
-        let request = batch_job_request(&job, &cli, 0).unwrap();
+        let cli = parse("--batch jobs.json --power 9").unwrap();
+        let request = job_request(&job(r#"{"model": "alexnet-cifar"}"#), &cli).unwrap();
         assert_eq!(request.options.power_budget, Watts(9.0));
         // A job-level field still wins over the CLI default.
-        let job = JsonValue::parse(r#"{"model": "alexnet-cifar", "power": 12}"#).unwrap();
-        let request = batch_job_request(&job, &cli, 1).unwrap();
+        let request =
+            job_request(&job(r#"{"model": "alexnet-cifar", "power": 12}"#), &cli).unwrap();
         assert_eq!(request.options.power_budget, Watts(12.0));
-        // Without either, the error points at both spellings.
-        let bare = parse(&["--batch", "jobs.json"]).unwrap();
-        let job = JsonValue::parse(r#"{"model": "alexnet-cifar"}"#).unwrap();
-        let err = batch_job_request(&job, &bare, 0).unwrap_err();
-        assert!(err.contains("--power"), "{err}");
+        // Without either, the job has no power.
+        let bare = parse("--batch jobs.json").unwrap();
+        let err = job_request(&job(r#"{"model": "alexnet-cifar"}"#), &bare).unwrap_err();
+        assert!(err.contains("missing `power`"), "{err}");
     }
 
     #[test]
     fn backend_flags_parse_and_reach_options() {
         // `--max-unique-evals` budgets the scoring back end: it counts memo
         // misses, the candidates that are actually computed.
-        let args = parse(&["--model", "vgg16", "--power", "9"]).unwrap();
-        assert!(args.max_unique_evals.is_none());
-        let args = parse(&[
-            "--model",
-            "vgg16",
-            "--power",
-            "9",
-            "--max-unique-evals",
-            "40",
-        ])
-        .unwrap();
-        assert_eq!(args.max_unique_evals, Some(40));
-        let options = options_from_args(&args, args.power).unwrap();
+        let options = request("--model vgg16 --power 9").options;
+        assert!(options.max_unique_evaluations.is_none());
+        let options = request("--model vgg16 --power 9 --max-unique-evals 40").options;
         assert_eq!(options.max_unique_evaluations, Some(40));
 
-        let err = parse(&[
-            "--model",
-            "vgg16",
-            "--power",
-            "9",
-            "--max-unique-evals",
-            "0",
-        ])
-        .unwrap_err();
+        let err = parse("--model vgg16 --power 9 --max-unique-evals 0").unwrap_err();
         assert!(err.contains("at least 1"), "{err}");
     }
 
-    fn parse_gateway(args: &[&str]) -> Result<GatewayArgs, String> {
-        parse_gateway_args(args.iter().map(|s| s.to_string()))
+    fn parse_gateway(line: &str) -> Result<GatewayArgs, String> {
+        parse_gateway_args(argv(line))
     }
 
     #[test]
     fn gateway_args_parse_and_validate() {
-        let args = parse_gateway(&[
-            "--listen",
-            "127.0.0.1:0",
-            "--keys",
-            "tenants.json",
-            "--job-slots",
-            "2",
-            "--queue-depth",
-            "8",
-        ])
-        .unwrap();
+        let args =
+            parse_gateway("--listen 127.0.0.1:0 --keys tenants.json --job-slots 2 --queue-depth 8")
+                .unwrap();
         assert_eq!(args.listen, "127.0.0.1:0");
         assert_eq!(args.keys.as_deref(), Some("tenants.json"));
         assert_eq!(args.job_slots, Some(2));
         assert_eq!(args.queue_depth, Some(8));
 
-        let err = parse_gateway(&[]).unwrap_err();
+        let err = parse_gateway("").unwrap_err();
         assert!(err.contains("--listen"), "{err}");
-        let err = parse_gateway(&["--listen", "x", "--frobnicate"]).unwrap_err();
+        let err = parse_gateway("--listen x --frobnicate").unwrap_err();
         assert!(err.contains("unknown gateway flag"), "{err}");
 
-        for (removed, value) in [
-            ("--worker-registry", "h:1"),
-            ("--remote-token-file", "h:1"),
-            ("--backend", "inline"),
-            ("--eval-cache-file", "f"),
-            ("--scheduler", "fair"),
+        for removed in [
+            "--worker-registry h:1",
+            "--remote-token-file h:1",
+            "--backend inline",
+            "--eval-cache-file f",
+            "--scheduler fair",
         ] {
-            let err = parse_gateway(&["--listen", "x", removed, value]).unwrap_err();
+            let err = parse_gateway(&format!("--listen x {removed}")).unwrap_err();
             assert!(err.contains("unknown gateway flag"), "{err}");
         }
     }
@@ -1388,27 +1109,24 @@ mod tests {
 
     #[test]
     fn output_format_parses() {
-        let args = parse(&["--model", "vgg16", "--power", "9", "--output", "json"]).unwrap();
+        let args = parse("--model vgg16 --power 9 --output json").unwrap();
         assert_eq!(args.output, OutputFormat::Json);
-        let err = parse(&["--model", "vgg16", "--power", "9", "--output", "xml"]).unwrap_err();
+        let err = parse("--model vgg16 --power 9 --output xml").unwrap_err();
         assert!(err.contains("unknown output format"), "{err}");
     }
 
     #[test]
     fn help_short_circuits_validation() {
-        let args = parse(&["--help"]).unwrap();
+        let args = parse("--help").unwrap();
         assert!(args.help);
     }
 
     #[test]
     fn batch_job_request_applies_overrides_and_defaults() {
-        let cli = parse(&["--batch", "jobs.json", "--seed", "7", "--effort", "paper"]).unwrap();
-        let job = JsonValue::parse(
-            r#"{"model": "alexnet-cifar", "power": 9, "effort": "fast",
-                "label": "smoke", "max-evals": 50}"#,
-        )
-        .unwrap();
-        let request = batch_job_request(&job, &cli, 0).unwrap();
+        let cli = parse("--batch jobs.json --seed 7 --effort paper").unwrap();
+        let job = job(r#"{"model": "alexnet-cifar", "power": 9, "effort": "fast",
+                "label": "smoke", "max_evals": 50}"#);
+        let request = job_request(&job, &cli).unwrap();
         assert_eq!(request.display_label(), "smoke");
         assert_eq!(request.options.power_budget, Watts(9.0));
         assert_eq!(request.options.effort, Effort::Fast); // job override
@@ -1418,16 +1136,16 @@ mod tests {
 
     #[test]
     fn batch_job_request_rejects_bad_jobs() {
-        let cli = parse(&["--batch", "jobs.json"]).unwrap();
+        let cli = parse("--batch jobs.json").unwrap();
         for (job, needle) in [
-            (r#"{"power": 9}"#, "exactly one"),
+            (r#"{"power": 9}"#, "missing `model`"),
             (r#"{"model": "alexnet-cifar"}"#, "power"),
             (r#"{"model": "nope", "power": 9}"#, "unknown zoo model"),
             (
                 r#"{"model": "alexnet-cifar", "power": 9, "surprise": 1}"#,
                 "unknown field",
             ),
-            (r#"[1, 2]"#, "expected a JSON object"),
+            (r#"[1, 2]"#, "must be a JSON object"),
             (
                 r#"{"model": "alexnet-cifar", "power": 9, "backend": "inline"}"#,
                 "unknown field `backend`",
@@ -1438,16 +1156,20 @@ mod tests {
             ),
             (
                 r#"{"model": "alexnet-cifar", "power": -2}"#,
-                "field `power` must be positive",
+                "`power` must be positive",
             ),
             (
                 r#"{"model": "alexnet-cifar", "power": 1e400}"#,
-                "field `power` must be positive",
+                "`power` must be positive",
             ),
+            // The hyphenated keys of the old batch format name their
+            // new spelling.
+            (r#"{"max-evals": 5}"#, "`max_evals`"),
+            (r#"{"max-unique-evals": 5}"#, "`max_unique_evals`"),
+            (r#"{"model-file": "net.json"}"#, "`model_file`"),
+            (r#"{"model": "vgg16", "model_file": "x"}"#, "exactly one"),
         ] {
-            let parsed = JsonValue::parse(job).unwrap();
-            let err = batch_job_request(&parsed, &cli, 3).unwrap_err();
-            assert!(err.contains("batch job 3"), "{err}");
+            let err = job_request(&JsonValue::parse(job).unwrap(), &cli).unwrap_err();
             assert!(err.contains(needle), "`{err}` should mention `{needle}`");
         }
         // Integer fields past 2^53, negative, fractional or (budgets) zero
@@ -1458,49 +1180,61 @@ mod tests {
             ("seed", "1.5"),
             ("cycle", "1e300"),
             ("cycle", "-2"),
-            ("max-evals", "1e20"),
-            ("max-evals", "0"),
-            ("max-unique-evals", "1e300"),
-            ("max-unique-evals", "0.5"),
+            ("max_evals", "1e20"),
+            ("max_evals", "0"),
+            ("max_unique_evals", "1e300"),
+            ("max_unique_evals", "0.5"),
         ] {
             let job = format!(r#"{{"model": "alexnet-cifar", "power": 9, "{field}": {value}}}"#);
-            let err = batch_job_request(&JsonValue::parse(&job).unwrap(), &cli, 3).unwrap_err();
-            assert!(err.contains(&format!("field `{field}`")), "{job}: {err}");
+            let err = job_request(&JsonValue::parse(&job).unwrap(), &cli).unwrap_err();
+            assert!(err.contains(&format!("`{field}`")), "{job}: {err}");
         }
     }
 
     #[test]
+    fn model_file_becomes_an_inline_model() {
+        let model = zoo::alexnet_cifar(10);
+        let path = std::env::temp_dir().join(format!("pimsyn-cli-net-{}.json", std::process::id()));
+        std::fs::write(&path, onnx::to_json(&model)).unwrap();
+        let line = format!("--model-file {} --power 9", path.display());
+        assert_eq!(request(&line).model, model);
+        std::fs::remove_file(&path).unwrap();
+        let err = load_jobs(&parse(&line).unwrap()).unwrap_err();
+        assert!(err.contains("cannot read"), "{err}");
+    }
+
+    #[test]
     fn unknown_model_error_lists_zoo_names() {
-        let err = load_named_model("nope").unwrap_err();
+        let err = zoo_entry("nope").unwrap_err();
         assert!(err.contains("unknown zoo model `nope`"), "{err}");
         for name in zoo::names() {
             assert!(err.contains(name), "`{err}` should list `{name}`");
         }
     }
 
-    fn parse_zoo(args: &[&str]) -> Result<ZooArgs, String> {
-        parse_zoo_args(args.iter().map(|s| s.to_string()))
+    fn parse_zoo(line: &str) -> Result<ZooArgs, String> {
+        parse_zoo_args(argv(line))
     }
 
     #[test]
     fn zoo_args_parse_and_validate() {
-        assert_eq!(parse_zoo(&[]).unwrap(), ZooArgs::default());
-        let args = parse_zoo(&["--describe", "mobilenet"]).unwrap();
+        assert_eq!(parse_zoo("").unwrap(), ZooArgs::default());
+        let args = parse_zoo("--describe mobilenet").unwrap();
         assert_eq!(args.describe.as_deref(), Some("mobilenet"));
-        let args = parse_zoo(&["--validate"]).unwrap();
+        let args = parse_zoo("--validate").unwrap();
         assert!(args.validate);
         assert_eq!(args.validate_model, None);
-        let args = parse_zoo(&["--validate", "vgg16"]).unwrap();
+        let args = parse_zoo("--validate vgg16").unwrap();
         assert_eq!(args.validate_model.as_deref(), Some("vgg16"));
-        let args = parse_zoo(&["--validate", "--output", "json"]).unwrap();
+        let args = parse_zoo("--validate --output json").unwrap();
         assert!(args.validate && args.json);
         assert_eq!(args.validate_model, None);
 
-        let err = parse_zoo(&["--describe", "x", "--validate"]).unwrap_err();
+        let err = parse_zoo("--describe x --validate").unwrap_err();
         assert!(err.contains("mutually exclusive"), "{err}");
-        let err = parse_zoo(&["--output", "xml"]).unwrap_err();
+        let err = parse_zoo("--output xml").unwrap_err();
         assert!(err.contains("output format"), "{err}");
-        let err = parse_zoo(&["--frobnicate"]).unwrap_err();
+        let err = parse_zoo("--frobnicate").unwrap_err();
         assert!(err.contains("unknown zoo flag"), "{err}");
     }
 
@@ -1515,20 +1249,16 @@ mod tests {
 
     #[test]
     fn export_args_split_from_synthesis_flags() {
-        let argv: Vec<String> = ["--model", "vgg16", "--pretty", "--power", "9", "--out", "x"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let (export, rest) = split_export_args(&argv).unwrap();
+        let (export, rest) =
+            split_export_args(&argv("--model vgg16 --pretty --power 9 --out x")).unwrap();
         assert!(export.pretty);
         assert_eq!(export.out.as_deref(), Some("x"));
-        assert_eq!(rest, vec!["--model", "vgg16", "--power", "9"]);
+        assert_eq!(rest, argv("--model vgg16 --power 9"));
         // The remainder still parses as ordinary synthesis flags.
         let args = parse_args_from(rest).unwrap();
-        assert_eq!(args.model.as_deref(), Some("vgg16"));
+        assert_eq!(load_jobs(&args).unwrap()[0].model.name(), "vgg16");
 
-        let argv: Vec<String> = vec!["--out".into()];
-        let err = split_export_args(&argv).unwrap_err();
+        let err = split_export_args(&argv("--out")).unwrap_err();
         assert!(err.contains("--out"), "{err}");
     }
 }

@@ -50,7 +50,7 @@ mod server;
 mod tenant;
 
 pub use metrics::MetricsRegistry;
-pub use payload::{parse_budget, parse_http_job, parse_u64, timeout_duration};
+pub use payload::{parse_http_job, parse_job};
 pub use server::{
     serve_gateway, serve_gateway_in_background, GatewayConfig, GatewayHandle, DEFAULT_HEARTBEAT,
 };

@@ -1,16 +1,19 @@
-//! The `POST /v1/jobs` body format.
+//! The job format: one JSON object per synthesis job, the one dialect of
+//! `POST /v1/jobs` bodies, `pimsyn --batch` files and the CLI's flags.
 //!
-//! An HTTP front end faces `curl`, so this parser accepts friendly
-//! spellings next to bit-exact ones:
+//! [`parse_job`] is the only code that knows the job keys, their value
+//! rules and their defaults. It accepts friendly spellings next to
+//! bit-exact ones:
 //!
 //! - `model` — a zoo name (`"alexnet-cifar"`) *or* an inline ONNX-style
 //!   JSON document (an object, or a string containing one);
 //! - `power` — a JSON number in watts *or* a 16-hex-digit `f64` bit
 //!   pattern;
-//! - everything else optional, defaulting exactly like the `pimsyn` CLI
-//!   (effort `fast`, strategy `sa`, objective `eff`, macros
-//!   `specialized`, sharing on, library seed) so a minimal
-//!   HTTP submission is bit-identical to the equivalent CLI run.
+//! - everything else optional, with one set of built-in defaults (effort
+//!   `fast`, strategy `sa`, objective `eff`, macros `specialized`, sharing
+//!   on, library seed) under the defaults object the caller passes (the
+//!   CLI's flags), so a minimal HTTP submission is bit-identical to the
+//!   equivalent CLI run.
 //!
 //! Unknown fields are rejected — the repo-wide protocol stance (see
 //! `docs/PROTOCOLS.md`): a typo'd option must fail loudly, not silently
@@ -23,8 +26,11 @@ use pimsyn_arch::{hardware_config, Watts};
 use pimsyn_model::json::JsonValue;
 use pimsyn_model::{onnx, zoo, Model};
 
-const KNOWN_FIELDS: [&str; 15] = [
+/// Every job key. `model_file` is the CLI's alone: the CLI reads the file
+/// it names and passes the document on as an inline `model`.
+const JOB_KEYS: [&str; 16] = [
     "model",
+    "model_file",
     "power",
     "hw",
     "effort",
@@ -65,20 +71,16 @@ fn parse_model(value: &JsonValue) -> Result<Model, String> {
 
 /// Validates a timeout in seconds into a `Duration`, rejecting NaN, zero,
 /// negatives, and values `Duration::from_secs_f64` would panic on
-/// (infinity / overflow). A year bounds any meaningful synthesis run. The
-/// one bound for the CLI's `--timeout`, its batch `timeout` field and the
-/// HTTP `timeout` field.
-///
-/// # Errors
-///
-/// A message completing "`timeout` ..." for out-of-range values.
-pub fn timeout_duration(secs: f64) -> Result<Duration, String> {
+/// (infinity / overflow). A year bounds any meaningful synthesis run.
+fn timeout_duration(secs: f64) -> Result<Duration, String> {
     const MAX_TIMEOUT_SECS: f64 = 365.0 * 24.0 * 3600.0;
     if secs.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
-        return Err("must be positive".to_string());
+        return Err("`timeout` must be positive".to_string());
     }
     if !secs.is_finite() || secs > MAX_TIMEOUT_SECS {
-        return Err(format!("must be at most {MAX_TIMEOUT_SECS} seconds"));
+        return Err(format!(
+            "`timeout` must be at most {MAX_TIMEOUT_SECS} seconds"
+        ));
     }
     Ok(Duration::from_secs_f64(secs))
 }
@@ -102,14 +104,8 @@ fn parse_f64_or_bits(value: &JsonValue, field: &str) -> Result<f64, String> {
 }
 
 /// A u64 from a JSON number (when integral and exactly representable) or
-/// decimal text (the lossless spelling for large seeds). The one rule for
-/// the HTTP `seed` field and the CLI's batch `seed` field.
-///
-/// # Errors
-///
-/// A message naming `field` for anything else (negative, fractional,
-/// beyond 2^53 as a number, or not a number or decimal text).
-pub fn parse_u64(value: &JsonValue, field: &str) -> Result<u64, String> {
+/// decimal text (the lossless spelling for large seeds).
+fn parse_u64(value: &JsonValue, field: &str) -> Result<u64, String> {
     match value {
         JsonValue::Number(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= 9_007_199_254_740_992.0 => {
             Ok(*n as u64)
@@ -129,16 +125,9 @@ fn parse_usize(value: &JsonValue, field: &str) -> Result<usize, String> {
         .ok_or_else(|| format!("`{field}` must be a non-negative integer"))
 }
 
-/// An evaluation budget: like the CLI's `--max-evals`, zero is rejected,
-/// since a search that may score nothing can only fail. The one rule for
-/// the HTTP `max_evals`/`max_unique_evals` fields and the CLI's batch
-/// `max-evals`/`max-unique-evals` fields.
-///
-/// # Errors
-///
-/// A message naming `field` for zero and for anything that is not an
-/// integer up to 2^53.
-pub fn parse_budget(value: &JsonValue, field: &str) -> Result<usize, String> {
+/// An evaluation budget: zero is rejected, since a search that may score
+/// nothing can only fail.
+fn parse_budget(value: &JsonValue, field: &str) -> Result<usize, String> {
     match parse_usize(value, field)? {
         0 => Err(format!("`{field}` must be at least 1")),
         n => Ok(n),
@@ -168,7 +157,21 @@ where
         })
 }
 
-/// Parses a `POST /v1/jobs` body into a synthesis request.
+/// Rejects a key outside [`JOB_KEYS`]. A key that is a known one spelled
+/// with hyphens (`max-evals`) names the underscore spelling.
+fn check_key(key: &str) -> Result<(), String> {
+    if JOB_KEYS.contains(&key) {
+        return Ok(());
+    }
+    let underscored = key.replace('-', "_");
+    Err(if JOB_KEYS.contains(&underscored.as_str()) {
+        format!("unknown field `{key}` (the key is spelled `{underscored}`)")
+    } else {
+        format!("unknown field `{key}`")
+    })
+}
+
+/// Parses a `POST /v1/jobs` body: one job, with no defaults.
 ///
 /// # Errors
 ///
@@ -177,24 +180,46 @@ where
 pub fn parse_http_job(body: &[u8]) -> Result<SynthesisRequest, String> {
     let text = std::str::from_utf8(body).map_err(|_| "body is not UTF-8".to_string())?;
     let doc = JsonValue::parse(text).map_err(|e| format!("body is not JSON: {e}"))?;
-    let fields = doc
-        .as_object()
-        .ok_or("body must be a JSON object".to_string())?;
-    for (key, _) in fields {
-        if !KNOWN_FIELDS.contains(&key.as_str()) {
-            return Err(format!("unknown field `{key}`"));
-        }
+    if doc.as_object().is_none() {
+        return Err("body must be a JSON object".to_string());
+    }
+    parse_job(&doc, &JsonValue::Null)
+}
+
+/// Parses one job object into a synthesis request. A key the job lacks
+/// takes its value from `defaults` (an object of job keys, or
+/// [`JsonValue::Null`] for none), and a key neither sets takes its built-in
+/// default. Both objects follow the same key rules, and the value used
+/// follows its key's rule wherever it came from.
+///
+/// The built-in defaults are not the library's (which defaults to paper
+/// effort): a job with only `model` and `power` runs like `pimsyn --model
+/// ... --power ...`, whose flags are parsed here too.
+///
+/// # Errors
+///
+/// A message naming the malformed, missing, or unknown field.
+pub fn parse_job(job: &JsonValue, defaults: &JsonValue) -> Result<SynthesisRequest, String> {
+    let fields = job.as_object().ok_or("a job must be a JSON object")?;
+    for (key, _) in fields
+        .iter()
+        .chain(defaults.as_object().unwrap_or_default())
+    {
+        check_key(key)?;
+    }
+    let value = |key: &str| job.get(key).or_else(|| defaults.get(key));
+    if value("model_file").is_some() {
+        return Err(
+            "`model_file` names a file only the CLI reads; send the model document as `model`"
+                .to_string(),
+        );
     }
 
-    let model = parse_model(doc.get("model").ok_or("missing `model`")?)?;
-    let power = parse_f64_or_bits(doc.get("power").ok_or("missing `power`")?, "power")?;
+    let model = parse_model(value("model").ok_or("missing `model`")?)?;
+    let power = parse_f64_or_bits(value("power").ok_or("missing `power`")?, "power")?;
 
-    // Defaults below mirror the `pimsyn` CLI, not the library (which
-    // defaults to paper effort): an HTTP submission with only model+power
-    // must match `pimsyn --model ... --power ... --output json` bit for
-    // bit.
     let mut options = SynthesisOptions::new(Watts(power))
-        .with_effort(match doc.get("effort") {
+        .with_effort(match value("effort") {
             Some(v) => parse_tag(
                 v,
                 "effort",
@@ -202,7 +227,7 @@ pub fn parse_http_job(body: &[u8]) -> Result<SynthesisRequest, String> {
             )?,
             None => Effort::Fast,
         })
-        .with_strategy(match doc.get("strategy") {
+        .with_strategy(match value("strategy") {
             Some(v) => parse_tag(
                 v,
                 "strategy",
@@ -214,7 +239,7 @@ pub fn parse_http_job(body: &[u8]) -> Result<SynthesisRequest, String> {
             )?,
             None => WtDupStrategy::SimulatedAnnealing,
         })
-        .with_objective(match doc.get("objective") {
+        .with_objective(match value("objective") {
             Some(v) => parse_tag(
                 v,
                 "objective",
@@ -225,7 +250,7 @@ pub fn parse_http_job(body: &[u8]) -> Result<SynthesisRequest, String> {
             )?,
             None => Objective::PowerEfficiency,
         })
-        .with_macro_mode(match doc.get("macros") {
+        .with_macro_mode(match value("macros") {
             Some(v) => parse_tag(
                 v,
                 "macros",
@@ -236,35 +261,34 @@ pub fn parse_http_job(body: &[u8]) -> Result<SynthesisRequest, String> {
             )?,
             None => MacroMode::Specialized,
         });
-    if let Some(seed) = doc.get("seed") {
+    if let Some(seed) = value("seed") {
         options = options.with_seed(parse_u64(seed, "seed")?);
     }
-    if let Some(sharing) = doc.get("sharing") {
+    if let Some(sharing) = value("sharing") {
         if !parse_bool(sharing, "sharing")? {
             options = options.without_macro_sharing();
         }
     }
-    if let Some(parallel) = doc.get("parallel") {
+    if let Some(parallel) = value("parallel") {
         options.parallel = parse_bool(parallel, "parallel")?;
     }
-    if let Some(cycle) = doc.get("cycle") {
+    if let Some(cycle) = value("cycle") {
         let images = parse_usize(cycle, "cycle")?;
         if images > 0 {
             options = options.with_cycle_validation(images);
         }
     }
-    if let Some(timeout) = doc.get("timeout") {
+    if let Some(timeout) = value("timeout") {
         let secs = parse_f64_or_bits(timeout, "timeout")?;
-        let limit = timeout_duration(secs).map_err(|e| format!("`timeout` {e}"))?;
-        options = options.with_time_budget(limit);
+        options = options.with_time_budget(timeout_duration(secs)?);
     }
-    if let Some(n) = doc.get("max_evals") {
+    if let Some(n) = value("max_evals") {
         options = options.with_max_evaluations(parse_budget(n, "max_evals")?);
     }
-    if let Some(n) = doc.get("max_unique_evals") {
+    if let Some(n) = value("max_unique_evals") {
         options = options.with_max_unique_evaluations(parse_budget(n, "max_unique_evals")?);
     }
-    if let Some(hw) = doc.get("hw") {
+    if let Some(hw) = value("hw") {
         let parsed = match hw {
             // Either spelling; when neither reads, both errors are named, so
             // a bit-exact document with an invalid value says which.
@@ -272,16 +296,14 @@ pub fn parse_http_job(body: &[u8]) -> Result<SynthesisRequest, String> {
                 hardware_config::from_json(text)
                     .map_err(|e| format!("{e}; as the bit-exact spelling: {exact}"))
             }),
-            JsonValue::Object(_) => {
-                hardware_config::from_json(&hw.to_string()).map_err(|e| e.to_string())
-            }
+            JsonValue::Object(_) => hardware_config::from_value(hw).map_err(|e| e.to_string()),
             _ => return Err("`hw` must be a hardware-params document".to_string()),
         };
         options = options.with_hardware(parsed.map_err(|e| format!("bad `hw`: {e}"))?);
     }
 
     let mut request = SynthesisRequest::new(model, options);
-    if let Some(label) = doc.get("label") {
+    if let Some(label) = value("label") {
         request = request.with_label(
             label
                 .as_str()
@@ -391,6 +413,12 @@ mod tests {
                 br#"{"model": "alexnet-cifar", "power": 9, "hw": "{\"adc_max_bits\": 0}"}"#,
                 "adc bit range 7..0",
             ),
+            // Hyphenated spellings of job keys name the key; the gateway
+            // reads no paths.
+            (br#"{"max-evals": 5}"#, "spelled `max_evals`"),
+            (br#"{"max-unique-evals": 5}"#, "spelled `max_unique_evals`"),
+            (br#"{"model-file": "x"}"#, "spelled `model_file`"),
+            (br#"{"model_file": "x"}"#, "only the CLI reads"),
         ] {
             let err = parse_http_job(body).unwrap_err();
             assert!(err.contains(needle), "`{err}` should mention `{needle}`");
@@ -456,6 +484,27 @@ mod tests {
         );
         assert_eq!(request.options.seed, 11);
         assert_eq!(request.options.effort, Effort::Fast);
+    }
+
+    #[test]
+    fn defaults_fill_the_keys_a_job_leaves_out() {
+        let job = JsonValue::parse(r#"{"model": "alexnet-cifar", "effort": "fast"}"#).unwrap();
+        let parse = |defaults: &str| parse_job(&job, &JsonValue::parse(defaults).unwrap());
+        let request = parse(r#"{"power": 9, "seed": "7", "effort": "paper"}"#).unwrap();
+        assert_eq!(request.options.power_budget, Watts(9.0));
+        assert_eq!(request.options.seed, 7);
+        // The job's own value wins.
+        assert_eq!(request.options.effort, Effort::Fast);
+        // Defaults follow the job's key and value rules.
+        for (defaults, needle) in [
+            ("null", "missing `power`"),
+            (r#"{"power": 9, "max-evals": 5}"#, "spelled `max_evals`"),
+            (r#"{"power": 9, "cycle": -1}"#, "`cycle` must be"),
+            (r#"{"power": 9, "strategy": "x"}"#, "one of sa|woho|none"),
+        ] {
+            let err = parse(defaults).unwrap_err();
+            assert!(err.contains(needle), "`{err}` should mention `{needle}`");
+        }
     }
 
     #[test]

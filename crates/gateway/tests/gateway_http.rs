@@ -4,9 +4,11 @@
 
 use std::collections::HashMap;
 use std::net::TcpListener;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Mutex};
 
-use pimsyn::{ServiceConfig, SynthesisService, Synthesizer};
+use pimsyn::{
+    CallbackSink, EventSink, ServiceConfig, SynthesisEvent, SynthesisService, Synthesizer,
+};
 use pimsyn_gateway::http::roundtrip;
 use pimsyn_gateway::{
     parse_http_job, serve_gateway_in_background, GatewayConfig, GatewayHandle, TenantRegistry,
@@ -14,10 +16,15 @@ use pimsyn_gateway::{
 use pimsyn_model::json::JsonValue;
 
 fn start_gateway(config: GatewayConfig, slots: usize) -> (GatewayHandle, String) {
+    let service = SynthesisService::new(ServiceConfig::default().with_job_slots(slots));
+    start_gateway_on(Arc::new(service), config)
+}
+
+fn start_gateway_on(
+    service: Arc<SynthesisService>,
+    config: GatewayConfig,
+) -> (GatewayHandle, String) {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-    let service = Arc::new(SynthesisService::new(
-        ServiceConfig::default().with_job_slots(slots),
-    ));
     let handle = serve_gateway_in_background(listener, service, config).expect("gateway");
     let addr = handle.addr().to_string();
     (handle, addr)
@@ -479,16 +486,30 @@ fn metrics_expose_counters_gauges_and_histograms() {
 
 /// Submissions racing a drain lose cleanly: once `/v1/drain` is accepted,
 /// a new `POST /v1/jobs` is refused with the typed 503 while the accepted
-/// job still runs to completion.
+/// jobs still run to completion.
 #[test]
 fn drain_refuses_new_work_but_finishes_accepted_jobs() {
-    let (handle, addr) = start_gateway(GatewayConfig::new().with_quiet(true), 1);
+    let service = Arc::new(SynthesisService::new(
+        ServiceConfig::default().with_job_slots(1),
+    ));
+    let (handle, addr) = start_gateway_on(service.clone(), GatewayConfig::new().with_quiet(true));
 
-    // A slower job (no eval bound) so the drain window is observable.
     let job = r#"{"model": "alexnet-cifar", "power": 9, "seed": 5}"#;
     let (status, _, body) = request(&addr, "POST", "/v1/jobs", None, Some(job));
     assert_eq!(status, 202);
     let id = json(&body).get("id").and_then(JsonValue::as_usize).unwrap();
+    // A job accepted behind it whose sink holds it at its first event
+    // until `release` drops keeps the drain, and so the gateway, open
+    // however fast jobs run.
+    let (release, held) = mpsc::channel::<()>();
+    let held = Mutex::new(held);
+    let sink: Arc<dyn EventSink> = Arc::new(CallbackSink(move |_: SynthesisEvent| {
+        let _ = held.lock().unwrap().recv();
+    }));
+    let blocker = parse_http_job(TINY_JOB.as_bytes()).expect("payload");
+    let blocker = service
+        .submit_with(blocker, None, Some(sink))
+        .expect("queue has room");
 
     let (status, _, _) = request(&addr, "POST", "/v1/drain", None, None);
     assert_eq!(status, 202);
@@ -502,5 +523,7 @@ fn drain_refuses_new_work_but_finishes_accepted_jobs() {
     // until the gateway actually exits.
     let (status, _, _) = get(&addr, &format!("/v1/jobs/{id}/result"), None);
     assert_eq!(status, 200);
+    drop(release);
+    assert!(blocker.await_result().is_ok(), "the held job finishes too");
     handle.join().expect("gateway exits cleanly after drain");
 }
