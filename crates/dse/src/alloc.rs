@@ -117,6 +117,8 @@ pub struct AllocPlan {
     per_macro: Watts,
     /// Eq. (6) denominator `sum_ic (P_c W_ic / F_c)`.
     denom: f64,
+    /// The user's power constraint; stage 4 validates at 5% above it.
+    total_power: Watts,
     /// Identical macros: `homogenize` rewrites the solved counts.
     identical: bool,
 }
@@ -188,6 +190,7 @@ impl AllocPlan {
             dac_power,
             per_macro,
             denom,
+            total_power,
             identical: macro_mode == MacroMode::Identical,
         }
     }
@@ -270,62 +273,112 @@ impl AllocPlan {
     }
 
     /// An upper bound on the power efficiency (TOPS/W) of every gene an EA
-    /// run over `df` at `point` can score, gene-independent and
-    /// O(layers + items). `total_macs` is the model's MAC count, `caps` the
-    /// run's per-layer macro caps (rule (c), which no gene exceeds) and
-    /// `sharing` whether the run may share macros. Returns `+inf` for
-    /// identical macros, whose `homogenize` pass rewrites the counts this
-    /// bound reasons about, and `0` when no gene can allocate. Alg. 1 skips
-    /// an EA run whose bound is below a fitness it already found.
+    /// run over `df` at `point` can score and stage 4 can validate,
+    /// gene-independent and O(layers + items). `total_macs` is the model's
+    /// MAC count, `caps` the run's per-layer macro caps (rule (c), which no
+    /// gene exceeds) and `sharing` whether the run may share macros.
+    /// Returns `0` when no gene can allocate. Alg. 1 skips an EA run whose
+    /// bound is below a fitness it already found: a run's result is its
+    /// best gene's fitness when that gene validates, and nothing otherwise.
     ///
-    /// Efficiency is `2 MACs / (steady period x realized power x 1e12)`;
-    /// the bound divides by a lower bound on each. Write `B(n)` for
-    /// [`periph_budget(n)`](Self::periph_budget) at a gene's `n >= 1`
-    /// [`physical_macros`], so `B(n) <= B(1)`; `D` for the Eq. (6)
-    /// denominator, `D_alu` for its ALU part and `s_x = D_x / D` for layer
-    /// `x`'s share; `SP` for the sum of every item's unit power. A gene that
-    /// allocates has `B(n) > 0` (else [`solve`](Self::solve) fails, for
-    /// every gene once `B(1) <= 0`). `solve` starts item `ic` at
-    /// `max(1, floor(t_ic))` units, `t_ic = W_ic B(n) / (F_c D)`, so
-    /// `sum P_c t_ic = B(n)`; its remainder loop only adds units, each paid
-    /// for out of what the start left of `B(n)`.
+    /// Efficiency is `2 MACs / (T x P x 1e12)` for the steady period `T`
+    /// and the realized power `P`; the bound divides by a lower bound on
+    /// `T x P`. It is the *cover bound*, which reasons from the realized
+    /// architecture and so holds in both macro modes, and for specialized
+    /// macros the smaller of it and the *solve bound*, which reasons from
+    /// [`solve`](Self::solve)'s rounding; each is tighter on different
+    /// runs. The bound carries a relative `1e-9` margin for float rounding.
+    /// Both use one period floor:
+    ///
+    /// - **Steady period >= S_floor.** `T` is the largest `blocks x period`
+    ///   over the layers. A layer's period is at least its `bits x
+    ///   mvm_latency`, load and store occupancies. Only load and store
+    ///   depend on the gene, through the layer's own macro count, and both
+    ///   fall as it grows, so they are least at the cap: `S_floor = max_x
+    ///   blocks_x max(bits_x mvm, load_x, store_x)`. The pipeline's
+    ///   ADC-contention pass only stretches periods.
+    ///
+    /// The cover bound, whose floors [`edp_bound`](Self::edp_bound) shares.
+    /// Write `L` for the layer count, `D` for the Eq. (6) denominator and
+    /// `periph` for the realized ADC plus ALU power.
+    ///
+    /// - **Peripheral demand.** [`compute_layer_base_with`] gives every
+    ///   item a busy time `W / (F n)` of at most its layer's `blocks x
+    ///   period <= T`, where `n` is the layer's own units for an ALU item
+    ///   and its effective ADC bank for the ADC item. [`power_breakdown_from`]
+    ///   charges each macro group, per kind, the largest member count, ADCs
+    ///   at the largest member resolution. `mutate_share` partners a layer
+    ///   only with a root nobody shares yet, so no layer has two sharers,
+    ///   and [`MacroGroup::build_from`] puts a layer in its target's group
+    ///   only when the target is a root: a group holds at most two layers,
+    ///   and the groups partition the layers.
+    ///   - ALU: a group pays at least `sum_kind max_member P W / (F T) >=
+    ///     max_member a_x / T`, `a_x` the layer's ALU part of `D`. Over a
+    ///     partition into pairs, that sums to at least `U / T`, `U` the sum
+    ///     of the 1st, 3rd, 5th, ... largest `a_x`.
+    ///   - ADC: a layer's effective bank is the largest own count of the
+    ///     layer and the one it shares with or that shares with it, and the
+    ///     owner's group is charged at least that count. So each layer's
+    ///     demand `c_x = W / F` is covered by some group with at least `c_x
+    ///     / T` units. A group {root `r`, sharer `s`} covers at most `r`,
+    ///     `s` and the tail `t` of a chain `t -> s -> r`, which
+    ///     `mutate_share` still builds: three layers. ADC power is thus at
+    ///     least `p C / T`, `C` the sum of the 1st, 4th, 7th, ... largest
+    ///     `c_x` and `p` the plan's cheapest ADC unit.
+    ///   - Without sharing every layer is its own group with its own bank,
+    ///     priced at its own resolution, so `periph >= D / T`.
+    ///
+    ///   So `T x periph >= D'`, with `D' = U + p C` with sharing and `D`
+    ///   without.
+    /// - **Fixed power.** `P` is ReRAM + DAC + `periph` + per-macro
+    ///   infrastructure for every group's macros. A group holds at most two
+    ///   layers and at least one macro, so there are at least `n_min =
+    ///   ceil(L / 2)` macros (`L` without sharing), and `P >= F + periph`
+    ///   with `F = ReRAM + DAC + per_macro x n_min`.
+    /// - **Period floor.** A gene validates only at `P <= 1.05 x budget`,
+    ///   so then `periph <= 1.05 budget - F` and `T >= T_lo = max(S_floor,
+    ///   D' / (1.05 budget - F))`; `T_lo = S_floor` when the cap is not
+    ///   positive. The allocator's own limit would not do: under identical
+    ///   macros a chained tail's own group overspends
+    ///   [`periph_budget`](Self::periph_budget).
+    ///
+    /// So `T x P >= T x F + D' >= T_lo F + D'`, and efficiency is at most
+    /// `2 MACs / ((T_lo F + D') 1e12)`.
+    ///
+    /// The solve bound. Write `B(n)` for [`periph_budget(n)`](Self::periph_budget)
+    /// at a gene's `n >= 1` [`physical_macros`], so `B(n) <= B(1)`; `D_alu`
+    /// for `D`'s ALU part and `s_x = D_x / D` for layer `x`'s share; `SP`
+    /// for the sum of every item's unit power. A gene that allocates has
+    /// `B(n) > 0` (else `solve` fails, for every gene once `B(1) <= 0`).
+    /// `solve` starts item `ic` at `max(1, floor(t_ic))` units, `t_ic = W_ic
+    /// B(n) / (F_c D)`, so `sum P_c t_ic = B(n)`; its remainder loop only
+    /// adds units, each paid for out of what the start left of `B(n)`.
     ///
     /// - **Starting floors.** `t - 1 <= max(1, floor(t)) <= t + 1`. So the
     ///   start costs at least `B(n) - SP` (layer `x`'s items at least
     ///   `s_x B(n) - SP_x`), which leaves the remainder loop at most `SP`,
     ///   and the ALU items start at no more than `B(n) D_alu / D + SP`.
     /// - **Steady period >= S_alu.** The ALU items therefore end with at
-    ///   most `A = B(1) D_alu / D + 2 SP` watts of units. ALU stages use the
-    ///   layer's own units in [`compute_layer_base_with`] (sharing widens
-    ///   only ADC banks), so an ALU item's delay `W / (F n)` is at most its
-    ///   layer's `blocks x period`: `blocks x bits x sa_bit` for shift-add,
-    ///   one term of `blocks x post` for the others. The largest such delay
-    ///   `T` has `A >= sum P W / (F T) = D_alu / T`, so
-    ///   `steady >= S_alu = D_alu / A`.
-    /// - **Steady period >= S_floor.** A layer's period is at least its
-    ///   `bits x mvm_latency`, load and store occupancies. Only load and
-    ///   store depend on the gene, through the layer's own macro count, and
-    ///   both fall as it grows, so they are least at the cap:
-    ///   `S_floor = max_x blocks_x max(bits_x mvm, load_x, store_x)`. The
-    ///   pipeline's ADC-contention pass only stretches periods.
-    /// - **Realized power >= P_min.** Power is ReRAM + DAC + the per-kind
-    ///   maximum of every macro group's peripherals + per-macro
-    ///   infrastructure of every group's macros. `mutate_share` pairs a
-    ///   layer only with an unshared root nobody shares yet, so a group
-    ///   holds at most two layers, and it costs at least either member
-    ///   (per-kind maxima, priced at the larger ADC resolution, and ADC
-    ///   power rises with bits). Peripherals thus cost at least
-    ///   `sum_g max_(x in g) (s_x B(n) - SP_x) >= (1 - rho) B(n) - SP`,
-    ///   where `rho`, the sum of the 2nd, 4th, ... largest shares, is the
-    ///   most any pairing can hide in its smaller members (`rho = 0`
-    ///   without sharing). The groups hold at least the `n >= 1` macros the
-    ///   allocator paid for, and `B(n) = budget_base - DAC - per_macro x n`,
-    ///   so `P_min = ReRAM + DAC + (1 - rho)(budget_base - DAC) + rho
-    ///   per_macro - SP`; without sharing, `ReRAM + budget_base - SP`.
+    ///   most `A = B(1) D_alu / D + 2 SP` watts of units. An ALU item's
+    ///   busy time `W / (F n)` is at most `T` (see peripheral demand), so
+    ///   `A >= sum P W / (F T) = D_alu / T` and `T >= S_alu = D_alu / A`.
+    /// - **Realized power >= P_min.** A group, at most two layers, pays for
+    ///   peripherals at least either member's (per-kind maxima, priced at
+    ///   the larger ADC resolution, and ADC power rises with bits). So they
+    ///   cost at least `sum_g max_(x in g) (s_x B(n) - SP_x) >= (1 - rho)
+    ///   B(n) - SP`, where `rho`, the sum of the 2nd, 4th, ... largest
+    ///   shares, is the most any pairing can hide in its smaller members
+    ///   (`rho = 0` without sharing). The groups hold at least the `n >= 1`
+    ///   macros the allocator paid for, and `B(n) = budget_base - DAC -
+    ///   per_macro x n`, so `P_min = ReRAM + DAC + (1 - rho)(budget_base -
+    ///   DAC) + rho per_macro - SP`; without sharing, `ReRAM + budget_base -
+    ///   SP`.
     ///
-    /// The bound carries a relative `1e-9` margin for float rounding.
+    /// So efficiency is at most `2 MACs / (max(S_alu, S_floor) P_min 1e12)`.
     ///
     /// [`compute_layer_base_with`]: pimsyn_sim::compute_layer_base_with
+    /// [`power_breakdown_from`]: pimsyn_arch::power_breakdown_from
+    /// [`MacroGroup::build_from`]: pimsyn_arch::MacroGroup::build_from
     pub fn efficiency_bound(
         &self,
         df: &Dataflow,
@@ -335,22 +388,53 @@ impl AllocPlan {
         caps: &[usize],
         sharing: bool,
     ) -> f64 {
-        if self.identical {
-            return f64::INFINITY;
-        }
-        let b1 = self.periph_budget(1).value();
-        if b1 <= 0.0 || self.denom <= 0.0 {
+        let Some((s_floor, _, work)) = self.floors(df, point, hw, caps, sharing) else {
             return 0.0;
+        };
+        let mut bound = 2.0 * total_macs as f64 / (work * 1e12);
+        if !self.identical {
+            bound = bound.min(self.solve_bound(df, point, hw, total_macs, s_floor, sharing));
         }
-        let sum_p: f64 = self.items.iter().map(|it| it.p).sum();
+        bound * (1.0 + 1e-9)
+    }
 
-        let d_alu: f64 = self
-            .items
-            .iter()
-            .filter(|it| it.kind != ComponentKind::Adc)
-            .map(|it| it.p * it.w / it.f)
-            .sum();
-        let s_alu = d_alu / (b1 * d_alu / self.denom + 2.0 * sum_p);
+    /// An upper bound on the EDP fitness, `1 / EDP` with EDP in ms x mJ, of
+    /// every gene an EA run over `df` at `point` can score and stage 4 can
+    /// validate; arguments as for [`efficiency_bound`](Self::efficiency_bound),
+    /// whose cover-bound floors it uses. Latency is at least the steady
+    /// period `T` (a layer finishes after its `blocks x period`), so at
+    /// least `T_lo`, and energy is `P x latency >= T x P >= T_lo F + D'`.
+    /// So `EDP >= 1e6 T_lo (T_lo F + D')`, again with a `1e-9` margin.
+    pub fn edp_bound(
+        &self,
+        df: &Dataflow,
+        point: DesignPoint,
+        hw: &HardwareParams,
+        caps: &[usize],
+        sharing: bool,
+    ) -> f64 {
+        let Some((_, t_lo, work)) = self.floors(df, point, hw, caps, sharing) else {
+            return 0.0;
+        };
+        1.0 / (1e6 * t_lo * work) * (1.0 + 1e-9)
+    }
+
+    /// The floors of [`efficiency_bound`](Self::efficiency_bound)'s proof,
+    /// `(S_floor, T_lo, T_lo F + D')`, or `None` when no gene can allocate.
+    /// No gene's steady period is below `S_floor`; no validated gene's is
+    /// below `T_lo`, nor its steady period x realized power below `T_lo F
+    /// + D'`.
+    fn floors(
+        &self,
+        df: &Dataflow,
+        point: DesignPoint,
+        hw: &HardwareParams,
+        caps: &[usize],
+        sharing: bool,
+    ) -> Option<(f64, f64, f64)> {
+        if self.periph_budget(1).value() <= 0.0 || self.denom <= 0.0 {
+            return None;
+        }
         let mut s_floor = 0.0f64;
         for (layer, &cap) in caps.iter().enumerate() {
             // Unit counts do not enter load, store or the MVM stage.
@@ -370,6 +454,57 @@ impl AllocPlan {
                 s_floor = s_floor.max(df.program(layer).blocks as f64 * busiest);
             }
         }
+
+        let rram = point.crossbar.power(hw).value() * df.total_crossbars() as f64;
+        let n_min = if sharing { self.l.div_ceil(2) } else { self.l };
+        let fixed = rram + self.dac_power.value() + self.per_macro.value() * n_min as f64;
+        let demand = if sharing {
+            let (mut alu, mut adc) = (vec![0.0f64; self.l], vec![0.0f64; self.l]);
+            for it in &self.items {
+                if it.kind == ComponentKind::Adc {
+                    adc[it.layer] += it.w / it.f;
+                } else {
+                    alu[it.layer] += it.p * it.w / it.f;
+                }
+            }
+            let cheapest_adc = self
+                .adcs
+                .iter()
+                .map(|adc| adc.power(hw).value())
+                .fold(f64::INFINITY, f64::min);
+            every_nth_largest(alu, 2) + cheapest_adc * every_nth_largest(adc, 3)
+        } else {
+            self.denom
+        };
+        let cap = 1.05 * self.total_power.value() - fixed;
+        let t_lo = if cap > 0.0 {
+            s_floor.max(demand / cap)
+        } else {
+            s_floor
+        };
+        Some((s_floor, t_lo, t_lo * fixed + demand))
+    }
+
+    /// The solve bound of [`efficiency_bound`](Self::efficiency_bound),
+    /// without its margin; `+inf` when a floor is not positive.
+    fn solve_bound(
+        &self,
+        df: &Dataflow,
+        point: DesignPoint,
+        hw: &HardwareParams,
+        total_macs: u64,
+        s_floor: f64,
+        sharing: bool,
+    ) -> f64 {
+        let b1 = self.periph_budget(1).value();
+        let sum_p: f64 = self.items.iter().map(|it| it.p).sum();
+        let d_alu: f64 = self
+            .items
+            .iter()
+            .filter(|it| it.kind != ComponentKind::Adc)
+            .map(|it| it.p * it.w / it.f)
+            .sum();
+        let s_alu = d_alu / (b1 * d_alu / self.denom + 2.0 * sum_p);
         let steady = s_alu.max(s_floor);
 
         let rho = if sharing {
@@ -392,8 +527,16 @@ impl AllocPlan {
         if steady <= 0.0 || power <= 0.0 {
             return f64::INFINITY;
         }
-        2.0 * total_macs as f64 / (steady * power * 1e12) * (1.0 + 1e-9)
+        2.0 * total_macs as f64 / (steady * power * 1e12)
     }
+}
+
+/// The sum of the 1st, `n + 1`-th, `2n + 1`-th, ... largest of `values`:
+/// the least that the largest members of groups of at most `n` can sum to,
+/// over every partition of `values` into such groups.
+fn every_nth_largest(mut values: Vec<f64>, n: usize) -> f64 {
+    values.sort_by(|a, b| b.total_cmp(a));
+    values.iter().step_by(n).sum()
 }
 
 /// Runs components allocation and assembles the full [`Architecture`].
@@ -808,5 +951,46 @@ mod tests {
         let adcs_solo: usize = arch_solo.layers.iter().map(|x| x.components.adc).sum();
         let adcs_shared: usize = arch_shared.layers.iter().map(|x| x.components.adc).sum();
         assert!(adcs_shared >= adcs_solo);
+    }
+
+    /// Under identical macros, the tail of a chain 2 -> 1 -> 0 gets a group
+    /// of its own, charged units that `homogenize` sized for the
+    /// `physical_macros` that leave the tail out: the realized peripherals
+    /// overspend `periph_budget`, yet the design validates. The cover bound
+    /// reasons from the realized architecture, so the gene still scores
+    /// below it.
+    #[test]
+    fn chained_identical_gene_overspends_and_stays_under_the_bound() {
+        let (model, df, point, power, hw) = request_parts(9.0);
+        let gene =
+            crate::ea::MacAllocGene::from_raw(vec![1, 1, 1001, 3001, 4001, 5001, 6001, 7001])
+                .unwrap();
+        let (macros, shares) = gene.decode();
+        assert_eq!(shares[..3], [None, Some(0), Some(1)]);
+        let arch = allocate_components(&AllocRequest {
+            model: &model,
+            dataflow: &df,
+            point,
+            total_power: power,
+            hw: &hw,
+            macros: &macros,
+            shares: &shares,
+            macro_mode: MacroMode::Identical,
+        })
+        .unwrap();
+        arch.validate(&model).unwrap();
+        let plan = AllocPlan::prepare(&model, &df, point, power, &hw, MacroMode::Identical);
+        let pb = arch.power_breakdown();
+        let budget = plan.periph_budget(physical_macros(&macros, &shares));
+        assert!(pb.adc + pb.alu > budget, "{pb} within {budget}");
+
+        let report = pimsyn_sim::evaluate_analytic(&model, &df, &arch).unwrap();
+        let caps = crate::ea::max_macros(&df);
+        let total_macs = model.stats().total_macs;
+        let bound = plan.efficiency_bound(&df, point, &hw, total_macs, &caps, true);
+        let fitness = report.efficiency_tops_per_watt();
+        assert!(fitness > 0.0 && fitness <= bound, "{fitness} above {bound}");
+        let edp = plan.edp_bound(&df, point, &hw, &caps, true);
+        assert!(1.0 / report.edp_ms_mj() <= edp, "EDP fitness above {edp}");
     }
 }

@@ -6,13 +6,14 @@
 //!
 //! The EA runs form one list in Alg. 1's order: design points by index,
 //! then each point's (WtDup candidate, DAC) pairs in stage 2's order. A run
-//! that provably cannot win is skipped: run `i` is skipped when
-//! [`AllocPlan::efficiency_bound`], an upper bound on the fitness of every
-//! gene the run can score, is strictly below the best fitness among the
-//! validated runs `0 ..= i - 33`. A skipped run can only lose to a run that
-//! was kept, so the winner (the first run in list order to reach the top
-//! fitness) is never skipped, and the search returns exactly what running
-//! every run returns. The 32-run look-behind lets the runs just before a
+//! that provably cannot win is skipped: run `i` is skipped when its bound
+//! ([`AllocPlan::efficiency_bound`], or [`AllocPlan::edp_bound`] under the
+//! EDP objective), an upper bound on the fitness of every gene the run can
+//! score and stage 4 can validate, is strictly below the best fitness
+//! among the validated runs `0 ..= i - 33`. A skipped run can only lose to
+//! a run that was kept, so the winner (the first run in list order to
+//! reach the top fitness) is never skipped, and the search returns exactly
+//! what running every run returns. The 32-run look-behind lets the runs just before a
 //! run still be in flight when it is decided, and because it is a
 //! constant, which runs are skipped, and so every counter, is the same for
 //! any worker count. Every stochastic stage seeds from its point and pair,
@@ -267,8 +268,7 @@ fn prepare_point(
 }
 
 /// The fitness bound run `df` at `point` is checked against: no gene the
-/// run can score is fitter. `+inf`, so the run is never skipped, under the
-/// EDP objective and for identical macros, which have no bound yet.
+/// run can score and stage 4 can validate is fitter.
 pub(crate) fn fitness_bound(
     model: &Model,
     cfg: &DseConfig,
@@ -276,12 +276,15 @@ pub(crate) fn fitness_bound(
     point: DesignPoint,
     total_macs: u64,
 ) -> f64 {
-    if cfg.ea.objective != Objective::PowerEfficiency || cfg.macro_mode == MacroMode::Identical {
-        return f64::INFINITY;
-    }
     let plan = AllocPlan::prepare(model, df, point, cfg.total_power, &cfg.hw, cfg.macro_mode);
     let caps = max_macros(df);
-    plan.efficiency_bound(df, point, &cfg.hw, total_macs, &caps, cfg.ea.allow_sharing)
+    let sharing = cfg.ea.allow_sharing;
+    match cfg.ea.objective {
+        Objective::PowerEfficiency => {
+            plan.efficiency_bound(df, point, &cfg.hw, total_macs, &caps, sharing)
+        }
+        Objective::EnergyDelayProduct => plan.edp_bound(df, point, &cfg.hw, &caps, sharing),
+    }
 }
 
 /// A design point of the run list and the tally of its runs.
@@ -465,9 +468,6 @@ impl<'s> Search<'s> {
             return false;
         }
         let bound = fitness_bound(self.model, self.cfg, df, point, self.total_macs);
-        if bound == f64::INFINITY {
-            return false;
-        }
         let k = i - LOOKBEHIND;
         let mut list = self.lock();
         while list.best_before.len() <= k {
@@ -851,27 +851,34 @@ mod tests {
     }
 
     /// Skipping returns exactly the winner of the search that runs every EA
-    /// run, with fewer evaluations. Under a count budget it reaches further
-    /// down the run list, so its fitness is never lower, and it is equal
-    /// while the budget ends inside the first runs, which are never
-    /// skipped.
+    /// run, with fewer evaluations, in both macro modes and under either
+    /// objective. Under a count budget it reaches further down the run
+    /// list, so its fitness is never lower, and it is equal while the
+    /// budget ends inside the first runs, which are never skipped.
     #[test]
     fn skipping_keeps_the_winner_and_saves_evaluations() {
         use crate::ctx::NullObserver;
+        use MacroMode::{Identical, Specialized};
+        use Objective::{EnergyDelayProduct, PowerEfficiency};
         let cases = [
-            (zoo::alexnet_cifar(10), 9.0),
-            (zoo::vgg16_cifar(10), 15.0),
-            (zoo::transformer_tiny(), 9.0),
+            (zoo::alexnet_cifar(10), 9.0, Specialized, PowerEfficiency),
+            (zoo::vgg16_cifar(10), 15.0, Specialized, PowerEfficiency),
+            (zoo::transformer_tiny(), 9.0, Specialized, PowerEfficiency),
+            (zoo::vgg16_cifar(10), 15.0, Identical, PowerEfficiency),
+            (zoo::alexnet_cifar(10), 9.0, Specialized, EnergyDelayProduct),
         ];
-        for (model, power) in &cases {
+        for (model, power, mode, objective) in &cases {
             let mut cfg = DseConfig::fast(Watts(*power));
             cfg.sa.candidates = 10;
+            cfg.macro_mode = *mode;
+            cfg.ea.objective = *objective;
+            let case = format!("{model} {mode} {objective:?}");
             let (skip, _, _) = search(model, &cfg, &ExploreContext::unobserved(), true);
             let (every, _, _) = search(model, &cfg, &ExploreContext::unobserved(), false);
             let (skip, every) = (skip.unwrap(), every.unwrap());
-            assert_eq!(skip.wt_dup, every.wt_dup, "{model}");
-            assert_eq!(skip.architecture, every.architecture, "{model}");
-            assert_eq!(skip.dataflow, every.dataflow, "{model}");
+            assert_eq!(skip.wt_dup, every.wt_dup, "{case}");
+            assert_eq!(skip.architecture, every.architecture, "{case}");
+            assert_eq!(skip.dataflow, every.dataflow, "{case}");
             let bits = |r: &SimReport| {
                 [
                     r.efficiency_tops_per_watt(),
@@ -882,11 +889,11 @@ mod tests {
                 ]
                 .map(f64::to_bits)
             };
-            assert_eq!(bits(&skip.report), bits(&every.report), "{model}");
-            assert_eq!(skip.report, every.report, "{model}");
+            assert_eq!(bits(&skip.report), bits(&every.report), "{case}");
+            assert_eq!(skip.report, every.report, "{case}");
             assert!(
                 skip.evaluations < every.evaluations,
-                "{model}: {} evaluations with skipping, {} without",
+                "{case}: {} evaluations with skipping, {} without",
                 skip.evaluations,
                 every.evaluations
             );
@@ -902,13 +909,13 @@ mod tests {
                     let budget = ExploreBudget::unlimited().with_max_evaluations(k);
                     let ctx = ExploreContext::new(&NullObserver, CancelToken::new(), budget);
                     let out = search(model, &cfg, &ctx, skipping).0;
-                    out.map_or(0.0, |o| o.report.efficiency_tops_per_watt())
+                    out.map_or(0.0, |o| objective.fitness(&o.report))
                 };
                 let (with, without) = (fitness(true), fitness(false));
                 if k <= LOOKBEHIND * per_run {
-                    assert_eq!(with.to_bits(), without.to_bits(), "{model} k={k}");
+                    assert_eq!(with.to_bits(), without.to_bits(), "{case} k={k}");
                 } else {
-                    assert!(with >= without, "{model} k={k}: {with} < {without}");
+                    assert!(with >= without, "{case} k={k}: {with} < {without}");
                 }
             }
         }
@@ -917,8 +924,10 @@ mod tests {
     /// The fitness bound is sound: in fast searches of five zoo models x
     /// seeds {1, 7, 11} x sharing on and off, run with skipping off, no
     /// gene an EA run scores, so neither the run's fitness (its best
-    /// gene's), is above the run's bound. It is `+inf` for identical
-    /// macros and under the EDP objective.
+    /// gene's), is above the run's bound. The bound is proved only for
+    /// genes that validate, but it is checked on every scored gene. This
+    /// holds in three searches of each case: specialized macros, identical
+    /// macros and specialized macros under the EDP objective.
     #[test]
     fn fitness_bound_holds_on_every_scored_gene() {
         let cases = [
@@ -928,76 +937,76 @@ mod tests {
             (zoo::transformer_tiny(), 9.0),
             (zoo::resnet18(), 65.0),
         ];
-        let (mut runs, mut tight) = (0, 0);
-        for (model, power) in &cases {
-            let total_macs = model.stats().total_macs;
-            for seed in [1u64, 7, 11] {
-                for sharing in [true, false] {
-                    let mut cfg = DseConfig::fast(Watts(*power));
-                    cfg.seed = seed;
-                    cfg.sa.seed = seed ^ 0x5A;
-                    cfg.ea.seed = seed ^ 0xEA;
-                    cfg.ea.allow_sharing = sharing;
-                    let case = format!("{model} seed {seed} sharing {sharing}");
-                    let bounds = Mutex::new(Vec::new());
-                    let check = |session: &DeltaSession<'_>| {
-                        let (df, point) = (session.dataflow(), session.point());
-                        let bound = fitness_bound(model, &cfg, df, point, total_macs);
-                        assert!(bound.is_finite(), "{case}: {point:?}");
-                        for (raw, score) in &session.memo {
-                            assert!(
-                                score.fitness <= bound,
-                                "{case}: {point:?} {raw:?} scores {} above its bound {bound}",
-                                score.fitness
-                            );
-                        }
-                        bounds.lock().unwrap().push(bound);
-
-                        let mut identical = cfg.clone();
-                        identical.macro_mode = MacroMode::Identical;
-                        let mut edp = cfg.clone();
-                        edp.ea.objective = Objective::EnergyDelayProduct;
-                        for other in [&identical, &edp] {
-                            let b = fitness_bound(model, other, df, point, total_macs);
-                            assert_eq!(b, f64::INFINITY, "{case}");
-                        }
-                        let plan = AllocPlan::prepare(
+        let searches = [
+            (MacroMode::Specialized, Objective::PowerEfficiency),
+            (MacroMode::Identical, Objective::PowerEfficiency),
+            (MacroMode::Specialized, Objective::EnergyDelayProduct),
+        ];
+        for (mode, objective) in searches {
+            let (mut runs, mut tight, mut genes, mut closest) = (0, 0, 0, 0.0f64);
+            for (model, power) in &cases {
+                let total_macs = model.stats().total_macs;
+                for seed in [1u64, 7, 11] {
+                    for sharing in [true, false] {
+                        let mut cfg = DseConfig::fast(Watts(*power));
+                        cfg.seed = seed;
+                        cfg.sa.seed = seed ^ 0x5A;
+                        cfg.ea.seed = seed ^ 0xEA;
+                        cfg.ea.allow_sharing = sharing;
+                        cfg.macro_mode = mode;
+                        cfg.ea.objective = objective;
+                        let case =
+                            format!("{model} {mode} {objective:?} seed {seed} sharing {sharing}");
+                        let bounds = Mutex::new(Vec::new());
+                        let check = |session: &DeltaSession<'_>| {
+                            let (df, point) = (session.dataflow(), session.point());
+                            let bound = fitness_bound(model, &cfg, df, point, total_macs);
+                            assert!(bound.is_finite(), "{case}: {point:?}");
+                            let mut best = 0.0f64;
+                            for (raw, score) in &session.memo {
+                                assert!(
+                                    score.fitness <= bound,
+                                    "{case}: {point:?} {raw:?} scores {} above its bound {bound}",
+                                    score.fitness
+                                );
+                                best = best.max(score.fitness);
+                            }
+                            let genes = session.memo.len();
+                            bounds.lock().unwrap().push((bound, genes, best / bound));
+                        };
+                        let mut eval = CandidateEvaluator::new(
                             model,
-                            df,
-                            point,
                             cfg.total_power,
                             &cfg.hw,
-                            MacroMode::Identical,
+                            cfg.macro_mode,
+                            cfg.ea.objective,
                         );
-                        let caps = max_macros(df);
-                        let b =
-                            plan.efficiency_bound(df, point, &cfg.hw, total_macs, &caps, sharing);
-                        assert_eq!(b, f64::INFINITY, "{case}");
-                    };
-                    let mut eval = CandidateEvaluator::new(
-                        model,
-                        cfg.total_power,
-                        &cfg.hw,
-                        cfg.macro_mode,
-                        cfg.ea.objective,
-                    );
-                    eval.session_hook = Some(&check);
-                    eval.skipping = false;
-                    let out = run_dse_evaluated(model, &cfg, &ExploreContext::unobserved(), &eval)
-                        .expect(&case);
-                    let winner = out.report.efficiency_tops_per_watt();
-                    let bounds = bounds.into_inner().unwrap();
-                    runs += bounds.len();
-                    tight += bounds.iter().filter(|&&b| b < winner).count();
+                        eval.session_hook = Some(&check);
+                        eval.skipping = false;
+                        let out =
+                            run_dse_evaluated(model, &cfg, &ExploreContext::unobserved(), &eval)
+                                .expect(&case);
+                        let winner = objective.fitness(&out.report);
+                        let bounds = bounds.into_inner().unwrap();
+                        runs += bounds.len();
+                        for &(bound, n, ratio) in &bounds {
+                            tight += usize::from(bound < winner);
+                            genes += n;
+                            closest = closest.max(ratio);
+                        }
+                    }
                 }
             }
+            // The bound is not vacuous: some runs could not have won.
+            assert!(
+                tight > 0,
+                "{mode} {objective:?}: no bound below its search's winner in {runs} runs"
+            );
+            eprintln!(
+                "{mode} {objective:?}: {genes} scored genes, the closest at {closest:.3} of \
+                 its bound; {tight} of {runs} EA runs bounded below their search's winner"
+            );
         }
-        // The bound is not vacuous: some runs could not have won.
-        assert!(
-            tight > 0,
-            "no bound below its search's winner in {runs} runs"
-        );
-        eprintln!("{tight} of {runs} EA runs bounded below their search's winner");
     }
 
     #[test]

@@ -1162,6 +1162,12 @@ mod tests {
                 r#"{"model": "alexnet-cifar", "power": 1e400}"#,
                 "`power` must be positive",
             ),
+            // An infinite number inside an inline model re-serializes as
+            // JSON, so the model's own ingestion error surfaces.
+            (
+                r#"{"model": {"name": "x", "pad": 1e400}, "power": 9}"#,
+                "model ingestion error: missing `input`",
+            ),
             // The hyphenated keys of the old batch format name their
             // new spelling.
             (r#"{"max-evals": 5}"#, "`max_evals`"),

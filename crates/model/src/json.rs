@@ -129,7 +129,11 @@ impl JsonValue {
 }
 
 impl fmt::Display for JsonValue {
-    /// Serializes back to compact JSON (round-trips through [`parse`]).
+    /// Serializes back to compact JSON. Every value [`parse`] produces
+    /// round-trips: an infinity, which `parse` reads from a literal too
+    /// large for `f64` (`1e400`), is written `1e999` or `-1e999`. NaN,
+    /// which JSON cannot spell and `parse` never produces, is written
+    /// `null`.
     ///
     /// [`parse`]: JsonValue::parse
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -137,7 +141,11 @@ impl fmt::Display for JsonValue {
             JsonValue::Null => write!(f, "null"),
             JsonValue::Bool(b) => write!(f, "{b}"),
             JsonValue::Number(n) => {
-                if n.fract() == 0.0 && n.abs() < (1u64 << 53) as f64 {
+                if n.is_nan() {
+                    write!(f, "null")
+                } else if n.is_infinite() {
+                    write!(f, "{}1e999", if *n < 0.0 { "-" } else { "" })
+                } else if n.fract() == 0.0 && n.abs() < (1u64 << 53) as f64 {
                     write!(f, "{}", *n as i64)
                 } else {
                     write!(f, "{n}")
@@ -534,6 +542,15 @@ mod tests {
         let v = JsonValue::parse(src).unwrap();
         let reparsed = JsonValue::parse(&v.to_string()).unwrap();
         assert_eq!(v, reparsed);
+    }
+
+    #[test]
+    fn non_finite_numbers_display_as_json() {
+        // Overflowing literals parse to infinities, which must read back.
+        let v = JsonValue::parse("[1e400,-1e400,-0.5]").unwrap();
+        assert_eq!(v.to_string(), "[1e999,-1e999,-0.5]");
+        assert_eq!(JsonValue::parse(&v.to_string()).unwrap(), v);
+        assert_eq!(JsonValue::Number(f64::NAN).to_string(), "null");
     }
 
     #[test]
