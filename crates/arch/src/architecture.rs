@@ -52,7 +52,8 @@ pub struct LayerHardware {
     /// Macros assigned (`MacAlloc_i`).
     pub macros: usize,
     /// `Some(j)` when this layer shares layer `j`'s macros (rule (b),
-    /// inter-layer ADC reuse). `j < layer` always holds.
+    /// inter-layer ADC reuse): `j` is an earlier layer that shares nothing
+    /// and has no other sharer ([`MacroGroup::check_pairs`]).
     pub shares_macros_with: Option<usize>,
     /// Derived lossless ADC resolution for this layer.
     pub adc: AdcConfig,
@@ -156,50 +157,122 @@ impl AreaBreakdown {
     }
 }
 
-/// A macro-sharing group: layers co-resident on one set of physical macros.
+/// A macro-sharing group: a root layer and at most one layer that
+/// time-shares its macros and ADC bank (Sec. IV-C, Fig. 5b).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MacroGroup {
     /// Index of the owning (earliest) layer.
     pub root: usize,
     /// All member layers, root first.
     pub members: Vec<usize>,
-    /// Physical macros in the group.
+    /// Physical macros in the group: the largest member's count.
     pub macros: usize,
 }
 
 impl MacroGroup {
+    /// The pair rule of macro sharing, over per-layer share targets in
+    /// layer order (`Some(j)`: the layer shares layer `j`'s macros). A
+    /// layer may share only an earlier layer that neither shares itself
+    /// nor already has a sharer, so every group is a root and at most one
+    /// sharer. Every path by which sharing enters a design checks it: the
+    /// EA's genes, [`Architecture::validate`] and the export parser.
+    ///
+    /// # Errors
+    ///
+    /// [`ArchError::InvalidSharing`] for the first share that breaks it.
+    pub fn check_pairs(shares: impl IntoIterator<Item = Option<usize>>) -> Result<(), ArchError> {
+        let shares: Vec<Option<usize>> = shares.into_iter().collect();
+        for (layer, &share) in shares.iter().enumerate() {
+            let Some(target) = share else { continue };
+            let reason = if target >= layer {
+                "sharing must point to an earlier layer"
+            } else if shares[target].is_some() {
+                "that layer shares another layer's macros"
+            } else if shares[..layer].contains(&Some(target)) {
+                "another layer already shares them"
+            } else {
+                continue;
+            };
+            return Err(ArchError::InvalidSharing {
+                layer,
+                target,
+                reason,
+            });
+        }
+        Ok(())
+    }
+
     /// Builds the macro-sharing groups from per-layer `(layer, macros,
-    /// shares_macros_with)` assignments, in first-seen-root order. This is
-    /// the single implementation behind [`Architecture::macro_groups`];
-    /// candidate evaluators reuse it to derive groups straight from a gene
-    /// decoding without materializing an [`Architecture`].
+    /// shares_macros_with)` assignments, in root order. This is the single
+    /// implementation behind [`Architecture::macro_groups`]; candidate
+    /// evaluators build groups straight from a gene decoding with
+    /// [`build_into`](Self::build_into).
     pub fn build_from(
         assignments: impl IntoIterator<Item = (usize, usize, Option<usize>)>,
     ) -> Vec<MacroGroup> {
-        let mut groups: Vec<MacroGroup> = Vec::new();
-        for (layer, macros, shares) in assignments {
-            match shares {
-                None => groups.push(MacroGroup {
-                    root: layer,
-                    members: vec![layer],
-                    macros,
-                }),
-                Some(root) => {
-                    if let Some(g) = groups.iter_mut().find(|g| g.root == root) {
-                        g.members.push(layer);
-                        g.macros = g.macros.max(macros);
-                    } else {
-                        // Root not seen (defensive): treat as its own group.
-                        groups.push(MacroGroup {
-                            root: layer,
-                            members: vec![layer],
-                            macros,
-                        });
-                    }
-                }
-            }
-        }
+        let mut groups = Vec::new();
+        Self::build_into(&mut groups, assignments);
         groups
+    }
+
+    /// [`build_from`](Self::build_from) into `groups`, reusing its member
+    /// vectors' allocations.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a layer shares a layer that is not an earlier root, which
+    /// [`check_pairs`](Self::check_pairs) rejects.
+    pub fn build_into(
+        groups: &mut Vec<MacroGroup>,
+        assignments: impl IntoIterator<Item = (usize, usize, Option<usize>)>,
+    ) {
+        let mut used = 0usize;
+        for (layer, macros, share) in assignments {
+            if let Some(root) = share {
+                let group = groups[..used]
+                    .iter_mut()
+                    .find(|g| g.root == root)
+                    .expect("a layer shares only an earlier root (MacroGroup::check_pairs)");
+                group.members.push(layer);
+                group.macros = group.macros.max(macros);
+                continue;
+            }
+            if used == groups.len() {
+                groups.push(MacroGroup {
+                    root: layer,
+                    members: Vec::new(),
+                    macros,
+                });
+            }
+            let group = &mut groups[used];
+            (group.root, group.macros) = (layer, macros);
+            group.members.clear();
+            group.members.push(layer);
+            used += 1;
+        }
+        groups.truncate(used);
+    }
+
+    /// What the group pays for: per component kind its largest member
+    /// count, and ADCs at its largest member resolution (at least
+    /// `adc_min_bits`). `layer_parts(m)` returns member `m`'s `(component
+    /// counts, ADC bits)`. Power and area both charge this.
+    fn charge(
+        &self,
+        hw: &HardwareParams,
+        layer_parts: impl Fn(usize) -> (ComponentCounts, u32),
+    ) -> (ComponentCounts, AdcConfig) {
+        let mut counts = ComponentCounts::default();
+        let mut adc_bits = 0u32;
+        for &m in &self.members {
+            let (member_counts, member_adc_bits) = layer_parts(m);
+            for kind in crate::components::ComponentKind::ALL {
+                let c = counts.count_mut(kind);
+                *c = (*c).max(member_counts.count(kind));
+            }
+            adc_bits = adc_bits.max(member_adc_bits);
+        }
+        (counts, AdcConfig::new(adc_bits.max(hw.adc_min_bits), hw))
     }
 }
 
@@ -228,17 +301,7 @@ pub fn power_breakdown_from(
     out.dac = dac.power(hw) * (n_xb * crossbar.size()) as f64;
 
     for group in groups {
-        let mut counts = ComponentCounts::default();
-        let mut adc_bits = 0u32;
-        for &m in &group.members {
-            let (member_counts, member_adc_bits) = layer_parts(m);
-            for kind in crate::components::ComponentKind::ALL {
-                let c = counts.count_mut(kind);
-                *c = (*c).max(member_counts.count(kind));
-            }
-            adc_bits = adc_bits.max(member_adc_bits);
-        }
-        let adc = AdcConfig::new(adc_bits.max(hw.adc_min_bits), hw);
+        let (counts, adc) = group.charge(hw, &layer_parts);
         out.adc += adc.power(hw) * counts.adc as f64;
         let alu_units = counts.total_units() - counts.adc;
         // Weighted by per-kind powers rather than a flat per-unit cost.
@@ -333,8 +396,14 @@ impl Architecture {
             self.crossbar_count(),
             &groups,
             groups.iter().map(|g| g.macros).sum(),
-            |m| (self.layers[m].components, self.layers[m].adc.bits()),
+            |m| self.layer_parts(m),
         )
+    }
+
+    /// Layer `m`'s `(component counts, ADC bits)`, what its macro group
+    /// charges for it.
+    fn layer_parts(&self, m: usize) -> (ComponentCounts, u32) {
+        (self.layers[m].components, self.layers[m].adc.bits())
     }
 
     /// Area accounting over every resource class.
@@ -345,17 +414,7 @@ impl Architecture {
         let mut adc_area = 0.0;
         let mut alu_area = 0.0;
         for group in self.macro_groups() {
-            let mut counts = ComponentCounts::default();
-            let mut adc_bits = 0u32;
-            for &m in &group.members {
-                let lh = &self.layers[m];
-                for kind in crate::components::ComponentKind::ALL {
-                    let c = counts.count_mut(kind);
-                    *c = (*c).max(lh.components.count(kind));
-                }
-                adc_bits = adc_bits.max(lh.adc.bits());
-            }
-            let adc = AdcConfig::new(adc_bits.max(hw.adc_min_bits), hw);
+            let (counts, adc) = group.charge(hw, |m| self.layer_parts(m));
             adc_area += adc.area(hw).0 * counts.adc as f64;
             alu_area += hw.alu_area.0 * (counts.total_units() - counts.adc) as f64;
         }
@@ -398,7 +457,8 @@ impl Architecture {
     ///   ([`ArchError::EmptyAllocation`]),
     /// - rule (c) of Sec. IV-C: at most `WtDup_i x ceil(WK²CI/XbSize)` macros
     ///   ([`ArchError::TooManyMacros`]),
-    /// - sharing partners exist and point backwards,
+    /// - macro sharing forms pairs ([`MacroGroup::check_pairs`],
+    ///   [`ArchError::InvalidSharing`]),
     /// - the realized power stays within the budget (with 5% slack for
     ///   integer rounding) ([`ArchError::PowerBudgetExceeded`]).
     ///
@@ -429,15 +489,8 @@ impl Architecture {
                     max: max_macros,
                 });
             }
-            if let Some(j) = lh.shares_macros_with {
-                if j >= lh.layer {
-                    return Err(ArchError::EmptyAllocation {
-                        layer: lh.layer,
-                        what: "valid sharing partner (must be an earlier layer)",
-                    });
-                }
-            }
         }
+        MacroGroup::check_pairs(self.layers.iter().map(|lh| lh.shares_macros_with))?;
         let realized = self.power_breakdown().total();
         let limit = self.power_budget * 1.05;
         if realized > limit {
@@ -479,19 +532,25 @@ mod tests {
 
     /// A hand-built two-layer architecture used across tests.
     fn toy_arch() -> (pimsyn_model::Model, Architecture) {
+        toy_arch_of(2)
+    }
+
+    /// A hand-built architecture of `convs` conv + ReLU layers.
+    fn toy_arch_of(convs: usize) -> (pimsyn_model::Model, Architecture) {
         let model = {
             let mut b =
                 pimsyn_model::ModelBuilder::new("toy", pimsyn_model::TensorShape::new(3, 16, 16));
-            let c1 = b.conv("c1", None, 32, 3, 1, 1);
-            let r1 = b.relu("r1", c1);
-            let c2 = b.conv("c2", Some(r1), 32, 3, 1, 1);
-            b.relu("r2", c2);
+            let mut prev = None;
+            for i in 1..=convs {
+                let c = b.conv(format!("c{i}"), prev, 32, 3, 1, 1);
+                prev = Some(b.relu(format!("r{i}"), c));
+            }
             b.build().unwrap()
         };
         let crossbar = CrossbarConfig::new(128, 2).unwrap();
         let dac = DacConfig::new(1).unwrap();
         let hwp = hw();
-        let layers = (0..2)
+        let layers = (0..convs)
             .map(|i| {
                 let wl = model.weight_layer(i);
                 LayerHardware {
@@ -558,6 +617,29 @@ mod tests {
         assert!(matches!(
             arch.validate(&model),
             Err(ArchError::TooManyMacros { .. })
+        ));
+    }
+
+    #[test]
+    fn validation_rejects_chains_and_double_sharers() {
+        let (model, mut arch) = toy_arch_of(3);
+        arch.power_budget = Watts(100.0);
+        arch.layers[1].shares_macros_with = Some(0);
+        arch.validate(&model).unwrap();
+        for (shares, target) in [([None, Some(0), Some(1)], 1), ([None, Some(0), Some(0)], 0)] {
+            for (lh, share) in arch.layers.iter_mut().zip(shares) {
+                lh.shares_macros_with = share;
+            }
+            let err = arch.validate(&model).unwrap_err();
+            assert!(
+                matches!(err, ArchError::InvalidSharing { layer: 2, target: t, .. } if t == target),
+                "{shares:?}: {err}"
+            );
+        }
+        arch.layers[2].shares_macros_with = Some(2);
+        assert!(matches!(
+            arch.validate(&model),
+            Err(ArchError::InvalidSharing { layer: 2, .. })
         ));
     }
 

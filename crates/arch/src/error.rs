@@ -31,6 +31,16 @@ pub enum ArchError {
         /// What was missing.
         what: &'static str,
     },
+    /// A macro share broke the pair rule of
+    /// [`MacroGroup::check_pairs`](crate::MacroGroup::check_pairs).
+    InvalidSharing {
+        /// Index of the sharing layer.
+        layer: usize,
+        /// The layer whose macros it shares.
+        target: usize,
+        /// Which part of the rule the share breaks.
+        reason: &'static str,
+    },
     /// Macro-partitioning violated rule (c) of Sec. IV-C: a macro must hold
     /// at least one whole crossbar of every layer mapped to it.
     TooManyMacros {
@@ -63,6 +73,14 @@ impl fmt::Display for ArchError {
             ArchError::EmptyAllocation { layer, what } => {
                 write!(f, "layer {layer} was allocated zero {what}")
             }
+            ArchError::InvalidSharing {
+                layer,
+                target,
+                reason,
+            } => write!(
+                f,
+                "layer {layer} cannot share layer {target}'s macros: {reason}"
+            ),
             ArchError::TooManyMacros {
                 layer,
                 requested,

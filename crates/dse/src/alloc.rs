@@ -10,7 +10,7 @@
 
 use pimsyn_arch::{
     AdcConfig, Architecture, ComponentCounts, ComponentKind, HardwareParams, LayerHardware,
-    MacroMode, Watts,
+    MacroGroup, MacroMode, Watts,
 };
 use pimsyn_ir::Dataflow;
 use pimsyn_model::Model;
@@ -51,26 +51,6 @@ fn workload(df: &Dataflow, layer: usize, kind: ComponentKind) -> f64 {
         ComponentKind::Activation => p.blocks as f64 * p.act_ops as f64,
         ComponentKind::Eltwise => p.blocks as f64 * p.eltwise_ops as f64,
     }
-}
-
-/// Physical macro count implied by a sharing assignment (shared sets counted
-/// once, at the larger of the partners' sizes). Only root layers (no
-/// `shares` entry) open a group, so a layer sharing with a non-root adds
-/// nothing.
-pub fn physical_macros(macros: &[usize], shares: &[Option<usize>]) -> usize {
-    // Each root's group size: the max over the root and its sharers.
-    let mut group = macros.to_vec();
-    for (&m, share) in macros.iter().zip(shares) {
-        if let Some(g) = share.and_then(|j| group.get_mut(j)) {
-            *g = (*g).max(m);
-        }
-    }
-    group
-        .iter()
-        .zip(shares)
-        .filter(|(_, share)| share.is_none())
-        .map(|(&g, _)| g)
-        .sum()
 }
 
 /// One allocatable `(layer, component family)` with workload, with its
@@ -307,24 +287,19 @@ impl AllocPlan {
     ///   period <= T`, where `n` is the layer's own units for an ALU item
     ///   and its effective ADC bank for the ADC item. [`power_breakdown_from`]
     ///   charges each macro group, per kind, the largest member count, ADCs
-    ///   at the largest member resolution. `mutate_share` partners a layer
-    ///   only with a root nobody shares yet, so no layer has two sharers,
-    ///   and [`MacroGroup::build_from`] puts a layer in its target's group
-    ///   only when the target is a root: a group holds at most two layers,
-    ///   and the groups partition the layers.
+    ///   at the largest member resolution. Every gene keeps the pair rule
+    ///   of [`MacroGroup::check_pairs`], so a group holds a root and at
+    ///   most one sharer, and the groups partition the layers.
     ///   - ALU: a group pays at least `sum_kind max_member P W / (F T) >=
     ///     max_member a_x / T`, `a_x` the layer's ALU part of `D`. Over a
     ///     partition into pairs, that sums to at least `U / T`, `U` the sum
     ///     of the 1st, 3rd, 5th, ... largest `a_x`.
-    ///   - ADC: a layer's effective bank is the largest own count of the
-    ///     layer and the one it shares with or that shares with it, and the
-    ///     owner's group is charged at least that count. So each layer's
-    ///     demand `c_x = W / F` is covered by some group with at least `c_x
-    ///     / T` units. A group {root `r`, sharer `s`} covers at most `r`,
-    ///     `s` and the tail `t` of a chain `t -> s -> r`, which
-    ///     `mutate_share` still builds: three layers. ADC power is thus at
-    ///     least `p C / T`, `C` the sum of the 1st, 4th, 7th, ... largest
-    ///     `c_x` and `p` the plan's cheapest ADC unit.
+    ///   - ADC: a layer's effective bank is the largest own count in its
+    ///     group, and the group is charged at least that count. So each
+    ///     layer's demand `c_x = W / F` is covered by its group with at
+    ///     least `c_x / T` units, and a group covers at most two layers.
+    ///     ADC power is thus at least `p C / T`, `C` the sum of the 1st,
+    ///     3rd, 5th, ... largest `c_x` and `p` the plan's cheapest ADC unit.
     ///   - Without sharing every layer is its own group with its own bank,
     ///     priced at its own resolution, so `periph >= D / T`.
     ///
@@ -338,15 +313,15 @@ impl AllocPlan {
     /// - **Period floor.** A gene validates only at `P <= 1.05 x budget`,
     ///   so then `periph <= 1.05 budget - F` and `T >= T_lo = max(S_floor,
     ///   D' / (1.05 budget - F))`; `T_lo = S_floor` when the cap is not
-    ///   positive. The allocator's own limit would not do: under identical
-    ///   macros a chained tail's own group overspends
-    ///   [`periph_budget`](Self::periph_budget).
+    ///   positive. The cap is `validate`'s limit, not
+    ///   [`periph_budget`](Self::periph_budget), which `solve`'s one-unit
+    ///   floors can overspend.
     ///
     /// So `T x P >= T x F + D' >= T_lo F + D'`, and efficiency is at most
     /// `2 MACs / ((T_lo F + D') 1e12)`.
     ///
     /// The solve bound. Write `B(n)` for [`periph_budget(n)`](Self::periph_budget)
-    /// at a gene's `n >= 1` [`physical_macros`], so `B(n) <= B(1)`; `D_alu`
+    /// at a gene's `n >= 1` physical macros, so `B(n) <= B(1)`; `D_alu`
     /// for `D`'s ALU part and `s_x = D_x / D` for layer `x`'s share; `SP`
     /// for the sum of every item's unit power. A gene that allocates has
     /// `B(n) > 0` (else `solve` fails, for every gene once `B(1) <= 0`).
@@ -378,7 +353,7 @@ impl AllocPlan {
     ///
     /// [`compute_layer_base_with`]: pimsyn_sim::compute_layer_base_with
     /// [`power_breakdown_from`]: pimsyn_arch::power_breakdown_from
-    /// [`MacroGroup::build_from`]: pimsyn_arch::MacroGroup::build_from
+    /// [`MacroGroup::check_pairs`]: pimsyn_arch::MacroGroup::check_pairs
     pub fn efficiency_bound(
         &self,
         df: &Dataflow,
@@ -472,7 +447,7 @@ impl AllocPlan {
                 .iter()
                 .map(|adc| adc.power(hw).value())
                 .fold(f64::INFINITY, f64::min);
-            every_nth_largest(alu, 2) + cheapest_adc * every_nth_largest(adc, 3)
+            every_other_largest(alu) + cheapest_adc * every_other_largest(adc)
         } else {
             self.denom
         };
@@ -531,12 +506,12 @@ impl AllocPlan {
     }
 }
 
-/// The sum of the 1st, `n + 1`-th, `2n + 1`-th, ... largest of `values`:
-/// the least that the largest members of groups of at most `n` can sum to,
-/// over every partition of `values` into such groups.
-fn every_nth_largest(mut values: Vec<f64>, n: usize) -> f64 {
+/// The sum of the 1st, 3rd, 5th, ... largest of `values`: the least that
+/// the larger members of pairs can sum to, over every partition of `values`
+/// into groups of at most two.
+fn every_other_largest(mut values: Vec<f64>) -> f64 {
     values.sort_by(|a, b| b.total_cmp(a));
-    values.iter().step_by(n).sum()
+    values.iter().step_by(2).sum()
 }
 
 /// Runs components allocation and assembles the full [`Architecture`].
@@ -558,7 +533,10 @@ pub fn allocate_components(req: &AllocRequest<'_>) -> Result<Architecture, DseEr
         hw,
         req.macro_mode,
     );
-    let n_macros = physical_macros(req.macros, req.shares);
+    let groups = MacroGroup::build_from(
+        (req.macros.iter().zip(req.shares).enumerate()).map(|(i, (&m, &s))| (i, m, s)),
+    );
+    let n_macros = groups.iter().map(|g| g.macros).sum();
     let mut counts = plan.solve(n_macros)?;
 
     if req.macro_mode == MacroMode::Identical {
@@ -676,23 +654,32 @@ mod tests {
         )
     }
 
+    /// [`allocate_components`] over `parts` (see [`request_parts`]).
+    fn allocate(
+        parts: &(Model, Dataflow, DesignPoint, Watts, HardwareParams),
+        macros: &[usize],
+        shares: &[Option<usize>],
+        macro_mode: MacroMode,
+    ) -> Result<Architecture, DseError> {
+        let (model, dataflow, point, total_power, hw) = parts;
+        allocate_components(&AllocRequest {
+            model,
+            dataflow,
+            point: *point,
+            total_power: *total_power,
+            hw,
+            macros,
+            shares,
+            macro_mode,
+        })
+    }
+
     #[test]
     fn allocation_fits_budget_and_covers_workloads() {
-        let (model, df, point, power, hw) = request_parts(9.0);
+        let parts = request_parts(9.0);
+        let (model, df, _, power, _) = &parts;
         let l = model.weight_layer_count();
-        let macros = vec![1usize; l];
-        let shares = vec![None; l];
-        let req = AllocRequest {
-            model: &model,
-            dataflow: &df,
-            point,
-            total_power: power,
-            hw: &hw,
-            macros: &macros,
-            shares: &shares,
-            macro_mode: MacroMode::Specialized,
-        };
-        let arch = allocate_components(&req).unwrap();
+        let arch = allocate(&parts, &vec![1; l], &vec![None; l], MacroMode::Specialized).unwrap();
         // Every layer with ADC workload has converters; ALU classes with no
         // workload stay empty.
         for (i, lh) in arch.layers.iter().enumerate() {
@@ -708,26 +695,14 @@ mod tests {
             realized.value() <= power.value() * 1.05,
             "realized {realized} exceeds budget {power}"
         );
-        arch.validate(&model).unwrap();
+        arch.validate(model).unwrap();
     }
 
     #[test]
     fn adc_gets_lions_share_of_power() {
-        let (model, df, point, power, hw) = request_parts(9.0);
-        let l = model.weight_layer_count();
-        let macros = vec![1usize; l];
-        let shares = vec![None; l];
-        let req = AllocRequest {
-            model: &model,
-            dataflow: &df,
-            point,
-            total_power: power,
-            hw: &hw,
-            macros: &macros,
-            shares: &shares,
-            macro_mode: MacroMode::Specialized,
-        };
-        let arch = allocate_components(&req).unwrap();
+        let parts = request_parts(9.0);
+        let l = parts.0.weight_layer_count();
+        let arch = allocate(&parts, &vec![1; l], &vec![None; l], MacroMode::Specialized).unwrap();
         let pb = arch.power_breakdown();
         assert!(
             pb.adc > pb.alu,
@@ -739,102 +714,25 @@ mod tests {
 
     #[test]
     fn tiny_budget_is_rejected() {
-        let (model, df, point, _, hw) = request_parts(9.0);
-        let l = model.weight_layer_count();
-        let macros = vec![4usize; l];
-        let shares = vec![None; l];
-        let req = AllocRequest {
-            model: &model,
-            dataflow: &df,
-            point,
-            total_power: Watts(0.2), // cannot even pay for 32 macros
-            hw: &hw,
-            macros: &macros,
-            shares: &shares,
-            macro_mode: MacroMode::Specialized,
-        };
+        // 0.2 W cannot even pay for 32 macros.
+        let parts = request_parts(0.2);
+        let l = parts.0.weight_layer_count();
         assert!(matches!(
-            allocate_components(&req),
+            allocate(&parts, &vec![4; l], &vec![None; l], MacroMode::Specialized),
             Err(DseError::NoPeripheralPower { .. })
         ));
     }
 
     #[test]
     fn identical_mode_homogenizes_counts() {
-        let (model, df, point, power, hw) = request_parts(9.0);
-        let l = model.weight_layer_count();
-        let macros = vec![1usize; l];
-        let shares = vec![None; l];
-        let base = AllocRequest {
-            model: &model,
-            dataflow: &df,
-            point,
-            total_power: power,
-            hw: &hw,
-            macros: &macros,
-            shares: &shares,
-            macro_mode: MacroMode::Identical,
-        };
-        let arch = allocate_components(&base).unwrap();
+        let parts = request_parts(9.0);
+        let l = parts.0.weight_layer_count();
+        let arch = allocate(&parts, &vec![1; l], &vec![None; l], MacroMode::Identical).unwrap();
         // All single-macro layers carry the same ADC count and resolution.
         let first = &arch.layers[0];
         for lh in &arch.layers {
             assert_eq!(lh.components.adc, first.components.adc);
             assert_eq!(lh.adc.bits(), first.adc.bits());
-        }
-    }
-
-    #[test]
-    fn physical_macros_counts_groups_once() {
-        let macros = [2usize, 3, 4];
-        assert_eq!(physical_macros(&macros, &[None, None, None]), 9);
-        // Layer 2 shares layer 0's macros: group size max(2,4)=4, plus 3.
-        assert_eq!(physical_macros(&macros, &[None, None, Some(0)]), 7);
-    }
-
-    /// The quadratic `physical_macros` the linear version replaced.
-    fn physical_macros_reference(macros: &[usize], shares: &[Option<usize>]) -> usize {
-        let mut total = 0usize;
-        for (i, &m) in macros.iter().enumerate() {
-            if shares[i].is_none() {
-                let group_max = shares.iter().enumerate().fold(m, |acc, (k, &s)| {
-                    if s == Some(i) {
-                        acc.max(macros[k])
-                    } else {
-                        acc
-                    }
-                });
-                total += group_max;
-            }
-        }
-        total
-    }
-
-    #[test]
-    fn physical_macros_matches_the_quadratic_scan_on_every_gene_shape() {
-        use crate::ea::MacAllocGene;
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let check = |raw: Vec<u32>| {
-            let (macros, shares) = MacAllocGene::from_raw(raw).unwrap().decode();
-            assert_eq!(
-                physical_macros(&macros, &shares),
-                physical_macros_reference(&macros, &shares),
-                "macros {macros:?} shares {shares:?}"
-            );
-        };
-        // Multi-sharer group (1 and 2 on 0) and a chain (3 on 2, a sharer).
-        check(vec![5, 9, 3, 2007]);
-        check(vec![2, 7, 4, 2009, 3001]);
-        let mut rng = StdRng::seed_from_u64(15);
-        for _ in 0..5000 {
-            let l = rng.gen_range(1..=12usize);
-            // Any owner at or before the layer: from_raw accepts chains,
-            // multi-sharer groups and self-owned roots alike.
-            let raw = (0..l)
-                .map(|i| rng.gen_range(0..=i as u32) * 1000 + rng.gen_range(1..=64u32))
-                .collect();
-            check(raw);
         }
     }
 
@@ -918,79 +816,17 @@ mod tests {
 
     #[test]
     fn sharing_lowers_fixed_cost_and_frees_periph_power() {
-        let (model, df, point, power, hw) = request_parts(9.0);
-        let l = model.weight_layer_count();
+        let parts = request_parts(9.0);
+        let l = parts.0.weight_layer_count();
         let macros = vec![1usize; l];
-        let solo = vec![None; l];
         let mut shared = vec![None; l];
         shared[l - 1] = Some(0); // fc8 shares conv1's macro (staggered in time)
-        let arch_solo = allocate_components(&AllocRequest {
-            model: &model,
-            dataflow: &df,
-            point,
-            total_power: power,
-            hw: &hw,
-            macros: &macros,
-            shares: &solo,
-            macro_mode: MacroMode::Specialized,
-        })
-        .unwrap();
-        let arch_shared = allocate_components(&AllocRequest {
-            model: &model,
-            dataflow: &df,
-            point,
-            total_power: power,
-            hw: &hw,
-            macros: &macros,
-            shares: &shared,
-            macro_mode: MacroMode::Specialized,
-        })
-        .unwrap();
+        let arch_solo = allocate(&parts, &macros, &vec![None; l], MacroMode::Specialized).unwrap();
+        let arch_shared = allocate(&parts, &macros, &shared, MacroMode::Specialized).unwrap();
         assert_eq!(arch_shared.macro_count() + 1, arch_solo.macro_count());
         // Freed fixed power lets the allocator buy at least as many ADCs.
         let adcs_solo: usize = arch_solo.layers.iter().map(|x| x.components.adc).sum();
         let adcs_shared: usize = arch_shared.layers.iter().map(|x| x.components.adc).sum();
         assert!(adcs_shared >= adcs_solo);
-    }
-
-    /// Under identical macros, the tail of a chain 2 -> 1 -> 0 gets a group
-    /// of its own, charged units that `homogenize` sized for the
-    /// `physical_macros` that leave the tail out: the realized peripherals
-    /// overspend `periph_budget`, yet the design validates. The cover bound
-    /// reasons from the realized architecture, so the gene still scores
-    /// below it.
-    #[test]
-    fn chained_identical_gene_overspends_and_stays_under_the_bound() {
-        let (model, df, point, power, hw) = request_parts(9.0);
-        let gene =
-            crate::ea::MacAllocGene::from_raw(vec![1, 1, 1001, 3001, 4001, 5001, 6001, 7001])
-                .unwrap();
-        let (macros, shares) = gene.decode();
-        assert_eq!(shares[..3], [None, Some(0), Some(1)]);
-        let arch = allocate_components(&AllocRequest {
-            model: &model,
-            dataflow: &df,
-            point,
-            total_power: power,
-            hw: &hw,
-            macros: &macros,
-            shares: &shares,
-            macro_mode: MacroMode::Identical,
-        })
-        .unwrap();
-        arch.validate(&model).unwrap();
-        let plan = AllocPlan::prepare(&model, &df, point, power, &hw, MacroMode::Identical);
-        let pb = arch.power_breakdown();
-        let budget = plan.periph_budget(physical_macros(&macros, &shares));
-        assert!(pb.adc + pb.alu > budget, "{pb} within {budget}");
-
-        let report = pimsyn_sim::evaluate_analytic(&model, &df, &arch).unwrap();
-        let caps = crate::ea::max_macros(&df);
-        let total_macs = model.stats().total_macs;
-        let bound = plan.efficiency_bound(&df, point, &hw, total_macs, &caps, true);
-        let fitness = report.efficiency_tops_per_watt();
-        assert!(fitness > 0.0 && fitness <= bound, "{fitness} above {bound}");
-        let edp = plan.edp_bound(&df, point, &hw, &caps, true);
-        assert!(1.0 / report.edp_ms_mj() <= edp, "EDP fitness above {edp}");
     }
 }

@@ -56,7 +56,7 @@ use pimsyn_sim::{
     summarize_pipeline, LayerBaseCosts, LayerCostInputs, LayerStages, PipelineSolution,
 };
 
-use crate::alloc::{homogenize, physical_macros, AllocPlan};
+use crate::alloc::{homogenize, AllocPlan};
 use crate::ea::MacAllocGene;
 use crate::eval::{CandidateScore, EvalCore};
 use crate::space::DesignPoint;
@@ -141,7 +141,7 @@ struct RetainedLayer {
 /// its children can rescore incrementally.
 struct Retained {
     layers: Vec<RetainedLayer>,
-    macro_count: usize,
+    n_macros: usize,
     counts: Arc<Vec<ComponentCounts>>,
     power: Watts,
 }
@@ -153,7 +153,6 @@ struct Retained {
 struct Scratch {
     macros: Vec<usize>,
     shares: Vec<Option<usize>>,
-    root_adc: Vec<usize>,
     eff_adcs: Vec<usize>,
     base: Vec<LayerBaseCosts>,
     dynamic: Vec<(f64, f64)>,
@@ -177,14 +176,13 @@ struct PlanState {
     /// infeasible solve.
     solves: FastMap<usize, Option<Arc<Vec<ComponentCounts>>>>,
     /// NoC-coupled `(merge, transfer)` terms keyed by `(layer, macros,
-    /// macro_count)` — exact only without sharing (the key then pins every
+    /// n_macros)` — exact only without sharing (the key then pins every
     /// input of [`compute_layer_dynamic_with`]); sharing candidates always
     /// recompute.
     dyn_memo: FastMap<(usize, usize, usize), (f64, f64)>,
     /// Realized power per physical macro count — exact only for specialized
-    /// macros without sharing (counts are then a function of `n_macros`,
-    /// groups are all singleton and `macro_count == n_macros`); every other
-    /// candidate recomputes.
+    /// macros without sharing (counts are then a function of `n_macros` and
+    /// groups are all singleton); every other candidate recomputes.
     power_memo: FastMap<usize, Watts>,
     retained: FastMap<Vec<u32>, Arc<Retained>>,
     order: VecDeque<Vec<u32>>,
@@ -230,45 +228,6 @@ impl PlanState {
             }
         }
     }
-}
-
-/// Rebuilds `groups` in place with [`MacroGroup::build_from`]'s exact
-/// first-seen-root ordering and contents, reusing the member vectors'
-/// allocations across candidates.
-fn rebuild_groups(groups: &mut Vec<MacroGroup>, macros: &[usize], shares: &[Option<usize>]) {
-    let mut used = 0usize;
-    fn start_group(groups: &mut Vec<MacroGroup>, used: &mut usize, root: usize, macros: usize) {
-        if *used < groups.len() {
-            let g = &mut groups[*used];
-            g.root = root;
-            g.macros = macros;
-            g.members.clear();
-            g.members.push(root);
-        } else {
-            groups.push(MacroGroup {
-                root,
-                members: vec![root],
-                macros,
-            });
-        }
-        *used += 1;
-    }
-    for (i, (&m, &share)) in macros.iter().zip(shares).enumerate() {
-        match share {
-            None => start_group(groups, &mut used, i, m),
-            Some(root) => {
-                if let Some(g) = groups[..used].iter_mut().find(|g| g.root == root) {
-                    g.members.push(i);
-                    g.macros = g.macros.max(m);
-                } else {
-                    // Root not seen (defensive): its own group, as in
-                    // `build_from`.
-                    start_group(groups, &mut used, i, m);
-                }
-            }
-        }
-    }
-    groups.truncate(used);
 }
 
 /// What one session scoring produced, and how.
@@ -369,7 +328,13 @@ impl<'d> DeltaSession<'d> {
         gene.decode_into(&mut ps.scratch.macros, &mut ps.scratch.shares);
         let macros: &[usize] = &ps.scratch.macros;
         let shares: &[Option<usize>] = &ps.scratch.shares;
-        let n_macros = physical_macros(macros, shares);
+        // The macro groups, and the physical macro count the allocator pays
+        // for, the NoC is sized by and the power model charges.
+        MacroGroup::build_into(
+            &mut ps.scratch.groups,
+            (macros.iter().zip(shares).enumerate()).map(|(i, (&m, &s))| (i, m, s)),
+        );
+        let n_macros: usize = ps.scratch.groups.iter().map(|g| g.macros).sum();
         // Eq. (6) depends on the gene only through `n_macros`: memoize.
         let counts = match ps.solves.get(&n_macros) {
             Some(entry) => entry.clone(),
@@ -395,31 +360,16 @@ impl<'d> DeltaSession<'d> {
         };
         let no_sharing = shares.iter().all(Option::is_none);
 
-        // Macro groups and the quantities the full pipeline derives from the
-        // completed architecture — replicated from the gene decoding (the
-        // allocator assigns `layer: i` in program order, so group roots and
-        // sharing lookups are index-based on both paths).
-        rebuild_groups(&mut ps.scratch.groups, macros, shares);
-        let macro_count: usize = ps.scratch.groups.iter().map(|g| g.macros).sum();
-
         // `Architecture::effective_adcs`: every layer sees the largest ADC
-        // bank among its root and the root's sharers (its own bank when
-        // nothing is shared).
+        // bank of its group (the allocator assigns `layer: i` in program
+        // order, so groups are index-based on both paths).
         ps.scratch.eff_adcs.clear();
-        if no_sharing {
-            ps.scratch.eff_adcs.extend(counts.iter().map(|c| c.adc));
-        } else {
-            ps.scratch.root_adc.clear();
-            ps.scratch.root_adc.extend(counts.iter().map(|c| c.adc));
-            for j in 0..l {
-                if let Some(r) = shares[j] {
-                    ps.scratch.root_adc[r] = ps.scratch.root_adc[r].max(counts[j].adc);
-                }
+        ps.scratch.eff_adcs.resize(l, 0);
+        for g in &ps.scratch.groups {
+            let bank = g.members.iter().map(|&m| counts[m].adc).max().unwrap_or(0);
+            for &m in &g.members {
+                ps.scratch.eff_adcs[m] = bank;
             }
-            let root_adc = &ps.scratch.root_adc;
-            ps.scratch
-                .eff_adcs
-                .extend((0..l).map(|i| root_adc[shares[i].unwrap_or(i)]));
         }
         let eff_adcs: &[usize] = &ps.scratch.eff_adcs;
 
@@ -462,13 +412,12 @@ impl<'d> DeltaSession<'d> {
         }
 
         // NoC-coupled terms: parent reuse per layer when the macro count and
-        // sharing are unchanged; the `(layer, macros, macro_count)` memo
+        // sharing are unchanged; the `(layer, macros, n_macros)` memo
         // otherwise (exact without sharing); full recomputation when shared.
-        let noc = NocConfig::for_macros(macro_count, hw);
+        let noc = NocConfig::for_macros(n_macros, hw);
         let root_of = |x: usize| shares[x].unwrap_or(x);
         let noc_same = parent_ref.is_some_and(|p| {
-            macro_count == p.macro_count
-                && p.layers.iter().zip(shares).all(|(pl, s)| pl.share == *s)
+            n_macros == p.n_macros && p.layers.iter().zip(shares).all(|(pl, s)| pl.share == *s)
         });
         ps.scratch.dynamic.clear();
         for (i, &m) in macros.iter().enumerate() {
@@ -480,7 +429,7 @@ impl<'d> DeltaSession<'d> {
                 }
             }
             if no_sharing {
-                let key = (i, m, macro_count);
+                let key = (i, m, n_macros);
                 if let Some(&d) = ps.dyn_memo.get(&key) {
                     ps.scratch.dynamic.push(d);
                     continue;
@@ -528,7 +477,7 @@ impl<'d> DeltaSession<'d> {
                         df.dac(),
                         ps.crossbar_count,
                         &ps.scratch.groups,
-                        macro_count,
+                        n_macros,
                         |m| (counts[m], plan_adcs[m].bits()),
                     )
                     .total();
@@ -564,7 +513,7 @@ impl<'d> DeltaSession<'d> {
                 raw.to_vec(),
                 Retained {
                     layers,
-                    macro_count,
+                    n_macros,
                     counts,
                     power,
                 },

@@ -8,7 +8,7 @@
 //! efficiency as evaluated by the analytic model after running components
 //! allocation on each child — exactly the stage coupling of Fig. 3.
 
-use pimsyn_arch::{Architecture, MacroMode, Watts};
+use pimsyn_arch::{Architecture, MacroGroup, MacroMode, Watts};
 use pimsyn_ir::Dataflow;
 use pimsyn_model::Model;
 use pimsyn_sim::{AnalyticSummary, SimReport};
@@ -141,9 +141,12 @@ impl MacAllocGene {
     /// # Panics
     ///
     /// Panics if `macros` and `shares` lengths differ, a count is zero or
-    /// `>= 1000`, or a share points forward.
+    /// `>= 1000`, or sharing breaks [`MacroGroup::check_pairs`].
     pub fn encode(macros: &[usize], shares: &[Option<usize>]) -> Self {
         assert_eq!(macros.len(), shares.len());
+        if let Err(e) = MacroGroup::check_pairs(shares.iter().copied()) {
+            panic!("{e}");
+        }
         let v = macros
             .iter()
             .zip(shares)
@@ -153,14 +156,7 @@ impl MacAllocGene {
                     m >= 1 && m < GENE_BASE as usize,
                     "macro count {m} out of range"
                 );
-                let owner = match s {
-                    None => i,
-                    Some(j) => {
-                        assert!(j < i, "sharing must point to an earlier layer");
-                        j
-                    }
-                };
-                owner as u32 * GENE_BASE + m as u32
+                s.unwrap_or(i) as u32 * GENE_BASE + m as u32
             })
             .collect();
         Self(v)
@@ -199,22 +195,15 @@ impl MacAllocGene {
     ///
     /// # Errors
     ///
-    /// A human-readable message for zero macro counts or forward/self-
-    /// inconsistent sharing.
+    /// A human-readable message for zero macro counts or sharing that
+    /// breaks [`MacroGroup::check_pairs`].
     pub fn from_raw(raw: Vec<u32>) -> Result<Self, String> {
-        for (i, &g) in raw.iter().enumerate() {
-            let owner = (g / GENE_BASE) as usize;
-            let macros = g % GENE_BASE;
-            if macros == 0 {
-                return Err(format!("layer {i}: macro count must be >= 1"));
-            }
-            if owner > i {
-                return Err(format!(
-                    "layer {i}: sharing must point to an earlier layer, got {owner}"
-                ));
-            }
+        if let Some(i) = raw.iter().position(|&g| g % GENE_BASE == 0) {
+            return Err(format!("layer {i}: macro count must be >= 1"));
         }
-        Ok(Self(raw))
+        let gene = Self(raw);
+        MacroGroup::check_pairs(gene.decode().1).map_err(|e| e.to_string())?;
+        Ok(gene)
     }
 }
 
@@ -340,7 +329,7 @@ pub(crate) fn run_ea_counted(
             }
             // mutate_share (Alg. 2 line 6).
             if cfg.allow_sharing && rng.gen_bool(cfg.mutate_share_prob) {
-                mutate_share(&mut shares, &mut rng, l);
+                mutate_share(&mut shares, &mut rng);
             }
             child_genes.push(MacAllocGene::encode(&macros, &shares));
             parent_idx.push(best_idx);
@@ -384,15 +373,22 @@ pub(crate) fn run_ea_counted(
     (evaluations, outcome)
 }
 
-/// Toggles sharing for a random layer, respecting the rules: the partner
-/// must be an earlier layer that neither shares nor is shared (pairs only).
-fn mutate_share(shares: &mut [Option<usize>], rng: &mut StdRng, l: usize) {
+/// Alg. 2's `mutate_share`: toggles sharing for a random layer `i > 0`
+/// under the pair rule of [`MacroGroup::check_pairs`]. A sharer stops
+/// sharing; a layer that already has a sharer stays as it is; any other
+/// layer shares an earlier layer that neither shares nor has a sharer, drawn
+/// at random, if there is one.
+pub fn mutate_share(shares: &mut [Option<usize>], rng: &mut impl Rng) {
+    let l = shares.len();
     if l < 2 {
         return;
     }
     let i = rng.gen_range(1..l);
     if shares[i].is_some() {
         shares[i] = None;
+        return;
+    }
+    if shares.contains(&Some(i)) {
         return;
     }
     // Candidate partners: earlier roots that nobody shares with yet.
@@ -449,6 +445,20 @@ mod tests {
     #[should_panic(expected = "sharing must point to an earlier layer")]
     fn forward_sharing_panics() {
         let _ = MacAllocGene::encode(&[1, 1], &[Some(1), None]);
+    }
+
+    #[test]
+    fn from_raw_rejects_chains_and_double_sharers() {
+        // Layers 1 and 2 both share layer 0, then layer 3 shares layer 2.
+        let err = MacAllocGene::from_raw(vec![5, 9, 3, 2007]).unwrap_err();
+        assert!(err.contains("layer 2 cannot share layer 0"), "{err}");
+        // Layer 2 shares layer 1, which shares layer 0.
+        let err = MacAllocGene::from_raw(vec![1, 1, 1001, 3001, 4001, 5001]).unwrap_err();
+        assert!(err.contains("layer 2 cannot share layer 1"), "{err}");
+        let (_, shares) = MacAllocGene::from_raw(vec![1, 1, 2001, 2001])
+            .unwrap()
+            .decode();
+        assert_eq!(shares, [None, Some(0), None, Some(2)]);
     }
 
     #[test]
@@ -580,20 +590,105 @@ mod tests {
         }
     }
 
+    /// Every share targets an earlier layer that shares nothing and has no
+    /// other sharer: the gene is a set of disjoint pairs.
+    fn assert_disjoint_pairs(shares: &[Option<usize>]) {
+        for (i, s) in shares.iter().enumerate() {
+            if let Some(j) = *s {
+                assert!(j < i, "{shares:?}: layer {i} shares a later layer");
+                assert!(
+                    shares[j].is_none(),
+                    "{shares:?}: layer {j} shares and is shared"
+                );
+                let sharers = shares.iter().filter(|s| **s == Some(j)).count();
+                assert_eq!(sharers, 1, "{shares:?}: layer {j} has {sharers} sharers");
+            }
+        }
+        MacroGroup::check_pairs(shares.iter().copied()).unwrap();
+    }
+
     #[test]
     fn mutate_share_respects_pair_rule() {
         let mut rng = StdRng::seed_from_u64(7);
         for _ in 0..200 {
-            let mut shares: Vec<Option<usize>> = vec![None, Some(0), None, None];
-            mutate_share(&mut shares, &mut rng, 4);
-            // Layer 0 is taken (by 1); any new share must target 2 or be a
-            // toggle-off; nobody may point at a non-root.
-            for (i, s) in shares.iter().enumerate() {
-                if let Some(j) = s {
-                    assert!(*j < i);
-                    assert!(shares[*j].is_none(), "partner must be a root");
+            // Layer 1 already has a sharer: drawing it must not chain it
+            // onto layer 0.
+            let mut shares: Vec<Option<usize>> = vec![None, None, Some(1), None];
+            mutate_share(&mut shares, &mut rng);
+            assert_disjoint_pairs(&shares);
+        }
+    }
+
+    /// Mutation walks over every zoo model, in both macro modes: every gene
+    /// stays a set of disjoint pairs, the allocator pays for the macro
+    /// count the realized architecture reports (its counts are the Eq. (6)
+    /// solve at `macro_count()`), and every layer's effective ADC bank is
+    /// its group's largest.
+    #[test]
+    fn mutation_walks_keep_disjoint_pairs_and_one_macro_count() {
+        let hw = HardwareParams::date24();
+        let xb = CrossbarConfig::new(128, 2).unwrap();
+        let point = DesignPoint {
+            ratio_rram: 0.3,
+            crossbar: xb,
+        };
+        let mut steps = 0;
+        for (k, entry) in zoo::entries().iter().enumerate() {
+            let model = (entry.build)();
+            let l = model.weight_layer_count();
+            let df =
+                Dataflow::compile(&model, xb, DacConfig::new(1).unwrap(), &vec![1; l]).unwrap();
+            let caps = max_macros(&df);
+            let mut rng = StdRng::seed_from_u64(k as u64);
+            let (mut macros, mut shares) = (vec![1usize; l], vec![None; l]);
+            for mode in [MacroMode::Specialized, MacroMode::Identical] {
+                let power = Watts(1000.0);
+                let plan = crate::alloc::AllocPlan::prepare(&model, &df, point, power, &hw, mode);
+                for step in 0..500 {
+                    if rng.gen_bool(0.6) {
+                        let i = rng.gen_range(0..l);
+                        macros[i] = rng.gen_range(1..=caps[i]);
+                    }
+                    mutate_share(&mut shares, &mut rng);
+                    assert_disjoint_pairs(&shares);
+                    steps += 1;
+                    let arch = crate::alloc::allocate_components(&crate::alloc::AllocRequest {
+                        model: &model,
+                        dataflow: &df,
+                        point,
+                        total_power: power,
+                        hw: &hw,
+                        macros: &macros,
+                        shares: &shares,
+                        macro_mode: mode,
+                    })
+                    .unwrap();
+                    let n = arch.macro_count();
+                    let mut want = plan.solve(n).unwrap();
+                    if mode == MacroMode::Identical {
+                        let budget = plan.periph_budget(n);
+                        crate::alloc::homogenize(
+                            &mut want,
+                            &macros,
+                            n,
+                            plan.adcs(),
+                            &hw,
+                            budget,
+                            &df,
+                        );
+                    }
+                    let got: Vec<_> = arch.layers.iter().map(|lh| lh.components).collect();
+                    assert_eq!(got, want, "{} {mode} step {step}", entry.name);
+                    for g in arch.macro_groups() {
+                        let bank = g.members.iter().map(|&m| arch.layers[m].components.adc);
+                        let bank = bank.max().unwrap();
+                        for &m in &g.members {
+                            assert_eq!(arch.effective_adcs(m), bank, "{} step {step}", entry.name);
+                        }
+                    }
                 }
             }
         }
+        assert!(steps >= 10_000, "{steps} steps");
     }
 }

@@ -53,13 +53,16 @@ mod sa;
 mod space;
 mod sweep;
 
-pub use alloc::{allocate_components, physical_macros, AllocPlan, AllocRequest};
+pub use alloc::{allocate_components, AllocPlan, AllocRequest};
 pub use ctx::{
     CancelToken, ExploreBudget, ExploreContext, ExploreEvent, ExploreObserver, NullObserver,
     StopReason, SynthesisStage,
 };
 pub use delta::{DeltaOutcome, DeltaSession};
-pub use ea::{explore_macro_partitioning, EaConfig, EaOutcome, MacAllocGene, Objective, GENE_BASE};
+pub use ea::{
+    explore_macro_partitioning, mutate_share, EaConfig, EaOutcome, MacAllocGene, Objective,
+    GENE_BASE,
+};
 pub use error::DseError;
 pub use eval::{CandidateEvaluator, CandidateScore, EvalCore, EvaluatorStats};
 pub use explore::{run_dse, run_dse_observed, DseConfig, DseOutcome, PointResult, WtDupStrategy};

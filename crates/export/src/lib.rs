@@ -42,6 +42,7 @@
 use std::fmt;
 
 use pimsyn::SynthesisResult;
+use pimsyn_arch::MacroGroup;
 use pimsyn_model::json::JsonValue;
 use pimsyn_model::LayerKind;
 
@@ -622,14 +623,10 @@ impl PimsimConfig {
                     m.crossbars, m.wt_dup, m.crossbar_set
                 ));
             }
-            if let Some(root) = m.shares_macros_with {
-                if root >= i {
-                    return invalid(format!(
-                        "mapping[{i}] shares macros with non-earlier layer {root}"
-                    ));
-                }
-            }
             total += m.crossbars;
+        }
+        if let Err(e) = MacroGroup::check_pairs(self.mapping.iter().map(|m| m.shares_macros_with)) {
+            return invalid(format!("mapping: {e}"));
         }
         if total != self.crossbar_count {
             return invalid(format!(
@@ -785,5 +782,25 @@ mod tests {
         config.mapping[0].crossbars += 1;
         let err = config.validate().unwrap_err();
         assert!(err.to_string().contains("wt_dup"), "{err}");
+    }
+
+    #[test]
+    fn validation_rejects_shares_that_break_the_pair_rule() {
+        let result = synthesize(&zoo::alexnet_cifar(10), 8.0);
+        let mut config = PimsimConfig::parse(&to_pimsim_config(&result)).unwrap();
+        for m in &mut config.mapping {
+            m.shares_macros_with = None;
+        }
+        config.mapping[1].shares_macros_with = Some(0);
+        config.mapping[3].shares_macros_with = Some(2);
+        config.validate().unwrap();
+        // A chain (3 -> 1 -> 0), a second sharer of 0, a forward share.
+        for (layer, target) in [(3, 1), (3, 0), (1, 2)] {
+            let mut bad = config.clone();
+            bad.mapping[layer].shares_macros_with = Some(target);
+            let err = bad.validate().unwrap_err().to_string();
+            let want = format!("layer {layer} cannot share layer {target}'s macros");
+            assert!(err.contains(&want), "{err}");
+        }
     }
 }

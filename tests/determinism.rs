@@ -35,8 +35,8 @@ fn different_seeds_may_differ_but_stay_feasible() {
 }
 
 /// Seeded randomized mutation walks: starting from a baseline gene, each
-/// step applies one EA-style mutation (one `mutate_num`, sometimes plus one
-/// `mutate_share`; every 8th step 3–5 `mutate_num` edits at once) and
+/// step applies one EA-style mutation (one `mutate_num`, sometimes plus the
+/// EA's own `mutate_share`; every 8th step 3–5 `mutate_num` edits at once) and
 /// scores the child against its parent in one delta session, through
 /// `DeltaSession::score` itself, so a gene the walk revisits is scored
 /// again instead of being served from the memo. Every step
@@ -49,7 +49,7 @@ fn different_seeds_may_differ_but_stay_feasible() {
 #[test]
 fn delta_rescoring_is_bit_identical_on_mutation_walks() {
     use pimsyn_arch::{CrossbarConfig, DacConfig, HardwareParams};
-    use pimsyn_dse::{DeltaSession, DesignPoint, EvalCore, MacAllocGene, Objective};
+    use pimsyn_dse::{mutate_share, DeltaSession, DesignPoint, EvalCore, MacAllocGene, Objective};
     use pimsyn_ir::Dataflow;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -120,18 +120,7 @@ fn delta_rescoring_is_bit_identical_on_mutation_walks() {
                     macros[i] = rng.gen_range(1..=caps[i]);
                 }
                 if step % 8 != 7 && rng.gen_bool(0.3) {
-                    let i = rng.gen_range(1..l);
-                    if shares[i].is_some() {
-                        shares[i] = None;
-                    } else {
-                        let taken: Vec<usize> = shares.iter().flatten().copied().collect();
-                        let candidates: Vec<usize> = (0..i)
-                            .filter(|j| shares[*j].is_none() && !taken.contains(j))
-                            .collect();
-                        if !candidates.is_empty() {
-                            shares[i] = Some(candidates[rng.gen_range(0..candidates.len())]);
-                        }
-                    }
+                    mutate_share(&mut shares, &mut rng);
                 }
                 let child = MacAllocGene::encode(&macros, &shares);
                 let (d, hits) = score_child(&child, Some(&parent));

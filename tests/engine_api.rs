@@ -183,9 +183,16 @@ fn evaluation_budget_is_honored() {
 fn time_budget_is_honored() {
     let engine = SynthesisEngine::new();
     let mut request = heavy_request();
-    // The budget is a fraction of the full run (over a second even on a
-    // fast host), so the deadline always fires before the search ends.
-    request.options.time_budget = Some(Duration::from_millis(300));
+    // The budget is a quarter of the same request's unbudgeted run on this
+    // host, so the deadline fires before the search ends however fast the
+    // host is.
+    let started = Instant::now();
+    let full = engine.run(&request, &NullSink, &CancelToken::new());
+    assert_eq!(
+        full.expect("unbudgeted run").stop_reason,
+        StopReason::Completed
+    );
+    request.options.time_budget = Some(started.elapsed() / 4);
     let started = Instant::now();
     let outcome = engine.run(&request, &NullSink, &CancelToken::new());
     let elapsed = started.elapsed();
