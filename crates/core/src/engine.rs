@@ -7,48 +7,50 @@
 //! - [`SynthesisEngine::run`] — blocking, but streaming typed
 //!   [`SynthesisEvent`]s to an [`EventSink`] and honoring a
 //!   [`CancelToken`] plus the wall-clock / evaluation budgets configured in
-//!   [`SynthesisOptions`].
-//! - [`SynthesisEngine::spawn`] — the same job on a background thread,
-//!   returning a [`SynthesisJob`] handle with an event receiver and a
-//!   cancellation token.
+//!   [`SynthesisOptions`](crate::SynthesisOptions).
 //! - [`SynthesisEngine::synthesize_batch`] — many requests fanned out over
 //!   a bounded worker pool, with per-job isolation: one infeasible model
 //!   does not fail the batch.
 //!
+//! To run a job off the calling thread, submit it to a
+//! [`SynthesisService`](crate::SynthesisService).
+//!
 //! # Example
 //!
 //! ```
-//! use pimsyn::{SynthesisEngine, SynthesisEvent, SynthesisOptions, SynthesisRequest};
+//! use std::sync::atomic::{AtomicUsize, Ordering};
+//! use pimsyn::{CancelToken, SynthesisEngine, SynthesisEvent, SynthesisOptions, SynthesisRequest};
 //! use pimsyn_arch::Watts;
 //! use pimsyn_model::zoo;
 //!
-//! let engine = SynthesisEngine::new();
 //! let request = SynthesisRequest::new(
 //!     zoo::alexnet_cifar(10),
 //!     SynthesisOptions::fast(Watts(6.0)).with_seed(3),
 //! );
-//! let job = engine.spawn(request);
-//! let mut improvements = 0;
-//! for event in job.events() {
+//! let improvements = AtomicUsize::new(0);
+//! let sink = |event: SynthesisEvent| {
 //!     if let SynthesisEvent::ImprovedBest { .. } = event {
-//!         improvements += 1;
+//!         improvements.fetch_add(1, Ordering::Relaxed);
 //!     }
-//! }
-//! let result = job.join().expect("alexnet at 6 W is feasible");
-//! assert!(improvements >= 1);
+//! };
+//! let result = SynthesisEngine::new()
+//!     .run(&request, &sink, &CancelToken::new())
+//!     .expect("alexnet at 6 W is feasible");
+//! assert!(improvements.load(Ordering::Relaxed) >= 1);
 //! assert!(result.analytic.efficiency_tops_per_watt() > 0.0);
 //! ```
 
-use std::sync::mpsc;
+use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::Instant;
 
-use pimsyn_dse::{run_dse_observed, CancelToken, ExploreContext, ExploreEvent, ExploreObserver};
+use pimsyn_dse::{run_dse_observed, CancelToken, EventSink, ExploreContext, SynthesisEvent};
 use pimsyn_sim::simulate;
 
 use crate::error::SynthesisError;
-use crate::events::{lift, ChannelSink, EventSink, SynthesisEvent};
+use crate::events::ChannelSink;
 use crate::request::SynthesisRequest;
+use crate::service::{JobHandle, ServiceConfig, SynthesisService};
 use crate::synthesis::SynthesisResult;
 
 /// Reusable, thread-safe synthesis entry point running jobs and batches.
@@ -57,20 +59,6 @@ use crate::synthesis::SynthesisResult;
 /// the per-call context, so one engine can serve many concurrent callers.
 #[derive(Debug, Clone, Default)]
 pub struct SynthesisEngine;
-
-/// Adapter delivering DSE-layer events into a synthesis-level sink,
-/// stamped with the job they belong to (so batch streams stay
-/// attributable).
-struct SinkAdapter<'a> {
-    sink: &'a dyn EventSink,
-    job: usize,
-}
-
-impl ExploreObserver for SinkAdapter<'_> {
-    fn on_event(&self, event: ExploreEvent) {
-        self.sink.emit(lift(self.job, event));
-    }
-}
 
 impl SynthesisEngine {
     /// An engine whose batches run one job per available core (capped by
@@ -87,7 +75,6 @@ impl SynthesisEngine {
     ///
     /// - [`SynthesisError::Cancelled`] when `cancel` fires before the job
     ///   finishes.
-    /// - [`SynthesisError::InvalidOptions`] for inconsistent options.
     /// - [`SynthesisError::Dse`] when nothing feasible was found (including
     ///   budgets that expire before the first feasible candidate).
     /// - [`SynthesisError::Sim`] if the optional cycle validation fails.
@@ -100,8 +87,8 @@ impl SynthesisEngine {
         self.run_job(0, request, sink, cancel)
     }
 
-    /// Runs one job with its events tagged as `job` (the batch index or a
-    /// service job id); the `SynthesisService` job slots call this too.
+    /// Runs one job with its events tagged as `job` (a service job's id);
+    /// the `SynthesisService` job slots call this.
     pub(crate) fn run_job(
         &self,
         job: usize,
@@ -147,18 +134,9 @@ impl SynthesisEngine {
         cancel: &CancelToken,
     ) -> (Result<SynthesisResult, SynthesisError>, usize) {
         let options = &request.options;
-        if options.cycle_validation && options.cycle_images == 0 {
-            return (
-                Err(SynthesisError::InvalidOptions {
-                    detail: "cycle validation needs at least one image".to_string(),
-                }),
-                0,
-            );
-        }
         let started = Instant::now();
         let cfg = options.to_dse_config();
-        let adapter = SinkAdapter { sink, job };
-        let ctx = ExploreContext::new(&adapter, cancel.clone(), options.to_explore_budget());
+        let ctx = ExploreContext::new(sink, job, cancel.clone(), options.to_explore_budget());
         let outcome = match run_dse_observed(&request.model, &cfg, &ctx) {
             Ok(outcome) => outcome,
             Err(e) => return (Err(e.into()), ctx.evaluations()),
@@ -167,7 +145,7 @@ impl SynthesisEngine {
         if cancel.is_cancelled() {
             return (Err(SynthesisError::Cancelled), charged);
         }
-        let cycle = if options.cycle_validation {
+        let cycle = if options.cycle_images > 0 {
             match simulate(
                 &request.model,
                 &outcome.dataflow,
@@ -197,36 +175,21 @@ impl SynthesisEngine {
         )
     }
 
-    /// Starts one job on a background thread and returns a handle carrying
-    /// the live event stream and a cancellation token.
-    pub fn spawn(&self, request: SynthesisRequest) -> SynthesisJob {
-        let (sink, events) = ChannelSink::pair();
-        let cancel = CancelToken::new();
-        let engine = self.clone();
-        let token = cancel.clone();
-        let handle = thread::spawn(move || engine.run_job(0, &request, &sink, &token));
-        SynthesisJob {
-            events,
-            cancel,
-            handle,
-        }
-    }
-
     /// Synthesizes a batch of requests over a bounded worker pool,
     /// returning per-job results in request order.
     ///
     /// Jobs are isolated: an infeasible or failing request yields an `Err`
     /// at its position while the rest of the batch completes normally. All
     /// jobs share `cancel` (cancelling it stops the whole batch) and
-    /// deliver their events — tagged with the job index in `JobStarted` /
-    /// `Finished` — to the shared `sink`.
+    /// deliver their events, each tagged with its request's index, to the
+    /// shared `sink`.
     ///
     /// Internally the batch is a thin client of a private
-    /// [`SynthesisService`](crate::SynthesisService): the requests are
-    /// submitted in order to a queue drained by one job slot per available
-    /// core (at most one per request), and every result is bit-identical
-    /// to a standalone run.
-    pub fn synthesize_batch_observed(
+    /// [`SynthesisService`]: the requests are submitted in order to a queue
+    /// drained by one job slot per available core (at most one per
+    /// request), the service numbers its jobs 0, 1, … in submission order,
+    /// and every result is bit-identical to a standalone run.
+    pub fn synthesize_batch(
         &self,
         requests: &[SynthesisRequest],
         sink: &dyn EventSink,
@@ -239,8 +202,8 @@ impl SynthesisEngine {
             .map(|n| n.get())
             .unwrap_or(4)
             .min(requests.len());
-        let service = crate::SynthesisService::new(
-            crate::ServiceConfig::default()
+        let service = SynthesisService::new(
+            ServiceConfig::default()
                 .with_job_slots(workers)
                 .with_queue_depth(requests.len()),
         );
@@ -249,16 +212,15 @@ impl SynthesisEngine {
         // channel closes once every job has finished (each job's sender
         // drops with its work), which ends the forwarding loop.
         let (tx, events) = mpsc::channel();
-        let handles: Vec<crate::JobHandle> = requests
+        let handles: Vec<JobHandle> = requests
             .iter()
-            .enumerate()
-            .map(|(i, request)| {
+            .map(|request| {
                 service
-                    .submit_tagged(
+                    .submit_inner(
                         request.clone(),
-                        i,
-                        std::sync::Arc::new(ChannelSink::new(tx.clone())),
-                        cancel.clone(),
+                        None,
+                        Some(Arc::new(ChannelSink::new(tx.clone()))),
+                        Some(cancel.clone()),
                     )
                     .expect("batch queue is sized to the batch")
             })
@@ -267,63 +229,8 @@ impl SynthesisEngine {
         for event in events {
             sink.emit(event);
         }
-        let results = handles.iter().map(crate::JobHandle::await_result).collect();
+        let results = handles.iter().map(JobHandle::await_result).collect();
         service.shutdown();
         results
-    }
-
-    /// [`synthesize_batch_observed`](Self::synthesize_batch_observed)
-    /// without observation: no events, cancellable only by dropping the
-    /// process, budgets still honored per job.
-    pub fn synthesize_batch(
-        &self,
-        requests: &[SynthesisRequest],
-    ) -> Vec<Result<SynthesisResult, SynthesisError>> {
-        self.synthesize_batch_observed(requests, &crate::events::NullSink, &CancelToken::new())
-    }
-}
-
-/// Handle to a spawned synthesis job: a live event stream, a cancellation
-/// token, and the eventual result.
-#[derive(Debug)]
-pub struct SynthesisJob {
-    events: mpsc::Receiver<SynthesisEvent>,
-    cancel: CancelToken,
-    handle: thread::JoinHandle<Result<SynthesisResult, SynthesisError>>,
-}
-
-impl SynthesisJob {
-    /// The job's event stream. Iterating blocks until the next event and
-    /// ends when the job finishes (the last event is
-    /// [`SynthesisEvent::Finished`]); use
-    /// [`try_iter`](mpsc::Receiver::try_iter) for non-blocking draining.
-    pub fn events(&self) -> &mpsc::Receiver<SynthesisEvent> {
-        &self.events
-    }
-
-    /// A clone of the job's cancellation token (usable from other threads).
-    pub fn cancel_token(&self) -> CancelToken {
-        self.cancel.clone()
-    }
-
-    /// Requests cooperative cancellation; the job returns
-    /// [`SynthesisError::Cancelled`] shortly after.
-    pub fn cancel(&self) {
-        self.cancel.cancel();
-    }
-
-    /// Whether the job has finished (its result is ready without blocking).
-    pub fn is_finished(&self) -> bool {
-        self.handle.is_finished()
-    }
-
-    /// Waits for the job and returns its result.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the job thread itself panicked (a bug, not a synthesis
-    /// failure — infeasibility and cancellation come back as `Err`).
-    pub fn join(self) -> Result<SynthesisResult, SynthesisError> {
-        self.handle.join().expect("synthesis job thread panicked")
     }
 }

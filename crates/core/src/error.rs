@@ -13,11 +13,6 @@ pub enum SynthesisError {
     Dse(DseError),
     /// Final cycle-accurate validation failed.
     Sim(SimError),
-    /// An option combination is invalid (e.g. zero validation images).
-    InvalidOptions {
-        /// What was wrong.
-        detail: String,
-    },
     /// The job was cancelled through its
     /// [`CancelToken`](crate::CancelToken).
     Cancelled,
@@ -28,9 +23,6 @@ impl fmt::Display for SynthesisError {
         match self {
             SynthesisError::Dse(e) => write!(f, "design-space exploration failed: {e}"),
             SynthesisError::Sim(e) => write!(f, "cycle-accurate validation failed: {e}"),
-            SynthesisError::InvalidOptions { detail } => {
-                write!(f, "invalid synthesis options: {detail}")
-            }
             SynthesisError::Cancelled => write!(f, "synthesis cancelled"),
         }
     }
@@ -41,7 +33,6 @@ impl Error for SynthesisError {
         match self {
             SynthesisError::Dse(e) => Some(e),
             SynthesisError::Sim(e) => Some(e),
-            SynthesisError::InvalidOptions { .. } => None,
             SynthesisError::Cancelled => None,
         }
     }

@@ -1,129 +1,19 @@
-//! Typed synthesis progress events and the sinks that receive them.
+//! The client side of the event stream.
 //!
-//! A [`SynthesisEngine`](crate::SynthesisEngine) job reports its progress as
-//! a stream of [`SynthesisEvent`]s delivered through an [`EventSink`]. Three
-//! sink implementations are provided: [`ChannelSink`] (an `mpsc` sender, the
-//! natural fit for driving a UI from another thread), [`CallbackSink`] (a
-//! closure), and [`CollectingSink`] (an in-memory buffer for tests and
-//! post-hoc inspection). [`NullSink`] discards everything.
-//! [`event_to_json`] is the JSON wire form front ends stream to their
-//! clients: the HTTP gateway's `GET /v1/jobs/{id}/events` sends one object
-//! per event (see `docs/PROTOCOLS.md`).
+//! A synthesis job reports its progress as [`SynthesisEvent`]s written into
+//! an [`EventSink`]; both are defined once, in `pimsyn_dse`, where the
+//! search emits them, and re-exported here. Any
+//! `Fn(SynthesisEvent) + Send + Sync` closure is a sink,
+//! [`NullSink`](crate::NullSink) discards everything, and [`ChannelSink`] (an `mpsc` sender) is the
+//! natural fit for driving a UI from another thread. [`event_to_json`] is
+//! the JSON wire form front ends stream to their clients: the HTTP
+//! gateway's `GET /v1/jobs/{id}/events` sends one object per event (see
+//! `docs/PROTOCOLS.md`).
 
 use std::sync::mpsc;
-use std::sync::Mutex;
-use std::time::Duration;
 
-use pimsyn_dse::{DesignPoint, EvaluatorStats, ExploreEvent, StopReason, SynthesisStage};
+use pimsyn_dse::{EventSink, SynthesisEvent};
 use pimsyn_model::json::JsonValue;
-
-/// Progress events emitted while a synthesis job runs.
-///
-/// Stage and design-point events mirror the paper's Fig. 3 flow as executed
-/// at each outer design point of Algorithm 1; `point_index` identifies the
-/// design point and, with parallel exploration enabled, events from
-/// different points interleave. In a batch, `job` identifies the request
-/// (its index in the submitted slice).
-#[derive(Debug, Clone, PartialEq)]
-pub enum SynthesisEvent {
-    /// A batch job began executing.
-    JobStarted {
-        /// Index of the request in the batch (0 for single jobs).
-        job: usize,
-        /// Human-readable job label (request label or model name).
-        label: String,
-    },
-    /// One of the four paper stages began at a design point.
-    StageStarted {
-        /// Index of the request in the batch (0 for single jobs).
-        job: usize,
-        /// Outer design-point index.
-        point_index: usize,
-        /// Which stage.
-        stage: SynthesisStage,
-    },
-    /// One of the four paper stages completed at a design point.
-    StageFinished {
-        /// Index of the request in the batch (0 for single jobs).
-        job: usize,
-        /// Outer design-point index.
-        point_index: usize,
-        /// Which stage.
-        stage: SynthesisStage,
-    },
-    /// An outer design point was fully explored.
-    DesignPointEvaluated {
-        /// Index of the request in the batch (0 for single jobs).
-        job: usize,
-        /// The design point.
-        point: DesignPoint,
-        /// Outer design-point index.
-        point_index: usize,
-        /// Best objective fitness found there (TOPS/W by default, 1/EDP
-        /// under [`Objective::EnergyDelayProduct`](crate::Objective)) by
-        /// the EA runs that ran; 0 when infeasible, or when every run was
-        /// skipped as unable to beat a fitness already found.
-        best_efficiency: f64,
-        /// Candidate architectures evaluated at this point (skipped EA
-        /// runs evaluate none).
-        evaluations: usize,
-    },
-    /// The job improved on its best fitness so far. "Best" is per job:
-    /// fitness values from different jobs in a batch are not comparable.
-    ImprovedBest {
-        /// Index of the request in the batch (0 for single jobs).
-        job: usize,
-        /// Design point where the improvement happened.
-        point_index: usize,
-        /// The new best fitness.
-        fitness: f64,
-    },
-    /// Cumulative candidate-evaluator throughput counters (scored
-    /// candidates, unique evaluations, cache hits), snapshotted as each
-    /// design point finishes. Stats are job-wide and monotonic; the last
-    /// snapshot before [`Finished`](Self::Finished) summarizes the job.
-    EvaluatorStats {
-        /// Index of the request in the batch (0 for single jobs).
-        job: usize,
-        /// Outer design-point index whose completion triggered the snapshot.
-        point_index: usize,
-        /// Job-wide evaluator counters at snapshot time.
-        stats: EvaluatorStats,
-    },
-    /// The job finished (the terminal event of every job).
-    Finished {
-        /// Index of the request in the batch (0 for single jobs).
-        job: usize,
-        /// Best efficiency achieved (TOPS/W), `None` on failure.
-        efficiency: Option<f64>,
-        /// Total candidate evaluations performed.
-        evaluations: usize,
-        /// Why the search ended (`None` when the job failed outright).
-        stop_reason: Option<StopReason>,
-        /// Wall-clock job duration.
-        elapsed: Duration,
-        /// Error rendering, when the job failed.
-        error: Option<String>,
-    },
-}
-
-/// Receives [`SynthesisEvent`]s from a running job.
-///
-/// Sinks are shared across the exploration's worker threads, so
-/// implementations must be `Send + Sync` and should be cheap: events are
-/// delivered synchronously from the synthesis hot path.
-pub trait EventSink: Send + Sync {
-    /// Called once per event, possibly from several threads at once.
-    fn emit(&self, event: SynthesisEvent);
-}
-
-/// Discards every event.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullSink;
-
-impl EventSink for NullSink {
-    fn emit(&self, _event: SynthesisEvent) {}
-}
 
 /// Forwards events into an [`mpsc`] channel. Send errors (receiver hung up)
 /// are ignored: a consumer that stopped listening must not kill the job.
@@ -148,91 +38,6 @@ impl ChannelSink {
 impl EventSink for ChannelSink {
     fn emit(&self, event: SynthesisEvent) {
         let _ = self.tx.send(event);
-    }
-}
-
-/// Invokes a closure for every event.
-#[derive(Debug, Clone)]
-pub struct CallbackSink<F: Fn(SynthesisEvent) + Send + Sync>(pub F);
-
-impl<F: Fn(SynthesisEvent) + Send + Sync> EventSink for CallbackSink<F> {
-    fn emit(&self, event: SynthesisEvent) {
-        (self.0)(event)
-    }
-}
-
-/// Buffers every event in memory; useful in tests and for post-hoc
-/// inspection of a finished job.
-#[derive(Debug, Default)]
-pub struct CollectingSink {
-    events: Mutex<Vec<SynthesisEvent>>,
-}
-
-impl CollectingSink {
-    /// An empty sink.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A snapshot of the events received so far.
-    pub fn snapshot(&self) -> Vec<SynthesisEvent> {
-        self.events.lock().expect("event buffer poisoned").clone()
-    }
-
-    /// Drains and returns all buffered events.
-    pub fn take(&self) -> Vec<SynthesisEvent> {
-        std::mem::take(&mut *self.events.lock().expect("event buffer poisoned"))
-    }
-}
-
-impl EventSink for CollectingSink {
-    fn emit(&self, event: SynthesisEvent) {
-        self.events
-            .lock()
-            .expect("event buffer poisoned")
-            .push(event);
-    }
-}
-
-/// Lifts a DSE-layer exploration event into the synthesis-level stream,
-/// stamping it with the job it belongs to.
-pub(crate) fn lift(job: usize, event: ExploreEvent) -> SynthesisEvent {
-    match event {
-        ExploreEvent::StageStarted { point_index, stage } => SynthesisEvent::StageStarted {
-            job,
-            point_index,
-            stage,
-        },
-        ExploreEvent::StageFinished { point_index, stage } => SynthesisEvent::StageFinished {
-            job,
-            point_index,
-            stage,
-        },
-        ExploreEvent::DesignPointEvaluated {
-            point,
-            point_index,
-            best_efficiency,
-            evaluations,
-        } => SynthesisEvent::DesignPointEvaluated {
-            job,
-            point,
-            point_index,
-            best_efficiency,
-            evaluations,
-        },
-        ExploreEvent::ImprovedBest {
-            point_index,
-            fitness,
-        } => SynthesisEvent::ImprovedBest {
-            job,
-            point_index,
-            fitness,
-        },
-        ExploreEvent::EvaluatorStats { point_index, stats } => SynthesisEvent::EvaluatorStats {
-            job,
-            point_index,
-            stats,
-        },
     }
 }
 
@@ -334,6 +139,8 @@ pub fn event_to_json(event: &SynthesisEvent) -> JsonValue {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pimsyn_dse::{DesignPoint, EvaluatorStats, NullSink, StopReason, SynthesisStage};
+    use std::time::Duration;
 
     fn sample() -> SynthesisEvent {
         SynthesisEvent::ImprovedBest {
@@ -358,52 +165,104 @@ mod tests {
     }
 
     #[test]
-    fn collecting_sink_buffers_in_order() {
-        let sink = CollectingSink::new();
-        sink.emit(sample());
-        sink.emit(SynthesisEvent::JobStarted {
-            job: 0,
-            label: "x".into(),
-        });
-        let events = sink.take();
-        assert_eq!(events.len(), 2);
-        assert_eq!(events[0], sample());
-        assert!(sink.snapshot().is_empty());
-    }
-
-    #[test]
-    fn callback_sink_invokes() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let count = AtomicUsize::new(0);
-        let sink = CallbackSink(|_ev| {
-            count.fetch_add(1, Ordering::Relaxed);
-        });
-        sink.emit(sample());
-        sink.emit(sample());
-        assert_eq!(count.load(Ordering::Relaxed), 2);
-    }
-
-    #[test]
     fn sinks_are_object_safe() {
-        let sinks: Vec<Box<dyn EventSink>> =
-            vec![Box::new(NullSink), Box::new(CollectingSink::new())];
+        let sinks: Vec<Box<dyn EventSink>> = vec![
+            Box::new(NullSink),
+            Box::new(ChannelSink::pair().0),
+            Box::new(|_: SynthesisEvent| {}),
+        ];
         for s in &sinks {
             s.emit(sample());
         }
     }
 
+    /// The wire form of every variant, byte for byte: the gateway streams
+    /// these strings to its clients.
     #[test]
     fn events_serialize_with_type_tags() {
-        let event = SynthesisEvent::ImprovedBest {
-            job: 1,
-            point_index: 2,
-            fitness: 3.5,
+        let point = DesignPoint {
+            ratio_rram: 0.3,
+            crossbar: pimsyn_arch::CrossbarConfig::new(128, 2).unwrap(),
         };
-        let doc = event_to_json(&event);
-        assert_eq!(
-            doc.get("type").and_then(JsonValue::as_str),
-            Some("improved_best")
-        );
-        assert_eq!(doc.get("fitness").and_then(JsonValue::as_f64), Some(3.5));
+        let stats = EvaluatorStats {
+            scored: 10,
+            unique_evaluations: 4,
+            cache_hits: 6,
+            ..EvaluatorStats::default()
+        };
+        let finished = |efficiency, stop_reason, error| SynthesisEvent::Finished {
+            job: 2,
+            efficiency,
+            evaluations: 40,
+            stop_reason,
+            elapsed: Duration::from_millis(1500),
+            error,
+        };
+        let cases = [
+            (
+                SynthesisEvent::JobStarted {
+                    job: 2,
+                    label: "alexnet-cifar".into(),
+                },
+                r#"{"type":"job_started","job":2,"label":"alexnet-cifar"}"#,
+            ),
+            (
+                SynthesisEvent::StageStarted {
+                    job: 2,
+                    point_index: 5,
+                    stage: SynthesisStage::WeightDuplication,
+                },
+                r#"{"type":"stage_started","job":2,"point":5,"stage":"weight duplication"}"#,
+            ),
+            (
+                SynthesisEvent::StageFinished {
+                    job: 2,
+                    point_index: 5,
+                    stage: SynthesisStage::ComponentAllocation,
+                },
+                r#"{"type":"stage_finished","job":2,"point":5,"stage":"components allocation"}"#,
+            ),
+            (
+                SynthesisEvent::DesignPointEvaluated {
+                    job: 2,
+                    point,
+                    point_index: 5,
+                    best_efficiency: 1.25,
+                    evaluations: 40,
+                },
+                r#"{"type":"design_point_evaluated","job":2,"point":5,"design_point":"ratio=0.3 xb=128 res=2b","best_efficiency":1.25,"evaluations":40}"#,
+            ),
+            (
+                SynthesisEvent::ImprovedBest {
+                    job: 2,
+                    point_index: 5,
+                    fitness: 3.5,
+                },
+                r#"{"type":"improved_best","job":2,"point":5,"fitness":3.5}"#,
+            ),
+            (
+                SynthesisEvent::EvaluatorStats {
+                    job: 2,
+                    point_index: 5,
+                    stats,
+                },
+                r#"{"type":"evaluator_stats","job":2,"point":5,"scored":10,"unique_evaluations":4,"cache_hits":6}"#,
+            ),
+            (
+                finished(Some(2.5), Some(StopReason::Completed), None),
+                r#"{"type":"finished","job":2,"evaluations":40,"elapsed_s":1.5,"efficiency":2.5,"stop_reason":"completed"}"#,
+            ),
+            (
+                finished(Some(0.5), Some(StopReason::DeadlineReached), None),
+                r#"{"type":"finished","job":2,"evaluations":40,"elapsed_s":1.5,"efficiency":0.5,"stop_reason":"deadline reached"}"#,
+            ),
+            (
+                finished(None, None, Some("synthesis cancelled".into())),
+                r#"{"type":"finished","job":2,"evaluations":40,"elapsed_s":1.5,"error":"synthesis cancelled"}"#,
+            ),
+        ];
+        for (event, wire) in cases {
+            assert_eq!(event_to_json(&event).to_string(), wire, "{event:?}");
+        }
     }
 }

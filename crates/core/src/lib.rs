@@ -30,37 +30,51 @@
 //!
 //! # Jobs, events, cancellation, batches
 //!
-//! [`SynthesisEngine`] runs the same flow as observable, cancellable,
-//! budgeted *jobs*:
+//! The same flow runs as observable, cancellable, budgeted *jobs*. A job
+//! reports its progress as [`SynthesisEvent`]s written into an
+//! [`EventSink`] (any `Fn(SynthesisEvent) + Send + Sync` closure is one);
+//! the stream is defined once, in [`pimsyn_dse`], where the search emits
+//! it. [`SynthesisEngine::run`] runs one job on the calling thread,
+//! [`SynthesisService::submit`] runs one off it, and
+//! [`SynthesisEngine::synthesize_batch`] runs many:
 //!
 //! ```
 //! use std::time::Duration;
-//! use pimsyn::{SynthesisEngine, SynthesisEvent, SynthesisOptions, SynthesisRequest};
+//! use pimsyn::{
+//!     CancelToken, NullSink, ServiceConfig, SynthesisEngine, SynthesisEvent, SynthesisOptions,
+//!     SynthesisRequest, SynthesisService,
+//! };
 //! use pimsyn_arch::Watts;
 //! use pimsyn_model::zoo;
 //!
-//! let engine = SynthesisEngine::new();
-//!
-//! // A spawned job streams progress events and can be cancelled.
-//! let job = engine.spawn(SynthesisRequest::new(
-//!     zoo::alexnet_cifar(10),
-//!     SynthesisOptions::fast(Watts(6.0))
-//!         .with_seed(3)
-//!         .with_time_budget(Duration::from_secs(60)),
-//! ));
+//! // A submitted job streams progress events and can be cancelled.
+//! let service = SynthesisService::new(ServiceConfig::default());
+//! let job = service
+//!     .submit(SynthesisRequest::new(
+//!         zoo::alexnet_cifar(10),
+//!         SynthesisOptions::fast(Watts(6.0))
+//!             .with_seed(3)
+//!             .with_time_budget(Duration::from_secs(60)),
+//!     ))
+//!     .expect("queue has room");
 //! for event in job.events() {
 //!     if let SynthesisEvent::ImprovedBest { fitness, .. } = event {
 //!         eprintln!("new best: {fitness:.3} TOPS/W");
 //!     }
 //! }
-//! let result = job.join().expect("feasible at 6 W");
+//! let result = job.await_result().expect("feasible at 6 W");
+//! service.shutdown();
 //!
 //! // A batch fans several requests over a worker pool; one infeasible
 //! // job does not fail the rest.
-//! let batch = engine.synthesize_batch(&[
-//!     SynthesisRequest::new(zoo::alexnet_cifar(10), SynthesisOptions::fast(Watts(6.0))),
-//!     SynthesisRequest::new(zoo::alexnet_cifar(10), SynthesisOptions::fast(Watts(0.01))),
-//! ]);
+//! let batch = SynthesisEngine::new().synthesize_batch(
+//!     &[
+//!         SynthesisRequest::new(zoo::alexnet_cifar(10), SynthesisOptions::fast(Watts(6.0))),
+//!         SynthesisRequest::new(zoo::alexnet_cifar(10), SynthesisOptions::fast(Watts(0.01))),
+//!     ],
+//!     &NullSink,
+//!     &CancelToken::new(),
+//! );
 //! assert!(batch[0].is_ok());
 //! assert!(batch[1].is_err());
 //! # let _ = result;
@@ -95,11 +109,9 @@ mod service;
 mod summary;
 mod synthesis;
 
-pub use engine::{SynthesisEngine, SynthesisJob};
+pub use engine::SynthesisEngine;
 pub use error::SynthesisError;
-pub use events::{
-    event_to_json, CallbackSink, ChannelSink, CollectingSink, EventSink, NullSink, SynthesisEvent,
-};
+pub use events::{event_to_json, ChannelSink};
 pub use options::{Effort, SynthesisOptions};
 pub use request::SynthesisRequest;
 pub use service::{
@@ -112,7 +124,7 @@ pub use synthesis::{SynthesisResult, Synthesizer};
 // Re-export the vocabulary types users need at the API boundary.
 pub use pimsyn_arch::{Architecture, MacroMode, Watts};
 pub use pimsyn_dse::{
-    CancelToken, DesignPoint, DesignSpace, EvaluatorStats, Objective, StopReason, SynthesisStage,
-    WtDupStrategy,
+    CancelToken, DesignPoint, DesignSpace, EvaluatorStats, EventSink, NullSink, Objective,
+    StopReason, SynthesisEvent, SynthesisStage, WtDupStrategy,
 };
 pub use pimsyn_sim::SimReport;

@@ -65,10 +65,10 @@ pub struct SynthesisOptions {
     pub parallel: bool,
     /// Base RNG seed (the whole flow is deterministic given the seed).
     pub seed: u64,
-    /// Re-validate the winning architecture with the cycle-accurate engine.
-    pub cycle_validation: bool,
-    /// Images streamed through the pipeline during cycle validation (>= 1;
-    /// more images sharpen the steady-state throughput estimate).
+    /// Images the cycle-accurate engine streams through the winning
+    /// architecture to re-validate it; 0 (the default) skips the
+    /// validation. More images sharpen the steady-state throughput
+    /// estimate.
     pub cycle_images: usize,
     /// Wall-clock budget for the exploration. When it expires the search
     /// stops gracefully and returns the best implementation found so far.
@@ -102,8 +102,7 @@ impl SynthesisOptions {
             allow_macro_sharing: true,
             parallel: true,
             seed: Self::DEFAULT_SEED,
-            cycle_validation: false,
-            cycle_images: 3,
+            cycle_images: 0,
             time_budget: None,
             max_evaluations: None,
             max_unique_evaluations: None,
@@ -162,9 +161,8 @@ impl SynthesisOptions {
     }
 
     /// Enables final cycle-accurate validation with `images` pipelined
-    /// inferences.
+    /// inferences (0 turns it off).
     pub fn with_cycle_validation(mut self, images: usize) -> Self {
-        self.cycle_validation = true;
         self.cycle_images = images;
         self
     }
@@ -254,7 +252,6 @@ mod tests {
         assert_eq!(o.effort, Effort::Fast);
         assert_eq!(o.macro_mode, MacroMode::Identical);
         assert!(!o.allow_macro_sharing);
-        assert!(o.cycle_validation);
         assert_eq!(o.cycle_images, 5);
         assert_eq!(o.seed, 42);
     }

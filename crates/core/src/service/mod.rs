@@ -44,11 +44,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread;
 
-use pimsyn_dse::CancelToken;
+use pimsyn_dse::{CancelToken, EventSink, SynthesisEvent};
 
 use crate::engine::SynthesisEngine;
 use crate::error::SynthesisError;
-use crate::events::{ChannelSink, EventSink, SynthesisEvent};
+use crate::events::ChannelSink;
 use crate::request::SynthesisRequest;
 use crate::synthesis::SynthesisResult;
 
@@ -315,10 +315,8 @@ impl EventSink for TeeSink {
 }
 
 struct JobState {
+    /// The service-wide job id, also the `job` field of its events.
     id: u64,
-    /// The `job` tag stamped on this job's events (the batch index for
-    /// batch submissions, the job id otherwise).
-    event_tag: usize,
     cancel: CancelToken,
     /// Scheduling identity and quotas; `None` = anonymous lane.
     tenant: Option<TenantPolicy>,
@@ -444,7 +442,7 @@ impl Inner {
                 // has always had for pre-cancelled jobs.
                 Some(JobWork { request, sink }) if !job.cancel.is_cancelled() => self
                     .engine
-                    .run_job(job.event_tag, &request, &sink, &job.cancel),
+                    .run_job(job.id as usize, &request, &sink, &job.cancel),
                 _ => Err(SynthesisError::Cancelled),
             };
             job.finish(result);
@@ -580,7 +578,7 @@ impl SynthesisService {
     ///   waiting (the call never blocks on a full queue).
     /// - [`ServiceError::ShutDown`] after [`shutdown`](Self::shutdown).
     pub fn submit(&self, request: SynthesisRequest) -> Result<JobHandle, ServiceError> {
-        self.submit_inner(request, None, None, None, None)
+        self.submit_inner(request, None, None, None)
     }
 
     /// Submits a request under a tenant policy, optionally tee'ing its
@@ -603,25 +601,14 @@ impl SynthesisService {
         tenant: Option<TenantPolicy>,
         external: Option<Arc<dyn EventSink>>,
     ) -> Result<JobHandle, ServiceError> {
-        self.submit_inner(request, None, tenant, external, None)
+        self.submit_inner(request, tenant, external, None)
     }
 
-    /// Batch-path submission: events are tagged with `tag` (the batch
-    /// index), tee'd into `external`, and all jobs share `cancel`.
-    pub(crate) fn submit_tagged(
+    /// [`submit_with`](Self::submit_with) under the caller's `cancel` token
+    /// when one is given (a batch's jobs share one).
+    pub(crate) fn submit_inner(
         &self,
         request: SynthesisRequest,
-        tag: usize,
-        external: Arc<dyn EventSink>,
-        cancel: CancelToken,
-    ) -> Result<JobHandle, ServiceError> {
-        self.submit_inner(request, Some(tag), None, Some(external), Some(cancel))
-    }
-
-    fn submit_inner(
-        &self,
-        request: SynthesisRequest,
-        tag: Option<usize>,
         tenant: Option<TenantPolicy>,
         external: Option<Arc<dyn EventSink>>,
         cancel: Option<CancelToken>,
@@ -632,7 +619,6 @@ impl SynthesisService {
         sinks.extend(external);
         let state = Arc::new(JobState {
             id,
-            event_tag: tag.unwrap_or(id as usize),
             cancel: cancel.unwrap_or_default(),
             tenant,
             work: Mutex::new(Some(JobWork {
@@ -799,7 +785,7 @@ impl fmt::Debug for JobHandle {
 
 impl JobHandle {
     /// The service-wide job id (what the gateway's `/v1/jobs/{id}` routes
-    /// address).
+    /// address), also the `job` field of the job's events.
     pub fn id(&self) -> u64 {
         self.state.id
     }

@@ -141,7 +141,6 @@ mod tests {
     fn job(id: u64, tenant: Option<TenantPolicy>) -> Arc<JobState> {
         Arc::new(JobState {
             id,
-            event_tag: id as usize,
             cancel: CancelToken::default(),
             tenant,
             work: Mutex::new(None),

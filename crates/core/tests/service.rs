@@ -6,9 +6,8 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use pimsyn::{
-    CallbackSink, EventSink, JobStatus, ServiceConfig, ServiceError, SynthesisError,
-    SynthesisEvent, SynthesisOptions, SynthesisRequest, SynthesisService, Synthesizer,
-    TenantPolicy,
+    EventSink, JobStatus, ServiceConfig, ServiceError, SynthesisError, SynthesisEvent,
+    SynthesisOptions, SynthesisRequest, SynthesisService, Synthesizer, TenantPolicy,
 };
 use pimsyn_arch::Watts;
 use pimsyn_model::zoo;
@@ -49,9 +48,9 @@ fn submit_held(
 ) -> (pimsyn::JobHandle, mpsc::Sender<()>) {
     let (release, held) = mpsc::channel::<()>();
     let held = Mutex::new(held);
-    let sink: Arc<dyn EventSink> = Arc::new(CallbackSink(move |_: SynthesisEvent| {
+    let sink: Arc<dyn EventSink> = Arc::new(move |_: SynthesisEvent| {
         let _ = held.lock().unwrap().recv();
-    }));
+    });
     let handle = service
         .submit_with(request, tenant, Some(sink))
         .expect("queue has room");
@@ -161,11 +160,11 @@ fn weighted_fair_scheduling_interleaves_tenants_by_weight() {
     for (tenant, seed) in submissions {
         let policy = if tenant == "a" { a.clone() } else { b.clone() };
         let order = Arc::clone(&order);
-        let sink: Arc<dyn EventSink> = Arc::new(CallbackSink(move |event: SynthesisEvent| {
+        let sink: Arc<dyn EventSink> = Arc::new(move |event: SynthesisEvent| {
             if let SynthesisEvent::Finished { job, .. } = event {
                 order.lock().unwrap().push(job as u64);
             }
-        }));
+        });
         let handle = service
             .submit_with(tiny_request(seed), Some(policy), Some(sink))
             .expect("queue has room");

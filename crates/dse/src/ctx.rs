@@ -1,5 +1,6 @@
-//! Observability and control for long-running explorations: typed progress
-//! events, cooperative cancellation, and wall-clock / evaluation budgets.
+//! Observability and control for long-running explorations: the typed
+//! event stream of a synthesis job, cooperative cancellation, and
+//! wall-clock / evaluation budgets.
 //!
 //! [`run_dse_observed`](crate::run_dse_observed) threads an
 //! [`ExploreContext`] through every stage of Algorithm 1 (the SA filter,
@@ -8,6 +9,11 @@
 //! stop it promptly, or bound how much work it may spend. The blocking
 //! [`run_dse`](crate::run_dse) entry point is a thin wrapper over an
 //! unobserved context.
+//!
+//! [`SynthesisEvent`] is defined once, here: the search writes each event,
+//! stamped with the context's job tag, straight into the job's
+//! [`EventSink`]. The `pimsyn` crate re-exports the stream, adds each job's
+//! `JobStarted` and `Finished` events, and renders events for the wire.
 
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
@@ -162,94 +168,138 @@ impl ExploreBudget {
     }
 }
 
-/// Typed progress events emitted while Algorithm 1 runs.
+/// Progress events emitted while a synthesis job runs: the one event
+/// stream from the search to the client.
 ///
-/// `point_index` identifies the outer design point (its index in
-/// [`DesignSpace::points`](crate::DesignSpace::points)); with parallel
-/// exploration, events from different points interleave.
+/// Stage and design-point events mirror the paper's Fig. 3 flow as executed
+/// at each outer design point of Algorithm 1; `point_index` identifies the
+/// design point (its index in
+/// [`DesignSpace::points`](crate::DesignSpace::points)) and, with parallel
+/// exploration, events from different points interleave. `job` is the tag
+/// set on the job's [`ExploreContext`]: a service job's id (in a batch,
+/// the request's index in the submitted slice), or 0 for a job run
+/// directly on the calling thread.
 #[derive(Debug, Clone, PartialEq)]
-pub enum ExploreEvent {
-    /// A synthesis stage began at one design point.
+pub enum SynthesisEvent {
+    /// A job began executing.
+    JobStarted {
+        /// The job this event belongs to.
+        job: usize,
+        /// Human-readable job label (request label or model name).
+        label: String,
+    },
+    /// One of the four paper stages began at a design point.
     StageStarted {
+        /// The job this event belongs to.
+        job: usize,
         /// Outer design-point index.
         point_index: usize,
-        /// Which of the four paper stages.
+        /// Which stage.
         stage: SynthesisStage,
     },
-    /// A synthesis stage completed at one design point.
+    /// One of the four paper stages completed at a design point.
     StageFinished {
+        /// The job this event belongs to.
+        job: usize,
         /// Outer design-point index.
         point_index: usize,
-        /// Which of the four paper stages.
+        /// Which stage.
         stage: SynthesisStage,
     },
-    /// One outer design point was fully explored.
+    /// An outer design point was fully explored.
     DesignPointEvaluated {
+        /// The job this event belongs to.
+        job: usize,
         /// The design point.
         point: DesignPoint,
         /// Outer design-point index.
         point_index: usize,
-        /// Best objective fitness found there by the EA runs that ran
-        /// (TOPS/W under the default power-efficiency objective, 1/EDP
-        /// under [`Objective::EnergyDelayProduct`](crate::Objective)); 0
-        /// when infeasible, or when every run was skipped as unable to beat
-        /// a fitness already found.
+        /// Best objective fitness found there (TOPS/W by default, 1/EDP
+        /// under [`Objective::EnergyDelayProduct`](crate::Objective)) by
+        /// the EA runs that ran; 0 when infeasible, or when every run was
+        /// skipped as unable to beat a fitness already found.
         best_efficiency: f64,
         /// Candidate architectures evaluated at this point (skipped EA
         /// runs evaluate none).
         evaluations: usize,
     },
-    /// A design point improved on the best fitness seen so far in this run.
+    /// The job improved on its best fitness so far. "Best" is per job:
+    /// fitness values from different jobs in a batch are not comparable.
     ImprovedBest {
-        /// Outer design-point index where the improvement happened.
+        /// The job this event belongs to.
+        job: usize,
+        /// Design point where the improvement happened.
         point_index: usize,
-        /// The new best fitness (TOPS/W under the default objective).
+        /// The new best fitness.
         fitness: f64,
     },
-    /// Cumulative candidate-evaluator throughput counters, emitted as each
-    /// design point finishes (immediately before its
-    /// [`DesignPointEvaluated`](Self::DesignPointEvaluated) summary). Stats
-    /// are run-wide, not per point: with parallel exploration, successive
-    /// snapshots from different points are each monotonically larger.
+    /// Cumulative candidate-evaluator throughput counters (scored
+    /// candidates, unique evaluations, cache hits), snapshotted as each
+    /// design point finishes, immediately before its
+    /// [`DesignPointEvaluated`](Self::DesignPointEvaluated). Stats are
+    /// job-wide and monotonic; the last snapshot before
+    /// [`Finished`](Self::Finished) summarizes the job.
     EvaluatorStats {
+        /// The job this event belongs to.
+        job: usize,
         /// Outer design-point index whose completion triggered the snapshot.
         point_index: usize,
-        /// Run-wide evaluator counters at snapshot time.
+        /// Job-wide evaluator counters at snapshot time.
         stats: EvaluatorStats,
+    },
+    /// The job finished (the terminal event of every job).
+    Finished {
+        /// The job this event belongs to.
+        job: usize,
+        /// Best efficiency achieved (TOPS/W), `None` on failure.
+        efficiency: Option<f64>,
+        /// Total candidate evaluations performed.
+        evaluations: usize,
+        /// Why the search ended (`None` when the job failed outright).
+        stop_reason: Option<StopReason>,
+        /// Wall-clock job duration.
+        elapsed: Duration,
+        /// Error rendering, when the job failed.
+        error: Option<String>,
     },
 }
 
-/// Receives [`ExploreEvent`]s. Implementations must be cheap and
-/// non-blocking: events are delivered synchronously from worker threads.
-pub trait ExploreObserver: Sync {
-    /// Called for every event, possibly from multiple threads at once.
-    fn on_event(&self, event: ExploreEvent);
+/// Receives [`SynthesisEvent`]s from a running job. Any
+/// `Fn(SynthesisEvent) + Send + Sync` closure is a sink.
+///
+/// Sinks are shared across the exploration's worker threads, so
+/// implementations must be `Send + Sync` and should be cheap: events are
+/// delivered synchronously from the synthesis hot path.
+pub trait EventSink: Send + Sync {
+    /// Called once per event, possibly from several threads at once.
+    fn emit(&self, event: SynthesisEvent);
 }
 
-/// Ignores all events (the unobserved default).
+/// Discards every event.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct NullObserver;
+pub struct NullSink;
 
-impl ExploreObserver for NullObserver {
-    fn on_event(&self, _event: ExploreEvent) {}
+impl EventSink for NullSink {
+    fn emit(&self, _event: SynthesisEvent) {}
 }
 
-impl<F: Fn(ExploreEvent) + Sync> ExploreObserver for F {
-    fn on_event(&self, event: ExploreEvent) {
+impl<F: Fn(SynthesisEvent) + Send + Sync> EventSink for F {
+    fn emit(&self, event: SynthesisEvent) {
         self(event)
     }
 }
 
-static NULL_OBSERVER: NullObserver = NullObserver;
-
 /// Everything a running exploration needs to be observable and stoppable:
-/// an event sink, a cancellation token, and resource budgets, plus the
-/// shared evaluation counter the budget is enforced against.
+/// the job's event sink and tag, a cancellation token, and resource
+/// budgets, plus the shared evaluation counter the budget is enforced
+/// against.
 ///
 /// One context spans one `run_dse_observed` call; worker threads share it
 /// by reference.
 pub struct ExploreContext<'a> {
-    sink: &'a dyn ExploreObserver,
+    sink: &'a dyn EventSink,
+    /// The `job` field of every event this context emits.
+    job: usize,
     cancel: CancelToken,
     budget: ExploreBudget,
     evaluations: AtomicUsize,
@@ -271,6 +321,7 @@ pub struct ExploreContext<'a> {
 impl fmt::Debug for ExploreContext<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ExploreContext")
+            .field("job", &self.job)
             .field("cancel", &self.cancel)
             .field("budget", &self.budget)
             .field("evaluations", &self.evaluations)
@@ -279,11 +330,17 @@ impl fmt::Debug for ExploreContext<'_> {
 }
 
 impl<'a> ExploreContext<'a> {
-    /// A context delivering events to `sink`, cancellable through `cancel`,
-    /// bounded by `budget`.
-    pub fn new(sink: &'a dyn ExploreObserver, cancel: CancelToken, budget: ExploreBudget) -> Self {
+    /// A context delivering events tagged `job` to `sink`, cancellable
+    /// through `cancel`, bounded by `budget`.
+    pub fn new(
+        sink: &'a dyn EventSink,
+        job: usize,
+        cancel: CancelToken,
+        budget: ExploreBudget,
+    ) -> Self {
         Self {
             sink,
+            job,
             cancel,
             budget,
             evaluations: AtomicUsize::new(0),
@@ -296,11 +353,7 @@ impl<'a> ExploreContext<'a> {
 
     /// A context that observes nothing and never stops early.
     pub fn unobserved() -> ExploreContext<'static> {
-        ExploreContext::new(
-            &NULL_OBSERVER,
-            CancelToken::new(),
-            ExploreBudget::unlimited(),
-        )
+        ExploreContext::new(&NullSink, 0, CancelToken::new(), ExploreBudget::unlimited())
     }
 
     /// The cancellation token this context watches.
@@ -313,9 +366,32 @@ impl<'a> ExploreContext<'a> {
         self.budget
     }
 
+    /// The `job` field of every event this context emits.
+    pub(crate) fn job(&self) -> usize {
+        self.job
+    }
+
     /// Delivers an event to the sink.
-    pub fn emit(&self, event: ExploreEvent) {
-        self.sink.on_event(event);
+    pub(crate) fn emit(&self, event: SynthesisEvent) {
+        self.sink.emit(event);
+    }
+
+    /// Emits this job's [`SynthesisEvent::StageStarted`].
+    pub(crate) fn stage_started(&self, point_index: usize, stage: SynthesisStage) {
+        self.emit(SynthesisEvent::StageStarted {
+            job: self.job,
+            point_index,
+            stage,
+        });
+    }
+
+    /// Emits this job's [`SynthesisEvent::StageFinished`].
+    pub(crate) fn stage_finished(&self, point_index: usize, stage: SynthesisStage) {
+        self.emit(SynthesisEvent::StageFinished {
+            job: self.job,
+            point_index,
+            stage,
+        });
     }
 
     /// Adds `n` candidate evaluations to the shared counter.
@@ -339,23 +415,25 @@ impl<'a> ExploreContext<'a> {
     }
 
     /// Snapshots evaluator throughput counters and emits
-    /// [`ExploreEvent::EvaluatorStats`] atomically: the snapshot is taken
+    /// [`SynthesisEvent::EvaluatorStats`] atomically: the snapshot is taken
     /// and delivered inside one critical section, so observers see
     /// monotonically increasing counters even when parallel workers finish
     /// design points concurrently (the same discipline as
     /// [`record_fitness`](Self::record_fitness)).
     pub fn emit_evaluator_stats(&self, point_index: usize, snapshot: &dyn Fn() -> EvaluatorStats) {
         let _serialized = self.stats_emit.lock().expect("stats-emit mutex");
-        self.emit(ExploreEvent::EvaluatorStats {
+        self.emit(SynthesisEvent::EvaluatorStats {
+            job: self.job,
             point_index,
             stats: snapshot(),
         });
     }
 
-    /// Records a point-level fitness and emits [`ExploreEvent::ImprovedBest`]
-    /// if it beats the best seen so far in this run. Emission happens while
-    /// the best is held, so observers see strictly increasing bests even
-    /// when parallel workers improve concurrently.
+    /// Records a point-level fitness and emits
+    /// [`SynthesisEvent::ImprovedBest`] if it beats the best seen so far in
+    /// this run. Emission happens while the best is held, so observers see
+    /// strictly increasing bests even when parallel workers improve
+    /// concurrently.
     pub fn record_fitness(&self, point_index: usize, fitness: f64) {
         // NaN and infeasible (zero) fitness are both ignored.
         if fitness.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
@@ -364,7 +442,8 @@ impl<'a> ExploreContext<'a> {
         let mut best = self.best.lock().expect("best-fitness mutex");
         if fitness > *best {
             *best = fitness;
-            self.emit(ExploreEvent::ImprovedBest {
+            self.emit(SynthesisEvent::ImprovedBest {
+                job: self.job,
                 point_index,
                 fitness,
             });
@@ -457,7 +536,8 @@ mod tests {
     fn evaluation_budget_trips() {
         let cancel = CancelToken::new();
         let ctx = ExploreContext::new(
-            &NullObserver,
+            &NullSink,
+            0,
             cancel,
             ExploreBudget::unlimited().with_max_evaluations(10),
         );
@@ -470,7 +550,8 @@ mod tests {
     #[test]
     fn unique_evaluation_budget_trips_on_misses_only() {
         let ctx = ExploreContext::new(
-            &NullObserver,
+            &NullSink,
+            0,
             CancelToken::new(),
             ExploreBudget::unlimited().with_max_unique_evaluations(2),
         );
@@ -489,7 +570,8 @@ mod tests {
     #[test]
     fn deadline_trips() {
         let ctx = ExploreContext::new(
-            &NullObserver,
+            &NullSink,
+            0,
             CancelToken::new(),
             ExploreBudget {
                 deadline: Some(Instant::now() - Duration::from_millis(1)),
@@ -504,7 +586,8 @@ mod tests {
     fn cancellation_wins_over_budget() {
         let cancel = CancelToken::new();
         let ctx = ExploreContext::new(
-            &NullObserver,
+            &NullSink,
+            0,
             cancel.clone(),
             ExploreBudget::unlimited().with_max_evaluations(0),
         );
@@ -515,12 +598,15 @@ mod tests {
     #[test]
     fn record_fitness_emits_only_improvements() {
         let seen: Mutex<Vec<f64>> = Mutex::new(Vec::new());
-        let observer = |ev: ExploreEvent| {
-            if let ExploreEvent::ImprovedBest { fitness, .. } = ev {
+        let observer = |ev: SynthesisEvent| {
+            if let SynthesisEvent::ImprovedBest {
+                job: 7, fitness, ..
+            } = ev
+            {
                 seen.lock().unwrap().push(fitness);
             }
         };
-        let ctx = ExploreContext::new(&observer, CancelToken::new(), ExploreBudget::unlimited());
+        let ctx = ExploreContext::new(&observer, 7, CancelToken::new(), ExploreBudget::unlimited());
         ctx.record_fitness(0, 1.0);
         ctx.record_fitness(1, 0.5); // not an improvement
         ctx.record_fitness(2, 2.0);

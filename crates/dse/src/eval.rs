@@ -39,7 +39,7 @@ use crate::sa::SaTable;
 use crate::space::DesignPoint;
 
 /// Cumulative evaluator throughput counters, reported through
-/// [`ExploreEvent::EvaluatorStats`](crate::ExploreEvent::EvaluatorStats).
+/// [`SynthesisEvent::EvaluatorStats`](crate::SynthesisEvent::EvaluatorStats).
 ///
 /// `scored` counts every candidate scoring request (and matches what the
 /// budget counter was charged); `unique_evaluations + cache_hits == scored`.
@@ -514,13 +514,14 @@ mod tests {
 
     #[test]
     fn score_batch_stops_cooperatively_mid_batch() {
-        use crate::ctx::{CancelToken, ExploreBudget, NullObserver};
+        use crate::ctx::{CancelToken, ExploreBudget, NullSink};
         let (model, df, point) = setup();
         let l = model.weight_layer_count();
         let hw = HardwareParams::date24();
         let eval = evaluator(&model, &hw);
         let ctx = ExploreContext::new(
-            &NullObserver,
+            &NullSink,
+            0,
             CancelToken::new(),
             ExploreBudget::unlimited().with_max_evaluations(2),
         );
@@ -538,13 +539,14 @@ mod tests {
 
     #[test]
     fn unique_evaluation_budget_stops_the_batch_on_misses() {
-        use crate::ctx::{CancelToken, ExploreBudget, NullObserver, StopReason};
+        use crate::ctx::{CancelToken, ExploreBudget, NullSink, StopReason};
         let (model, df, point) = setup();
         let l = model.weight_layer_count();
         let hw = HardwareParams::date24();
         let eval = evaluator(&model, &hw);
         let ctx = ExploreContext::new(
-            &NullObserver,
+            &NullSink,
+            0,
             CancelToken::new(),
             ExploreBudget::unlimited().with_max_unique_evaluations(2),
         );
@@ -568,13 +570,13 @@ mod tests {
     /// stores nothing, memo hits included.
     #[test]
     fn cancelled_score_batch_charges_scores_and_stores_nothing() {
-        use crate::ctx::{CancelToken, ExploreBudget, NullObserver, StopReason};
+        use crate::ctx::{CancelToken, ExploreBudget, NullSink, StopReason};
         let (model, df, point) = setup();
         let l = model.weight_layer_count();
         let hw = HardwareParams::date24();
         let eval = evaluator(&model, &hw);
         let cancel = CancelToken::new();
-        let ctx = ExploreContext::new(&NullObserver, cancel.clone(), ExploreBudget::unlimited());
+        let ctx = ExploreContext::new(&NullSink, 0, cancel.clone(), ExploreBudget::unlimited());
         let genes: Vec<MacAllocGene> = (1..=4).map(|m| gene(l, m)).collect();
         let mut session = DeltaSession::new(&df, point);
         let (first, _) = eval.score_batch(&mut session, &genes[..2], &[], &ctx);

@@ -20,8 +20,8 @@
 //! so results are reproducible with `parallel = true` too.
 //!
 //! Exploration is observable and controllable: [`run_dse_observed`] threads
-//! an [`ExploreContext`] through every stage, emitting typed
-//! [`ExploreEvent`](crate::ExploreEvent)s and honoring cancellation and
+//! an [`ExploreContext`] through every stage, writing typed
+//! [`SynthesisEvent`]s into the job's sink and honoring cancellation and
 //! wall-clock / evaluation budgets. [`run_dse`] is the blocking, unobserved
 //! wrapper.
 
@@ -34,7 +34,7 @@ use pimsyn_model::Model;
 use pimsyn_sim::SimReport;
 
 use crate::alloc::AllocPlan;
-use crate::ctx::{ExploreContext, ExploreEvent, StopReason, SynthesisStage};
+use crate::ctx::{ExploreContext, StopReason, SynthesisEvent, SynthesisStage};
 use crate::ea::{max_macros, run_ea_counted, EaConfig, Objective};
 use crate::error::DseError;
 use crate::eval::CandidateEvaluator;
@@ -206,10 +206,7 @@ fn prepare_point(
     let budget = eq3.min(dac_cap.max(one_copy));
 
     // Stage 1 — weight duplication.
-    ctx.emit(ExploreEvent::StageStarted {
-        point_index: point_idx,
-        stage: SynthesisStage::WeightDuplication,
-    });
+    ctx.stage_started(point_idx, SynthesisStage::WeightDuplication);
     let candidates = match &cfg.strategy {
         WtDupStrategy::SimulatedAnnealing => {
             let sa_cfg = SaConfig {
@@ -226,10 +223,7 @@ fn prepare_point(
             .map(|c| vec![c]),
         WtDupStrategy::Fixed(vs) => Some(vs.clone()),
     };
-    ctx.emit(ExploreEvent::StageFinished {
-        point_index: point_idx,
-        stage: SynthesisStage::WeightDuplication,
-    });
+    ctx.stage_finished(point_idx, SynthesisStage::WeightDuplication);
     let mut prepared = Prepared {
         index: point_idx,
         point,
@@ -245,10 +239,7 @@ fn prepare_point(
     // paper-effort point has up to 30 x 3 of them, and retaining every
     // Dataflow until its EA run would multiply peak memory for nothing —
     // recompiling one on demand costs microseconds.
-    ctx.emit(ExploreEvent::StageStarted {
-        point_index: point_idx,
-        stage: SynthesisStage::DataflowCompilation,
-    });
+    ctx.stage_started(point_idx, SynthesisStage::DataflowCompilation);
     'compile: for (ci, dup) in candidates.iter().enumerate() {
         for dac in cfg.space.dacs() {
             if ctx.should_stop() {
@@ -259,10 +250,7 @@ fn prepare_point(
             }
         }
     }
-    ctx.emit(ExploreEvent::StageFinished {
-        point_index: point_idx,
-        stage: SynthesisStage::DataflowCompilation,
-    });
+    ctx.stage_finished(point_idx, SynthesisStage::DataflowCompilation);
     prepared.candidates = Some(candidates);
     prepared
 }
@@ -407,10 +395,8 @@ impl<'s> Search<'s> {
             // Stage 3 — EA-based macro partitioning (components allocation
             // and analytic evaluation run per candidate inside the EA loop).
             if first {
-                self.ctx.emit(ExploreEvent::StageStarted {
-                    point_index: index,
-                    stage: SynthesisStage::MacroPartitioning,
-                });
+                self.ctx
+                    .stage_started(index, SynthesisStage::MacroPartitioning);
             }
             if self.ctx.should_stop() {
                 self.end_run(i, 0, None);
@@ -519,31 +505,16 @@ impl<'s> Search<'s> {
         // Stage 1 found candidates, so stages 3–4 ran, perhaps with no run.
         if p.prepared.candidates.is_some() {
             if !stage3_started {
-                ctx.emit(ExploreEvent::StageStarted {
-                    point_index,
-                    stage: SynthesisStage::MacroPartitioning,
-                });
+                ctx.stage_started(point_index, SynthesisStage::MacroPartitioning);
             }
-            for event in [
-                ExploreEvent::StageFinished {
-                    point_index,
-                    stage: SynthesisStage::MacroPartitioning,
-                },
-                ExploreEvent::StageStarted {
-                    point_index,
-                    stage: SynthesisStage::ComponentAllocation,
-                },
-                ExploreEvent::StageFinished {
-                    point_index,
-                    stage: SynthesisStage::ComponentAllocation,
-                },
-            ] {
-                ctx.emit(event);
-            }
+            ctx.stage_finished(point_index, SynthesisStage::MacroPartitioning);
+            ctx.stage_started(point_index, SynthesisStage::ComponentAllocation);
+            ctx.stage_finished(point_index, SynthesisStage::ComponentAllocation);
         }
         ctx.record_fitness(point_index, p.result.best_efficiency);
         ctx.emit_evaluator_stats(point_index, &|| self.evaluator.stats());
-        ctx.emit(ExploreEvent::DesignPointEvaluated {
+        ctx.emit(SynthesisEvent::DesignPointEvaluated {
+            job: ctx.job(),
             point: p.result.point,
             point_index,
             best_efficiency: p.result.best_efficiency,
@@ -578,14 +549,14 @@ pub fn run_dse(model: &Model, cfg: &DseConfig) -> Result<DseOutcome, DseError> {
 }
 
 /// Runs Algorithm 1 under an [`ExploreContext`]: progress events stream to
-/// the context's observer, cancellation is honored between stages and
+/// the context's sink, cancellation is honored between stages and
 /// inside the metaheuristic loops, and budgets stop the search gracefully
 /// (the best architecture found before exhaustion is still returned, with
 /// [`DseOutcome::stop_reason`] recording why the run ended).
 ///
 /// A design point's stage 3 starts when its first EA run is taken from the
 /// run list and finishes when its last run ends; its
-/// [`DesignPointEvaluated`](ExploreEvent::DesignPointEvaluated) follows.
+/// [`DesignPointEvaluated`](SynthesisEvent::DesignPointEvaluated) follows.
 ///
 /// # Errors
 ///
@@ -785,17 +756,19 @@ mod tests {
     }
 
     /// The stage and point events of each point, in emission order.
-    fn point_events(events: &[ExploreEvent], point: usize) -> Vec<String> {
+    fn point_events(events: &[SynthesisEvent], point: usize) -> Vec<String> {
         events
             .iter()
             .filter_map(|ev| match ev {
-                ExploreEvent::StageStarted { point_index, stage } if *point_index == point => {
-                    Some(format!("started:{stage}"))
-                }
-                ExploreEvent::StageFinished { point_index, stage } if *point_index == point => {
-                    Some(format!("finished:{stage}"))
-                }
-                ExploreEvent::DesignPointEvaluated { point_index, .. } if *point_index == point => {
+                SynthesisEvent::StageStarted {
+                    point_index, stage, ..
+                } if *point_index == point => Some(format!("started:{stage}")),
+                SynthesisEvent::StageFinished {
+                    point_index, stage, ..
+                } if *point_index == point => Some(format!("finished:{stage}")),
+                SynthesisEvent::DesignPointEvaluated { point_index, .. }
+                    if *point_index == point =>
+                {
                     Some("evaluated".to_string())
                 }
                 _ => None,
@@ -816,10 +789,10 @@ mod tests {
         serial.parallel = false;
         let mut parallel = serial.clone();
         parallel.parallel = true;
-        let events: Mutex<Vec<ExploreEvent>> = Mutex::new(Vec::new());
-        let observer = |ev: ExploreEvent| events.lock().unwrap().push(ev);
+        let events: Mutex<Vec<SynthesisEvent>> = Mutex::new(Vec::new());
+        let observer = |ev: SynthesisEvent| events.lock().unwrap().push(ev);
         let observed =
-            ExploreContext::new(&observer, CancelToken::new(), ExploreBudget::unlimited());
+            ExploreContext::new(&observer, 0, CancelToken::new(), ExploreBudget::unlimited());
         let (a, a_stats, a_ran) = search(&model, &serial, &ExploreContext::unobserved(), true);
         let (b, b_stats, b_ran) = search(&model, &parallel, &observed, true);
         let (_, _, every) = search(&model, &serial, &ExploreContext::unobserved(), false);
@@ -857,7 +830,7 @@ mod tests {
     /// budget ends inside the first runs, which are never skipped.
     #[test]
     fn skipping_keeps_the_winner_and_saves_evaluations() {
-        use crate::ctx::NullObserver;
+        use crate::ctx::NullSink;
         use MacroMode::{Identical, Specialized};
         use Objective::{EnergyDelayProduct, PowerEfficiency};
         let cases = [
@@ -907,7 +880,7 @@ mod tests {
             ] {
                 let fitness = |skipping: bool| {
                     let budget = ExploreBudget::unlimited().with_max_evaluations(k);
-                    let ctx = ExploreContext::new(&NullObserver, CancelToken::new(), budget);
+                    let ctx = ExploreContext::new(&NullSink, 0, CancelToken::new(), budget);
                     let out = search(model, &cfg, &ctx, skipping).0;
                     out.map_or(0.0, |o| objective.fitness(&o.report))
                 };
@@ -1014,12 +987,12 @@ mod tests {
         use std::sync::Mutex;
         let model = zoo::alexnet_cifar(10);
         let last: Mutex<Option<crate::EvaluatorStats>> = Mutex::new(None);
-        let observer = |ev: ExploreEvent| {
-            if let ExploreEvent::EvaluatorStats { stats, .. } = ev {
+        let observer = |ev: SynthesisEvent| {
+            if let SynthesisEvent::EvaluatorStats { stats, .. } = ev {
                 *last.lock().unwrap() = Some(stats);
             }
         };
-        let ctx = ExploreContext::new(&observer, CancelToken::new(), ExploreBudget::unlimited());
+        let ctx = ExploreContext::new(&observer, 0, CancelToken::new(), ExploreBudget::unlimited());
         let mut cfg = tiny_cfg();
         // A few extra generations so unmutated tournament winners (identical
         // genes) reliably resurface.
@@ -1083,11 +1056,7 @@ mod tests {
         let model = zoo::alexnet_cifar(10);
         let cancel = CancelToken::new();
         cancel.cancel();
-        let ctx = ExploreContext::new(
-            &crate::ctx::NullObserver,
-            cancel,
-            ExploreBudget::unlimited(),
-        );
+        let ctx = ExploreContext::new(&crate::ctx::NullSink, 0, cancel, ExploreBudget::unlimited());
         assert!(matches!(
             run_dse_observed(&model, &tiny_cfg(), &ctx),
             Err(DseError::Cancelled)
@@ -1101,7 +1070,8 @@ mod tests {
         cfg.space = DesignSpace::reduced(); // 4 points
                                             // Enough budget for roughly one point's EA, not for all four.
         let ctx = ExploreContext::new(
-            &crate::ctx::NullObserver,
+            &crate::ctx::NullSink,
+            0,
             CancelToken::new(),
             ExploreBudget::unlimited().with_max_evaluations(30),
         );
@@ -1121,28 +1091,28 @@ mod tests {
     fn observed_run_emits_ordered_stage_events() {
         use std::sync::Mutex;
         let model = zoo::alexnet_cifar(10);
-        let events: Mutex<Vec<ExploreEvent>> = Mutex::new(Vec::new());
-        let observer = |ev: ExploreEvent| events.lock().unwrap().push(ev);
-        let ctx = ExploreContext::new(&observer, CancelToken::new(), ExploreBudget::unlimited());
+        let events: Mutex<Vec<SynthesisEvent>> = Mutex::new(Vec::new());
+        let observer = |ev: SynthesisEvent| events.lock().unwrap().push(ev);
+        let ctx = ExploreContext::new(&observer, 0, CancelToken::new(), ExploreBudget::unlimited());
         run_dse_observed(&model, &tiny_cfg(), &ctx).unwrap();
         let events = events.into_inner().unwrap();
         // One point: the four stages in paper order, each started before
         // finished, then the point summary.
         let mut stages_seen = Vec::new();
         for ev in &events {
-            if let ExploreEvent::StageStarted { stage, .. } = ev {
+            if let SynthesisEvent::StageStarted { stage, .. } = ev {
                 stages_seen.push(*stage);
             }
         }
         assert_eq!(stages_seen, SynthesisStage::ALL.to_vec());
         assert!(matches!(
             events.last(),
-            Some(ExploreEvent::DesignPointEvaluated { .. })
+            Some(SynthesisEvent::DesignPointEvaluated { .. })
         ));
         assert!(
             events
                 .iter()
-                .any(|e| matches!(e, ExploreEvent::ImprovedBest { .. })),
+                .any(|e| matches!(e, SynthesisEvent::ImprovedBest { .. })),
             "a feasible run must improve on the initial zero best"
         );
     }

@@ -55,8 +55,8 @@ mod sweep;
 
 pub use alloc::{allocate_components, AllocPlan, AllocRequest};
 pub use ctx::{
-    CancelToken, ExploreBudget, ExploreContext, ExploreEvent, ExploreObserver, NullObserver,
-    StopReason, SynthesisStage,
+    CancelToken, EventSink, ExploreBudget, ExploreContext, NullSink, StopReason, SynthesisEvent,
+    SynthesisStage,
 };
 pub use delta::{DeltaOutcome, DeltaSession};
 pub use ea::{

@@ -420,7 +420,7 @@ fn run(args: &Args, requests: &[SynthesisRequest]) -> ExitCode {
     let mut results = Vec::new();
     std::thread::scope(|s| {
         let worker = s.spawn(|| {
-            let out = engine.synthesize_batch_observed(requests, &sink, &CancelToken::new());
+            let out = engine.synthesize_batch(requests, &sink, &CancelToken::new());
             drop(sink); // close the event stream so the printer loop ends
             out
         });

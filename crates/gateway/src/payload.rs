@@ -273,10 +273,7 @@ pub fn parse_job(job: &JsonValue, defaults: &JsonValue) -> Result<SynthesisReque
         options.parallel = parse_bool(parallel, "parallel")?;
     }
     if let Some(cycle) = value("cycle") {
-        let images = parse_usize(cycle, "cycle")?;
-        if images > 0 {
-            options = options.with_cycle_validation(images);
-        }
+        options = options.with_cycle_validation(parse_usize(cycle, "cycle")?);
     }
     if let Some(timeout) = value("timeout") {
         let secs = parse_f64_or_bits(timeout, "timeout")?;
@@ -350,7 +347,7 @@ mod tests {
         assert!(!request.options.allow_macro_sharing);
         assert!(!request.options.parallel);
         assert_eq!(request.options.seed, u64::MAX);
-        assert!(request.options.cycle_validation);
+        assert_eq!(request.options.cycle_images, 2);
         assert_eq!(request.options.time_budget, Some(Duration::from_secs(30)));
         assert_eq!(request.options.max_evaluations, Some(100));
         assert_eq!(request.options.max_unique_evaluations, Some(50));

@@ -6,9 +6,7 @@ use std::collections::HashMap;
 use std::net::TcpListener;
 use std::sync::{mpsc, Arc, Mutex};
 
-use pimsyn::{
-    CallbackSink, EventSink, ServiceConfig, SynthesisEvent, SynthesisService, Synthesizer,
-};
+use pimsyn::{EventSink, ServiceConfig, SynthesisEvent, SynthesisService, Synthesizer};
 use pimsyn_gateway::http::roundtrip;
 use pimsyn_gateway::{
     parse_http_job, serve_gateway_in_background, GatewayConfig, GatewayHandle, TenantRegistry,
@@ -503,9 +501,9 @@ fn drain_refuses_new_work_but_finishes_accepted_jobs() {
     // however fast jobs run.
     let (release, held) = mpsc::channel::<()>();
     let held = Mutex::new(held);
-    let sink: Arc<dyn EventSink> = Arc::new(CallbackSink(move |_: SynthesisEvent| {
+    let sink: Arc<dyn EventSink> = Arc::new(move |_: SynthesisEvent| {
         let _ = held.lock().unwrap().recv();
-    }));
+    });
     let blocker = parse_http_job(TINY_JOB.as_bytes()).expect("payload");
     let blocker = service
         .submit_with(blocker, None, Some(sink))

@@ -22,8 +22,8 @@ use crate::stages::{compute_stages, LayerStages};
 ///
 /// # Errors
 ///
-/// Propagates [`SimError`] from stage computation (mismatched layer counts,
-/// missing components).
+/// Propagates [`SimError`] from stage computation (sharing that breaks the
+/// pair rule, mismatched layer counts, missing components).
 ///
 /// # Example
 ///

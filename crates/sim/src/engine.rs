@@ -98,8 +98,8 @@ pub const MAX_SIMULATED_BLOCKS: usize = 1 << 24;
 /// - [`SimError::ZeroImages`] if `images == 0`.
 /// - [`SimError::TooManyBlocks`] if the run would track more than
 ///   [`MAX_SIMULATED_BLOCKS`] blocks.
-/// - Stage-model errors ([`SimError::MissingComponent`],
-///   [`SimError::LayerCountMismatch`]).
+/// - Stage-model errors ([`SimError::InvalidSharing`],
+///   [`SimError::MissingComponent`], [`SimError::LayerCountMismatch`]).
 pub fn simulate(
     model: &Model,
     df: &Dataflow,

@@ -21,6 +21,18 @@ pub enum SimError {
         /// Layers in the dataflow.
         dataflow: usize,
     },
+    /// A macro share breaks the pair rule of
+    /// [`MacroGroup::check_pairs`](pimsyn_arch::MacroGroup::check_pairs),
+    /// which [`Architecture::validate`](pimsyn_arch::Architecture::validate)
+    /// enforces too.
+    InvalidSharing {
+        /// Index of the sharing layer.
+        layer: usize,
+        /// The layer whose macros it shares.
+        target: usize,
+        /// Which part of the rule the share breaks.
+        reason: &'static str,
+    },
     /// The requested number of pipelined images must be at least one.
     ZeroImages,
     /// Simulating this many images would track more pipeline blocks than
@@ -48,6 +60,14 @@ impl fmt::Display for SimError {
                     "architecture has {arch} layers but dataflow has {dataflow}"
                 )
             }
+            SimError::InvalidSharing {
+                layer,
+                target,
+                reason,
+            } => write!(
+                f,
+                "layer {layer} cannot share layer {target}'s macros: {reason}"
+            ),
             SimError::ZeroImages => write!(f, "at least one image must be simulated"),
             SimError::TooManyBlocks { images, limit } => write!(
                 f,

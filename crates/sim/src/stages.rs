@@ -6,7 +6,7 @@
 //! the largest per-block occupancy — the `min max` objective of the paper's
 //! Eq. (5).
 
-use pimsyn_arch::{AdcConfig, Architecture, HardwareParams, ScratchpadSpec};
+use pimsyn_arch::{AdcConfig, ArchError, Architecture, HardwareParams, MacroGroup, ScratchpadSpec};
 use pimsyn_ir::Dataflow;
 
 use crate::error::SimError;
@@ -319,10 +319,25 @@ pub fn assemble_stages(base: LayerBaseCosts, merge: f64, transfer: f64) -> Layer
 ///
 /// # Errors
 ///
+/// - [`SimError::InvalidSharing`] if `arch`'s macro sharing breaks the pair
+///   rule, so its macro groups cannot be built.
 /// - [`SimError::LayerCountMismatch`] if `arch` and `df` disagree on layers.
 /// - [`SimError::MissingComponent`] if a layer has workload for a component
 ///   family with zero allocated units.
 pub fn compute_stages(df: &Dataflow, arch: &Architecture) -> Result<Vec<LayerStages>, SimError> {
+    let shares = arch.layers.iter().map(|lh| lh.shares_macros_with);
+    if let Err(ArchError::InvalidSharing {
+        layer,
+        target,
+        reason,
+    }) = MacroGroup::check_pairs(shares)
+    {
+        return Err(SimError::InvalidSharing {
+            layer,
+            target,
+            reason,
+        });
+    }
     if arch.layers.len() != df.programs().len() {
         return Err(SimError::LayerCountMismatch {
             arch: arch.layers.len(),

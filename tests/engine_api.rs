@@ -2,11 +2,13 @@
 //! streaming, cooperative cancellation, time / evaluation budgets, and
 //! batch synthesis with per-job failure isolation.
 
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use pimsyn::{
-    CancelToken, CollectingSink, Effort, NullSink, StopReason, SynthesisEngine, SynthesisError,
-    SynthesisEvent, SynthesisOptions, SynthesisRequest, SynthesisStage,
+    event_to_json, CancelToken, Effort, NullSink, ServiceConfig, StopReason, SynthesisEngine,
+    SynthesisError, SynthesisEvent, SynthesisOptions, SynthesisRequest, SynthesisResult,
+    SynthesisService, SynthesisStage,
 };
 use pimsyn_arch::Watts;
 use pimsyn_model::zoo;
@@ -16,6 +18,16 @@ fn fast_request() -> SynthesisRequest {
         zoo::alexnet_cifar(10),
         SynthesisOptions::fast(Watts(6.0)).with_seed(3),
     )
+}
+
+/// Runs `request` on the calling thread, collecting its events.
+fn run_collecting(
+    request: &SynthesisRequest,
+) -> (Result<SynthesisResult, SynthesisError>, Vec<SynthesisEvent>) {
+    let events = Mutex::new(Vec::new());
+    let sink = |ev: SynthesisEvent| events.lock().unwrap().push(ev);
+    let result = SynthesisEngine::new().run(request, &sink, &CancelToken::new());
+    (result, events.into_inner().unwrap())
 }
 
 /// A paper-effort request: enough work (36 outer points, long SA anneals,
@@ -28,15 +40,11 @@ fn heavy_request() -> SynthesisRequest {
 
 #[test]
 fn event_stream_is_nonempty_and_stage_ordered() {
-    let engine = SynthesisEngine::new();
-    let sink = CollectingSink::new();
-    let result = engine
-        .run(&fast_request(), &sink, &CancelToken::new())
-        .unwrap();
+    let (result, events) = run_collecting(&fast_request());
+    let result = result.unwrap();
     assert!(result.analytic.efficiency_tops_per_watt() > 0.0);
     assert_eq!(result.stop_reason, StopReason::Completed);
 
-    let events = sink.take();
     assert!(!events.is_empty());
     assert!(matches!(
         events.first(),
@@ -94,13 +102,9 @@ fn event_stream_is_nonempty_and_stage_ordered() {
 /// the metaheuristics' revisits show up as cache hits.
 #[test]
 fn evaluator_stats_stream_reports_cache_hits() {
-    let engine = SynthesisEngine::new();
-    let sink = CollectingSink::new();
-    let result = engine
-        .run(&fast_request(), &sink, &CancelToken::new())
-        .unwrap();
-    let snapshots: Vec<_> = sink
-        .take()
+    let (result, events) = run_collecting(&fast_request());
+    let result = result.unwrap();
+    let snapshots: Vec<_> = events
         .into_iter()
         .filter_map(|ev| match ev {
             SynthesisEvent::EvaluatorStats { stats, .. } => Some(stats),
@@ -122,8 +126,8 @@ fn evaluator_stats_stream_reports_cache_hits() {
 
 #[test]
 fn cancellation_stops_a_running_job_promptly() {
-    let engine = SynthesisEngine::new();
-    let job = engine.spawn(heavy_request());
+    let service = SynthesisService::new(ServiceConfig::default().with_job_slots(1));
+    let job = service.submit(heavy_request()).unwrap();
 
     // Wait for evidence the job is actually exploring, then cancel.
     let first = job
@@ -133,8 +137,9 @@ fn cancellation_stops_a_running_job_promptly() {
     assert!(matches!(first, SynthesisEvent::JobStarted { .. }));
     job.cancel();
     let cancelled_at = Instant::now();
-    let result = job.join();
+    let result = job.await_result();
     let reaction = cancelled_at.elapsed();
+    service.shutdown();
     assert!(
         matches!(result, Err(SynthesisError::Cancelled)),
         "{result:?}"
@@ -149,11 +154,9 @@ fn cancellation_stops_a_running_job_promptly() {
 
 #[test]
 fn evaluation_budget_is_honored() {
-    let engine = SynthesisEngine::new();
     let mut request = heavy_request();
     request.options.max_evaluations = Some(200);
-    let sink = CollectingSink::new();
-    let outcome = engine.run(&request, &sink, &CancelToken::new());
+    let (outcome, events) = run_collecting(&request);
     match outcome {
         Ok(result) => {
             assert_eq!(result.stop_reason, StopReason::EvaluationBudgetReached);
@@ -172,7 +175,6 @@ fn evaluation_budget_is_honored() {
         }
     }
     // Budget exhaustion must still deliver a finished event stream.
-    let events = sink.take();
     assert!(matches!(
         events.last(),
         Some(SynthesisEvent::Finished { .. })
@@ -208,8 +210,6 @@ fn time_budget_is_honored() {
 
 #[test]
 fn batch_synthesis_isolates_per_job_failures() {
-    let engine = SynthesisEngine::new();
-    let sink = CollectingSink::new();
     let requests = [
         fast_request().with_label("feasible-alexnet"),
         // 0.01 W cannot host one weight copy: this job must fail alone.
@@ -224,7 +224,9 @@ fn batch_synthesis_isolates_per_job_failures() {
         )
         .with_label("feasible-vgg"),
     ];
-    let results = engine.synthesize_batch_observed(&requests, &sink, &CancelToken::new());
+    let events = Mutex::new(Vec::new());
+    let sink = |ev: SynthesisEvent| events.lock().unwrap().push(ev);
+    let results = SynthesisEngine::new().synthesize_batch(&requests, &sink, &CancelToken::new());
     assert_eq!(results.len(), 3);
     assert!(results[0].is_ok(), "{:?}", results[0].as_ref().err());
     assert!(matches!(results[1], Err(SynthesisError::Dse(_))));
@@ -236,7 +238,7 @@ fn batch_synthesis_isolates_per_job_failures() {
     assert_eq!(b.model.name(), "vgg16-cifar");
 
     // Every job reported start and finish, tagged with its index.
-    let events = sink.take();
+    let events = events.into_inner().unwrap();
     for job in 0..3 {
         assert!(
             events
@@ -255,6 +257,25 @@ fn batch_synthesis_isolates_per_job_failures() {
         });
         let (ok, error) = finished.unwrap_or_else(|| panic!("missing Finished for job {job}"));
         assert_eq!(ok, job != 1, "job {job} outcome mismatch ({error:?})");
+        // The search's own events carry the index too: every point of the
+        // reduced space starts stage 1 and is evaluated once per job.
+        let points = pimsyn::DesignSpace::reduced().outer_len();
+        let tagged = |kind: fn(&SynthesisEvent) -> Option<usize>| {
+            events.iter().filter(|ev| kind(ev) == Some(job)).count()
+        };
+        let stage1 = tagged(|ev| match ev {
+            SynthesisEvent::StageStarted {
+                job,
+                stage: SynthesisStage::WeightDuplication,
+                ..
+            } => Some(*job),
+            _ => None,
+        });
+        let evaluated = tagged(|ev| match ev {
+            SynthesisEvent::DesignPointEvaluated { job, .. } => Some(*job),
+            _ => None,
+        });
+        assert_eq!((stage1, evaluated), (points, points), "job {job}");
     }
 }
 
@@ -264,7 +285,11 @@ fn batch_results_match_single_runs_deterministically() {
     let single = engine
         .run(&fast_request(), &NullSink, &CancelToken::new())
         .unwrap();
-    let batch = engine.synthesize_batch(&[fast_request(), fast_request()]);
+    let batch = engine.synthesize_batch(
+        &[fast_request(), fast_request()],
+        &NullSink,
+        &CancelToken::new(),
+    );
     for result in &batch {
         let result = result.as_ref().unwrap();
         assert_eq!(result.wt_dup, single.wt_dup);
@@ -275,23 +300,27 @@ fn batch_results_match_single_runs_deterministically() {
     }
 }
 
+/// A job submitted to a service runs off the calling thread: its stream
+/// ends with `Finished` once the job is done, and every event carries the
+/// job's id.
 #[test]
 fn spawned_job_reports_finished_state() {
-    let engine = SynthesisEngine::new();
-    let job = engine.spawn(fast_request());
+    let service = SynthesisService::new(ServiceConfig::default().with_job_slots(1));
+    let first = service.submit(fast_request()).unwrap();
+    let job = service.submit(fast_request()).unwrap();
+    assert_eq!(job.id(), 1);
     // Drain the stream; it ends exactly when the job is done.
     let events: Vec<SynthesisEvent> = job.events().iter().collect();
     assert!(matches!(
         events.last(),
-        Some(SynthesisEvent::Finished { .. })
+        Some(SynthesisEvent::Finished { job: 1, .. })
     ));
-    // The channel closing and the thread terminating race by a hair; give
-    // the thread a moment to finish exiting.
-    let deadline = Instant::now() + Duration::from_secs(5);
-    while !job.is_finished() && Instant::now() < deadline {
-        std::thread::yield_now();
-    }
+    assert!(events
+        .iter()
+        .all(|ev| event_to_json(ev).get("job").and_then(|j| j.as_usize()) == Some(1)));
+    let result = job.await_result().unwrap();
     assert!(job.is_finished());
-    let result = job.join().unwrap();
     assert!(result.analytic.efficiency_tops_per_watt() > 0.0);
+    assert!(first.await_result().is_ok());
+    service.shutdown();
 }

@@ -148,9 +148,10 @@ fn starved_adc_bank_is_reported_not_hung() {
 }
 
 #[test]
-fn saturated_sharing_chain_still_simulates() {
-    // Every layer shares layer 0's macros: one ADC bank serves the whole
-    // network. Must complete (slowly), not deadlock.
+fn sharing_that_breaks_the_pair_rule_is_a_typed_error() {
+    // `Architecture::validate` rejects these hand-built shares; both
+    // evaluators must report the broken rule instead of panicking or
+    // building a group no synthesis path can produce.
     let mut b = ModelBuilder::new("shared", TensorShape::new(3, 8, 8));
     let c1 = b.conv("c1", None, 4, 3, 1, 1);
     let c2 = b.conv("c2", Some(c1), 4, 3, 1, 1);
@@ -163,16 +164,36 @@ fn saturated_sharing_chain_still_simulates() {
         &[2, 2, 2],
     )
     .expect("compiles");
-    let mut arch = arch_for(&df, &model, 2, 1);
-    arch.layers[1].shares_macros_with = Some(0);
-    arch.layers[2].shares_macros_with = Some(0);
-    let solo_arch = arch_for(&df, &model, 2, 1);
-    let shared = simulate(&model, &df, &arch, 1).expect("completes");
-    let solo = simulate(&model, &df, &solo_arch, 1).expect("completes");
-    // Fully-contended bank cannot be faster than private banks (allowing a
-    // sliver of slack for the transfer stages sharing removes).
-    assert!(shared.latency.value() >= solo.latency.value() * 0.9);
-    assert_eq!(arch.macro_count(), 1);
+    let cases = [
+        // Double sharer: layers 1 and 2 both share layer 0.
+        (
+            [None, Some(0), Some(0)],
+            (2, 0, "another layer already shares them"),
+        ),
+        // Chain 2 -> 1 -> 0.
+        (
+            [None, Some(0), Some(1)],
+            (2, 1, "that layer shares another layer's macros"),
+        ),
+        // Forward share.
+        (
+            [Some(1), None, None],
+            (0, 1, "sharing must point to an earlier layer"),
+        ),
+    ];
+    for (shares, (layer, target, reason)) in cases {
+        let mut arch = arch_for(&df, &model, 2, 1);
+        for (lh, share) in arch.layers.iter_mut().zip(shares) {
+            lh.shares_macros_with = share;
+        }
+        let expected = SimError::InvalidSharing {
+            layer,
+            target,
+            reason,
+        };
+        assert_eq!(simulate(&model, &df, &arch, 1), Err(expected.clone()));
+        assert_eq!(evaluate_analytic(&model, &df, &arch).err(), Some(expected));
+    }
 }
 
 #[test]
