@@ -55,12 +55,13 @@ pub struct SynthesisOptions {
     pub macro_mode: MacroMode,
     /// Explore inter-layer macro sharing (Fig. 9).
     pub allow_macro_sharing: bool,
-    /// Run the search on worker threads: stages 1–2 of every outer design
-    /// point in parallel, then Alg. 1's EA runs in list order. With
+    /// Run the search on one worker thread per core instead of the calling
+    /// thread. Either way, stages 1–2 run at every outer design point
+    /// first, then Alg. 1's EA runs go best bound first. With
     /// [`max_evaluations`](Self::max_evaluations) or
     /// [`max_unique_evaluations`](Self::max_unique_evaluations) set, points
-    /// and runs go in order on one thread instead, so the budget buys the
-    /// same candidates in every run. Results and counters are the same
+    /// and runs go in list order on one thread instead, so the budget buys
+    /// the same candidates in every run. Results and counters are the same
     /// either way.
     pub parallel: bool,
     /// Base RNG seed (the whole flow is deterministic given the seed).

@@ -34,7 +34,9 @@ pub enum SynthesisStage {
     /// Stage 3: EA-based macro partitioning (components allocation and
     /// analytic evaluation run per candidate inside the EA loop). It starts
     /// when the point's first EA run is taken and finishes when its last
-    /// run ends.
+    /// run ends. A search without a count budget takes the runs of every
+    /// point best bound first, so each point's stage 3 spans most of the
+    /// search's EA phase and the points' stage 3 spans overlap.
     MacroPartitioning,
     /// Stage 4: components allocation of the point winner: each EA run's
     /// winner is re-validated as the run ends, and the point keeps its best
@@ -174,10 +176,14 @@ impl ExploreBudget {
 /// Stage and design-point events mirror the paper's Fig. 3 flow as executed
 /// at each outer design point of Algorithm 1; `point_index` identifies the
 /// design point (its index in
-/// [`DesignSpace::points`](crate::DesignSpace::points)) and, with parallel
-/// exploration, events from different points interleave. `job` is the tag
-/// set on the job's [`ExploreContext`]: a service job's id (in a batch,
-/// the request's index in the submitted slice), or 0 for a job run
+/// [`DesignSpace::points`](crate::DesignSpace::points)). Stage events from
+/// different points interleave. A point's
+/// [`ImprovedBest`](Self::ImprovedBest),
+/// [`EvaluatorStats`](Self::EvaluatorStats) and
+/// [`DesignPointEvaluated`](Self::DesignPointEvaluated) wait until it and
+/// every earlier point have closed, so they come in point order. `job` is
+/// the tag set on the job's [`ExploreContext`]: a service job's id (in a
+/// batch, the request's index in the submitted slice), or 0 for a job run
 /// directly on the calling thread.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SynthesisEvent {
@@ -223,8 +229,9 @@ pub enum SynthesisEvent {
         /// runs evaluate none).
         evaluations: usize,
     },
-    /// The job improved on its best fitness so far. "Best" is per job:
-    /// fitness values from different jobs in a batch are not comparable.
+    /// A point reported a fitness above the best of every point reported
+    /// before it. "Best" is per job: fitness values from different jobs in
+    /// a batch are not comparable.
     ImprovedBest {
         /// The job this event belongs to.
         job: usize,
@@ -235,10 +242,11 @@ pub enum SynthesisEvent {
     },
     /// Cumulative candidate-evaluator throughput counters (scored
     /// candidates, unique evaluations, cache hits), snapshotted as each
-    /// design point finishes, immediately before its
+    /// design point reports, immediately before its
     /// [`DesignPointEvaluated`](Self::DesignPointEvaluated). Stats are
-    /// job-wide and monotonic; the last snapshot before
-    /// [`Finished`](Self::Finished) summarizes the job.
+    /// job-wide and monotonic. A snapshot reads the counters of the moment,
+    /// so with parallel workers its contents vary from run to run; the last
+    /// snapshot before [`Finished`](Self::Finished) summarizes the job.
     EvaluatorStats {
         /// The job this event belongs to.
         job: usize,

@@ -5,19 +5,28 @@
 //! evaluation).
 //!
 //! The EA runs form one list in Alg. 1's order: design points by index,
-//! then each point's (WtDup candidate, DAC) pairs in stage 2's order. A run
-//! that provably cannot win is skipped: run `i` is skipped when its bound
-//! ([`AllocPlan::efficiency_bound`], or [`AllocPlan::edp_bound`] under the
-//! EDP objective), an upper bound on the fitness of every gene the run can
-//! score and stage 4 can validate, is strictly below the best fitness
-//! among the validated runs `0 ..= i - 33`. A skipped run can only lose to
-//! a run that was kept, so the winner (the first run in list order to
-//! reach the top fitness) is never skipped, and the search returns exactly
-//! what running every run returns. The 32-run look-behind lets the runs just before a
-//! run still be in flight when it is decided, and because it is a
-//! constant, which runs are skipped, and so every counter, is the same for
-//! any worker count. Every stochastic stage seeds from its point and pair,
-//! so results are reproducible with `parallel = true` too.
+//! then each point's (WtDup candidate, DAC) pairs in stage 2's order.
+//! Stage 2 bounds each run while it has the run's dataflow compiled: the
+//! bound ([`AllocPlan::efficiency_bound`], or [`AllocPlan::edp_bound`]
+//! under the EDP objective) is an upper bound on the fitness of every gene
+//! the run can score and stage 4 can validate. A search without a count
+//! budget runs stages 1–2 at every point first, then takes the runs in
+//! descending bound order, ties in list order, so the runs likely to win
+//! come first. A count-budgeted search takes them in list order, each
+//! point's stages 1–2 running when the list reaches it, so the budget buys
+//! the same runs in every search.
+//!
+//! In either order, the run taken at position `j` is skipped when its
+//! bound is strictly below the best fitness among the validated runs taken
+//! at positions `0 ..= j - 33`. A skipped run can only lose to a run that
+//! was kept, and every run whose bound reaches the final best runs, so the
+//! winner (the first run in list order to reach the top fitness) is never
+//! skipped, and the search returns exactly what running every run returns.
+//! The 32-run look-behind lets the runs just before a position still be in
+//! flight when it is decided, and because it is a constant, which runs are
+//! skipped, and so every counter, is the same for any worker count. Every
+//! stochastic stage seeds from its point and pair, so results are
+//! reproducible with `parallel = true` too.
 //!
 //! Exploration is observable and controllable: [`run_dse_observed`] threads
 //! an [`ExploreContext`] through every stage, writing typed
@@ -41,8 +50,9 @@ use crate::eval::CandidateEvaluator;
 use crate::sa::{no_duplication, woho_proportional, wt_dup_candidates_counted, SaConfig};
 use crate::space::{DesignPoint, DesignSpace};
 
-/// Run `i` is checked against the runs more than this many places before
-/// it, so the runs in between may still be in flight.
+/// The run taken at position `j` is checked against the runs taken more
+/// than this many positions before it, so the runs in between may still be
+/// in flight.
 const LOOKBEHIND: usize = 32;
 
 /// How weight-duplication factors are chosen (stage 1 of the synthesis).
@@ -80,13 +90,14 @@ pub struct DseConfig {
     pub ea: EaConfig,
     /// Identical vs specialized macros (Fig. 8 ablates this).
     pub macro_mode: MacroMode,
-    /// Run on worker threads: stages 1–2 at every design point first, in
-    /// parallel over points, then the EA runs, taken in list order. Ignored
-    /// (each point's stages 1–2 run when the list reaches it, and every run
-    /// in order on the calling thread) when the context sets a count
-    /// budget: every run draws on that one count, so thread timing would
-    /// decide which runs spend it. Results and counters are the same either
-    /// way.
+    /// Run on one worker thread per core instead of the calling thread.
+    /// Either way, a search without a count budget runs stages 1–2 at every
+    /// design point first (in parallel over points), then takes the EA runs
+    /// in descending bound order. Ignored when the context sets a count
+    /// budget: each point's stages 1–2 run when the list reaches it, and
+    /// every run in list order on the calling thread, since every run draws
+    /// on that one count and thread timing would decide which runs spend
+    /// it. Results and counters are the same either way.
     pub parallel: bool,
     /// Base seed; every stochastic stage derives its own deterministic seed
     /// from it, so results are reproducible even with `parallel = true`.
@@ -164,14 +175,24 @@ struct PointBest {
     report: SimReport,
 }
 
+/// One EA run: a compilable (WtDup candidate, DAC) pair of a design point.
+#[derive(Clone, Copy)]
+struct Run {
+    /// Index into the point's candidates.
+    candidate: usize,
+    dac: DacConfig,
+    /// [`fitness_bound`] of the run's dataflow.
+    bound: f64,
+}
+
 /// Stages 1–2 at one design point (lines 6–9 of Alg. 1).
 struct Prepared {
     index: usize,
     point: DesignPoint,
     /// Stage 1's WtDup candidates; `None` when it found none.
     candidates: Option<Vec<Vec<usize>>>,
-    /// The compilable (candidate, DAC) pairs, one EA run each.
-    pairs: Vec<(usize, DacConfig)>,
+    /// One EA run per compilable (candidate, DAC) pair, in stage 2's order.
+    runs: Vec<Run>,
 }
 
 /// Runs stages 1–2 at one design point, emitting their stage events.
@@ -228,25 +249,32 @@ fn prepare_point(
         index: point_idx,
         point,
         candidates: None,
-        pairs: Vec::new(),
+        runs: Vec::new(),
     };
     let Some(candidates) = candidates else {
         return prepared;
     };
 
     // Stage 2 — dataflow compilation (every candidate x DAC resolution).
-    // Only the compilable combinations are kept, not the compiled IR: a
+    // Each compilable combination is kept with its fitness bound, taken
+    // while its dataflow is in hand, but not the compiled IR: a
     // paper-effort point has up to 30 x 3 of them, and retaining every
     // Dataflow until its EA run would multiply peak memory for nothing —
-    // recompiling one on demand costs microseconds.
+    // recompiling one for a run that is not skipped costs microseconds.
     ctx.stage_started(point_idx, SynthesisStage::DataflowCompilation);
+    let total_macs = model.stats().total_macs;
+    let dacs = cfg.space.dacs();
     'compile: for (ci, dup) in candidates.iter().enumerate() {
-        for dac in cfg.space.dacs() {
+        for &dac in &dacs {
             if ctx.should_stop() {
                 break 'compile;
             }
-            if Dataflow::compile(model, point.crossbar, dac, dup).is_ok() {
-                prepared.pairs.push((ci, dac));
+            if let Ok(df) = Dataflow::compile(model, point.crossbar, dac, dup) {
+                prepared.runs.push(Run {
+                    candidate: ci,
+                    dac,
+                    bound: fitness_bound(model, cfg, &df, point, total_macs),
+                });
             }
         }
     }
@@ -275,12 +303,25 @@ pub(crate) fn fitness_bound(
     }
 }
 
+/// The order runs are taken in when every run is bounded before any runs:
+/// descending bound, ties in list order. `bounds` are the runs' bounds in
+/// list order; entry `j` of the result is the run taken at position `j`.
+fn bound_order(bounds: &[f64]) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..bounds.len()).collect();
+    // A stable sort, so equal bounds keep list order.
+    order.sort_by(|&a, &b| bounds[b].total_cmp(&bounds[a]));
+    order
+}
+
 /// A design point of the run list and the tally of its runs.
 struct PointTally {
     prepared: Prepared,
-    /// Its runs are `first_run..first_run + prepared.pairs.len()`.
+    /// Its runs are `first_run..first_run + prepared.runs.len()` in list
+    /// order.
     first_run: usize,
-    /// Runs not yet ended; the point finishes when none is left.
+    /// Whether one of its runs was taken, which started its stage 3.
+    taken: bool,
+    /// Runs not yet ended; the point closes when none is left.
     open: usize,
     result: PointResult,
     /// The best validated run so far, whose fitness is
@@ -288,20 +329,25 @@ struct PointTally {
     best: Option<(usize, PointBest)>,
 }
 
-/// Alg. 1's run list: every prepared point's runs in order, and what the
-/// runs that ended found.
+/// Alg. 1's run list: every prepared point's runs in list order, the
+/// order they are taken in, and what the runs that ended found.
 struct RunList {
     points: Vec<PointTally>,
     /// Per run: its point (index into `points`).
     runs: Vec<usize>,
-    /// The next run to take.
+    /// `order[j]`: the run taken at position `j`.
+    order: Vec<usize>,
+    /// The next position to take.
     next: usize,
-    /// Per run, once it ended (ran, was skipped, or was abandoned after a
-    /// stop): its validated fitness, 0 when it found none.
+    /// Per position, once its run ended (ran, was skipped, or was
+    /// abandoned after a stop): the run's validated fitness, 0 when it
+    /// found none.
     fitness: Vec<Option<f64>>,
-    /// `best_before[k]`: the best `fitness` among runs `0..k`, known for
-    /// every `k` up to the first run that has not ended.
+    /// `best_before[k]`: the best `fitness` among positions `0..k`, known
+    /// for every `k` up to the first position whose run has not ended.
     best_before: Vec<f64>,
+    /// Points `0..reported` have reported their results.
+    reported: usize,
 }
 
 /// One Alg. 1 search: the run list, shared by the worker threads.
@@ -310,7 +356,6 @@ struct Search<'s> {
     cfg: &'s DseConfig,
     ctx: &'s ExploreContext<'s>,
     evaluator: &'s CandidateEvaluator<'s>,
-    total_macs: u64,
     list: Mutex<RunList>,
     /// Signalled whenever a run ends.
     run_ended: Condvar,
@@ -328,13 +373,14 @@ impl<'s> Search<'s> {
             cfg,
             ctx,
             evaluator,
-            total_macs: model.stats().total_macs,
             list: Mutex::new(RunList {
                 points: Vec::new(),
                 runs: Vec::new(),
+                order: Vec::new(),
                 next: 0,
                 fitness: Vec::new(),
                 best_before: vec![0.0],
+                reported: 0,
             }),
             run_ended: Condvar::new(),
         }
@@ -344,16 +390,18 @@ impl<'s> Search<'s> {
         self.list.lock().expect("run-list mutex")
     }
 
-    /// Appends a prepared point's runs to the list. A point without runs
-    /// finishes at once.
+    /// Appends a prepared point's runs to the list, to be taken in list
+    /// order. A point without runs closes at once.
     fn add_point(&self, prepared: Prepared) {
-        let mut list = self.lock();
+        let mut guard = self.lock();
+        let list = &mut *guard;
         let tally = list.points.len();
         let first_run = list.runs.len();
-        let runs = prepared.pairs.len();
+        let runs = prepared.runs.len();
         list.runs.extend(std::iter::repeat_n(tally, runs));
+        list.order.extend(first_run..first_run + runs);
         list.fitness.extend(std::iter::repeat_n(None, runs));
-        let point = PointTally {
+        list.points.push(PointTally {
             result: PointResult {
                 point: prepared.point,
                 best_efficiency: 0.0,
@@ -361,36 +409,50 @@ impl<'s> Search<'s> {
             },
             prepared,
             first_run,
+            taken: false,
             open: runs,
             best: None,
-        };
+        });
         if runs == 0 {
-            self.close(&point, false);
+            self.close(&list.points[tally]);
+            self.report(list);
         }
-        list.points.push(point);
     }
 
-    /// Takes runs in list order and runs or skips each, until the list is
+    /// Takes the runs in [`bound_order`]. Called once every point is in the
+    /// list, before any run is taken.
+    fn order_by_bound(&self) {
+        let mut list = self.lock();
+        let bounds: Vec<f64> = list
+            .points
+            .iter()
+            .flat_map(|p| p.prepared.runs.iter().map(|run| run.bound))
+            .collect();
+        list.order = bound_order(&bounds);
+    }
+
+    /// Takes runs in order and runs or skips each, until the list is
     /// exhausted or the search must stop.
     fn work(&self) {
         loop {
-            let (i, index, point, dup, dac, ci, first) = {
-                let mut list = self.lock();
-                let i = list.next;
-                let Some(&tally) = list.runs.get(i) else {
+            let (pos, i, index, point, run, dup, first) = {
+                let mut guard = self.lock();
+                let list = &mut *guard;
+                let pos = list.next;
+                let Some(&i) = list.order.get(pos) else {
                     return;
                 };
                 list.next += 1;
-                let p = &list.points[tally];
-                let (ci, dac) = p.prepared.pairs[i - p.first_run];
+                let p = &mut list.points[list.runs[i]];
+                let run = p.prepared.runs[i - p.first_run];
                 let dup = p
                     .prepared
                     .candidates
                     .as_ref()
-                    .expect("runs have candidates")[ci]
+                    .expect("runs have candidates")[run.candidate]
                     .clone();
-                let (index, point) = (p.prepared.index, p.prepared.point);
-                (i, index, point, dup, dac, ci, i == p.first_run)
+                let first = !std::mem::replace(&mut p.taken, true);
+                (pos, i, p.prepared.index, p.prepared.point, run, dup, first)
             };
             // Stage 3 — EA-based macro partitioning (components allocation
             // and analytic evaluation run per candidate inside the EA loop).
@@ -399,23 +461,23 @@ impl<'s> Search<'s> {
                     .stage_started(index, SynthesisStage::MacroPartitioning);
             }
             if self.ctx.should_stop() {
-                self.end_run(i, 0, None);
+                self.end_run(pos, i, 0, None);
                 return;
             }
-            let Ok(df) = Dataflow::compile(self.model, point.crossbar, dac, &dup) else {
-                // Compiled in stage 2; deterministic, so unreachable.
-                self.end_run(i, 0, None);
-                continue;
-            };
-            if self.skips(i, &df, point) {
-                self.end_run(i, 0, None);
+            if self.skips(pos, run.bound) {
+                self.end_run(pos, i, 0, None);
                 continue;
             }
+            let Ok(df) = Dataflow::compile(self.model, point.crossbar, run.dac, &dup) else {
+                // Compiled in stage 2; deterministic, so unreachable.
+                self.end_run(pos, i, 0, None);
+                continue;
+            };
             let ea_cfg = EaConfig {
                 seed: self.cfg.seed
                     ^ ((index as u64) << 20)
-                    ^ ((ci as u64) << 4)
-                    ^ dac.bits() as u64,
+                    ^ ((run.candidate as u64) << 4)
+                    ^ run.dac.bits() as u64,
                 ..self.cfg.ea.clone()
             };
             let (evaluations, outcome) =
@@ -438,23 +500,23 @@ impl<'s> Search<'s> {
                 });
             // Count what actually ran, feasible or not, so the reported
             // totals agree with the budget counter.
-            self.end_run(i, evaluations, found);
+            self.end_run(pos, i, evaluations, found);
         }
     }
 
-    /// Whether run `i` over `df` at `point` provably cannot win: its
-    /// fitness bound is strictly below the best validated fitness of runs
-    /// `0 ..= i - LOOKBEHIND - 1`, which it waits for.
-    fn skips(&self, i: usize, df: &Dataflow, point: DesignPoint) -> bool {
+    /// Whether the run taken at position `pos`, with fitness bound `bound`,
+    /// provably cannot win: its bound is strictly below the best validated
+    /// fitness of positions `0 ..= pos - LOOKBEHIND - 1`, which it waits
+    /// for.
+    fn skips(&self, pos: usize, bound: f64) -> bool {
         #[cfg(test)]
         if !self.evaluator.skipping {
             return false;
         }
-        if i <= LOOKBEHIND {
+        if pos <= LOOKBEHIND {
             return false;
         }
-        let bound = fitness_bound(self.model, self.cfg, df, point, self.total_macs);
-        let k = i - LOOKBEHIND;
+        let k = pos - LOOKBEHIND;
         let mut list = self.lock();
         while list.best_before.len() <= k {
             list = self.run_ended.wait(list).expect("run-list mutex");
@@ -462,14 +524,14 @@ impl<'s> Search<'s> {
         bound < list.best_before[k]
     }
 
-    /// Records that run `i` ended after `evaluations` candidate evaluations
-    /// with `found`, its validated winner, if any; the run's point
-    /// finishes with its last run.
-    fn end_run(&self, i: usize, evaluations: usize, found: Option<(f64, PointBest)>) {
+    /// Records that run `i`, taken at position `pos`, ended after
+    /// `evaluations` candidate evaluations with `found`, its validated
+    /// winner, if any; the run's point closes with its last run.
+    fn end_run(&self, pos: usize, i: usize, evaluations: usize, found: Option<(f64, PointBest)>) {
         {
-            let mut list = self.lock();
-            list.fitness[i] = Some(found.as_ref().map_or(0.0, |(f, _)| *f));
-            let list = &mut *list;
+            let mut guard = self.lock();
+            let list = &mut *guard;
+            list.fitness[pos] = Some(found.as_ref().map_or(0.0, |(f, _)| *f));
             while let Some(&Some(f)) = list.fitness.get(list.best_before.len() - 1) {
                 let best = list.best_before[list.best_before.len() - 1].max(f);
                 list.best_before.push(best);
@@ -477,7 +539,8 @@ impl<'s> Search<'s> {
             let p = &mut list.points[list.runs[i]];
             p.result.evaluations += evaluations;
             if let Some((f, best)) = found {
-                // On a tie the earlier run wins, as in list order.
+                // On a tie the earlier run in list order wins, whatever
+                // order the runs were taken in.
                 let bf = p.result.best_efficiency;
                 if p.best
                     .as_ref()
@@ -489,51 +552,111 @@ impl<'s> Search<'s> {
             }
             p.open -= 1;
             if p.open == 0 {
-                self.close(p, true);
+                self.close(p);
+                self.report(list);
             }
         }
         self.run_ended.notify_all();
     }
 
-    /// Reports a finished point, with the run list locked: stage 3 ends
-    /// with its last run, and stage 4, which validated each run's winner,
-    /// chose the point's best. `stage3_started`: its first run was taken,
-    /// which emitted stage 3's start.
-    fn close(&self, p: &PointTally, stage3_started: bool) {
+    /// Ends a point's stages, with the run list locked: stage 3 ends with
+    /// its last run, and stage 4, which validated each run's winner, chose
+    /// the point's best.
+    fn close(&self, p: &PointTally) {
         let ctx = self.ctx;
         let point_index = p.prepared.index;
         // Stage 1 found candidates, so stages 3–4 ran, perhaps with no run.
         if p.prepared.candidates.is_some() {
-            if !stage3_started {
+            if !p.taken {
                 ctx.stage_started(point_index, SynthesisStage::MacroPartitioning);
             }
             ctx.stage_finished(point_index, SynthesisStage::MacroPartitioning);
             ctx.stage_started(point_index, SynthesisStage::ComponentAllocation);
             ctx.stage_finished(point_index, SynthesisStage::ComponentAllocation);
         }
-        ctx.record_fitness(point_index, p.result.best_efficiency);
-        ctx.emit_evaluator_stats(point_index, &|| self.evaluator.stats());
-        ctx.emit(SynthesisEvent::DesignPointEvaluated {
-            job: ctx.job(),
-            point: p.result.point,
-            point_index,
-            best_efficiency: p.result.best_efficiency,
-            evaluations: p.result.evaluations,
-        });
     }
 
-    /// Finishes every point a stop left open, then returns each point's
-    /// result and best implementation, in point order.
-    fn finish(&self) -> Vec<(PointResult, Option<PointBest>)> {
-        let mut list = self.lock();
-        for p in list.points.iter().filter(|p| p.open > 0) {
-            self.close(p, p.first_run < list.next);
+    /// Reports each closed point whose earlier points have all reported,
+    /// in point order, with the run list locked: the job's best so far,
+    /// the evaluator's counters and the point's result. Holding a point
+    /// back until every earlier point has closed gives these events one
+    /// order for any worker count and any run order.
+    fn report(&self, list: &mut RunList) {
+        let ctx = self.ctx;
+        while let Some(p) = list.points.get(list.reported).filter(|p| p.open == 0) {
+            let point_index = p.prepared.index;
+            ctx.record_fitness(point_index, p.result.best_efficiency);
+            ctx.emit_evaluator_stats(point_index, &|| self.evaluator.stats());
+            ctx.emit(SynthesisEvent::DesignPointEvaluated {
+                job: ctx.job(),
+                point: p.result.point,
+                point_index,
+                best_efficiency: p.result.best_efficiency,
+                evaluations: p.result.evaluations,
+            });
+            list.reported += 1;
         }
+    }
+
+    /// Closes every point a stop left open and reports every point not yet
+    /// reported, then returns each point's result and best implementation,
+    /// in point order.
+    fn finish(&self) -> Vec<(PointResult, Option<PointBest>)> {
+        let mut guard = self.lock();
+        let list = &mut *guard;
+        for p in list.points.iter_mut().filter(|p| p.open > 0) {
+            self.close(p);
+            // The stop abandoned the point's remaining runs.
+            p.open = 0;
+        }
+        self.report(list);
         std::mem::take(&mut list.points)
             .into_iter()
             .map(|p| (p.result, p.best.map(|(_, best)| best)))
             .collect()
     }
+}
+
+/// Stages 1–2 at every design point in `points`, on `workers` threads (the
+/// calling thread for one) that take points from a dynamic queue: points
+/// differ wildly in cost, as budget-infeasible ones die in the SA stage.
+/// Seeds derive from the point index, so which worker prepares a point
+/// never affects the result. Returns the prepared points in point order,
+/// without those a stop left unprepared.
+fn prepare_points(
+    model: &Model,
+    cfg: &DseConfig,
+    points: &[DesignPoint],
+    ctx: &ExploreContext<'_>,
+    evaluator: &CandidateEvaluator<'_>,
+    workers: usize,
+) -> Vec<Prepared> {
+    let prepared = Mutex::new(Vec::with_capacity(points.len()));
+    let next = AtomicUsize::new(0);
+    on_threads(workers.min(points.len()), || loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        if i >= points.len() || ctx.should_stop() {
+            break;
+        }
+        let p = prepare_point(model, cfg, points[i], i, ctx, evaluator);
+        prepared.lock().expect("prepared mutex").push(p);
+    });
+    let mut prepared = prepared.into_inner().expect("prepared mutex");
+    prepared.sort_by_key(|p| p.index);
+    prepared
+}
+
+/// Runs `job` on `threads` scoped threads, or on the calling thread when
+/// `threads` is at most 1.
+fn on_threads(threads: usize, job: impl Fn() + Sync) {
+    if threads <= 1 {
+        return job();
+    }
+    std::thread::scope(|s| {
+        for _ in 0..threads {
+            s.spawn(&job);
+        }
+    });
 }
 
 /// Runs the complete Algorithm 1 flow for `model` under `cfg`, blocking
@@ -555,8 +678,12 @@ pub fn run_dse(model: &Model, cfg: &DseConfig) -> Result<DseOutcome, DseError> {
 /// [`DseOutcome::stop_reason`] recording why the run ended).
 ///
 /// A design point's stage 3 starts when its first EA run is taken from the
-/// run list and finishes when its last run ends; its
-/// [`DesignPointEvaluated`](SynthesisEvent::DesignPointEvaluated) follows.
+/// run list and finishes when its last run ends, so under best-bound-first
+/// order it spans most of the EA phase. Its stage 4 events follow at once.
+/// Its [`ImprovedBest`](SynthesisEvent::ImprovedBest),
+/// [`EvaluatorStats`](SynthesisEvent::EvaluatorStats) and
+/// [`DesignPointEvaluated`](SynthesisEvent::DesignPointEvaluated) wait
+/// until every earlier point has closed, so they come in point order.
 ///
 /// # Errors
 ///
@@ -591,47 +718,12 @@ pub(crate) fn run_dse_evaluated(
 ) -> Result<DseOutcome, DseError> {
     let points = cfg.space.points();
     let search = Search::new(model, cfg, ctx, evaluator);
-    // Parallel runs race for a shared evaluation count, so a count-budgeted
-    // search takes its runs in order to stay deterministic.
     let budget = ctx.budget();
-    let count_budgeted =
-        budget.max_evaluations.is_some() || budget.max_unique_evaluations.is_some();
-
-    if cfg.parallel && !count_budgeted && points.len() > 1 {
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4);
-        // Stages 1–2 at every point first, from a dynamic work queue:
-        // points differ wildly in cost (budget-infeasible ones die in the SA
-        // stage). Seeds derive from the point index, so which worker
-        // prepares a point never affects the result.
-        let prepared = Mutex::new(Vec::with_capacity(points.len()));
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|s| {
-            for _ in 0..workers.min(points.len()) {
-                s.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= points.len() || ctx.should_stop() {
-                        break;
-                    }
-                    let p = prepare_point(model, cfg, points[i], i, ctx, evaluator);
-                    prepared.lock().expect("prepared mutex").push(p);
-                });
-            }
-        });
-        let mut prepared = prepared.into_inner().expect("prepared mutex");
-        prepared.sort_by_key(|p| p.index);
-        for p in prepared {
-            search.add_point(p);
-        }
-        // Then the EA runs, taken in list order.
-        let runs = search.lock().runs.len();
-        std::thread::scope(|s| {
-            for _ in 0..workers.min(runs) {
-                s.spawn(|| search.work());
-            }
-        });
-    } else {
+    if budget.max_evaluations.is_some() || budget.max_unique_evaluations.is_some() {
+        // Every run draws on one count, so a count-budgeted search takes
+        // its runs in list order on this thread: the budget buys the same
+        // runs in every search, and spends nothing on stages 1–2 at points
+        // it never reaches.
         for (i, &point) in points.iter().enumerate() {
             if ctx.should_stop() {
                 break;
@@ -639,6 +731,20 @@ pub(crate) fn run_dse_evaluated(
             search.add_point(prepare_point(model, cfg, point, i, ctx, evaluator));
             search.work();
         }
+    } else {
+        let workers = if cfg.parallel {
+            std::thread::available_parallelism().map_or(4, |n| n.get())
+        } else {
+            1
+        };
+        // Stages 1–2 at every point first, so every run is bounded before
+        // any runs; then the EA runs, best bound first.
+        for p in prepare_points(model, cfg, &points, ctx, evaluator, workers) {
+            search.add_point(p);
+        }
+        search.order_by_bound();
+        let runs = search.lock().runs.len();
+        on_threads(workers.min(runs), || search.work());
     }
     let points = search.finish();
 
@@ -776,10 +882,54 @@ mod tests {
             .collect()
     }
 
+    /// Runs go best bound first, ties in list order, and the order does
+    /// not depend on how many workers prepared the points.
+    #[test]
+    fn runs_go_best_bound_first() {
+        assert_eq!(
+            bound_order(&[0.5, 2.0, 0.5, 3.0, 2.0, 0.0, 2.0]),
+            vec![3, 1, 4, 6, 0, 2, 5]
+        );
+        assert!(bound_order(&[]).is_empty());
+
+        let model = zoo::alexnet_cifar(10);
+        let mut cfg = DseConfig::fast(Watts(9.0));
+        cfg.sa.candidates = 10;
+        let evaluator = CandidateEvaluator::new(
+            &model,
+            cfg.total_power,
+            &cfg.hw,
+            cfg.macro_mode,
+            cfg.ea.objective,
+        );
+        let bounds = |workers: usize| {
+            let ctx = ExploreContext::unobserved();
+            let points = cfg.space.points();
+            prepare_points(&model, &cfg, &points, &ctx, &evaluator, workers)
+                .iter()
+                .flat_map(|p| p.runs.iter().map(|run| run.bound.to_bits()))
+                .collect::<Vec<u64>>()
+        };
+        let serial = bounds(1);
+        assert!(serial.len() > 2 * LOOKBEHIND, "only {} runs", serial.len());
+        let bound = |i: usize| f64::from_bits(serial[i]);
+        let order = bound_order(&(0..serial.len()).map(bound).collect::<Vec<_>>());
+        assert!(order.windows(2).all(|w| bound(w[0]) >= bound(w[1])));
+        assert!(
+            order.iter().enumerate().any(|(pos, &i)| pos != i),
+            "bound order is list order"
+        );
+        for workers in [2, 3] {
+            assert_eq!(bounds(workers), serial, "{workers} workers");
+        }
+    }
+
     /// Which runs are skipped depends only on runs more than the
     /// look-behind back, so a parallel search skips exactly what the serial
     /// one skips: 4 points x 10 candidates x 2 DACs give runs past the
-    /// look-behind, and some are skipped.
+    /// look-behind, and some are skipped. Both take the runs best bound
+    /// first; a count budget that never binds takes them in list order and
+    /// finds the same winner.
     #[test]
     fn parallel_matches_serial() {
         let model = zoo::alexnet_cifar(10);
@@ -811,6 +961,16 @@ mod tests {
         assert_eq!(a_ran, b_ran);
         assert!(every > 2 * LOOKBEHIND, "only {every} runs");
         assert!(a_ran < every, "no run was skipped: {a_ran} of {every} ran");
+        let budget = ExploreBudget::unlimited().with_max_evaluations(1_000_000_000);
+        let listed = ExploreContext::new(&crate::ctx::NullSink, 0, CancelToken::new(), budget);
+        let c = search(&model, &parallel, &listed, true).0.unwrap();
+        assert_eq!(c.wt_dup, a.wt_dup);
+        assert_eq!(c.architecture, a.architecture);
+        assert_eq!(
+            c.report.efficiency_tops_per_watt().to_bits(),
+            a.report.efficiency_tops_per_watt().to_bits()
+        );
+        assert_eq!(c.report, a.report);
         // Per point, the parallel stage events still come in paper order.
         let events = events.into_inner().unwrap();
         let mut expected: Vec<String> = SynthesisStage::ALL
@@ -820,6 +980,61 @@ mod tests {
         expected.push("evaluated".to_string());
         for point in 0..serial.space.outer_len() {
             assert_eq!(point_events(&events, point), expected, "point {point}");
+        }
+    }
+
+    /// A point reports its `ImprovedBest`, `EvaluatorStats` and
+    /// `DesignPointEvaluated` only once every earlier point has, so two
+    /// parallel searches and a serial one give equal `ImprovedBest` and
+    /// `DesignPointEvaluated` sequences, every field included. Evaluator
+    /// snapshots read the job-wide counters of the moment, so only their
+    /// order is fixed.
+    #[test]
+    fn points_report_in_point_order() {
+        let model = zoo::alexnet_cifar(10);
+        let mut cfg = DseConfig::fast(Watts(9.0));
+        cfg.sa.candidates = 10;
+        let reports = |parallel: bool| {
+            let events = Mutex::new(Vec::new());
+            let sink = |ev: SynthesisEvent| events.lock().unwrap().push(ev);
+            let ctx = ExploreContext::new(&sink, 0, CancelToken::new(), ExploreBudget::unlimited());
+            let cfg = DseConfig {
+                parallel,
+                ..cfg.clone()
+            };
+            run_dse_observed(&model, &cfg, &ctx).unwrap();
+            let mut reports = Vec::new();
+            let mut snapshots = Vec::new();
+            for ev in events.into_inner().unwrap() {
+                match ev {
+                    SynthesisEvent::EvaluatorStats { point_index, .. } => {
+                        snapshots.push(point_index);
+                    }
+                    SynthesisEvent::ImprovedBest { .. }
+                    | SynthesisEvent::DesignPointEvaluated { .. } => reports.push(ev),
+                    _ => {}
+                }
+            }
+            (reports, snapshots)
+        };
+        let (serial, snapshots) = reports(false);
+        let points: Vec<usize> = (0..cfg.space.outer_len()).collect();
+        assert_eq!(snapshots, points);
+        let evaluated: Vec<usize> = serial
+            .iter()
+            .filter_map(|ev| match ev {
+                SynthesisEvent::DesignPointEvaluated { point_index, .. } => Some(*point_index),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(evaluated, points);
+        assert!(serial
+            .iter()
+            .any(|ev| matches!(ev, SynthesisEvent::ImprovedBest { .. })));
+        for run in 0..2 {
+            let parallel = reports(true);
+            assert_eq!(parallel.0, serial, "parallel run {run}");
+            assert_eq!(parallel.1, snapshots, "parallel run {run}");
         }
     }
 

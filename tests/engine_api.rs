@@ -185,16 +185,30 @@ fn evaluation_budget_is_honored() {
 fn time_budget_is_honored() {
     let engine = SynthesisEngine::new();
     let mut request = heavy_request();
-    // The budget is a quarter of the same request's unbudgeted run on this
-    // host, so the deadline fires before the search ends however fast the
-    // host is.
+    // The search runs stages 1–2 at every point before its first EA run,
+    // and they alone find nothing. So the budget ends a quarter of the way
+    // through the EA phase of the same request's unbudgeted run on this
+    // host: the deadline fires after the first EA runs and before the
+    // search ends, however fast the host is.
+    let ea_started = Mutex::new(None);
+    let sink = |ev: SynthesisEvent| {
+        if let SynthesisEvent::StageStarted {
+            stage: SynthesisStage::MacroPartitioning,
+            ..
+        } = ev
+        {
+            ea_started.lock().unwrap().get_or_insert_with(Instant::now);
+        }
+    };
     let started = Instant::now();
-    let full = engine.run(&request, &NullSink, &CancelToken::new());
+    let full = engine.run(&request, &sink, &CancelToken::new());
+    let ended = Instant::now();
     assert_eq!(
         full.expect("unbudgeted run").stop_reason,
         StopReason::Completed
     );
-    request.options.time_budget = Some(started.elapsed() / 4);
+    let ea_started = ea_started.into_inner().unwrap().expect("EA runs ran");
+    request.options.time_budget = Some(ea_started - started + (ended - ea_started) / 4);
     let started = Instant::now();
     let outcome = engine.run(&request, &NullSink, &CancelToken::new());
     let elapsed = started.elapsed();
