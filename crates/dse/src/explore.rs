@@ -303,9 +303,10 @@ pub(crate) fn fitness_bound(
     }
 }
 
-/// The order runs are taken in when every run is bounded before any runs:
-/// descending bound, ties in list order. `bounds` are the runs' bounds in
-/// list order; entry `j` of the result is the run taken at position `j`.
+/// The order runs are taken in when every run is bounded before the first
+/// one starts: descending bound, ties in list order. `bounds` are the runs'
+/// bounds in list order; entry `j` of the result is the run taken at
+/// position `j`.
 fn bound_order(bounds: &[f64]) -> Vec<usize> {
     let mut order: Vec<usize> = (0..bounds.len()).collect();
     // A stable sort, so equal bounds keep list order.
@@ -738,7 +739,7 @@ pub(crate) fn run_dse_evaluated(
             1
         };
         // Stages 1–2 at every point first, so every run is bounded before
-        // any runs; then the EA runs, best bound first.
+        // the first one starts; then the EA runs, best bound first.
         for p in prepare_points(model, cfg, &points, ctx, evaluator, workers) {
             search.add_point(p);
         }
