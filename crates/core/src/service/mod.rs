@@ -13,8 +13,13 @@
 //! Each submission returns a [`JobHandle`] exposing
 //! [`status`](JobHandle::status) / [`await_result`](JobHandle::await_result)
 //! / [`cancel`](JobHandle::cancel) / [`events`](JobHandle::events), built on
-//! the same [`CancelToken`] / [`EventSink`] machinery as the engine. The
-//! `pimsyn-gateway` crate serves a service over HTTP.
+//! the same [`CancelToken`] / [`EventSink`] machinery as the engine, and
+//! [`SynthesisService::job`] finds the same handle by id. The service's
+//! job state is the one record of a job: it owns the job's event log, which
+//! [`events`](JobHandle::events) replays from the first event and follows
+//! live, as often as asked, over one timed read
+//! ([`events_since`](JobHandle::events_since)). The `pimsyn-gateway` crate
+//! serves a service over HTTP.
 //!
 //! # Example
 //!
@@ -41,14 +46,14 @@ use std::collections::{HashMap, VecDeque};
 use std::error::Error;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread;
+use std::time::Duration;
 
 use pimsyn_dse::{CancelToken, EventSink, SynthesisEvent};
 
 use crate::engine::SynthesisEngine;
 use crate::error::SynthesisError;
-use crate::events::ChannelSink;
 use crate::request::SynthesisRequest;
 use crate::synthesis::SynthesisResult;
 
@@ -61,8 +66,8 @@ pub struct ServiceConfig {
     /// A submit beyond this depth returns [`ServiceError::QueueFull`]
     /// instead of blocking.
     pub queue_depth: usize,
-    /// How many *finished* jobs stay addressable by id (their results
-    /// fetchable through [`SynthesisService::await_result_by_id`]). Beyond
+    /// How many *finished* jobs stay addressable by id (their results and
+    /// event logs reachable through [`SynthesisService::job`]). Beyond
     /// this, the oldest finished records are dropped — a long-lived daemon
     /// must not grow without bound. Live [`JobHandle`]s are unaffected by
     /// eviction.
@@ -290,27 +295,24 @@ enum JobPhase {
     Finished(Box<Result<SynthesisResult, SynthesisError>>),
 }
 
-/// Everything a job needs to run, taken by the slot that executes it (and
-/// dropped afterwards, which closes the job's event channel).
+/// Everything a job needs to run, taken by the slot that executes it and
+/// dropped when the run ends. The external sink drops with it, which is
+/// what ends a batch's forwarding loop.
 struct JobWork {
     request: SynthesisRequest,
-    sink: TeeSink,
+    external: Option<Arc<dyn EventSink>>,
 }
 
-/// Fans one event stream out to several sinks (the handle's channel plus an
-/// optional external sink such as a batch aggregator or a gateway log).
-struct TeeSink {
-    sinks: Vec<Arc<dyn EventSink>>,
+/// A job's event log and phase, under one lock: a read that reports the
+/// job finished holds every event it will ever have.
+struct JobLog {
+    events: Vec<SynthesisEvent>,
+    phase: JobPhase,
 }
 
-impl EventSink for TeeSink {
-    fn emit(&self, event: SynthesisEvent) {
-        let mut rest = self.sinks.iter();
-        let Some(first) = rest.next() else { return };
-        for sink in rest {
-            sink.emit(event.clone());
-        }
-        first.emit(event);
+impl JobLog {
+    fn is_finished(&self) -> bool {
+        matches!(self.phase, JobPhase::Finished(_))
     }
 }
 
@@ -321,11 +323,31 @@ struct JobState {
     /// Scheduling identity and quotas; `None` = anonymous lane.
     tenant: Option<TenantPolicy>,
     work: Mutex<Option<JobWork>>,
-    phase: Mutex<JobPhase>,
-    done: Condvar,
+    log: Mutex<JobLog>,
+    /// Signalled on every event and phase change.
+    changed: Condvar,
 }
 
 impl JobState {
+    fn new(
+        id: u64,
+        tenant: Option<TenantPolicy>,
+        cancel: CancelToken,
+        work: Option<JobWork>,
+    ) -> Self {
+        Self {
+            id,
+            cancel,
+            tenant,
+            work: Mutex::new(work),
+            log: Mutex::new(JobLog {
+                events: Vec::new(),
+                phase: JobPhase::Queued,
+            }),
+            changed: Condvar::new(),
+        }
+    }
+
     /// The scheduling-lane key ("" for anonymous submissions).
     fn tenant_key(&self) -> &str {
         self.tenant.as_ref().map_or("", |t| t.name.as_str())
@@ -341,27 +363,26 @@ impl JobState {
         self.tenant.as_ref().and_then(|t| t.max_running)
     }
 
+    fn log(&self) -> MutexGuard<'_, JobLog> {
+        self.log.lock().expect("job log")
+    }
+
     fn status(&self) -> JobStatus {
-        match *self.phase.lock().expect("job phase") {
+        match self.log().phase {
             JobPhase::Queued => JobStatus::Queued,
             JobPhase::Running => JobStatus::Running,
             JobPhase::Finished(_) => JobStatus::Finished,
         }
     }
 
-    fn finish(&self, result: Result<SynthesisResult, SynthesisError>) {
-        *self.phase.lock().expect("job phase") = JobPhase::Finished(Box::new(result));
-        self.done.notify_all();
+    fn set_phase(&self, phase: JobPhase) {
+        self.log().phase = phase;
+        self.changed.notify_all();
     }
 
-    fn await_result(&self) -> Result<SynthesisResult, SynthesisError> {
-        let mut phase = self.phase.lock().expect("job phase");
-        loop {
-            if let JobPhase::Finished(result) = &*phase {
-                return (**result).clone();
-            }
-            phase = self.done.wait(phase).expect("job phase");
-        }
+    fn push(&self, event: SynthesisEvent) {
+        self.log().events.push(event);
+        self.changed.notify_all();
     }
 }
 
@@ -434,18 +455,29 @@ impl Inner {
                     state = self.available.wait(state).expect("service queue");
                 }
             };
-            *job.phase.lock().expect("job phase") = JobPhase::Running;
+            job.set_phase(JobPhase::Running);
             let work = job.work.lock().expect("job work").take();
             let result = match work {
                 // A job cancelled while still queued never runs (and emits
                 // no events) — the same contract the engine's batch path
                 // has always had for pre-cancelled jobs.
-                Some(JobWork { request, sink }) if !job.cancel.is_cancelled() => self
-                    .engine
-                    .run_job(job.id as usize, &request, &sink, &job.cancel),
+                Some(JobWork { request, external }) if !job.cancel.is_cancelled() => {
+                    // The external sink sees each event before the log
+                    // does, so whatever it does with an event (the
+                    // gateway's metrics fold) is done by the time a
+                    // reader finds the event in the log.
+                    let sink = |event: SynthesisEvent| {
+                        if let Some(external) = &external {
+                            external.emit(event.clone());
+                        }
+                        job.push(event);
+                    };
+                    self.engine
+                        .run_job(job.id as usize, &request, &sink, &job.cancel)
+                }
                 _ => Err(SynthesisError::Cancelled),
             };
-            job.finish(result);
+            job.set_phase(JobPhase::Finished(Box::new(result)));
             {
                 let mut state = self.queue.lock().expect("service queue");
                 let key = job.tenant_key();
@@ -532,16 +564,6 @@ impl SynthesisService {
         &self.inner.config
     }
 
-    /// Jobs currently waiting in the queue (excluding running ones).
-    pub fn queued_jobs(&self) -> usize {
-        self.inner
-            .queue
-            .lock()
-            .expect("service queue")
-            .scheduler
-            .len()
-    }
-
     /// A point-in-time view of the queue: totals, drain state, and
     /// per-tenant counts (for dashboards and the gateway's `/metrics`).
     pub fn snapshot(&self) -> ServiceSnapshot {
@@ -581,8 +603,8 @@ impl SynthesisService {
         self.submit_inner(request, None, None, None)
     }
 
-    /// Submits a request under a tenant policy, optionally tee'ing its
-    /// events into an external sink (e.g. a replayable event log).
+    /// Submits a request under a tenant policy, optionally handing each of
+    /// its events to an external sink as well (e.g. a metrics fold).
     ///
     /// The tenant's `name` keys its scheduling lane and quota budget; the
     /// policy travels with the job, so the *submitter* decides quotas and
@@ -614,20 +636,12 @@ impl SynthesisService {
         cancel: Option<CancelToken>,
     ) -> Result<JobHandle, ServiceError> {
         let id = self.inner.next_id.fetch_add(1, Ordering::Relaxed);
-        let (channel, events) = ChannelSink::pair();
-        let mut sinks: Vec<Arc<dyn EventSink>> = vec![Arc::new(channel)];
-        sinks.extend(external);
-        let state = Arc::new(JobState {
+        let state = Arc::new(JobState::new(
             id,
-            cancel: cancel.unwrap_or_default(),
             tenant,
-            work: Mutex::new(Some(JobWork {
-                request,
-                sink: TeeSink { sinks },
-            })),
-            phase: Mutex::new(JobPhase::Queued),
-            done: Condvar::new(),
-        });
+            cancel.unwrap_or_default(),
+            Some(JobWork { request, external }),
+        ));
         {
             let mut queue = self.inner.queue.lock().expect("service queue");
             if queue.shutdown {
@@ -659,42 +673,19 @@ impl SynthesisService {
             .lock()
             .expect("service jobs")
             .insert(id, Arc::clone(&state));
-        Ok(JobHandle { state, events })
+        Ok(JobHandle { state })
     }
 
-    /// The status of a job by id (`None` for unknown ids, including
-    /// finished jobs evicted past
-    /// [`finished_retention`](ServiceConfig::finished_retention)).
-    pub fn status_of(&self, id: u64) -> Option<JobStatus> {
-        self.job(id).map(|job| job.status())
-    }
-
-    /// Cancels a job by id; returns whether the id was known.
-    pub fn cancel_by_id(&self, id: u64) -> bool {
-        match self.job(id) {
-            Some(job) => {
-                job.cancel.cancel();
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Blocks until the job finishes and returns (a clone of) its result;
-    /// `None` for unknown ids. Results stay fetchable until the job is
-    /// evicted past [`finished_retention`](ServiceConfig::finished_retention)
-    /// (a [`JobHandle`] keeps its result reachable regardless).
-    pub fn await_result_by_id(&self, id: u64) -> Option<Result<SynthesisResult, SynthesisError>> {
-        self.job(id).map(|job| job.await_result())
-    }
-
-    fn job(&self, id: u64) -> Option<Arc<JobState>> {
-        self.inner
-            .jobs
-            .lock()
-            .expect("service jobs")
-            .get(&id)
-            .cloned()
+    /// The job with this id: every job until it finishes, then until it
+    /// is evicted past
+    /// [`finished_retention`](ServiceConfig::finished_retention) (a
+    /// [`JobHandle`] keeps its job reachable regardless). `None` for
+    /// unknown and evicted ids.
+    pub fn job(&self, id: u64) -> Option<JobHandle> {
+        let jobs = self.inner.jobs.lock().expect("service jobs");
+        jobs.get(&id).map(|state| JobHandle {
+            state: Arc::clone(state),
+        })
     }
 
     /// Begins a graceful drain: from now on submits are rejected with
@@ -743,7 +734,7 @@ impl SynthesisService {
         };
         self.inner.available.notify_all();
         for job in drained {
-            job.finish(Err(SynthesisError::Cancelled));
+            job.set_phase(JobPhase::Finished(Box::new(Err(SynthesisError::Cancelled))));
             self.inner.record_finished(job.id);
         }
         // Cancel only unfinished jobs: a finished job's token may be shared
@@ -767,11 +758,11 @@ impl Drop for SynthesisService {
     }
 }
 
-/// Handle to one submitted job: status polling, the live event stream, a
-/// cancellation lever, and the eventual result.
+/// Handle to one submitted job: status polling, the event log, a
+/// cancellation lever, and the eventual result. Clones share the job.
+#[derive(Clone)]
 pub struct JobHandle {
     state: Arc<JobState>,
-    events: mpsc::Receiver<SynthesisEvent>,
 }
 
 impl fmt::Debug for JobHandle {
@@ -806,17 +797,52 @@ impl JobHandle {
         self.status() == JobStatus::Finished
     }
 
-    /// The job's event stream. Iterating blocks until the next event and
-    /// ends when the job finishes (the last event is
-    /// [`SynthesisEvent::Finished`]); a job cancelled before it ran emits
-    /// nothing.
-    pub fn events(&self) -> &mpsc::Receiver<SynthesisEvent> {
-        &self.events
+    /// The job's event stream: replays the log from the first event, then
+    /// blocks for each next one, and ends when the job finishes (the last
+    /// event is [`SynthesisEvent::Finished`]); a job cancelled before it
+    /// ran has no events. Every call replays the whole stream.
+    pub fn events(&self) -> impl Iterator<Item = SynthesisEvent> {
+        let job = self.clone();
+        let (mut cursor, mut finished) = (0, false);
+        let mut batch = Vec::new().into_iter();
+        std::iter::from_fn(move || loop {
+            if let Some(event) = batch.next() {
+                return Some(event);
+            }
+            if finished {
+                return None;
+            }
+            let events;
+            (events, finished) = job.events_since(cursor, None);
+            cursor += events.len();
+            batch = events.into_iter();
+        })
     }
 
-    /// A clone of the job's cancellation token.
-    pub fn cancel_token(&self) -> CancelToken {
-        self.state.cancel.clone()
+    /// The job's events from index `from` on, and whether the job has
+    /// finished. Blocks until there is at least one such event or the job
+    /// finishes, for at most `timeout` (`None`: no limit), so an empty,
+    /// unfinished read means the timeout passed. A finished read holds
+    /// every event the job will ever have.
+    pub fn events_since(
+        &self,
+        from: usize,
+        timeout: Option<Duration>,
+    ) -> (Vec<SynthesisEvent>, bool) {
+        let idle = |log: &mut JobLog| log.events.len() <= from && !log.is_finished();
+        let log = self.state.log();
+        let changed = &self.state.changed;
+        let log = match timeout {
+            None => changed.wait_while(log, idle).expect("job log"),
+            Some(timeout) => {
+                changed
+                    .wait_timeout_while(log, timeout, idle)
+                    .expect("job log")
+                    .0
+            }
+        };
+        let events = log.events.get(from..).map_or_else(Vec::new, <[_]>::to_vec);
+        (events, log.is_finished())
     }
 
     /// Requests cooperative cancellation: a queued job never runs, a
@@ -828,7 +854,13 @@ impl JobHandle {
     /// Blocks until the job finishes and returns (a clone of) its result.
     /// Callable repeatedly; the handle stays usable.
     pub fn await_result(&self) -> Result<SynthesisResult, SynthesisError> {
-        self.state.await_result()
+        let mut log = self.state.log();
+        loop {
+            if let JobPhase::Finished(result) = &log.phase {
+                return (**result).clone();
+            }
+            log = self.state.changed.wait(log).expect("job log");
+        }
     }
 }
 
@@ -850,7 +882,7 @@ mod tests {
     fn submit_runs_and_streams_events() {
         let service = SynthesisService::new(ServiceConfig::default().with_job_slots(1));
         let job = service.submit(fast_request(3)).unwrap();
-        let events: Vec<SynthesisEvent> = job.events().iter().collect();
+        let events: Vec<SynthesisEvent> = job.events().collect();
         assert!(matches!(
             events.first(),
             Some(SynthesisEvent::JobStarted { .. })
@@ -864,9 +896,29 @@ mod tests {
         assert_eq!(job.status(), JobStatus::Finished);
         // Results stay fetchable, by handle and by id.
         assert!(job.await_result().is_ok());
-        assert!(service.await_result_by_id(job.id()).unwrap().is_ok());
-        assert_eq!(service.status_of(job.id()), Some(JobStatus::Finished));
-        assert_eq!(service.status_of(999), None);
+        assert!(service.job(job.id()).unwrap().await_result().is_ok());
+        assert_eq!(
+            service.job(job.id()).map(|job| job.status()),
+            Some(JobStatus::Finished)
+        );
+        assert!(service.job(999).is_none());
+        service.shutdown();
+    }
+
+    /// The job's log replays in full on every read, through every handle.
+    #[test]
+    fn finished_job_replays_its_whole_stream() {
+        let service = SynthesisService::new(ServiceConfig::default().with_job_slots(1));
+        let job = service.submit(fast_request(3)).unwrap();
+        let first: Vec<SynthesisEvent> = job.events().collect();
+        assert!(matches!(first[0], SynthesisEvent::JobStarted { .. }));
+        assert!(matches!(
+            first.last(),
+            Some(SynthesisEvent::Finished { .. })
+        ));
+        assert_eq!(job.events().collect::<Vec<_>>(), first);
+        let by_id = service.job(job.id()).unwrap();
+        assert_eq!(by_id.events().collect::<Vec<_>>(), first);
         service.shutdown();
     }
 
@@ -882,7 +934,7 @@ mod tests {
             victim.await_result(),
             Err(SynthesisError::Cancelled)
         ));
-        assert_eq!(victim.events().iter().count(), 0, "never ran, no events");
+        assert_eq!(victim.events().count(), 0, "never ran, no events");
         assert!(blocker.await_result().is_ok());
         service.shutdown();
     }
@@ -927,12 +979,11 @@ mod tests {
         }
         // With one serial slot, job 3 finishing implies job 2's completion
         // was recorded, which evicted job 0 (retention 2).
-        assert_eq!(
-            service.status_of(handles[0].id()),
-            None,
+        assert!(
+            service.job(handles[0].id()).is_none(),
             "oldest finished record must evict"
         );
-        assert!(service.status_of(handles[3].id()).is_some());
+        assert!(service.job(handles[3].id()).is_some());
         // Handles keep their own state: an evicted job's result is still
         // reachable through its handle.
         assert!(handles[0].await_result().is_ok());

@@ -133,20 +133,12 @@ impl DrrScheduler {
 
 #[cfg(test)]
 mod tests {
-    use super::super::{JobPhase, TenantPolicy};
+    use super::super::TenantPolicy;
     use super::*;
     use pimsyn_dse::CancelToken;
-    use std::sync::{Condvar, Mutex};
 
     fn job(id: u64, tenant: Option<TenantPolicy>) -> Arc<JobState> {
-        Arc::new(JobState {
-            id,
-            cancel: CancelToken::default(),
-            tenant,
-            work: Mutex::new(None),
-            phase: Mutex::new(JobPhase::Queued),
-            done: Condvar::new(),
-        })
+        Arc::new(JobState::new(id, tenant, CancelToken::default(), None))
     }
 
     fn drain_ids(sched: &mut DrrScheduler, running: &HashMap<String, usize>) -> Vec<u64> {

@@ -321,9 +321,6 @@ pub struct ExploreContext<'a> {
     /// distinguishes "the search was curtailed" from "the budget happened
     /// to run out exactly as the search finished".
     observed: AtomicU8,
-    /// Serializes evaluator-stats snapshot + emission (see
-    /// [`emit_evaluator_stats`](Self::emit_evaluator_stats)).
-    stats_emit: Mutex<()>,
 }
 
 impl fmt::Debug for ExploreContext<'_> {
@@ -355,7 +352,6 @@ impl<'a> ExploreContext<'a> {
             unique_evaluations: AtomicUsize::new(0),
             best: Mutex::new(0.0),
             observed: AtomicU8::new(0),
-            stats_emit: Mutex::new(()),
         }
     }
 
@@ -422,18 +418,15 @@ impl<'a> ExploreContext<'a> {
         self.unique_evaluations.load(Ordering::Relaxed)
     }
 
-    /// Snapshots evaluator throughput counters and emits
-    /// [`SynthesisEvent::EvaluatorStats`] atomically: the snapshot is taken
-    /// and delivered inside one critical section, so observers see
-    /// monotonically increasing counters even when parallel workers finish
-    /// design points concurrently (the same discipline as
-    /// [`record_fitness`](Self::record_fitness)).
-    pub fn emit_evaluator_stats(&self, point_index: usize, snapshot: &dyn Fn() -> EvaluatorStats) {
-        let _serialized = self.stats_emit.lock().expect("stats-emit mutex");
+    /// Emits this job's [`SynthesisEvent::EvaluatorStats`]. The search
+    /// takes each snapshot and emits it with its run list locked, so
+    /// observers see the counters grow monotonically even when parallel
+    /// workers close design points concurrently.
+    pub(crate) fn emit_evaluator_stats(&self, point_index: usize, stats: EvaluatorStats) {
         self.emit(SynthesisEvent::EvaluatorStats {
             job: self.job,
             point_index,
-            stats: snapshot(),
+            stats,
         });
     }
 

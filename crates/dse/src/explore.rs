@@ -587,7 +587,7 @@ impl<'s> Search<'s> {
         while let Some(p) = list.points.get(list.reported).filter(|p| p.open == 0) {
             let point_index = p.prepared.index;
             ctx.record_fitness(point_index, p.result.best_efficiency);
-            ctx.emit_evaluator_stats(point_index, &|| self.evaluator.stats());
+            ctx.emit_evaluator_stats(point_index, self.evaluator.stats());
             ctx.emit(SynthesisEvent::DesignPointEvaluated {
                 job: ctx.job(),
                 point: p.result.point,

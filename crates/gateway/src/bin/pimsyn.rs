@@ -22,11 +22,11 @@
 //! formats pipe cleanly.
 
 use std::process::ExitCode;
+use std::sync::Mutex;
 
 use pimsyn::{
-    CancelToken, ChannelSink, EvaluatorStats, Objective, ServiceConfig, SynthesisEngine,
-    SynthesisError, SynthesisEvent, SynthesisRequest, SynthesisResult, SynthesisService,
-    SynthesisSummary,
+    CancelToken, EvaluatorStats, Objective, ServiceConfig, SynthesisEngine, SynthesisError,
+    SynthesisEvent, SynthesisRequest, SynthesisResult, SynthesisService, SynthesisSummary,
 };
 use pimsyn_gateway::parse_job;
 use pimsyn_model::json::JsonValue;
@@ -414,28 +414,19 @@ fn run(args: &Args, requests: &[SynthesisRequest]) -> ExitCode {
         }
     }
 
-    let engine = SynthesisEngine::new();
-    let (sink, events) = ChannelSink::pair();
-    let mut last_stats: Option<EvaluatorStats> = None;
-    let mut results = Vec::new();
-    std::thread::scope(|s| {
-        let worker = s.spawn(|| {
-            let out = engine.synthesize_batch(requests, &sink, &CancelToken::new());
-            drop(sink); // close the event stream so the printer loop ends
-            out
-        });
-        for event in events {
-            if let SynthesisEvent::EvaluatorStats { stats, .. } = &event {
-                last_stats = Some(*stats);
-            }
-            if !args.quiet {
-                if let Some(line) = progress_line(&event, requests) {
-                    eprintln!("{line}");
-                }
+    // The batch hands every event to the sink on this thread.
+    let last_stats: Mutex<Option<EvaluatorStats>> = Mutex::new(None);
+    let sink = |event: SynthesisEvent| {
+        if let SynthesisEvent::EvaluatorStats { stats, .. } = &event {
+            *last_stats.lock().expect("last stats") = Some(*stats);
+        }
+        if !args.quiet {
+            if let Some(line) = progress_line(&event, requests) {
+                eprintln!("{line}");
             }
         }
-        results = worker.join().expect("batch worker panicked");
-    });
+    };
+    let mut results = SynthesisEngine::new().synthesize_batch(requests, &sink, &CancelToken::new());
 
     if !single {
         emit_batch(requests, &results, &args.output);
@@ -445,8 +436,8 @@ fn run(args: &Args, requests: &[SynthesisRequest]) -> ExitCode {
             ExitCode::FAILURE
         };
     }
-    if let (false, Some(stats)) = (args.quiet, &last_stats) {
-        eprintln!("{}", stats_line(stats));
+    if let (false, Some(stats)) = (args.quiet, last_stats.into_inner().expect("last stats")) {
+        eprintln!("{}", stats_line(&stats));
     }
     match results.remove(0) {
         Ok(result) => {

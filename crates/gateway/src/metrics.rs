@@ -22,6 +22,8 @@ use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
+use pimsyn::EvaluatorStats;
+
 use crate::http::escape_label;
 
 /// Upper bounds (seconds) of the job-latency histogram buckets. Synthesis
@@ -113,26 +115,17 @@ impl MetricsRegistry {
     }
 
     /// Accumulates a finished job's terminal evaluator-stats counters.
-    #[allow(clippy::too_many_arguments)]
-    pub fn record_eval_stats(
-        &self,
-        scored: u64,
-        unique: u64,
-        cache_hits: u64,
-        delta_hits: u64,
-        delta_fallbacks: u64,
-        layers_recomputed: u64,
-    ) {
-        self.eval_scored.fetch_add(scored, Ordering::Relaxed);
-        self.eval_unique.fetch_add(unique, Ordering::Relaxed);
-        self.eval_cache_hits
-            .fetch_add(cache_hits, Ordering::Relaxed);
-        self.eval_delta_hits
-            .fetch_add(delta_hits, Ordering::Relaxed);
-        self.eval_delta_fallbacks
-            .fetch_add(delta_fallbacks, Ordering::Relaxed);
-        self.eval_delta_layers_recomputed
-            .fetch_add(layers_recomputed, Ordering::Relaxed);
+    pub fn record_eval_stats(&self, stats: &EvaluatorStats) {
+        for (counter, value) in [
+            (&self.eval_scored, stats.scored),
+            (&self.eval_unique, stats.unique_evaluations),
+            (&self.eval_cache_hits, stats.cache_hits),
+            (&self.eval_delta_hits, stats.delta_hits),
+            (&self.eval_delta_fallbacks, stats.delta_fallbacks),
+            (&self.eval_delta_layers_recomputed, stats.layers_recomputed),
+        ] {
+            counter.fetch_add(value as u64, Ordering::Relaxed);
+        }
     }
 
     /// Renders the registry's counters and histograms in Prometheus text
@@ -264,7 +257,15 @@ mod tests {
         registry.record_http("/v1/jobs/{id}", 404);
         registry.record_submitted("alice");
         registry.record_finished("alice", 0.3);
-        registry.record_eval_stats(100, 40, 60, 25, 5, 120);
+        registry.record_eval_stats(&EvaluatorStats {
+            scored: 100,
+            unique_evaluations: 40,
+            cache_hits: 60,
+            delta_hits: 25,
+            delta_fallbacks: 5,
+            layers_recomputed: 120,
+            ..EvaluatorStats::default()
+        });
         let text = registry.render();
         assert!(
             text.contains("pimsyn_gateway_http_requests_total{route=\"/v1/jobs\",code=\"202\"} 2")

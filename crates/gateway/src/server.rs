@@ -1,10 +1,11 @@
-//! The gateway server: accept loop, routing, job registry, drain.
+//! The gateway server: accept loop, routing, drain.
 //!
 //! One thread per connection, one request per connection (see
-//! [`crate::http`]). The gateway owns a job registry mapping service job
-//! ids to their tenant, replayable event log and submit timestamp; the
-//! [`SynthesisService`] underneath owns queueing, scheduling and
-//! execution. Routes:
+//! [`crate::http`]). The [`SynthesisService`] underneath owns every job:
+//! queueing, scheduling, execution and the replayable event log. The
+//! gateway keeps no job table; each `/v1/jobs/{id}` request looks its job
+//! up in the service, and a per-job sink folds the job's events into the
+//! metrics. Routes:
 //!
 //! | Route                     | Verb   | Purpose                          |
 //! |---------------------------|--------|----------------------------------|
@@ -21,17 +22,16 @@
 //! and jobs are invisible across tenants (404, not 403 — ids don't leak).
 //! `/metrics` and `/healthz` stay open for scrapers and probes.
 
-use std::collections::HashMap;
 use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
 use pimsyn::{
-    event_to_json, EventSink, JobStatus, ServiceError, SynthesisEvent, SynthesisService,
-    SynthesisSummary,
+    event_to_json, EvaluatorStats, EventSink, JobHandle, ServiceError, SynthesisEvent,
+    SynthesisService, SynthesisSummary,
 };
 use pimsyn_model::json::JsonValue;
 
@@ -115,72 +115,35 @@ impl GatewayConfig {
     }
 }
 
-/// Buffers a job's events so late subscribers replay the full stream.
-struct EventLog {
-    events: Mutex<Vec<SynthesisEvent>>,
-    grown: Condvar,
-}
-
-impl EventLog {
-    fn new() -> Self {
-        Self {
-            events: Mutex::new(Vec::new()),
-            grown: Condvar::new(),
-        }
-    }
-
-    fn push(&self, event: SynthesisEvent) {
-        self.events.lock().expect("event log").push(event);
-        self.grown.notify_all();
-    }
-}
-
-/// What the gateway remembers about one submitted job.
-struct JobRecord {
-    /// Owning tenant ("" = anonymous); access control compares this.
+/// The per-job event sink: folds terminal statistics into the metrics
+/// registry.
+struct JobSink {
+    /// Owning tenant ("" = anonymous), the metrics label.
     tenant: String,
-    log: EventLog,
     /// When the submit was accepted — the latency histogram measures from
     /// here to the terminal event, queue wait included.
     submitted: Instant,
-}
-
-/// The per-job event sink: logs every event for replay and folds terminal
-/// statistics into the metrics registry.
-struct JobSink {
-    record: Arc<JobRecord>,
     metrics: Arc<MetricsRegistry>,
     /// The latest evaluator-stats snapshot; the value at `Finished` time
     /// summarizes the job (stats are job-wide and monotonic).
-    last_stats: Mutex<Option<[u64; 6]>>,
+    last_stats: Mutex<Option<EvaluatorStats>>,
 }
 
 impl EventSink for JobSink {
     fn emit(&self, event: SynthesisEvent) {
-        match &event {
+        match event {
             SynthesisEvent::EvaluatorStats { stats, .. } => {
-                *self.last_stats.lock().expect("job sink") = Some([
-                    stats.scored as u64,
-                    stats.unique_evaluations as u64,
-                    stats.cache_hits as u64,
-                    stats.delta_hits as u64,
-                    stats.delta_fallbacks as u64,
-                    stats.layers_recomputed as u64,
-                ]);
+                *self.last_stats.lock().expect("job sink") = Some(stats);
             }
             SynthesisEvent::Finished { .. } => {
-                let latency = self.record.submitted.elapsed().as_secs_f64();
-                self.metrics.record_finished(&self.record.tenant, latency);
-                if let Some([scored, unique, hits, delta_hits, fallbacks, layers]) =
-                    *self.last_stats.lock().expect("job sink")
-                {
-                    self.metrics
-                        .record_eval_stats(scored, unique, hits, delta_hits, fallbacks, layers);
+                let latency = self.submitted.elapsed().as_secs_f64();
+                self.metrics.record_finished(&self.tenant, latency);
+                if let Some(stats) = &*self.last_stats.lock().expect("job sink") {
+                    self.metrics.record_eval_stats(stats);
                 }
             }
             _ => {}
         }
-        self.record.log.push(event);
     }
 }
 
@@ -188,7 +151,6 @@ struct GatewayShared {
     service: Arc<SynthesisService>,
     tenants: TenantSource,
     metrics: Arc<MetricsRegistry>,
-    jobs: Mutex<HashMap<u64, Arc<JobRecord>>>,
     stop: AtomicBool,
     addr: SocketAddr,
     quiet: bool,
@@ -227,7 +189,6 @@ pub fn serve_gateway(
         service,
         tenants: TenantSource::new(config.tenants, config.keys_file),
         metrics: Arc::new(MetricsRegistry::new()),
-        jobs: Mutex::new(HashMap::new()),
         stop: AtomicBool::new(false),
         addr,
         quiet: config.quiet,
@@ -445,17 +406,18 @@ fn route(shared: &Arc<GatewayShared>, stream: &mut TcpStream, request: &HttpRequ
                     }
                 };
                 // A job is visible only to its submitting tenant.
-                let record = shared.jobs.lock().expect("gateway jobs").get(&id).cloned();
-                let record = record.filter(|r| r.tenant == tenant.map_or("", |t| &t.name));
-                let outcome = match (method, leaf, record) {
+                let job = shared.service.job(id).filter(|job| {
+                    job.tenant().unwrap_or("") == tenant.map_or("", |t| t.name.as_str())
+                });
+                let outcome = match (method, leaf, job) {
                     (_, _, None) => Outcome::error(404, "not_found", "unknown job id"),
-                    ("GET", None, Some(_)) => handle_status(shared, id),
-                    ("DELETE", None, Some(_)) => handle_cancel(shared, id),
-                    ("GET", Some("result"), Some(_)) => handle_result(shared, request, id),
-                    ("GET", Some("events"), Some(record)) => {
+                    ("GET", None, Some(job)) => Outcome::json(200, status_body(&job)),
+                    ("DELETE", None, Some(job)) => handle_cancel(&job),
+                    ("GET", Some("result"), Some(job)) => handle_result(request, &job),
+                    ("GET", Some("events"), Some(job)) => {
                         // Streaming: writes the response itself.
                         shared.metrics.record_http(pattern, 200);
-                        stream_events(shared, stream, request, id, &record);
+                        stream_events(shared, stream, request, &job);
                         return;
                     }
                     _ => Outcome::error(405, "method_not_allowed", "unsupported method"),
@@ -511,18 +473,15 @@ fn handle_submit(
         Ok(job) => job,
         Err(detail) => return Outcome::error(400, "bad_job", &detail),
     };
-    let record = Arc::new(JobRecord {
-        tenant: tenant.map_or(String::new(), |t| t.name.clone()),
-        log: EventLog::new(),
-        submitted: Instant::now(),
-    });
+    let tenant_name = tenant.map_or("", |t| t.name.as_str());
     let sink: Arc<dyn EventSink> = Arc::new(JobSink {
-        record: Arc::clone(&record),
+        tenant: tenant_name.to_string(),
+        submitted: Instant::now(),
         metrics: Arc::clone(&shared.metrics),
         last_stats: Mutex::new(None),
     });
-    let handle = match shared.service.submit_with(job, tenant.cloned(), Some(sink)) {
-        Ok(handle) => handle,
+    let id = match shared.service.submit_with(job, tenant.cloned(), Some(sink)) {
+        Ok(handle) => handle.id(),
         Err(ServiceError::QuotaExceeded { tenant, limit }) => {
             let mut outcome = Outcome::json(
                 429,
@@ -551,18 +510,7 @@ fn handle_submit(
         }
         Err(e) => return Outcome::error(503, "shut_down", &e.to_string()),
     };
-    let id = handle.id();
-    {
-        let mut jobs = shared.jobs.lock().expect("gateway jobs");
-        // The service evicts finished jobs past its retention bound;
-        // shed the matching gateway records so the registry stays
-        // bounded too.
-        jobs.retain(|known, _| shared.service.status_of(*known).is_some());
-        jobs.insert(id, record);
-    }
-    shared
-        .metrics
-        .record_submitted(tenant.map_or("", |t| &t.name));
+    shared.metrics.record_submitted(tenant_name);
     Outcome::json(
         202,
         object(vec![
@@ -572,58 +520,37 @@ fn handle_submit(
     )
 }
 
-fn handle_status(shared: &GatewayShared, id: u64) -> Outcome {
-    match shared.service.status_of(id) {
-        Some(status) => Outcome::json(
-            200,
-            object(vec![
-                ("id", JsonValue::Number(id as f64)),
-                ("status", JsonValue::String(status.to_string())),
-            ]),
-        ),
-        None => Outcome::error(404, "not_found", "unknown job id"),
-    }
+/// `{"id":…,"status":…}`: the status route's body, and `/result`'s while
+/// a `?wait=0` poll finds the job unfinished.
+fn status_body(job: &JobHandle) -> JsonValue {
+    object(vec![
+        ("id", JsonValue::Number(job.id() as f64)),
+        ("status", JsonValue::String(job.status().to_string())),
+    ])
 }
 
-fn handle_cancel(shared: &GatewayShared, id: u64) -> Outcome {
-    if shared.service.cancel_by_id(id) {
-        Outcome::json(
-            200,
-            object(vec![
-                ("id", JsonValue::Number(id as f64)),
-                ("cancelled", JsonValue::Bool(true)),
-            ]),
-        )
-    } else {
-        Outcome::error(404, "not_found", "unknown job id")
-    }
+fn handle_cancel(job: &JobHandle) -> Outcome {
+    job.cancel();
+    Outcome::json(
+        200,
+        object(vec![
+            ("id", JsonValue::Number(job.id() as f64)),
+            ("cancelled", JsonValue::Bool(true)),
+        ]),
+    )
 }
 
-fn handle_result(shared: &GatewayShared, request: &HttpRequest, id: u64) -> Outcome {
+fn handle_result(request: &HttpRequest, job: &JobHandle) -> Outcome {
     // `?wait=0` polls: not-finished is 202 + current status instead of
     // blocking the connection until the job completes.
-    if request.query_param("wait") == Some("0")
-        && shared.service.status_of(id) != Some(JobStatus::Finished)
-    {
-        return match shared.service.status_of(id) {
-            Some(status) => Outcome::json(
-                202,
-                object(vec![
-                    ("id", JsonValue::Number(id as f64)),
-                    ("status", JsonValue::String(status.to_string())),
-                ]),
-            ),
-            None => Outcome::error(404, "not_found", "unknown job id"),
-        };
+    if request.query_param("wait") == Some("0") && !job.is_finished() {
+        return Outcome::json(202, status_body(job));
     }
-    match shared.service.await_result_by_id(id) {
-        Some(Ok(result)) => {
-            // The bare summary document — byte-comparable (modulo
-            // `elapsed_s`) with `pimsyn --output json`.
-            Outcome::json(200, SynthesisSummary::from_result(&result).to_json())
-        }
-        Some(Err(e)) => Outcome::error(500, "job_failed", &e.to_string()),
-        None => Outcome::error(404, "not_found", "unknown job id"),
+    match job.await_result() {
+        // The bare summary document — byte-comparable (modulo
+        // `elapsed_s`) with `pimsyn --output json`.
+        Ok(result) => Outcome::json(200, SynthesisSummary::from_result(&result).to_json()),
+        Err(e) => Outcome::error(500, "job_failed", &e.to_string()),
     }
 }
 
@@ -707,8 +634,7 @@ fn stream_events(
     shared: &GatewayShared,
     stream: &mut TcpStream,
     request: &HttpRequest,
-    id: u64,
-    record: &JobRecord,
+    job: &JobHandle,
 ) {
     let ndjson = request.query_param("format") == Some("ndjson")
         || request
@@ -722,48 +648,19 @@ fn stream_events(
     if http::write_stream_header(stream, 200, content_type).is_err() {
         return;
     }
-    shared.note(&format!("streaming events of job {id}"));
-    let heartbeat = shared.heartbeat;
-    let mut last_write = Instant::now();
+    shared.note(&format!("streaming events of job {}", job.id()));
+    let heartbeat = Some(shared.heartbeat).filter(|h| !h.is_zero());
     let mut cursor = 0usize;
     loop {
-        let batch: Vec<SynthesisEvent> = {
-            let mut events = record.log.events.lock().expect("event log");
-            while events.len() == cursor
-                && shared.service.status_of(id) != Some(JobStatus::Finished)
-            {
-                // Long-running stages emit nothing for a while; break out
-                // to send a keep-alive frame so proxies with idle timeouts
-                // don't sever the stream mid-job.
-                if !heartbeat.is_zero() && last_write.elapsed() >= heartbeat {
-                    break;
-                }
-                // A bounded wait so a job that finishes *without* a final
-                // event (cancelled while queued) still ends the stream;
-                // capped below the heartbeat interval so short intervals
-                // (tests, aggressive proxies) are honored.
-                let mut tick = Duration::from_millis(100);
-                if !heartbeat.is_zero() {
-                    tick = tick.min(heartbeat);
-                }
-                let (guard, _) = record
-                    .log
-                    .grown
-                    .wait_timeout(events, tick)
-                    .expect("event log");
-                events = guard;
-            }
-            events[cursor..].to_vec()
-        };
+        let (batch, finished) = job.events_since(cursor, heartbeat);
         cursor += batch.len();
-        if batch.is_empty()
-            && !heartbeat.is_zero()
-            && last_write.elapsed() >= heartbeat
-            && shared.service.status_of(id) != Some(JobStatus::Finished)
-        {
+        let written = if batch.is_empty() && !finished {
+            // A heartbeat interval passed with nothing to send. Long-running
+            // stages emit nothing for a while, so a keep-alive frame stops
+            // proxies with idle timeouts from severing the stream mid-job.
             // SSE comment lines are ignored by `EventSource`; NDJSON
             // consumers see a `{"heartbeat":true}` line to skip.
-            let written = if ndjson {
+            if ndjson {
                 writeln!(
                     stream,
                     "{}",
@@ -771,34 +668,21 @@ fn stream_events(
                 )
             } else {
                 write!(stream, ": heartbeat\n\n")
-            };
-            if written.is_err() {
-                return; // subscriber hung up
             }
-            let _ = stream.flush();
-            last_write = Instant::now();
-            continue;
+        } else {
+            batch.iter().try_for_each(|event| {
+                let json = event_to_json(event);
+                if ndjson {
+                    writeln!(stream, "{json}")
+                } else {
+                    write!(stream, "data: {json}\n\n")
+                }
+            })
+        };
+        if written.is_err() {
+            return; // subscriber hung up
         }
-        let mut finished = false;
-        for event in &batch {
-            finished |= matches!(event, SynthesisEvent::Finished { .. });
-            let json = event_to_json(event);
-            let written = if ndjson {
-                writeln!(stream, "{json}")
-            } else {
-                write!(stream, "data: {json}\n\n")
-            };
-            if written.is_err() {
-                return; // subscriber hung up
-            }
-        }
-        let _ = stream.flush();
-        if !batch.is_empty() {
-            last_write = Instant::now();
-        }
-        if finished
-            || (batch.is_empty() && shared.service.status_of(id) == Some(JobStatus::Finished))
-        {
+        if finished {
             let _ = if ndjson {
                 writeln!(stream, "{}", object(vec![("done", JsonValue::Bool(true))]))
             } else {
@@ -807,5 +691,6 @@ fn stream_events(
             let _ = stream.flush();
             return;
         }
+        let _ = stream.flush();
     }
 }

@@ -3,10 +3,12 @@
 //! rejections, event streaming, Prometheus metrics, and graceful drain.
 
 use std::collections::HashMap;
-use std::net::TcpListener;
+use std::io::{Read, Write};
+use std::net::{TcpListener, TcpStream};
 use std::sync::{mpsc, Arc, Mutex};
+use std::time::Duration;
 
-use pimsyn::{EventSink, ServiceConfig, SynthesisEvent, SynthesisService, Synthesizer};
+use pimsyn::{EventSink, JobHandle, ServiceConfig, SynthesisEvent, SynthesisService, Synthesizer};
 use pimsyn_gateway::http::roundtrip;
 use pimsyn_gateway::{
     parse_http_job, serve_gateway_in_background, GatewayConfig, GatewayHandle, TenantRegistry,
@@ -56,6 +58,22 @@ fn json(body: &[u8]) -> JsonValue {
 
 const TINY_JOB: &str = r#"{"model": "alexnet-cifar", "power": 9, "seed": 7, "max_evals": 200}"#;
 
+/// Submits `TINY_JOB` straight to the service with a sink that holds the
+/// job at its first event until the returned sender drops, so the job
+/// occupies its slot for as long as the test needs, however fast it runs.
+fn submit_held(service: &SynthesisService) -> (JobHandle, mpsc::Sender<()>) {
+    let (release, held) = mpsc::channel::<()>();
+    let held = Mutex::new(held);
+    let sink: Arc<dyn EventSink> = Arc::new(move |_: SynthesisEvent| {
+        let _ = held.lock().unwrap().recv();
+    });
+    let job = parse_http_job(TINY_JOB.as_bytes()).expect("payload");
+    let job = service
+        .submit_with(job, None, Some(sink))
+        .expect("queue has room");
+    (job, release)
+}
+
 /// A queued job's event stream is silent until the slot frees up; the
 /// gateway must keep such streams alive with periodic heartbeat frames
 /// (SSE comment lines / NDJSON `{"heartbeat":true}` objects) so reverse
@@ -66,7 +84,7 @@ fn idle_event_streams_carry_heartbeats() {
     let (handle, addr) = start_gateway(
         GatewayConfig::new()
             .with_quiet(true)
-            .with_heartbeat(std::time::Duration::from_millis(10)),
+            .with_heartbeat(Duration::from_millis(10)),
         1,
     );
     // Fill the single slot's queue with enough work that the observed job
@@ -496,18 +514,9 @@ fn drain_refuses_new_work_but_finishes_accepted_jobs() {
     let (status, _, body) = request(&addr, "POST", "/v1/jobs", None, Some(job));
     assert_eq!(status, 202);
     let id = json(&body).get("id").and_then(JsonValue::as_usize).unwrap();
-    // A job accepted behind it whose sink holds it at its first event
-    // until `release` drops keeps the drain, and so the gateway, open
-    // however fast jobs run.
-    let (release, held) = mpsc::channel::<()>();
-    let held = Mutex::new(held);
-    let sink: Arc<dyn EventSink> = Arc::new(move |_: SynthesisEvent| {
-        let _ = held.lock().unwrap().recv();
-    });
-    let blocker = parse_http_job(TINY_JOB.as_bytes()).expect("payload");
-    let blocker = service
-        .submit_with(blocker, None, Some(sink))
-        .expect("queue has room");
+    // A held job accepted behind it keeps the drain, and so the gateway,
+    // open however fast jobs run.
+    let (blocker, release) = submit_held(&service);
 
     let (status, _, _) = request(&addr, "POST", "/v1/drain", None, None);
     assert_eq!(status, 202);
@@ -523,5 +532,74 @@ fn drain_refuses_new_work_but_finishes_accepted_jobs() {
     assert_eq!(status, 200);
     drop(release);
     assert!(blocker.await_result().is_ok(), "the held job finishes too");
+    handle.join().expect("gateway exits cleanly after drain");
+}
+
+/// A job cancelled while it waits in the queue never runs and has no
+/// events. A stream opened while it waits ends with the done marker alone
+/// once the job finishes, its result is a `job_failed` naming the
+/// cancellation, and its status reads `finished`.
+#[test]
+fn stream_of_a_job_cancelled_while_queued_is_only_done() {
+    let service = Arc::new(SynthesisService::new(
+        ServiceConfig::default().with_job_slots(1),
+    ));
+    let config = GatewayConfig::new()
+        .with_quiet(true)
+        .with_heartbeat(Duration::ZERO);
+    let (handle, addr) = start_gateway_on(service.clone(), config);
+    // A held job takes the only slot, so the HTTP job behind it stays
+    // queued.
+    let (blocker, release) = submit_held(&service);
+
+    let (status, _, body) = request(&addr, "POST", "/v1/jobs", None, Some(TINY_JOB));
+    assert_eq!(status, 202);
+    let id = json(&body).get("id").and_then(JsonValue::as_usize).unwrap();
+    // Open the stream and read its head, so the gateway is following the
+    // queued job's log before the job is cancelled.
+    let mut events = TcpStream::connect(&addr).expect("connect");
+    // A stream that never ends fails the test instead of hanging it.
+    events
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("read timeout");
+    write!(
+        events,
+        "GET /v1/jobs/{id}/events?format=ndjson HTTP/1.1\r\nHost: gw\r\n\r\n"
+    )
+    .expect("send request");
+    let mut head = Vec::new();
+    while !head.ends_with(b"\r\n\r\n") {
+        let mut byte = [0u8];
+        events.read_exact(&mut byte).expect("stream head");
+        head.push(byte[0]);
+    }
+    assert!(head.starts_with(b"HTTP/1.1 200 "));
+
+    let (status, _, body) = request(&addr, "DELETE", &format!("/v1/jobs/{id}"), None, None);
+    assert_eq!(status, 200, "{}", String::from_utf8_lossy(&body));
+    drop(release);
+    let mut stream = String::new();
+    events.read_to_string(&mut stream).expect("stream body");
+    assert_eq!(stream, "{\"done\":true}\n");
+
+    let (status, _, body) = get(&addr, &format!("/v1/jobs/{id}/result"), None);
+    assert_eq!(status, 500);
+    let body = json(&body);
+    assert_eq!(
+        body.get("code").and_then(JsonValue::as_str),
+        Some("job_failed")
+    );
+    let error = body.get("error").and_then(JsonValue::as_str).unwrap();
+    assert!(error.contains("cancel"), "{error}");
+    let (status, _, body) = get(&addr, &format!("/v1/jobs/{id}"), None);
+    assert_eq!(status, 200);
+    assert_eq!(
+        json(&body).get("status").and_then(JsonValue::as_str),
+        Some("finished")
+    );
+    assert!(blocker.await_result().is_ok(), "the held job finishes");
+
+    let (status, _, _) = request(&addr, "POST", "/v1/drain", None, None);
+    assert_eq!(status, 202);
     handle.join().expect("gateway exits cleanly after drain");
 }

@@ -130,10 +130,8 @@ fn cancellation_stops_a_running_job_promptly() {
     let job = service.submit(heavy_request()).unwrap();
 
     // Wait for evidence the job is actually exploring, then cancel.
-    let first = job
-        .events()
-        .recv_timeout(Duration::from_secs(30))
-        .expect("job must emit its first event");
+    let (events, _) = job.events_since(0, Some(Duration::from_secs(30)));
+    let first = events.first().expect("job must emit its first event");
     assert!(matches!(first, SynthesisEvent::JobStarted { .. }));
     job.cancel();
     let cancelled_at = Instant::now();
@@ -324,7 +322,7 @@ fn spawned_job_reports_finished_state() {
     let job = service.submit(fast_request()).unwrap();
     assert_eq!(job.id(), 1);
     // Drain the stream; it ends exactly when the job is done.
-    let events: Vec<SynthesisEvent> = job.events().iter().collect();
+    let events: Vec<SynthesisEvent> = job.events().collect();
     assert!(matches!(
         events.last(),
         Some(SynthesisEvent::Finished { job: 1, .. })
