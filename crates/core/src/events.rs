@@ -27,12 +27,6 @@ impl ChannelSink {
     pub fn new(tx: mpsc::Sender<SynthesisEvent>) -> Self {
         Self { tx }
     }
-
-    /// Convenience: a connected sink/receiver pair.
-    pub fn pair() -> (Self, mpsc::Receiver<SynthesisEvent>) {
-        let (tx, rx) = mpsc::channel();
-        (Self::new(tx), rx)
-    }
 }
 
 impl EventSink for ChannelSink {
@@ -152,23 +146,23 @@ mod tests {
 
     #[test]
     fn channel_sink_delivers() {
-        let (sink, rx) = ChannelSink::pair();
+        let (tx, rx) = mpsc::channel();
+        let sink = ChannelSink::new(tx);
         sink.emit(sample());
         assert_eq!(rx.recv().unwrap(), sample());
     }
 
     #[test]
     fn channel_sink_survives_hangup() {
-        let (sink, rx) = ChannelSink::pair();
-        drop(rx);
-        sink.emit(sample()); // must not panic
+        let sink = ChannelSink::new(mpsc::channel().0);
+        sink.emit(sample()); // the receiver is gone: must not panic
     }
 
     #[test]
     fn sinks_are_object_safe() {
         let sinks: Vec<Box<dyn EventSink>> = vec![
             Box::new(NullSink),
-            Box::new(ChannelSink::pair().0),
+            Box::new(ChannelSink::new(mpsc::channel().0)),
             Box::new(|_: SynthesisEvent| {}),
         ];
         for s in &sinks {

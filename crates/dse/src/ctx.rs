@@ -16,10 +16,12 @@
 //! `JobStarted` and `Finished` events, and renders events for the wire.
 
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
+#[cfg(test)]
+use crate::delta::DeltaSession;
 use crate::eval::EvaluatorStats;
 use crate::space::DesignPoint;
 
@@ -181,7 +183,10 @@ impl ExploreBudget {
 /// [`ImprovedBest`](Self::ImprovedBest),
 /// [`EvaluatorStats`](Self::EvaluatorStats) and
 /// [`DesignPointEvaluated`](Self::DesignPointEvaluated) wait until it and
-/// every earlier point have closed, so they come in point order. `job` is
+/// every earlier point have closed, so they come in point order, and their
+/// contents depend only on the points reported so far: a search without a
+/// deadline or cancellation emits the same point reports for any worker
+/// count. `job` is
 /// the tag set on the job's [`ExploreContext`]: a service job's id (in a
 /// batch, the request's index in the submitted slice), or 0 for a job run
 /// directly on the calling thread.
@@ -229,9 +234,9 @@ pub enum SynthesisEvent {
         /// runs evaluate none).
         evaluations: usize,
     },
-    /// A point reported a fitness above the best of every point reported
-    /// before it. "Best" is per job: fitness values from different jobs in
-    /// a batch are not comparable.
+    /// A point reported a fitness above 0 and above the best of every point
+    /// reported before it. "Best" is per job: fitness values from different
+    /// jobs in a batch are not comparable.
     ImprovedBest {
         /// The job this event belongs to.
         job: usize,
@@ -240,19 +245,20 @@ pub enum SynthesisEvent {
         /// The new best fitness.
         fitness: f64,
     },
-    /// Cumulative candidate-evaluator throughput counters (scored
-    /// candidates, unique evaluations, cache hits), snapshotted as each
+    /// Cumulative evaluator throughput counters (scored candidates, unique
+    /// evaluations, cache hits, SA probes, delta rescoring), emitted as each
     /// design point reports, immediately before its
-    /// [`DesignPointEvaluated`](Self::DesignPointEvaluated). Stats are
-    /// job-wide and monotonic. A snapshot reads the counters of the moment,
-    /// so with parallel workers its contents vary from run to run; the last
-    /// snapshot before [`Finished`](Self::Finished) summarizes the job.
+    /// [`DesignPointEvaluated`](Self::DesignPointEvaluated). The snapshot
+    /// of point `k` is the sum of the counters of points `0..=k`: each
+    /// point's SA probes plus the counters of its EA runs. So snapshots
+    /// grow point by point, are the same for any worker count, and the
+    /// last one before [`Finished`](Self::Finished) summarizes the job.
     EvaluatorStats {
         /// The job this event belongs to.
         job: usize,
-        /// Outer design-point index whose completion triggered the snapshot.
+        /// Outer design-point index whose report this snapshot belongs to.
         point_index: usize,
-        /// Job-wide evaluator counters at snapshot time.
+        /// The counters of every point up to and including this one.
         stats: EvaluatorStats,
     },
     /// The job finished (the terminal event of every job).
@@ -312,15 +318,18 @@ pub struct ExploreContext<'a> {
     budget: ExploreBudget,
     evaluations: AtomicUsize,
     unique_evaluations: AtomicUsize,
-    /// Best fitness seen so far. A mutex (not an atomic CAS) so the
-    /// `ImprovedBest` emission happens inside the critical section:
-    /// observers then see strictly increasing bests even with parallel
-    /// workers racing on improvements.
-    best: Mutex<f64>,
-    /// First stop reason a cooperative check actually observed (0 = none);
+    /// First stop reason a cooperative check actually observed;
     /// distinguishes "the search was curtailed" from "the budget happened
     /// to run out exactly as the search finished".
-    observed: AtomicU8,
+    observed: OnceLock<StopReason>,
+    /// Receives each EA run's session before it drops, so a test can
+    /// inspect the run's memo.
+    #[cfg(test)]
+    pub(crate) session_hook: Option<&'a (dyn Fn(&DeltaSession<'_>) + Sync)>,
+    /// Whether Alg. 1 skips the EA runs that provably cannot win; a test
+    /// turns it off to compare a search with one that runs every run.
+    #[cfg(test)]
+    pub(crate) skipping: bool,
 }
 
 impl fmt::Debug for ExploreContext<'_> {
@@ -350,8 +359,11 @@ impl<'a> ExploreContext<'a> {
             budget,
             evaluations: AtomicUsize::new(0),
             unique_evaluations: AtomicUsize::new(0),
-            best: Mutex::new(0.0),
-            observed: AtomicU8::new(0),
+            observed: OnceLock::new(),
+            #[cfg(test)]
+            session_hook: None,
+            #[cfg(test)]
+            skipping: true,
         }
     }
 
@@ -418,37 +430,15 @@ impl<'a> ExploreContext<'a> {
         self.unique_evaluations.load(Ordering::Relaxed)
     }
 
-    /// Emits this job's [`SynthesisEvent::EvaluatorStats`]. The search
-    /// takes each snapshot and emits it with its run list locked, so
-    /// observers see the counters grow monotonically even when parallel
-    /// workers close design points concurrently.
+    /// Emits this job's [`SynthesisEvent::EvaluatorStats`]: `stats` is the
+    /// sum of the counters of points `0..=point_index`, which the search
+    /// adds up as the points report, in point order.
     pub(crate) fn emit_evaluator_stats(&self, point_index: usize, stats: EvaluatorStats) {
         self.emit(SynthesisEvent::EvaluatorStats {
             job: self.job,
             point_index,
             stats,
         });
-    }
-
-    /// Records a point-level fitness and emits
-    /// [`SynthesisEvent::ImprovedBest`] if it beats the best seen so far in
-    /// this run. Emission happens while the best is held, so observers see
-    /// strictly increasing bests even when parallel workers improve
-    /// concurrently.
-    pub fn record_fitness(&self, point_index: usize, fitness: f64) {
-        // NaN and infeasible (zero) fitness are both ignored.
-        if fitness.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
-            return;
-        }
-        let mut best = self.best.lock().expect("best-fitness mutex");
-        if fitness > *best {
-            *best = fitness;
-            self.emit(SynthesisEvent::ImprovedBest {
-                job: self.job,
-                point_index,
-                fitness,
-            });
-        }
     }
 
     /// Why the run should stop now, if it should.
@@ -480,42 +470,24 @@ impl<'a> ExploreContext<'a> {
     /// curtailed search from one whose budget ran out exactly as it
     /// finished naturally.
     pub fn should_stop(&self) -> bool {
-        match self.stop_reason() {
-            Some(reason) => {
-                let code = match reason {
-                    StopReason::Completed => 0,
-                    StopReason::Cancelled => 1,
-                    StopReason::DeadlineReached => 2,
-                    StopReason::EvaluationBudgetReached => 3,
-                    StopReason::UniqueEvaluationBudgetReached => 4,
-                };
-                // First observation wins.
-                let _ =
-                    self.observed
-                        .compare_exchange(0, code, Ordering::Relaxed, Ordering::Relaxed);
-                true
-            }
-            None => false,
-        }
+        let Some(reason) = self.stop_reason() else {
+            return false;
+        };
+        // First observation wins.
+        let _ = self.observed.set(reason);
+        true
     }
 
     /// The first stop reason a cooperative check observed, if the search
     /// was actually curtailed by one.
     pub fn observed_stop(&self) -> Option<StopReason> {
-        match self.observed.load(Ordering::Relaxed) {
-            1 => Some(StopReason::Cancelled),
-            2 => Some(StopReason::DeadlineReached),
-            3 => Some(StopReason::EvaluationBudgetReached),
-            4 => Some(StopReason::UniqueEvaluationBudgetReached),
-            _ => None,
-        }
+        self.observed.get().copied()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
 
     #[test]
     fn cancel_token_is_shared_across_clones() {
@@ -594,24 +566,5 @@ mod tests {
         );
         cancel.cancel();
         assert_eq!(ctx.stop_reason(), Some(StopReason::Cancelled));
-    }
-
-    #[test]
-    fn record_fitness_emits_only_improvements() {
-        let seen: Mutex<Vec<f64>> = Mutex::new(Vec::new());
-        let observer = |ev: SynthesisEvent| {
-            if let SynthesisEvent::ImprovedBest {
-                job: 7, fitness, ..
-            } = ev
-            {
-                seen.lock().unwrap().push(fitness);
-            }
-        };
-        let ctx = ExploreContext::new(&observer, 7, CancelToken::new(), ExploreBudget::unlimited());
-        ctx.record_fitness(0, 1.0);
-        ctx.record_fitness(1, 0.5); // not an improvement
-        ctx.record_fitness(2, 2.0);
-        ctx.record_fitness(3, 0.0); // infeasible, ignored
-        assert_eq!(*seen.lock().unwrap(), vec![1.0, 2.0]);
     }
 }

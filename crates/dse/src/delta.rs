@@ -42,6 +42,10 @@
 //! (population - 2)` candidates (352 at paper effort), so it needs no lock
 //! and no capacity.
 //!
+//! The session is also the run's accounting: `DeltaSession::score_batch`
+//! charges each candidate to the job's budget and counts it in the
+//! session's own [`EvaluatorStats`], which the run hands back when it ends.
+//!
 //! [`MacroMode::Identical`]: pimsyn_arch::MacroMode::Identical
 //! [`solve_pipeline`]: pimsyn_sim::solve_pipeline
 
@@ -57,8 +61,9 @@ use pimsyn_sim::{
 };
 
 use crate::alloc::{homogenize, AllocPlan};
+use crate::ctx::ExploreContext;
 use crate::ea::MacAllocGene;
-use crate::eval::{CandidateScore, EvalCore};
+use crate::eval::{CandidateScore, EvalCore, EvaluatorStats};
 use crate::space::DesignPoint;
 
 /// Retained breakdowns kept per session (FIFO eviction). A paper-effort EA
@@ -243,20 +248,20 @@ pub struct DeltaOutcome {
     pub used_delta: bool,
 }
 
-/// The candidate memo and delta-rescoring state of one EA run: one dataflow
-/// at one design point. Create one per run, pass it to every [`score_batch`]
-/// call of the run and drop it when the run returns, which frees every
-/// score, breakdown and memo it holds. The rescoring state is built on the
-/// first memo miss, so a session that never scores costs nothing.
-///
-/// [`score_batch`]: crate::CandidateEvaluator::score_batch
+/// The candidate memo, delta-rescoring state and counters of one EA run:
+/// one dataflow at one design point. Create one per run, score every
+/// generation of the run through its crate-internal `score_batch` and
+/// drop it when the run returns, which frees every score, breakdown and
+/// memo it holds. The rescoring state is built on the first memo miss, so a
+/// session that never scores costs nothing.
 pub struct DeltaSession<'d> {
     df: &'d Dataflow,
     point: DesignPoint,
     /// The run's candidate memo: the score of every gene
-    /// [`score_batch`](crate::CandidateEvaluator::score_batch) scored in
-    /// this session.
+    /// [`score_batch`](Self::score_batch) scored in this session.
     pub(crate) memo: FastMap<Vec<u32>, CandidateScore>,
+    /// What [`score_batch`](Self::score_batch) scored in this session.
+    stats: EvaluatorStats,
     state: Option<PlanState>,
 }
 
@@ -267,6 +272,7 @@ impl std::fmt::Debug for DeltaSession<'_> {
             .field("point", &self.point)
             .field("memo", &self.memo.len())
             .field("retained", &retained)
+            .field("stats", &self.stats)
             .finish_non_exhaustive()
     }
 }
@@ -278,8 +284,15 @@ impl<'d> DeltaSession<'d> {
             df,
             point,
             memo: FastMap::default(),
+            stats: EvaluatorStats::default(),
             state: None,
         }
+    }
+
+    /// The counters of every candidate [`score_batch`](Self::score_batch)
+    /// scored in this session.
+    pub(crate) fn stats(&self) -> EvaluatorStats {
+        self.stats
     }
 
     /// The dataflow every candidate of this session is scored under.
@@ -294,12 +307,60 @@ impl<'d> DeltaSession<'d> {
         self.point
     }
 
+    /// Scores a generation of candidates in input order under `core`, which
+    /// must be built for the run this session serves. `parents[i]` names
+    /// the gene candidate `i` was mutated from; missing or `None` entries
+    /// (a generation-0 population) have none.
+    ///
+    /// One serial pass in input order. Each candidate first checks `ctx`:
+    /// once a stop (cancellation, deadline, exhausted budget) is observed,
+    /// the rest come back as [`CandidateScore::INFEASIBLE`] placeholders,
+    /// neither charged, counted nor stored. Otherwise it is charged to
+    /// `ctx` and counted, then served from the memo, or scored by
+    /// [`score`](Self::score) and stored in the memo at once, so a later
+    /// duplicate in the same call is a hit too. Either way the score is
+    /// bit-identical to [`EvalCore::score`].
+    pub(crate) fn score_batch(
+        &mut self,
+        core: &EvalCore<'_>,
+        genes: &[MacAllocGene],
+        parents: &[Option<&MacAllocGene>],
+        ctx: &ExploreContext<'_>,
+    ) -> Vec<CandidateScore> {
+        let mut out = vec![CandidateScore::INFEASIBLE; genes.len()];
+        for (i, gene) in genes.iter().enumerate() {
+            if ctx.should_stop() {
+                break;
+            }
+            ctx.count_evaluations(1);
+            self.stats.scored += 1;
+            if let Some(&hit) = self.memo.get(gene.as_slice()) {
+                self.stats.cache_hits += 1;
+                out[i] = hit;
+                continue;
+            }
+            ctx.count_unique_evaluations(1);
+            self.stats.unique_evaluations += 1;
+            let parent = parents.get(i).copied().flatten();
+            let scored = self.score(core, gene, parent.map(MacAllocGene::as_slice));
+            if scored.used_delta {
+                self.stats.delta_hits += 1;
+            } else {
+                self.stats.delta_fallbacks += 1;
+            }
+            self.stats.layers_recomputed += scored.layers_recomputed;
+            out[i] = scored.score;
+            self.memo.insert(gene.as_slice().to_vec(), scored.score);
+        }
+        out
+    }
+
     /// Scores one candidate, incrementally when `parent` has a retained
     /// breakdown, with a full (but still session-memoized) recomputation
     /// when it has none or is `None`. Bit-identical to [`EvalCore::score`]
     /// in every case. `core` must be built for the run this session serves.
-    /// The candidate memo is neither consulted nor filled: that is
-    /// [`score_batch`](crate::CandidateEvaluator::score_batch)'s job, so a
+    /// The candidate memo is neither consulted nor filled and nothing is
+    /// charged or counted: that is the run's `score_batch`'s job, so a
     /// revisited gene scores here again.
     pub fn score(
         &mut self,

@@ -18,7 +18,7 @@ use rand::{Rng, SeedableRng};
 use crate::ctx::ExploreContext;
 use crate::delta::DeltaSession;
 use crate::error::DseError;
-use crate::eval::{CandidateEvaluator, CandidateScore};
+use crate::eval::{CandidateScore, EvalCore, EvaluatorStats};
 use crate::space::DesignPoint;
 
 /// The paper's gene encoding base: `MacAlloc_i = owner * 1000 + #macros`.
@@ -252,28 +252,27 @@ pub fn explore_macro_partitioning(
     macro_mode: MacroMode,
     cfg: &EaConfig,
 ) -> Result<EaOutcome, DseError> {
-    let evaluator = CandidateEvaluator::new(model, total_power, hw, macro_mode, cfg.objective);
-    run_ea_counted(df, point, cfg, &ExploreContext::unobserved(), &evaluator).1
+    let core = EvalCore::new(model, total_power, hw, macro_mode, cfg.objective);
+    run_ea_counted(df, point, cfg, &ExploreContext::unobserved(), &core).1
 }
 
-/// The EA body, additionally returning the candidate evaluations performed
-/// even when the run ends infeasible — so callers can keep their reported
-/// counts consistent with the budget counter. All scoring goes through
-/// `evaluator` (whose objective must match `cfg.objective`); generations are
-/// scored as batches with deterministic reduction in one [`DeltaSession`]
-/// owned by the run, which holds the run's memo, so every score and
+/// The EA body, additionally returning the run's evaluator counters even
+/// when the run ends infeasible — so callers can keep their reported
+/// counts consistent with the budget counter. Every candidate is scored
+/// under `core` (whose objective must match `cfg.objective`), a generation
+/// at a time, in one [`DeltaSession`] owned by the run: it charges `ctx`,
+/// holds the run's memo and counts what it scored, and every score and
 /// breakdown it keeps is freed when the run returns.
 pub(crate) fn run_ea_counted(
     df: &Dataflow,
     point: DesignPoint,
     cfg: &EaConfig,
     ctx: &ExploreContext<'_>,
-    evaluator: &CandidateEvaluator<'_>,
-) -> (usize, Result<EaOutcome, DseError>) {
+    core: &EvalCore<'_>,
+) -> (EvaluatorStats, Result<EaOutcome, DseError>) {
     let l = df.programs().len();
     let caps = max_macros(df);
     let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut evaluations = 0usize;
 
     // Initialize: all-ones, a tile-proportional seed (one macro per ~96
     // crossbars, the ISAAC-class tiling — spreads communication-bound big
@@ -299,8 +298,7 @@ pub(crate) fn run_ea_counted(
     // Generation 0 has no parents: the session scores its misses in full
     // and retains them, so their children can delta against them.
     let mut session = DeltaSession::new(df, point);
-    let (scores, charged) = evaluator.score_batch(&mut session, &genes, &[], ctx);
-    evaluations += charged;
+    let scores = session.score_batch(core, &genes, &[], ctx);
     let mut population: Vec<Individual> = genes.into_iter().zip(scores).collect();
     sort_population(&mut population);
 
@@ -339,15 +337,16 @@ pub(crate) fn run_ea_counted(
         // the parent's retained breakdown, touching only those layers.
         let parents: Vec<Option<&MacAllocGene>> =
             parent_idx.iter().map(|&i| Some(&population[i].0)).collect();
-        let (child_scores, charged) =
-            evaluator.score_batch(&mut session, &child_genes, &parents, ctx);
-        evaluations += charged;
+        let child_scores = session.score_batch(core, &child_genes, &parents, ctx);
         population.truncate(elite);
         population.extend(child_genes.into_iter().zip(child_scores));
         sort_population(&mut population);
     }
     #[cfg(test)]
-    evaluator.finish_session(&session);
+    if let Some(hook) = ctx.session_hook {
+        hook(&session);
+    }
+    let stats = session.stats();
 
     let best = population
         .into_iter()
@@ -356,13 +355,13 @@ pub(crate) fn run_ea_counted(
         Some((gene, score)) => {
             // Scores are slim (the memo holds no architectures); the single
             // winner is realized once — a pure recomputation, uncharged.
-            match evaluator.realize(df, point, &gene) {
+            match core.compute(df, point, &gene).1 {
                 Some((architecture, report)) => Ok(EaOutcome {
                     gene,
                     architecture,
                     report,
                     fitness: score.fitness,
-                    evaluations,
+                    evaluations: stats.scored,
                 }),
                 // Unreachable: realization recomputes a feasible score.
                 None => Err(DseError::NoFeasibleSolution),
@@ -370,7 +369,7 @@ pub(crate) fn run_ea_counted(
         }
         None => Err(DseError::NoFeasibleSolution),
     };
-    (evaluations, outcome)
+    (stats, outcome)
 }
 
 /// Alg. 2's `mutate_share`: toggles sharing for a random layer `i > 0`
@@ -549,10 +548,10 @@ mod tests {
         assert!(matches!(r, Err(DseError::NoFeasibleSolution)));
     }
 
-    /// Memo and delta state live for one EA run: runs that share an
-    /// evaluator (two dataflows, then the first again) each match the same
-    /// run on a fresh evaluator — outcome and that run's memo and delta
-    /// counters, so the third run hits nothing the first one stored.
+    /// Memo and delta state live for one EA run: runs that share a core
+    /// (two dataflows, then the first again) each match the same run on a
+    /// fresh core — outcome and the run's memo and delta counters, so the
+    /// third run hits nothing the first one stored.
     #[test]
     fn no_delta_state_crosses_ea_runs() {
         let (model, df_a, point, power, hw) = setup();
@@ -560,33 +559,23 @@ mod tests {
         let df_b = Dataflow::compile(&model, point.crossbar, df_a.dac(), &dup_b).unwrap();
         let cfg = EaConfig::fast();
         let ctx = ExploreContext::unobserved();
-        let new_evaluator =
-            || CandidateEvaluator::new(&model, power, &hw, MacroMode::Specialized, cfg.objective);
-        let counters = |e: &CandidateEvaluator<'_>| {
-            let s = e.stats();
-            [
-                s.delta_hits,
-                s.delta_fallbacks,
-                s.layers_recomputed,
-                s.unique_evaluations,
-                s.cache_hits,
-            ]
-        };
-        let shared = new_evaluator();
+        let new_core = || EvalCore::new(&model, power, &hw, MacroMode::Specialized, cfg.objective);
+        let shared = new_core();
         for (run, df) in [&df_a, &df_b, &df_a].into_iter().enumerate() {
-            let before = counters(&shared);
-            let got = run_ea_counted(df, point, &cfg, &ctx, &shared).1.unwrap();
-            let after = counters(&shared);
-            let fresh = new_evaluator();
-            let want = run_ea_counted(df, point, &cfg, &ctx, &fresh).1.unwrap();
+            let (got_stats, got) = run_ea_counted(df, point, &cfg, &ctx, &shared);
+            let (want_stats, want) = run_ea_counted(df, point, &cfg, &ctx, &new_core());
+            let (got, want) = (got.unwrap(), want.unwrap());
             assert_eq!(got.gene, want.gene, "run {run}");
             assert_eq!(got.architecture, want.architecture, "run {run}");
             assert_eq!(got.report, want.report, "run {run}");
             assert_eq!(got.fitness.to_bits(), want.fitness.to_bits(), "run {run}");
             assert_eq!(got.evaluations, want.evaluations, "run {run}");
-            let increments = [0, 1, 2, 3, 4].map(|k| after[k] - before[k]);
-            assert_eq!(increments, counters(&fresh), "run {run}");
-            assert!(increments[0] > 0, "run {run} never used the delta path");
+            assert_eq!(got_stats, want_stats, "run {run}");
+            assert_eq!(got.evaluations, got_stats.scored, "run {run}");
+            assert!(
+                got_stats.delta_hits > 0,
+                "run {run} never used the delta path"
+            );
         }
     }
 

@@ -4,27 +4,30 @@
 //! Algorithm 1 spends essentially all of its time scoring candidates: every
 //! SA weight-duplication probe, every EA macro-partitioning gene and every
 //! outer design point runs dataflow compilation, components allocation and
-//! the analytic performance model. Evaluation is layered:
+//! the analytic performance model. Evaluation has two layers:
 //!
 //! - [`EvalCore`] is the *pure scoring pipeline* — components allocation
 //!   plus the analytic model for one run's fixed model, power, hardware,
 //!   macro mode and objective. It holds no state and no policy: scoring a
 //!   candidate through it is a pure function.
-//! - The [`CandidateEvaluator`] wraps a core with the *accounting* layer:
-//!   budget charging and statistics. It scores each EA run's candidates in
-//!   that run's [`DeltaSession`], which memoizes them by gene and scores
-//!   every miss on the calling thread, incrementally when its parent's
-//!   breakdown is retained and in full otherwise.
+//! - Each EA run's [`DeltaSession`](crate::DeltaSession) does the
+//!   accounting: its `score_batch` charges every candidate to the
+//!   [`ExploreContext`](crate::ExploreContext) budget, serves repeats from
+//!   the run's memo, scores every miss on the calling thread (incrementally
+//!   when its parent's breakdown is retained, in full otherwise) and counts
+//!   all of it in the session's own [`EvaluatorStats`].
 //!
 //! Caching is *transparent*: evaluation is a pure function of the
 //! candidate, so a memo hit or a session score returns exactly what
 //! [`EvalCore::score`] computes for it, and every scored candidate — hit or
-//! miss — is charged to the [`ExploreContext`] budget. Unique evaluations
-//! (memo misses) are charged to the separate `max_unique_evaluations`
-//! budget and reported through [`EvaluatorStats`]. Each EA run has its own
-//! memo, so the counters do not depend on which thread ran which run.
+//! miss — is charged to the budget. Unique evaluations (memo misses) are
+//! charged to the separate `max_unique_evaluations` budget. The SA stage
+//! counts its own probes, and the search adds each point's probes and runs'
+//! counters into one [`EvaluatorStats`] per point; nothing is shared
+//! between threads, so the counters do not depend on which thread ran
+//! which run.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::ops::AddAssign;
 
 use pimsyn_arch::{Architecture, HardwareParams, MacroMode, Watts};
 use pimsyn_ir::Dataflow;
@@ -32,17 +35,15 @@ use pimsyn_model::Model;
 use pimsyn_sim::{evaluate_analytic, SimReport};
 
 use crate::alloc::{allocate_components, AllocRequest};
-use crate::ctx::ExploreContext;
-use crate::delta::DeltaSession;
 use crate::ea::{MacAllocGene, Objective};
-use crate::sa::SaTable;
 use crate::space::DesignPoint;
 
-/// Cumulative evaluator throughput counters, reported through
+/// Evaluator throughput counters, reported through
 /// [`SynthesisEvent::EvaluatorStats`](crate::SynthesisEvent::EvaluatorStats).
 ///
 /// `scored` counts every candidate scoring request (and matches what the
 /// budget counter was charged); `unique_evaluations + cache_hits == scored`.
+/// Counters of disjoint work add up with `+=`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EvaluatorStats {
     /// Candidate scoring requests (cache hits included).
@@ -92,12 +93,28 @@ impl EvaluatorStats {
     }
 }
 
+impl AddAssign for EvaluatorStats {
+    fn add_assign(&mut self, other: Self) {
+        self.scored += other.scored;
+        self.unique_evaluations += other.unique_evaluations;
+        self.cache_hits += other.cache_hits;
+        self.sa_probes += other.sa_probes;
+        self.sa_cache_hits += other.sa_cache_hits;
+        self.layer_hits += other.layer_hits;
+        self.layer_misses += other.layer_misses;
+        self.preloaded += other.preloaded;
+        self.delta_hits += other.delta_hits;
+        self.delta_fallbacks += other.delta_fallbacks;
+        self.layers_recomputed += other.layers_recomputed;
+    }
+}
+
 /// Fitness and feasibility of one scored candidate.
 ///
 /// Deliberately slim (two words): an EA run's memo holds one of these per
 /// unique candidate, so it stores no architecture or report —
-/// [`CandidateEvaluator::realize`] recomputes a winner's full implementation
-/// on demand (one full scoring).
+/// [`EvalCore::compute`] recomputes a winner's full implementation on
+/// demand (one full scoring).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CandidateScore {
     /// Objective fitness (0 for infeasible candidates).
@@ -220,187 +237,15 @@ impl<'a> EvalCore<'a> {
     }
 }
 
-/// The shared evaluation layer: scores macro-partitioning candidates
-/// (components allocation + analytic model), memoized and rescored in each
-/// EA run's delta session, and counts SA duplication probes.
-///
-/// One evaluator spans one synthesis run (fixed model, power budget,
-/// hardware constants, macro mode and objective); worker threads share it by
-/// reference. Construction is cheap, so standalone stages (e.g.
-/// [`explore_macro_partitioning`](crate::explore_macro_partitioning)) build
-/// their own.
-pub struct CandidateEvaluator<'a> {
-    core: EvalCore<'a>,
-    /// Per-layer static Eq. (4) terms, so SA probes skip the model walk.
-    sa_table: SaTable,
-    scored: AtomicUsize,
-    unique: AtomicUsize,
-    hits: AtomicUsize,
-    sa_probes: AtomicUsize,
-    delta_hits: AtomicUsize,
-    delta_fallbacks: AtomicUsize,
-    layers_recomputed: AtomicUsize,
-    /// Receives each EA run's session before it drops, so a test can
-    /// inspect the run's memo.
-    #[cfg(test)]
-    pub(crate) session_hook: Option<&'a (dyn Fn(&DeltaSession<'_>) + Sync)>,
-    /// Whether Alg. 1 skips the EA runs that provably cannot win; a test
-    /// turns it off to compare a search with one that runs every run.
-    #[cfg(test)]
-    pub(crate) skipping: bool,
-}
-
-impl std::fmt::Debug for CandidateEvaluator<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CandidateEvaluator")
-            .field("objective", &self.core.objective())
-            .field("stats", &self.stats())
-            .finish_non_exhaustive()
-    }
-}
-
-impl<'a> CandidateEvaluator<'a> {
-    /// An evaluator for one synthesis run.
-    pub fn new(
-        model: &'a Model,
-        total_power: Watts,
-        hw: &'a HardwareParams,
-        macro_mode: MacroMode,
-        objective: Objective,
-    ) -> Self {
-        Self {
-            core: EvalCore::new(model, total_power, hw, macro_mode, objective),
-            sa_table: SaTable::new(model),
-            scored: AtomicUsize::new(0),
-            unique: AtomicUsize::new(0),
-            hits: AtomicUsize::new(0),
-            sa_probes: AtomicUsize::new(0),
-            delta_hits: AtomicUsize::new(0),
-            delta_fallbacks: AtomicUsize::new(0),
-            layers_recomputed: AtomicUsize::new(0),
-            #[cfg(test)]
-            session_hook: None,
-            #[cfg(test)]
-            skipping: true,
-        }
-    }
-
-    /// The objective this evaluator's fitness values maximize.
-    pub fn objective(&self) -> Objective {
-        self.core.objective()
-    }
-
-    /// The Eq. (4) SA energy of a duplication vector, counted as one SA
-    /// probe. Bit-identical to [`crate::sa_energy`] (the precomputed
-    /// per-layer table is transparent).
-    pub fn sa_energy(&self, dup: &[usize], alpha: f64) -> f64 {
-        self.sa_probes.fetch_add(1, Ordering::Relaxed);
-        self.sa_table.energy(dup, alpha)
-    }
-
-    /// Scores a generation of candidates of `session`'s dataflow and design
-    /// point, returning `(scores, charged)`: scores in input order and the
-    /// number of candidates charged to the budget. `parents[i]` names the
-    /// gene candidate `i` was mutated from; missing or `None` entries (a
-    /// generation-0 population) have none.
-    ///
-    /// One serial pass in input order. Each candidate first checks `ctx`:
-    /// once a stop (cancellation, deadline, exhausted budget) is observed,
-    /// the rest come back as [`CandidateScore::INFEASIBLE`] placeholders,
-    /// neither charged nor stored. Otherwise it is charged, then served
-    /// from the session's memo, or scored in `session` and stored in its
-    /// memo at once, so a later duplicate in the same call is a hit too.
-    /// The session rescores a miss incrementally when it retained the
-    /// parent's breakdown and in full otherwise, retaining every feasible
-    /// result so the next generation can delta against it; either way the
-    /// score is bit-identical to [`EvalCore::score`]. One EA run passes one
-    /// session to every generation's call and drops it when the run ends.
-    pub fn score_batch(
-        &self,
-        session: &mut DeltaSession<'_>,
-        genes: &[MacAllocGene],
-        parents: &[Option<&MacAllocGene>],
-        ctx: &ExploreContext<'_>,
-    ) -> (Vec<CandidateScore>, usize) {
-        let mut out = vec![CandidateScore::INFEASIBLE; genes.len()];
-        let mut charged = 0usize;
-        for (i, gene) in genes.iter().enumerate() {
-            if ctx.should_stop() {
-                break;
-            }
-            ctx.count_evaluations(1);
-            self.scored.fetch_add(1, Ordering::Relaxed);
-            charged += 1;
-            if let Some(&hit) = session.memo.get(gene.as_slice()) {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                out[i] = hit;
-                continue;
-            }
-            self.unique.fetch_add(1, Ordering::Relaxed);
-            ctx.count_unique_evaluations(1);
-            let parent = parents.get(i).copied().flatten();
-            let scored = session.score(&self.core, gene, parent.map(MacAllocGene::as_slice));
-            let counter = if scored.used_delta {
-                &self.delta_hits
-            } else {
-                &self.delta_fallbacks
-            };
-            counter.fetch_add(1, Ordering::Relaxed);
-            self.layers_recomputed
-                .fetch_add(scored.layers_recomputed, Ordering::Relaxed);
-            out[i] = scored.score;
-            session.memo.insert(gene.as_slice().to_vec(), scored.score);
-        }
-        (out, charged)
-    }
-
-    /// Recomputes the completed architecture and analytic report of a
-    /// previously scored, feasible candidate (typically the winner). Not
-    /// charged to the exploration budget and not counted as a scored
-    /// candidate: the memo stores only slim scores, so realization
-    /// re-derives what an unmemoized pipeline would have kept, at the cost
-    /// of one full scoring. Returns `None` for infeasible candidates.
-    pub fn realize(
-        &self,
-        df: &Dataflow,
-        point: DesignPoint,
-        gene: &MacAllocGene,
-    ) -> Option<(Architecture, SimReport)> {
-        self.core.compute(df, point, gene).1
-    }
-
-    /// Snapshot of the cumulative throughput counters.
-    pub fn stats(&self) -> EvaluatorStats {
-        EvaluatorStats {
-            scored: self.scored.load(Ordering::Relaxed),
-            unique_evaluations: self.unique.load(Ordering::Relaxed),
-            cache_hits: self.hits.load(Ordering::Relaxed),
-            sa_probes: self.sa_probes.load(Ordering::Relaxed),
-            sa_cache_hits: 0,
-            layer_hits: 0,
-            layer_misses: 0,
-            preloaded: 0,
-            delta_hits: self.delta_hits.load(Ordering::Relaxed),
-            delta_fallbacks: self.delta_fallbacks.load(Ordering::Relaxed),
-            layers_recomputed: self.layers_recomputed.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Hands an EA run's session to the test hook, if one is set, before
-    /// the run drops it.
-    #[cfg(test)]
-    pub(crate) fn finish_session(&self, session: &DeltaSession<'_>) {
-        if let Some(hook) = self.session_hook {
-            hook(session);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    use std::sync::Mutex;
+
     use super::*;
-    use crate::explore::{run_dse_evaluated, DseConfig};
-    use crate::sa::sa_energy;
+    use crate::ctx::{CancelToken, ExploreBudget, ExploreContext, NullSink, StopReason};
+    use crate::delta::DeltaSession;
+    use crate::explore::{run_dse_observed, DseConfig};
+    use crate::SynthesisEvent;
     use pimsyn_arch::{CrossbarConfig, DacConfig, HardwareParams};
     use pimsyn_model::zoo;
 
@@ -417,35 +262,18 @@ mod tests {
         (model, df, point)
     }
 
-    fn evaluator<'a>(model: &'a Model, hw: &'a HardwareParams) -> CandidateEvaluator<'a> {
-        evaluator_in(model, hw, MacroMode::Specialized)
-    }
-
-    fn evaluator_in<'a>(
-        model: &'a Model,
-        hw: &'a HardwareParams,
-        mode: MacroMode,
-    ) -> CandidateEvaluator<'a> {
-        CandidateEvaluator::new(model, Watts(9.0), hw, mode, Objective::PowerEfficiency)
-    }
-
-    /// The reference every memo hit and delta rescore must equal.
+    /// The scorer of the tests' sessions, and the reference every memo hit
+    /// and delta rescore must equal.
     fn core_in<'a>(model: &'a Model, hw: &'a HardwareParams, mode: MacroMode) -> EvalCore<'a> {
         EvalCore::new(model, Watts(9.0), hw, mode, Objective::PowerEfficiency)
     }
 
-    fn gene(l: usize, macros: usize) -> MacAllocGene {
-        MacAllocGene::encode(&vec![macros; l], &vec![None; l])
+    fn core<'a>(model: &'a Model, hw: &'a HardwareParams) -> EvalCore<'a> {
+        core_in(model, hw, MacroMode::Specialized)
     }
 
-    /// Scores `genes` without parents in `session`; the scores.
-    fn score_all(
-        eval: &CandidateEvaluator<'_>,
-        session: &mut DeltaSession<'_>,
-        genes: &[MacAllocGene],
-        ctx: &ExploreContext<'_>,
-    ) -> Vec<CandidateScore> {
-        eval.score_batch(session, genes, &[], ctx).0
+    fn gene(l: usize, macros: usize) -> MacAllocGene {
+        MacAllocGene::encode(&vec![macros; l], &vec![None; l])
     }
 
     #[test]
@@ -453,13 +281,13 @@ mod tests {
         let (model, df, point) = setup();
         let l = model.weight_layer_count();
         let hw = HardwareParams::date24();
-        let eval = evaluator(&model, &hw);
+        let core = core(&model, &hw);
         let ctx = ExploreContext::unobserved();
         let mut session = DeltaSession::new(&df, point);
-        let a = score_all(&eval, &mut session, &[gene(l, 1)], &ctx);
-        let b = score_all(&eval, &mut session, &[gene(l, 1)], &ctx);
+        let a = session.score_batch(&core, &[gene(l, 1)], &[], &ctx);
+        let b = session.score_batch(&core, &[gene(l, 1)], &[], &ctx);
         assert_eq!(a, b, "hit must return the stored score verbatim");
-        let stats = eval.stats();
+        let stats = session.stats();
         assert_eq!(stats.scored, 2);
         assert_eq!(stats.unique_evaluations, 1);
         assert_eq!(stats.cache_hits, 1);
@@ -476,19 +304,18 @@ mod tests {
         let (model, df, point) = setup();
         let l = model.weight_layer_count();
         let hw = HardwareParams::date24();
-        let eval = evaluator(&model, &hw);
-        let core = core_in(&model, &hw, MacroMode::Specialized);
+        let core = core(&model, &hw);
         let ctx = ExploreContext::unobserved();
         let g = gene(l, 2);
         let mut session = DeltaSession::new(&df, point);
-        let a = score_all(&eval, &mut session, std::slice::from_ref(&g), &ctx)[0];
-        let hit = score_all(&eval, &mut session, std::slice::from_ref(&g), &ctx)[0];
+        let a = session.score_batch(&core, std::slice::from_ref(&g), &[], &ctx)[0];
+        let hit = session.score_batch(&core, std::slice::from_ref(&g), &[], &ctx)[0];
         let reference = core.score(&df, point, &g);
         assert_eq!(a.fitness.to_bits(), reference.fitness.to_bits());
         assert_eq!(a.feasible, reference.feasible);
         assert_eq!(hit, a);
-        assert_eq!(eval.stats().cache_hits, 1);
-        assert_eq!(eval.stats().unique_evaluations, 1);
+        assert_eq!(session.stats().cache_hits, 1);
+        assert_eq!(session.stats().unique_evaluations, 1);
     }
 
     #[test]
@@ -496,16 +323,15 @@ mod tests {
         let (model, df, point) = setup();
         let l = model.weight_layer_count();
         let hw = HardwareParams::date24();
-        let eval = evaluator(&model, &hw);
+        let core = core(&model, &hw);
         let ctx = ExploreContext::unobserved();
         let genes = vec![gene(l, 1), gene(l, 2), gene(l, 1), gene(l, 2), gene(l, 1)];
         let mut session = DeltaSession::new(&df, point);
-        let (scores, charged) = eval.score_batch(&mut session, &genes, &[], &ctx);
-        assert_eq!(charged, 5);
+        let scores = session.score_batch(&core, &genes, &[], &ctx);
         assert_eq!(scores[0], scores[2]);
         assert_eq!(scores[0], scores[4]);
         assert_eq!(scores[1], scores[3]);
-        let stats = eval.stats();
+        let stats = session.stats();
         assert_eq!(stats.scored, 5);
         assert_eq!(stats.unique_evaluations, 2);
         assert_eq!(stats.cache_hits, 3);
@@ -514,11 +340,10 @@ mod tests {
 
     #[test]
     fn score_batch_stops_cooperatively_mid_batch() {
-        use crate::ctx::{CancelToken, ExploreBudget, NullSink};
         let (model, df, point) = setup();
         let l = model.weight_layer_count();
         let hw = HardwareParams::date24();
-        let eval = evaluator(&model, &hw);
+        let core = core(&model, &hw);
         let ctx = ExploreContext::new(
             &NullSink,
             0,
@@ -527,11 +352,11 @@ mod tests {
         );
         let genes: Vec<MacAllocGene> = (1..=5).map(|m| gene(l, m)).collect();
         let mut session = DeltaSession::new(&df, point);
-        let (scores, charged) = eval.score_batch(&mut session, &genes, &[], &ctx);
+        let scores = session.score_batch(&core, &genes, &[], &ctx);
         // The budget trips after two candidates; the rest are skipped
         // placeholders and nothing further is charged.
         assert_eq!(scores.len(), genes.len());
-        assert_eq!(charged, 2);
+        assert_eq!(session.stats().scored, 2);
         assert_eq!(ctx.evaluations(), 2);
         assert_eq!(scores[2], CandidateScore::INFEASIBLE);
         assert_eq!(scores[4], CandidateScore::INFEASIBLE);
@@ -539,11 +364,10 @@ mod tests {
 
     #[test]
     fn unique_evaluation_budget_stops_the_batch_on_misses() {
-        use crate::ctx::{CancelToken, ExploreBudget, NullSink, StopReason};
         let (model, df, point) = setup();
         let l = model.weight_layer_count();
         let hw = HardwareParams::date24();
-        let eval = evaluator(&model, &hw);
+        let core = core(&model, &hw);
         let ctx = ExploreContext::new(
             &NullSink,
             0,
@@ -554,8 +378,8 @@ mod tests {
         // batch comes back as skipped placeholders, uncharged.
         let genes = vec![gene(l, 1), gene(l, 2), gene(l, 3), gene(l, 1)];
         let mut session = DeltaSession::new(&df, point);
-        let (scores, charged) = eval.score_batch(&mut session, &genes, &[], &ctx);
-        assert_eq!(charged, 2);
+        let scores = session.score_batch(&core, &genes, &[], &ctx);
+        assert_eq!(session.stats().scored, 2);
         assert_eq!(ctx.unique_evaluations(), 2);
         assert_eq!(scores[2], CandidateScore::INFEASIBLE);
         assert_eq!(scores[3], CandidateScore::INFEASIBLE);
@@ -570,23 +394,23 @@ mod tests {
     /// stores nothing, memo hits included.
     #[test]
     fn cancelled_score_batch_charges_scores_and_stores_nothing() {
-        use crate::ctx::{CancelToken, ExploreBudget, NullSink, StopReason};
         let (model, df, point) = setup();
         let l = model.weight_layer_count();
         let hw = HardwareParams::date24();
-        let eval = evaluator(&model, &hw);
+        let core = core(&model, &hw);
         let cancel = CancelToken::new();
         let ctx = ExploreContext::new(&NullSink, 0, cancel.clone(), ExploreBudget::unlimited());
         let genes: Vec<MacAllocGene> = (1..=4).map(|m| gene(l, m)).collect();
         let mut session = DeltaSession::new(&df, point);
-        let (first, _) = eval.score_batch(&mut session, &genes[..2], &[], &ctx);
+        let first = session.score_batch(&core, &genes[..2], &[], &ctx);
         cancel.cancel();
-        let (scores, charged) = eval.score_batch(&mut session, &genes, &[], &ctx);
-        assert_eq!(charged, 0);
+        let before = session.stats();
+        let scores = session.score_batch(&core, &genes, &[], &ctx);
+        assert_eq!(session.stats(), before);
         assert!(scores.iter().all(|s| *s == CandidateScore::INFEASIBLE));
         assert_ne!(first[1], CandidateScore::INFEASIBLE);
         assert_eq!(ctx.observed_stop(), Some(StopReason::Cancelled));
-        let stats = eval.stats();
+        let stats = session.stats();
         assert_eq!((stats.scored, stats.unique_evaluations), (2, 2));
         assert_eq!(session.memo.len(), 2);
     }
@@ -596,36 +420,22 @@ mod tests {
         let (model, df, point) = setup();
         let l = model.weight_layer_count();
         let hw = HardwareParams::date24();
-        let eval = evaluator(&model, &hw);
+        let core = core(&model, &hw);
         let ctx = ExploreContext::unobserved();
         let g = gene(l, 1);
         let mut session = DeltaSession::new(&df, point);
-        let score = score_all(&eval, &mut session, std::slice::from_ref(&g), &ctx)[0];
+        let score = session.score_batch(&core, std::slice::from_ref(&g), &[], &ctx)[0];
         assert!(score.feasible);
-        let (arch, report) = eval.realize(&df, point, &g).expect("feasible");
+        let (arch, report) = core.compute(&df, point, &g).1.expect("feasible");
         arch.validate(&model).expect("realized winner validates");
         // The realized report reproduces the memoized score bit for bit.
         assert_eq!(
-            eval.objective().fitness(&report).to_bits(),
+            core.objective().fitness(&report).to_bits(),
             score.fitness.to_bits()
         );
         // Realization is free: neither scored nor budget-charged.
-        assert_eq!(eval.stats().scored, 1);
+        assert_eq!(session.stats().scored, 1);
         assert_eq!(ctx.evaluations(), 1);
-    }
-
-    #[test]
-    fn sa_energy_matches_the_model_walk_and_counts_probes() {
-        let (model, _, _) = setup();
-        let hw = HardwareParams::date24();
-        let eval = evaluator(&model, &hw);
-        let dup = vec![2; model.weight_layer_count()];
-        let direct = sa_energy(&model, &dup, 0.5);
-        assert_eq!(eval.sa_energy(&dup, 0.5).to_bits(), direct.to_bits());
-        assert_eq!(eval.sa_energy(&dup, 0.5).to_bits(), direct.to_bits());
-        let stats = eval.stats();
-        assert_eq!(stats.sa_probes, 2);
-        assert_eq!(stats.sa_cache_hits, 0);
     }
 
     /// Every miss is scored in the session and is bit-identical to the
@@ -637,8 +447,7 @@ mod tests {
         let (model, df, point) = setup();
         let l = model.weight_layer_count();
         let hw = HardwareParams::date24();
-        let eval = evaluator(&model, &hw);
-        let core = core_in(&model, &hw, MacroMode::Specialized);
+        let core = core(&model, &hw);
         let ctx = ExploreContext::unobserved();
         let mut session = DeltaSession::new(&df, point);
 
@@ -657,12 +466,12 @@ mod tests {
         // The parentless parent is a fallback that retains its breakdown,
         // so its child in the same batch is already a delta hit.
         let genes = [parent.clone(), child.clone()];
-        let (a, _) = eval.score_batch(&mut session, &genes, &[None, Some(&parent)], &ctx);
+        let a = session.score_batch(&core, &genes, &[None, Some(&parent)], &ctx);
         // A grandchild of a retained child: a delta hit. A child of a gene
         // the session never scored: a fallback.
         let genes = [grandchild.clone(), orphan.clone()];
         let parents = [Some(&child), Some(&stranger)];
-        let (b, _) = eval.score_batch(&mut session, &genes, &parents, &ctx);
+        let b = session.score_batch(&core, &genes, &parents, &ctx);
         let all = [&parent, &child, &grandchild, &orphan];
         for (x, g) in a.iter().chain(&b).zip(all) {
             let y = core.score(&df, point, g);
@@ -670,7 +479,7 @@ mod tests {
             assert_eq!(x.fitness.to_bits(), y.fitness.to_bits());
             assert_eq!(x.feasible, y.feasible);
         }
-        let stats = eval.stats();
+        let stats = session.stats();
         assert_eq!((stats.delta_hits, stats.delta_fallbacks), (2, 2));
         assert_eq!(
             stats.delta_hits + stats.delta_fallbacks,
@@ -692,31 +501,30 @@ mod tests {
         let (model, df, point) = setup();
         let l = model.weight_layer_count();
         let hw = HardwareParams::date24();
-        let eval = evaluator(&model, &hw);
+        let core = core(&model, &hw);
         let ctx = ExploreContext::unobserved();
         let mut session = DeltaSession::new(&df, point);
         let mut score_child = |child: &MacAllocGene, parent: &MacAllocGene| {
             let batch = std::slice::from_ref(child);
-            eval.score_batch(&mut session, batch, &[Some(parent)], &ctx)
-                .0[0]
+            let score = session.score_batch(&core, batch, &[Some(parent)], &ctx)[0];
+            (score, session.stats())
         };
 
         let parent = gene(l, 1);
         // Retain the parent's breakdown (self-parented fallback).
-        score_child(&parent, &parent);
-        assert_eq!(eval.stats().delta_fallbacks, 1);
+        let (_, stats) = score_child(&parent, &parent);
+        assert_eq!(stats.delta_fallbacks, 1);
 
         let mut m = vec![1usize; l];
         m[0] = 2;
         m[1] = 2;
         m[2] = 2;
         let wide = MacAllocGene::encode(&m, &vec![None; l]);
-        let via_delta = score_child(&wide, &parent);
-        let stats = eval.stats();
+        let (via_delta, stats) = score_child(&wide, &parent);
         assert_eq!(stats.delta_hits, 1, "3-entry diff must be a delta hit");
         assert_eq!(stats.delta_fallbacks, 1);
 
-        let reference = core_in(&model, &hw, MacroMode::Specialized).score(&df, point, &wide);
+        let reference = core.score(&df, point, &wide);
         assert_eq!(via_delta.fitness.to_bits(), reference.fitness.to_bits());
         assert_eq!(via_delta.feasible, reference.feasible);
     }
@@ -729,7 +537,6 @@ mod tests {
         let (model, df, point) = setup();
         let l = model.weight_layer_count();
         let hw = HardwareParams::date24();
-        let delta = evaluator_in(&model, &hw, MacroMode::Identical);
         let core = core_in(&model, &hw, MacroMode::Identical);
         let ctx = ExploreContext::unobserved();
         let mut session = DeltaSession::new(&df, point);
@@ -746,20 +553,15 @@ mod tests {
         let shared = MacAllocGene::encode(&vec![1usize; l], &shares);
 
         // Self-parented first score: a fallback that retains the parent.
-        let mut score_child = |child: &MacAllocGene| {
-            let batch = std::slice::from_ref(child);
-            delta
-                .score_batch(&mut session, batch, &[Some(&parent)], &ctx)
-                .0[0]
-        };
         for child in [&parent, &one, &wide, &shared] {
-            let via_session = score_child(child);
+            let batch = std::slice::from_ref(child);
+            let via_session = session.score_batch(&core, batch, &[Some(&parent)], &ctx)[0];
             let reference = core.score(&df, point, child);
             assert!(reference.feasible);
             assert_eq!(via_session.fitness.to_bits(), reference.fitness.to_bits());
             assert_eq!(via_session.feasible, reference.feasible);
         }
-        let stats = delta.stats();
+        let stats = session.stats();
         assert_eq!(stats.delta_fallbacks, 1);
         assert_eq!(stats.delta_hits, 3);
     }
@@ -772,23 +574,23 @@ mod tests {
         let (model, df, point) = setup();
         let l = model.weight_layer_count();
         let hw = HardwareParams::date24();
+        let core = core(&model, &hw);
         let parent = gene(l, 1);
         let mut m = vec![1usize; l];
         m[0] = 2;
         let genes = vec![MacAllocGene::encode(&m, &vec![None; l]); 3];
         let parents = [Some(&parent); 3];
         let run = |delta: bool| {
-            let eval = evaluator(&model, &hw);
             let ctx = ExploreContext::unobserved();
             let mut session = DeltaSession::new(&df, point);
             if delta {
                 // Retain the parent, so the offered parents are usable.
-                eval.score_batch(&mut session, std::slice::from_ref(&parent), &[], &ctx);
+                session.score_batch(&core, std::slice::from_ref(&parent), &[], &ctx);
             }
             let offered: &[Option<&MacAllocGene>] = if delta { &parents } else { &[] };
-            let before = (eval.stats(), ctx.unique_evaluations());
-            let (scores, _) = eval.score_batch(&mut session, &genes, offered, &ctx);
-            let after = eval.stats();
+            let before = (session.stats(), ctx.unique_evaluations());
+            let scores = session.score_batch(&core, &genes, offered, &ctx);
+            let after = session.stats();
             let counts = [
                 after.unique_evaluations - before.0.unique_evaluations,
                 after.cache_hits - before.0.cache_hits,
@@ -799,7 +601,7 @@ mod tests {
         };
         let (on, on_counts) = run(true);
         let (off, off_counts) = run(false);
-        let reference = core_in(&model, &hw, MacroMode::Specialized).score(&df, point, &genes[0]);
+        let reference = core.score(&df, point, &genes[0]);
         for (a, b) in on.iter().zip(&off) {
             assert_eq!(a.fitness.to_bits(), reference.fitness.to_bits());
             assert_eq!(b.fitness.to_bits(), reference.fitness.to_bits());
@@ -829,7 +631,7 @@ mod tests {
             (zoo::resnet18_se(), Watts(30.0)),
             (zoo::mobilenet(), Watts(120.0)),
         ];
-        let rescored = AtomicUsize::new(0);
+        let rescored = Mutex::new(0usize);
         for (model, power) in &cases {
             for mode in [MacroMode::Specialized, MacroMode::Identical] {
                 for seed in [3u64, 17] {
@@ -856,16 +658,26 @@ mod tests {
                             );
                             assert_eq!(score.feasible, reference.feasible, "{at}");
                         }
-                        rescored.fetch_add(session.memo.len(), Ordering::Relaxed);
+                        *rescored.lock().unwrap() += session.memo.len();
                     };
-                    let mut eval = CandidateEvaluator::new(model, *power, &cfg.hw, mode, objective);
-                    eval.session_hook = Some(&check);
-                    let before = rescored.load(Ordering::Relaxed);
-                    let ctx = ExploreContext::unobserved();
-                    run_dse_evaluated(model, &cfg, &ctx, &eval).expect(&case);
-                    let stats = eval.stats();
+                    let last = Mutex::new(None);
+                    let sink = |ev: SynthesisEvent| {
+                        if let SynthesisEvent::EvaluatorStats { stats, .. } = ev {
+                            *last.lock().unwrap() = Some(stats);
+                        }
+                    };
+                    let mut ctx = ExploreContext::new(
+                        &sink,
+                        0,
+                        CancelToken::new(),
+                        ExploreBudget::unlimited(),
+                    );
+                    ctx.session_hook = Some(&check);
+                    let before = *rescored.lock().unwrap();
+                    run_dse_observed(model, &cfg, &ctx).expect(&case);
+                    let stats = last.lock().unwrap().expect(&case);
                     assert_eq!(
-                        rescored.load(Ordering::Relaxed) - before,
+                        *rescored.lock().unwrap() - before,
                         stats.unique_evaluations,
                         "{case}: every memo miss is stored in its run's memo"
                     );
@@ -877,7 +689,7 @@ mod tests {
                 }
             }
         }
-        let rescored = rescored.into_inner();
+        let rescored = rescored.into_inner().unwrap();
         assert!(rescored > 0);
         eprintln!("rescored {rescored} candidate entries");
     }

@@ -46,7 +46,7 @@ use crate::alloc::AllocPlan;
 use crate::ctx::{ExploreContext, StopReason, SynthesisEvent, SynthesisStage};
 use crate::ea::{max_macros, run_ea_counted, EaConfig, Objective};
 use crate::error::DseError;
-use crate::eval::CandidateEvaluator;
+use crate::eval::{EvalCore, EvaluatorStats};
 use crate::sa::{no_duplication, woho_proportional, wt_dup_candidates_counted, SaConfig};
 use crate::space::{DesignPoint, DesignSpace};
 
@@ -191,6 +191,8 @@ struct Prepared {
     point: DesignPoint,
     /// Stage 1's WtDup candidates; `None` when it found none.
     candidates: Option<Vec<Vec<usize>>>,
+    /// Eq. (4) probes stage 1's SA walk made.
+    sa_probes: usize,
     /// One EA run per compilable (candidate, DAC) pair, in stage 2's order.
     runs: Vec<Run>,
 }
@@ -202,7 +204,6 @@ fn prepare_point(
     point: DesignPoint,
     point_idx: usize,
     ctx: &ExploreContext<'_>,
-    evaluator: &CandidateEvaluator<'_>,
 ) -> Prepared {
     // Eq. (3) bounds crossbars by ReRAM power alone, but every crossbar row
     // carries a DAC whose power must come out of the (1 - RatioRram) share.
@@ -228,13 +229,19 @@ fn prepare_point(
 
     // Stage 1 — weight duplication.
     ctx.stage_started(point_idx, SynthesisStage::WeightDuplication);
+    let mut sa_probes = 0;
     let candidates = match &cfg.strategy {
         WtDupStrategy::SimulatedAnnealing => {
             let sa_cfg = SaConfig {
                 seed: cfg.seed ^ (point_idx as u64) << 8,
                 ..cfg.sa.clone()
             };
-            wt_dup_candidates_counted(model, point.crossbar, budget, &sa_cfg, ctx, evaluator).ok()
+            wt_dup_candidates_counted(model, point.crossbar, budget, &sa_cfg, ctx)
+                .ok()
+                .map(|(candidates, probes)| {
+                    sa_probes = probes;
+                    candidates
+                })
         }
         WtDupStrategy::WohoProportional => woho_proportional(model, point.crossbar, budget)
             .ok()
@@ -249,6 +256,7 @@ fn prepare_point(
         index: point_idx,
         point,
         candidates: None,
+        sa_probes,
         runs: Vec::new(),
     };
     let Some(candidates) = candidates else {
@@ -325,6 +333,8 @@ struct PointTally {
     /// Runs not yet ended; the point closes when none is left.
     open: usize,
     result: PointResult,
+    /// Stage 1's SA probes plus the counters of every run that ended.
+    stats: EvaluatorStats,
     /// The best validated run so far, whose fitness is
     /// `result.best_efficiency`: (run, implementation).
     best: Option<(usize, PointBest)>,
@@ -349,6 +359,10 @@ struct RunList {
     best_before: Vec<f64>,
     /// Points `0..reported` have reported their results.
     reported: usize,
+    /// The best `best_efficiency` among the reported points, 0 before any.
+    reported_best: f64,
+    /// The sum of the reported points' counters.
+    reported_stats: EvaluatorStats,
 }
 
 /// One Alg. 1 search: the run list, shared by the worker threads.
@@ -356,24 +370,26 @@ struct Search<'s> {
     model: &'s Model,
     cfg: &'s DseConfig,
     ctx: &'s ExploreContext<'s>,
-    evaluator: &'s CandidateEvaluator<'s>,
+    /// Scores every EA run's candidates.
+    core: EvalCore<'s>,
     list: Mutex<RunList>,
     /// Signalled whenever a run ends.
     run_ended: Condvar,
 }
 
 impl<'s> Search<'s> {
-    fn new(
-        model: &'s Model,
-        cfg: &'s DseConfig,
-        ctx: &'s ExploreContext<'s>,
-        evaluator: &'s CandidateEvaluator<'s>,
-    ) -> Self {
+    fn new(model: &'s Model, cfg: &'s DseConfig, ctx: &'s ExploreContext<'s>) -> Self {
         Self {
             model,
             cfg,
             ctx,
-            evaluator,
+            core: EvalCore::new(
+                model,
+                cfg.total_power,
+                &cfg.hw,
+                cfg.macro_mode,
+                cfg.ea.objective,
+            ),
             list: Mutex::new(RunList {
                 points: Vec::new(),
                 runs: Vec::new(),
@@ -382,6 +398,8 @@ impl<'s> Search<'s> {
                 fitness: Vec::new(),
                 best_before: vec![0.0],
                 reported: 0,
+                reported_best: 0.0,
+                reported_stats: EvaluatorStats::default(),
             }),
             run_ended: Condvar::new(),
         }
@@ -407,6 +425,10 @@ impl<'s> Search<'s> {
                 point: prepared.point,
                 best_efficiency: 0.0,
                 evaluations: 0,
+            },
+            stats: EvaluatorStats {
+                sa_probes: prepared.sa_probes,
+                ..EvaluatorStats::default()
             },
             prepared,
             first_run,
@@ -461,17 +483,18 @@ impl<'s> Search<'s> {
                 self.ctx
                     .stage_started(index, SynthesisStage::MacroPartitioning);
             }
+            let none = EvaluatorStats::default();
             if self.ctx.should_stop() {
-                self.end_run(pos, i, 0, None);
+                self.end_run(pos, i, none, None);
                 return;
             }
             if self.skips(pos, run.bound) {
-                self.end_run(pos, i, 0, None);
+                self.end_run(pos, i, none, None);
                 continue;
             }
             let Ok(df) = Dataflow::compile(self.model, point.crossbar, run.dac, &dup) else {
                 // Compiled in stage 2; deterministic, so unreachable.
-                self.end_run(pos, i, 0, None);
+                self.end_run(pos, i, none, None);
                 continue;
             };
             let ea_cfg = EaConfig {
@@ -481,8 +504,7 @@ impl<'s> Search<'s> {
                     ^ run.dac.bits() as u64,
                 ..self.cfg.ea.clone()
             };
-            let (evaluations, outcome) =
-                run_ea_counted(&df, point, &ea_cfg, self.ctx, self.evaluator);
+            let (stats, outcome) = run_ea_counted(&df, point, &ea_cfg, self.ctx, &self.core);
             // Stage 4 — components allocation ran per EA candidate; the
             // run's winner is re-validated against the architecture
             // template's structural rules, and a run whose winner fails
@@ -501,7 +523,7 @@ impl<'s> Search<'s> {
                 });
             // Count what actually ran, feasible or not, so the reported
             // totals agree with the budget counter.
-            self.end_run(pos, i, evaluations, found);
+            self.end_run(pos, i, stats, found);
         }
     }
 
@@ -511,7 +533,7 @@ impl<'s> Search<'s> {
     /// for.
     fn skips(&self, pos: usize, bound: f64) -> bool {
         #[cfg(test)]
-        if !self.evaluator.skipping {
+        if !self.ctx.skipping {
             return false;
         }
         if pos <= LOOKBEHIND {
@@ -525,10 +547,16 @@ impl<'s> Search<'s> {
         bound < list.best_before[k]
     }
 
-    /// Records that run `i`, taken at position `pos`, ended after
-    /// `evaluations` candidate evaluations with `found`, its validated
-    /// winner, if any; the run's point closes with its last run.
-    fn end_run(&self, pos: usize, i: usize, evaluations: usize, found: Option<(f64, PointBest)>) {
+    /// Records that run `i`, taken at position `pos`, ended after scoring
+    /// what `stats` counts, with `found`, its validated winner, if any; the
+    /// run's point closes with its last run.
+    fn end_run(
+        &self,
+        pos: usize,
+        i: usize,
+        stats: EvaluatorStats,
+        found: Option<(f64, PointBest)>,
+    ) {
         {
             let mut guard = self.lock();
             let list = &mut *guard;
@@ -538,7 +566,8 @@ impl<'s> Search<'s> {
                 list.best_before.push(best);
             }
             let p = &mut list.points[list.runs[i]];
-            p.result.evaluations += evaluations;
+            p.result.evaluations += stats.scored;
+            p.stats += stats;
             if let Some((f, best)) = found {
                 // On a tie the earlier run in list order wins, whatever
                 // order the runs were taken in.
@@ -578,22 +607,32 @@ impl<'s> Search<'s> {
     }
 
     /// Reports each closed point whose earlier points have all reported,
-    /// in point order, with the run list locked: the job's best so far,
-    /// the evaluator's counters and the point's result. Holding a point
-    /// back until every earlier point has closed gives these events one
-    /// order for any worker count and any run order.
+    /// in point order, with the run list locked: an improvement on every
+    /// earlier point's fitness, the counters of the points reported so far
+    /// and the point's result. Holding a point back until every earlier
+    /// point has closed gives these events one order, and their contents
+    /// one value, for any worker count and any run order.
     fn report(&self, list: &mut RunList) {
         let ctx = self.ctx;
         while let Some(p) = list.points.get(list.reported).filter(|p| p.open == 0) {
-            let point_index = p.prepared.index;
-            ctx.record_fitness(point_index, p.result.best_efficiency);
-            ctx.emit_evaluator_stats(point_index, self.evaluator.stats());
+            let (point_index, result) = (p.prepared.index, &p.result);
+            // NaN and infeasible (zero) fitness never improve.
+            if result.best_efficiency > list.reported_best {
+                list.reported_best = result.best_efficiency;
+                ctx.emit(SynthesisEvent::ImprovedBest {
+                    job: ctx.job(),
+                    point_index,
+                    fitness: result.best_efficiency,
+                });
+            }
+            list.reported_stats += p.stats;
+            ctx.emit_evaluator_stats(point_index, list.reported_stats);
             ctx.emit(SynthesisEvent::DesignPointEvaluated {
                 job: ctx.job(),
-                point: p.result.point,
+                point: result.point,
                 point_index,
-                best_efficiency: p.result.best_efficiency,
-                evaluations: p.result.evaluations,
+                best_efficiency: result.best_efficiency,
+                evaluations: result.evaluations,
             });
             list.reported += 1;
         }
@@ -629,7 +668,6 @@ fn prepare_points(
     cfg: &DseConfig,
     points: &[DesignPoint],
     ctx: &ExploreContext<'_>,
-    evaluator: &CandidateEvaluator<'_>,
     workers: usize,
 ) -> Vec<Prepared> {
     let prepared = Mutex::new(Vec::with_capacity(points.len()));
@@ -639,7 +677,7 @@ fn prepare_points(
         if i >= points.len() || ctx.should_stop() {
             break;
         }
-        let p = prepare_point(model, cfg, points[i], i, ctx, evaluator);
+        let p = prepare_point(model, cfg, points[i], i, ctx);
         prepared.lock().expect("prepared mutex").push(p);
     });
     let mut prepared = prepared.into_inner().expect("prepared mutex");
@@ -684,7 +722,8 @@ pub fn run_dse(model: &Model, cfg: &DseConfig) -> Result<DseOutcome, DseError> {
 /// Its [`ImprovedBest`](SynthesisEvent::ImprovedBest),
 /// [`EvaluatorStats`](SynthesisEvent::EvaluatorStats) and
 /// [`DesignPointEvaluated`](SynthesisEvent::DesignPointEvaluated) wait
-/// until every earlier point has closed, so they come in point order.
+/// until every earlier point has closed, so they come in point order; the
+/// stats are the sum of the counters of the points reported so far.
 ///
 /// # Errors
 ///
@@ -696,29 +735,8 @@ pub fn run_dse_observed(
     cfg: &DseConfig,
     ctx: &ExploreContext<'_>,
 ) -> Result<DseOutcome, DseError> {
-    // One evaluator spans every stage of every design point, so its
-    // counters are the job's; worker threads share it by reference. Each EA
-    // run memoizes its candidates in its own session.
-    let evaluator = CandidateEvaluator::new(
-        model,
-        cfg.total_power,
-        &cfg.hw,
-        cfg.macro_mode,
-        cfg.ea.objective,
-    );
-    run_dse_evaluated(model, cfg, ctx, &evaluator)
-}
-
-/// [`run_dse_observed`] scoring through `evaluator`, which must be built
-/// for `model` and `cfg` (power, hardware, macro mode, objective).
-pub(crate) fn run_dse_evaluated(
-    model: &Model,
-    cfg: &DseConfig,
-    ctx: &ExploreContext<'_>,
-    evaluator: &CandidateEvaluator<'_>,
-) -> Result<DseOutcome, DseError> {
     let points = cfg.space.points();
-    let search = Search::new(model, cfg, ctx, evaluator);
+    let search = Search::new(model, cfg, ctx);
     let budget = ctx.budget();
     if budget.max_evaluations.is_some() || budget.max_unique_evaluations.is_some() {
         // Every run draws on one count, so a count-budgeted search takes
@@ -729,7 +747,7 @@ pub(crate) fn run_dse_evaluated(
             if ctx.should_stop() {
                 break;
             }
-            search.add_point(prepare_point(model, cfg, point, i, ctx, evaluator));
+            search.add_point(prepare_point(model, cfg, point, i, ctx));
             search.work();
         }
     } else {
@@ -740,7 +758,7 @@ pub(crate) fn run_dse_evaluated(
         };
         // Stages 1–2 at every point first, so every run is bounded before
         // the first one starts; then the EA runs, best bound first.
-        for p in prepare_points(model, cfg, &points, ctx, evaluator, workers) {
+        for p in prepare_points(model, cfg, &points, ctx, workers) {
             search.add_point(p);
         }
         search.order_by_bound();
@@ -796,7 +814,6 @@ mod tests {
     use super::*;
     use crate::ctx::{CancelToken, ExploreBudget};
     use crate::delta::DeltaSession;
-    use crate::eval::EvaluatorStats;
     use pimsyn_arch::CrossbarConfig;
     use pimsyn_model::zoo;
 
@@ -837,29 +854,38 @@ mod tests {
         );
     }
 
-    /// Runs `cfg`'s search with run skipping on or off, returning the
-    /// outcome, the evaluator's counters and how many EA runs ran.
+    /// Runs `cfg`'s search under `budget` with run skipping on or off,
+    /// returning the outcome, its events and how many EA runs ran.
     fn search(
         model: &Model,
         cfg: &DseConfig,
-        ctx: &ExploreContext<'_>,
+        budget: ExploreBudget,
         skipping: bool,
-    ) -> (Result<DseOutcome, DseError>, EvaluatorStats, usize) {
+    ) -> (Result<DseOutcome, DseError>, Vec<SynthesisEvent>, usize) {
         let ran = AtomicUsize::new(0);
         let count = |_: &DeltaSession<'_>| {
             ran.fetch_add(1, Ordering::Relaxed);
         };
-        let mut eval = CandidateEvaluator::new(
-            model,
-            cfg.total_power,
-            &cfg.hw,
-            cfg.macro_mode,
-            cfg.ea.objective,
-        );
-        eval.session_hook = Some(&count);
-        eval.skipping = skipping;
-        let out = run_dse_evaluated(model, cfg, ctx, &eval);
-        (out, eval.stats(), ran.load(Ordering::Relaxed))
+        let events = Mutex::new(Vec::new());
+        let sink = |ev: SynthesisEvent| events.lock().unwrap().push(ev);
+        let mut ctx = ExploreContext::new(&sink, 0, CancelToken::new(), budget);
+        ctx.session_hook = Some(&count);
+        ctx.skipping = skipping;
+        let out = run_dse_observed(model, cfg, &ctx);
+        drop(ctx);
+        (out, events.into_inner().unwrap(), ran.into_inner())
+    }
+
+    /// The job's counters: its last `EvaluatorStats` event.
+    fn totals(events: &[SynthesisEvent]) -> EvaluatorStats {
+        events
+            .iter()
+            .rev()
+            .find_map(|ev| match ev {
+                SynthesisEvent::EvaluatorStats { stats, .. } => Some(*stats),
+                _ => None,
+            })
+            .expect("an evaluator_stats event")
     }
 
     /// The stage and point events of each point, in emission order.
@@ -896,17 +922,10 @@ mod tests {
         let model = zoo::alexnet_cifar(10);
         let mut cfg = DseConfig::fast(Watts(9.0));
         cfg.sa.candidates = 10;
-        let evaluator = CandidateEvaluator::new(
-            &model,
-            cfg.total_power,
-            &cfg.hw,
-            cfg.macro_mode,
-            cfg.ea.objective,
-        );
         let bounds = |workers: usize| {
             let ctx = ExploreContext::unobserved();
             let points = cfg.space.points();
-            prepare_points(&model, &cfg, &points, &ctx, &evaluator, workers)
+            prepare_points(&model, &cfg, &points, &ctx, workers)
                 .iter()
                 .flat_map(|p| p.runs.iter().map(|run| run.bound.to_bits()))
                 .collect::<Vec<u64>>()
@@ -940,13 +959,10 @@ mod tests {
         serial.parallel = false;
         let mut parallel = serial.clone();
         parallel.parallel = true;
-        let events: Mutex<Vec<SynthesisEvent>> = Mutex::new(Vec::new());
-        let observer = |ev: SynthesisEvent| events.lock().unwrap().push(ev);
-        let observed =
-            ExploreContext::new(&observer, 0, CancelToken::new(), ExploreBudget::unlimited());
-        let (a, a_stats, a_ran) = search(&model, &serial, &ExploreContext::unobserved(), true);
-        let (b, b_stats, b_ran) = search(&model, &parallel, &observed, true);
-        let (_, _, every) = search(&model, &serial, &ExploreContext::unobserved(), false);
+        let unlimited = ExploreBudget::unlimited();
+        let (a, a_events, a_ran) = search(&model, &serial, unlimited, true);
+        let (b, events, b_ran) = search(&model, &parallel, unlimited, true);
+        let (_, _, every) = search(&model, &serial, unlimited, false);
         let (a, b) = (a.unwrap(), b.unwrap());
         assert_eq!(a.wt_dup, b.wt_dup);
         assert_eq!(a.architecture, b.architecture);
@@ -958,13 +974,12 @@ mod tests {
         assert_eq!(a.history, b.history);
         // Each EA run has its own memo, so which worker ran which run
         // cannot move a counter.
-        assert_eq!(a_stats, b_stats);
+        assert_eq!(totals(&a_events), totals(&events));
         assert_eq!(a_ran, b_ran);
         assert!(every > 2 * LOOKBEHIND, "only {every} runs");
         assert!(a_ran < every, "no run was skipped: {a_ran} of {every} ran");
         let budget = ExploreBudget::unlimited().with_max_evaluations(1_000_000_000);
-        let listed = ExploreContext::new(&crate::ctx::NullSink, 0, CancelToken::new(), budget);
-        let c = search(&model, &parallel, &listed, true).0.unwrap();
+        let c = search(&model, &parallel, budget, true).0.unwrap();
         assert_eq!(c.wt_dup, a.wt_dup);
         assert_eq!(c.architecture, a.architecture);
         assert_eq!(
@@ -973,7 +988,6 @@ mod tests {
         );
         assert_eq!(c.report, a.report);
         // Per point, the parallel stage events still come in paper order.
-        let events = events.into_inner().unwrap();
         let mut expected: Vec<String> = SynthesisStage::ALL
             .iter()
             .flat_map(|s| [format!("started:{s}"), format!("finished:{s}")])
@@ -985,57 +999,88 @@ mod tests {
     }
 
     /// A point reports its `ImprovedBest`, `EvaluatorStats` and
-    /// `DesignPointEvaluated` only once every earlier point has, so two
-    /// parallel searches and a serial one give equal `ImprovedBest` and
-    /// `DesignPointEvaluated` sequences, every field included. Evaluator
-    /// snapshots read the job-wide counters of the moment, so only their
-    /// order is fixed.
+    /// `DesignPointEvaluated` only once every earlier point has, and their
+    /// contents depend only on the points reported so far, so two parallel
+    /// searches and a serial one give equal point reports, every field and
+    /// every counter included. Snapshots grow point by point, and the
+    /// `ImprovedBest` events name exactly the points whose fitness beats
+    /// every earlier point's.
     #[test]
     fn points_report_in_point_order() {
         let model = zoo::alexnet_cifar(10);
         let mut cfg = DseConfig::fast(Watts(9.0));
         cfg.sa.candidates = 10;
         let reports = |parallel: bool| {
-            let events = Mutex::new(Vec::new());
-            let sink = |ev: SynthesisEvent| events.lock().unwrap().push(ev);
-            let ctx = ExploreContext::new(&sink, 0, CancelToken::new(), ExploreBudget::unlimited());
             let cfg = DseConfig {
                 parallel,
                 ..cfg.clone()
             };
-            run_dse_observed(&model, &cfg, &ctx).unwrap();
-            let mut reports = Vec::new();
-            let mut snapshots = Vec::new();
-            for ev in events.into_inner().unwrap() {
-                match ev {
-                    SynthesisEvent::EvaluatorStats { point_index, .. } => {
-                        snapshots.push(point_index);
-                    }
-                    SynthesisEvent::ImprovedBest { .. }
-                    | SynthesisEvent::DesignPointEvaluated { .. } => reports.push(ev),
-                    _ => {}
-                }
-            }
-            (reports, snapshots)
+            let (out, events, _) = search(&model, &cfg, ExploreBudget::unlimited(), true);
+            out.unwrap();
+            events
+                .into_iter()
+                .filter(|ev| {
+                    matches!(
+                        ev,
+                        SynthesisEvent::ImprovedBest { .. }
+                            | SynthesisEvent::EvaluatorStats { .. }
+                            | SynthesisEvent::DesignPointEvaluated { .. }
+                    )
+                })
+                .collect::<Vec<_>>()
         };
-        let (serial, snapshots) = reports(false);
+        let serial = reports(false);
         let points: Vec<usize> = (0..cfg.space.outer_len()).collect();
-        assert_eq!(snapshots, points);
-        let evaluated: Vec<usize> = serial
+        let snapshots: Vec<(usize, EvaluatorStats)> = serial
             .iter()
             .filter_map(|ev| match ev {
-                SynthesisEvent::DesignPointEvaluated { point_index, .. } => Some(*point_index),
+                SynthesisEvent::EvaluatorStats {
+                    point_index, stats, ..
+                } => Some((*point_index, *stats)),
                 _ => None,
             })
             .collect();
-        assert_eq!(evaluated, points);
-        assert!(serial
+        assert_eq!(snapshots.iter().map(|s| s.0).collect::<Vec<_>>(), points);
+        assert!(
+            snapshots.windows(2).all(|w| w[0].1.scored <= w[1].1.scored),
+            "{snapshots:?}"
+        );
+        let evaluated: Vec<(usize, f64)> = serial
             .iter()
-            .any(|ev| matches!(ev, SynthesisEvent::ImprovedBest { .. })));
+            .filter_map(|ev| match ev {
+                SynthesisEvent::DesignPointEvaluated {
+                    point_index,
+                    best_efficiency,
+                    ..
+                } => Some((*point_index, *best_efficiency)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(evaluated.iter().map(|e| e.0).collect::<Vec<_>>(), points);
+        // The points whose fitness beats every earlier point's (and 0).
+        let mut best = 0.0;
+        let mut improvements = Vec::new();
+        for &(point, fitness) in &evaluated {
+            if fitness > best {
+                best = fitness;
+                improvements.push((point, fitness.to_bits()));
+            }
+        }
+        let improved: Vec<(usize, u64)> = serial
+            .iter()
+            .filter_map(|ev| match ev {
+                SynthesisEvent::ImprovedBest {
+                    point_index,
+                    fitness,
+                    ..
+                } => Some((*point_index, fitness.to_bits())),
+                _ => None,
+            })
+            .collect();
+        assert!(!improved.is_empty());
+        assert_eq!(improved, improvements);
         for run in 0..2 {
-            let parallel = reports(true);
-            assert_eq!(parallel.0, serial, "parallel run {run}");
-            assert_eq!(parallel.1, snapshots, "parallel run {run}");
+            assert_eq!(reports(true), serial, "parallel run {run}");
         }
     }
 
@@ -1046,7 +1091,6 @@ mod tests {
     /// budget ends inside the first runs, which are never skipped.
     #[test]
     fn skipping_keeps_the_winner_and_saves_evaluations() {
-        use crate::ctx::NullSink;
         use MacroMode::{Identical, Specialized};
         use Objective::{EnergyDelayProduct, PowerEfficiency};
         let cases = [
@@ -1062,8 +1106,9 @@ mod tests {
             cfg.macro_mode = *mode;
             cfg.ea.objective = *objective;
             let case = format!("{model} {mode} {objective:?}");
-            let (skip, _, _) = search(model, &cfg, &ExploreContext::unobserved(), true);
-            let (every, _, _) = search(model, &cfg, &ExploreContext::unobserved(), false);
+            let unlimited = ExploreBudget::unlimited();
+            let (skip, _, _) = search(model, &cfg, unlimited, true);
+            let (every, _, _) = search(model, &cfg, unlimited, false);
             let (skip, every) = (skip.unwrap(), every.unwrap());
             assert_eq!(skip.wt_dup, every.wt_dup, "{case}");
             assert_eq!(skip.architecture, every.architecture, "{case}");
@@ -1096,8 +1141,7 @@ mod tests {
             ] {
                 let fitness = |skipping: bool| {
                     let budget = ExploreBudget::unlimited().with_max_evaluations(k);
-                    let ctx = ExploreContext::new(&NullSink, 0, CancelToken::new(), budget);
-                    let out = search(model, &cfg, &ctx, skipping).0;
+                    let out = search(model, &cfg, budget, skipping).0;
                     out.map_or(0.0, |o| objective.fitness(&o.report))
                 };
                 let (with, without) = (fitness(true), fitness(false));
@@ -1163,18 +1207,10 @@ mod tests {
                             let genes = session.memo.len();
                             bounds.lock().unwrap().push((bound, genes, best / bound));
                         };
-                        let mut eval = CandidateEvaluator::new(
-                            model,
-                            cfg.total_power,
-                            &cfg.hw,
-                            cfg.macro_mode,
-                            cfg.ea.objective,
-                        );
-                        eval.session_hook = Some(&check);
-                        eval.skipping = false;
-                        let out =
-                            run_dse_evaluated(model, &cfg, &ExploreContext::unobserved(), &eval)
-                                .expect(&case);
+                        let mut ctx = ExploreContext::unobserved();
+                        ctx.session_hook = Some(&check);
+                        ctx.skipping = false;
+                        let out = run_dse_observed(model, &cfg, &ctx).expect(&case);
                         let winner = objective.fitness(&out.report);
                         let bounds = bounds.into_inner().unwrap();
                         runs += bounds.len();
@@ -1225,7 +1261,7 @@ mod tests {
         assert!(stats.hit_rate() > 0.0);
         assert!(
             stats.sa_probes > 0,
-            "SA probes must route through the evaluator"
+            "each point's SA probes must be counted"
         );
         // No per-layer or SA-energy memo exists, so their counters stay at
         // 0; every memo miss scores in a delta session.

@@ -13,10 +13,11 @@
 //! - [`explore_macro_partitioning`]: the EA of Alg. 2 with the paper's
 //!   `i*1000 + n` gene encoding and `mutate_num` / `mutate_share` operators.
 //! - [`allocate_components`]: the Eq. (6) closed-form water-filling.
-//! - [`CandidateEvaluator`]: scores every candidate of every stage on the
-//!   calling thread, behind budget charging and the EA run's memo; every
-//!   memo miss is scored in that run's [`DeltaSession`], which holds the
-//!   memo.
+//! - [`EvalCore`]: the pure scoring pipeline (components allocation plus
+//!   the analytic model). Each EA run scores its candidates in its own
+//!   [`DeltaSession`] on the calling thread: the session charges the
+//!   budget, holds the run's memo, rescores misses incrementally and counts
+//!   what it scored.
 //! - [`run_dse`]: the full Algorithm 1 nest, parallelized over outer design
 //!   points with deterministic per-point seeds.
 //!
@@ -64,7 +65,7 @@ pub use ea::{
     GENE_BASE,
 };
 pub use error::DseError;
-pub use eval::{CandidateEvaluator, CandidateScore, EvalCore, EvaluatorStats};
+pub use eval::{CandidateScore, EvalCore, EvaluatorStats};
 pub use explore::{run_dse, run_dse_observed, DseConfig, DseOutcome, PointResult, WtDupStrategy};
 pub use sa::{
     crossbars_used, no_duplication, sa_energy, woho_proportional, wt_dup_candidates, SaConfig,

@@ -10,7 +10,6 @@ use rand::{Rng, SeedableRng};
 
 use crate::ctx::ExploreContext;
 use crate::error::DseError;
-use crate::eval::CandidateEvaluator;
 
 /// Configuration of the SA-based weight-duplication filter.
 #[derive(Debug, Clone, PartialEq)]
@@ -96,19 +95,17 @@ pub fn sa_energy(model: &Model, dup: &[usize], alpha: f64) -> f64 {
     stdev(blocks) + alpha * stdev(access)
 }
 
-/// Per-layer static factors of [`sa_energy`], precomputed once per model so
-/// each evaluator-routed probe skips the weight-layer walk: `WO*HO` and the
-/// unit access volume `WK²CI + CO`. [`SaTable::energy`] performs the exact
-/// integer and float operations of [`sa_energy`], so the two are
-/// bit-identical.
-#[derive(Debug, Clone)]
-pub(crate) struct SaTable {
+/// Per-layer static factors of [`sa_energy`], precomputed once per SA walk
+/// so each probe skips the weight-layer walk: `WO*HO` and the unit access
+/// volume `WK²CI + CO`. [`SaTable::energy`] performs the exact integer and
+/// float operations of [`sa_energy`], so the two are bit-identical.
+struct SaTable {
     positions: Vec<usize>,
     access_base: Vec<u64>,
 }
 
 impl SaTable {
-    pub(crate) fn new(model: &Model) -> Self {
+    fn new(model: &Model) -> Self {
         Self {
             positions: model
                 .weight_layers()
@@ -122,7 +119,7 @@ impl SaTable {
     }
 
     /// [`sa_energy`] from the precomputed tables.
-    pub(crate) fn energy(&self, dup: &[usize], alpha: f64) -> f64 {
+    fn energy(&self, dup: &[usize], alpha: f64) -> f64 {
         let blocks = self
             .positions
             .iter()
@@ -224,43 +221,29 @@ pub fn wt_dup_candidates(
     budget: usize,
     cfg: &SaConfig,
 ) -> Result<Vec<Vec<usize>>, DseError> {
-    let alpha = cfg.alpha;
     let ctx = ExploreContext::unobserved();
-    anneal(model, crossbar, budget, cfg, &ctx, &mut |s| {
-        sa_energy(model, s, alpha)
-    })
+    wt_dup_candidates_counted(model, crossbar, budget, cfg, &ctx).map(|(candidates, _)| candidates)
 }
 
 /// [`wt_dup_candidates`] under an [`ExploreContext`] (the annealing loop
 /// checks for cancellation / exhausted budgets every few iterations and, if
-/// told to stop, returns the candidates collected so far), with every
-/// Eq. (4) probe computed by the shared [`CandidateEvaluator`] from its
-/// per-layer table and counted in its statistics. The table is
-/// transparent, so candidates are identical to the unevaluated variant.
+/// told to stop, returns the candidates collected so far), also returning
+/// how many Eq. (4) probes the walk made. Probes read a per-layer table
+/// built once per walk, bit-identical to [`sa_energy`].
 pub(crate) fn wt_dup_candidates_counted(
     model: &Model,
     crossbar: CrossbarConfig,
     budget: usize,
     cfg: &SaConfig,
     ctx: &ExploreContext<'_>,
-    evaluator: &CandidateEvaluator<'_>,
-) -> Result<Vec<Vec<usize>>, DseError> {
-    let alpha = cfg.alpha;
-    anneal(model, crossbar, budget, cfg, ctx, &mut |s| {
-        evaluator.sa_energy(s, alpha)
-    })
-}
+) -> Result<(Vec<Vec<usize>>, usize), DseError> {
+    let table = SaTable::new(model);
+    let mut probes = 0usize;
+    let mut energy_fn = |dup: &[usize]| {
+        probes += 1;
+        table.energy(dup, cfg.alpha)
+    };
 
-/// The SA walk shared by the plain and evaluator-routed entry points;
-/// `energy` scores a duplication vector (lower is better).
-fn anneal(
-    model: &Model,
-    crossbar: CrossbarConfig,
-    budget: usize,
-    cfg: &SaConfig,
-    ctx: &ExploreContext<'_>,
-    energy_fn: &mut dyn FnMut(&[usize]) -> f64,
-) -> Result<Vec<Vec<usize>>, DseError> {
     let sets: Vec<usize> = model
         .weight_layers()
         .map(|wl| crossbar.crossbar_set(wl, model.precision().weight_bits()))
@@ -366,7 +349,8 @@ fn anneal(
         temperature *= cfg.cooling;
     }
 
-    Ok(top.into_iter().map(|(_, s)| s).collect())
+    let candidates = top.into_iter().map(|(_, s)| s).collect();
+    Ok((candidates, probes))
 }
 
 #[cfg(test)]
@@ -393,6 +377,26 @@ mod tests {
             sa_energy(&model, &balanced, 0.0) < sa_energy(&model, &skewed, 0.0),
             "balanced blocks must have lower energy"
         );
+    }
+
+    /// The walk's table is transparent: its energy equals the model walk of
+    /// [`sa_energy`] bit for bit, with and without the access term.
+    #[test]
+    fn sa_table_matches_the_model_walk() {
+        let model = zoo::alexnet_cifar(10);
+        let l = model.weight_layer_count();
+        let table = SaTable::new(&model);
+        let ramp: Vec<usize> = (1..=l).collect();
+        for dup in [vec![1; l], vec![2; l], ramp] {
+            for alpha in [0.0, 0.5] {
+                let direct = sa_energy(&model, &dup, alpha);
+                assert_eq!(
+                    table.energy(&dup, alpha).to_bits(),
+                    direct.to_bits(),
+                    "{dup:?} alpha {alpha}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -31,9 +31,8 @@ pub struct SweepPoint {
 /// `feasible = false` rather than failing the sweep, so callers can plot the
 /// feasibility cliff the paper's Eq. (2)/(3) interplay creates.
 ///
-/// Candidate scoring at every level goes through the unified
-/// [`CandidateEvaluator`](crate::CandidateEvaluator). Each level builds its
-/// own evaluator: an evaluator scores under one fixed power constraint.
+/// Each level is a search of its own: its [`EvalCore`](crate::EvalCore)
+/// scores under one fixed power constraint.
 pub fn sweep_power(model: &Model, base: &DseConfig, powers: &[Watts]) -> Vec<SweepPoint> {
     powers
         .iter()

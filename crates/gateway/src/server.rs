@@ -125,7 +125,7 @@ struct JobSink {
     submitted: Instant,
     metrics: Arc<MetricsRegistry>,
     /// The latest evaluator-stats snapshot; the value at `Finished` time
-    /// summarizes the job (stats are job-wide and monotonic).
+    /// summarizes the job (each snapshot sums the points reported so far).
     last_stats: Mutex<Option<EvaluatorStats>>,
 }
 
