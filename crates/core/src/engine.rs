@@ -40,7 +40,6 @@
 //! assert!(result.analytic.efficiency_tops_per_watt() > 0.0);
 //! ```
 
-use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::Instant;
 
@@ -48,7 +47,6 @@ use pimsyn_dse::{run_dse_observed, CancelToken, EventSink, ExploreContext, Synth
 use pimsyn_sim::simulate;
 
 use crate::error::SynthesisError;
-use crate::events::ChannelSink;
 use crate::request::SynthesisRequest;
 use crate::service::{JobHandle, ServiceConfig, SynthesisService};
 use crate::synthesis::SynthesisResult;
@@ -182,7 +180,9 @@ impl SynthesisEngine {
     /// at its position while the rest of the batch completes normally. All
     /// jobs share `cancel` (cancelling it stops the whole batch) and
     /// deliver their events, each tagged with its request's index, to the
-    /// shared `sink`.
+    /// shared `sink`, grouped by job in request order: jobs never
+    /// interleave, and job k's events reach the sink once jobs 0 … k−1
+    /// have finished.
     ///
     /// Internally the batch is a thin client of a private
     /// [`SynthesisService`]: the requests are submitted in order to a queue
@@ -207,27 +207,20 @@ impl SynthesisEngine {
                 .with_job_slots(workers)
                 .with_queue_depth(requests.len()),
         );
-        // Jobs deliver their (already job-tagged) events into one channel;
-        // this thread forwards them to the caller's borrowed sink. The
-        // channel closes once every job has finished (each job's sender
-        // drops with its work), which ends the forwarding loop.
-        let (tx, events) = mpsc::channel();
         let handles: Vec<JobHandle> = requests
             .iter()
             .map(|request| {
                 service
-                    .submit_inner(
-                        request.clone(),
-                        None,
-                        Some(Arc::new(ChannelSink::new(tx.clone()))),
-                        Some(cancel.clone()),
-                    )
+                    .submit_inner(request.clone(), None, None, Some(cancel.clone()))
                     .expect("batch queue is sized to the batch")
             })
             .collect();
-        drop(tx);
-        for event in events {
-            sink.emit(event);
+        // Each job's log holds its (already job-tagged) events, so the
+        // caller's sink gets them grouped by job, in job order.
+        for handle in &handles {
+            for event in handle.events() {
+                sink.emit(event);
+            }
         }
         let results = handles.iter().map(JobHandle::await_result).collect();
         service.shutdown();

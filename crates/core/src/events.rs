@@ -1,39 +1,16 @@
 //! The client side of the event stream.
 //!
 //! A synthesis job reports its progress as [`SynthesisEvent`]s written into
-//! an [`EventSink`]; both are defined once, in `pimsyn_dse`, where the
-//! search emits them, and re-exported here. Any
-//! `Fn(SynthesisEvent) + Send + Sync` closure is a sink,
-//! [`NullSink`](crate::NullSink) discards everything, and [`ChannelSink`] (an `mpsc` sender) is the
-//! natural fit for driving a UI from another thread. [`event_to_json`] is
+//! an [`EventSink`](crate::EventSink); both are defined once, in
+//! `pimsyn_dse`, where the search emits them, and re-exported here. Any
+//! `Fn(SynthesisEvent) + Send + Sync` closure is a sink, and
+//! [`NullSink`](crate::NullSink) discards everything. [`event_to_json`] is
 //! the JSON wire form front ends stream to their clients: the HTTP
 //! gateway's `GET /v1/jobs/{id}/events` sends one object per event (see
 //! `docs/PROTOCOLS.md`).
 
-use std::sync::mpsc;
-
-use pimsyn_dse::{EventSink, SynthesisEvent};
+use pimsyn_dse::SynthesisEvent;
 use pimsyn_model::json::JsonValue;
-
-/// Forwards events into an [`mpsc`] channel. Send errors (receiver hung up)
-/// are ignored: a consumer that stopped listening must not kill the job.
-#[derive(Debug, Clone)]
-pub struct ChannelSink {
-    tx: mpsc::Sender<SynthesisEvent>,
-}
-
-impl ChannelSink {
-    /// A sink wrapping the given sender.
-    pub fn new(tx: mpsc::Sender<SynthesisEvent>) -> Self {
-        Self { tx }
-    }
-}
-
-impl EventSink for ChannelSink {
-    fn emit(&self, event: SynthesisEvent) {
-        let _ = self.tx.send(event);
-    }
-}
 
 /// Renders a synthesis progress event as a JSON object (informational:
 /// floats travel as plain JSON numbers, unlike the bit-exact result path).
@@ -133,7 +110,9 @@ pub fn event_to_json(event: &SynthesisEvent) -> JsonValue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pimsyn_dse::{DesignPoint, EvaluatorStats, NullSink, StopReason, SynthesisStage};
+    use pimsyn_dse::{
+        DesignPoint, EvaluatorStats, EventSink, NullSink, StopReason, SynthesisStage,
+    };
     use std::time::Duration;
 
     fn sample() -> SynthesisEvent {
@@ -145,26 +124,9 @@ mod tests {
     }
 
     #[test]
-    fn channel_sink_delivers() {
-        let (tx, rx) = mpsc::channel();
-        let sink = ChannelSink::new(tx);
-        sink.emit(sample());
-        assert_eq!(rx.recv().unwrap(), sample());
-    }
-
-    #[test]
-    fn channel_sink_survives_hangup() {
-        let sink = ChannelSink::new(mpsc::channel().0);
-        sink.emit(sample()); // the receiver is gone: must not panic
-    }
-
-    #[test]
     fn sinks_are_object_safe() {
-        let sinks: Vec<Box<dyn EventSink>> = vec![
-            Box::new(NullSink),
-            Box::new(ChannelSink::new(mpsc::channel().0)),
-            Box::new(|_: SynthesisEvent| {}),
-        ];
+        let sinks: Vec<Box<dyn EventSink>> =
+            vec![Box::new(NullSink), Box::new(|_: SynthesisEvent| {})];
         for s in &sinks {
             s.emit(sample());
         }

@@ -111,7 +111,7 @@ mod synthesis;
 
 pub use engine::SynthesisEngine;
 pub use error::SynthesisError;
-pub use events::{event_to_json, ChannelSink};
+pub use events::event_to_json;
 pub use options::{Effort, SynthesisOptions};
 pub use request::SynthesisRequest;
 pub use service::{

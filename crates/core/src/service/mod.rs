@@ -296,8 +296,7 @@ enum JobPhase {
 }
 
 /// Everything a job needs to run, taken by the slot that executes it and
-/// dropped when the run ends. The external sink drops with it, which is
-/// what ends a batch's forwarding loop.
+/// dropped when the run ends.
 struct JobWork {
     request: SynthesisRequest,
     external: Option<Arc<dyn EventSink>>,

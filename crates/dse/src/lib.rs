@@ -18,8 +18,12 @@
 //!   [`DeltaSession`] on the calling thread: the session charges the
 //!   budget, holds the run's memo, rescores misses incrementally and counts
 //!   what it scored.
-//! - [`run_dse`]: the full Algorithm 1 nest, parallelized over outer design
-//!   points with deterministic per-point seeds.
+//! - [`run_dse`]: the full Algorithm 1 nest, with deterministic per-point
+//!   seeds. With [`DseConfig::parallel`] set, one worker per core runs
+//!   stages 1–2 across the design points, then takes the EA runs best bound
+//!   first. A count budget (`max_evaluations`, `max_unique_evaluations`)
+//!   overrides it with one thread in list order. Results and counters are
+//!   the same either way.
 //!
 //! # Example
 //!

@@ -5,7 +5,6 @@
 use pimsyn_arch::{CrossbarConfig, DacConfig};
 use pimsyn_model::{Model, WeightLayer};
 
-use crate::dag::IrDag;
 use crate::error::IrError;
 use crate::pipeline;
 use crate::program::LayerProgram;
@@ -194,33 +193,6 @@ impl Dataflow {
             self.programs[producer].wt_dup,
         )
     }
-
-    /// Materializes the explicit IR DAG (for analysis, visualization and
-    /// small-model validation).
-    ///
-    /// # Errors
-    ///
-    /// [`IrError::DagTooLarge`] when the DAG would exceed `node_limit` nodes
-    /// — use the streamed [`LayerProgram`] path instead (what the simulator
-    /// does for ImageNet-scale networks).
-    pub fn build_dag(&self, node_limit: usize) -> Result<IrDag, IrError> {
-        IrDag::build(self, node_limit)
-    }
-
-    /// Estimated node count of the explicit DAG without building it.
-    pub fn dag_node_estimate(&self) -> usize {
-        self.programs
-            .iter()
-            .map(|p| {
-                let per_block = 2 // load + store
-                    + 3 * p.bits // mvm, adc, s&a per bit
-                    + usize::from(p.act_ops > 0)
-                    + usize::from(p.pool_ops > 0)
-                    + usize::from(p.eltwise_ops > 0);
-                p.blocks * per_block
-            })
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -339,21 +311,5 @@ mod tests {
                 assert!(edges > 0, "{} has producer edges", entry.name);
             }
         }
-    }
-
-    #[test]
-    fn imagenet_dag_estimate_is_large_but_computable() {
-        let m = zoo::vgg16();
-        let dup = vec![1; m.weight_layer_count()];
-        let df = Dataflow::compile(&m, xb(), DacConfig::new(1).unwrap(), &dup).unwrap();
-        let est = df.dag_node_estimate();
-        assert!(
-            est > 1_000_000,
-            "VGG16 at dup 1 should exceed 1M nodes, got {est}"
-        );
-        assert!(matches!(
-            df.build_dag(100_000),
-            Err(IrError::DagTooLarge { .. })
-        ));
     }
 }

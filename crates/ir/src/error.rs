@@ -1,7 +1,8 @@
 use std::error::Error;
 use std::fmt;
 
-/// Errors from dataflow compilation and DAG construction.
+/// Why [`Dataflow::compile`](crate::Dataflow::compile) rejected a model and
+/// duplication strategy.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum IrError {
@@ -18,15 +19,6 @@ pub enum IrError {
         /// Offending layer index.
         layer: usize,
     },
-    /// Materializing the full IR DAG would exceed the node budget; use the
-    /// streamed `LayerProgram` path instead (how the simulator handles
-    /// ImageNet-scale networks).
-    DagTooLarge {
-        /// Nodes the DAG would need.
-        nodes: usize,
-        /// Configured ceiling.
-        limit: usize,
-    },
 }
 
 impl fmt::Display for IrError {
@@ -40,12 +32,6 @@ impl fmt::Display for IrError {
             }
             IrError::ZeroDuplication { layer } => {
                 write!(f, "layer {layer} has zero weight duplication")
-            }
-            IrError::DagTooLarge { nodes, limit } => {
-                write!(
-                    f,
-                    "IR DAG needs {nodes} nodes, exceeding the {limit}-node limit"
-                )
             }
         }
     }

@@ -1,16 +1,20 @@
-//! PIM intermediate representation and dataflow compilation for the PIMSYN
-//! reproduction.
+//! Dataflow compilation for the PIMSYN reproduction.
 //!
-//! The dataflow-compilation stage (Sec. IV-B of the paper) translates a CNN
-//! into IR operations whose dependencies form a DAG; hardware exploration
-//! then reduces to finding the best resource allocation for those IRs.
+//! The dataflow-compilation stage (Sec. IV-B of the paper) lowers a CNN to
+//! the IRs of Table II under Fig. 4's inter-layer dependencies; hardware
+//! exploration then reduces to finding the best resource allocation for
+//! those IRs. The schedule is held as per-block counts, not op by op:
 //!
-//! - [`IrOp`] / [`AluOp`] / [`IrCategory`]: the IR set of Table II.
-//! - [`Dataflow`]: the compiled per-layer schedules ([`LayerProgram`]) plus
-//!   inter-layer dependency queries (Fig. 4 pipeline semantics).
-//! - [`IrDag`] / [`DepKind`]: the explicit DAG with depth/critical-path
-//!   analysis and Graphviz export.
+//! - [`Dataflow`]: the compiled network, one [`LayerProgram`] per weight
+//!   layer, plus the Fig. 4 dependency query
+//!   [`Dataflow::producer_blocks_needed`].
+//! - [`LayerProgram`]: one layer's block/bit structure and how many of each
+//!   Table II IR class a block issues (`adc_samples`, `shift_add_ops`,
+//!   `load_elems`/`store_elems`, `act_ops`/`pool_ops`/`eltwise_ops`). The
+//!   performance models cost these counts and components allocation reads
+//!   them as Eq. (6)'s workloads.
 //! - [`pipeline`]: the fine-grained inter-layer dependency arithmetic.
+//! - [`IrError`]: why a dataflow does not compile.
 //!
 //! # Example
 //!
@@ -38,14 +42,10 @@
 #![warn(missing_debug_implementations)]
 
 mod compile;
-mod dag;
 mod error;
-mod op;
 pub mod pipeline;
 mod program;
 
 pub use compile::Dataflow;
-pub use dag::{DepKind, IrDag};
 pub use error::IrError;
-pub use op::{AluOp, IrCategory, IrOp};
 pub use program::LayerProgram;

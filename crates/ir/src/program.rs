@@ -3,8 +3,8 @@
 //! A [`LayerProgram`] captures everything the performance models need about
 //! one layer's compiled dataflow — block/bit structure, per-step workloads of
 //! every IR class, and the geometry needed to evaluate inter-layer
-//! dependencies — without materializing the full IR DAG (which reaches 10^7
-//! nodes for ImageNet networks; see `DESIGN.md`).
+//! dependencies — as counts per block rather than one IR op at a time, so
+//! its size does not grow with the layer's feature map.
 
 use pimsyn_model::PoolKind;
 
@@ -82,17 +82,6 @@ impl LayerProgram {
     pub fn total_adc_samples(&self) -> u64 {
         self.total_steps() * self.adc_samples as u64
     }
-
-    /// Total scratchpad traffic per inference, in elements.
-    pub fn total_memory_elems(&self) -> u64 {
-        self.blocks as u64 * (self.load_elems + self.store_elems) as u64
-    }
-
-    /// Total vector-ALU operations per inference (all classes).
-    pub fn total_alu_ops(&self) -> u64 {
-        self.total_steps() * self.shift_add_ops as u64
-            + self.blocks as u64 * (self.act_ops + self.pool_ops + self.eltwise_ops) as u64
-    }
 }
 
 #[cfg(test)]
@@ -133,7 +122,5 @@ mod tests {
         let p = prog();
         assert_eq!(p.total_steps(), 200);
         assert_eq!(p.total_adc_samples(), 200 * 64);
-        assert_eq!(p.total_memory_elems(), 50 * 70);
-        assert_eq!(p.total_alu_ops(), 200 * 64 + 50 * 16);
     }
 }

@@ -1,5 +1,6 @@
-//! Dataflow deep-dive: compile a small CNN into the PIM IR, materialize the
-//! explicit DAG, and export a Graphviz snippet of the first pipeline stages.
+//! Dataflow deep-dive: compile a small CNN and print each layer's program
+//! (block/bit structure and per-block IR counts) and the Fig. 4 pipeline
+//! fill between layers.
 //!
 //! ```text
 //! cargo run --release --example dataflow_inspect
@@ -10,7 +11,6 @@ use pimsyn_ir::Dataflow;
 use pimsyn_model::{ModelBuilder, TensorShape};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // A three-layer toy CNN keeps the DAG small enough to materialize fully.
     let mut b = ModelBuilder::new("toy", TensorShape::new(3, 16, 16));
     let c1 = b.conv("conv1", None, 16, 3, 1, 1);
     let r1 = b.relu("relu1", c1);
@@ -42,17 +42,5 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             println!("  layer {consumer} waits for {fill} block(s) of layer {producer}");
         }
     }
-
-    let dag = dataflow.build_dag(1_000_000)?;
-    let (comp, intra, inter) = dag.category_counts();
-    println!(
-        "\nexplicit IR DAG: {} nodes / {} edges (computation {comp}, intra-macro {intra}, \
-         inter-macro {inter}), depth {}",
-        dag.node_count(),
-        dag.edge_count(),
-        dag.depth()
-    );
-
-    println!("\nGraphviz preview (first 12 nodes):\n{}", dag.to_dot(12));
     Ok(())
 }

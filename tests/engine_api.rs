@@ -249,8 +249,16 @@ fn batch_synthesis_isolates_per_job_failures() {
     assert_eq!(a.model.name(), "alexnet-cifar");
     assert_eq!(b.model.name(), "vgg16-cifar");
 
-    // Every job reported start and finish, tagged with its index.
+    // The sink gets each job's events together, in job order.
     let events = events.into_inner().unwrap();
+    let jobs: Vec<usize> = events
+        .iter()
+        .map(|ev| event_to_json(ev).get("job").and_then(|j| j.as_usize()))
+        .map(|job| job.expect("every event names its job"))
+        .collect();
+    let back = jobs.windows(2).position(|w| w[1] < w[0]);
+    assert_eq!(back, None, "job tags went back after event {back:?}");
+    // Every job reported start and finish, tagged with its index.
     for job in 0..3 {
         assert!(
             events

@@ -268,27 +268,3 @@ fn pipeline_dependencies_monotone_and_bounded() {
         }
     }
 }
-
-#[test]
-fn dag_when_materializable_is_topological() {
-    let mut rng = StdRng::seed_from_u64(0x5EED_0005);
-    for _ in 0..CASES {
-        let model = arb_model(&mut rng);
-        let xb = arb_crossbar(&mut rng);
-        let dac = DacConfig::new(4).expect("legal");
-        let dup: Vec<usize> = model
-            .weight_layers()
-            .map(|wl| wl.output_positions().div_ceil(4).max(1))
-            .collect();
-        let df = Dataflow::compile(&model, xb, dac, &dup).unwrap();
-        if let Ok(dag) = df.build_dag(200_000) {
-            assert_eq!(dag.node_count(), df.dag_node_estimate());
-            for i in 0..dag.node_count() as u32 {
-                for &(succ, _) in dag.successors(i) {
-                    assert!(succ > i);
-                }
-            }
-            assert!(dag.depth() >= 4);
-        }
-    }
-}
