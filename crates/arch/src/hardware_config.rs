@@ -52,8 +52,10 @@ fn bad(detail: String) -> ArchError {
 /// after unit conversion (`"clock_ghz": 1e300` overflows to an infinite
 /// clock). The ADC range must be non-empty and start at 1 bit or more
 /// ([`AdcConfig::new`](crate::AdcConfig::new) clamps into it, which panics
-/// on an empty range), and the scratchpad bus must carry at least one byte
-/// per beat
+/// on an empty range), ADC power must not fall with resolution (the
+/// search's fitness bounds price a shared ADC bank at least at each
+/// member's own unit power), and the scratchpad bus must carry at least
+/// one byte per beat
 /// ([`ScratchpadSpec::read_latency`](crate::ScratchpadSpec::read_latency)
 /// divides by its width in bytes).
 fn checked(hw: HardwareParams) -> Result<HardwareParams, ArchError> {
@@ -61,7 +63,8 @@ fn checked(hw: HardwareParams) -> Result<HardwareParams, ArchError> {
         variable: "hardware config",
         value,
         expected: "positive finite rates, MVM latency and flit width, \
-                   1 <= adc_min_bits <= adc_max_bits and scratchpad_bus_bits >= 8",
+                   1 <= adc_min_bits <= adc_max_bits, adc_power_growth >= 1 and \
+                   scratchpad_bus_bits >= 8",
     };
     for (name, value) in [
         ("clock", hw.clock.value()),
@@ -79,6 +82,12 @@ fn checked(hw: HardwareParams) -> Result<HardwareParams, ArchError> {
         return Err(out_of_range(format!(
             "adc bit range {}..{}",
             hw.adc_min_bits, hw.adc_max_bits
+        )));
+    }
+    if hw.adc_power_growth < 1.0 {
+        return Err(out_of_range(format!(
+            "adc_power_growth {}",
+            hw.adc_power_growth
         )));
     }
     if hw.scratchpad_bus_bits < 8 {
@@ -385,6 +394,7 @@ mod tests {
             ),
             (with(|hw| hw.adc_max_bits = 0), "adc bit range 7..0"),
             (with(|hw| hw.adc_min_bits = 0), "adc bit range 0..14"),
+            (with(|hw| hw.adc_power_growth = 0.5), "adc_power_growth 0.5"),
         ] {
             let readable = from_json(&to_json(&hw)).unwrap_err().to_string();
             let exact = from_json_exact(&to_json_exact(&hw))

@@ -263,12 +263,13 @@ impl AllocPlan {
     ///
     /// Efficiency is `2 MACs / (T x P x 1e12)` for the steady period `T`
     /// and the realized power `P`; the bound divides by a lower bound on
-    /// `T x P`. It is the *cover bound*, which reasons from the realized
-    /// architecture and so holds in both macro modes, and for specialized
-    /// macros the smaller of it and the *solve bound*, which reasons from
-    /// [`solve`](Self::solve)'s rounding; each is tighter on different
-    /// runs. The bound carries a relative `1e-9` margin for float rounding.
-    /// Both use one period floor:
+    /// `T x P`. It is the smaller of the *cover bound*, which reasons from
+    /// the realized architecture and so holds in both macro modes, and a
+    /// bound that reasons from the allocator's rounding: the *solve bound*
+    /// ([`solve`](Self::solve)) for specialized macros, the *identical
+    /// bound* (`homogenize`) for identical ones. Each is tighter on
+    /// different runs. The bound carries a relative `1e-9` margin for
+    /// float rounding. All use one period floor:
     ///
     /// - **Steady period >= S_floor.** `T` is the largest `blocks x period`
     ///   over the layers. A layer's period is at least its `bits x
@@ -279,31 +280,38 @@ impl AllocPlan {
     ///   ADC-contention pass only stretches periods.
     ///
     /// The cover bound, whose floors [`edp_bound`](Self::edp_bound) shares.
-    /// Write `L` for the layer count, `D` for the Eq. (6) denominator and
-    /// `periph` for the realized ADC plus ALU power.
+    /// Write `L` for the layer count, `D` for the Eq. (6) denominator,
+    /// `D_x` for layer `x`'s part of it and `periph` for the realized ADC
+    /// plus ALU power.
     ///
     /// - **Peripheral demand.** [`compute_layer_base_with`] gives every
     ///   item a busy time `W / (F n)` of at most its layer's `blocks x
     ///   period <= T`, where `n` is the layer's own units for an ALU item
-    ///   and its effective ADC bank for the ADC item. [`power_breakdown_from`]
-    ///   charges each macro group, per kind, the largest member count, ADCs
-    ///   at the largest member resolution. Every gene keeps the pair rule
-    ///   of [`MacroGroup::check_pairs`], so a group holds a root and at
-    ///   most one sharer, and the groups partition the layers.
+    ///   and its effective ADC bank for the ADC item, and `F` is the
+    ///   layer's own rate (for the ADC, at the layer's own resolution).
+    ///   [`power_breakdown_from`] charges each macro group, per kind, the
+    ///   largest member count, ADCs at the largest member resolution.
+    ///   Every gene keeps the pair rule of [`MacroGroup::check_pairs`], so
+    ///   a group holds a root and at most one sharer, and the groups
+    ///   partition the layers.
     ///   - ALU: a group pays at least `sum_kind max_member P W / (F T) >=
     ///     max_member a_x / T`, `a_x` the layer's ALU part of `D`. Over a
     ///     partition into pairs, that sums to at least `U / T`, `U` the sum
     ///     of the 1st, 3rd, 5th, ... largest `a_x`.
     ///   - ADC: a layer's effective bank is the largest own count in its
-    ///     group, and the group is charged at least that count. So each
-    ///     layer's demand `c_x = W / F` is covered by its group with at
-    ///     least `c_x / T` units, and a group covers at most two layers.
-    ///     ADC power is thus at least `p C / T`, `C` the sum of the 1st,
-    ///     3rd, 5th, ... largest `c_x` and `p` the plan's cheapest ADC unit.
+    ///     group, and the group is charged at least that count, so at
+    ///     least `max_member c_x / T` units for the demands `c_x = W / F`.
+    ///     Each unit costs at least every member's own unit power `p_x`,
+    ///     as ADC power rises with bits (hardware documents must keep
+    ///     `adc_power_growth >= 1`). So the group pays at least
+    ///     `max_member p_x x max_member c_x / T >= max_member d_x / T`,
+    ///     `d_x = p_x c_x` the layer's ADC part of `D`, and ADC power is
+    ///     at least `C / T`, `C` the sum of the 1st, 3rd, 5th, ... largest
+    ///     `d_x`.
     ///   - Without sharing every layer is its own group with its own bank,
-    ///     priced at its own resolution, so `periph >= D / T`.
+    ///     so `periph >= D / T`.
     ///
-    ///   So `T x periph >= D'`, with `D' = U + p C` with sharing and `D`
+    ///   So `T x periph >= D'`, with `D' = U + C` with sharing and `D`
     ///   without.
     /// - **Fixed power.** `P` is ReRAM + DAC + `periph` + per-macro
     ///   infrastructure for every group's macros. A group holds at most two
@@ -322,17 +330,19 @@ impl AllocPlan {
     ///
     /// The solve bound. Write `B(n)` for [`periph_budget(n)`](Self::periph_budget)
     /// at a gene's `n >= 1` physical macros, so `B(n) <= B(1)`; `D_alu`
-    /// for `D`'s ALU part and `s_x = D_x / D` for layer `x`'s share; `SP`
-    /// for the sum of every item's unit power. A gene that allocates has
-    /// `B(n) > 0` (else `solve` fails, for every gene once `B(1) <= 0`).
+    /// for `D`'s ALU part; `rho` and `SP` for the pair-discounted share
+    /// sum and the sum of every item's unit power (`pair_discount`). A
+    /// gene that allocates has `B(n) > 0` (else `solve` fails, for every
+    /// gene once `B(1) <= 0`).
     /// `solve` starts item `ic` at `max(1, floor(t_ic))` units, `t_ic = W_ic
     /// B(n) / (F_c D)`, so `sum P_c t_ic = B(n)`; its remainder loop only
     /// adds units, each paid for out of what the start left of `B(n)`.
     ///
     /// - **Starting floors.** `t - 1 <= max(1, floor(t)) <= t + 1`. So the
     ///   start costs at least `B(n) - SP` (layer `x`'s items at least
-    ///   `s_x B(n) - SP_x`), which leaves the remainder loop at most `SP`,
-    ///   and the ALU items start at no more than `B(n) D_alu / D + SP`.
+    ///   `s_x B(n) - SP_x`, `s_x = D_x / D`), which leaves the remainder
+    ///   loop at most `SP`, and the ALU items start at no more than `B(n)
+    ///   D_alu / D + SP`.
     /// - **Steady period >= S_alu.** The ALU items therefore end with at
     ///   most `A = B(1) D_alu / D + 2 SP` watts of units. An ALU item's
     ///   busy time `W / (F n)` is at most `T` (see peripheral demand), so
@@ -341,15 +351,44 @@ impl AllocPlan {
     ///   peripherals at least either member's (per-kind maxima, priced at
     ///   the larger ADC resolution, and ADC power rises with bits). So they
     ///   cost at least `sum_g max_(x in g) (s_x B(n) - SP_x) >= (1 - rho)
-    ///   B(n) - SP`, where `rho`, the sum of the 2nd, 4th, ... largest
-    ///   shares, is the most any pairing can hide in its smaller members
-    ///   (`rho = 0` without sharing). The groups hold at least the `n >= 1`
-    ///   macros the allocator paid for, and `B(n) = budget_base - DAC -
-    ///   per_macro x n`, so `P_min = ReRAM + DAC + (1 - rho)(budget_base -
-    ///   DAC) + rho per_macro - SP`; without sharing, `ReRAM + budget_base -
-    ///   SP`.
+    ///   B(n) - SP`. The groups hold at least the `n >= 1` macros the
+    ///   allocator paid for, and `B(n) = budget_base - DAC - per_macro x
+    ///   n`, so `P_min = ReRAM + DAC + (1 - rho)(budget_base - DAC) + rho
+    ///   per_macro - SP`; without sharing, `ReRAM + budget_base - SP`.
     ///
     /// So efficiency is at most `2 MACs / (max(S_alu, S_floor) P_min 1e12)`.
+    ///
+    /// The identical bound. `homogenize` gives every macro `q_k` units of
+    /// each kind `k`: first the largest `ceil(n_xk / m_x)` over the layers'
+    /// solved counts `n_xk` and macros `m_x`; then, while the chip's
+    /// `N sum_k P_k q_k` exceeds `B(N)` at its `N` physical macros, every
+    /// step takes each `q_k > 1` to `floor(4 q_k / 5)`. A layer gets `q_k
+    /// m_x` units of each kind it has work for, so each group pays `q_k`
+    /// per macro of every kind in `K_all`, the kinds every layer has work
+    /// for (the ADC and shift-add at least), and the chip at least `N
+    /// sum_(k in K_all) P_k q_k`. Every ADC is priced at the one identical
+    /// resolution, `P_adc` a unit.
+    ///
+    /// - **Without a shrink step** every layer holds at least its solved
+    ///   counts, so the groups pay at least what the solve bound's
+    ///   realized-power step counts: `(1 - rho) B(N) - SP`.
+    /// - **After a shrink step**, the last one started above `B(N)` and
+    ///   `floor(4 q / 5) >= q / 2` for `q >= 2`, so `N sum_k P_k q_k >=
+    ///   B(N) / 2`. A bare `B(N) / 2` is no floor: a group pays for a kind
+    ///   outside `K_all` only where a member has work for it, so those
+    ///   kinds cost less than `N P_k q_k`. They are bounded by the ADC
+    ///   count instead: `q_k <= lambda_k q_adc + mu_k` (`adc_slack` proves
+    ///   it), so with `Lambda = sum_k P_k lambda_k / P_adc` and `M = sum_k
+    ///   P_k mu_k` over those kinds, `sum_k P_k q_k <= (1 + Lambda) sum_(k
+    ///   in K_all) P_k q_k + M`, and the peripherals cost at least `(B(N) /
+    ///   2 - N M) / (1 + Lambda)`.
+    ///
+    /// So `P >= P(N) = ReRAM + DAC + per_macro x N + max(0, min of the two
+    /// floors)` for a gene with `N` physical macros, where `n_min <= N <=
+    /// sum caps` and `B(N) > 0`. `P(N)` is piecewise linear in `N`, so its
+    /// least value over that interval, `P_min`, is at an end or where a
+    /// floor crosses the other or 0. With `T >= S_floor`, efficiency is at
+    /// most `2 MACs / (S_floor P_min 1e12)`.
     ///
     /// [`compute_layer_base_with`]: pimsyn_sim::compute_layer_base_with
     /// [`power_breakdown_from`]: pimsyn_arch::power_breakdown_from
@@ -366,11 +405,13 @@ impl AllocPlan {
         let Some((s_floor, _, work)) = self.floors(df, point, hw, caps, sharing) else {
             return 0.0;
         };
-        let mut bound = 2.0 * total_macs as f64 / (work * 1e12);
-        if !self.identical {
-            bound = bound.min(self.solve_bound(df, point, hw, total_macs, s_floor, sharing));
-        }
-        bound * (1.0 + 1e-9)
+        let cover = 2.0 * total_macs as f64 / (work * 1e12);
+        let rounding = if self.identical {
+            self.identical_bound(df, point, hw, total_macs, caps, s_floor, sharing)
+        } else {
+            self.solve_bound(df, point, hw, total_macs, s_floor, sharing)
+        };
+        cover.min(rounding) * (1.0 + 1e-9)
     }
 
     /// An upper bound on the EDP fitness, `1 / EDP` with EDP in ms x mJ, of
@@ -431,23 +472,10 @@ impl AllocPlan {
         }
 
         let rram = point.crossbar.power(hw).value() * df.total_crossbars() as f64;
-        let n_min = if sharing { self.l.div_ceil(2) } else { self.l };
-        let fixed = rram + self.dac_power.value() + self.per_macro.value() * n_min as f64;
+        let fixed =
+            rram + self.dac_power.value() + self.per_macro.value() * self.n_min(sharing) as f64;
         let demand = if sharing {
-            let (mut alu, mut adc) = (vec![0.0f64; self.l], vec![0.0f64; self.l]);
-            for it in &self.items {
-                if it.kind == ComponentKind::Adc {
-                    adc[it.layer] += it.w / it.f;
-                } else {
-                    alu[it.layer] += it.p * it.w / it.f;
-                }
-            }
-            let cheapest_adc = self
-                .adcs
-                .iter()
-                .map(|adc| adc.power(hw).value())
-                .fold(f64::INFINITY, f64::min);
-            every_other_largest(alu) + cheapest_adc * every_other_largest(adc)
+            every_other_largest(self.layer_demand(false)) + self.adc_floor(true)
         } else {
             self.denom
         };
@@ -458,6 +486,63 @@ impl AllocPlan {
             s_floor
         };
         Some((s_floor, t_lo, t_lo * fixed + demand))
+    }
+
+    /// The fewest physical macros a gene can have: a group holds at most
+    /// two layers and at least one macro.
+    fn n_min(&self, sharing: bool) -> usize {
+        if sharing {
+            self.l.div_ceil(2)
+        } else {
+            self.l
+        }
+    }
+
+    /// Each layer's part of the Eq. (6) denominator from its ADC item
+    /// (`adc`), or from its ALU items.
+    fn layer_demand(&self, adc: bool) -> Vec<f64> {
+        let mut part = vec![0.0f64; self.l];
+        for it in &self.items {
+            if (it.kind == ComponentKind::Adc) == adc {
+                part[it.layer] += it.p * it.w / it.f;
+            }
+        }
+        part
+    }
+
+    /// The cover bound's ADC term (see
+    /// [`efficiency_bound`](Self::efficiency_bound)), which no gene's steady
+    /// period x realized ADC power is below: `C`, the sum of the 1st, 3rd,
+    /// 5th, ... largest layer ADC parts of `D`, with sharing, and the ADC
+    /// part of `D` without.
+    pub(crate) fn adc_floor(&self, sharing: bool) -> f64 {
+        let adc = self.layer_demand(true);
+        if sharing {
+            every_other_largest(adc)
+        } else {
+            adc.iter().sum()
+        }
+    }
+
+    /// `(rho, SP)` of the solve and identical bounds' proofs. `rho` is the
+    /// sum of the 2nd, 4th, ... largest layer shares `s_x = D_x / D`: over
+    /// every partition of the layers into groups of at most two, the most
+    /// that the groups' smaller members can hold, so `sum_g max_(x in g)
+    /// s_x >= 1 - rho`. It is 0 without sharing. `SP` is the sum of every
+    /// item's unit power.
+    fn pair_discount(&self, sharing: bool) -> (f64, f64) {
+        let sum_p = self.items.iter().map(|it| it.p).sum();
+        let rho = if sharing {
+            let mut shares = vec![0.0f64; self.l];
+            for it in &self.items {
+                shares[it.layer] += it.p * it.w / it.f / self.denom;
+            }
+            shares.sort_by(|a, b| b.total_cmp(a));
+            shares.iter().skip(1).step_by(2).sum()
+        } else {
+            0.0
+        };
+        (rho, sum_p)
     }
 
     /// The solve bound of [`efficiency_bound`](Self::efficiency_bound),
@@ -472,26 +557,11 @@ impl AllocPlan {
         sharing: bool,
     ) -> f64 {
         let b1 = self.periph_budget(1).value();
-        let sum_p: f64 = self.items.iter().map(|it| it.p).sum();
-        let d_alu: f64 = self
-            .items
-            .iter()
-            .filter(|it| it.kind != ComponentKind::Adc)
-            .map(|it| it.p * it.w / it.f)
-            .sum();
+        let (rho, sum_p) = self.pair_discount(sharing);
+        let d_alu: f64 = self.layer_demand(false).iter().sum();
         let s_alu = d_alu / (b1 * d_alu / self.denom + 2.0 * sum_p);
         let steady = s_alu.max(s_floor);
 
-        let rho = if sharing {
-            let mut shares = vec![0.0f64; self.l];
-            for it in &self.items {
-                shares[it.layer] += it.p * it.w / it.f / self.denom;
-            }
-            shares.sort_by(|a, b| b.total_cmp(a));
-            shares.iter().skip(1).step_by(2).sum()
-        } else {
-            0.0
-        };
         let rram = point.crossbar.power(hw).value() * df.total_crossbars() as f64;
         let dac = self.dac_power.value();
         let power = rram
@@ -503,6 +573,124 @@ impl AllocPlan {
             return f64::INFINITY;
         }
         2.0 * total_macs as f64 / (steady * power * 1e12)
+    }
+
+    /// Per kind `k` (indexed by `k as usize`), `(P_k, lambda_k, mu_k)` of
+    /// the identical bound's proof (see
+    /// [`efficiency_bound`](Self::efficiency_bound)); `None` when some layer
+    /// has no ADC work. `P_k` is the kind's unit power (0 when no layer has
+    /// work for it). For a kind outside `K_all`, `r_k` is the largest `r_xk
+    /// = (W_xk / F_k) / (W_xa / F_xa)` over the layers, `a` the ADC, and
+    /// every `homogenize` result has `q_k <= lambda_k q_a + mu_k` with
+    /// `lambda_k = 5/4 r_k` and `mu_k = max(r_k + 2, 5 r_k)`; for the kinds
+    /// in `K_all` both are 0.
+    ///
+    /// - **Solved counts.** `t_ic` is proportional to `W_ic / F_c` and
+    ///   `floor(t) > t - 1`, so item `xk` starts at `max(1, floor(t_xk)) <=
+    ///   r_xk (n + 1) + 1`, `n` the ADC item's start. The remainder loop
+    ///   boosts only the item with the largest delay `W / (F n)`, so `xk`
+    ///   then holds at most `r_xk` times its layer's ADC count, and it adds
+    ///   at most `max(1, n_xk / 4)` units. ADC counts only grow, so `n_xk <=
+    ///   5/4 r_k n_xa + r_k + 1`.
+    /// - **Per-macro counts.** `ceil(n / m) < n / m + 1` and `n_xa / m_x <=
+    ///   q_a`, so at first `q_k <= 5/4 r_k q_a + r_k + 2`.
+    /// - **Shrink steps.** A step keeps a count of 1 and takes `q > 1` to
+    ///   `floor(4 q / 5)`, which is at most `4 q / 5` and at least `(4 q -
+    ///   4) / 5`. So `q_k` falls and either `q_a` stays, or `q_k` falls to
+    ///   at most `4/5 (lambda_k q_a + mu_k) <= lambda_k q_a' + 4/5 (lambda_k
+    ///   + mu_k)` for the new `q_a'`; the inequality holds after the step
+    ///   because `4 lambda_k = 5 r_k <= mu_k` and `mu_k >= 1`.
+    fn adc_slack(&self) -> Option<[(f64, f64, f64); ComponentKind::ALL.len()]> {
+        let mut layers_with = [0usize; ComponentKind::ALL.len()];
+        let mut adc_demand = vec![0.0f64; self.l];
+        for it in &self.items {
+            layers_with[it.kind as usize] += 1;
+            if it.kind == ComponentKind::Adc {
+                adc_demand[it.layer] = it.w / it.f;
+            }
+        }
+        if layers_with[ComponentKind::Adc as usize] < self.l {
+            return None;
+        }
+        let mut slack = [(0.0f64, 0.0f64, 0.0f64); ComponentKind::ALL.len()];
+        let mut r = [0.0f64; ComponentKind::ALL.len()];
+        for it in &self.items {
+            let k = it.kind as usize;
+            slack[k].0 = it.p;
+            if layers_with[k] < self.l {
+                r[k] = r[k].max(it.w / it.f / adc_demand[it.layer]);
+                (slack[k].1, slack[k].2) = (1.25 * r[k], (r[k] + 2.0).max(5.0 * r[k]));
+            }
+        }
+        Some(slack)
+    }
+
+    /// The identical bound's two peripheral floors as lines `(a, c)`, each
+    /// floor `a + c N` at `N` physical macros, with `B(N) = budget_base -
+    /// DAC - per_macro x N`: `(1 - rho) B(N) - SP` for a gene whose
+    /// `homogenize` took no shrink step, and `(B(N) / 2 - N M) / (1 +
+    /// Lambda)` for one that did, with `Lambda = sum_k P_k lambda_k /
+    /// P_adc` and `M = sum_k P_k mu_k` from [`adc_slack`](Self::adc_slack)
+    /// (0 without them).
+    fn identical_floors(&self, sharing: bool) -> [(f64, f64); 2] {
+        let (rho, sum_p) = self.pair_discount(sharing);
+        let b0 = self.budget_base.value() - self.dac_power.value();
+        let per_macro = self.per_macro.value();
+        let unshrunk = ((1.0 - rho) * b0 - sum_p, -(1.0 - rho) * per_macro);
+        let shrunk = self.adc_slack().map_or((0.0, 0.0), |slack| {
+            let p_adc = slack[ComponentKind::Adc as usize].0;
+            let lambda = slack.iter().map(|&(p, l, _)| p * l).sum::<f64>() / p_adc;
+            let m: f64 = slack.iter().map(|&(p, _, mu)| p * mu).sum();
+            (
+                0.5 * b0 / (1.0 + lambda),
+                -(0.5 * per_macro + m) / (1.0 + lambda),
+            )
+        });
+        [unshrunk, shrunk]
+    }
+
+    /// The least ADC plus ALU power that a gene with `n` physical macros
+    /// realizes under identical macros (see
+    /// [`efficiency_bound`](Self::efficiency_bound)'s identical bound).
+    pub(crate) fn identical_periph_floor(&self, n: f64, sharing: bool) -> f64 {
+        let [unshrunk, shrunk] = self.identical_floors(sharing);
+        let at = |(a, c): (f64, f64)| a + c * n;
+        at(unshrunk).min(at(shrunk)).max(0.0)
+    }
+
+    /// The identical bound of [`efficiency_bound`](Self::efficiency_bound),
+    /// without its margin; `+inf` when a floor is not positive or no macro
+    /// count is in range.
+    #[allow(clippy::too_many_arguments)]
+    fn identical_bound(
+        &self,
+        df: &Dataflow,
+        point: DesignPoint,
+        hw: &HardwareParams,
+        total_macs: u64,
+        caps: &[usize],
+        s_floor: f64,
+        sharing: bool,
+    ) -> f64 {
+        let rram = point.crossbar.power(hw).value() * df.total_crossbars() as f64;
+        let per_macro = self.per_macro.value();
+        let power = |n: f64| {
+            rram + self.dac_power.value() + per_macro * n + self.identical_periph_floor(n, sharing)
+        };
+        // `N` runs from `n_min` to the caps' sum and to where `B(N) = 0`.
+        let lo = self.n_min(sharing) as f64;
+        let hi = (caps.iter().sum::<usize>() as f64)
+            .min((self.budget_base.value() - self.dac_power.value()) / per_macro);
+        let [(a1, c1), (a2, c2)] = self.identical_floors(sharing);
+        let p_min = [lo, hi, -a1 / c1, -a2 / c2, (a2 - a1) / (c1 - c2)]
+            .into_iter()
+            .filter(|n| (lo..=hi).contains(n))
+            .map(power)
+            .fold(f64::INFINITY, f64::min);
+        if s_floor <= 0.0 || p_min <= 0.0 || p_min.is_infinite() {
+            return f64::INFINITY;
+        }
+        2.0 * total_macs as f64 / (s_floor * p_min * 1e12)
     }
 }
 
@@ -582,7 +770,8 @@ pub fn allocate_components(req: &AllocRequest<'_>) -> Result<Architecture, DseEr
 /// Identical-macro post-pass: every macro carries the same component counts,
 /// so per-macro counts are the ceiling of the most demanding layer, and the
 /// whole chip is scaled down uniformly if that exceeds the power budget.
-/// Delta sessions run it on their own copy of the solved counts.
+/// Returns the per-macro counts. Delta sessions run it on their own copy of
+/// the solved counts.
 pub(crate) fn homogenize(
     counts: &mut [ComponentCounts],
     macros: &[usize],
@@ -591,7 +780,7 @@ pub(crate) fn homogenize(
     hw: &HardwareParams,
     budget: Watts,
     df: &Dataflow,
-) {
+) -> ComponentCounts {
     let adc = adcs[0]; // identical mode uses one ADC resolution everywhere
     let mut per_macro = ComponentCounts::default();
     for (i, c) in counts.iter().enumerate() {
@@ -627,6 +816,7 @@ pub(crate) fn homogenize(
             };
         }
     }
+    per_macro
 }
 
 #[cfg(test)]
@@ -812,6 +1002,96 @@ mod tests {
             }
             assert!(solved > 0, "{}: no feasible solve was compared", entry.name);
         }
+    }
+
+    /// The lemma behind the identical bound's floor after a shrink step
+    /// ([`AllocPlan::adc_slack`]), on every zoo model at three design
+    /// points and every physical macro count `N` up to the caps' sum with
+    /// `B(N) > 0`. `solve` keeps each item outside `K_all` within `5/4 r_xk
+    /// n_xa + r_xk + 1`; `homogenize`'s per-macro counts keep `q_k <=
+    /// lambda_k q_a + mu_k`; and after a shrink step the chip's per-macro
+    /// counts cost at least `B(N) / 2`, and its kinds in `K_all` at least
+    /// the shrunk floor.
+    #[test]
+    fn homogenized_counts_keep_the_adc_slack() {
+        let hw = HardwareParams::date24();
+        // (crossbar size, cell bits, DAC bits, RatioRram, power W)
+        let points = [
+            (128, 2, 1, 0.3, 9.0),
+            (256, 1, 2, 0.5, 65.0),
+            (512, 4, 1, 0.2, 150.0),
+        ];
+        let (mut checked, mut shrunk) = (0, 0);
+        for entry in zoo::entries() {
+            let model = (entry.build)();
+            let l = model.weight_layer_count();
+            for (k, &(size, cell, dac, ratio, power)) in points.iter().enumerate() {
+                let xb = CrossbarConfig::new(size, cell).unwrap();
+                let dup: Vec<usize> = (0..l).map(|i| 1 + (i + k) % 3).collect();
+                let df = Dataflow::compile(&model, xb, DacConfig::new(dac).unwrap(), &dup).unwrap();
+                let point = DesignPoint {
+                    ratio_rram: ratio,
+                    crossbar: xb,
+                };
+                let plan =
+                    AllocPlan::prepare(&model, &df, point, Watts(power), &hw, MacroMode::Identical);
+                let slack = plan.adc_slack().expect("every layer has ADC work");
+                let outside = |kind: ComponentKind| slack[kind as usize].1 > 0.0;
+                let [_, (a, c)] = plan.identical_floors(false);
+                let mut adc_demand = vec![0.0; l];
+                for it in plan.items.iter().filter(|it| it.kind == ComponentKind::Adc) {
+                    adc_demand[it.layer] = it.w / it.f;
+                }
+                let cap: usize = crate::ea::max_macros(&df).iter().sum();
+                for n in 1..=cap {
+                    let Ok(solved) = plan.solve(n) else { continue };
+                    let case = format!("{} point {k} N={n}", entry.name);
+                    for it in plan.items.iter().filter(|it| outside(it.kind)) {
+                        let r = it.w / it.f / adc_demand[it.layer];
+                        let adcs = solved[it.layer].adc as f64;
+                        let count = solved[it.layer].count(it.kind) as f64;
+                        assert!(count <= 1.25 * r * adcs + r + 1.0, "{case}: {it:?}");
+                    }
+                    let macros: Vec<usize> = (0..l)
+                        .map(|x| (n / l + usize::from(x < n % l)).max(1))
+                        .collect();
+                    let mut first = ComponentCounts::default();
+                    for (c, &m) in solved.iter().zip(&macros) {
+                        for kind in ComponentKind::ALL {
+                            let q = first.count_mut(kind);
+                            *q = (*q).max(c.count(kind).div_ceil(m));
+                        }
+                    }
+                    let mut counts = solved.clone();
+                    let budget = plan.periph_budget(n);
+                    let q = homogenize(&mut counts, &macros, n, &plan.adcs, &hw, budget, &df);
+                    for kind in ComponentKind::ALL.into_iter().filter(|&kind| outside(kind)) {
+                        let (_, lambda, mu) = slack[kind as usize];
+                        let bound = lambda * q.adc as f64 + mu;
+                        assert!(q.count(kind) as f64 <= bound, "{case}: {kind} {q:?}");
+                    }
+                    checked += 1;
+                    if q == first {
+                        continue;
+                    }
+                    shrunk += 1;
+                    let cost = |kinds: &mut dyn Iterator<Item = ComponentKind>| -> f64 {
+                        kinds
+                            .map(|kind| slack[kind as usize].0 * (q.count(kind) * n) as f64)
+                            .sum()
+                    };
+                    let all = cost(&mut ComponentKind::ALL.into_iter());
+                    assert!(all >= 0.5 * budget.value(), "{case}: {q:?}");
+                    let in_all = cost(&mut ComponentKind::ALL.into_iter().filter(|&k| !outside(k)));
+                    let floor = a + c * n as f64;
+                    assert!(in_all >= floor * (1.0 - 1e-9), "{case}: {in_all} < {floor}");
+                }
+            }
+        }
+        assert!(
+            shrunk > 0 && shrunk < checked,
+            "{shrunk} of {checked} shrank"
+        );
     }
 
     #[test]
