@@ -80,7 +80,7 @@ struct AllocItem {
 /// [`AllocPlan::solve`] per candidate (plus `homogenize` under
 /// [`MacroMode::Identical`]) is therefore equivalent to (and bit-identical
 /// with) running [`allocate_components`] from scratch, which is exactly how
-/// the delta evaluator amortizes allocation cost.
+/// an EA run's session amortizes allocation cost.
 #[derive(Debug, Clone)]
 pub struct AllocPlan {
     /// Layer count.
@@ -770,8 +770,8 @@ pub fn allocate_components(req: &AllocRequest<'_>) -> Result<Architecture, DseEr
 /// Identical-macro post-pass: every macro carries the same component counts,
 /// so per-macro counts are the ceiling of the most demanding layer, and the
 /// whole chip is scaled down uniformly if that exceeds the power budget.
-/// Returns the per-macro counts. Delta sessions run it on their own copy of
-/// the solved counts.
+/// Returns the per-macro counts. An EA run's session runs it on each
+/// candidate's own copy of the solved counts.
 pub(crate) fn homogenize(
     counts: &mut [ComponentCounts],
     macros: &[usize],

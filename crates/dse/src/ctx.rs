@@ -20,9 +20,9 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-#[cfg(test)]
-use crate::delta::DeltaSession;
 use crate::eval::EvaluatorStats;
+#[cfg(test)]
+use crate::session::RunSession;
 use crate::space::DesignPoint;
 
 /// The four synthesis stages of the paper's Fig. 3 flow, as they execute at
@@ -246,8 +246,8 @@ pub enum SynthesisEvent {
         fitness: f64,
     },
     /// Cumulative evaluator throughput counters (scored candidates, unique
-    /// evaluations, cache hits, SA probes, delta rescoring), emitted as each
-    /// design point reports, immediately before its
+    /// evaluations, cache hits, SA probes), emitted as each design point
+    /// reports, immediately before its
     /// [`DesignPointEvaluated`](Self::DesignPointEvaluated). The snapshot
     /// of point `k` is the sum of the counters of points `0..=k`: each
     /// point's SA probes plus the counters of its EA runs. So snapshots
@@ -325,7 +325,7 @@ pub struct ExploreContext<'a> {
     /// Receives each EA run's session before it drops, so a test can
     /// inspect the run's memo.
     #[cfg(test)]
-    pub(crate) session_hook: Option<&'a (dyn Fn(&DeltaSession<'_>) + Sync)>,
+    pub(crate) session_hook: Option<&'a (dyn Fn(&RunSession<'_>) + Sync)>,
     /// Whether Alg. 1 skips the EA runs that provably cannot win; a test
     /// turns it off to compare a search with one that runs every run.
     #[cfg(test)]

@@ -16,9 +16,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::ctx::ExploreContext;
-use crate::delta::DeltaSession;
 use crate::error::DseError;
 use crate::eval::{CandidateScore, EvalCore, EvaluatorStats};
+use crate::session::RunSession;
 use crate::space::DesignPoint;
 
 /// The paper's gene encoding base: `MacAlloc_i = owner * 1000 + #macros`.
@@ -62,8 +62,8 @@ impl Objective {
     /// [`fitness`](Self::fitness) from an [`AnalyticSummary`] instead of a
     /// full report. Both derive their metrics through the same shared
     /// expressions ([`pimsyn_sim`] metric helpers), so this is bit-identical
-    /// to scoring the corresponding report — the delta evaluator depends on
-    /// that.
+    /// to scoring the corresponding report — the EA run's session depends
+    /// on that.
     pub fn fitness_of_summary(&self, summary: &AnalyticSummary) -> f64 {
         match self {
             Objective::PowerEfficiency => summary.efficiency_tops_per_watt(),
@@ -260,9 +260,9 @@ pub fn explore_macro_partitioning(
 /// when the run ends infeasible — so callers can keep their reported
 /// counts consistent with the budget counter. Every candidate is scored
 /// under `core` (whose objective must match `cfg.objective`), a generation
-/// at a time, in one [`DeltaSession`] owned by the run: it charges `ctx`,
-/// holds the run's memo and counts what it scored, and every score and
-/// breakdown it keeps is freed when the run returns.
+/// at a time, in one [`RunSession`] owned by the run: it charges `ctx`,
+/// holds the run's memos and counts what it scored, and everything it
+/// keeps is freed when the run returns.
 pub(crate) fn run_ea_counted(
     df: &Dataflow,
     point: DesignPoint,
@@ -295,10 +295,8 @@ pub(crate) fn run_ea_counted(
         let macros: Vec<usize> = (0..l).map(|i| rng.gen_range(1..=caps[i])).collect();
         genes.push(MacAllocGene::encode(&macros, &vec![None; l]));
     }
-    // Generation 0 has no parents: the session scores its misses in full
-    // and retains them, so their children can delta against them.
-    let mut session = DeltaSession::new(df, point);
-    let scores = session.score_batch(core, &genes, &[], ctx);
+    let mut session = RunSession::new(df, point);
+    let scores = session.score_batch(core, &genes, ctx);
     let mut population: Vec<Individual> = genes.into_iter().zip(scores).collect();
     sort_population(&mut population);
 
@@ -308,7 +306,6 @@ pub(crate) fn run_ea_counted(
         }
         let elite = 2.min(population.len());
         let mut child_genes: Vec<MacAllocGene> = Vec::new();
-        let mut parent_idx: Vec<usize> = Vec::new();
         while child_genes.len() + elite < cfg.population {
             // Tournament selection (Alg. 2 line 4).
             let mut best_idx = rng.gen_range(0..population.len());
@@ -330,14 +327,8 @@ pub(crate) fn run_ea_counted(
                 mutate_share(&mut shares, &mut rng);
             }
             child_genes.push(MacAllocGene::encode(&macros, &shares));
-            parent_idx.push(best_idx);
         }
-        // Each child differs from its tournament parent by at most one
-        // mutate_num and one mutate_share, so the session rescores it from
-        // the parent's retained breakdown, touching only those layers.
-        let parents: Vec<Option<&MacAllocGene>> =
-            parent_idx.iter().map(|&i| Some(&population[i].0)).collect();
-        let child_scores = session.score_batch(core, &child_genes, &parents, ctx);
+        let child_scores = session.score_batch(core, &child_genes, ctx);
         population.truncate(elite);
         population.extend(child_genes.into_iter().zip(child_scores));
         sort_population(&mut population);
@@ -548,10 +539,10 @@ mod tests {
         assert!(matches!(r, Err(DseError::NoFeasibleSolution)));
     }
 
-    /// Memo and delta state live for one EA run: runs that share a core
-    /// (two dataflows, then the first again) each match the same run on a
-    /// fresh core — outcome and the run's memo and delta counters, so the
-    /// third run hits nothing the first one stored.
+    /// A run's session state lives for that EA run only: runs that share a
+    /// core (two dataflows, then the first again) each match the same run on
+    /// a fresh core — outcome and the run's memo counters, so the third run
+    /// hits nothing the first one stored.
     #[test]
     fn no_delta_state_crosses_ea_runs() {
         let (model, df_a, point, power, hw) = setup();
@@ -572,10 +563,6 @@ mod tests {
             assert_eq!(got.evaluations, want.evaluations, "run {run}");
             assert_eq!(got_stats, want_stats, "run {run}");
             assert_eq!(got.evaluations, got_stats.scored, "run {run}");
-            assert!(
-                got_stats.delta_hits > 0,
-                "run {run} never used the delta path"
-            );
         }
     }
 

@@ -69,8 +69,6 @@ pub enum WtDupStrategy {
     WohoProportional,
     /// One weight copy per layer (prior exploration works \[6\]\[7\]).
     NoDuplication,
-    /// User-pinned duplication vectors (each must match the layer count).
-    Fixed(Vec<Vec<usize>>),
 }
 
 /// Configuration of the complete exploration flow.
@@ -249,7 +247,6 @@ fn prepare_point(
         WtDupStrategy::NoDuplication => no_duplication(model, point.crossbar, budget)
             .ok()
             .map(|c| vec![c]),
-        WtDupStrategy::Fixed(vs) => Some(vs.clone()),
     };
     ctx.stage_finished(point_idx, SynthesisStage::WeightDuplication);
     let mut prepared = Prepared {
@@ -813,8 +810,8 @@ pub fn run_dse_observed(
 mod tests {
     use super::*;
     use crate::ctx::{CancelToken, ExploreBudget};
-    use crate::delta::DeltaSession;
     use crate::ea::MacAllocGene;
+    use crate::session::RunSession;
     use pimsyn_arch::CrossbarConfig;
     use pimsyn_model::zoo;
 
@@ -864,7 +861,7 @@ mod tests {
         skipping: bool,
     ) -> (Result<DseOutcome, DseError>, Vec<SynthesisEvent>, usize) {
         let ran = AtomicUsize::new(0);
-        let count = |_: &DeltaSession<'_>| {
+        let count = |_: &RunSession<'_>| {
             ran.fetch_add(1, Ordering::Relaxed);
         };
         let events = Mutex::new(Vec::new());
@@ -1211,7 +1208,7 @@ mod tests {
             cfg.ea.objective,
         );
         let bounds = Mutex::new(Vec::new());
-        let check = |session: &DeltaSession<'_>| {
+        let check = |session: &RunSession<'_>| {
             let (df, point) = (session.dataflow(), session.point());
             let bound = fitness_bound(model, cfg, df, point, total_macs);
             assert!(bound.is_finite(), "{case}: {point:?}");
@@ -1350,15 +1347,12 @@ mod tests {
             stats.sa_probes > 0,
             "each point's SA probes must be counted"
         );
-        // No per-layer or SA-energy memo exists, so their counters stay at
-        // 0; every memo miss scores in a delta session.
+        // No per-layer or SA-energy memo and no parent rescoring exist, so
+        // their counters stay at 0.
         assert_eq!((stats.layer_hits, stats.layer_misses), (0, 0));
         assert_eq!(stats.sa_cache_hits, 0);
-        assert!(stats.delta_hits > 0, "{stats:?}");
-        assert_eq!(
-            stats.delta_hits + stats.delta_fallbacks,
-            stats.unique_evaluations
-        );
+        assert_eq!((stats.delta_hits, stats.delta_fallbacks), (0, 0));
+        assert_eq!(stats.layers_recomputed, 0);
     }
 
     #[test]

@@ -15,9 +15,9 @@
 //! - [`allocate_components`]: the Eq. (6) closed-form water-filling.
 //! - [`EvalCore`]: the pure scoring pipeline (components allocation plus
 //!   the analytic model). Each EA run scores its candidates in its own
-//!   [`DeltaSession`] on the calling thread: the session charges the
-//!   budget, holds the run's memo, rescores misses incrementally and counts
-//!   what it scored.
+//!   [`RunSession`] on the calling thread: the session charges the budget,
+//!   holds the run's candidate and scoring memos and counts what it
+//!   scored.
 //! - [`run_dse`]: the full Algorithm 1 nest, with deterministic per-point
 //!   seeds. With [`DseConfig::parallel`] set, one worker per core runs
 //!   stages 1–2 across the design points, then takes the EA runs best bound
@@ -49,12 +49,12 @@
 
 mod alloc;
 mod ctx;
-mod delta;
 mod ea;
 mod error;
 mod eval;
 mod explore;
 mod sa;
+mod session;
 mod space;
 mod sweep;
 
@@ -63,7 +63,6 @@ pub use ctx::{
     CancelToken, EventSink, ExploreBudget, ExploreContext, NullSink, StopReason, SynthesisEvent,
     SynthesisStage,
 };
-pub use delta::{DeltaOutcome, DeltaSession};
 pub use ea::{
     explore_macro_partitioning, mutate_share, EaConfig, EaOutcome, MacAllocGene, Objective,
     GENE_BASE,
@@ -74,5 +73,6 @@ pub use explore::{run_dse, run_dse_observed, DseConfig, DseOutcome, PointResult,
 pub use sa::{
     crossbars_used, no_duplication, sa_energy, woho_proportional, wt_dup_candidates, SaConfig,
 };
+pub use session::RunSession;
 pub use space::{DesignPoint, DesignSpace, RATIO_RRAM_CHOICES};
 pub use sweep::{minimum_feasible_power, sweep_power, SweepPoint};

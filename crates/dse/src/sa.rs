@@ -283,11 +283,14 @@ pub(crate) fn wt_dup_candidates_counted(
     let mut energy = energy_fn(&state);
     let mut temperature = cfg.initial_temperature * energy.max(1.0);
 
-    // Top-K distinct candidates, kept sorted by energy. Besides the SA
-    // walk, a few deterministic seeds are always offered: the single-copy
-    // vector and WOHO-proportional fills of the full/half/quarter budget —
-    // under tight peripheral power the downstream stages may legitimately
-    // prefer a lighter duplication than the budget-filling optimum.
+    // Top-K distinct candidates, kept sorted by energy. Besides the states
+    // the SA walk accepts, deterministic seeds are offered: the greedy
+    // budget fill (the walk's start), the single-copy vector and
+    // WOHO-proportional fills of half and a quarter of the budget — under
+    // tight peripheral power the downstream stages may legitimately prefer
+    // a lighter duplication than the budget-filling optimum. Seeds are not
+    // kept for certain: each state the walk accepts trims the list to
+    // `cfg.candidates`, which can evict any seed.
     let mut top: Vec<(f64, Vec<usize>)> = vec![(energy, state.clone())];
     let mut seed_candidate = |s: Vec<usize>, top: &mut Vec<(f64, Vec<usize>)>| {
         if top.iter().any(|(_, existing)| *existing == s) {

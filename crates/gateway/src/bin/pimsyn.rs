@@ -346,20 +346,13 @@ fn progress_line(event: &SynthesisEvent, requests: &[SynthesisRequest]) -> Optio
 /// Renders the job's final evaluator snapshot for stderr. Printed only
 /// without `--quiet`, like every other progress line.
 fn stats_line(stats: &EvaluatorStats) -> String {
-    let mut line = format!(
+    format!(
         "evaluator: {} candidates scored, {} unique evaluations, {} cache hits ({:.0}% hit rate)",
         stats.scored,
         stats.unique_evaluations,
         stats.cache_hits,
         stats.hit_rate() * 100.0
-    );
-    if stats.delta_hits > 0 || stats.delta_fallbacks > 0 {
-        line.push_str(&format!(
-            "; delta rescoring: {} incremental, {} fallbacks, {} layers recomputed",
-            stats.delta_hits, stats.delta_fallbacks, stats.layers_recomputed
-        ));
-    }
-    line
+    )
 }
 
 fn emit_batch(

@@ -74,15 +74,6 @@ pub struct MetricsRegistry {
     eval_unique: AtomicU64,
     /// Evaluation-cache hits, same provenance.
     eval_cache_hits: AtomicU64,
-    /// Candidates rescored incrementally by the delta engine, same
-    /// provenance.
-    eval_delta_hits: AtomicU64,
-    /// Memo misses the delta session scored in full (no retained parent),
-    /// same provenance.
-    eval_delta_fallbacks: AtomicU64,
-    /// Per-layer stage recomputations performed by the delta engine (hits
-    /// and fallbacks combined), same provenance.
-    eval_delta_layers_recomputed: AtomicU64,
 }
 
 impl MetricsRegistry {
@@ -120,9 +111,6 @@ impl MetricsRegistry {
             (&self.eval_scored, stats.scored),
             (&self.eval_unique, stats.unique_evaluations),
             (&self.eval_cache_hits, stats.cache_hits),
-            (&self.eval_delta_hits, stats.delta_hits),
-            (&self.eval_delta_fallbacks, stats.delta_fallbacks),
-            (&self.eval_delta_layers_recomputed, stats.layers_recomputed),
         ] {
             counter.fetch_add(value as u64, Ordering::Relaxed);
         }
@@ -219,21 +207,6 @@ impl MetricsRegistry {
                 "Evaluation-cache hits by finished jobs.",
                 self.eval_cache_hits.load(Ordering::Relaxed),
             ),
-            (
-                "pimsyn_gateway_eval_delta_hits_total",
-                "Candidates rescored incrementally (delta path) by finished jobs.",
-                self.eval_delta_hits.load(Ordering::Relaxed),
-            ),
-            (
-                "pimsyn_gateway_eval_delta_fallbacks_total",
-                "Memo misses scored in full (no retained parent) by finished jobs.",
-                self.eval_delta_fallbacks.load(Ordering::Relaxed),
-            ),
-            (
-                "pimsyn_gateway_eval_delta_layers_recomputed_total",
-                "Per-layer stage recomputations by the delta engine in finished jobs.",
-                self.eval_delta_layers_recomputed.load(Ordering::Relaxed),
-            ),
         ] {
             let _ = writeln!(
                 out,
@@ -261,9 +234,6 @@ mod tests {
             scored: 100,
             unique_evaluations: 40,
             cache_hits: 60,
-            delta_hits: 25,
-            delta_fallbacks: 5,
-            layers_recomputed: 120,
             ..EvaluatorStats::default()
         });
         let text = registry.render();
@@ -277,9 +247,6 @@ mod tests {
         assert!(text.contains("pimsyn_gateway_jobs_finished_total{tenant=\"alice\"} 1"));
         assert!(text.contains("pimsyn_gateway_evaluations_scored_total 100"));
         assert!(text.contains("pimsyn_gateway_eval_cache_hits_total 60"));
-        assert!(text.contains("pimsyn_gateway_eval_delta_hits_total 25"));
-        assert!(text.contains("pimsyn_gateway_eval_delta_fallbacks_total 5"));
-        assert!(text.contains("pimsyn_gateway_eval_delta_layers_recomputed_total 120"));
     }
 
     #[test]

@@ -82,8 +82,8 @@ pub fn evaluate_analytic(
 /// instants of every layer's active window.
 ///
 /// Produced by [`solve_pipeline`]; consumed by the full report assembly in
-/// [`evaluate_analytic`] and by delta evaluators that reassemble an
-/// [`AnalyticSummary`] from retained per-layer breakdowns.
+/// [`evaluate_analytic`] and by [`summarize_pipeline`], which scoring loops
+/// (the DSE's per-run session) call to get an [`AnalyticSummary`].
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct PipelineSolution {
     /// Block issue interval per layer, seconds.
@@ -97,10 +97,10 @@ pub struct PipelineSolution {
 }
 
 /// The handful of whole-accelerator numbers the DSE objectives consume,
-/// without the per-layer diagnostics a full [`SimReport`] carries. Delta
-/// evaluators reassemble this from a parent candidate's retained per-layer
-/// breakdown; the fields and derived metrics are float-identical to the
-/// corresponding [`SimReport`] fields by construction.
+/// without the per-layer diagnostics a full [`SimReport`] carries. Scoring
+/// loops build this from per-layer stage costs without a full report; the
+/// fields and derived metrics are float-identical to the corresponding
+/// [`SimReport`] fields by construction.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AnalyticSummary {
     /// End-to-end latency of one inference.
@@ -152,9 +152,10 @@ pub fn solve_pipeline(
 }
 
 /// [`solve_pipeline`] writing into a caller-owned solution so hot loops
-/// (delta rescoring) can reuse its buffers across candidates. Previous
-/// contents are discarded; the arithmetic is exactly [`solve_pipeline`]'s,
-/// so both entry points produce bit-identical solutions.
+/// (the DSE's per-run session) can reuse its buffers across candidates.
+/// Previous contents are discarded; the arithmetic is exactly
+/// [`solve_pipeline`]'s, so both entry points produce bit-identical
+/// solutions.
 pub fn solve_pipeline_into(
     df: &Dataflow,
     stages: &[LayerStages],
@@ -229,7 +230,7 @@ pub fn solve_pipeline_into(
 
 /// Reduces a solved pipeline to the whole-accelerator summary. `power` is
 /// the candidate's realized total power and `total_macs` the model's MAC
-/// count; both are inputs so delta evaluators can reuse memoized values.
+/// count; both are inputs so scoring loops can reuse memoized values.
 /// Float-identical to the corresponding [`SimReport`] fields.
 pub fn summarize_pipeline(
     df: &Dataflow,

@@ -78,8 +78,9 @@ impl LayerStages {
 ///
 /// These costs depend only on the layer's own hardware assignment (macro
 /// count, effective ADC bank, component counts) and its compiled program —
-/// not on the accelerator-wide NoC sizing — so a delta evaluator can reuse a
-/// parent candidate's value for every layer whose assignment is unchanged.
+/// not on the accelerator-wide NoC sizing, which only the `merge` and
+/// `transfer` terms of [`compute_layer_dynamic_with`] read, so a caller can
+/// memoize those terms apart from these costs.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LayerBaseCosts {
     /// Input-bit iterations per block.
@@ -99,9 +100,9 @@ pub struct LayerBaseCosts {
 }
 
 /// The per-layer hardware facts [`compute_layer_base_with`] needs, decoupled
-/// from [`Architecture`] so delta evaluators can rescore a single layer from
-/// a candidate's component counts without materializing the whole
-/// architecture struct.
+/// from [`Architecture`] so a scoring loop (the DSE's per-run session) can
+/// cost a layer from a candidate's component counts without materializing
+/// the whole architecture struct.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LayerCostInputs {
     /// Macros assigned to the layer (`MacAlloc` entry).
