@@ -437,15 +437,16 @@ mod tests {
         assert_eq!(ctx.evaluations(), 1);
     }
 
-    /// Every miss is scored through the session's memos (one Eq. (6)
-    /// solve per macro count, NoC terms, power) and is bit-identical to the
-    /// core, in both macro modes: genes that share a macro count and so a
-    /// solve, genes many entries apart, and genes with sharing.
-    #[test]
-    fn session_scores_match_the_core_in_both_macro_modes() {
+    /// Scores a parent gene and its relatives in two batches of one session
+    /// and checks every score against [`EvalCore::score`] bit for bit: genes
+    /// that share a macro count and so a solve, genes many entries apart,
+    /// and genes with sharing. Every gene is a memo miss scored through the
+    /// session's memos (one Eq. (6) solve per macro count, NoC terms, power).
+    fn assert_session_matches_core(mode: MacroMode) {
         let (model, df, point) = setup();
         let l = model.weight_layer_count();
         let hw = HardwareParams::date24();
+        let core = core_in(&model, &hw, mode);
         let with = |edits: &[(usize, usize)], shares: &[Option<usize>]| {
             let mut m = vec![1usize; l];
             for &(i, n) in edits {
@@ -469,20 +470,80 @@ mod tests {
             with(&[], &shared),
             with(&[(0, 2)], &shared),
         ];
-        for mode in [MacroMode::Specialized, MacroMode::Identical] {
-            let core = core_in(&model, &hw, mode);
+        let ctx = ExploreContext::unobserved();
+        let mut session = RunSession::new(&df, point);
+        let (first, second) = genes.split_at(genes.len() / 2);
+        let mut scores = session.score_batch(&core, first, &ctx);
+        scores.extend(session.score_batch(&core, second, &ctx));
+        for (x, g) in scores.iter().zip(&genes) {
+            let y = core.score(&df, point, g);
+            let at = format!("{mode} {:?}", g.as_slice());
+            assert!(y.feasible, "{at}");
+            assert_eq!(x.fitness.to_bits(), y.fitness.to_bits(), "{at}");
+            assert_eq!(x.feasible, y.feasible, "{at}");
+        }
+        assert_eq!(session.stats().unique_evaluations, genes.len());
+    }
+
+    /// A parent's children, grandchild and far relatives score in the
+    /// session exactly as plain scoring does. The name is from the
+    /// rescoring from a parent's retained breakdown that the session's
+    /// memos replaced.
+    #[test]
+    fn delta_rescoring_matches_plain_scoring_bit_for_bit() {
+        assert_session_matches_core(MacroMode::Specialized);
+    }
+
+    /// Identical macro mode homogenizes counts across layers after the
+    /// solve, in a buffer the session reuses from miss to miss; the
+    /// children still score bit-identically to the core. The name is from
+    /// the parent rescoring the session's memos replaced.
+    #[test]
+    fn identical_mode_children_are_delta_hits_and_bit_identical() {
+        assert_session_matches_core(MacroMode::Identical);
+    }
+
+    /// A miss reaches the session's memo at once and serves later
+    /// duplicates in its batch as hits, so a batch of three copies of one
+    /// child charges one unique evaluation and two hits whether or not the
+    /// session scored the child's parent first. (With the parent scored,
+    /// the rescoring the session's memos replaced made the miss a delta
+    /// hit.)
+    #[test]
+    fn in_batch_duplicates_hit_with_or_without_delta() {
+        let (model, df, point) = setup();
+        let l = model.weight_layer_count();
+        let hw = HardwareParams::date24();
+        let core = core(&model, &hw);
+        let parent = gene(l, 1);
+        let mut m = vec![1usize; l];
+        m[0] = 2;
+        let genes = vec![MacAllocGene::encode(&m, &vec![None; l]); 3];
+        let run = |parent_first: bool| {
             let ctx = ExploreContext::unobserved();
             let mut session = RunSession::new(&df, point);
-            let scores = session.score_batch(&core, &genes, &ctx);
-            for (x, g) in scores.iter().zip(&genes) {
-                let y = core.score(&df, point, g);
-                let at = format!("{mode} {:?}", g.as_slice());
-                assert!(y.feasible, "{at}");
-                assert_eq!(x.fitness.to_bits(), y.fitness.to_bits(), "{at}");
-                assert_eq!(x.feasible, y.feasible, "{at}");
+            if parent_first {
+                session.score_batch(&core, std::slice::from_ref(&parent), &ctx);
             }
-            assert_eq!(session.stats().unique_evaluations, genes.len());
+            let before = (session.stats(), ctx.unique_evaluations());
+            let scores = session.score_batch(&core, &genes, &ctx);
+            let after = session.stats();
+            let counts = [
+                after.unique_evaluations - before.0.unique_evaluations,
+                after.cache_hits - before.0.cache_hits,
+                ctx.unique_evaluations() - before.1,
+            ];
+            (scores, counts)
+        };
+        let (with, with_counts) = run(true);
+        let (without, without_counts) = run(false);
+        let reference = core.score(&df, point, &genes[0]);
+        for (a, b) in with.iter().zip(&without) {
+            assert_eq!(a.fitness.to_bits(), reference.fitness.to_bits());
+            assert_eq!(b.fitness.to_bits(), reference.fitness.to_bits());
         }
+        assert_eq!(with_counts, [1, 2, 1]);
+        assert_eq!(without_counts, [1, 2, 1]);
     }
 
     /// A memo hit can only return the reference score: in each of 20 fast
