@@ -221,12 +221,8 @@ impl SynthesisOptions {
             hw: self.hw.clone(),
             space,
             strategy: self.strategy.clone(),
-            sa: SaConfig {
-                seed: self.seed ^ 0x5A,
-                ..sa
-            },
+            sa,
             ea: EaConfig {
-                seed: self.seed ^ 0xEA,
                 allow_sharing: self.allow_macro_sharing,
                 objective: self.objective,
                 ..ea

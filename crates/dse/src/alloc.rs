@@ -10,11 +10,11 @@
 
 use pimsyn_arch::{
     AdcConfig, Architecture, ComponentCounts, ComponentKind, HardwareParams, LayerHardware,
-    MacroGroup, MacroMode, Watts,
+    MacroGroup, MacroMode, NocConfig, Watts,
 };
 use pimsyn_ir::Dataflow;
 use pimsyn_model::Model;
-use pimsyn_sim::{compute_layer_base_with, LayerCostInputs};
+use pimsyn_sim::{compute_layer_stages, LayerCostInputs};
 
 use crate::error::DseError;
 use crate::space::DesignPoint;
@@ -284,7 +284,7 @@ impl AllocPlan {
     /// `D_x` for layer `x`'s part of it and `periph` for the realized ADC
     /// plus ALU power.
     ///
-    /// - **Peripheral demand.** [`compute_layer_base_with`] gives every
+    /// - **Peripheral demand.** [`compute_layer_stages`] gives every
     ///   item a busy time `W / (F n)` of at most its layer's `blocks x
     ///   period <= T`, where `n` is the layer's own units for an ALU item
     ///   and its effective ADC bank for the ADC item, and `F` is the
@@ -390,7 +390,7 @@ impl AllocPlan {
     /// floor crosses the other or 0. With `T >= S_floor`, efficiency is at
     /// most `2 MACs / (S_floor P_min 1e12)`.
     ///
-    /// [`compute_layer_base_with`]: pimsyn_sim::compute_layer_base_with
+    /// [`compute_layer_stages`]: pimsyn_sim::compute_layer_stages
     /// [`power_breakdown_from`]: pimsyn_arch::power_breakdown_from
     /// [`MacroGroup::check_pairs`]: pimsyn_arch::MacroGroup::check_pairs
     pub fn efficiency_bound(
@@ -451,9 +451,12 @@ impl AllocPlan {
         if self.periph_budget(1).value() <= 0.0 || self.denom <= 0.0 {
             return None;
         }
+        // `S_floor` reads only load, store and the MVM stage. Neither unit
+        // counts nor macro-group roots nor the NoC enter those, so one-unit
+        // counts, the identity root and any NoC serve.
+        let noc = NocConfig::for_macros(1, hw);
         let mut s_floor = 0.0f64;
         for (layer, &cap) in caps.iter().enumerate() {
-            // Unit counts do not enter load, store or the MVM stage.
             let inputs = LayerCostInputs {
                 macros: cap,
                 effective_adcs: 1,
@@ -463,10 +466,8 @@ impl AllocPlan {
                 activation: 1,
                 eltwise: 1,
             };
-            if let Ok(base) = compute_layer_base_with(df, hw, layer, &inputs) {
-                let busiest = (base.bits as f64 * base.mvm_bit)
-                    .max(base.load)
-                    .max(base.store);
+            if let Ok(st) = compute_layer_stages(df, hw, layer, &inputs, |l| l, &noc) {
+                let busiest = (st.bits as f64 * st.mvm_bit).max(st.load).max(st.store);
                 s_floor = s_floor.max(df.program(layer).blocks as f64 * busiest);
             }
         }

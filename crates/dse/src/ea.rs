@@ -96,7 +96,8 @@ pub struct EaConfig {
     pub allow_sharing: bool,
     /// What the fitness function maximizes.
     pub objective: Objective,
-    /// RNG seed.
+    /// RNG seed of the standalone [`explore_macro_partitioning`].
+    /// `run_dse` ignores it and seeds each EA run from `DseConfig::seed`.
     pub seed: u64,
 }
 

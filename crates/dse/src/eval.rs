@@ -14,7 +14,7 @@
 //!   accounting: its `score_batch` charges every candidate to the
 //!   [`ExploreContext`](crate::ExploreContext) budget, serves repeats from
 //!   the run's memo, scores every miss on the calling thread through the
-//!   run's scoring memos and counts all of it in the session's own
+//!   run's solve memo and counts all of it in the session's own
 //!   [`EvaluatorStats`].
 //!
 //! Caching is *transparent*: evaluation is a pure function of the
@@ -58,7 +58,7 @@ pub struct EvaluatorStats {
     /// it counted was removed (Eq. (4) is a closed-form O(L) sum, cheaper
     /// to recompute than to look up).
     pub sa_cache_hits: usize,
-    /// Always 0: the per-layer base-cost memo these counted was removed
+    /// Always 0: the per-layer stage-cost memo these counted was removed
     /// (recomputing a layer is cheaper than the lookup). Kept so consumers
     /// of the counter set keep working.
     pub layer_hits: usize,
@@ -441,7 +441,7 @@ mod tests {
     /// and checks every score against [`EvalCore::score`] bit for bit: genes
     /// that share a macro count and so a solve, genes many entries apart,
     /// and genes with sharing. Every gene is a memo miss scored through the
-    /// session's memos (one Eq. (6) solve per macro count, NoC terms, power).
+    /// session's solve memo (one Eq. (6) solve per macro count).
     fn assert_session_matches_core(mode: MacroMode) {
         let (model, df, point) = setup();
         let l = model.weight_layer_count();
@@ -574,8 +574,6 @@ mod tests {
                     let mut cfg = DseConfig::fast(*power);
                     cfg.macro_mode = mode;
                     cfg.seed = seed;
-                    cfg.sa.seed = seed ^ 0x5A;
-                    cfg.ea.seed = seed ^ 0xEA;
                     let case = format!("{model} {mode} seed {seed}");
                     let objective = cfg.ea.objective;
                     let core = EvalCore::new(model, *power, &cfg.hw, mode, objective);

@@ -97,8 +97,12 @@ pub struct DseConfig {
     /// on that one count and thread timing would decide which runs spend
     /// it. Results and counters are the same either way.
     pub parallel: bool,
-    /// Base seed; every stochastic stage derives its own deterministic seed
-    /// from it, so results are reproducible even with `parallel = true`.
+    /// Base seed, read by [`run_dse`] and [`run_dse_observed`]: every
+    /// stochastic stage derives its own deterministic seed from it (each
+    /// point's SA walk from the point, each EA run from its point, WtDup
+    /// candidate and DAC), so results are reproducible even with
+    /// `parallel = true`. Those entry points ignore `sa.seed` and
+    /// `ea.seed`.
     pub seed: u64,
 }
 
@@ -1265,8 +1269,6 @@ mod tests {
                 for sharing in [true, false] {
                     let mut cfg = base(Watts(*power));
                     cfg.seed = seed;
-                    cfg.sa.seed = seed ^ 0x5A;
-                    cfg.ea.seed = seed ^ 0xEA;
                     cfg.ea.allow_sharing = sharing;
                     cfg.macro_mode = mode;
                     cfg.ea.objective = objective;

@@ -16,7 +16,7 @@
 //! - [`EvalCore`]: the pure scoring pipeline (components allocation plus
 //!   the analytic model). Each EA run scores its candidates in its own
 //!   [`RunSession`] on the calling thread: the session charges the budget,
-//!   holds the run's candidate and scoring memos and counts what it
+//!   holds the run's candidate and solve memos and counts what it
 //!   scored.
 //! - [`run_dse`]: the full Algorithm 1 nest, with deterministic per-point
 //!   seeds. With [`DseConfig::parallel`] set, one worker per core runs

@@ -25,7 +25,9 @@ pub struct SaConfig {
     pub alpha: f64,
     /// Number of top candidates to keep (the paper keeps 30).
     pub candidates: usize,
-    /// RNG seed (the filter is fully deterministic given the seed).
+    /// RNG seed of the standalone [`wt_dup_candidates`] (the filter is
+    /// fully deterministic given the seed). `run_dse` ignores it and seeds
+    /// each point's walk from `DseConfig::seed`.
     pub seed: u64,
 }
 
@@ -289,8 +291,9 @@ pub(crate) fn wt_dup_candidates_counted(
     // WOHO-proportional fills of half and a quarter of the budget — under
     // tight peripheral power the downstream stages may legitimately prefer
     // a lighter duplication than the budget-filling optimum. Seeds are not
-    // kept for certain: each state the walk accepts trims the list to
-    // `cfg.candidates`, which can evict any seed.
+    // kept for certain: the list is trimmed to `cfg.candidates` after each
+    // state the walk accepts and once more at the end, which can evict any
+    // seed.
     let mut top: Vec<(f64, Vec<usize>)> = vec![(energy, state.clone())];
     let mut seed_candidate = |s: Vec<usize>, top: &mut Vec<(f64, Vec<usize>)>| {
         if top.iter().any(|(_, existing)| *existing == s) {
@@ -352,6 +355,9 @@ pub(crate) fn wt_dup_candidates_counted(
         temperature *= cfg.cooling;
     }
 
+    // Seeds go in untrimmed, so a walk that accepts no state would
+    // otherwise return them all.
+    top.truncate(cfg.candidates);
     let candidates = top.into_iter().map(|(_, s)| s).collect();
     Ok((candidates, probes))
 }
@@ -432,6 +438,20 @@ mod tests {
                 assert_ne!(a, b, "candidates must be distinct");
             }
         }
+    }
+
+    /// The seeds alone can outnumber `cfg.candidates`: a walk that takes
+    /// no step must still return at most that many vectors.
+    #[test]
+    fn seeds_are_trimmed_to_the_candidate_count() {
+        let model = zoo::alexnet_cifar(10);
+        let cfg = SaConfig {
+            candidates: 1,
+            iterations: 0,
+            ..SaConfig::fast()
+        };
+        let cands = wt_dup_candidates(&model, xb(), 4000, &cfg).unwrap();
+        assert_eq!(cands.len(), 1, "{cands:?}");
     }
 
     #[test]

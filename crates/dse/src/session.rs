@@ -2,7 +2,7 @@
 //!
 //! Alg. 2 scores every EA child through components allocation and the
 //! analytic model. A [`RunSession`] does that for the candidates of one EA
-//! run — one dataflow at one design point — and memoizes what those
+//! run — one dataflow at one design point — and keeps what those
 //! candidates share:
 //!
 //! - The run's [`AllocPlan`], prepared on the first memo miss.
@@ -11,21 +11,25 @@
 //!   Under [`MacroMode::Identical`] the allocator's own `homogenize` pass
 //!   then runs on a per-candidate copy, since it reads the whole macro
 //!   vector.
-//! - The NoC-coupled `merge`/`transfer` terms per `(layer, macros,
-//!   n_macros)`, for candidates without sharing.
-//! - Realized power per physical macro count, for specialized macros
-//!   without sharing.
+//! - Working buffers that every candidate overwrites, so the hot loop
+//!   allocates nothing per candidate.
 //!
-//! Every memoized value was produced by *the same function* the full
-//! pipeline calls ([`AllocPlan::solve`], `homogenize`,
-//! [`compute_layer_dynamic_with`], [`power_breakdown_from`]), and each memo
-//! is keyed by every input of that function that varies within the run.
-//! Everything else — each layer's base stage costs
-//! ([`compute_layer_base_with`]), the pipeline solve
-//! ([`solve_pipeline_into`]) and its summary ([`summarize_pipeline`]) — is
+//! The solve memo holds what [`AllocPlan::solve`], the function the full
+//! pipeline calls, returned for its one input that varies within the run.
+//! Everything else — each layer's stages ([`compute_layer_stages`]), the
+//! pipeline solve ([`solve_pipeline_into`]), realized power
+//! ([`power_breakdown_from`]) and the summary ([`summarize_pipeline`]) — is
 //! recomputed per candidate. So a session score replays the exact float
 //! sequence of [`EvalCore::compute`] and is bit-identical to
 //! [`EvalCore::score`] by construction, in either macro mode.
+//!
+//! The session memoizes only what pays. Measured one at a time on 2 vCPUs
+//! (release build, alternating runs, every summary byte-identical),
+//! golden-ledger CPU time rose 10–17% without the solve memo, 15–30%
+//! without the reused buffers and 2–4% without `FxHasher`. Memos of each
+//! layer's NoC-coupled `merge`/`transfer` terms and of realized power
+//! moved nothing: ledger CPU medians were 0.818, 0.771 and 0.781 s with
+//! them and 0.772, 0.821 and 0.787 s without, so the session keeps neither.
 //!
 //! A session lives for one EA run, and its memos are freed when the run
 //! returns: each `(RatioRram, crossbar, DAC, WtDup)` combination is
@@ -45,11 +49,11 @@
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
-use pimsyn_arch::{power_breakdown_from, ComponentCounts, MacroGroup, MacroMode, NocConfig, Watts};
+use pimsyn_arch::{power_breakdown_from, ComponentCounts, MacroGroup, MacroMode, NocConfig};
 use pimsyn_ir::Dataflow;
 use pimsyn_sim::{
-    assemble_stages, compute_layer_base_with, compute_layer_dynamic_with, solve_pipeline_into,
-    summarize_pipeline, LayerCostInputs, LayerStages, PipelineSolution,
+    compute_layer_stages, solve_pipeline_into, summarize_pipeline, LayerCostInputs, LayerStages,
+    PipelineSolution,
 };
 
 use crate::alloc::{homogenize, AllocPlan};
@@ -58,16 +62,11 @@ use crate::ea::MacAllocGene;
 use crate::eval::{CandidateScore, EvalCore, EvaluatorStats};
 use crate::space::DesignPoint;
 
-/// Entry bound of each per-session memo; once full, further values are
-/// computed without being stored (no eviction, bounded memory).
-const MEMO_CAP: usize = 1 << 16;
-
 /// Multiplicative word hasher (the rustc/FxHash scheme) for the hot-loop
-/// maps: the session's candidate memo and its solve, NoC and power memos.
-/// Their keys are a few machine words or a short `u32` gene slice, and at
-/// several lookups per candidate the default SipHash costs more than some
-/// of the arithmetic being memoized. Not DoS-resistant — fine here, the
-/// keys come from the EA itself, not from untrusted input.
+/// maps: the session's candidate memo and its solve memo. Their keys are
+/// a machine word or a short `u32` gene slice, and with the default
+/// SipHash instead the golden ledger took 2–4% more CPU. Not DoS-resistant
+/// — fine here, the keys come from the EA itself, not from untrusted input.
 #[derive(Default)]
 pub(crate) struct FxHasher {
     hash: u64,
@@ -132,7 +131,7 @@ struct Scratch {
     solution: PipelineSolution,
 }
 
-/// Everything one session memoizes for its dataflow and design point.
+/// Everything one session keeps for its dataflow and design point.
 struct PlanState {
     plan: AllocPlan,
     /// Identical macros: solved counts go through `homogenize`, so they
@@ -146,15 +145,6 @@ struct PlanState {
     /// Eq. (6) solutions per physical macro count; `None` memoizes an
     /// infeasible solve.
     solves: FastMap<usize, Option<Vec<ComponentCounts>>>,
-    /// NoC-coupled `(merge, transfer)` terms keyed by `(layer, macros,
-    /// n_macros)` — exact only without sharing (the key then pins every
-    /// input of [`compute_layer_dynamic_with`]); sharing candidates always
-    /// recompute.
-    dyn_memo: FastMap<(usize, usize, usize), (f64, f64)>,
-    /// Realized power per physical macro count — exact only for specialized
-    /// macros without sharing (counts are then a function of `n_macros` and
-    /// groups are all singleton); every other candidate recomputes.
-    power_memo: FastMap<usize, Watts>,
     scratch: Scratch,
 }
 
@@ -177,19 +167,17 @@ impl PlanState {
                 .sum(),
             total_macs: core.model().stats().total_macs,
             solves: FastMap::default(),
-            dyn_memo: FastMap::default(),
-            power_memo: FastMap::default(),
             scratch: Scratch::default(),
         }
     }
 }
 
-/// The candidate memo, scoring memos and counters of one EA run: one
+/// The candidate memo, solve memo and counters of one EA run: one
 /// dataflow at one design point. Create one per run, score every
 /// generation of the run through its crate-internal `score_batch` and
 /// drop it when the run returns, which frees every score and memo it
-/// holds. The scoring memos are built on the first memo miss, so a session
-/// that never scores costs nothing.
+/// holds. The solve memo and its plan are built on the first memo miss,
+/// so a session that never scores costs nothing.
 pub struct RunSession<'d> {
     df: &'d Dataflow,
     point: DesignPoint,
@@ -279,7 +267,7 @@ impl<'d> RunSession<'d> {
         out
     }
 
-    /// Scores one candidate through the session's scoring memos,
+    /// Scores one candidate through the session's solve memo,
     /// bit-identically to [`EvalCore::score`]. `core` must be built for
     /// the run this session serves. The candidate memo is neither consulted
     /// nor filled and nothing is charged or counted: that is the run's
@@ -322,7 +310,6 @@ impl<'d> RunSession<'d> {
         } else {
             solved
         };
-        let no_sharing = shares.iter().all(Option::is_none);
 
         // `Architecture::effective_adcs`: every layer sees the largest ADC
         // bank of its group (the allocator assigns `layer: i` in program
@@ -337,9 +324,6 @@ impl<'d> RunSession<'d> {
             }
         }
 
-        // Each layer's stages: its base (NoC-independent) costs, then its
-        // NoC-coupled terms — from the `(layer, macros, n_macros)` memo
-        // without sharing, recomputed with it.
         let noc = NocConfig::for_macros(n_macros, hw);
         let root_of = |x: usize| shares[x].unwrap_or(x);
         ps.scratch.stages.clear();
@@ -353,28 +337,11 @@ impl<'d> RunSession<'d> {
                 activation: counts[i].activation,
                 eltwise: counts[i].eltwise,
             };
-            let Ok(base) = compute_layer_base_with(df, hw, i, &inputs) else {
+            let Ok(stages) = compute_layer_stages(df, hw, i, &inputs, root_of, &noc) else {
                 // The full pipeline fails this candidate identically.
                 return CandidateScore::INFEASIBLE;
             };
-            let (merge, transfer) = if no_sharing {
-                let key = (i, m, n_macros);
-                match ps.dyn_memo.get(&key) {
-                    Some(&d) => d,
-                    None => {
-                        let d = compute_layer_dynamic_with(df, hw, i, m, root_of, &noc);
-                        if ps.dyn_memo.len() < MEMO_CAP {
-                            ps.dyn_memo.insert(key, d);
-                        }
-                        d
-                    }
-                }
-            } else {
-                compute_layer_dynamic_with(df, hw, i, m, root_of, &noc)
-            };
-            ps.scratch
-                .stages
-                .push(assemble_stages(base, merge, transfer));
+            ps.scratch.stages.push(stages);
         }
         solve_pipeline_into(
             df,
@@ -383,28 +350,16 @@ impl<'d> RunSession<'d> {
             &mut ps.scratch.solution,
         );
 
-        // Realized power: the per-`n_macros` memo (exact for specialized
-        // macros without sharing), else recompute.
-        let memo_power = no_sharing && !ps.identical;
-        let power = match ps.power_memo.get(&n_macros).copied().filter(|_| memo_power) {
-            Some(w) => w,
-            None => {
-                let w = power_breakdown_from(
-                    hw,
-                    point.crossbar,
-                    df.dac(),
-                    ps.crossbar_count,
-                    &ps.scratch.groups,
-                    n_macros,
-                    |m| (counts[m], plan.adcs()[m].bits()),
-                )
-                .total();
-                if memo_power && ps.power_memo.len() < MEMO_CAP {
-                    ps.power_memo.insert(n_macros, w);
-                }
-                w
-            }
-        };
+        let power = power_breakdown_from(
+            hw,
+            point.crossbar,
+            df.dac(),
+            ps.crossbar_count,
+            &ps.scratch.groups,
+            n_macros,
+            |m| (counts[m], plan.adcs()[m].bits()),
+        )
+        .total();
 
         let summary = summarize_pipeline(df, &ps.scratch.solution, power, ps.total_macs);
         CandidateScore {

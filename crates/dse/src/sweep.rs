@@ -1,7 +1,6 @@
-//! Parameter sweeps over the synthesis flow: how the synthesized
-//! accelerator's quality scales with the user's power constraint or with
-//! metaheuristic budgets. Used by the `power_sweep` example and the
-//! design-choice ablation bench (`DESIGN.md` extensions).
+//! Power sweeps over the synthesis flow: how the synthesized accelerator's
+//! quality scales with the user's power constraint, and the least power
+//! that synthesizes at all. Used by `examples/power_sweep.rs`.
 
 use pimsyn_arch::Watts;
 use pimsyn_model::Model;

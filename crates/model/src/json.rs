@@ -1,7 +1,7 @@
 //! A small, dependency-free JSON parser and writer.
 //!
 //! This is the substrate for [`onnx`](crate::onnx) model ingestion (the
-//! paper's ONNX input path; see substitution #1 in `DESIGN.md`). It supports
+//! paper's ONNX input path; see `docs/ARCHITECTURE.md` §5). It supports
 //! the full JSON grammar: objects, arrays, strings with escapes (including
 //! `\uXXXX` and surrogate pairs), numbers, booleans and `null`.
 //!

@@ -10,8 +10,8 @@
 //!   the paper's evaluation (AlexNet, VGG13, VGG16, MSRA, ResNet18, plus
 //!   CIFAR-sized variants for the Gibbon comparison).
 //! - [`onnx`]: an ONNX-style JSON ingestion path built on the from-scratch
-//!   [`json`] parser (the substitution for protobuf-based ONNX ingestion is
-//!   documented in `DESIGN.md`).
+//!   [`json`] parser (why it stands in for protobuf-based ONNX ingestion:
+//!   `docs/ARCHITECTURE.md` §5).
 //! - [`Precision`]: quantization metadata (the paper evaluates with 16-bit
 //!   quantification).
 //!

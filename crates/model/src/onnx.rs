@@ -2,8 +2,8 @@
 //!
 //! PIMSYN consumes CNNs "described in the ONNX format". This module provides
 //! the equivalent ingestion path for the reproduction: an ONNX-like
-//! graph-of-nodes description serialized as JSON (see `DESIGN.md`,
-//! substitution #1). Node `op` names mirror ONNX operator names so that a
+//! graph-of-nodes description serialized as JSON (see `docs/ARCHITECTURE.md`
+//! §5). Node `op` names mirror ONNX operator names so that a
 //! conversion script from real ONNX files is mechanical.
 //!
 //! # Format

@@ -48,7 +48,4 @@ pub use analytic::{
 pub use engine::{simulate, MAX_SIMULATED_BLOCKS};
 pub use error::SimError;
 pub use metrics::{LayerPerf, SimReport, StageKind, Utilization};
-pub use stages::{
-    assemble_stages, compute_layer_base, compute_layer_base_with, compute_layer_dynamic,
-    compute_layer_dynamic_with, compute_stages, LayerBaseCosts, LayerCostInputs, LayerStages,
-};
+pub use stages::{compute_layer_stages, compute_stages, LayerCostInputs, LayerStages};

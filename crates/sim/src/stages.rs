@@ -6,7 +6,9 @@
 //! the largest per-block occupancy — the `min max` objective of the paper's
 //! Eq. (5).
 
-use pimsyn_arch::{AdcConfig, ArchError, Architecture, HardwareParams, MacroGroup, ScratchpadSpec};
+use pimsyn_arch::{
+    AdcConfig, ArchError, Architecture, HardwareParams, MacroGroup, NocConfig, ScratchpadSpec,
+};
 use pimsyn_ir::Dataflow;
 
 use crate::error::SimError;
@@ -73,33 +75,7 @@ impl LayerStages {
     }
 }
 
-/// The NoC-independent part of one layer's stage occupancies: everything in
-/// [`LayerStages`] except `merge` and `transfer`.
-///
-/// These costs depend only on the layer's own hardware assignment (macro
-/// count, effective ADC bank, component counts) and its compiled program —
-/// not on the accelerator-wide NoC sizing, which only the `merge` and
-/// `transfer` terms of [`compute_layer_dynamic_with`] read, so a caller can
-/// memoize those terms apart from these costs.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LayerBaseCosts {
-    /// Input-bit iterations per block.
-    pub bits: usize,
-    /// Scratchpad load occupancy per block.
-    pub load: f64,
-    /// Crossbar occupancy per bit iteration.
-    pub mvm_bit: f64,
-    /// ADC-bank occupancy per bit iteration.
-    pub adc_bit: f64,
-    /// Shift-and-add occupancy per bit iteration.
-    pub sa_bit: f64,
-    /// Post-op occupancy per block.
-    pub post: f64,
-    /// Scratchpad store occupancy per block.
-    pub store: f64,
-}
-
-/// The per-layer hardware facts [`compute_layer_base_with`] needs, decoupled
+/// The per-layer hardware facts [`compute_layer_stages`] needs, decoupled
 /// from [`Architecture`] so a scoring loop (the DSE's per-run session) can
 /// cost a layer from a candidate's component counts without materializing
 /// the whole architecture struct.
@@ -122,53 +98,26 @@ pub struct LayerCostInputs {
     pub eltwise: usize,
 }
 
-/// Computes the NoC-independent occupancies of layer `layer`.
-///
-/// # Errors
-///
-/// - [`SimError::LayerCountMismatch`] if `arch` and `df` disagree on layer
-///   count or `layer` is out of range.
-/// - [`SimError::MissingComponent`] if the layer has workload for a
-///   component family with zero allocated units.
-pub fn compute_layer_base(
-    df: &Dataflow,
-    arch: &Architecture,
-    layer: usize,
-) -> Result<LayerBaseCosts, SimError> {
-    if arch.layers.len() != df.programs().len() || layer >= arch.layers.len() {
-        return Err(SimError::LayerCountMismatch {
-            arch: arch.layers.len(),
-            dataflow: df.programs().len(),
-        });
-    }
-    let lh = &arch.layers[df.program(layer).layer];
-    let inputs = LayerCostInputs {
-        macros: lh.macros,
-        effective_adcs: arch.effective_adcs(df.program(layer).layer),
-        adc: lh.adc,
-        shift_add: lh.components.shift_add,
-        pool: lh.components.pool,
-        activation: lh.components.activation,
-        eltwise: lh.components.eltwise,
-    };
-    compute_layer_base_with(df, &arch.hw, layer, &inputs)
-}
-
-/// Computes the NoC-independent occupancies of layer `layer` from explicit
-/// per-layer hardware facts instead of a full [`Architecture`]. This is the
-/// single implementation behind [`compute_layer_base`]; both paths produce
-/// bit-identical floats by construction.
+/// Computes the stage occupancies of layer `layer` from its hardware facts,
+/// the macro-group root lookup and the accelerator's NoC. `root_of(l)` must
+/// return the macro-group root of layer `l` (the layer itself when it
+/// shares with nobody); only the `transfer` term reads it, and only
+/// `merge` and `transfer` read `noc`. This is the one per-layer cost
+/// function: [`compute_stages`] calls it for both evaluators, and the DSE
+/// calls it per candidate and for its fitness bound.
 ///
 /// # Errors
 ///
 /// [`SimError::MissingComponent`] if the layer has workload for a component
 /// family with zero allocated units.
-pub fn compute_layer_base_with(
+pub fn compute_layer_stages(
     df: &Dataflow,
     hw: &HardwareParams,
     layer: usize,
     inputs: &LayerCostInputs,
-) -> Result<LayerBaseCosts, SimError> {
+    root_of: impl Fn(usize) -> usize,
+    noc: &NocConfig,
+) -> Result<LayerStages, SimError> {
     let spm = ScratchpadSpec::from_params(hw);
     let act_bytes = (df.activation_bits() as usize).div_ceil(8);
     let clock = hw.clock.value();
@@ -220,65 +169,9 @@ pub fn compute_layer_base_with(
     let store_bytes = prog.store_elems * act_bytes;
     let store = store_bytes as f64 / spm_bw + spm.read_latency(0).value();
 
-    Ok(LayerBaseCosts {
-        bits: prog.bits,
-        load,
-        mvm_bit,
-        adc_bit,
-        sa_bit,
-        post,
-        store,
-    })
-}
-
-/// Computes the NoC-dependent `(merge, transfer)` occupancies of layer
-/// `layer` under the given NoC sizing. Cheap relative to
-/// [`compute_layer_base`]; recomputed for every candidate because the NoC is
-/// sized from the accelerator-wide macro count.
-///
-/// # Panics
-///
-/// Panics if `arch` and `df` disagree on layer count or `layer` is out of
-/// range — validate with [`compute_layer_base`] (or use [`compute_stages`],
-/// which checks) first.
-pub fn compute_layer_dynamic(
-    df: &Dataflow,
-    arch: &Architecture,
-    layer: usize,
-    noc: &pimsyn_arch::NocConfig,
-) -> (f64, f64) {
-    let prog_layer = df.program(layer).layer;
-    compute_layer_dynamic_with(
-        df,
-        &arch.hw,
-        layer,
-        arch.layers[prog_layer].macros,
-        |l| arch.layers[l].shares_macros_with.unwrap_or(l),
-        noc,
-    )
-}
-
-/// Computes the NoC-dependent `(merge, transfer)` occupancies of layer
-/// `layer` from an explicit macro count and macro-group root lookup instead
-/// of a full [`Architecture`]. This is the single implementation behind
-/// [`compute_layer_dynamic`]; both paths produce bit-identical floats by
-/// construction. `root_of(l)` must return the macro-group root of layer `l`
-/// (the layer itself when it shares with nobody).
-pub fn compute_layer_dynamic_with(
-    df: &Dataflow,
-    hw: &HardwareParams,
-    layer: usize,
-    macros: usize,
-    root_of: impl Fn(usize) -> usize,
-    noc: &pimsyn_arch::NocConfig,
-) -> (f64, f64) {
-    let act_bytes = (df.activation_bits() as usize).div_ceil(8);
-    let prog = df.program(layer);
-    let n_mac = macros.max(1) as f64;
-
     // Partial sums cross macros only when the layer both splits its
     // filter rows and spans multiple macros.
-    let merge = if prog.row_groups > 1 && macros > 1 {
+    let merge = if prog.row_groups > 1 && inputs.macros > 1 {
         let frac = (prog.row_groups - 1) as f64 / prog.row_groups as f64;
         let bytes = prog.store_elems as f64 * PARTIAL_SUM_BYTES as f64 * frac;
         bytes / (noc.link_bandwidth() * n_mac) + 2.0 * hw.noc_hop_latency.value()
@@ -286,7 +179,6 @@ pub fn compute_layer_dynamic_with(
         0.0
     };
 
-    let store_bytes = prog.store_elems * act_bytes;
     // Activations travel the NoC unless every consumer lives in the same
     // macro group.
     let my_group = root_of(prog.layer);
@@ -298,22 +190,17 @@ pub fn compute_layer_dynamic_with(
         0.0
     };
 
-    (merge, transfer)
-}
-
-/// Assembles full [`LayerStages`] from the two halves.
-pub fn assemble_stages(base: LayerBaseCosts, merge: f64, transfer: f64) -> LayerStages {
-    LayerStages {
-        bits: base.bits,
-        load: base.load,
-        mvm_bit: base.mvm_bit,
-        adc_bit: base.adc_bit,
-        sa_bit: base.sa_bit,
-        post: base.post,
+    Ok(LayerStages {
+        bits: prog.bits,
+        load,
+        mvm_bit,
+        adc_bit,
+        sa_bit,
+        post,
         merge,
-        store: base.store,
+        store,
         transfer,
-    }
+    })
 }
 
 /// Computes every layer's stage occupancies for `arch` running `df`.
@@ -346,11 +233,22 @@ pub fn compute_stages(df: &Dataflow, arch: &Architecture) -> Result<Vec<LayerSta
         });
     }
     let noc = arch.noc();
+    let root_of = |l: usize| arch.layers[l].shares_macros_with.unwrap_or(l);
     let mut out = Vec::with_capacity(df.programs().len());
     for layer in 0..df.programs().len() {
-        let base = compute_layer_base(df, arch, layer)?;
-        let (merge, transfer) = compute_layer_dynamic(df, arch, layer, &noc);
-        out.push(assemble_stages(base, merge, transfer));
+        let at = df.program(layer).layer;
+        let lh = &arch.layers[at];
+        let inputs = LayerCostInputs {
+            macros: lh.macros,
+            effective_adcs: arch.effective_adcs(at),
+            adc: lh.adc,
+            shift_add: lh.components.shift_add,
+            pool: lh.components.pool,
+            activation: lh.components.activation,
+            eltwise: lh.components.eltwise,
+        };
+        let stages = compute_layer_stages(df, &arch.hw, layer, &inputs, root_of, &noc)?;
+        out.push(stages);
     }
     Ok(out)
 }

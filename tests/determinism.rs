@@ -39,15 +39,16 @@ fn different_seeds_may_differ_but_stay_feasible() {
 /// EA's own `mutate_share`; every 8th step 3–5 `mutate_num` edits at once)
 /// and scores the child in one run session, through `RunSession::score`
 /// itself, so a gene the walk revisits is scored again instead of being
-/// served from the memo while the session's Eq. (6) solve, NoC-term and
-/// power memos fill up over the walk. Every step must be bit-identical to
+/// served from the memo while the session's Eq. (6) solve memo fills up
+/// over the walk. Every step must be bit-identical to
 /// [`EvalCore::score`](pimsyn_dse::EvalCore), under both macro modes and
-/// both objectives. Half the walks never share macros, since the NoC-term
-/// and power memos serve only genes without sharing, and the EDP walks see
-/// every layer's NoC terms through the pipeline latency, where power
-/// efficiency sees only the bottleneck stages. The roomy budgets keep most
-/// steps feasible; the tight ones (alexnet-cifar at 9 W, vgg16-cifar at
-/// 15 W) are there for their infeasible steps.
+/// both objectives. Half the walks share macros and half never do, so
+/// each layer's transfer term is costed both inside and across macro
+/// groups; the EDP walks see every layer's merge and transfer terms
+/// through the pipeline latency, where power efficiency sees only the
+/// bottleneck stages. The roomy budgets keep most steps feasible; the
+/// tight ones (alexnet-cifar at 9 W, vgg16-cifar at 15 W) are there for
+/// their infeasible steps.
 #[test]
 fn session_scoring_is_bit_identical_on_mutation_walks() {
     use pimsyn_arch::{CrossbarConfig, DacConfig, HardwareParams};
