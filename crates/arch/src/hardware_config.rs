@@ -4,7 +4,9 @@
 //! (e.g., ReRAM's, ADC's and DAC's latency and power)". This module reads
 //! and writes [`HardwareParams`] as a flat JSON object so device assumptions
 //! can be swapped without recompiling. Missing keys keep their Table III
-//! defaults; unknown keys are rejected (they are almost always typos).
+//! defaults; unknown keys are rejected (they are almost always typos). The
+//! DAC power table and the area constants have no key and always keep
+//! their Table III values.
 //!
 //! # Format
 //!
@@ -46,8 +48,8 @@ fn bad(detail: String) -> ArchError {
     }
 }
 
-/// The validity check both parsers share. Each parser rejects a
-/// non-finite number as it reads it; here the rates, the MVM latency and
+/// The validity check of every hardware document. [`from_value`] rejects
+/// a non-finite number as it reads it; here the rates, the MVM latency and
 /// the flit width, which the models divide by, must be finite and positive
 /// after unit conversion (`"clock_ghz": 1e300` overflows to an infinite
 /// clock). The ADC range must be non-empty and start at 1 bit or more
@@ -204,146 +206,6 @@ pub fn to_json(hw: &HardwareParams) -> String {
     obj.to_string()
 }
 
-/// Serializes *every* field of [`HardwareParams`] with floats as
-/// `f64::to_bits` hex strings: the bit-exact spelling of the HTTP gateway's
-/// `hw` field, which a client uses to replay a job with parameters
-/// bit-identical to the originals (the human-editable [`to_json`] format
-/// converts units and may lose an ulp).
-pub fn to_json_exact(hw: &HardwareParams) -> String {
-    let f = |v: f64| JsonValue::String(format!("{:016x}", v.to_bits()));
-    let n = |v: f64| JsonValue::Number(v);
-    let pairs: Vec<(&str, JsonValue)> = vec![
-        ("clock", f(hw.clock.value())),
-        ("mvm_latency", f(hw.mvm_latency.value())),
-        ("crossbar_base_power", f(hw.crossbar_base_power.value())),
-        ("crossbar_size_exponent", f(hw.crossbar_size_exponent)),
-        ("crossbar_res_factor", f(hw.crossbar_res_factor)),
-        ("crossbar_base_area", f(hw.crossbar_base_area.value())),
-        (
-            "dac_power_lut",
-            JsonValue::Array(hw.dac_power_lut.iter().map(|w| f(w.value())).collect()),
-        ),
-        ("dac_rate", f(hw.dac_rate.value())),
-        ("dac_area", f(hw.dac_area.value())),
-        ("adc_base_power", f(hw.adc_base_power.value())),
-        ("adc_power_growth", f(hw.adc_power_growth)),
-        ("adc_base_rate", f(hw.adc_base_rate.value())),
-        ("adc_min_bits", n(hw.adc_min_bits as f64)),
-        ("adc_max_bits", n(hw.adc_max_bits as f64)),
-        ("adc_area", f(hw.adc_area.value())),
-        ("scratchpad_bytes", n(hw.scratchpad_bytes as f64)),
-        ("scratchpad_bus_bits", n(hw.scratchpad_bus_bits as f64)),
-        ("scratchpad_power", f(hw.scratchpad_power.value())),
-        ("scratchpad_latency", f(hw.scratchpad_latency.value())),
-        ("scratchpad_area", f(hw.scratchpad_area.value())),
-        ("noc_flit_bits", n(hw.noc_flit_bits as f64)),
-        ("noc_ports", n(hw.noc_ports as f64)),
-        ("noc_router_power", f(hw.noc_router_power.value())),
-        ("noc_hop_latency", f(hw.noc_hop_latency.value())),
-        ("noc_link_rate", f(hw.noc_link_rate.value())),
-        ("noc_router_area", f(hw.noc_router_area.value())),
-        ("shift_add_power", f(hw.shift_add_power.value())),
-        ("pool_power", f(hw.pool_power.value())),
-        ("activation_power", f(hw.activation_power.value())),
-        ("eltwise_power", f(hw.eltwise_power.value())),
-        ("alu_area", f(hw.alu_area.value())),
-        ("register_power", f(hw.register_power.value())),
-        ("register_area", f(hw.register_area.value())),
-    ];
-    JsonValue::Object(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect()).to_string()
-}
-
-/// Parses the bit-exact format written by [`to_json_exact`]. Every key must
-/// be present; the reconstructed parameters are bit-identical to the
-/// serialized ones.
-///
-/// # Errors
-///
-/// [`ArchError::InvalidDesignVariable`] for malformed JSON, missing /
-/// malformed keys, or values the shared validity check rejects.
-pub fn from_json_exact(text: &str) -> Result<HardwareParams, ArchError> {
-    use crate::units::SquareMm;
-    let doc = JsonValue::parse(text).map_err(|e| bad(e.to_string()))?;
-    let float = |key: &str| -> Result<f64, ArchError> {
-        let s = doc
-            .get(key)
-            .and_then(JsonValue::as_str)
-            .ok_or_else(|| bad(format!("missing float key `{key}`")))?;
-        u64::from_str_radix(s, 16)
-            .map(f64::from_bits)
-            .ok()
-            .filter(|x| x.is_finite())
-            .ok_or_else(|| bad(format!("`{key}` is not a finite hex float-bit pattern")))
-    };
-    let int = |key: &str| -> Result<u64, ArchError> {
-        let value = doc
-            .get(key)
-            .ok_or_else(|| bad(format!("missing integer key `{key}`")))?;
-        value
-            .as_usize()
-            .map(|v| v as u64)
-            .ok_or_else(|| bad(format!("`{key}` must be an integer up to 2^53")))
-    };
-    let lut = doc
-        .get("dac_power_lut")
-        .and_then(JsonValue::as_array)
-        .ok_or_else(|| bad("missing `dac_power_lut`".to_string()))?;
-    if lut.len() != 4 {
-        return Err(bad(format!(
-            "`dac_power_lut` needs 4 entries, got {}",
-            lut.len()
-        )));
-    }
-    let mut dac_power_lut = [Watts(0.0); 4];
-    for (i, v) in lut.iter().enumerate() {
-        let s = v
-            .as_str()
-            .ok_or_else(|| bad("`dac_power_lut` entries must be hex strings".to_string()))?;
-        dac_power_lut[i] = Watts(
-            u64::from_str_radix(s, 16)
-                .map(f64::from_bits)
-                .ok()
-                .filter(|x| x.is_finite())
-                .ok_or_else(|| bad("`dac_power_lut` entry is not a finite bit pattern".into()))?,
-        );
-    }
-    checked(HardwareParams {
-        clock: Hertz(float("clock")?),
-        mvm_latency: Seconds(float("mvm_latency")?),
-        crossbar_base_power: Watts(float("crossbar_base_power")?),
-        crossbar_size_exponent: float("crossbar_size_exponent")?,
-        crossbar_res_factor: float("crossbar_res_factor")?,
-        crossbar_base_area: SquareMm(float("crossbar_base_area")?),
-        dac_power_lut,
-        dac_rate: Hertz(float("dac_rate")?),
-        dac_area: SquareMm(float("dac_area")?),
-        adc_base_power: Watts(float("adc_base_power")?),
-        adc_power_growth: float("adc_power_growth")?,
-        adc_base_rate: Hertz(float("adc_base_rate")?),
-        adc_min_bits: int("adc_min_bits")? as u32,
-        adc_max_bits: int("adc_max_bits")? as u32,
-        adc_area: SquareMm(float("adc_area")?),
-        scratchpad_bytes: int("scratchpad_bytes")? as usize,
-        scratchpad_bus_bits: int("scratchpad_bus_bits")? as u32,
-        scratchpad_power: Watts(float("scratchpad_power")?),
-        scratchpad_latency: Seconds(float("scratchpad_latency")?),
-        scratchpad_area: SquareMm(float("scratchpad_area")?),
-        noc_flit_bits: int("noc_flit_bits")? as u32,
-        noc_ports: int("noc_ports")? as u32,
-        noc_router_power: Watts(float("noc_router_power")?),
-        noc_hop_latency: Seconds(float("noc_hop_latency")?),
-        noc_link_rate: Hertz(float("noc_link_rate")?),
-        noc_router_area: SquareMm(float("noc_router_area")?),
-        shift_add_power: Watts(float("shift_add_power")?),
-        pool_power: Watts(float("pool_power")?),
-        activation_power: Watts(float("activation_power")?),
-        eltwise_power: Watts(float("eltwise_power")?),
-        alu_area: SquareMm(float("alu_area")?),
-        register_power: Watts(float("register_power")?),
-        register_area: SquareMm(float("register_area")?),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -380,6 +242,8 @@ mod tests {
         assert!(from_json(r#"{"adc_min_bits": 12, "adc_max_bits": 8}"#).is_err());
     }
 
+    /// Each value is rejected both as file text ([`from_json`]) and as an
+    /// already-parsed object ([`from_value`], a job's inline `hw`).
     #[test]
     fn values_the_models_cannot_evaluate_are_rejected_in_both_spellings() {
         let with = |set: fn(&mut HardwareParams)| {
@@ -396,75 +260,41 @@ mod tests {
             (with(|hw| hw.adc_min_bits = 0), "adc bit range 0..14"),
             (with(|hw| hw.adc_power_growth = 0.5), "adc_power_growth 0.5"),
         ] {
-            let readable = from_json(&to_json(&hw)).unwrap_err().to_string();
-            let exact = from_json_exact(&to_json_exact(&hw))
-                .unwrap_err()
-                .to_string();
-            assert!(readable.contains(needle), "`{readable}` lacks `{needle}`");
-            assert!(exact.contains(needle), "`{exact}` lacks `{needle}`");
+            let text = to_json(&hw);
+            for err in [
+                from_json(&text).unwrap_err(),
+                from_value(&JsonValue::parse(&text).unwrap()).unwrap_err(),
+            ] {
+                let err = err.to_string();
+                assert!(err.contains(needle), "`{err}` lacks `{needle}`");
+            }
         }
         let hw = with(|hw| hw.scratchpad_bus_bits = 8);
-        assert_eq!(from_json_exact(&to_json_exact(&hw)).unwrap(), hw);
+        assert_eq!(from_json(&to_json(&hw)).unwrap().scratchpad_bus_bits, 8);
 
         // The rates, latency and width the models divide by, non-finite
-        // values and a scratchpad past `usize`, each in a readable document
-        // (as text and parsed) and in the bit-exact defaults with the
-        // matching key replaced: the error names the key.
-        const ZERO: &str = r#""0000000000000000""#;
-        const INF: &str = r#""7ff0000000000000""#;
-        let defaults = JsonValue::parse(&to_json_exact(&HardwareParams::date24())).unwrap();
-        for (key, value, exact_key, exact_value) in [
-            ("mvm_latency_ns", "0", "mvm_latency", ZERO),
-            ("clock_ghz", "0", "clock", ZERO),
-            ("clock_ghz", "1e400", "clock", INF),
-            ("clock_ghz", "1e300", "clock", INF),
-            ("dac_rate_ghz", "0", "dac_rate", ZERO),
-            ("adc_base_rate_gsps", "0", "adc_base_rate", ZERO),
-            ("noc_link_rate_ghz", "0", "noc_link_rate", ZERO),
-            ("noc_flit_bits", "0", "noc_flit_bits", "0"),
-            ("adc_power_growth", "1e400", "adc_power_growth", INF),
-            ("scratchpad_kb", "1e300", "scratchpad_bytes", "1e300"),
+        // values and a scratchpad past `usize`: the error names the key.
+        for (key, value, field) in [
+            ("mvm_latency_ns", "0", "mvm_latency"),
+            ("clock_ghz", "0", "clock"),
+            ("clock_ghz", "1e400", "clock"),
+            ("clock_ghz", "1e300", "clock"),
+            ("dac_rate_ghz", "0", "dac_rate"),
+            ("adc_base_rate_gsps", "0", "adc_base_rate"),
+            ("noc_link_rate_ghz", "0", "noc_link_rate"),
+            ("noc_flit_bits", "0", "noc_flit_bits"),
+            ("adc_power_growth", "1e400", "adc_power_growth"),
+            ("scratchpad_kb", "1e300", "scratchpad_kb"),
         ] {
-            let exact = defaults
-                .as_object()
-                .unwrap()
-                .iter()
-                .map(|(k, v)| match k == exact_key {
-                    true => (k.clone(), JsonValue::parse(exact_value).unwrap()),
-                    false => (k.clone(), v.clone()),
-                });
-            let exact = JsonValue::Object(exact.collect()).to_string();
             let readable = format!(r#"{{"{key}": {value}}}"#);
             for err in [
                 from_json(&readable).unwrap_err(),
                 from_value(&JsonValue::parse(&readable).unwrap()).unwrap_err(),
-                from_json_exact(&exact).unwrap_err(),
             ] {
                 let err = err.to_string();
-                assert!(err.contains(exact_key) || err.contains(key), "{key}: {err}");
+                assert!(err.contains(field) || err.contains(key), "{key}: {err}");
             }
         }
-    }
-
-    #[test]
-    fn exact_round_trip_is_bit_identical() {
-        let mut hw = HardwareParams::date24();
-        // "Awkward" floats (off-by-an-ulp bit patterns) that unit
-        // conversions would perturb.
-        hw.mvm_latency = Seconds(f64::from_bits(1e-7f64.to_bits() + 1));
-        hw.adc_power_growth = f64::from_bits(1.6f64.to_bits() + 1);
-        let back = from_json_exact(&to_json_exact(&hw)).unwrap();
-        assert_eq!(back, hw);
-        assert_eq!(
-            back.mvm_latency.value().to_bits(),
-            hw.mvm_latency.value().to_bits()
-        );
-    }
-
-    #[test]
-    fn exact_format_rejects_missing_keys() {
-        assert!(from_json_exact("{}").is_err());
-        assert!(from_json_exact("not json").is_err());
     }
 
     #[test]

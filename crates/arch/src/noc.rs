@@ -2,7 +2,7 @@
 //! partial sums travel as 32-bit flits (Table III).
 
 use crate::params::HardwareParams;
-use crate::units::{Seconds, Watts};
+use crate::units::Watts;
 
 /// Mesh NoC connecting `macro_count` macros.
 ///
@@ -19,8 +19,6 @@ use crate::units::{Seconds, Watts};
 pub struct NocConfig {
     macro_count: usize,
     mesh_dim: usize,
-    flit_bits: u32,
-    hop_latency: Seconds,
     link_bytes_per_sec: f64,
     router_power: Watts,
 }
@@ -32,8 +30,6 @@ impl NocConfig {
         Self {
             macro_count: macro_count.max(1),
             mesh_dim: mesh_dim.max(1),
-            flit_bits: hw.noc_flit_bits,
-            hop_latency: hw.noc_hop_latency,
             link_bytes_per_sec: hw.noc_link_rate.value() * hw.noc_flit_bits as f64 / 8.0,
             router_power: hw.noc_router_power,
         }
@@ -55,24 +51,9 @@ impl NocConfig {
         (2.0 * self.mesh_dim as f64 / 3.0).max(1.0)
     }
 
-    /// Manhattan hop distance between macro indices laid out row-major.
-    pub fn hops_between(&self, src: usize, dst: usize) -> usize {
-        let (sx, sy) = (src % self.mesh_dim, src / self.mesh_dim);
-        let (dx, dy) = (dst % self.mesh_dim, dst / self.mesh_dim);
-        sx.abs_diff(dx) + sy.abs_diff(dy)
-    }
-
     /// Bytes per second a single mesh link sustains.
     pub fn link_bandwidth(&self) -> f64 {
         self.link_bytes_per_sec
-    }
-
-    /// Latency to move `bytes` over `hops` hops: head-flit routing latency
-    /// plus serialization of the message on the narrowest link.
-    pub fn transfer_latency(&self, bytes: usize, hops: usize) -> Seconds {
-        let routing = self.hop_latency * hops.max(1) as f64;
-        let serialization = Seconds(bytes as f64 / self.link_bytes_per_sec);
-        routing + serialization
     }
 
     /// Aggregate router power for the whole mesh (one router per macro,
@@ -95,23 +76,6 @@ mod tests {
         assert_eq!(noc(1).mesh_dim(), 1);
         assert_eq!(noc(16).mesh_dim(), 4);
         assert_eq!(noc(17).mesh_dim(), 5);
-    }
-
-    #[test]
-    fn hops_are_manhattan() {
-        let n = noc(16); // 4x4 row-major
-        assert_eq!(n.hops_between(0, 0), 0);
-        assert_eq!(n.hops_between(0, 3), 3);
-        assert_eq!(n.hops_between(0, 15), 6);
-        assert_eq!(n.hops_between(5, 6), 1);
-    }
-
-    #[test]
-    fn transfer_latency_includes_serialization() {
-        let n = noc(4);
-        // 32-bit flits at 1 GHz = 4 GB/s per link; 4000 bytes = 1 us.
-        let t = n.transfer_latency(4000, 2);
-        assert!((t.value() - (2e-9 + 1e-6)).abs() < 1e-12, "{t}");
     }
 
     #[test]

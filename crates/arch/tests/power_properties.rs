@@ -6,8 +6,7 @@
 //! sample of the input space; failures reproduce exactly.
 
 use pimsyn_arch::{
-    AdcConfig, ComponentCounts, CrossbarConfig, DacConfig, HardwareParams, NocConfig,
-    ScratchpadSpec, Watts,
+    AdcConfig, ComponentCounts, CrossbarConfig, DacConfig, HardwareParams, ScratchpadSpec, Watts,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -104,28 +103,6 @@ fn lossless_rule_monotone() {
         let more_cell = AdcConfig::minimum_lossless(rows, 4, dac, &hw).bits();
         assert!(more_cell >= AdcConfig::minimum_lossless(rows, 1, dac, &hw).bits());
         assert!((hw.adc_min_bits..=hw.adc_max_bits).contains(&here));
-    }
-}
-
-/// NoC: hop distances are a metric (symmetric, triangle inequality) and
-/// transfer latency is monotone in payload.
-#[test]
-fn noc_metric_properties() {
-    let hw = HardwareParams::date24();
-    let mut rng = StdRng::seed_from_u64(0xA5C4_0005);
-    for _ in 0..CASES {
-        let n = rng.gen_range(1usize..64);
-        let noc = NocConfig::for_macros(n, &hw);
-        let cells = noc.mesh_dim() * noc.mesh_dim();
-        let a = rng.gen_range(0usize..64) % cells;
-        let b = rng.gen_range(0usize..64) % cells;
-        let c = rng.gen_range(0usize..64) % cells;
-        let bytes = rng.gen_range(1usize..100_000);
-        assert_eq!(noc.hops_between(a, b), noc.hops_between(b, a));
-        assert!(noc.hops_between(a, c) <= noc.hops_between(a, b) + noc.hops_between(b, c));
-        let t1 = noc.transfer_latency(bytes, 1).value();
-        let t2 = noc.transfer_latency(bytes * 2, 1).value();
-        assert!(t2 >= t1);
     }
 }
 

@@ -125,6 +125,6 @@ pub use synthesis::{SynthesisResult, Synthesizer};
 pub use pimsyn_arch::{Architecture, MacroMode, Watts};
 pub use pimsyn_dse::{
     CancelToken, DesignPoint, DesignSpace, EvaluatorStats, EventSink, NullSink, Objective,
-    StopReason, SynthesisEvent, SynthesisStage, WtDupStrategy,
+    StopReason, SynthesisEvent, SynthesisStage, WtDupStrategy, DEFAULT_SEED,
 };
 pub use pimsyn_sim::SimReport;

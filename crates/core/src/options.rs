@@ -6,6 +6,7 @@ use std::time::Duration;
 use pimsyn_arch::{HardwareParams, MacroMode, Watts};
 use pimsyn_dse::{
     DesignSpace, DseConfig, EaConfig, ExploreBudget, Objective, SaConfig, WtDupStrategy,
+    DEFAULT_SEED,
 };
 
 /// How much search effort to spend.
@@ -58,13 +59,13 @@ pub struct SynthesisOptions {
     /// Run the search on one worker thread per core instead of the calling
     /// thread. Either way, stages 1–2 run at every outer design point
     /// first, then Alg. 1's EA runs go best bound first. With
-    /// [`max_evaluations`](Self::max_evaluations) or
-    /// [`max_unique_evaluations`](Self::max_unique_evaluations) set, points
-    /// and runs go in list order on one thread instead, so the budget buys
-    /// the same candidates in every run. Results and counters are the same
-    /// either way.
+    /// [`max_evaluations`](Self::max_evaluations) set, points and runs go
+    /// in list order on one thread instead, so the budget buys the same
+    /// candidates in every run. Results and counters are the same either
+    /// way.
     pub parallel: bool,
-    /// Base RNG seed (the whole flow is deterministic given the seed).
+    /// Base RNG seed ([`DEFAULT_SEED`](crate::DEFAULT_SEED) by default;
+    /// the whole flow is deterministic given the seed).
     pub seed: u64,
     /// Images the cycle-accurate engine streams through the winning
     /// architecture to re-validate it; 0 (the default) skips the
@@ -78,18 +79,9 @@ pub struct SynthesisOptions {
     /// exploration; like [`time_budget`](Self::time_budget), exhaustion
     /// stops the search gracefully.
     pub max_evaluations: Option<usize>,
-    /// Maximum *unique* evaluations (memo misses that actually run the
-    /// scoring pipeline). With high cache-hit rates the scored-candidate
-    /// budget and the work actually done diverge; this bounds the work.
-    pub max_unique_evaluations: Option<usize>,
 }
 
 impl SynthesisOptions {
-    /// Default base RNG seed. The whole flow is deterministic given the
-    /// seed: two runs with identical options (and models) produce identical
-    /// architectures, even with `parallel = true`.
-    pub const DEFAULT_SEED: u64 = 0x9127_51AE;
-
     /// Paper-faithful options under the given power constraint.
     pub fn new(power_budget: Watts) -> Self {
         Self {
@@ -102,11 +94,10 @@ impl SynthesisOptions {
             macro_mode: MacroMode::Specialized,
             allow_macro_sharing: true,
             parallel: true,
-            seed: Self::DEFAULT_SEED,
+            seed: DEFAULT_SEED,
             cycle_images: 0,
             time_budget: None,
             max_evaluations: None,
-            max_unique_evaluations: None,
         }
     }
 
@@ -187,12 +178,6 @@ impl SynthesisOptions {
         self
     }
 
-    /// Bounds unique candidate evaluations (memo misses).
-    pub fn with_max_unique_evaluations(mut self, n: usize) -> Self {
-        self.max_unique_evaluations = Some(n);
-        self
-    }
-
     /// Lowers the configured budgets to the DSE layer (deadline anchored at
     /// the moment of the call).
     pub(crate) fn to_explore_budget(&self) -> ExploreBudget {
@@ -202,9 +187,6 @@ impl SynthesisOptions {
         }
         if let Some(n) = self.max_evaluations {
             budget = budget.with_max_evaluations(n);
-        }
-        if let Some(n) = self.max_unique_evaluations {
-            budget = budget.with_max_unique_evaluations(n);
         }
         budget
     }
@@ -251,19 +233,6 @@ mod tests {
         assert!(!o.allow_macro_sharing);
         assert_eq!(o.cycle_images, 5);
         assert_eq!(o.seed, 42);
-    }
-
-    #[test]
-    fn backend_options_lower_to_dse_config_and_budget() {
-        let o = SynthesisOptions::fast(Watts(8.0)).with_max_unique_evaluations(10);
-        let budget = o.to_explore_budget();
-        assert_eq!(budget.max_unique_evaluations, Some(10));
-        assert_eq!(
-            SynthesisOptions::new(Watts(8.0))
-                .to_explore_budget()
-                .max_unique_evaluations,
-            None
-        );
     }
 
     #[test]

@@ -89,8 +89,6 @@ pub enum StopReason {
     DeadlineReached,
     /// The [`ExploreBudget::max_evaluations`] budget was spent.
     EvaluationBudgetReached,
-    /// The [`ExploreBudget::max_unique_evaluations`] budget was spent.
-    UniqueEvaluationBudgetReached,
 }
 
 impl fmt::Display for StopReason {
@@ -100,7 +98,6 @@ impl fmt::Display for StopReason {
             StopReason::Cancelled => "cancelled",
             StopReason::DeadlineReached => "deadline reached",
             StopReason::EvaluationBudgetReached => "evaluation budget reached",
-            StopReason::UniqueEvaluationBudgetReached => "unique-evaluation budget reached",
         };
         f.write_str(name)
     }
@@ -137,11 +134,6 @@ pub struct ExploreBudget {
     pub deadline: Option<Instant>,
     /// Maximum candidate-architecture evaluations across all design points.
     pub max_evaluations: Option<usize>,
-    /// Maximum *unique* candidate evaluations (memo misses that actually run
-    /// the compile → allocate → evaluate pipeline). With high cache-hit
-    /// rates, scored-candidate and wall-clock budgets diverge from the work
-    /// actually done; this budget bounds the work itself.
-    pub max_unique_evaluations: Option<usize>,
 }
 
 impl ExploreBudget {
@@ -161,13 +153,6 @@ impl ExploreBudget {
     #[must_use]
     pub fn with_max_evaluations(mut self, n: usize) -> Self {
         self.max_evaluations = Some(n);
-        self
-    }
-
-    /// Bounds unique candidate evaluations (memo misses).
-    #[must_use]
-    pub fn with_max_unique_evaluations(mut self, n: usize) -> Self {
-        self.max_unique_evaluations = Some(n);
         self
     }
 }
@@ -317,7 +302,6 @@ pub struct ExploreContext<'a> {
     cancel: CancelToken,
     budget: ExploreBudget,
     evaluations: AtomicUsize,
-    unique_evaluations: AtomicUsize,
     /// First stop reason a cooperative check actually observed;
     /// distinguishes "the search was curtailed" from "the budget happened
     /// to run out exactly as the search finished".
@@ -358,7 +342,6 @@ impl<'a> ExploreContext<'a> {
             cancel,
             budget,
             evaluations: AtomicUsize::new(0),
-            unique_evaluations: AtomicUsize::new(0),
             observed: OnceLock::new(),
             #[cfg(test)]
             session_hook: None,
@@ -420,16 +403,6 @@ impl<'a> ExploreContext<'a> {
         self.evaluations.load(Ordering::Relaxed)
     }
 
-    /// Adds `n` *unique* evaluations (memo misses) to the shared counter.
-    pub fn count_unique_evaluations(&self, n: usize) {
-        self.unique_evaluations.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Total unique candidate evaluations (memo misses) recorded so far.
-    pub fn unique_evaluations(&self) -> usize {
-        self.unique_evaluations.load(Ordering::Relaxed)
-    }
-
     /// Emits this job's [`SynthesisEvent::EvaluatorStats`]: `stats` is the
     /// sum of the counters of points `0..=point_index`, which the search
     /// adds up as the points report, in point order.
@@ -454,11 +427,6 @@ impl<'a> ExploreContext<'a> {
         if let Some(max) = self.budget.max_evaluations {
             if self.evaluations() >= max {
                 return Some(StopReason::EvaluationBudgetReached);
-            }
-        }
-        if let Some(max) = self.budget.max_unique_evaluations {
-            if self.unique_evaluations() >= max {
-                return Some(StopReason::UniqueEvaluationBudgetReached);
             }
         }
         None
@@ -521,26 +489,6 @@ mod tests {
     }
 
     #[test]
-    fn unique_evaluation_budget_trips_on_misses_only() {
-        let ctx = ExploreContext::new(
-            &NullSink,
-            0,
-            CancelToken::new(),
-            ExploreBudget::unlimited().with_max_unique_evaluations(2),
-        );
-        // Scored-candidate charges alone never trip the unique budget.
-        ctx.count_evaluations(100);
-        assert_eq!(ctx.stop_reason(), None);
-        ctx.count_unique_evaluations(1);
-        assert_eq!(ctx.stop_reason(), None);
-        ctx.count_unique_evaluations(1);
-        assert_eq!(
-            ctx.stop_reason(),
-            Some(StopReason::UniqueEvaluationBudgetReached)
-        );
-    }
-
-    #[test]
     fn deadline_trips() {
         let ctx = ExploreContext::new(
             &NullSink,
@@ -549,7 +497,6 @@ mod tests {
             ExploreBudget {
                 deadline: Some(Instant::now() - Duration::from_millis(1)),
                 max_evaluations: None,
-                max_unique_evaluations: None,
             },
         );
         assert_eq!(ctx.stop_reason(), Some(StopReason::DeadlineReached));

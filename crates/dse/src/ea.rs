@@ -79,6 +79,15 @@ impl Objective {
     }
 }
 
+/// Tournament size for parent selection (Alg. 2 line 4).
+const TOURNAMENT: usize = 3;
+
+/// Probability of `mutate_num` per child (Alg. 2 line 5).
+const MUTATE_NUM_PROB: f64 = 0.6;
+
+/// Probability of `mutate_share` per child (Alg. 2 line 6).
+const MUTATE_SHARE_PROB: f64 = 0.3;
+
 /// Configuration of the evolutionary explorer.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EaConfig {
@@ -86,19 +95,10 @@ pub struct EaConfig {
     pub population: usize,
     /// Generations (`MaxEAIterations` in Alg. 2).
     pub generations: usize,
-    /// Tournament size for parent selection.
-    pub tournament: usize,
-    /// Probability of `mutate_num` per child.
-    pub mutate_num_prob: f64,
-    /// Probability of `mutate_share` per child.
-    pub mutate_share_prob: f64,
     /// Whether inter-layer macro sharing is explored (Fig. 9 ablates this).
     pub allow_sharing: bool,
     /// What the fitness function maximizes.
     pub objective: Objective,
-    /// RNG seed of the standalone [`explore_macro_partitioning`].
-    /// `run_dse` ignores it and seeds each EA run from `DseConfig::seed`.
-    pub seed: u64,
 }
 
 impl EaConfig {
@@ -107,12 +107,8 @@ impl EaConfig {
         Self {
             population: 16,
             generations: 24,
-            tournament: 3,
-            mutate_num_prob: 0.6,
-            mutate_share_prob: 0.3,
             allow_sharing: true,
             objective: Objective::default(),
-            seed: 0xEA5E,
         }
     }
 
@@ -237,7 +233,7 @@ pub(crate) fn max_macros(df: &Dataflow) -> Vec<usize> {
 type Individual = (MacAllocGene, CandidateScore);
 
 /// Explores macro partitioning with the EA of Alg. 2 and returns the best
-/// completed architecture.
+/// completed architecture. The run is fully deterministic given `seed`.
 ///
 /// # Errors
 ///
@@ -252,28 +248,30 @@ pub fn explore_macro_partitioning(
     hw: &pimsyn_arch::HardwareParams,
     macro_mode: MacroMode,
     cfg: &EaConfig,
+    seed: u64,
 ) -> Result<EaOutcome, DseError> {
     let core = EvalCore::new(model, total_power, hw, macro_mode, cfg.objective);
-    run_ea_counted(df, point, cfg, &ExploreContext::unobserved(), &core).1
+    run_ea_counted(df, point, cfg, seed, &ExploreContext::unobserved(), &core).1
 }
 
-/// The EA body, additionally returning the run's evaluator counters even
-/// when the run ends infeasible — so callers can keep their reported
-/// counts consistent with the budget counter. Every candidate is scored
-/// under `core` (whose objective must match `cfg.objective`), a generation
-/// at a time, in one [`RunSession`] owned by the run: it charges `ctx`,
-/// holds the run's memos and counts what it scored, and everything it
-/// keeps is freed when the run returns.
+/// The EA body, seeded with `seed`, additionally returning the run's
+/// evaluator counters even when the run ends infeasible — so callers can
+/// keep their reported counts consistent with the budget counter. Every
+/// candidate is scored under `core` (whose objective must match
+/// `cfg.objective`), a generation at a time, in one [`RunSession`] owned
+/// by the run: it charges `ctx`, holds the run's memos and counts what it
+/// scored, and everything it keeps is freed when the run returns.
 pub(crate) fn run_ea_counted(
     df: &Dataflow,
     point: DesignPoint,
     cfg: &EaConfig,
+    seed: u64,
     ctx: &ExploreContext<'_>,
     core: &EvalCore<'_>,
 ) -> (EvaluatorStats, Result<EaOutcome, DseError>) {
     let l = df.programs().len();
     let caps = max_macros(df);
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
+    let mut rng = StdRng::seed_from_u64(seed);
 
     // Initialize: all-ones, a tile-proportional seed (one macro per ~96
     // crossbars, the ISAAC-class tiling — spreads communication-bound big
@@ -310,7 +308,7 @@ pub(crate) fn run_ea_counted(
         while child_genes.len() + elite < cfg.population {
             // Tournament selection (Alg. 2 line 4).
             let mut best_idx = rng.gen_range(0..population.len());
-            for _ in 1..cfg.tournament {
+            for _ in 1..TOURNAMENT {
                 let c = rng.gen_range(0..population.len());
                 if population[c].1.fitness > population[best_idx].1.fitness {
                     best_idx = c;
@@ -319,12 +317,12 @@ pub(crate) fn run_ea_counted(
             let (mut macros, mut shares) = population[best_idx].0.decode();
 
             // mutate_num (Alg. 2 line 5).
-            if rng.gen_bool(cfg.mutate_num_prob) {
+            if rng.gen_bool(MUTATE_NUM_PROB) {
                 let i = rng.gen_range(0..l);
                 macros[i] = rng.gen_range(1..=caps[i]);
             }
             // mutate_share (Alg. 2 line 6).
-            if cfg.allow_sharing && rng.gen_bool(cfg.mutate_share_prob) {
+            if cfg.allow_sharing && rng.gen_bool(MUTATE_SHARE_PROB) {
                 mutate_share(&mut shares, &mut rng);
             }
             child_genes.push(MacAllocGene::encode(&macros, &shares));
@@ -404,6 +402,9 @@ mod tests {
     use pimsyn_arch::{CrossbarConfig, DacConfig, HardwareParams};
     use pimsyn_model::zoo;
 
+    /// The EA's seed in every test.
+    const SEED: u64 = 0xEA5E;
+
     fn setup() -> (Model, Dataflow, DesignPoint, Watts, HardwareParams) {
         let model = zoo::alexnet_cifar(10);
         let xb = CrossbarConfig::new(128, 2).unwrap();
@@ -463,6 +464,7 @@ mod tests {
             &hw,
             MacroMode::Specialized,
             &EaConfig::fast(),
+            SEED,
         )
         .unwrap();
         assert!(out.fitness > 0.0);
@@ -488,6 +490,7 @@ mod tests {
             &hw,
             MacroMode::Specialized,
             &cfg,
+            SEED,
         )
         .unwrap();
         let b = explore_macro_partitioning(
@@ -498,6 +501,7 @@ mod tests {
             &hw,
             MacroMode::Specialized,
             &cfg,
+            SEED,
         )
         .unwrap();
         assert_eq!(a.gene, b.gene);
@@ -519,6 +523,7 @@ mod tests {
             &hw,
             MacroMode::Specialized,
             &cfg,
+            SEED,
         )
         .unwrap();
         let (_, shares) = out.gene.decode();
@@ -536,6 +541,7 @@ mod tests {
             &hw,
             MacroMode::Specialized,
             &EaConfig::fast(),
+            SEED,
         );
         assert!(matches!(r, Err(DseError::NoFeasibleSolution)));
     }
@@ -554,8 +560,8 @@ mod tests {
         let new_core = || EvalCore::new(&model, power, &hw, MacroMode::Specialized, cfg.objective);
         let shared = new_core();
         for (run, df) in [&df_a, &df_b, &df_a].into_iter().enumerate() {
-            let (got_stats, got) = run_ea_counted(df, point, &cfg, &ctx, &shared);
-            let (want_stats, want) = run_ea_counted(df, point, &cfg, &ctx, &new_core());
+            let (got_stats, got) = run_ea_counted(df, point, &cfg, SEED, &ctx, &shared);
+            let (want_stats, want) = run_ea_counted(df, point, &cfg, SEED, &ctx, &new_core());
             let (got, want) = (got.unwrap(), want.unwrap());
             assert_eq!(got.gene, want.gene, "run {run}");
             assert_eq!(got.architecture, want.architecture, "run {run}");

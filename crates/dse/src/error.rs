@@ -1,7 +1,6 @@
 use std::error::Error;
 use std::fmt;
 
-use pimsyn_arch::ArchError;
 use pimsyn_ir::IrError;
 use pimsyn_sim::SimError;
 
@@ -29,8 +28,6 @@ pub enum DseError {
     /// The caller cancelled the exploration via
     /// [`CancelToken::cancel`](crate::CancelToken::cancel).
     Cancelled,
-    /// Underlying architecture-model error.
-    Arch(ArchError),
     /// Underlying IR-compilation error.
     Ir(IrError),
     /// Underlying evaluation error.
@@ -51,7 +48,6 @@ impl fmt::Display for DseError {
             ),
             DseError::NoFeasibleSolution => write!(f, "no feasible accelerator found"),
             DseError::Cancelled => write!(f, "exploration cancelled"),
-            DseError::Arch(e) => write!(f, "architecture error: {e}"),
             DseError::Ir(e) => write!(f, "ir error: {e}"),
             DseError::Sim(e) => write!(f, "simulation error: {e}"),
         }
@@ -61,17 +57,10 @@ impl fmt::Display for DseError {
 impl Error for DseError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
-            DseError::Arch(e) => Some(e),
             DseError::Ir(e) => Some(e),
             DseError::Sim(e) => Some(e),
             _ => None,
         }
-    }
-}
-
-impl From<ArchError> for DseError {
-    fn from(e: ArchError) -> Self {
-        DseError::Arch(e)
     }
 }
 

@@ -20,12 +20,10 @@
 //! Caching is *transparent*: evaluation is a pure function of the
 //! candidate, so a memo hit or a session score returns exactly what
 //! [`EvalCore::score`] computes for it, and every scored candidate — hit or
-//! miss — is charged to the budget. Unique evaluations (memo misses) are
-//! charged to the separate `max_unique_evaluations` budget. The SA stage
-//! counts its own probes, and the search adds each point's probes and runs'
-//! counters into one [`EvaluatorStats`] per point; nothing is shared
-//! between threads, so the counters do not depend on which thread ran
-//! which run.
+//! miss — is charged to the budget. The SA stage counts its own probes,
+//! and the search adds each point's probes and runs' counters into one
+//! [`EvaluatorStats`] per point; nothing is shared between threads, so the
+//! counters do not depend on which thread ran which run.
 
 use std::ops::AddAssign;
 
@@ -287,10 +285,8 @@ mod tests {
         assert_eq!(stats.scored, 2);
         assert_eq!(stats.unique_evaluations, 1);
         assert_eq!(stats.cache_hits, 1);
-        // Both requests were charged to the budget (cache-transparent); the
-        // miss alone was charged to the unique counter.
+        // Both requests were charged to the budget (cache-transparent).
         assert_eq!(ctx.evaluations(), 2);
-        assert_eq!(ctx.unique_evaluations(), 1);
     }
 
     #[test]
@@ -329,7 +325,7 @@ mod tests {
         assert_eq!(stats.scored, 5);
         assert_eq!(stats.unique_evaluations, 2);
         assert_eq!(stats.cache_hits, 3);
-        assert_eq!(ctx.unique_evaluations(), 2);
+        assert_eq!(ctx.evaluations(), 5);
         for (score, g) in scores.iter().zip(&genes) {
             let reference = core.score(&df, point, g);
             assert_eq!(score.fitness.to_bits(), reference.fitness.to_bits());
@@ -359,33 +355,6 @@ mod tests {
         assert_eq!(ctx.evaluations(), 2);
         assert_eq!(scores[2], CandidateScore::INFEASIBLE);
         assert_eq!(scores[4], CandidateScore::INFEASIBLE);
-    }
-
-    #[test]
-    fn unique_evaluation_budget_stops_the_batch_on_misses() {
-        let (model, df, point) = setup();
-        let l = model.weight_layer_count();
-        let hw = HardwareParams::date24();
-        let core = core(&model, &hw);
-        let ctx = ExploreContext::new(
-            &NullSink,
-            0,
-            CancelToken::new(),
-            ExploreBudget::unlimited().with_max_unique_evaluations(2),
-        );
-        // Two distinct genes exhaust the unique budget; the rest of the
-        // batch comes back as skipped placeholders, uncharged.
-        let genes = vec![gene(l, 1), gene(l, 2), gene(l, 3), gene(l, 1)];
-        let mut session = RunSession::new(&df, point);
-        let scores = session.score_batch(&core, &genes, &ctx);
-        assert_eq!(session.stats().scored, 2);
-        assert_eq!(ctx.unique_evaluations(), 2);
-        assert_eq!(scores[2], CandidateScore::INFEASIBLE);
-        assert_eq!(scores[3], CandidateScore::INFEASIBLE);
-        assert_eq!(
-            ctx.observed_stop(),
-            Some(StopReason::UniqueEvaluationBudgetReached)
-        );
     }
 
     /// Cancellation is one of the stops the single pass checks before each
@@ -505,7 +474,7 @@ mod tests {
 
     /// A miss reaches the session's memo at once and serves later
     /// duplicates in its batch as hits, so a batch of three copies of one
-    /// child charges one unique evaluation and two hits whether or not the
+    /// child counts one unique evaluation and two hits whether or not the
     /// session scored the child's parent first. (With the parent scored,
     /// the rescoring the session's memos replaced made the miss a delta
     /// hit.)
@@ -525,13 +494,12 @@ mod tests {
             if parent_first {
                 session.score_batch(&core, std::slice::from_ref(&parent), &ctx);
             }
-            let before = (session.stats(), ctx.unique_evaluations());
+            let before = session.stats();
             let scores = session.score_batch(&core, &genes, &ctx);
             let after = session.stats();
             let counts = [
-                after.unique_evaluations - before.0.unique_evaluations,
-                after.cache_hits - before.0.cache_hits,
-                ctx.unique_evaluations() - before.1,
+                after.unique_evaluations - before.unique_evaluations,
+                after.cache_hits - before.cache_hits,
             ];
             (scores, counts)
         };
@@ -542,8 +510,8 @@ mod tests {
             assert_eq!(a.fitness.to_bits(), reference.fitness.to_bits());
             assert_eq!(b.fitness.to_bits(), reference.fitness.to_bits());
         }
-        assert_eq!(with_counts, [1, 2, 1]);
-        assert_eq!(without_counts, [1, 2, 1]);
+        assert_eq!(with_counts, [1, 2]);
+        assert_eq!(without_counts, [1, 2]);
     }
 
     /// A memo hit can only return the reference score: in each of 20 fast

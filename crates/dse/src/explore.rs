@@ -55,6 +55,12 @@ use crate::space::{DesignPoint, DesignSpace};
 /// in flight.
 const LOOKBEHIND: usize = 32;
 
+/// The base seed of [`DseConfig::new`] and of the `pimsyn` library's
+/// options. The whole flow is deterministic given the seed: two runs with
+/// identical options (and models) produce identical architectures, even
+/// with `parallel = true`.
+pub const DEFAULT_SEED: u64 = 0x9127_51AE;
+
 /// How weight-duplication factors are chosen (stage 1 of the synthesis).
 ///
 /// The paper's contribution is the SA filter; the other strategies are the
@@ -91,18 +97,16 @@ pub struct DseConfig {
     /// Run on one worker thread per core instead of the calling thread.
     /// Either way, a search without a count budget runs stages 1–2 at every
     /// design point first (in parallel over points), then takes the EA runs
-    /// in descending bound order. Ignored when the context sets a count
-    /// budget: each point's stages 1–2 run when the list reaches it, and
-    /// every run in list order on the calling thread, since every run draws
-    /// on that one count and thread timing would decide which runs spend
-    /// it. Results and counters are the same either way.
+    /// in descending bound order. Ignored when the context sets
+    /// `max_evaluations`: each point's stages 1–2 run when the list reaches
+    /// it, and every run in list order on the calling thread, since every
+    /// run draws on that one count and thread timing would decide which
+    /// runs spend it. Results and counters are the same either way.
     pub parallel: bool,
-    /// Base seed, read by [`run_dse`] and [`run_dse_observed`]: every
-    /// stochastic stage derives its own deterministic seed from it (each
-    /// point's SA walk from the point, each EA run from its point, WtDup
-    /// candidate and DAC), so results are reproducible even with
-    /// `parallel = true`. Those entry points ignore `sa.seed` and
-    /// `ea.seed`.
+    /// Base seed: every stochastic stage derives its own deterministic
+    /// seed from it (each point's SA walk from the point, each EA run from
+    /// its point, WtDup candidate and DAC), so results are reproducible
+    /// even with `parallel = true`.
     pub seed: u64,
 }
 
@@ -118,7 +122,7 @@ impl DseConfig {
             ea: EaConfig::paper(),
             macro_mode: MacroMode::Specialized,
             parallel: true,
-            seed: 0x9127_51AE,
+            seed: DEFAULT_SEED,
         }
     }
 
@@ -234,11 +238,8 @@ fn prepare_point(
     let mut sa_probes = 0;
     let candidates = match &cfg.strategy {
         WtDupStrategy::SimulatedAnnealing => {
-            let sa_cfg = SaConfig {
-                seed: cfg.seed ^ (point_idx as u64) << 8,
-                ..cfg.sa.clone()
-            };
-            wt_dup_candidates_counted(model, point.crossbar, budget, &sa_cfg, ctx)
+            let seed = cfg.seed ^ ((point_idx as u64) << 8);
+            wt_dup_candidates_counted(model, point.crossbar, budget, &cfg.sa, seed, ctx)
                 .ok()
                 .map(|(candidates, probes)| {
                     sa_probes = probes;
@@ -498,14 +499,12 @@ impl<'s> Search<'s> {
                 self.end_run(pos, i, none, None);
                 continue;
             };
-            let ea_cfg = EaConfig {
-                seed: self.cfg.seed
-                    ^ ((index as u64) << 20)
-                    ^ ((run.candidate as u64) << 4)
-                    ^ run.dac.bits() as u64,
-                ..self.cfg.ea.clone()
-            };
-            let (stats, outcome) = run_ea_counted(&df, point, &ea_cfg, self.ctx, &self.core);
+            let seed = self.cfg.seed
+                ^ ((index as u64) << 20)
+                ^ ((run.candidate as u64) << 4)
+                ^ run.dac.bits() as u64;
+            let (stats, outcome) =
+                run_ea_counted(&df, point, &self.cfg.ea, seed, self.ctx, &self.core);
             // Stage 4 — components allocation ran per EA candidate; the
             // run's winner is re-validated against the architecture
             // template's structural rules, and a run whose winner fails
@@ -738,8 +737,7 @@ pub fn run_dse_observed(
 ) -> Result<DseOutcome, DseError> {
     let points = cfg.space.points();
     let search = Search::new(model, cfg, ctx);
-    let budget = ctx.budget();
-    if budget.max_evaluations.is_some() || budget.max_unique_evaluations.is_some() {
+    if ctx.budget().max_evaluations.is_some() {
         // Every run draws on one count, so a count-budgeted search takes
         // its runs in list order on this thread: the budget buys the same
         // runs in every search, and spends nothing on stages 1–2 at points

@@ -21,9 +21,8 @@
 //! - [`run_dse`]: the full Algorithm 1 nest, with deterministic per-point
 //!   seeds. With [`DseConfig::parallel`] set, one worker per core runs
 //!   stages 1–2 across the design points, then takes the EA runs best bound
-//!   first. A count budget (`max_evaluations`, `max_unique_evaluations`)
-//!   overrides it with one thread in list order. Results and counters are
-//!   the same either way.
+//!   first. A count budget (`max_evaluations`) overrides it with one
+//!   thread in list order. Results and counters are the same either way.
 //!
 //! # Example
 //!
@@ -69,9 +68,12 @@ pub use ea::{
 };
 pub use error::DseError;
 pub use eval::{CandidateScore, EvalCore, EvaluatorStats};
-pub use explore::{run_dse, run_dse_observed, DseConfig, DseOutcome, PointResult, WtDupStrategy};
+pub use explore::{
+    run_dse, run_dse_observed, DseConfig, DseOutcome, PointResult, WtDupStrategy, DEFAULT_SEED,
+};
 pub use sa::{
     crossbars_used, no_duplication, sa_energy, woho_proportional, wt_dup_candidates, SaConfig,
+    SA_ALPHA,
 };
 pub use session::RunSession;
 pub use space::{DesignPoint, DesignSpace, RATIO_RRAM_CHOICES};

@@ -11,24 +11,24 @@ use rand::{Rng, SeedableRng};
 use crate::ctx::ExploreContext;
 use crate::error::DseError;
 
+/// The empirical `alpha` weighting the data-access-balance term of
+/// Eq. (4).
+pub const SA_ALPHA: f64 = 0.5;
+
+/// Initial Metropolis temperature, as a multiple of the walk's starting
+/// energy (at least 1).
+const INITIAL_TEMPERATURE: f64 = 1.0;
+
+/// Multiplicative cooling per annealing step.
+const COOLING: f64 = 0.9985;
+
 /// Configuration of the SA-based weight-duplication filter.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SaConfig {
     /// Annealing steps.
     pub iterations: usize,
-    /// Initial Metropolis temperature.
-    pub initial_temperature: f64,
-    /// Multiplicative cooling per step.
-    pub cooling: f64,
-    /// The empirical `alpha` weighting the data-access-balance term of
-    /// Eq. (4).
-    pub alpha: f64,
     /// Number of top candidates to keep (the paper keeps 30).
     pub candidates: usize,
-    /// RNG seed of the standalone [`wt_dup_candidates`] (the filter is
-    /// fully deterministic given the seed). `run_dse` ignores it and seeds
-    /// each point's walk from `DseConfig::seed`.
-    pub seed: u64,
 }
 
 impl SaConfig {
@@ -36,11 +36,7 @@ impl SaConfig {
     pub fn paper() -> Self {
         Self {
             iterations: 4000,
-            initial_temperature: 1.0,
-            cooling: 0.9985,
-            alpha: 0.5,
             candidates: 30,
-            seed: 0xD1CE,
         }
     }
 
@@ -49,7 +45,6 @@ impl SaConfig {
         Self {
             iterations: 400,
             candidates: 6,
-            ..Self::paper()
         }
     }
 }
@@ -158,7 +153,8 @@ pub fn woho_proportional(
     crossbar: CrossbarConfig,
     budget: usize,
 ) -> Result<Vec<usize>, DseError> {
-    let base = no_duplication(model, crossbar, budget)?;
+    // Fails when the budget cannot hold one copy per layer.
+    no_duplication(model, crossbar, budget)?;
     let caps: Vec<usize> = model
         .weight_layers()
         .map(|wl| wl.output_positions())
@@ -184,7 +180,6 @@ pub fn woho_proportional(
     }
     let dup = clamp(lo);
     debug_assert!(crossbars_used(model, crossbar, &dup) <= budget);
-    let _ = base;
     Ok(dup)
 }
 
@@ -212,7 +207,7 @@ pub fn no_duplication(
 
 /// The SA-based filter (Alg. 1 line 6): anneals over feasible duplication
 /// vectors and returns up to `cfg.candidates` distinct low-energy candidates,
-/// best first.
+/// best first. The walk is fully deterministic given `seed`.
 ///
 /// # Errors
 ///
@@ -222,9 +217,11 @@ pub fn wt_dup_candidates(
     crossbar: CrossbarConfig,
     budget: usize,
     cfg: &SaConfig,
+    seed: u64,
 ) -> Result<Vec<Vec<usize>>, DseError> {
     let ctx = ExploreContext::unobserved();
-    wt_dup_candidates_counted(model, crossbar, budget, cfg, &ctx).map(|(candidates, _)| candidates)
+    wt_dup_candidates_counted(model, crossbar, budget, cfg, seed, &ctx)
+        .map(|(candidates, _)| candidates)
 }
 
 /// [`wt_dup_candidates`] under an [`ExploreContext`] (the annealing loop
@@ -237,13 +234,14 @@ pub(crate) fn wt_dup_candidates_counted(
     crossbar: CrossbarConfig,
     budget: usize,
     cfg: &SaConfig,
+    seed: u64,
     ctx: &ExploreContext<'_>,
 ) -> Result<(Vec<Vec<usize>>, usize), DseError> {
     let table = SaTable::new(model);
     let mut probes = 0usize;
     let mut energy_fn = |dup: &[usize]| {
         probes += 1;
-        table.energy(dup, cfg.alpha)
+        table.energy(dup, SA_ALPHA)
     };
 
     let sets: Vec<usize> = model
@@ -281,9 +279,9 @@ pub(crate) fn wt_dup_candidates_counted(
         }
     }
 
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
+    let mut rng = StdRng::seed_from_u64(seed);
     let mut energy = energy_fn(&state);
-    let mut temperature = cfg.initial_temperature * energy.max(1.0);
+    let mut temperature = INITIAL_TEMPERATURE * energy.max(1.0);
 
     // Top-K distinct candidates, kept sorted by energy. Besides the states
     // the SA walk accepts, deterministic seeds are offered: the greedy
@@ -352,7 +350,7 @@ pub(crate) fn wt_dup_candidates_counted(
         } else {
             state[i] = old;
         }
-        temperature *= cfg.cooling;
+        temperature *= COOLING;
     }
 
     // Seeds go in untrimmed, so a walk that accepts no state would
@@ -366,6 +364,9 @@ pub(crate) fn wt_dup_candidates_counted(
 mod tests {
     use super::*;
     use pimsyn_model::zoo;
+
+    /// The walk's seed in every test.
+    const SEED: u64 = 0xD1CE;
 
     fn xb() -> CrossbarConfig {
         CrossbarConfig::new(128, 2).unwrap()
@@ -415,14 +416,14 @@ mod tests {
             no_duplication(&model, xb(), 10),
             Err(DseError::BudgetTooSmall { .. })
         ));
-        assert!(wt_dup_candidates(&model, xb(), 10, &SaConfig::fast()).is_err());
+        assert!(wt_dup_candidates(&model, xb(), 10, &SaConfig::fast(), SEED).is_err());
     }
 
     #[test]
     fn candidates_are_feasible_and_distinct() {
         let model = zoo::alexnet_cifar(10);
         let budget = 8000;
-        let cands = wt_dup_candidates(&model, xb(), budget, &SaConfig::fast()).unwrap();
+        let cands = wt_dup_candidates(&model, xb(), budget, &SaConfig::fast(), SEED).unwrap();
         assert!(!cands.is_empty());
         assert!(cands.len() <= SaConfig::fast().candidates);
         for c in &cands {
@@ -448,9 +449,8 @@ mod tests {
         let cfg = SaConfig {
             candidates: 1,
             iterations: 0,
-            ..SaConfig::fast()
         };
-        let cands = wt_dup_candidates(&model, xb(), 4000, &cfg).unwrap();
+        let cands = wt_dup_candidates(&model, xb(), 4000, &cfg, SEED).unwrap();
         assert_eq!(cands.len(), 1, "{cands:?}");
     }
 
@@ -458,10 +458,10 @@ mod tests {
     fn candidates_sorted_by_energy() {
         let model = zoo::alexnet_cifar(10);
         let cfg = SaConfig::fast();
-        let cands = wt_dup_candidates(&model, xb(), 8000, &cfg).unwrap();
+        let cands = wt_dup_candidates(&model, xb(), 8000, &cfg, SEED).unwrap();
         let energies: Vec<f64> = cands
             .iter()
-            .map(|c| sa_energy(&model, c, cfg.alpha))
+            .map(|c| sa_energy(&model, c, SA_ALPHA))
             .collect();
         for w in energies.windows(2) {
             assert!(w[0] <= w[1] + 1e-9, "energies not sorted: {energies:?}");
@@ -471,8 +471,8 @@ mod tests {
     #[test]
     fn deterministic_for_fixed_seed() {
         let model = zoo::alexnet_cifar(10);
-        let a = wt_dup_candidates(&model, xb(), 8000, &SaConfig::fast()).unwrap();
-        let b = wt_dup_candidates(&model, xb(), 8000, &SaConfig::fast()).unwrap();
+        let a = wt_dup_candidates(&model, xb(), 8000, &SaConfig::fast(), SEED).unwrap();
+        let b = wt_dup_candidates(&model, xb(), 8000, &SaConfig::fast(), SEED).unwrap();
         assert_eq!(a, b);
     }
 
@@ -492,7 +492,7 @@ mod tests {
     fn sa_uses_budget_meaningfully() {
         // With a roomy budget the SA warm start should duplicate heavily.
         let model = zoo::alexnet_cifar(10);
-        let cands = wt_dup_candidates(&model, xb(), 20_000, &SaConfig::fast()).unwrap();
+        let cands = wt_dup_candidates(&model, xb(), 20_000, &SaConfig::fast(), SEED).unwrap();
         let best = &cands[0];
         assert!(
             best.iter().sum::<usize>() > model.weight_layer_count(),

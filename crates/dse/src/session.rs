@@ -258,7 +258,6 @@ impl<'d> RunSession<'d> {
                 out[i] = hit;
                 continue;
             }
-            ctx.count_unique_evaluations(1);
             self.stats.unique_evaluations += 1;
             let score = self.score(core, gene);
             out[i] = score;

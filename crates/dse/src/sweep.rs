@@ -115,7 +115,6 @@ mod tests {
         cfg.sa = SaConfig {
             candidates: 2,
             iterations: 100,
-            ..SaConfig::fast()
         };
         cfg.ea = EaConfig {
             population: 6,

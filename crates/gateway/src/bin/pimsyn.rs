@@ -100,7 +100,9 @@ OPTIONS:
                         [{\"model\": \"alexnet-cifar\", \"power\": 9}, ...];
                         a job may name `model_file` instead of `model`, and
                         the flags below are every job's defaults
-  --hw-file <path>      hardware setup parameters (JSON; Table III defaults)
+  --hw-file <path>      hardware setup parameters: a JSON object of the
+                        hardware-file keys (docs/PROTOCOLS.md §2.6); keys
+                        it leaves out keep their Table III defaults
   --power <watts>       total power constraint (required outside --batch;
                         with --batch, the default for jobs without `power`)
   --effort <fast|paper> search effort (default: fast)
@@ -114,8 +116,6 @@ OPTIONS:
   --timeout <secs>      stop exploring after this long, keeping the best
                         implementation found so far
   --max-evals <n>       bound candidate-architecture evaluations
-  --max-unique-evals <n>  bound unique evaluations (memo misses; with a high
-                        hit rate, far fewer than scored candidates)
   --output <text|json>  report format on stdout (default: text)
   --quiet               suppress live progress on stderr
   --help                print this message
@@ -182,12 +182,12 @@ fn parse_args_from<I: IntoIterator<Item = String>>(argv: I) -> Result<Args, Stri
             }
             "--model" | "--model-file" | "--effort" | "--strategy" | "--objective" | "--macros"
             | "--seed" => JsonValue::String(value()?),
-            "--power" | "--cycle" | "--timeout" | "--max-evals" | "--max-unique-evals" => {
+            "--power" | "--cycle" | "--timeout" | "--max-evals" => {
                 let text = value()?;
                 JsonValue::Number(text.parse().map_err(|e| format!("bad {flag}: {e}"))?)
             }
             "--no-sharing" => JsonValue::Bool(false),
-            "--hw-file" => JsonValue::String(read(&value()?)?),
+            "--hw-file" => read_json(&value()?)?,
             other => return Err(format!("unknown flag `{other}`")),
         };
         let key = match flag.as_str() {
@@ -245,8 +245,10 @@ fn zoo_entry(name: &str) -> Result<&'static zoo::ZooEntry, String> {
         })
 }
 
-fn read(path: &str) -> Result<String, String> {
-    std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))
+/// Reads and parses the JSON document at `path`.
+fn read_json(path: &str) -> Result<JsonValue, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    JsonValue::parse(&text).map_err(|e| format!("cannot parse {path}: {e}"))
 }
 
 /// Swaps a job's CLI-only `model_file` for the document in that file as
@@ -259,7 +261,7 @@ fn inline_model_file(job: &JsonValue) -> Result<JsonValue, String> {
         return Err("exactly one of `model` / `model_file` is allowed".to_string());
     }
     let path = path.as_str().ok_or("`model_file` must be a path")?;
-    let model = JsonValue::parse(&read(path)?).map_err(|e| format!("cannot parse {path}: {e}"))?;
+    let model = read_json(path)?;
     Ok(JsonValue::Object(
         fields
             .iter()
@@ -283,7 +285,7 @@ fn load_jobs(args: &Args) -> Result<Vec<SynthesisRequest>, String> {
     let Some(path) = &args.batch_file else {
         return Ok(vec![job_request(&JsonValue::Object(Vec::new()), args)?]);
     };
-    let doc = JsonValue::parse(&read(path)?).map_err(|e| format!("cannot parse {path}: {e}"))?;
+    let doc = read_json(path)?;
     let jobs = doc
         .as_array()
         .ok_or_else(|| format!("{path}: expected a JSON array of jobs"))?;
@@ -877,7 +879,7 @@ fn main() -> ExitCode {
 mod tests {
     use std::time::Duration;
 
-    use pimsyn::{Effort, SynthesisOptions};
+    use pimsyn::{Effort, DEFAULT_SEED};
     use pimsyn_arch::Watts;
 
     use super::*;
@@ -910,7 +912,7 @@ mod tests {
         assert_eq!(request.options.power_budget, Watts(9.0));
         // The CLI seed default is the library default (the flow is
         // deterministic given the seed, so CLI and API runs agree).
-        assert_eq!(request.options.seed, SynthesisOptions::DEFAULT_SEED);
+        assert_eq!(request.options.seed, DEFAULT_SEED);
         assert_eq!(request.options.effort, Effort::Fast);
         assert!(request.options.time_budget.is_none());
         assert!(request.options.max_evaluations.is_none());
@@ -921,13 +923,13 @@ mod tests {
         let flags = request(
             "--model alexnet-cifar --power 9 --effort paper --strategy woho --objective edp \
              --macros identical --no-sharing --seed 18446744073709551615 --cycle 2 \
-             --timeout 30 --max-evals 100 --max-unique-evals 50",
+             --timeout 30 --max-evals 100",
         );
         let body = job(
             r#"{"model": "alexnet-cifar", "power": 9, "effort": "paper", "strategy": "woho",
                 "objective": "edp", "macros": "identical", "sharing": false,
                 "seed": "18446744073709551615", "cycle": 2, "timeout": 30,
-                "max_evals": 100, "max_unique_evals": 50}"#,
+                "max_evals": 100}"#,
         );
         let body = parse_job(&body, &JsonValue::Null).unwrap();
         assert_eq!(flags.model, body.model);
@@ -953,6 +955,7 @@ mod tests {
             "--model vgg16 --power 9 --eval-cache off",
             "--model vgg16 --power 9 --eval-cache-capacity 5",
             "--model vgg16 --power 9 --eval-cache-max-entries 5",
+            "--model vgg16 --power 9 --max-unique-evals 5",
             "--worker",
             "serve --listen 127.0.0.1:0",
             "submit --connect h:1",
@@ -1034,17 +1037,43 @@ mod tests {
         assert!(err.contains("missing `power`"), "{err}");
     }
 
-    #[test]
-    fn backend_flags_parse_and_reach_options() {
-        // `--max-unique-evals` budgets the scoring back end: it counts memo
-        // misses, the candidates that are actually computed.
-        let options = request("--model vgg16 --power 9").options;
-        assert!(options.max_unique_evaluations.is_none());
-        let options = request("--model vgg16 --power 9 --max-unique-evals 40").options;
-        assert_eq!(options.max_unique_evaluations, Some(40));
+    /// Writes `text` to a fresh temporary file for one test.
+    fn temp_file(name: &str, text: &str) -> std::path::PathBuf {
+        let path = std::env::temp_dir().join(format!("pimsyn-cli-{name}-{}", std::process::id()));
+        std::fs::write(&path, text).unwrap();
+        path
+    }
 
-        let err = parse("--model vgg16 --power 9 --max-unique-evals 0").unwrap_err();
-        assert!(err.contains("at least 1"), "{err}");
+    #[test]
+    fn hw_file_is_the_inline_hw_object() {
+        // Parses the flags with `--hw-file` naming a file that holds `text`.
+        let with_hw_file = |text: &str| {
+            let path = temp_file("hw.json", text);
+            let line = format!(
+                "--model alexnet-cifar --power 9 --hw-file {}",
+                path.display()
+            );
+            let parsed = parse(&line);
+            std::fs::remove_file(&path).unwrap();
+            (parsed, path.display().to_string())
+        };
+        let (args, _) = with_hw_file(r#"{"mvm_latency_ns": 50}"#);
+        let flags = load_jobs(&args.unwrap()).unwrap().remove(0);
+        let body = job(r#"{"model": "alexnet-cifar", "power": 9, "hw": {"mvm_latency_ns": 50}}"#);
+        let body = parse_job(&body, &JsonValue::Null).unwrap();
+        assert_eq!(flags.options, body.options);
+        let default = request("--model alexnet-cifar --power 9").options;
+        assert_ne!(flags.options.hw, default.hw);
+
+        // A file that is not JSON is a usage error naming the path, and one
+        // that breaks a hardware rule is one naming the key.
+        let (args, path) = with_hw_file("mvm_latency_ns = 50");
+        let err = args.unwrap_err();
+        assert!(err.contains(&format!("cannot parse {path}")), "{err}");
+        let (args, _) = with_hw_file(r#"{"scratchpad_bus_bits": 0}"#);
+        let err = args.unwrap_err();
+        assert!(err.starts_with("bad --hw-file"), "{err}");
+        assert!(err.contains("scratchpad_bus_bits"), "{err}");
     }
 
     fn parse_gateway(line: &str) -> Result<GatewayArgs, String> {
@@ -1155,7 +1184,10 @@ mod tests {
             // The hyphenated keys of the old batch format name their
             // new spelling.
             (r#"{"max-evals": 5}"#, "`max_evals`"),
-            (r#"{"max-unique-evals": 5}"#, "`max_unique_evals`"),
+            (
+                r#"{"model": "alexnet-cifar", "power": 9, "max_unique_evals": 5}"#,
+                "unknown field `max_unique_evals`",
+            ),
             (r#"{"model-file": "net.json"}"#, "`model_file`"),
             (r#"{"model": "vgg16", "model_file": "x"}"#, "exactly one"),
         ] {
@@ -1172,8 +1204,6 @@ mod tests {
             ("cycle", "-2"),
             ("max_evals", "1e20"),
             ("max_evals", "0"),
-            ("max_unique_evals", "1e300"),
-            ("max_unique_evals", "0.5"),
         ] {
             let job = format!(r#"{{"model": "alexnet-cifar", "power": 9, "{field}": {value}}}"#);
             let err = job_request(&JsonValue::parse(&job).unwrap(), &cli).unwrap_err();
@@ -1184,8 +1214,7 @@ mod tests {
     #[test]
     fn model_file_becomes_an_inline_model() {
         let model = zoo::alexnet_cifar(10);
-        let path = std::env::temp_dir().join(format!("pimsyn-cli-net-{}.json", std::process::id()));
-        std::fs::write(&path, onnx::to_json(&model)).unwrap();
+        let path = temp_file("net.json", &onnx::to_json(&model));
         let line = format!("--model-file {} --power 9", path.display());
         assert_eq!(request(&line).model, model);
         std::fs::remove_file(&path).unwrap();

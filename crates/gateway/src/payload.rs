@@ -2,13 +2,16 @@
 //! `POST /v1/jobs` bodies, `pimsyn --batch` files and the CLI's flags.
 //!
 //! [`parse_job`] is the only code that knows the job keys, their value
-//! rules and their defaults. It accepts friendly spellings next to
-//! bit-exact ones:
+//! rules and their defaults. Each value has one spelling, except `seed`:
 //!
 //! - `model` — a zoo name (`"alexnet-cifar"`) *or* an inline ONNX-style
-//!   JSON document (an object, or a string containing one);
-//! - `power` — a JSON number in watts *or* a 16-hex-digit `f64` bit
-//!   pattern;
+//!   model object;
+//! - `power` — a JSON number in watts. The JSON parser rounds correctly
+//!   and [`JsonValue`] prints shortest round-trip decimals, so a plain
+//!   number carries every `f64` exactly;
+//! - `hw` — an object of the hardware-file keys
+//!   ([`hardware_config::from_value`]);
+//! - `seed` — a number up to 2^53 or decimal text;
 //! - everything else optional, with one set of built-in defaults (effort
 //!   `fast`, strategy `sa`, objective `eff`, macros `specialized`, sharing
 //!   on, library seed) under the defaults object the caller passes (the
@@ -28,7 +31,7 @@ use pimsyn_model::{onnx, zoo, Model};
 
 /// Every job key. `model_file` is the CLI's alone: the CLI reads the file
 /// it names and passes the document on as an inline `model`.
-const JOB_KEYS: [&str; 16] = [
+const JOB_KEYS: [&str; 15] = [
     "model",
     "model_file",
     "power",
@@ -43,63 +46,46 @@ const JOB_KEYS: [&str; 16] = [
     "cycle",
     "timeout",
     "max_evals",
-    "max_unique_evals",
     "label",
 ];
 
+/// The rule of the `model` key.
+const MODEL_RULE: &str = "`model` must be a zoo name or a model object";
+
 fn parse_model(value: &JsonValue) -> Result<Model, String> {
     match value {
-        JsonValue::String(text) => {
-            if let Some(model) = zoo::by_name(text) {
-                return Ok(model);
-            }
-            if text.trim_start().starts_with('{') {
-                return onnx::parse_model(text).map_err(|e| format!("cannot ingest model: {e}"));
-            }
-            Err(format!(
-                "unknown zoo model `{text}` (and not an inline model document); \
-                 available: {}",
+        JsonValue::String(name) => zoo::by_name(name).ok_or_else(|| {
+            format!(
+                "unknown zoo model `{name}` ({MODEL_RULE}); available: {}",
                 zoo::names().join(", ")
-            ))
-        }
+            )
+        }),
         JsonValue::Object(_) => {
             onnx::parse_model(&value.to_string()).map_err(|e| format!("cannot ingest model: {e}"))
         }
-        _ => Err("`model` must be a zoo name or a model document".to_string()),
+        _ => Err(MODEL_RULE.to_string()),
     }
 }
 
-/// Validates a timeout in seconds into a `Duration`, rejecting NaN, zero,
-/// negatives, and values `Duration::from_secs_f64` would panic on
-/// (infinity / overflow). A year bounds any meaningful synthesis run.
-fn timeout_duration(secs: f64) -> Result<Duration, String> {
+/// A timeout in seconds: a positive JSON number of at most a year, which
+/// bounds any meaningful synthesis run and keeps
+/// `Duration::from_secs_f64` from overflowing.
+fn parse_timeout(value: &JsonValue) -> Result<Duration, String> {
     const MAX_TIMEOUT_SECS: f64 = 365.0 * 24.0 * 3600.0;
-    if secs.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
-        return Err("`timeout` must be positive".to_string());
-    }
-    if !secs.is_finite() || secs > MAX_TIMEOUT_SECS {
-        return Err(format!(
+    match parse_positive(value, "timeout")? {
+        secs if secs > MAX_TIMEOUT_SECS => Err(format!(
             "`timeout` must be at most {MAX_TIMEOUT_SECS} seconds"
-        ));
+        )),
+        secs => Ok(Duration::from_secs_f64(secs)),
     }
-    Ok(Duration::from_secs_f64(secs))
 }
 
-/// A positive finite f64 from a JSON number or a 16-hex-digit bit pattern.
-fn parse_f64_or_bits(value: &JsonValue, field: &str) -> Result<f64, String> {
-    let parsed = match value {
-        JsonValue::Number(n) => Some(*n),
-        JsonValue::String(s) if s.len() == 16 => {
-            u64::from_str_radix(s, 16).ok().map(f64::from_bits)
-        }
-        _ => None,
-    };
-    match parsed {
+/// A positive finite f64 from a JSON number.
+fn parse_positive(value: &JsonValue, field: &str) -> Result<f64, String> {
+    match value.as_f64() {
         Some(x) if x.is_finite() && x > 0.0 => Ok(x),
         Some(_) => Err(format!("`{field}` must be positive and finite")),
-        None => Err(format!(
-            "`{field}` must be a number or a 16-hex-digit f64 bit pattern"
-        )),
+        None => Err(format!("`{field}` must be a JSON number")),
     }
 }
 
@@ -216,7 +202,7 @@ pub fn parse_job(job: &JsonValue, defaults: &JsonValue) -> Result<SynthesisReque
     }
 
     let model = parse_model(value("model").ok_or("missing `model`")?)?;
-    let power = parse_f64_or_bits(value("power").ok_or("missing `power`")?, "power")?;
+    let power = parse_positive(value("power").ok_or("missing `power`")?, "power")?;
 
     let mut options = SynthesisOptions::new(Watts(power))
         .with_effort(match value("effort") {
@@ -276,27 +262,14 @@ pub fn parse_job(job: &JsonValue, defaults: &JsonValue) -> Result<SynthesisReque
         options = options.with_cycle_validation(parse_usize(cycle, "cycle")?);
     }
     if let Some(timeout) = value("timeout") {
-        let secs = parse_f64_or_bits(timeout, "timeout")?;
-        options = options.with_time_budget(timeout_duration(secs)?);
+        options = options.with_time_budget(parse_timeout(timeout)?);
     }
     if let Some(n) = value("max_evals") {
         options = options.with_max_evaluations(parse_budget(n, "max_evals")?);
     }
-    if let Some(n) = value("max_unique_evals") {
-        options = options.with_max_unique_evaluations(parse_budget(n, "max_unique_evals")?);
-    }
     if let Some(hw) = value("hw") {
-        let parsed = match hw {
-            // Either spelling; when neither reads, both errors are named, so
-            // a bit-exact document with an invalid value says which.
-            JsonValue::String(text) => hardware_config::from_json_exact(text).or_else(|exact| {
-                hardware_config::from_json(text)
-                    .map_err(|e| format!("{e}; as the bit-exact spelling: {exact}"))
-            }),
-            JsonValue::Object(_) => hardware_config::from_value(hw).map_err(|e| e.to_string()),
-            _ => return Err("`hw` must be a hardware-params document".to_string()),
-        };
-        options = options.with_hardware(parsed.map_err(|e| format!("bad `hw`: {e}"))?);
+        let hw = hardware_config::from_value(hw).map_err(|e| format!("bad `hw`: {e}"))?;
+        options = options.with_hardware(hw);
     }
 
     let mut request = SynthesisRequest::new(model, options);
@@ -324,22 +297,22 @@ mod tests {
         assert_eq!(request.options.macro_mode, MacroMode::Specialized);
         assert!(request.options.allow_macro_sharing);
         assert!(request.options.parallel);
-        assert_eq!(request.options.seed, SynthesisOptions::DEFAULT_SEED);
+        assert_eq!(request.options.seed, pimsyn::DEFAULT_SEED);
         assert!(request.label.is_none());
     }
 
     #[test]
     fn full_submission_overrides_every_field() {
         let request = parse_http_job(
-            br#"{"model": "alexnet-cifar", "power": "4022000000000000",
+            br#"{"model": "alexnet-cifar", "power": 9,
                  "effort": "paper", "strategy": "none", "objective": "edp",
                  "macros": "identical", "sharing": false, "parallel": false,
                  "seed": "18446744073709551615", "cycle": 2, "timeout": 30,
-                 "max_evals": 100, "max_unique_evals": 50,
+                 "max_evals": 100, "hw": {"mvm_latency_ns": 50},
                  "label": "sweep-3"}"#,
         )
         .unwrap();
-        assert_eq!(request.options.power_budget, Watts(9.0)); // 0x4022... = 9.0
+        assert_eq!(request.options.power_budget, Watts(9.0));
         assert_eq!(request.options.effort, Effort::Paper);
         assert_eq!(request.options.strategy, WtDupStrategy::NoDuplication);
         assert_eq!(request.options.objective, Objective::EnergyDelayProduct);
@@ -350,7 +323,10 @@ mod tests {
         assert_eq!(request.options.cycle_images, 2);
         assert_eq!(request.options.time_budget, Some(Duration::from_secs(30)));
         assert_eq!(request.options.max_evaluations, Some(100));
-        assert_eq!(request.options.max_unique_evaluations, Some(50));
+        assert_eq!(
+            request.options.hw,
+            hardware_config::from_json(r#"{"mvm_latency_ns": 50}"#).unwrap()
+        );
         assert_eq!(request.label.as_deref(), Some("sweep-3"));
     }
 
@@ -391,15 +367,11 @@ mod tests {
                 "`max_evals` must be at least 1",
             ),
             (
-                br#"{"model": "alexnet-cifar", "power": 9, "max_unique_evals": 0}"#,
-                "`max_unique_evals` must be at least 1",
+                br#"{"model": "alexnet-cifar", "power": 9, "max_unique_evals": 5}"#,
+                "unknown field `max_unique_evals`",
             ),
             (
                 br#"{"model": "alexnet-cifar", "power": 9, "timeout": 1e300}"#,
-                "`timeout` must be at most",
-            ),
-            (
-                br#"{"model": "alexnet-cifar", "power": 9, "timeout": "7fefffffffffffff"}"#,
                 "`timeout` must be at most",
             ),
             (
@@ -407,70 +379,88 @@ mod tests {
                 "scratchpad_bus_bits 0",
             ),
             (
-                br#"{"model": "alexnet-cifar", "power": 9, "hw": "{\"adc_max_bits\": 0}"}"#,
+                br#"{"model": "alexnet-cifar", "power": 9, "hw": {"adc_max_bits": 0}}"#,
                 "adc bit range 7..0",
             ),
             // Hyphenated spellings of job keys name the key; the gateway
             // reads no paths.
             (br#"{"max-evals": 5}"#, "spelled `max_evals`"),
-            (br#"{"max-unique-evals": 5}"#, "spelled `max_unique_evals`"),
             (br#"{"model-file": "x"}"#, "spelled `model_file`"),
             (br#"{"model_file": "x"}"#, "only the CLI reads"),
         ] {
             let err = parse_http_job(body).unwrap_err();
             assert!(err.contains(needle), "`{err}` should mention `{needle}`");
         }
-        // The bit-exact `hw` spelling passes the same validity check.
-        let with = |set: fn(&mut pimsyn_arch::HardwareParams)| {
-            let mut hw = pimsyn_arch::HardwareParams::date24();
-            set(&mut hw);
-            hw
-        };
-        for (hw, needle) in [
+    }
+
+    /// A value in another spelling than its key's one fails with an error
+    /// naming the key and its rule.
+    #[test]
+    fn each_value_has_one_spelling() {
+        let document = onnx::to_json(&zoo::alexnet_cifar(10));
+        for (key, value, needle) in [
             (
-                with(|hw| hw.scratchpad_bus_bits = 0),
-                "scratchpad_bus_bits 0",
+                "power",
+                JsonValue::String("4022000000000000".into()),
+                "`power` must be a JSON number",
             ),
-            (with(|hw| hw.adc_max_bits = 0), "adc bit range 7..0"),
+            (
+                "timeout",
+                JsonValue::String("30".into()),
+                "`timeout` must be a JSON number",
+            ),
+            (
+                "hw",
+                JsonValue::String(r#"{"mvm_latency_ns": 50}"#.into()),
+                "bad `hw`: invalid hardware config = top level must be an object",
+            ),
+            ("model", JsonValue::String(document), MODEL_RULE),
         ] {
-            let hw = JsonValue::String(hardware_config::to_json_exact(&hw));
-            let body = format!(r#"{{"model": "alexnet-cifar", "power": 9, "hw": {hw}}}"#);
-            let err = parse_http_job(body.as_bytes()).unwrap_err();
-            assert!(err.contains("bit-exact spelling"), "{err}");
-            assert!(err.contains(needle), "`{err}` should mention `{needle}`");
+            let mut job = vec![
+                (
+                    "model".to_string(),
+                    JsonValue::String("alexnet-cifar".into()),
+                ),
+                ("power".to_string(), JsonValue::Number(9.0)),
+            ];
+            job.retain(|(k, _)| k != key);
+            job.push((key.to_string(), value));
+            let err = parse_job(&JsonValue::Object(job), &JsonValue::Null).unwrap_err();
+            assert!(
+                err.contains(needle),
+                "{key}: `{err}` should mention `{needle}`"
+            );
         }
     }
 
+    /// Plain JSON numbers carry a job's floats bit for bit: the parser
+    /// rounds correctly and the printer writes shortest round-trip
+    /// decimals.
     #[test]
-    fn wire_encoded_payloads_also_parse() {
-        // The bit-exact spellings — an inline model document, exact `hw`
-        // text and f64 bit patterns — carry a request losslessly, so a
-        // client can replay a captured job without re-deriving any float.
+    fn plain_numbers_carry_floats_bit_for_bit() {
         let model = zoo::alexnet_cifar(10);
-        let mut hw = pimsyn_arch::HardwareParams::date24();
-        hw.crossbar_size_exponent = 0.1 + 0.2;
         let power = 9.0_f64 / 7.0;
         let timeout = 0.1_f64 + 0.2;
+        let exponent = 0.1_f64 + 0.2;
         let body = JsonValue::Object(vec![
-            ("model".into(), JsonValue::String(onnx::to_json(&model))),
+            (
+                "model".into(),
+                JsonValue::parse(&onnx::to_json(&model)).unwrap(),
+            ),
+            ("power".into(), JsonValue::Number(power)),
+            ("timeout".into(), JsonValue::Number(timeout)),
             (
                 "hw".into(),
-                JsonValue::String(hardware_config::to_json_exact(&hw)),
-            ),
-            (
-                "power".into(),
-                JsonValue::String(format!("{:016x}", power.to_bits())),
-            ),
-            (
-                "timeout".into(),
-                JsonValue::String(format!("{:016x}", timeout.to_bits())),
+                JsonValue::Object(vec![(
+                    "crossbar_size_exponent".into(),
+                    JsonValue::Number(exponent),
+                )]),
             ),
             ("seed".into(), JsonValue::String("11".into())),
         ])
         .to_string();
         let request = parse_http_job(body.as_bytes()).unwrap();
         assert_eq!(request.model, model);
-        assert_eq!(request.options.hw, hw);
         assert_eq!(
             request.options.power_budget.value().to_bits(),
             power.to_bits()
@@ -478,6 +468,10 @@ mod tests {
         assert_eq!(
             request.options.time_budget,
             Some(Duration::from_secs_f64(timeout))
+        );
+        assert_eq!(
+            request.options.hw.crossbar_size_exponent.to_bits(),
+            exponent.to_bits()
         );
         assert_eq!(request.options.seed, 11);
         assert_eq!(request.options.effort, Effort::Fast);

@@ -20,8 +20,6 @@ pub enum ModelError {
         /// Human-readable description of the incompatibility.
         detail: String,
     },
-    /// The layer graph contains a cycle, so no topological order exists.
-    CyclicGraph,
     /// The model has no layers.
     EmptyModel,
     /// An `Add` (residual) layer has operands of differing shapes.
@@ -70,7 +68,6 @@ impl fmt::Display for ModelError {
             ModelError::ShapeMismatch { layer, detail } => {
                 write!(f, "shape mismatch at layer `{layer}`: {detail}")
             }
-            ModelError::CyclicGraph => write!(f, "layer graph contains a cycle"),
             ModelError::EmptyModel => write!(f, "model contains no layers"),
             ModelError::AddShapeMismatch { layer, lhs, rhs } => write!(
                 f,
@@ -103,7 +100,7 @@ mod tests {
 
     #[test]
     fn display_is_lowercase_and_unpunctuated() {
-        let e = ModelError::CyclicGraph;
+        let e = ModelError::EmptyModel;
         let s = e.to_string();
         assert!(s.starts_with(char::is_lowercase));
         assert!(!s.ends_with('.'));

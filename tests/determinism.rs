@@ -139,32 +139,28 @@ fn session_scoring_is_bit_identical_on_mutation_walks() {
 #[test]
 fn count_budgeted_parallel_runs_equal_serial() {
     let model = zoo::transformer_tiny();
-    let base = SynthesisOptions::fast(Watts(9.0)).with_seed(3);
-    for budgeted in [
-        base.clone().with_max_evaluations(150),
-        base.with_max_unique_evaluations(100),
-    ] {
-        let mut serial = budgeted;
-        serial.parallel = false;
-        let mut parallel = serial.clone();
-        parallel.parallel = true;
-        let want = Synthesizer::new(serial)
+    let mut serial = SynthesisOptions::fast(Watts(9.0))
+        .with_seed(3)
+        .with_max_evaluations(150);
+    serial.parallel = false;
+    let mut parallel = serial.clone();
+    parallel.parallel = true;
+    let want = Synthesizer::new(serial)
+        .synthesize(&model)
+        .expect("serial synthesis");
+    for run in 0..5 {
+        let got = Synthesizer::new(parallel.clone())
             .synthesize(&model)
-            .expect("serial synthesis");
-        for run in 0..5 {
-            let got = Synthesizer::new(parallel.clone())
-                .synthesize(&model)
-                .expect("parallel synthesis");
-            assert_eq!(got.model, want.model, "run {run}");
-            assert_eq!(got.architecture, want.architecture, "run {run}");
-            assert_eq!(got.dataflow, want.dataflow, "run {run}");
-            assert_eq!(got.wt_dup, want.wt_dup, "run {run}");
-            assert_eq!(got.analytic, want.analytic, "run {run}");
-            assert_eq!(got.cycle, want.cycle, "run {run}");
-            assert_eq!(got.evaluations, want.evaluations, "run {run}");
-            assert_eq!(got.history, want.history, "run {run}");
-            assert_eq!(got.stop_reason, want.stop_reason, "run {run}");
-        }
+            .expect("parallel synthesis");
+        assert_eq!(got.model, want.model, "run {run}");
+        assert_eq!(got.architecture, want.architecture, "run {run}");
+        assert_eq!(got.dataflow, want.dataflow, "run {run}");
+        assert_eq!(got.wt_dup, want.wt_dup, "run {run}");
+        assert_eq!(got.analytic, want.analytic, "run {run}");
+        assert_eq!(got.cycle, want.cycle, "run {run}");
+        assert_eq!(got.evaluations, want.evaluations, "run {run}");
+        assert_eq!(got.history, want.history, "run {run}");
+        assert_eq!(got.stop_reason, want.stop_reason, "run {run}");
     }
 }
 

@@ -183,7 +183,7 @@ fn sa_candidates_always_feasible() {
         let extra = rng.gen_range(0usize..4000);
         let one_copy = crossbars_used(&model, xb, &vec![1; model.weight_layer_count()]);
         let budget = one_copy + extra;
-        let cands = wt_dup_candidates(&model, xb, budget, &SaConfig::fast()).unwrap();
+        let cands = wt_dup_candidates(&model, xb, budget, &SaConfig::fast(), 0xD1CE).unwrap();
         assert!(!cands.is_empty());
         for c in &cands {
             assert!(crossbars_used(&model, xb, c) <= budget);
