@@ -175,7 +175,7 @@ impl MacroGroup {
     /// layer may share only an earlier layer that neither shares itself
     /// nor already has a sharer, so every group is a root and at most one
     /// sharer. Every path by which sharing enters a design checks it: the
-    /// EA's genes, [`Architecture::validate`] and the export parser.
+    /// EA's genes and [`Architecture::validate`].
     ///
     /// # Errors
     ///

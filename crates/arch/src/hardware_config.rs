@@ -2,8 +2,8 @@
 //!
 //! PIMSYN's third input (Fig. 3) is a set of "hardware setup parameters
 //! (e.g., ReRAM's, ADC's and DAC's latency and power)". This module reads
-//! and writes [`HardwareParams`] as a flat JSON object so device assumptions
-//! can be swapped without recompiling. Missing keys keep their Table III
+//! [`HardwareParams`] from a flat JSON object so device assumptions can be
+//! swapped without recompiling. Missing keys keep their Table III
 //! defaults; unknown keys are rejected (they are almost always typos). The
 //! DAC power table and the area constants have no key and always keep
 //! their Table III values.
@@ -167,45 +167,6 @@ pub fn from_value(doc: &JsonValue) -> Result<HardwareParams, ArchError> {
     checked(hw)
 }
 
-/// Serializes the tunable subset of [`HardwareParams`] back to the JSON
-/// format accepted by [`from_json`] (round-trips all keys listed there).
-pub fn to_json(hw: &HardwareParams) -> String {
-    let pairs: Vec<(&str, f64)> = vec![
-        ("clock_ghz", hw.clock.value() / 1e9),
-        ("mvm_latency_ns", hw.mvm_latency.nanos()),
-        ("crossbar_base_power_mw", hw.crossbar_base_power.milli()),
-        ("crossbar_size_exponent", hw.crossbar_size_exponent),
-        ("crossbar_res_factor", hw.crossbar_res_factor),
-        ("dac_rate_ghz", hw.dac_rate.value() / 1e9),
-        ("adc_base_power_mw", hw.adc_base_power.milli()),
-        ("adc_power_growth", hw.adc_power_growth),
-        ("adc_base_rate_gsps", hw.adc_base_rate.value() / 1e9),
-        ("adc_min_bits", hw.adc_min_bits as f64),
-        ("adc_max_bits", hw.adc_max_bits as f64),
-        ("scratchpad_kb", (hw.scratchpad_bytes / 1024) as f64),
-        ("scratchpad_bus_bits", hw.scratchpad_bus_bits as f64),
-        ("scratchpad_power_mw", hw.scratchpad_power.milli()),
-        ("scratchpad_latency_ns", hw.scratchpad_latency.nanos()),
-        ("noc_flit_bits", hw.noc_flit_bits as f64),
-        ("noc_ports", hw.noc_ports as f64),
-        ("noc_router_power_mw", hw.noc_router_power.milli()),
-        ("noc_hop_latency_ns", hw.noc_hop_latency.nanos()),
-        ("noc_link_rate_ghz", hw.noc_link_rate.value() / 1e9),
-        ("shift_add_power_mw", hw.shift_add_power.milli()),
-        ("pool_power_mw", hw.pool_power.milli()),
-        ("activation_power_mw", hw.activation_power.milli()),
-        ("eltwise_power_mw", hw.eltwise_power.milli()),
-        ("register_power_mw", hw.register_power.milli()),
-    ];
-    let obj = JsonValue::Object(
-        pairs
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), JsonValue::Number(v)))
-            .collect(),
-    );
-    obj.to_string()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -246,69 +207,104 @@ mod tests {
     /// already-parsed object ([`from_value`], a job's inline `hw`).
     #[test]
     fn values_the_models_cannot_evaluate_are_rejected_in_both_spellings() {
-        let with = |set: fn(&mut HardwareParams)| {
-            let mut hw = HardwareParams::date24();
-            set(&mut hw);
-            hw
-        };
-        for (hw, needle) in [
-            (
-                with(|hw| hw.scratchpad_bus_bits = 7),
-                "scratchpad_bus_bits 7",
-            ),
-            (with(|hw| hw.adc_max_bits = 0), "adc bit range 7..0"),
-            (with(|hw| hw.adc_min_bits = 0), "adc bit range 0..14"),
-            (with(|hw| hw.adc_power_growth = 0.5), "adc_power_growth 0.5"),
+        for (text, needle) in [
+            (r#"{"scratchpad_bus_bits": 7}"#, "scratchpad_bus_bits 7"),
+            (r#"{"adc_max_bits": 0}"#, "adc bit range 7..0"),
+            (r#"{"adc_min_bits": 0}"#, "adc bit range 0..14"),
+            (r#"{"adc_power_growth": 0.5}"#, "adc_power_growth 0.5"),
+            // The rates, latency and width the models divide by, non-finite
+            // values and a scratchpad past `usize`: the error names the
+            // field (a prefix of its key).
+            (r#"{"mvm_latency_ns": 0}"#, "mvm_latency"),
+            (r#"{"clock_ghz": 0}"#, "clock"),
+            (r#"{"clock_ghz": 1e400}"#, "clock"),
+            (r#"{"clock_ghz": 1e300}"#, "clock"),
+            (r#"{"dac_rate_ghz": 0}"#, "dac_rate"),
+            (r#"{"adc_base_rate_gsps": 0}"#, "adc_base_rate"),
+            (r#"{"noc_link_rate_ghz": 0}"#, "noc_link_rate"),
+            (r#"{"noc_flit_bits": 0}"#, "noc_flit_bits"),
+            (r#"{"adc_power_growth": 1e400}"#, "adc_power_growth"),
+            (r#"{"scratchpad_kb": 1e300}"#, "scratchpad_kb"),
         ] {
-            let text = to_json(&hw);
             for err in [
-                from_json(&text).unwrap_err(),
-                from_value(&JsonValue::parse(&text).unwrap()).unwrap_err(),
+                from_json(text).unwrap_err(),
+                from_value(&JsonValue::parse(text).unwrap()).unwrap_err(),
             ] {
                 let err = err.to_string();
-                assert!(err.contains(needle), "`{err}` lacks `{needle}`");
+                assert!(err.contains(needle), "{text}: `{err}` lacks `{needle}`");
             }
         }
-        let hw = with(|hw| hw.scratchpad_bus_bits = 8);
-        assert_eq!(from_json(&to_json(&hw)).unwrap().scratchpad_bus_bits, 8);
-
-        // The rates, latency and width the models divide by, non-finite
-        // values and a scratchpad past `usize`: the error names the key.
-        for (key, value, field) in [
-            ("mvm_latency_ns", "0", "mvm_latency"),
-            ("clock_ghz", "0", "clock"),
-            ("clock_ghz", "1e400", "clock"),
-            ("clock_ghz", "1e300", "clock"),
-            ("dac_rate_ghz", "0", "dac_rate"),
-            ("adc_base_rate_gsps", "0", "adc_base_rate"),
-            ("noc_link_rate_ghz", "0", "noc_link_rate"),
-            ("noc_flit_bits", "0", "noc_flit_bits"),
-            ("adc_power_growth", "1e400", "adc_power_growth"),
-            ("scratchpad_kb", "1e300", "scratchpad_kb"),
-        ] {
-            let readable = format!(r#"{{"{key}": {value}}}"#);
-            for err in [
-                from_json(&readable).unwrap_err(),
-                from_value(&JsonValue::parse(&readable).unwrap()).unwrap_err(),
-            ] {
-                let err = err.to_string();
-                assert!(err.contains(field) || err.contains(key), "{key}: {err}");
-            }
-        }
+        let hw = from_json(r#"{"scratchpad_bus_bits": 8}"#).unwrap();
+        assert_eq!(hw.scratchpad_bus_bits, 8);
     }
 
+    /// A document that sets all 25 hardware-file keys, each away from its
+    /// Table III value, sets every field in the field's unit.
     #[test]
-    fn round_trip_preserves_everything() {
-        let mut hw = HardwareParams::date24();
-        hw.mvm_latency = Seconds::from_nanos(42.0);
-        hw.noc_ports = 5;
-        hw.adc_power_growth = 1.5;
-        let back = from_json(&to_json(&hw)).unwrap();
-        // Unit conversions may lose an ulp; compare with tolerance.
-        assert!((back.mvm_latency.nanos() - 42.0).abs() < 1e-9);
-        assert_eq!(back.noc_ports, 5);
-        assert!((back.adc_power_growth - 1.5).abs() < 1e-12);
-        assert_eq!(back.scratchpad_bytes, hw.scratchpad_bytes);
-        assert!((back.clock.value() - hw.clock.value()).abs() < 1.0);
+    fn every_key_sets_its_field() {
+        let keys = [
+            ("clock_ghz", "2"),
+            ("mvm_latency_ns", "50"),
+            ("crossbar_base_power_mw", "0.5"),
+            ("crossbar_size_exponent", "1.5"),
+            ("crossbar_res_factor", "0.2"),
+            ("dac_rate_ghz", "2"),
+            ("adc_base_power_mw", "3"),
+            ("adc_power_growth", "1.5"),
+            ("adc_base_rate_gsps", "2.5"),
+            ("adc_min_bits", "4"),
+            ("adc_max_bits", "12"),
+            ("scratchpad_kb", "32"),
+            ("scratchpad_bus_bits", "128"),
+            ("scratchpad_power_mw", "10"),
+            ("scratchpad_latency_ns", "4"),
+            ("noc_flit_bits", "64"),
+            ("noc_ports", "5"),
+            ("noc_router_power_mw", "21"),
+            ("noc_hop_latency_ns", "2"),
+            ("noc_link_rate_ghz", "0.5"),
+            ("shift_add_power_mw", "0.25"),
+            ("pool_power_mw", "0.5"),
+            ("activation_power_mw", "0.125"),
+            ("eltwise_power_mw", "0.375"),
+            ("register_power_mw", "2"),
+        ];
+        // Each value alone moves the parameters off Table III, so a key the
+        // parser dropped would show in the comparison below.
+        for (key, value) in keys {
+            let one = from_json(&format!(r#"{{"{key}": {value}}}"#)).unwrap();
+            assert_ne!(one, HardwareParams::date24(), "{key}");
+        }
+        let pairs: Vec<String> = keys.iter().map(|(k, v)| format!(r#""{k}": {v}"#)).collect();
+        let hw = from_json(&format!("{{{}}}", pairs.join(", "))).unwrap();
+        let want = HardwareParams {
+            clock: Hertz::from_giga(2.0),
+            mvm_latency: Seconds::from_nanos(50.0),
+            crossbar_base_power: Watts::from_milli(0.5),
+            crossbar_size_exponent: 1.5,
+            crossbar_res_factor: 0.2,
+            dac_rate: Hertz::from_giga(2.0),
+            adc_base_power: Watts::from_milli(3.0),
+            adc_power_growth: 1.5,
+            adc_base_rate: Hertz::from_giga(2.5),
+            adc_min_bits: 4,
+            adc_max_bits: 12,
+            scratchpad_bytes: 32 * 1024,
+            scratchpad_bus_bits: 128,
+            scratchpad_power: Watts::from_milli(10.0),
+            scratchpad_latency: Seconds::from_nanos(4.0),
+            noc_flit_bits: 64,
+            noc_ports: 5,
+            noc_router_power: Watts::from_milli(21.0),
+            noc_hop_latency: Seconds::from_nanos(2.0),
+            noc_link_rate: Hertz::from_giga(0.5),
+            shift_add_power: Watts::from_milli(0.25),
+            pool_power: Watts::from_milli(0.5),
+            activation_power: Watts::from_milli(0.125),
+            eltwise_power: Watts::from_milli(0.375),
+            register_power: Watts::from_milli(2.0),
+            ..HardwareParams::date24()
+        };
+        assert_eq!(hw, want);
     }
 }

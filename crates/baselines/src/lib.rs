@@ -4,13 +4,14 @@
 //! The paper compares auto-synthesized accelerators against five manual
 //! designs (Table IV), runs ISAAC end-to-end (Fig. 6), ablates duplication
 //! strategies (Fig. 7) and compares with the Gibbon co-exploration tool
-//! (Table V). This crate implements every comparator:
+//! (Table V). The Fig. 7 arms are synthesis options
+//! (`pimsyn::WtDupStrategy`) that `pimsyn_bench` runs; this crate
+//! implements the other comparators:
 //!
 //! - [`inventory`]: component-inventory models of PipeLayer / ISAAC / PRIME
 //!   / PUMA / AtomLayer evaluated under the *same* Table III power model.
 //! - [`isaac`]: a full ISAAC-like fixed architecture runnable on the
 //!   cycle-accurate simulator.
-//! - [`heuristics`]: the Fig. 7 duplication-strategy arms.
 //! - [`gibbon`]: a Gibbon-like greedy co-exploration proxy plus the
 //!   published Table V constants ([`published`]).
 //!
@@ -30,7 +31,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod gibbon;
-pub mod heuristics;
 pub mod inventory;
 pub mod isaac;
 pub mod published;

@@ -558,11 +558,6 @@ impl SynthesisService {
         }
     }
 
-    /// The sizing policy this service runs under.
-    pub fn config(&self) -> &ServiceConfig {
-        &self.inner.config
-    }
-
     /// A point-in-time view of the queue: totals, drain state, and
     /// per-tenant counts (for dashboards and the gateway's `/metrics`).
     pub fn snapshot(&self) -> ServiceSnapshot {

@@ -122,12 +122,6 @@ impl EaConfig {
     }
 }
 
-impl Default for EaConfig {
-    fn default() -> Self {
-        Self::paper()
-    }
-}
-
 /// A macro-partitioning candidate in the paper's integer-vector encoding.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MacAllocGene(Vec<u32>);

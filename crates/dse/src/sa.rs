@@ -49,12 +49,6 @@ impl SaConfig {
     }
 }
 
-impl Default for SaConfig {
-    fn default() -> Self {
-        Self::paper()
-    }
-}
-
 /// Population standard deviation (the paper's `stdev`), computed in a
 /// single pass with Welford's online algorithm — the evaluation hot path
 /// calls this for every SA probe, so no cloning or re-iteration.

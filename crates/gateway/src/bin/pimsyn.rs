@@ -10,7 +10,7 @@
 //! pimsyn --model vgg16 --power 65 --effort paper --timeout 120 --max-evals 20000
 //! pimsyn --batch jobs.json --output json
 //! pimsyn zoo --describe mobilenet
-//! pimsyn export pimsim --model transformer-tiny --power 6 --pretty
+//! pimsyn export pimsim --model transformer-tiny --power 6 --out tt.json
 //! ```
 //!
 //! `--model` accepts any zoo name (`pimsyn zoo` lists them all, classic
@@ -86,7 +86,7 @@ USAGE:
   pimsyn --batch <jobs.json> [options]
   pimsyn zoo [--describe <name>] [--validate [<name>]] [--output <text|json>]
   pimsyn export pimsim (--model <name> | --model-file <path>) --power <watts>
-                [--pretty] [--out <path>] [synthesis options]
+                [--out <path>] [synthesis options]
   pimsyn gateway --listen <host:port> [--keys <tenants.json>]
                  [--job-slots N] [--queue-depth N] [--quiet]
 
@@ -144,7 +144,7 @@ single-job flow (same --model/--model-file/--power and search options,
 bit-identical results) and then emits a PIMSIM-NN configuration document
 on stdout (or --out <path>) instead of a report: the workload, the
 synthesized per-layer mapping and PIMSYN's expected metrics, ready for
-cross-simulator validation. --pretty indents the JSON for humans; the
+cross-simulator validation, as one line of compact JSON; the
 field-by-field schema is documented in docs/ARCHITECTURE.md.";
 
 fn parse_args_from<I: IntoIterator<Item = String>>(argv: I) -> Result<Args, String> {
@@ -759,26 +759,19 @@ fn run_zoo(argv: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// `pimsyn export` flags that are not part of the shared synthesis arg set.
-#[derive(Debug, Clone, Default, PartialEq)]
-struct ExportArgs {
-    pretty: bool,
-    out: Option<String>,
-}
-
-/// Splits export-specific flags from the shared synthesis flags.
-fn split_export_args(argv: &[String]) -> Result<(ExportArgs, Vec<String>), String> {
-    let mut export = ExportArgs::default();
+/// Splits `pimsyn export`'s one own flag, `--out <path>`, from the shared
+/// synthesis flags.
+fn split_export_args(argv: &[String]) -> Result<(Option<String>, Vec<String>), String> {
+    let mut out = None;
     let mut rest = Vec::new();
     let mut it = argv.iter().cloned();
     while let Some(flag) = it.next() {
         match flag.as_str() {
-            "--pretty" => export.pretty = true,
-            "--out" => export.out = Some(it.next().ok_or("missing value for --out")?),
+            "--out" => out = Some(it.next().ok_or("missing value for --out")?),
             _ => rest.push(flag),
         }
     }
-    Ok((export, rest))
+    Ok((out, rest))
 }
 
 fn run_export(argv: &[String]) -> ExitCode {
@@ -791,7 +784,7 @@ fn run_export(argv: &[String]) -> ExitCode {
         Some(other) => return fail(format!("unknown export format `{other}` (try `pimsim`)")),
         None => return fail("export needs a format, e.g. `pimsyn export pimsim ...`".into()),
     }
-    let (export, rest) = match split_export_args(&argv[1..]) {
+    let (out, rest) = match split_export_args(&argv[1..]) {
         Ok(split) => split,
         Err(e) => return fail(e),
     };
@@ -829,12 +822,8 @@ fn run_export(argv: &[String]) -> ExitCode {
             result.evaluations
         );
     }
-    let text = if export.pretty {
-        pimsyn_export::to_pimsim_config_pretty(&result)
-    } else {
-        pimsyn_export::to_pimsim_config(&result)
-    };
-    match &export.out {
+    let text = pimsyn_export::to_pimsim_config(&result);
+    match &out {
         Some(path) => {
             if let Err(e) = std::fs::write(path, &text) {
                 eprintln!("error: cannot write {path}: {e}");
@@ -1268,14 +1257,18 @@ mod tests {
 
     #[test]
     fn export_args_split_from_synthesis_flags() {
-        let (export, rest) =
-            split_export_args(&argv("--model vgg16 --pretty --power 9 --out x")).unwrap();
-        assert!(export.pretty);
-        assert_eq!(export.out.as_deref(), Some("x"));
+        let (out, rest) = split_export_args(&argv("--model vgg16 --power 9 --out x")).unwrap();
+        assert_eq!(out.as_deref(), Some("x"));
         assert_eq!(rest, argv("--model vgg16 --power 9"));
         // The remainder still parses as ordinary synthesis flags.
         let args = parse_args_from(rest).unwrap();
         assert_eq!(load_jobs(&args).unwrap()[0].model.name(), "vgg16");
+
+        // A flag `export` does not own, such as the removed `--pretty`,
+        // reaches the synthesis flags and fails there as unknown.
+        let (_, rest) = split_export_args(&argv("--model vgg16 --power 9 --pretty")).unwrap();
+        let err = parse_args_from(rest).unwrap_err();
+        assert!(err.contains("--pretty"), "{err}");
 
         let err = split_export_args(&argv("--out")).unwrap_err();
         assert!(err.contains("--out"), "{err}");

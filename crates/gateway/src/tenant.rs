@@ -58,13 +58,6 @@ impl TenantRegistry {
         self.by_key.get(key)
     }
 
-    /// The registered tenant policies, sorted by name (for startup logs).
-    pub fn policies(&self) -> Vec<&TenantPolicy> {
-        let mut all: Vec<&TenantPolicy> = self.by_key.values().collect();
-        all.sort_by(|a, b| a.name.cmp(&b.name));
-        all
-    }
-
     /// Parses a keys-file document.
     ///
     /// # Errors

@@ -10,7 +10,7 @@
 //! - [`pimsyn_ir`] — PIM intermediate representation and dataflow compiler
 //! - [`pimsyn_sim`] — cycle-accurate behavior-level simulator
 //! - [`pimsyn_dse`] — design-space exploration (SA filter, EA explorer, Alg. 1)
-//! - [`pimsyn_baselines`] — manually-designed accelerator models and heuristics
+//! - [`pimsyn_baselines`] — manually-designed accelerator models and the Gibbon proxy
 //! - [`pimsyn_gateway`] — multi-tenant HTTP/REST front end over the service
 //!
 //! [examples]: https://github.com/example/pimsyn-repro/tree/main/examples
