@@ -220,7 +220,7 @@ pub fn to_pimsim_config(result: &SynthesisResult) -> String {
 mod tests {
     use super::*;
     use pimsyn::{SynthesisOptions, Synthesizer, Watts};
-    use pimsyn_model::zoo;
+    use pimsyn_model::{zoo, Model};
 
     fn field<'a>(value: &'a JsonValue, key: &str) -> &'a JsonValue {
         value.get(key).unwrap_or_else(|| panic!("no field `{key}`"))
@@ -238,111 +238,124 @@ mod tests {
             .unwrap_or_else(|| panic!("`{key}` is not a string"))
     }
 
-    /// The invariants of `docs/ARCHITECTURE.md` §8.7, checked on each
-    /// written tree against the result it came from.
-    #[test]
-    fn written_documents_keep_the_format_invariants() {
-        for (model, watts) in [
-            (zoo::alexnet_cifar(10), 8.0),
-            (zoo::transformer_tiny(), 6.0),
-            // Depthwise layers map block-diagonally (each group gets its
-            // own tile), so MobileNet needs a generous crossbar budget.
-            (zoo::mobilenet(), 120.0),
-        ] {
-            let result = Synthesizer::new(SynthesisOptions::fast(Watts(watts)).with_seed(3))
-                .synthesize(&model)
-                .expect("synthesis succeeds");
-            let arch = &result.architecture;
-            // The pair rule of `shares_macros_with` (§8.7, invariant 4).
-            arch.validate(&model)
-                .expect("synthesized architecture validates");
-            let doc = export_document(&result);
-            assert_eq!(text(&doc, "format"), FORMAT_NAME);
-            assert_eq!(count(&doc, "version") as u64, FORMAT_VERSION);
-            assert_eq!(text(field(&doc, "model"), "name"), model.name());
+    /// Synthesizes `model` at `watts` (fast effort, seed 3), checks the
+    /// invariants of `docs/ARCHITECTURE.md` §8.7 on its written tree
+    /// against the result, and checks that the text re-serializes byte for
+    /// byte. Returns the result and the tree for model-specific checks.
+    fn written_document(model: &Model, watts: f64) -> (SynthesisResult, JsonValue) {
+        let result = Synthesizer::new(SynthesisOptions::fast(Watts(watts)).with_seed(3))
+            .synthesize(model)
+            .expect("synthesis succeeds");
+        let arch = &result.architecture;
+        // The pair rule of `shares_macros_with` (§8.7, invariant 4).
+        arch.validate(model)
+            .expect("synthesized architecture validates");
+        let doc = export_document(&result);
+        assert_eq!(text(&doc, "format"), FORMAT_NAME);
+        assert_eq!(count(&doc, "version") as u64, FORMAT_VERSION);
+        assert_eq!(text(field(&doc, "model"), "name"), model.name());
 
-            let network = field(&doc, "network").as_array().unwrap();
-            let mapping = field(&doc, "mapping").as_array().unwrap();
-            assert_eq!(network.len(), model.weight_layer_count());
-            assert_eq!(mapping.len(), network.len());
-            for layer in network {
-                assert!(matches!(text(layer, "op"), "conv" | "fc" | "matmul"));
-                assert!(matches!(text(layer, "activation"), "relu" | "none"));
-                assert!(matches!(text(layer, "pool"), "max" | "avg" | "none"));
-                let groups = count(layer, "groups");
-                assert!(groups > 0);
-                assert_eq!(count(layer, "in_channels") % groups, 0);
-                assert_eq!(count(layer, "out_channels") % groups, 0);
-            }
-
-            let mut crossbars = 0;
-            for (i, (entry, lh)) in mapping.iter().zip(&arch.layers).enumerate() {
-                assert_eq!(count(entry, "layer"), i);
-                assert_eq!(text(entry, "name"), text(&network[i], "name"));
-                assert_eq!(count(entry, "wt_dup"), lh.wt_dup);
-                assert_eq!(count(entry, "crossbar_set"), lh.crossbar_set);
-                assert_eq!(count(entry, "crossbars"), lh.wt_dup * lh.crossbar_set);
-                assert_eq!(count(entry, "macros"), lh.macros);
-                assert!(lh.wt_dup > 0 && lh.crossbar_set > 0 && lh.macros > 0);
-                let shares = lh.shares_macros_with.map_or(JsonValue::Null, int);
-                assert_eq!(field(entry, "shares_macros_with"), &shares);
-                crossbars += count(entry, "crossbars");
-            }
-            let sim = field(&doc, "sim_config");
-            assert_eq!(count(sim, "crossbar_count"), crossbars);
-            assert_eq!(crossbars, arch.crossbar_count());
-            assert_eq!(count(sim, "macro_count"), arch.macro_count());
-            assert_eq!(field(sim, "power_budget_watts").as_f64(), Some(watts));
-
-            let report = result.best_report();
-            let expected = field(&doc, "expected");
-            for (key, value) in [
-                ("latency_seconds", report.latency.value()),
-                ("power_watts", report.power.value()),
-                ("throughput_tops", report.throughput_tops()),
-                ("energy_per_image_joules", report.energy_per_image.value()),
-                (
-                    "efficiency_tops_per_watt",
-                    report.efficiency_tops_per_watt(),
-                ),
-            ] {
-                assert!(value.is_finite() && value >= 0.0, "{key} {value}");
-                assert_eq!(field(expected, key).as_f64(), Some(value), "{key}");
-            }
-
-            let position = |name: &str| {
-                network
-                    .iter()
-                    .position(|l| text(l, "name") == name)
-                    .unwrap_or_else(|| panic!("no layer `{name}`"))
-            };
-            match model.name() {
-                "transformer-tiny" => {
-                    let matmuls = network.iter().filter(|l| text(l, "op") == "matmul");
-                    assert_eq!(matmuls.count(), 13, "embed + 2 x 6 projections");
-                    // Dynamic attention products surface as fused eltwise work.
-                    let q = &network[position("enc1_q")];
-                    assert_eq!(field(q, "eltwise").as_bool(), Some(true));
-                }
-                "mobilenet" => {
-                    let i = position("b1_dw");
-                    assert_eq!(count(&network[i], "groups"), 32);
-                    assert_eq!(count(&network[i], "in_channels"), 32);
-                    // Block-diagonal sizing: Eq. (1) with the group factor.
-                    let wl = model.weight_layers().nth(i).unwrap();
-                    let set = arch
-                        .crossbar
-                        .crossbar_set(wl, model.precision().weight_bits());
-                    assert_eq!(count(&mapping[i], "crossbar_set"), set);
-                }
-                _ => {}
-            }
-
-            // f64's Display round-trips exactly, so the text is a parse ->
-            // serialize fixed point.
-            let written = to_pimsim_config(&result);
-            assert_eq!(written, doc.to_string());
-            assert_eq!(JsonValue::parse(&written).unwrap().to_string(), written);
+        let network = field(&doc, "network").as_array().unwrap();
+        let mapping = field(&doc, "mapping").as_array().unwrap();
+        assert_eq!(network.len(), model.weight_layer_count());
+        assert_eq!(mapping.len(), network.len());
+        for layer in network {
+            assert!(matches!(text(layer, "op"), "conv" | "fc" | "matmul"));
+            assert!(matches!(text(layer, "activation"), "relu" | "none"));
+            assert!(matches!(text(layer, "pool"), "max" | "avg" | "none"));
+            let groups = count(layer, "groups");
+            assert!(groups > 0);
+            assert_eq!(count(layer, "in_channels") % groups, 0);
+            assert_eq!(count(layer, "out_channels") % groups, 0);
         }
+
+        let mut crossbars = 0;
+        for (i, (entry, lh)) in mapping.iter().zip(&arch.layers).enumerate() {
+            assert_eq!(count(entry, "layer"), i);
+            assert_eq!(text(entry, "name"), text(&network[i], "name"));
+            assert_eq!(count(entry, "wt_dup"), lh.wt_dup);
+            assert_eq!(count(entry, "crossbar_set"), lh.crossbar_set);
+            assert_eq!(count(entry, "crossbars"), lh.wt_dup * lh.crossbar_set);
+            assert_eq!(count(entry, "macros"), lh.macros);
+            assert!(lh.wt_dup > 0 && lh.crossbar_set > 0 && lh.macros > 0);
+            let shares = lh.shares_macros_with.map_or(JsonValue::Null, int);
+            assert_eq!(field(entry, "shares_macros_with"), &shares);
+            crossbars += count(entry, "crossbars");
+        }
+        let sim = field(&doc, "sim_config");
+        assert_eq!(count(sim, "crossbar_count"), crossbars);
+        assert_eq!(crossbars, arch.crossbar_count());
+        assert_eq!(count(sim, "macro_count"), arch.macro_count());
+        assert_eq!(field(sim, "power_budget_watts").as_f64(), Some(watts));
+
+        let report = result.best_report();
+        let expected = field(&doc, "expected");
+        for (key, value) in [
+            ("latency_seconds", report.latency.value()),
+            ("power_watts", report.power.value()),
+            ("throughput_tops", report.throughput_tops()),
+            ("energy_per_image_joules", report.energy_per_image.value()),
+            (
+                "efficiency_tops_per_watt",
+                report.efficiency_tops_per_watt(),
+            ),
+        ] {
+            assert!(value.is_finite() && value >= 0.0, "{key} {value}");
+            assert_eq!(field(expected, key).as_f64(), Some(value), "{key}");
+        }
+
+        // f64's Display round-trips exactly, so the text is a parse ->
+        // serialize fixed point.
+        let written = to_pimsim_config(&result);
+        assert_eq!(written, doc.to_string());
+        assert_eq!(JsonValue::parse(&written).unwrap().to_string(), written);
+        (result, doc)
+    }
+
+    /// Index of the network entry named `name`.
+    fn position(doc: &JsonValue, name: &str) -> usize {
+        field(doc, "network")
+            .as_array()
+            .unwrap()
+            .iter()
+            .position(|l| text(l, "name") == name)
+            .unwrap_or_else(|| panic!("no layer `{name}`"))
+    }
+
+    #[test]
+    fn classic_model_round_trips() {
+        let (_, doc) = written_document(&zoo::alexnet_cifar(10), 8.0);
+        assert_eq!(text(field(&doc, "model"), "name"), "alexnet-cifar");
+    }
+
+    #[test]
+    fn new_op_model_round_trips() {
+        let (_, doc) = written_document(&zoo::transformer_tiny(), 6.0);
+        let network = field(&doc, "network").as_array().unwrap();
+        let matmuls = network.iter().filter(|l| text(l, "op") == "matmul");
+        assert_eq!(matmuls.count(), 13, "embed + 2 x 6 projections");
+        // Dynamic attention products surface as fused eltwise work.
+        let q = &network[position(&doc, "enc1_q")];
+        assert_eq!(field(q, "eltwise").as_bool(), Some(true));
+    }
+
+    #[test]
+    fn grouped_layers_survive_export() {
+        // Depthwise layers map block-diagonally (each group gets its own
+        // tile), so MobileNet needs a generous crossbar budget.
+        let model = zoo::mobilenet();
+        let (result, doc) = written_document(&model, 120.0);
+        let i = position(&doc, "b1_dw");
+        let dw = &field(&doc, "network").as_array().unwrap()[i];
+        assert_eq!(count(dw, "groups"), 32);
+        assert_eq!(count(dw, "in_channels"), 32);
+        // Block-diagonal sizing: Eq. (1) with the group factor.
+        let wl = model.weight_layers().nth(i).unwrap();
+        let set = result
+            .architecture
+            .crossbar
+            .crossbar_set(wl, model.precision().weight_bits());
+        let entry = &field(&doc, "mapping").as_array().unwrap()[i];
+        assert_eq!(count(entry, "crossbar_set"), set);
     }
 }
